@@ -1,9 +1,8 @@
 # Development targets; `make check` is what CI runs.
 
 GO ?= go
-BENCH_DATE ?= $(shell date +%Y-%m-%d)
 
-.PHONY: all build test test-short bench bench-smoke serve-smoke snapshot-smoke shard-smoke replica-smoke cache-smoke chaos-smoke fmt fmt-fix vet check docs-check
+.PHONY: all build test test-short bench bench-smoke bench-counts serve-smoke snapshot-smoke shard-smoke replica-smoke cache-smoke chaos-smoke fmt fmt-fix vet check docs-check
 
 all: check
 
@@ -16,23 +15,32 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# bench runs the index + matcher benchmarks at measurement benchtime and
-# emits both artefacts: BENCH_<date>.txt (benchstat-compatible raw output)
-# and BENCH_<date>.json (the same numbers, parsed by cmd/benchjson). The
-# run covers the refnet kernel-traversal pair (BenchmarkRefnetFilterBatch
-# Kernel/PerProbe, whose dist/op metric is the counted filter evaluations)
-# and the BatchRange allocs/op benchmark.
+# bench runs the repository benchmark (bench/README.md): five workloads
+# end to end, then the traced pass with every per-layer metric. Results
+# land in bench-result.json (git-ignored); compare two such files with
+# `go run ./bench -compare a.json b.json`.
 bench:
-	$(GO) test -bench=. -benchtime=1s -run=^$$ . > BENCH_$(BENCH_DATE).txt || \
-		{ cat BENCH_$(BENCH_DATE).txt; rm -f BENCH_$(BENCH_DATE).txt; exit 1; }
-	cat BENCH_$(BENCH_DATE).txt
-	$(GO) run ./cmd/benchjson < BENCH_$(BENCH_DATE).txt > BENCH_$(BENCH_DATE).json
-	@echo "wrote BENCH_$(BENCH_DATE).txt and BENCH_$(BENCH_DATE).json"
+	$(GO) run ./bench -trace 1 -out bench-result.json
 
-# bench-smoke runs every benchmark for a single iteration so CI keeps the
-# bench code compiling and executing without paying measurement time.
+# bench-smoke runs the same harness over op lists ÷ 20: every path and
+# every metric exercised, nothing measured (the CI job).
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	$(GO) run ./bench -smoke -trace 1
+
+# bench-counts is the deterministic gate: the counted prefixes of the two
+# -seq workloads at seed 1 must reproduce bench-counts.json exactly —
+# distance evaluations per query and the digest of every answer. Counts
+# repeat on any machine; timings are not looked at. (jq + diff rather than
+# `-compare`, which refuses files from differing environments.) After a
+# deliberate change, regenerate the file with the jq line below.
+bench-counts:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for w in protein-seq traj-erp-seq; do \
+		$(GO) run ./bench -workload $$w -seed 1 -seconds 1 -out "$$tmp/$$w.json" >/dev/null || exit 1; \
+	done && \
+	jq -s '[.[].results[] | {workload, dist_per_query: .metrics.dist_per_query.value, answers_digest}]' \
+		"$$tmp/protein-seq.json" "$$tmp/traj-erp-seq.json" | diff -u bench-counts.json - && \
+	echo "bench-counts: dist_per_query and answers_digest match bench-counts.json"
 
 # serve-smoke is the daemon's end-to-end check: build the real subseqctl
 # binary, start `serve` on a synthetic dataset, issue one query per
@@ -80,7 +88,7 @@ cache-smoke:
 	$(GO) test -run TestCacheSmokeBinary -count=1 -v ./cmd/subseqctl
 
 # chaos-smoke drives the fault-injection harness (internal/chaos) under
-# the race detector on a CI time budget: worker kills mid-claim, evaluator
+# the race detector on a CI time budget: worker kills mid-query, evaluator
 # stalls against deadlines, queue slams past depth and cancellation
 # storms, asserting no deadlock, no leaked futures and bit-identical
 # results for every completed query.

@@ -18,15 +18,14 @@
 //	    -type longest -eps 3 -querylen 60 -queries 16 -workers 4
 //	    generate mutated queries from the dataset and answer them:
 //	    -type findall (I), longest (II), nearest (III) or filter (the
-//	    filtering steps only). With -queries > 1 the batched engine shares
-//	    one index traversal across the query set; with -workers > 1 the
-//	    batch is fanned over a QueryPool's worker goroutines.
+//	    filtering steps only). Every query runs its own index traversal;
+//	    -workers > 1 answers -queries side by side on a QueryPool.
 //
 //	subseqctl serve -dataset proteins -backend refnet -addr 127.0.0.1:8077
 //	    run the long-lived HTTP/JSON daemon: build the session once, then
 //	    answer findall/longest/nearest/filter queries over POST /query/*,
-//	    streaming every request through the QueryPool's Submit API so
-//	    concurrent requests coalesce into shared index traversals.
+//	    streaming every request through the QueryPool's Submit API, whose
+//	    workers answer one request at a time each.
 //	    GET /stats reports the resolved configuration, the distance-call
 //	    tallies and the streaming engine's counters. SIGINT/SIGTERM shut
 //	    down gracefully. The daemon serves from a live store: POST
@@ -144,7 +143,7 @@ func cmdQuery(args []string) {
 	fs.IntVar(&opts.qlen, "querylen", 60, "query length")
 	fs.Float64Var(&opts.rate, "mutation", 0.1, "query mutation rate")
 	fs.IntVar(&opts.queries, "queries", 1, "number of queries to generate and answer")
-	fs.IntVar(&opts.workers, "workers", 1, "worker goroutines; > 1 answers the batch on a QueryPool")
+	fs.IntVar(&opts.workers, "workers", 1, "worker goroutines answering the queries, one query each at a time")
 	fs.Parse(args)
 	s, err := newSession(*spec)
 	if err != nil {

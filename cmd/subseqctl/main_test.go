@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/registry"
@@ -68,14 +69,18 @@ func TestNewSessionErrors(t *testing.T) {
 }
 
 // TestQueryTypes runs each query type (and numeral alias) through a tiny
-// session, sequential, batched and pooled.
+// session, on one worker and on two, and checks the report names the mode
+// that actually ran.
 func TestQueryTypes(t *testing.T) {
 	s, err := newSession(newSpec("proteins", "levenshtein-fast", "refnet"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, typ := range []string{"findall", "longest", "nearest", "filter", "I", "II", "III"} {
-		for _, mode := range []struct{ queries, workers int }{{1, 1}, {3, 1}, {3, 2}} {
+		for _, mode := range []struct {
+			queries, workers int
+			label            string
+		}{{1, 1, "\nsequential in "}, {3, 1, "\nsequential in "}, {3, 2, "\npool(2 workers) in "}} {
 			out, err := s.runQuery(queryOpts{
 				typ: typ, eps: 3, qlen: 18, rate: 0.1,
 				queries: mode.queries, workers: mode.workers, seed: 5,
@@ -83,8 +88,8 @@ func TestQueryTypes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("type %q (queries=%d workers=%d): %v", typ, mode.queries, mode.workers, err)
 			}
-			if out == "" {
-				t.Fatalf("type %q: empty report", typ)
+			if !strings.Contains(out, mode.label) {
+				t.Fatalf("type %q (queries=%d workers=%d): report %q lacks %q", typ, mode.queries, mode.workers, out, mode.label)
 			}
 		}
 	}

@@ -30,13 +30,12 @@ import (
 // subcommand resolves it) is built once at startup — or restored from a
 // snapshot in seconds with -restore — and wrapped in a live store
 // (internal/store); every request is then streamed through a QueryPool's
-// Submit API, so concurrent requests coalesce into shared index
-// traversals and a slow client cannot queue unbounded work (the pool's
-// in-flight budget is the backpressure). The admin surface mutates the
-// store while queries run: POST /admin/append, /admin/retire and
-// /admin/snapshot, with in-flight query claims draining before each
-// mutation. docs/SERVING.md covers the query API; docs/PERSISTENCE.md
-// covers the lifecycle and snapshot format.
+// Submit API, whose workers answer one request at a time each, so a slow
+// client cannot queue unbounded work (the pool's in-flight budget is the
+// backpressure). The admin surface mutates the store while queries run:
+// POST /admin/append, /admin/retire and /admin/snapshot, with running
+// queries draining before each mutation. docs/SERVING.md covers the query
+// API; docs/PERSISTENCE.md covers the lifecycle and snapshot format.
 
 func cmdServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
@@ -469,75 +468,25 @@ type queryRequest struct {
 	EpsInc *float64 `json:"eps_inc"`
 }
 
-// wireMatch is core.Match with stable JSON names.
-type wireMatch struct {
-	SeqID  int     `json:"seq_id"`
-	QStart int     `json:"q_start"`
-	QEnd   int     `json:"q_end"`
-	XStart int     `json:"x_start"`
-	XEnd   int     `json:"x_end"`
-	Dist   float64 `json:"dist"`
-}
+// The wire envelopes are the shard package's (shard.Match, shard.Hit,
+// shard.MatchesResponse, …): a single node and the gateway speak one
+// protocol, so there is one set of types for it.
 
-func toWireMatch(m core.Match) wireMatch {
-	return wireMatch{SeqID: m.SeqID, QStart: m.QStart, QEnd: m.QEnd, XStart: m.XStart, XEnd: m.XEnd, Dist: m.Dist}
-}
-
-// wireMatch converts a store-local match to the wire, re-basing the
-// sequence ID into the global numbering when this process is a shard.
-func (srv *typedServer[E]) wireMatch(m core.Match) wireMatch {
-	wm := toWireMatch(m)
-	wm.SeqID += srv.seqBase
-	return wm
-}
-
-// wireHit converts a store-local filter hit to the wire, re-based like
-// wireMatch.
-func (srv *typedServer[E]) wireHit(h core.Hit[E]) wireHit {
-	return wireHit{
-		SeqID: h.Window.SeqID + srv.seqBase, WindowStart: h.Window.Start, WindowEnd: h.Window.End(),
-		SegStart: h.Segment.Start, SegEnd: h.Segment.End(),
-	}
-}
-
-// shardMatch is wireMatch's twin for the batch endpoint, which speaks the
-// shard package's wire envelopes (identical JSON, shared with the gateway).
-func (srv *typedServer[E]) shardMatch(m core.Match) shard.Match {
+// match converts a store-local match to the wire, re-basing the sequence
+// ID into the global numbering when this process is a shard.
+func (srv *typedServer[E]) match(m core.Match) shard.Match {
 	return shard.Match{
 		SeqID: m.SeqID + srv.seqBase, QStart: m.QStart, QEnd: m.QEnd,
 		XStart: m.XStart, XEnd: m.XEnd, Dist: m.Dist,
 	}
 }
 
-func (srv *typedServer[E]) shardHit(h core.Hit[E]) shard.Hit {
+// hit converts a store-local filter hit to the wire, re-based like match.
+func (srv *typedServer[E]) hit(h core.Hit[E]) shard.Hit {
 	return shard.Hit{
 		SeqID: h.Window.SeqID + srv.seqBase, WindowStart: h.Window.Start, WindowEnd: h.Window.End(),
 		SegStart: h.Segment.Start, SegEnd: h.Segment.End(),
 	}
-}
-
-// wireHit is one filtered segment↔window pair.
-type wireHit struct {
-	SeqID       int `json:"seq_id"`
-	WindowStart int `json:"window_start"`
-	WindowEnd   int `json:"window_end"`
-	SegStart    int `json:"segment_start"`
-	SegEnd      int `json:"segment_end"`
-}
-
-type matchesResponse struct {
-	Count   int         `json:"count"`
-	Matches []wireMatch `json:"matches"`
-}
-
-type bestResponse struct {
-	Found bool       `json:"found"`
-	Match *wireMatch `json:"match,omitempty"`
-}
-
-type hitsResponse struct {
-	Count int       `json:"count"`
-	Hits  []wireHit `json:"hits"`
 }
 
 type statsResponse struct {
@@ -552,10 +501,8 @@ type statsResponse struct {
 		Verify int64 `json:"verify"`
 	} `json:"distance_calls"`
 	Stream core.StreamStats `json:"stream"`
-	// Batch tallies the batched-engine entry points: how many
-	// FilterHitsBatch calls ran (every batch kind funnels through it) and
-	// how many queries they carried. Queries/Calls is the amortisation
-	// ratio the batch endpoint exists to raise.
+	// Batch tallies the /query/batch endpoint: how many batch requests
+	// the matcher answered and how many queries they carried.
 	Batch struct {
 		Calls   int64 `json:"calls"`
 		Queries int64 `json:"queries"`
@@ -574,10 +521,6 @@ type statsResponse struct {
 	} `json:"store"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -587,7 +530,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
+	writeJSON(w, status, shard.ErrorResponse{Error: err.Error()})
 }
 
 // maxRequestBytes caps a /query/* request body. The streaming engine's
@@ -744,9 +687,9 @@ func (srv *typedServer[E]) handleFindAll(w http.ResponseWriter, r *http.Request)
 		writeSubmitErr(w, err)
 		return
 	}
-	resp := matchesResponse{Count: len(ms), Matches: make([]wireMatch, len(ms))}
+	resp := shard.MatchesResponse{Count: len(ms), Matches: make([]shard.Match, len(ms))}
 	for i, m := range ms {
-		resp.Matches[i] = srv.wireMatch(m)
+		resp.Matches[i] = srv.match(m)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -769,9 +712,9 @@ func (srv *typedServer[E]) handleLongest(w http.ResponseWriter, r *http.Request)
 		writeSubmitErr(w, err)
 		return
 	}
-	resp := bestResponse{Found: res.Found}
+	resp := shard.BestResponse{Found: res.Found}
 	if res.Found {
-		m := srv.wireMatch(res.Match)
+		m := srv.match(res.Match)
 		resp.Match = &m
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -802,9 +745,9 @@ func (srv *typedServer[E]) handleNearest(w http.ResponseWriter, r *http.Request)
 		writeSubmitErr(w, err)
 		return
 	}
-	resp := bestResponse{Found: res.Found}
+	resp := shard.BestResponse{Found: res.Found}
 	if res.Found {
-		m := srv.wireMatch(res.Match)
+		m := srv.match(res.Match)
 		resp.Match = &m
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -828,19 +771,19 @@ func (srv *typedServer[E]) handleFilter(w http.ResponseWriter, r *http.Request) 
 		writeSubmitErr(w, err)
 		return
 	}
-	resp := hitsResponse{Count: len(hits), Hits: make([]wireHit, len(hits))}
+	resp := shard.HitsResponse{Count: len(hits), Hits: make([]shard.Hit, len(hits))}
 	for i, h := range hits {
-		resp.Hits[i] = srv.wireHit(h)
+		resp.Hits[i] = srv.hit(h)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleBatch answers POST /query/batch: many queries of one kind in one
-// request, fed to the matcher's batched entry points so they share index
-// traversals (Section 7's many-queries-one-traversal path). Batches
-// deliberately bypass the streaming pool — the pool's coalescing would
-// re-chunk the batch, and the request already is the batch — and instead
-// pin the store's current matcher through its view guard for the call.
+// request, saving the HTTP round trips and nothing else. The queries are
+// answered one after another by a plain loop on this handler goroutine,
+// each with its own index traversal, against one pinned view of the store.
+// The loop runs outside the streaming pool: no admission control, no
+// deadline, no priority — a large batch holds the view for its whole run.
 func (srv *typedServer[E]) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req shard.BatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
@@ -884,7 +827,7 @@ func (srv *typedServer[E]) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for i, ms := range per {
 			out := make([]shard.Match, len(ms))
 			for j, m := range ms {
-				out[j] = srv.shardMatch(m)
+				out[j] = srv.match(m)
 			}
 			resp.Matches[i] = out
 		}
@@ -893,7 +836,7 @@ func (srv *typedServer[E]) handleBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Best = make([]shard.BestResult, len(ms))
 		for i := range ms {
 			if found[i] {
-				m := srv.shardMatch(ms[i])
+				m := srv.match(ms[i])
 				resp.Best[i] = shard.BestResult{Found: true, Match: &m}
 			}
 		}
@@ -903,7 +846,7 @@ func (srv *typedServer[E]) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for i, hs := range per {
 			out := make([]shard.Hit, len(hs))
 			for j, h := range hs {
-				out[j] = srv.shardHit(h)
+				out[j] = srv.hit(h)
 			}
 			resp.Hits[i] = out
 		}
@@ -944,7 +887,7 @@ func (srv *typedServer[E]) handleHealthz(w http.ResponseWriter, r *http.Request)
 
 // --- Admin surface (POST /admin/*): mutate the live store while queries
 // run. Each mutation takes the store's write lock, so it waits only for
-// query claims already in flight; docs/PERSISTENCE.md documents the
+// queries already running; docs/PERSISTENCE.md documents the
 // consistency model. ---
 
 // appendRequest is the body of POST /admin/append. Sequence uses the

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/shard"
 	"repro/registry"
 )
 
@@ -109,7 +110,7 @@ func TestServeEndpointsByteDataset(t *testing.T) {
 	}
 	q := fmt.Sprintf("%q", ds.Sequences[0][:16])
 
-	var fa matchesResponse
+	var fa shard.MatchesResponse
 	if code := postJSON(t, ts, "/query/findall", `{"query":`+q+`,"eps":2}`, &fa); code != http.StatusOK {
 		t.Fatalf("findall status %d", code)
 	}
@@ -120,7 +121,7 @@ func TestServeEndpointsByteDataset(t *testing.T) {
 		t.Fatal("findall returned no matches for a verbatim database subsequence")
 	}
 
-	var lg bestResponse
+	var lg shard.BestResponse
 	if code := postJSON(t, ts, "/query/longest", `{"query":`+q+`,"eps":2}`, &lg); code != http.StatusOK {
 		t.Fatalf("longest status %d", code)
 	}
@@ -131,7 +132,7 @@ func TestServeEndpointsByteDataset(t *testing.T) {
 		t.Fatalf("longest returned empty span %+v", lg.Match)
 	}
 
-	var nr bestResponse
+	var nr shard.BestResponse
 	if code := postJSON(t, ts, "/query/nearest", `{"query":`+q+`,"eps_max":4}`, &nr); code != http.StatusOK {
 		t.Fatalf("nearest status %d", code)
 	}
@@ -139,7 +140,7 @@ func TestServeEndpointsByteDataset(t *testing.T) {
 		t.Fatal("nearest found nothing for a verbatim database subsequence")
 	}
 
-	var fl hitsResponse
+	var fl shard.HitsResponse
 	if code := postJSON(t, ts, "/query/filter", `{"query":`+q+`,"eps":2}`, &fl); code != http.StatusOK {
 		t.Fatalf("filter status %d", code)
 	}
@@ -156,21 +157,21 @@ func TestServeEndpointsByteDataset(t *testing.T) {
 // The float64 and point2 datasets decode their own query encodings.
 func TestServeElementTypedQueries(t *testing.T) {
 	ts, _ := newTestServer(t, "songs", "dfd", "refnet")
-	var fl hitsResponse
+	var fl shard.HitsResponse
 	if code := postJSON(t, ts, "/query/filter",
 		`{"query":[1,2,3,4,5,6,7,8,9,10,11,0,1,2],"eps":4}`, &fl); code != http.StatusOK {
 		t.Fatalf("songs filter status %d", code)
 	}
 
 	tp, _ := newTestServer(t, "traj", "erp", "refnet")
-	var fa matchesResponse
+	var fa shard.MatchesResponse
 	if code := postJSON(t, tp, "/query/findall",
 		`{"query":[[0,0],[1,1],[2,2],[3,3],[4,4],[5,5],[6,6],[7,7],[8,8],[9,9],[10,10],[11,11]],"eps":40}`,
 		&fa); code != http.StatusOK {
 		t.Fatalf("traj findall status %d", code)
 	}
 	// Wrong encoding for the element type is a 400, not a panic.
-	var er errorResponse
+	var er shard.ErrorResponse
 	if code := postJSON(t, tp, "/query/findall", `{"query":"ABC","eps":1}`, &er); code != http.StatusBadRequest {
 		t.Fatalf("mistyped query status %d, want 400", code)
 	}
@@ -192,7 +193,7 @@ func TestServeMatchesLibrary(t *testing.T) {
 	want := mt.FindAll(q, 5)
 
 	ts, _ := newTestServer(t, "proteins", "levenshtein-fast", "refnet")
-	var fa matchesResponse
+	var fa shard.MatchesResponse
 	if code := postJSON(t, ts, "/query/findall",
 		fmt.Sprintf(`{"query":%q,"eps":5}`, q), &fa); code != http.StatusOK {
 		t.Fatalf("findall status %d", code)
@@ -226,7 +227,7 @@ func TestServeRequestValidation(t *testing.T) {
 		{"/query/filter", `{"query":[1,2],"eps":1}`},                 // wrong element encoding
 	}
 	for _, c := range cases {
-		var er errorResponse
+		var er shard.ErrorResponse
 		if code := postJSON(t, ts, c.path, c.body, &er); code != http.StatusBadRequest {
 			t.Errorf("POST %s %s: status %d, want 400", c.path, c.body, code)
 		} else if er.Error == "" {
@@ -256,7 +257,7 @@ func TestServeStats(t *testing.T) {
 		t.Fatalf("healthz = %+v (status %d)", health, code)
 	}
 	for i := 0; i < 3; i++ {
-		var fa matchesResponse
+		var fa shard.MatchesResponse
 		postJSON(t, ts, "/query/findall", `{"query":"ACDEFGHIKLMNPQRS","eps":6}`, &fa)
 	}
 	var st statsResponse
@@ -294,7 +295,7 @@ func TestServeAdminLifecycle(t *testing.T) {
 	novel := strings.Repeat("WYWYAC", 4)
 	q := fmt.Sprintf("%q", novel[:14])
 
-	var before matchesResponse
+	var before shard.MatchesResponse
 	postJSON(t, ts, "/query/findall", `{"query":`+q+`,"eps":1}`, &before)
 
 	var ar appendResponse
@@ -304,7 +305,7 @@ func TestServeAdminLifecycle(t *testing.T) {
 	if ar.WindowsAdded != len(novel)/6 {
 		t.Fatalf("append added %d windows, want %d", ar.WindowsAdded, len(novel)/6)
 	}
-	var after matchesResponse
+	var after shard.MatchesResponse
 	postJSON(t, ts, "/query/findall", `{"query":`+q+`,"eps":1}`, &after)
 	found := false
 	for _, m := range after.Matches {
@@ -334,14 +335,14 @@ func TestServeAdminLifecycle(t *testing.T) {
 	if rr.WindowsRemoved != ar.WindowsAdded {
 		t.Fatalf("retire removed %d windows, appended %d", rr.WindowsRemoved, ar.WindowsAdded)
 	}
-	var gone matchesResponse
+	var gone shard.MatchesResponse
 	postJSON(t, ts, "/query/findall", `{"query":`+q+`,"eps":1}`, &gone)
 	for _, m := range gone.Matches {
 		if m.SeqID == ar.SeqID {
 			t.Fatalf("retired sequence %d still matches", ar.SeqID)
 		}
 	}
-	var er errorResponse
+	var er shard.ErrorResponse
 	if code := postJSON(t, ts, "/admin/retire", fmt.Sprintf(`{"seq_id":%d}`, ar.SeqID), &er); code != http.StatusBadRequest {
 		t.Fatalf("double retire status %d, want 400", code)
 	}
@@ -361,7 +362,7 @@ func TestServeAdminLifecycle(t *testing.T) {
 	ts2 := httptest.NewServer(qs2.handler())
 	defer func() { ts2.Close(); qs2.close() }()
 
-	var restoredMatches matchesResponse
+	var restoredMatches shard.MatchesResponse
 	postJSON(t, ts2, "/query/findall", `{"query":`+q+`,"eps":1}`, &restoredMatches)
 	if restoredMatches.Count != after.Count {
 		t.Fatalf("restored server finds %d matches, original found %d", restoredMatches.Count, after.Count)
@@ -408,7 +409,7 @@ func TestServeAdminValidation(t *testing.T) {
 		{"/admin/snapshot", `{}`},                               // missing path
 	}
 	for _, c := range cases {
-		var er errorResponse
+		var er shard.ErrorResponse
 		if code := postJSON(t, ts, c.path, c.body, &er); code != http.StatusBadRequest {
 			t.Errorf("POST %s %s: status %d, want 400", c.path, c.body, code)
 		} else if er.Error == "" {
@@ -417,7 +418,7 @@ func TestServeAdminValidation(t *testing.T) {
 	}
 	// The cover tree has no deletion: retire is a 409 capability conflict.
 	tc, _ := newTestServer(t, "proteins", "levenshtein-fast", "covertree")
-	var er errorResponse
+	var er shard.ErrorResponse
 	if code := postJSON(t, tc, "/admin/retire", `{"seq_id":0}`, &er); code != http.StatusConflict {
 		t.Errorf("covertree retire status %d, want 409", code)
 	}
@@ -490,7 +491,7 @@ func TestServeRequestTimeout504(t *testing.T) {
 		Workers:     1, QueueDepth: 4, RequestTimeout: time.Nanosecond,
 	}
 	ts, _ := newTestServerSpec(t, spec, "")
-	var er errorResponse
+	var er shard.ErrorResponse
 	if code := postJSON(t, ts, "/query/findall", `{"query":"ACDEFGHIKLMNPQRS","eps":2}`, &er); code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", code)
 	}
@@ -543,7 +544,7 @@ func TestServeSnapshotInterval(t *testing.T) {
 	}
 
 	q := `{"query":"ACDEFGHIKLMNPQRS","eps":4}`
-	var want matchesResponse
+	var want shard.MatchesResponse
 	postJSON(t, ts, "/query/findall", q, &want)
 
 	ts2, qs2 := newTestServerSpec(t, registry.ServerSpec{
@@ -552,7 +553,7 @@ func TestServeSnapshotInterval(t *testing.T) {
 	if !qs2.wasRestored() {
 		t.Fatal("background snapshot did not restore")
 	}
-	var got matchesResponse
+	var got shard.MatchesResponse
 	postJSON(t, ts2, "/query/findall", q, &got)
 	if got.Count != want.Count {
 		t.Fatalf("restored server finds %d matches, original %d", got.Count, want.Count)
@@ -592,7 +593,7 @@ func TestServeQuarantinesCorruptRestore(t *testing.T) {
 		t.Fatalf("corrupt snapshot still in place: %v", err)
 	}
 	// The rebuilt server answers queries.
-	var fa matchesResponse
+	var fa shard.MatchesResponse
 	if code := postJSON(t, ts, "/query/findall", `{"query":"ACDEFGHIKLMNPQRS","eps":4}`, &fa); code != http.StatusOK {
 		t.Fatalf("rebuilt server findall status %d", code)
 	}
@@ -833,7 +834,7 @@ func TestSnapshotSmokeBinary(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("findall status %d", code)
 	}
-	var fa matchesResponse
+	var fa shard.MatchesResponse
 	if err := json.Unmarshal(wantAnswer, &fa); err != nil || fa.Count == 0 {
 		t.Fatalf("findall found nothing for the appended sequence: %s (%v)", wantAnswer, err)
 	}

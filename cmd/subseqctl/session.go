@@ -169,10 +169,10 @@ func (s *typedSession[E]) store() (*store.Store[E], error) {
 	return store.New(s.measure, s.config(), s.ds.Sequences)
 }
 
-// runQuery answers opts.queries generated queries. A single query takes the
-// sequential per-query path; several take the batched engine (one shared
-// index traversal per chunk); several with opts.workers > 1 fan the batch
-// over a QueryPool.
+// runQuery answers opts.queries generated queries on a QueryPool of
+// opts.workers workers: one worker answers them one after another
+// ("sequential"), several answer them side by side. Every query runs its
+// own index traversal either way.
 func (s *typedSession[E]) runQuery(opts queryOpts) (string, error) {
 	mt, err := s.matcher()
 	if err != nil {
@@ -185,60 +185,31 @@ func (s *typedSession[E]) runQuery(opts queryOpts) (string, error) {
 	for i := range qs {
 		qs[i] = data.RandomQuery(s.ds, opts.qlen, opts.rate, s.mutate, opts.seed+uint64(i))
 	}
-	var pool *core.QueryPool[E]
+	pool := core.NewQueryPool(mt, max(opts.workers, 1))
 	mode := "sequential"
-	if opts.workers > 1 {
-		pool = core.NewQueryPool(mt, opts.workers)
+	if pool.Workers() > 1 {
 		mode = fmt.Sprintf("pool(%d workers)", pool.Workers())
-	} else if opts.queries > 1 {
-		mode = "batched"
 	}
 
 	start := time.Now()
 	var b strings.Builder
 	switch canonicalQueryType(opts.typ) {
 	case "filter":
-		var hits [][]core.Hit[E]
-		switch {
-		case pool != nil:
-			hits = pool.FilterHits(qs, opts.eps)
-		default:
-			hits = mt.FilterHitsBatch(qs, opts.eps)
-		}
 		total := 0
-		for _, h := range hits {
+		for _, h := range pool.FilterHits(qs, opts.eps) {
 			total += len(h)
 		}
 		fmt.Fprintf(&b, "filter: %d segment-window hits at eps=%g over %d queries",
 			total, opts.eps, len(qs))
 	case "findall":
-		var ms [][]core.Match
-		switch {
-		case pool != nil:
-			ms = pool.FindAll(qs, opts.eps)
-		case len(qs) > 1:
-			ms = mt.FindAllBatch(qs, opts.eps)
-		default:
-			ms = [][]core.Match{mt.FindAll(qs[0], opts.eps)}
-		}
 		total := 0
-		for _, m := range ms {
+		for _, m := range pool.FindAll(qs, opts.eps) {
 			total += len(m)
 		}
 		fmt.Fprintf(&b, "type I (findall): %d similar pairs at eps=%g over %d queries",
 			total, opts.eps, len(qs))
 	case "longest":
-		var ms []core.Match
-		var found []bool
-		switch {
-		case pool != nil:
-			ms, found = pool.Longest(qs, opts.eps)
-		case len(qs) > 1:
-			ms, found = mt.LongestBatch(qs, opts.eps)
-		default:
-			m, ok := mt.Longest(qs[0], opts.eps)
-			ms, found = []core.Match{m}, []bool{ok}
-		}
+		ms, found := pool.Longest(qs, opts.eps)
 		n, best := 0, core.Match{}
 		for i, ok := range found {
 			if ok {
@@ -254,19 +225,7 @@ func (s *typedSession[E]) runQuery(opts queryOpts) (string, error) {
 		}
 	case "nearest":
 		nopts := core.NearestOptions{EpsMax: opts.eps, EpsInc: opts.eps / 16}
-		var ms []core.Match
-		var found []bool
-		if pool != nil {
-			ms, found = pool.Nearest(qs, nopts)
-		} else {
-			// Type III shares no traversal across queries, so there is no
-			// batched path to report.
-			mode = "sequential"
-			ms, found = make([]core.Match, len(qs)), make([]bool, len(qs))
-			for i, q := range qs {
-				ms[i], found[i] = mt.Nearest(q, nopts)
-			}
-		}
+		ms, found := pool.Nearest(qs, nopts)
 		n := 0
 		var nearest core.Match
 		first := true

@@ -243,9 +243,9 @@ func TestGatewayDegradedShard(t *testing.T) {
 	}
 }
 
-// --- Batch endpoint: many queries per request must route through the
-// matcher's batched entry points (one FilterHitsBatch call per request),
-// not one call per query — the tally counters on /stats prove it. ---
+// --- Batch endpoint: many queries per request, answered by the matcher's
+// *Batch methods (one call per request — the tallies on /stats count
+// them), bit-identical to the per-query endpoints. ---
 
 func TestServeBatchEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t, "proteins", "levenshtein-fast", "refnet")
@@ -278,8 +278,7 @@ func TestServeBatchEndpoint(t *testing.T) {
 	}
 
 	// Three batch requests of three queries each, and nothing else, have
-	// touched this server: exactly 3 batched calls carrying 9 queries —
-	// ≥ 2 queries per traversal, which is the endpoint's whole point.
+	// touched this server: exactly 3 batch calls carrying 9 queries.
 	var st statsResponse
 	getJSON(t, ts, "/stats", &st)
 	if st.Batch.Calls != 3 || st.Batch.Queries != 9 {
@@ -289,33 +288,25 @@ func TestServeBatchEndpoint(t *testing.T) {
 	// Batch answers are bit-identical to the per-query endpoints.
 	for i, q := range queries {
 		body := fmt.Sprintf(`{"query":%q,"eps":3}`, q)
-		var one matchesResponse
+		var one shard.MatchesResponse
 		postJSON(t, ts, "/query/findall", body, &one)
-		if !reflect.DeepEqual(fa.Matches[i], toBatchMatches(one.Matches)) {
+		if !reflect.DeepEqual(fa.Matches[i], one.Matches) {
 			t.Fatalf("batch findall query %d: %v, endpoint %v", i, fa.Matches[i], one.Matches)
 		}
-		var best bestResponse
+		var best shard.BestResponse
 		postJSON(t, ts, "/query/longest", body, &best)
 		if lg.Best[i].Found != best.Found {
 			t.Fatalf("batch longest query %d: found=%v, endpoint %v", i, lg.Best[i].Found, best.Found)
 		}
-		if best.Found && *lg.Best[i].Match != (shard.Match{SeqID: best.Match.SeqID, QStart: best.Match.QStart, QEnd: best.Match.QEnd, XStart: best.Match.XStart, XEnd: best.Match.XEnd, Dist: best.Match.Dist}) {
+		if best.Found && *lg.Best[i].Match != *best.Match {
 			t.Fatalf("batch longest query %d: %+v, endpoint %+v", i, *lg.Best[i].Match, *best.Match)
 		}
-		var hits hitsResponse
+		var hits shard.HitsResponse
 		postJSON(t, ts, "/query/filter", body, &hits)
 		if len(fl.Hits[i]) != len(hits.Hits) {
 			t.Fatalf("batch filter query %d: %d hits, endpoint %d", i, len(fl.Hits[i]), len(hits.Hits))
 		}
 	}
-}
-
-func toBatchMatches(ms []wireMatch) []shard.Match {
-	out := make([]shard.Match, len(ms))
-	for i, m := range ms {
-		out[i] = shard.Match{SeqID: m.SeqID, QStart: m.QStart, QEnd: m.QEnd, XStart: m.XStart, XEnd: m.XEnd, Dist: m.Dist}
-	}
-	return out
 }
 
 func TestServeBatchValidation(t *testing.T) {
@@ -329,7 +320,7 @@ func TestServeBatchValidation(t *testing.T) {
 		`not json`,
 	}
 	for _, body := range cases {
-		var er errorResponse
+		var er shard.ErrorResponse
 		if code := postJSON(t, ts, "/query/batch", body, &er); code != http.StatusBadRequest {
 			t.Errorf("batch %s: status %d, want 400", body, code)
 		} else if er.Error == "" {
@@ -337,7 +328,7 @@ func TestServeBatchValidation(t *testing.T) {
 		}
 	}
 	// A bad query names its index.
-	var er errorResponse
+	var er shard.ErrorResponse
 	postJSON(t, ts, "/query/batch", `{"kind":"findall","queries":["ACDEFG",[1]],"eps":1}`, &er)
 	if !strings.Contains(er.Error, "query 1") {
 		t.Errorf("bad query error %q does not name the query index", er.Error)
@@ -379,24 +370,24 @@ func TestServeMultiSession(t *testing.T) {
 	}
 
 	// Each session answers under its own mount, with its own element type.
-	var fa matchesResponse
+	var fa shard.MatchesResponse
 	if code := postJSON(t, ts, "/s/alpha/query/findall", `{"query":"ACDEFGHIKLMNPQRS","eps":6}`, &fa); code != http.StatusOK {
 		t.Fatalf("alpha findall status %d", code)
 	}
-	var fl hitsResponse
+	var fl shard.HitsResponse
 	if code := postJSON(t, ts, "/s/beta/query/filter", `{"query":[1,2,3,4,5,6,7,8,9,10,11,0,1,2],"eps":4}`, &fl); code != http.StatusOK {
 		t.Fatalf("beta filter status %d", code)
 	}
 	// A byte-typed query against the float64 session is that session's
 	// 400, proving per-session decoding.
-	var er errorResponse
+	var er shard.ErrorResponse
 	if code := postJSON(t, ts, "/s/beta/query/findall", `{"query":"ACDEFG","eps":1}`, &er); code != http.StatusBadRequest {
 		t.Fatalf("mistyped beta query status %d, want 400", code)
 	}
 
 	// Legacy root routes are the first session's: the same byte query that
 	// worked under /s/alpha/ works at the root.
-	var rootFA matchesResponse
+	var rootFA shard.MatchesResponse
 	if code := postJSON(t, ts, "/query/findall", `{"query":"ACDEFGHIKLMNPQRS","eps":6}`, &rootFA); code != http.StatusOK {
 		t.Fatalf("root findall status %d", code)
 	}

@@ -64,9 +64,9 @@ func ExampleNewQueryPool() {
 }
 
 // Streaming queries through a pool: each submission returns a Future
-// immediately, concurrent submissions at the same radius coalesce into one
-// shared index traversal, and every future resolves to exactly the
-// sequential answer. This is the serving shape behind `subseqctl serve`.
+// immediately, an idle worker answers it with a traversal of its own, and
+// every future resolves to exactly the sequential answer. This is the
+// serving shape behind `subseqctl serve`.
 func ExampleQueryPool_Submit() {
 	db := []subseq.Sequence[byte]{
 		subseq.Sequence[byte]("AAAABBBBCCCCDDDDEEEEFFFF"),

@@ -3,7 +3,7 @@
 // operation every query funnels through — can be made to stall, fail or
 // kill its worker on demand, while the injector stays disarmed during
 // index construction. The chaos tests drive the streaming engine through
-// worker kills mid-claim, evaluator stalls against deadlines, queue slams
+// worker kills mid-query, evaluator stalls against deadlines, queue slams
 // past depth and cancellation storms, asserting the three properties the
 // robustness layer promises: the pool never deadlocks, every future
 // resolves (no leaks), and every query that completes returns results
@@ -32,9 +32,9 @@ type Faults struct {
 	stall      atomic.Int64
 
 	// panicEvery makes every Nth armed evaluation panic (0 disables): the
-	// closest Go gets to killing a worker mid-claim. The engine's
-	// per-claim recovery must convert it into ErrWorkerCrashed futures,
-	// never a dead worker or a deadlock.
+	// closest Go gets to killing a worker mid-query. The engine's per-job
+	// recovery must convert it into an ErrWorkerCrashed future, never a
+	// dead worker or a deadlock.
 	panicEvery atomic.Int64
 
 	calls  atomic.Int64

@@ -37,10 +37,10 @@ var ErrQueueFull = errors.New("core: query queue full")
 // maps to HTTP 504 in subseqctl serve.
 var ErrDeadlineExceeded = errors.New("core: query deadline exceeded")
 
-// ErrWorkerCrashed is wrapped by futures whose claim panicked mid-answer
-// (for example a distance evaluator fault). The worker recovers, fails
-// the claim's futures with this error and keeps serving — one poisoned
-// query cannot take the pool down. It maps to HTTP 500.
+// ErrWorkerCrashed is wrapped by the future of a query that panicked
+// mid-answer (for example a distance evaluator fault). The worker
+// recovers, fails that one future with this error and keeps serving — one
+// poisoned query cannot take the pool down. It maps to HTTP 500.
 var ErrWorkerCrashed = errors.New("core: worker crashed answering this query")
 
 // ShedPolicy selects what Submit does when the engine is at queueDepth.
@@ -125,10 +125,10 @@ func WithSubmitTimeout(d time.Duration) SubmitOption {
 	return func(c *submitConfig) { c.deadline = time.Now().Add(d) }
 }
 
-// WithPriority biases claiming: among pending submissions, workers seed
-// their claims from the highest-priority one (ties resolve in arrival
-// order; the default priority is 0, negative deprioritises). Priority
-// affects scheduling only — never admission or eviction.
+// WithPriority biases scheduling: an idle worker pops the
+// highest-priority pending submission (ties resolve in arrival order; the
+// default priority is 0, negative deprioritises). Priority affects
+// scheduling only — never admission or eviction.
 func WithPriority(p int) SubmitOption {
 	return func(c *submitConfig) { c.priority = p }
 }
@@ -210,11 +210,11 @@ func (s *streamState[E]) dropTenant(j *streamJob[E]) {
 }
 
 // evictForFairShare implements ShedFairShare at saturation: scan the
-// *queued* (not yet claimed) submissions for the one whose tenant carries
+// *queued* (not yet popped) submissions for the one whose tenant carries
 // the highest in-flight load; if that tenant is strictly more loaded than
 // j's, evict it (its future fails with ErrQueueFull) and hand its slot to
 // j. Otherwise j's tenant is itself the heaviest — j is shed, which is
-// exactly reject-newest within a tenant. Running claims are never
+// exactly reject-newest within a tenant. Running queries are never
 // preempted; only queued work is evictable.
 func (s *streamState[E]) evictForFairShare(j *streamJob[E]) error {
 	s.mu.Lock()

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,7 +55,7 @@ func armGate(gate *atomic.Pointer[chan struct{}]) func() {
 }
 
 // waitPending polls until the stream queue holds exactly n jobs (i.e. the
-// worker has claimed everything earlier).
+// workers have popped everything earlier).
 func waitPending(t *testing.T, pool *QueryPool[byte], n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -243,33 +245,167 @@ func TestShedFairShare(t *testing.T) {
 	}
 }
 
-// Worker claims seed from the highest-priority pending job; arrival order
-// breaks ties, so default-priority traffic is untouched.
+// The pop order: a worker takes the highest-priority pending job, FIFO
+// among equals — regardless of query kind or radius — so default-priority
+// traffic is answered in arrival order.
 func TestClaimPrioritySeed(t *testing.T) {
-	mk := func(eps float64, prio int) *streamJob[byte] {
-		return &streamJob[byte]{kind: kindFindAll, eps: eps, priority: prio, ctx: context.Background()}
+	mk := func(kind queryKind, eps float64, prio int) *streamJob[byte] {
+		return &streamJob[byte]{kind: kind, eps: eps, priority: prio, ctx: context.Background()}
 	}
 	var s streamState[byte]
-	lo1, lo2 := mk(2, 0), mk(2, 0)
-	hi1, hi2 := mk(3, 5), mk(3, 5)
-	s.queue = []*streamJob[byte]{lo1, hi1, lo2, hi2}
-	claimed := s.claimLocked(1, 64, nil)
-	if len(claimed) != 2 || claimed[0] != hi1 || claimed[1] != hi2 {
-		t.Fatalf("claim = %v, want [hi1 hi2] (priority seeds, oldest tie-break)", claimed)
+	lo1, lo2, lo3 := mk(kindFindAll, 2, 0), mk(kindFilter, 3, 0), mk(kindFindAll, 2, 0)
+	hi1, hi2 := mk(kindLongest, 3, 5), mk(kindFindAll, 2, 5)
+	neg, top := mk(kindFindAll, 2, -1), mk(kindNearest, 0, 9)
+	s.queue = []*streamJob[byte]{neg, lo1, hi1, lo2, top, hi2, lo3}
+	for i, want := range []*streamJob[byte]{top, hi1, hi2, lo1, lo2, lo3, neg} {
+		if got := s.popLocked(); got != want {
+			t.Fatalf("pop %d: got priority %d kind %d, want priority %d kind %d", i, got.priority, got.kind, want.priority, want.kind)
+		}
 	}
-	if len(s.queue) != 2 || s.queue[0] != lo1 || s.queue[1] != lo2 {
-		t.Fatalf("left behind %v, want [lo1 lo2] in order", s.queue)
-	}
-	// All-default priorities claim strictly in arrival order (seed = head).
-	s.queue = []*streamJob[byte]{lo1, lo2}
-	claimed = s.claimLocked(1, 64, nil)
-	if claimed[0] != lo1 {
-		t.Fatal("default-priority claim did not seed from the head")
+	if len(s.queue) != 0 {
+		t.Fatalf("queue holds %d jobs after popping all", len(s.queue))
 	}
 }
 
-// A worker panic mid-claim (a poisoned query) must not take the pool down:
-// the claim's futures fail with ErrWorkerCrashed, the accounting moves to
+// poison is the marker byte that makes markedPool's distance function
+// panic.
+const poison = 0xFD
+
+// markedPool builds a pool whose distance function reacts to the first
+// byte of either argument: poison panics, and a byte with a gate blocks
+// until that gate is closed. Queries made of such a byte misbehave on
+// their own, whatever else runs beside them. Prepare/Bounded are stripped
+// so all evaluation flows through Fn. The helper returns well-behaved
+// queries with their answers.
+func markedPool(t *testing.T, workers int, gates map[byte]chan struct{}) (*QueryPool[byte], []seq.Sequence[byte], [][]Match) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(97, 9700))
+	db, qs := batchQueries(rng, 4)
+	m := dist.LevenshteinMeasure[byte]()
+	inner := m.Fn
+	m.Fn = func(a, b []byte) float64 {
+		for _, x := range [][]byte{a, b} {
+			if len(x) == 0 {
+				continue
+			}
+			if x[0] == poison {
+				panic("injected evaluator fault")
+			}
+			if gate, ok := gates[x[0]]; ok {
+				<-gate
+			}
+		}
+		return inner(a, b)
+	}
+	m.Prepare = nil
+	m.Bounded = nil
+	mt, err := NewMatcher(m, Config{Params: Params{Lambda: 6, Lambda0: 1}}, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewQueryPool(mt, workers)
+	t.Cleanup(func() {
+		// A failed test may leave a gate shut; open it so Close can drain.
+		for _, gate := range gates {
+			select {
+			case <-gate:
+			default:
+				close(gate)
+			}
+		}
+		pool.Close()
+	})
+	return pool, qs, mt.FindAllBatch(qs, 0.5)
+}
+
+// marked is a query made of one marker byte.
+func marked(b byte) seq.Sequence[byte] {
+	q := make(seq.Sequence[byte], 12)
+	for i := range q {
+		q[i] = b
+	}
+	return q
+}
+
+// awaitMatches awaits f for at most five seconds and checks the answer.
+func awaitMatches(t *testing.T, name string, f *Future[[]Match], want []Match) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	ms, err := f.Await(ctx)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !slices.Equal(ms, want) {
+		t.Fatalf("%s: got %v, want %v", name, ms, want)
+	}
+}
+
+// One slow query occupies one worker and nothing else: jobs queued behind
+// it, at the same kind and radius, complete on the other worker while it
+// is still running.
+func TestStreamSlowJobOccupiesOneWorker(t *testing.T) {
+	const blocker, slow = 0xFE, 0xFF
+	gates := map[byte]chan struct{}{blocker: make(chan struct{}), slow: make(chan struct{})}
+	pool, qs, want := markedPool(t, 2, gates)
+	ctx := context.Background()
+	// Wedge both workers so that the slow job and the fast ones are all
+	// pending together when the workers come back for more.
+	b1, b2 := pool.Submit(ctx, marked(blocker), 0.5), pool.Submit(ctx, marked(blocker), 0.5)
+	waitPending(t, pool, 0)
+	fSlow := pool.Submit(ctx, marked(slow), 0.5)
+	fast := make([]*Future[[]Match], 3)
+	for i := range fast {
+		fast[i] = pool.Submit(ctx, qs[i], 0.5)
+	}
+	waitPending(t, pool, 4)
+	close(gates[blocker])
+	awaitMatches(t, "blocker 1", b1, nil)
+	awaitMatches(t, "blocker 2", b2, nil)
+	for i, f := range fast {
+		awaitMatches(t, fmt.Sprintf("fast job %d behind the slow one", i), f, want[i])
+	}
+	select {
+	case <-fSlow.Done():
+		t.Fatal("slow job finished while its gate was shut")
+	default:
+	}
+	close(gates[slow])
+	awaitMatches(t, "slow job", fSlow, nil)
+	st := pool.StreamStats()
+	if st.Completed != 6 || st.Batches != 6 || st.Coalesced != 0 || st.MaxBatch != 1 {
+		t.Fatalf("stats: %+v, want 6 completed, one job per worker pop", st)
+	}
+}
+
+// A panicking query fails only itself: jobs pending beside it at the same
+// kind and radius get their answers from the same worker, before and after.
+func TestStreamPanicFailsOnlyThatJob(t *testing.T) {
+	const blocker = 0xFE
+	gates := map[byte]chan struct{}{blocker: make(chan struct{})}
+	pool, qs, want := markedPool(t, 1, gates)
+	ctx := context.Background()
+	b := pool.Submit(ctx, marked(blocker), 0.5)
+	waitPending(t, pool, 0)
+	before := pool.Submit(ctx, qs[0], 0.5)
+	bad := pool.Submit(ctx, marked(poison), 0.5)
+	after := pool.Submit(ctx, qs[1], 0.5)
+	waitPending(t, pool, 3)
+	close(gates[blocker])
+	awaitMatches(t, "blocker", b, nil)
+	awaitMatches(t, "job ahead of the poisoned one", before, want[0])
+	awaitMatches(t, "job behind the poisoned one", after, want[1])
+	if _, err := bad.Await(ctx); !errors.Is(err, ErrWorkerCrashed) {
+		t.Fatalf("poisoned job resolved to %v, want ErrWorkerCrashed", err)
+	}
+	st := pool.StreamStats()
+	if st.Crashed != 1 || st.Completed != 3 || st.InFlight != 0 {
+		t.Fatalf("stats: %+v, want Crashed=1 Completed=3 InFlight=0", st)
+	}
+}
+
+// A worker panic mid-answer (a poisoned query) must not take the pool down:
+// the query's future fails with ErrWorkerCrashed, the accounting moves to
 // Crashed, and the pool keeps answering later submissions correctly.
 func TestWorkerPanicSelfHeals(t *testing.T) {
 	rng := rand.New(rand.NewPCG(83, 8300))
@@ -323,7 +459,7 @@ func TestWorkerPanicSelfHeals(t *testing.T) {
 		t.Fatalf("submission accounting leaks: %+v", st)
 	}
 	if st.InFlight != 0 {
-		t.Fatalf("crashed claim leaked slots: %+v", st)
+		t.Fatalf("crashed job leaked slots: %+v", st)
 	}
 }
 

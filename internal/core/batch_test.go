@@ -23,10 +23,9 @@ func batchQueries(rng *rand.Rand, numQ int) ([]seq.Sequence[byte], []seq.Sequenc
 	return db, qs
 }
 
-// The batched paths must return exactly the sequential results, for every
-// index backend (the refnet takes the shared-traversal path; the others
-// exercise the fallbacks, including the linear backend's incremental
-// kernels).
+// The *Batch methods must return exactly the single-query results at
+// exactly the single-query cost — the same counted filter plus verify
+// distance evaluations — on every index backend.
 func TestBatchMatchesSequentialAllBackends(t *testing.T) {
 	p := Params{Lambda: 6, Lambda0: 1}
 	lev := dist.LevenshteinMeasure[byte]()
@@ -38,10 +37,28 @@ func TestBatchMatchesSequentialAllBackends(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
+		// sameCost runs the batch call, then the single-query loop, and
+		// fails unless both counted the same number of evaluations.
+		calls := func() int64 { return mt.FilterDistanceCalls() + mt.VerifyDistanceCalls() }
+		sameCost := func(name string, batch, single func()) {
+			t.Helper()
+			c0 := calls()
+			batch()
+			c1 := calls()
+			single()
+			if b, s := c1-c0, calls()-c1; b != s {
+				t.Fatalf("%v %s: batch counted %d evaluations, one at a time %d", kind, name, b, s)
+			}
+		}
 		// FilterHitsBatch vs FilterHits.
-		hitsBatch := mt.FilterHitsBatch(qs, eps)
-		for i, q := range qs {
-			want := mt.FilterHits(q, eps)
+		var hitsBatch, hitsSeq [][]Hit[byte]
+		sameCost("FilterHits", func() { hitsBatch = mt.FilterHitsBatch(qs, eps) }, func() {
+			for _, q := range qs {
+				hitsSeq = append(hitsSeq, mt.FilterHits(q, eps))
+			}
+		})
+		for i := range qs {
+			want := hitsSeq[i]
 			if len(hitsBatch[i]) != len(want) {
 				t.Fatalf("%v query %d: batch %d hits, sequential %d", kind, i, len(hitsBatch[i]), len(want))
 			}
@@ -54,9 +71,14 @@ func TestBatchMatchesSequentialAllBackends(t *testing.T) {
 			}
 		}
 		// FindAllBatch vs FindAll.
-		allBatch := mt.FindAllBatch(qs, eps)
-		for i, q := range qs {
-			want := mt.FindAll(q, eps)
+		var allBatch, allSeq [][]Match
+		sameCost("FindAll", func() { allBatch = mt.FindAllBatch(qs, eps) }, func() {
+			for _, q := range qs {
+				allSeq = append(allSeq, mt.FindAll(q, eps))
+			}
+		})
+		for i := range qs {
+			want := allSeq[i]
 			if len(allBatch[i]) != len(want) {
 				t.Fatalf("%v query %d: FindAllBatch %d matches, FindAll %d", kind, i, len(allBatch[i]), len(want))
 			}
@@ -67,19 +89,22 @@ func TestBatchMatchesSequentialAllBackends(t *testing.T) {
 			}
 		}
 		// LongestBatch vs Longest.
-		longBatch, foundBatch := mt.LongestBatch(qs, eps)
-		for i, q := range qs {
-			want, ok := mt.Longest(q, eps)
-			if foundBatch[i] != ok || (ok && longBatch[i] != want) {
-				t.Fatalf("%v query %d: LongestBatch (%v,%v), Longest (%v,%v)", kind, i, longBatch[i], foundBatch[i], want, ok)
+		var longBatch []Match
+		var foundBatch []bool
+		sameCost("Longest", func() { longBatch, foundBatch = mt.LongestBatch(qs, eps) }, func() {
+			for i, q := range qs {
+				want, ok := mt.Longest(q, eps)
+				if foundBatch[i] != ok || (ok && longBatch[i] != want) {
+					t.Fatalf("%v query %d: LongestBatch (%v,%v), Longest (%v,%v)", kind, i, longBatch[i], foundBatch[i], want, ok)
+				}
 			}
-		}
+		})
 	}
 }
 
-// The pool must return the same results as the sequential batch for every
-// query type, at several worker counts (1 worker exercises the chunking
-// alone, many workers the concurrency).
+// The pool's barrier methods must return the single-query results for
+// every query type, at several worker counts (more workers than queries
+// included).
 func TestQueryPoolMatchesSequential(t *testing.T) {
 	p := Params{Lambda: 6, Lambda0: 1}
 	lev := dist.LevenshteinMeasure[byte]()
@@ -102,7 +127,7 @@ func TestQueryPoolMatchesSequential(t *testing.T) {
 	for i, q := range qs {
 		wantNear[i], wantNearOK[i] = mt.Nearest(q, nopts)
 	}
-	for _, workers := range []int{1, 2, 5} {
+	for _, workers := range []int{1, 2, 5, 16} {
 		pool := NewQueryPool(mt, workers)
 		gotAll := pool.FindAll(qs, eps)
 		gotLong, gotFound := pool.Longest(qs, eps)
@@ -232,9 +257,8 @@ func TestIncrementalFilterMatchesPlain(t *testing.T) {
 	}
 }
 
-// The batch tallies are the serving tier's proof of amortisation: every
-// FilterHitsBatch call (direct or via FindAllBatch/LongestBatch) counts
-// once, with the number of queries it carried.
+// Every *Batch call counts once, with the number of queries it carried
+// (/stats reports the tallies).
 func TestBatchTallies(t *testing.T) {
 	p := Params{Lambda: 6, Lambda0: 1}
 	lev := dist.LevenshteinMeasure[byte]()

@@ -37,21 +37,21 @@
 // on the linear scan and on the net's traversal probes alike. The
 // immutable kernel preprocessing is built lazily, once per window on
 // first touch, and shared by all workers (preparedAt), capping kernel
-// memory at O(windows) without an O(windows) startup cost. For query
-// sets, FilterHitsBatch / FindAllBatch / LongestBatch share one
-// cache-chunked index traversal across all queries of a batch (chunk size
-// derived from the index size and a cache budget, maxBatchProbesFor), and
-// QueryPool fans batch chunks over a fixed set of worker goroutines; a
-// Matcher is safe for concurrent queries.
+// memory at O(windows) without an O(windows) startup cost. Every path
+// answers one query with one index traversal over that query's own
+// segments: FilterHitsBatch / FindAllBatch / LongestBatch are loops over
+// the single-query methods, and QueryPool hands queries one at a time to
+// worker goroutines — a traversal shared across queries saved no distance
+// evaluation and measured slower (DESIGN.md §4). A Matcher is safe for
+// concurrent queries.
 //
 // # Serving
 //
 // QueryPool's streaming face (stream.go) is the serving shape over the
 // same machinery: Submit / SubmitFilter / SubmitLongest / SubmitNearest
 // accept queries one at a time and return per-query Futures, answered by
-// a long-lived worker set that coalesces concurrently pending
-// submissions of the same query type and radius back into the shared
-// batch traversals — so streaming throughput tracks batch throughput.
+// a long-lived worker set: an idle worker pops the highest-priority
+// pending submission (FIFO among equals) and answers that one query.
 // Submissions honour contexts, the in-flight queue is bounded
 // (backpressure), and Close drains gracefully. subseqctl serve and
 // docs/SERVING.md build the HTTP surface on exactly this API.

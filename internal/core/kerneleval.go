@@ -99,8 +99,8 @@ type kernelEvaluator[E any] struct {
 	mt     *Matcher[E]
 	probes []seq.Window[E]
 	// groupOf assigns each probe its offset-group key: probes with equal
-	// keys share a query and start offset, so the shorter ones are prefixes
-	// of the longest. Keys only need to be distinct across groups.
+	// keys share a start offset of the one query being filtered, so the
+	// shorter ones are prefixes of the longest.
 	groupOf []int32
 	state   dist.Kernel[E]
 	ord     []int32

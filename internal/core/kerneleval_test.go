@@ -143,41 +143,6 @@ func TestPreparedTablesSharedAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Pin the maxBatchProbes derivation: the tuned constant is the ceiling
-// (small indexes), the floor engages on huge indexes, the formula holds in
-// between, and the chunk size never grows with the index.
-func TestMaxBatchProbesForBounds(t *testing.T) {
-	if got := maxBatchProbesFor(0); got != maxBatchProbes {
-		t.Errorf("maxBatchProbesFor(0) = %d, want ceiling %d", got, maxBatchProbes)
-	}
-	if got := maxBatchProbesFor(100); got != maxBatchProbes {
-		t.Errorf("maxBatchProbesFor(100) = %d, want ceiling %d", got, maxBatchProbes)
-	}
-	if got := maxBatchProbesFor(1 << 22); got != minBatchProbes {
-		t.Errorf("maxBatchProbesFor(4M) = %d, want floor %d", got, minBatchProbes)
-	}
-	// Mid-range: the cache-budget formula, inside the clamp.
-	nodes := 2000
-	want := batchCacheBudget / (batchProbeNodeBytes * nodes)
-	if got := maxBatchProbesFor(nodes); got != want {
-		t.Errorf("maxBatchProbesFor(%d) = %d, want %d", nodes, got, want)
-	}
-	if want <= minBatchProbes || want >= maxBatchProbes {
-		t.Errorf("tuning-workload derivation %d escaped the clamp [%d, %d]", want, minBatchProbes, maxBatchProbes)
-	}
-	prev := maxBatchProbesFor(1)
-	for _, nodes := range []int{10, 100, 1000, 10_000, 100_000, 1_000_000} {
-		cur := maxBatchProbesFor(nodes)
-		if cur > prev {
-			t.Errorf("maxBatchProbesFor not monotone: %d nodes → %d, fewer nodes → %d", nodes, cur, prev)
-		}
-		if cur < minBatchProbes || cur > maxBatchProbes {
-			t.Errorf("maxBatchProbesFor(%d) = %d outside [%d, %d]", nodes, cur, minBatchProbes, maxBatchProbes)
-		}
-		prev = cur
-	}
-}
-
 // The kernel evaluator must price mixed groups correctly even when probes
 // arrive interleaved and partially decided: compare a refnet kernel
 // traversal against the brute linear filter on a measure with distinct

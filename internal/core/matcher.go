@@ -97,10 +97,8 @@ type Matcher[E any] struct {
 	// scratch pools per-query filter state (segment, probe and hit slices)
 	// so concurrent queries allocate nothing per segment.
 	scratch sync.Pool
-	// batchCalls/batchQueries count FilterHitsBatch invocations and the
-	// queries they carried — the serving tier's proof that its batch
-	// endpoint actually amortises (many queries per shared traversal),
-	// surfaced on /stats.
+	// batchCalls/batchQueries count *Batch method calls and the queries
+	// they carried, surfaced on /stats.
 	batchCalls   atomic.Int64
 	batchQueries atomic.Int64
 
@@ -257,12 +255,11 @@ func (mt *Matcher[E]) FilterDistanceCalls() int64 { return mt.counter.Calls() }
 // ResetFilterCalls zeroes the query-side distance counter.
 func (mt *Matcher[E]) ResetFilterCalls() { mt.counter.Reset() }
 
-// BatchCalls reports how many times FilterHitsBatch ran (directly or via
-// FindAllBatch/LongestBatch/the streaming pool's claimed runs).
+// BatchCalls reports how many FilterHitsBatch, FindAllBatch and
+// LongestBatch calls ran.
 func (mt *Matcher[E]) BatchCalls() int64 { return mt.batchCalls.Load() }
 
-// BatchQueries reports the total queries those batch calls carried;
-// BatchQueries/BatchCalls is the realised amortisation factor.
+// BatchQueries reports the total queries those calls carried.
 func (mt *Matcher[E]) BatchQueries() int64 { return mt.batchQueries.Load() }
 
 // VerifyDistanceCalls reports distance computations spent in verification
@@ -289,7 +286,7 @@ func (mt *Matcher[E]) FilterHits(q seq.Sequence[E], eps float64) []Hit[E] {
 
 // filterHits is FilterHits into pooled scratch: the returned slice aliases
 // sc.hits and is valid until the scratch is reused. The internal query
-// paths (FindAll, Longest, Nearest, the batch engine) consume the hits
+// paths (FindAll, Longest, Nearest) consume the hits
 // before returning the scratch, so steady-state queries allocate neither
 // probe windows nor hit slices.
 func (mt *Matcher[E]) filterHits(q seq.Sequence[E], eps float64, sc *filterScratch[E]) []Hit[E] {

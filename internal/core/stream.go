@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,10 +12,10 @@ import (
 	"repro/internal/seq"
 )
 
-// Streaming query engine (ROADMAP: the step from a batch-barrier QueryPool
-// to a serving daemon).
+// Streaming query engine (ROADMAP: the step from a barrier QueryPool to a
+// serving daemon).
 //
-// The batch entry points (QueryPool.FindAll and friends) are barriers: the
+// The slice entry points (QueryPool.FindAll and friends) are barriers: the
 // caller owns a complete query slice, hands it over, and blocks until every
 // answer is back. A server cannot work that way — queries arrive one at a
 // time from independent connections, and each caller wants only its own
@@ -22,16 +23,12 @@ import (
 // shape: each submission returns a Future immediately, and a long-lived
 // worker set answers submissions as they arrive.
 //
-// The throughput trick of the batch path — one shared index traversal
-// across a query set (FilterHitsBatch) — still applies, because concurrent
-// submissions are exactly a query set that happens to arrive through many
-// goroutines. Workers therefore claim *runs* of compatible pending
-// submissions (same query type, same radius) and answer each run with one
-// batched call, so streaming throughput tracks batch throughput instead of
-// degrading to one-traversal-per-query. The claim size self-balances:
-// a worker takes ~pending/workers jobs (at least 1, at most the coalescing
-// cap), so a burst spreads over the worker set while a trickle is answered
-// immediately.
+// Scheduling is "pop one, answer one": an idle worker takes the
+// highest-priority pending submission (oldest first among equals) and
+// answers it with the single-query Matcher method. A slow query therefore
+// occupies exactly one worker, a crash fails exactly one future, and the
+// pool contributes parallelism only — queries share no index traversal
+// (DESIGN.md §4: sharing one saved no distance evaluation and cost time).
 //
 // Backpressure is a bounded in-flight budget: at most queueDepth
 // submissions may be submitted-but-not-completed at once. What happens at
@@ -61,10 +58,9 @@ type Future[T any] struct {
 func newFuture[T any]() *Future[T] { return &Future[T]{done: make(chan struct{})} }
 
 // complete resolves the future, reporting whether this call was the one
-// that settled it. The guard makes completion idempotent, which is what
-// lets a worker's panic recovery fail "whatever runBatch had not answered
-// yet" without tracking which futures a half-finished claim already
-// completed.
+// that settled it. The guard makes completion idempotent, so a worker's
+// panic recovery can fail the job it was answering without knowing whether
+// the answer had already been delivered.
 func (f *Future[T]) complete(v T, err error) bool {
 	if !f.settled.CompareAndSwap(false, true) {
 		return false
@@ -150,20 +146,6 @@ func (j *streamJob[E]) fail(err error) bool {
 	}
 }
 
-// coalesceKey reports whether two jobs may be answered by one batched call:
-// same query type and same radius (the batch entry points take a single eps
-// for the whole set). Nearest jobs are never batched — Type III shares no
-// traversal — but grouping them lets one claim amortise scheduler trips.
-func (j *streamJob[E]) coalesceKey(o *streamJob[E]) bool {
-	if j.kind != o.kind {
-		return false
-	}
-	if j.kind == kindNearest {
-		return j.opts == o.opts
-	}
-	return j.eps == o.eps
-}
-
 // streamState is the engine behind the streaming submissions: a bounded
 // queue, a condition-variable-guarded dispatch list and a long-lived worker
 // set, started lazily on first submission.
@@ -189,9 +171,6 @@ type streamState[E any] struct {
 	shed      atomic.Int64
 	expired   atomic.Int64
 	crashed   atomic.Int64
-	batches   atomic.Int64
-	coalesced atomic.Int64
-	maxBatch  atomic.Int64
 
 	queueWait latencyHist
 	latency   latencyHist
@@ -222,15 +201,15 @@ type StreamStats struct {
 	Shed      int64 `json:"shed"`
 	Expired   int64 `json:"expired"`
 	Crashed   int64 `json:"crashed"`
-	// Batches counts worker claims (one batched call each); Coalesced
-	// counts submissions that shared their claim with at least one other,
-	// and MaxBatch is the largest claim so far. Coalesced/Submitted near 1
-	// means the engine is successfully turning concurrent submissions into
-	// shared traversals.
+	// Deprecated: Batches, Coalesced and MaxBatch are vestiges of the
+	// removed cross-query scheduler, kept until the benchmark stops reading
+	// them. A worker answers one submission at a time, so Batches is the
+	// number a worker answered (Completed+Crashed), Coalesced is always 0
+	// and MaxBatch is 1 once anything ran.
 	Batches   int64 `json:"batches"`
 	Coalesced int64 `json:"coalesced"`
 	MaxBatch  int64 `json:"max_batch"`
-	// QueueWait is the enqueue→claim distribution (the overload signal);
+	// QueueWait is the enqueue→pop distribution (the overload signal);
 	// Latency is submit→resolution end to end (what a caller experiences).
 	// Only submissions that reached a worker are recorded.
 	QueueWait LatencyStats `json:"queue_wait"`
@@ -239,15 +218,9 @@ type StreamStats struct {
 
 // DefaultQueueDepth bounds in-flight submissions when the pool was built
 // without WithQueueDepth: deep enough that workers never starve between
-// claims, shallow enough that a stalled consumer cannot queue unbounded
+// jobs, shallow enough that a stalled consumer cannot queue unbounded
 // work.
 const DefaultQueueDepth = 1024
-
-// defaultMaxCoalesce caps how many submissions one worker claim may answer
-// in a single batched call. FilterHitsBatch re-chunks internally to keep
-// traversal state cache-resident, so the cap only bounds latency (a huge
-// claim makes its first member wait for its last), not correctness.
-const defaultMaxCoalesce = 64
 
 // stream returns the engine, starting the worker set on first use.
 func (p *QueryPool[E]) stream() *streamState[E] {
@@ -320,9 +293,8 @@ func (p *QueryPool[E]) submit(ctx context.Context, j *streamJob[E], opts []Submi
 }
 
 // Submit streams one FindAll (query Type I) through the pool: the returned
-// future resolves to exactly Matcher.FindAll(q, eps). Concurrent
-// submissions at the same radius are answered together through one shared
-// index traversal. Options attach a deadline, priority or tenant label.
+// future resolves to exactly Matcher.FindAll(q, eps). Options attach a
+// deadline, priority or tenant label.
 func (p *QueryPool[E]) Submit(ctx context.Context, q seq.Sequence[E], eps float64, opts ...SubmitOption) *Future[[]Match] {
 	j := &streamJob[E]{kind: kindFindAll, q: q, eps: eps, fAll: newFuture[[]Match]()}
 	p.submit(ctx, j, opts)
@@ -346,8 +318,7 @@ func (p *QueryPool[E]) SubmitLongest(ctx context.Context, q seq.Sequence[E], eps
 }
 
 // SubmitNearest streams one Nearest (query Type III): the future resolves
-// to exactly Matcher.Nearest(q, opts). Type III shares no traversal across
-// queries, so the workers contribute parallelism only.
+// to exactly Matcher.Nearest(q, opts).
 func (p *QueryPool[E]) SubmitNearest(ctx context.Context, q seq.Sequence[E], opts NearestOptions, subOpts ...SubmitOption) *Future[QueryResult] {
 	j := &streamJob[E]{kind: kindNearest, q: q, opts: opts, fOne: newFuture[QueryResult]()}
 	p.submit(ctx, j, subOpts)
@@ -357,8 +328,8 @@ func (p *QueryPool[E]) SubmitNearest(ctx context.Context, q seq.Sequence[E], opt
 // Close stops the streaming engine gracefully: submissions already accepted
 // are drained and their futures completed, later submissions fail with
 // ErrPoolClosed, and Close returns once every worker has exited. The
-// batch-barrier methods (FindAll, Longest, …) remain usable after Close —
-// they run on ephemeral goroutines, not the streaming worker set. Close is
+// barrier methods (FindAll, Longest, …) remain usable after Close — they
+// run on goroutines of their own, not the streaming worker set. Close is
 // idempotent.
 func (p *QueryPool[E]) Close() {
 	s := &p.streaming
@@ -366,7 +337,7 @@ func (p *QueryPool[E]) Close() {
 	s.closed = true
 	s.mu.Unlock()
 	// Workers only exist if something was ever submitted; a pool used
-	// purely through the batch-barrier methods closes without starting
+	// purely through the barrier methods closes without starting
 	// them. (A submission racing this Close either fails with
 	// ErrPoolClosed or is drained by the workers it started, which see
 	// closed and exit on their own.)
@@ -384,6 +355,8 @@ func (p *QueryPool[E]) StreamStats() StreamStats {
 	s.mu.Lock()
 	pending := len(s.queue)
 	s.mu.Unlock()
+	completed, crashed := s.completed.Load(), s.crashed.Load()
+	answered := completed + crashed
 	return StreamStats{
 		Workers:    p.workers,
 		QueueDepth: p.queueDepth,
@@ -391,74 +364,42 @@ func (p *QueryPool[E]) StreamStats() StreamStats {
 		Pending:    pending,
 		InFlight:   len(s.slots),
 		Submitted:  s.submitted.Load(),
-		Completed:  s.completed.Load(),
+		Completed:  completed,
 		Cancelled:  s.cancelled.Load(),
 		Rejected:   s.rejected.Load(),
 		Shed:       s.shed.Load(),
 		Expired:    s.expired.Load(),
-		Crashed:    s.crashed.Load(),
-		Batches:    s.batches.Load(),
-		Coalesced:  s.coalesced.Load(),
-		MaxBatch:   s.maxBatch.Load(),
+		Crashed:    crashed,
+		Batches:    answered,
+		MaxBatch:   min(answered, 1),
 		QueueWait:  s.queueWait.snapshot(),
 		Latency:    s.latency.snapshot(),
 	}
 }
 
-// claimLocked removes and returns a run of coalescable jobs from the
-// queue: a seed job plus every later job sharing its coalesce key, up to
-// limit. The seed is the highest-priority pending job (oldest wins ties,
-// so default-priority traffic claims strictly in arrival order).
-// Non-matching jobs keep their order. Callers hold s.mu.
-func (s *streamState[E]) claimLocked(workers int, maxCoalesce int, claimed []*streamJob[E]) []*streamJob[E] {
-	// Self-balancing claim size: a lone submission is answered immediately,
-	// a burst of n spreads ~n/workers to each worker so the whole set runs
-	// concurrently, and the cap bounds the latency of the claim's first
-	// member. Mirrors the chunking of the batch-barrier run().
-	limit := len(s.queue) / workers
-	if limit < 1 {
-		limit = 1
-	}
-	if limit > maxCoalesce {
-		limit = maxCoalesce
-	}
-	seedIdx := 0
-	for i := 1; i < len(s.queue); i++ {
-		if s.queue[i].priority > s.queue[seedIdx].priority {
-			seedIdx = i
+// popLocked removes and returns the next job to answer: the
+// highest-priority pending one, oldest first among equals, so
+// default-priority traffic is answered strictly in arrival order. The queue
+// must be non-empty; callers hold s.mu.
+func (s *streamState[E]) popLocked() *streamJob[E] {
+	best := 0
+	for i, j := range s.queue {
+		if j.priority > s.queue[best].priority {
+			best = i
 		}
 	}
-	seed := s.queue[seedIdx]
-	claimed = append(claimed, seed)
-	w := 0
-	for i := 0; i < len(s.queue); i++ {
-		if i == seedIdx {
-			continue
-		}
-		j := s.queue[i]
-		if len(claimed) < limit && seed.coalesceKey(j) {
-			claimed = append(claimed, j)
-		} else {
-			s.queue[w] = j
-			w++
-		}
-	}
-	// Clear the tail so dropped jobs do not pin their queries alive.
-	for i := w; i < len(s.queue); i++ {
-		s.queue[i] = nil
-	}
-	s.queue = s.queue[:w]
-	return claimed
+	j := s.queue[best]
+	// Delete clears the vacated tail slot, so a popped job does not stay
+	// pinned by the queue's backing array.
+	s.queue = slices.Delete(s.queue, best, best+1)
+	return j
 }
 
-// streamWorker is the long-lived worker loop: wait for work, claim a
-// coalescable run, answer it with one batched call, complete the futures.
+// streamWorker is the long-lived worker loop: wait for work, pop one job,
+// answer it, complete its future.
 func (p *QueryPool[E]) streamWorker() {
 	s := &p.streaming
 	defer s.wg.Done()
-	var claimed []*streamJob[E]
-	var live []*streamJob[E]
-	var qs []seq.Sequence[E]
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && !s.closed {
@@ -468,111 +409,61 @@ func (p *QueryPool[E]) streamWorker() {
 			s.mu.Unlock()
 			return
 		}
-		claimed = s.claimLocked(p.workers, p.maxCoalesce, claimed[:0])
+		j := s.popLocked()
 		s.mu.Unlock()
 
-		// Complete submissions whose context was cancelled or whose
-		// deadline passed while queued, without spending index work on
-		// them — this is the drop-expired-before-claim guarantee: a
-		// worker never prices work nobody is waiting for.
+		// A submission whose context was cancelled or whose deadline passed
+		// while queued completes without spending index work — the
+		// drop-expired-before-pricing guarantee: a worker never prices work
+		// nobody is waiting for.
 		now := time.Now()
-		live, qs = live[:0], qs[:0]
-		for _, j := range claimed {
-			if err := j.ctx.Err(); err != nil {
-				j.fail(err)
-				s.cancelled.Add(1)
-				s.finish(j)
-				continue
-			}
-			if !j.deadline.IsZero() && !now.Before(j.deadline) {
-				j.fail(ErrDeadlineExceeded)
-				s.expired.Add(1)
-				s.finish(j)
-				continue
-			}
+		if err := j.ctx.Err(); err != nil {
+			j.fail(err)
+			s.cancelled.Add(1)
+		} else if !j.deadline.IsZero() && !now.Before(j.deadline) {
+			j.fail(ErrDeadlineExceeded)
+			s.expired.Add(1)
+		} else {
 			s.queueWait.observe(now.Sub(j.enq))
-			live = append(live, j)
-			qs = append(qs, j.q)
+			// The counter moves before the future completes, so a caller
+			// that awaits its last future and immediately snapshots
+			// StreamStats never observes Completed lagging its own
+			// resolved work.
+			s.completed.Add(1)
+			p.answer(j)
+			s.latency.observe(time.Since(j.t0))
 		}
-		if len(live) > 0 {
-			// Counters move before the futures complete, so a caller that
-			// awaits its last future and immediately snapshots StreamStats
-			// never observes Completed lagging its own resolved work.
-			s.batches.Add(1)
-			if n := int64(len(live)); n > 1 {
-				s.coalesced.Add(n)
-			}
-			for {
-				max := s.maxBatch.Load()
-				if int64(len(live)) <= max || s.maxBatch.CompareAndSwap(max, int64(len(live))) {
-					break
-				}
-			}
-			s.completed.Add(int64(len(live)))
-			p.runClaim(live, qs)
-			done := time.Now()
-			for _, j := range live {
-				s.latency.observe(done.Sub(j.t0))
-				s.finish(j)
-			}
-		}
+		s.finish(j)
 	}
 }
 
-// runClaim answers one claim, converting a panic anywhere under runBatch
-// (a faulty distance evaluator, an index bug) into per-future
-// ErrWorkerCrashed failures instead of a dead worker: the claim's
-// unresolved futures fail, the accounting moves from Completed to Crashed
-// for exactly those, and the worker loop continues — the pool self-heals
-// around poisoned queries. Futures runBatch already completed (Nearest
-// resolves incrementally) keep their answers; the settled guard on
-// Future.complete makes the sweep safe.
-func (p *QueryPool[E]) runClaim(live []*streamJob[E], qs []seq.Sequence[E]) {
-	s := &p.streaming
+// answer runs one job on the single-query Matcher method of its kind and
+// completes its future. The matcher is pinned per job, so a view-backed
+// pool holds its read guard only while a query is actually computing —
+// between jobs the store is free to mutate or swap. A panic anywhere
+// underneath (a faulty distance evaluator, an index bug) fails this one
+// future with ErrWorkerCrashed and moves it from Completed to Crashed
+// instead of killing the worker: the pool self-heals around a poisoned
+// query.
+func (p *QueryPool[E]) answer(j *streamJob[E]) {
 	defer func() {
-		if r := recover(); r != nil {
-			err := fmt.Errorf("%w: %v", ErrWorkerCrashed, r)
-			var failed int64
-			for _, j := range live {
-				if j.fail(err) {
-					failed++
-				}
-			}
-			s.completed.Add(-failed)
-			s.crashed.Add(failed)
+		if r := recover(); r != nil && j.fail(fmt.Errorf("%w: %v", ErrWorkerCrashed, r)) {
+			p.streaming.completed.Add(-1)
+			p.streaming.crashed.Add(1)
 		}
 	}()
-	p.runBatch(live, qs)
-}
-
-// runBatch answers one claimed run — all jobs share a coalesce key — with a
-// single batched call and completes each job's future with its own slice of
-// the result. The matcher is pinned per claim, so a view-backed pool holds
-// its read guard only while a claim is actually computing — between claims
-// the store is free to mutate or swap.
-func (p *QueryPool[E]) runBatch(jobs []*streamJob[E], qs []seq.Sequence[E]) {
 	mt, release := p.acquire()
 	defer release()
-	switch jobs[0].kind {
+	switch j.kind {
 	case kindFilter:
-		hits := mt.FilterHitsBatch(qs, jobs[0].eps)
-		for i, j := range jobs {
-			j.fHits.complete(hits[i], nil)
-		}
+		j.fHits.complete(mt.FilterHits(j.q, j.eps), nil)
 	case kindFindAll:
-		ms := mt.FindAllBatch(qs, jobs[0].eps)
-		for i, j := range jobs {
-			j.fAll.complete(ms[i], nil)
-		}
+		j.fAll.complete(mt.FindAll(j.q, j.eps), nil)
 	case kindLongest:
-		ms, found := mt.LongestBatch(qs, jobs[0].eps)
-		for i, j := range jobs {
-			j.fOne.complete(QueryResult{Match: ms[i], Found: found[i]}, nil)
-		}
+		m, ok := mt.Longest(j.q, j.eps)
+		j.fOne.complete(QueryResult{Match: m, Found: ok}, nil)
 	case kindNearest:
-		for i, j := range jobs {
-			m, ok := mt.Nearest(qs[i], j.opts)
-			j.fOne.complete(QueryResult{Match: m, Found: ok}, nil)
-		}
+		m, ok := mt.Nearest(j.q, j.opts)
+		j.fOne.complete(QueryResult{Match: m, Found: ok}, nil)
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // The streaming submit path must return results bit-identical to the
-// sequential per-query path and the batch-barrier path, on every index
+// sequential per-query path and the barrier path, on every index
 // backend, for all four query types — the serving daemon's answers are
 // exactly the library's.
 func TestStreamMatchesSequentialAllBackends(t *testing.T) {
@@ -91,94 +91,6 @@ func TestStreamMatchesSequentialAllBackends(t *testing.T) {
 			}
 		}
 		pool.Close()
-	}
-}
-
-// claimLocked is the coalescing scheduler's core: a claim must take the
-// head job plus only key-compatible jobs, respect the self-balancing
-// limit, and preserve the order of everything it leaves behind.
-func TestStreamClaimGroupsByKey(t *testing.T) {
-	mk := func(kind queryKind, eps float64) *streamJob[byte] {
-		return &streamJob[byte]{kind: kind, eps: eps, ctx: context.Background()}
-	}
-	var s streamState[byte]
-	a1, a2, a3 := mk(kindFindAll, 2), mk(kindFindAll, 2), mk(kindFindAll, 2)
-	b1 := mk(kindFindAll, 3) // same kind, different radius: not coalescable
-	c1 := mk(kindFilter, 2)  // different kind: not coalescable
-	s.queue = []*streamJob[byte]{a1, b1, a2, c1, a3}
-	claimed := s.claimLocked(1, 64, nil)
-	if len(claimed) != 3 || claimed[0] != a1 || claimed[1] != a2 || claimed[2] != a3 {
-		t.Fatalf("claim = %v, want [a1 a2 a3]", claimed)
-	}
-	if len(s.queue) != 2 || s.queue[0] != b1 || s.queue[1] != c1 {
-		t.Fatalf("left behind %v, want [b1 c1] in order", s.queue)
-	}
-	// The limit splits a burst across workers: with 4 workers and 8 queued
-	// jobs, one claim takes 2.
-	s.queue = nil
-	for i := 0; i < 8; i++ {
-		s.queue = append(s.queue, mk(kindFindAll, 2))
-	}
-	claimed = s.claimLocked(4, 64, nil)
-	if len(claimed) != 2 {
-		t.Fatalf("claim of 8 over 4 workers took %d jobs, want 2", len(claimed))
-	}
-	// The coalescing cap bounds a claim regardless of queue depth.
-	s.queue = nil
-	for i := 0; i < 10; i++ {
-		s.queue = append(s.queue, mk(kindLongest, 1))
-	}
-	claimed = s.claimLocked(1, 4, nil)
-	if len(claimed) != 4 {
-		t.Fatalf("capped claim took %d jobs, want 4", len(claimed))
-	}
-	// Nearest jobs group by identical options only.
-	n1 := &streamJob[byte]{kind: kindNearest, opts: NearestOptions{EpsMax: 4, EpsInc: 1}, ctx: context.Background()}
-	n2 := &streamJob[byte]{kind: kindNearest, opts: NearestOptions{EpsMax: 4, EpsInc: 1}, ctx: context.Background()}
-	n3 := &streamJob[byte]{kind: kindNearest, opts: NearestOptions{EpsMax: 8, EpsInc: 1}, ctx: context.Background()}
-	s.queue = []*streamJob[byte]{n1, n3, n2}
-	claimed = s.claimLocked(1, 64, nil)
-	if len(claimed) != 2 || claimed[0] != n1 || claimed[1] != n2 {
-		t.Fatalf("nearest claim = %v, want [n1 n2]", claimed)
-	}
-}
-
-// A burst of submissions must actually coalesce into shared batched calls:
-// with one worker, claims taken while the worker is busy batch the backlog,
-// so the engine runs far fewer batches than submissions.
-func TestStreamCoalescesBurst(t *testing.T) {
-	p := Params{Lambda: 6, Lambda0: 1}
-	lev := dist.LevenshteinMeasure[byte]()
-	rng := rand.New(rand.NewPCG(37, 3700))
-	db, qs := batchQueries(rng, 8)
-	mt, err := NewMatcher(lev, Config{Params: p}, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewQueryPool(mt, 1)
-	defer pool.Close()
-	ctx := context.Background()
-	const rounds = 8
-	futures := make([]*Future[[]Match], 0, rounds*len(qs))
-	for r := 0; r < rounds; r++ {
-		for _, q := range qs {
-			futures = append(futures, pool.Submit(ctx, q, 0.5))
-		}
-	}
-	for _, f := range futures {
-		if _, err := f.Await(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := pool.StreamStats()
-	if st.Completed != int64(len(futures)) {
-		t.Fatalf("completed %d of %d submissions", st.Completed, len(futures))
-	}
-	if st.Batches >= st.Completed {
-		t.Fatalf("no coalescing: %d batches for %d submissions", st.Batches, st.Completed)
-	}
-	if st.MaxBatch < 2 {
-		t.Fatalf("max batch %d, want >= 2", st.MaxBatch)
 	}
 }
 

@@ -39,8 +39,8 @@
 // Beyond single-probe Range, the net answers Exists (existence-only, stops
 // at the first in-range item — the probe Nearest's radius search issues),
 // KNN (knn.go), and BatchRange (range.go), which walks the hierarchy once
-// for a whole probe set so that concurrent batch queries share traversal
-// work. Two capabilities cut the evaluation cost of traversal probes:
+// for a whole probe set — the subsequence framework passes the segments of
+// one query. Two capabilities cut the evaluation cost of traversal probes:
 // SetBounded arms an early-abandoning distance (probes evaluate at the
 // query radius plus the node's cover radius, proving subtrees outside at
 // a fraction of a full evaluation), and BatchRangeEval accepts a

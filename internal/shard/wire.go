@@ -66,12 +66,12 @@ type ErrorResponse struct {
 }
 
 // BatchRequest is the body of POST /query/batch: many queries of one
-// kind, answered by a single FilterHitsBatch/FindAllBatch/LongestBatch
-// traversal on each serving process. Queries stay raw — the serve
-// process decodes them element-typed; the gateway forwards them opaque.
+// kind in one round trip, answered one after another on each serving
+// process. Queries stay raw — the serve process decodes them
+// element-typed; the gateway forwards them opaque.
 type BatchRequest struct {
 	// Kind selects the query type: "findall", "longest" or "filter"
-	// (nearest probes radii adaptively and has no batched form).
+	// (nearest takes no shared radius and has no batch form).
 	Kind    string            `json:"kind"`
 	Queries []json.RawMessage `json:"queries"`
 	// Eps is the shared radius (all kinds).

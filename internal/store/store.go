@@ -11,10 +11,10 @@
 // safe under concurrent queries; the Store is the tier that makes them
 // safe. Every query runs as a guarded reader: the serving pool resolves
 // the matcher through View (core.MatcherView), which takes the store's
-// read lock for exactly one unit of query work — one batch-barrier call
-// or one streaming claim. Mutations (Append, Retire, Sweep) take the
-// write lock, so they wait only for claims already in flight — queries
-// drain, the mutation applies, and the next claim sees the new index.
+// read lock for exactly one unit of query work — one barrier call or one
+// streamed query. Mutations (Append, Retire, Sweep) take the write lock,
+// so they wait only for queries already running — those drain, the
+// mutation applies, and the next query sees the new index.
 // Snapshot takes the read lock: it runs concurrently with queries and
 // blocks only mutations, so the bytes written are one consistent view.
 //
@@ -112,8 +112,8 @@ func (s *Store[E]) View() (*core.Matcher[E], func()) {
 	return s.mt, s.mu.RUnlock
 }
 
-// NewQueryPool returns a query pool whose every batch call and streaming
-// claim resolves the store's current matcher under its read guard — the
+// NewQueryPool returns a query pool whose every barrier call and streamed
+// query resolves the store's current matcher under its read guard — the
 // serving loop's entry point (see core.NewQueryPoolView).
 func (s *Store[E]) NewQueryPool(workers int, opts ...core.PoolOption) *core.QueryPool[E] {
 	return core.NewQueryPoolView(s.View, workers, opts...)

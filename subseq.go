@@ -133,15 +133,15 @@ type Hit[E any] = core.Hit[E]
 // NearestOptions tunes Nearest (query Type III).
 type NearestOptions = core.NearestOptions
 
-// QueryPool drives a Matcher from a fixed set of worker goroutines,
-// answering large query batches with multi-core throughput. It has two
-// faces: the batch-barrier methods (FindAll, Longest, FilterHits, Nearest)
-// take a complete query slice and block until every answer is back, while
-// the streaming methods (Submit, SubmitFilter, SubmitLongest,
-// SubmitNearest) accept queries one at a time and return per-query
-// Futures, answering them from a long-lived worker set that coalesces
-// concurrent submissions into the same shared index traversals the batch
-// path uses. The streaming face adds context cancellation, a bounded
+// QueryPool drives a Matcher from worker goroutines, one query per
+// worker at a time: it adds parallelism, and every query still runs its
+// own index traversal. It has two faces: the barrier methods (FindAll,
+// Longest, FilterHits, Nearest) take a complete query slice and block
+// until every answer is back, while the streaming methods (Submit,
+// SubmitFilter, SubmitLongest, SubmitNearest) accept queries one at a
+// time and return per-query Futures, answered by a long-lived worker set
+// that pops the highest-priority pending submission, oldest first among
+// equals. The streaming face adds context cancellation, a bounded
 // in-flight queue with backpressure and graceful Close — the shape a
 // serving daemon needs (see subseqctl serve and docs/SERVING.md).
 type QueryPool[E any] = core.QueryPool[E]
@@ -154,12 +154,8 @@ type PoolOption = core.PoolOption
 // The default is 1024.
 func WithQueueDepth(n int) PoolOption { return core.WithQueueDepth(n) }
 
-// WithMaxCoalesce caps how many streaming submissions one worker claim may
-// answer in a single batched call (default 64).
-func WithMaxCoalesce(n int) PoolOption { return core.WithMaxCoalesce(n) }
-
 // NewQueryPool returns a pool of the given concurrency over mt; workers
-// ≤ 0 selects GOMAXPROCS. The batch methods are stateless between calls
+// ≤ 0 selects GOMAXPROCS. The barrier methods are stateless between calls
 // and safe for concurrent use; the streaming worker set starts lazily on
 // the first Submit and stops at Close.
 func NewQueryPool[E any](mt *Matcher[E], workers int, opts ...PoolOption) *QueryPool[E] {
@@ -174,7 +170,8 @@ type Future[T any] = core.Future[T]
 type QueryResult = core.QueryResult
 
 // StreamStats is a snapshot of a QueryPool's streaming-engine activity
-// (pending and in-flight submissions, coalescing effectiveness).
+// (pending and in-flight submissions, outcome counters, latency
+// histograms).
 type StreamStats = core.StreamStats
 
 // ErrPoolClosed is returned by futures whose submission arrived after the
@@ -197,8 +194,8 @@ var ErrQueueFull = core.ErrQueueFull
 // serve maps it to HTTP 504.
 var ErrDeadlineExceeded = core.ErrDeadlineExceeded
 
-// ErrWorkerCrashed wraps a panic recovered while answering a claim: the
-// affected futures fail with it and the worker keeps serving. subseqctl
+// ErrWorkerCrashed wraps a panic recovered while answering a query: that
+// query's future fails with it and the worker keeps serving. subseqctl
 // serve maps it to HTTP 500.
 var ErrWorkerCrashed = core.ErrWorkerCrashed
 
@@ -233,7 +230,7 @@ func WithSubmitDeadline(t time.Time) SubmitOption { return core.WithSubmitDeadli
 // WithSubmitTimeout is WithSubmitDeadline at now+d.
 func WithSubmitTimeout(d time.Duration) SubmitOption { return core.WithSubmitTimeout(d) }
 
-// WithPriority biases claim seeding toward higher-priority submissions
+// WithPriority makes workers pop higher-priority submissions first
 // (default 0; ties keep arrival order).
 func WithPriority(p int) SubmitOption { return core.WithPriority(p) }
 
@@ -523,8 +520,8 @@ func WithClock(now func() time.Time) StoreOption { return store.WithClock(now) }
 // mutable Store instead of a fixed Matcher.
 type MatcherView[E any] = core.MatcherView[E]
 
-// NewQueryPoolView is NewQueryPool over a MatcherView: every batch call
-// and streaming claim resolves the matcher afresh and holds its guard
+// NewQueryPoolView is NewQueryPool over a MatcherView: every barrier call
+// and every streamed query resolves the matcher afresh and holds its guard
 // only for that unit of work. Store.NewQueryPool is the common way in.
 func NewQueryPoolView[E any](view MatcherView[E], workers int, opts ...PoolOption) *QueryPool[E] {
 	return core.NewQueryPoolView(view, workers, opts...)
