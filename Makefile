@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-smoke bench-counts serve-smoke snapshot-smoke shard-smoke replica-smoke cache-smoke chaos-smoke fmt fmt-fix vet check docs-check
+.PHONY: all build test test-short bench bench-smoke bench-counts serve-smoke snapshot-smoke shard-smoke replica-smoke cache-smoke chaos-smoke fmt fmt-fix vet size check docs-check
 
 all: check
 
@@ -105,6 +105,13 @@ fmt-fix:
 vet:
 	$(GO) vet ./...
 
+# size fails when a tracked file is over 1 MiB. The largest source file here
+# is a few dozen KiB, so anything that big is a build output that rode in
+# with `git add -A` (a 12 MB subseqctl binary once did).
+size:
+	@big=$$(git ls-files -z | xargs -0 du -k | awk '$$1 > 1024'); \
+	if [ -n "$$big" ]; then echo "tracked files over 1 MiB (KiB, path):"; echo "$$big"; exit 1; fi
+
 # docs-check keeps the documentation honest: every relative markdown link
 # must resolve, and every Example* godoc test must run (and match its
 # Output comment).
@@ -112,4 +119,4 @@ docs-check:
 	$(GO) run ./cmd/mdlinkcheck .
 	$(GO) test -run Example ./...
 
-check: fmt vet build test docs-check
+check: fmt vet size build test docs-check

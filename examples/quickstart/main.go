@@ -64,5 +64,5 @@ func main() {
 	// Accounting: the filter's distance computations vs a naive scan.
 	fmt.Printf("\nindex build distance calls: %d\n", matcher.BuildDistanceCalls())
 	fmt.Printf("query filter distance calls: %d\n", matcher.FilterDistanceCalls())
-	fmt.Printf("verification distance calls: %d\n", matcher.VerifyDistanceCalls())
+	fmt.Printf("verification passes (one DP per start pair): %d\n", matcher.VerifyDistanceCalls())
 }

@@ -17,8 +17,10 @@
 //  3. every query segment of length λ/2−λ0 … λ/2+λ0 probes the index for
 //     windows within the query radius;
 //  4. surviving segment↔window pairs (Hits) seed candidate regions;
-//  5. candidates are verified by direct distance evaluation (verify.go),
-//     which also de-duplicates and maximises the reported Matches.
+//  5. the candidates in those regions are verified (verify.go): one
+//     incremental-kernel pass per distinct (query start, database start)
+//     pair prices every candidate end of that pair, and the query type's
+//     visitor collects or maximises the reported Matches.
 //
 // Construction-time validation (validateMeasure) rejects unsound
 // configurations instead of returning silently wrong answers: the filter
@@ -37,7 +39,12 @@
 // on the linear scan and on the net's traversal probes alike. The
 // immutable kernel preprocessing is built lazily, once per window on
 // first touch, and shared by all workers (preparedAt), capping kernel
-// memory at O(windows) without an O(windows) startup cost. Every path
+// memory at O(windows) without an O(windows) startup cost. The verifier
+// reads the same kernels cell by cell (Kernel.At): all candidates sharing
+// a start pair are prefixes of one DP table, so it runs one pass per start
+// pair instead of one evaluation per candidate, and abandons a pass once
+// the kernel's Floor proves every later cell outside the radius.
+// VerifyDistanceCalls counts those passes. Every path
 // answers one query with one index traversal over that query's own
 // segments: FilterHitsBatch / FindAllBatch / LongestBatch are loops over
 // the single-query methods, and QueryPool hands queries one at a time to

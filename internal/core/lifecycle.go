@@ -270,6 +270,6 @@ func NewMatcherFromSavedIndex[E any](m dist.Measure[E], cfg Config, db []seq.Seq
 	mt.net = net
 	mt.buildCalls = mt.counter.Calls() // zero: decoding computes no distances
 	mt.counter.Reset()
-	mt.verifier = newVerifier(m.Fn, cfg.Params, db)
+	mt.verifier = newVerifier(m, cfg.Params, db)
 	return mt, nil
 }

@@ -226,7 +226,7 @@ func NewMatcher[E any](m dist.Measure[E], cfg Config, db []seq.Sequence[E]) (*Ma
 	}
 	mt.buildCalls = mt.counter.Calls()
 	mt.counter.Reset()
-	mt.verifier = newVerifier(m.Fn, cfg.Params, db)
+	mt.verifier = newVerifier(m, cfg.Params, db)
 	return mt, nil
 }
 
@@ -262,8 +262,13 @@ func (mt *Matcher[E]) BatchCalls() int64 { return mt.batchCalls.Load() }
 // BatchQueries reports the total queries those calls carried.
 func (mt *Matcher[E]) BatchQueries() int64 { return mt.batchQueries.Load() }
 
-// VerifyDistanceCalls reports distance computations spent in verification
-// (step 5) since the matcher was built.
+// VerifyDistanceCalls reports the distance evaluations spent in
+// verification (step 5) since the matcher was built, counted in passes: one
+// per (query start, database start) pair the verifier ran a kernel pass
+// for — a pass costs one DP over that pair's longest candidate and prices
+// every candidate end on the way, the convention FilterDistanceCalls uses
+// for kernel passes. A measure without an incremental kernel (Prepare nil)
+// is counted per Fn call instead, one per distinct candidate.
 func (mt *Matcher[E]) VerifyDistanceCalls() int64 { return mt.verifier.calls.Load() }
 
 // FilterHits runs the online filtering steps (3–4): it extracts every

@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/dist"
@@ -32,58 +34,59 @@ import (
 // literal reading of the paper — is insufficient: a long chain pins SX to
 // cover all its windows, hiding matches that cover an inner sub-run.
 //
-// Candidate pairs are deduplicated across regions so each distinct pair is
-// verified at most once per query.
+// The candidate set is the union of the regions' boxes. It is priced by
+// START PAIR, not by candidate: every candidate (qs, qe, xs, xe) of one
+// (qs, xs) is a cell of the single DP table over q[qs:] × x[xs:] — cell
+// (qe−qs, xe−xs) IS δ(q[qs:qe], x[xs:xe]) — so one incremental-kernel pass
+// per distinct start pair (scan) prices every end the regions ask for, where
+// a per-candidate evaluation recomputes a prefix of that table each time.
 type verifier[E any] struct {
-	fn    dist.Func[E]
-	p     Params
-	db    []seq.Sequence[E]
+	m  dist.Measure[E]
+	p  Params
+	db []seq.Sequence[E]
+	// calls counts verification cost in distance evaluations: one per pass
+	// (a pass costs one DP over its longest candidate, the convention the
+	// filter's kernel passes are counted by), or, for a measure without an
+	// incremental kernel, one per Fn call its passes make.
 	calls metric.Tally
-	// scratch pools the per-query dedup maps: candidate regions overlap
-	// heavily, so the pair-seen map reaches tens of thousands of entries
-	// per query — reallocating it per call dominated the query path's
-	// allocation profile and throttled the worker pool via GC.
+	// scratch pools the per-query working set: region and pass lists and the
+	// pass kernel with its window preprocessing.
 	scratch sync.Pool
 }
 
 // verifyScratch is the pooled per-query working set of the verifier.
-type verifyScratch struct {
-	seen    map[pairKey]bool
+type verifyScratch[E any] struct {
 	regions map[region]bool
 	byWin   map[winKey][]int
 	regs    []region
+	// starts, passes and members are the pass enumeration (see passes).
+	starts  []startRef
+	passes  []pass
+	members []int32
+	// prep and kernel are the bound window's preprocessing and the kernel
+	// state over it, both rebuilt in place from pass to pass.
+	prep   dist.Prepared[E]
+	kernel dist.Kernel[E]
 }
 
-func newVerifier[E any](fn dist.Func[E], p Params, db []seq.Sequence[E]) *verifier[E] {
-	return &verifier[E]{fn: fn, p: p, db: db}
+func newVerifier[E any](m dist.Measure[E], p Params, db []seq.Sequence[E]) *verifier[E] {
+	return &verifier[E]{m: m, p: p, db: db}
 }
 
-func (v *verifier[E]) getScratch() *verifyScratch {
-	if sc, ok := v.scratch.Get().(*verifyScratch); ok {
-		clear(sc.seen)
+func (v *verifier[E]) getScratch() *verifyScratch[E] {
+	if sc, ok := v.scratch.Get().(*verifyScratch[E]); ok {
 		clear(sc.regions)
 		clear(sc.byWin)
 		sc.regs = sc.regs[:0]
 		return sc
 	}
-	return &verifyScratch{
-		seen:    make(map[pairKey]bool),
+	return &verifyScratch[E]{
 		regions: make(map[region]bool),
 		byWin:   make(map[winKey][]int),
 	}
 }
 
-func (v *verifier[E]) putScratch(sc *verifyScratch) { v.scratch.Put(sc) }
-
-func (v *verifier[E]) dist(a, b []E) float64 {
-	v.calls.Add(1)
-	return v.fn(a, b)
-}
-
-// pairKey identifies a candidate pair for deduplication.
-type pairKey struct {
-	seqID, qs, qe, xs, xe int
-}
+func (v *verifier[E]) putScratch(sc *verifyScratch[E]) { v.scratch.Put(sc) }
 
 // winKey identifies a database window by sequence and ordinal.
 type winKey struct{ seqID, ord int }
@@ -96,9 +99,6 @@ type region struct {
 	xsMin, xsMax int
 	xeMin, xeMax int
 }
-
-// qlenUpper is the largest query subsequence length the region can yield.
-func (r region) qlenUpper() int { return r.qeMax - r.qsMin }
 
 func clamp(v, lo, hi int) int {
 	if v < lo {
@@ -138,7 +138,7 @@ func (v *verifier[E]) hitRegion(q seq.Sequence[E], h Hit[E]) region {
 // regions. The query-span compatibility filter discards pairs whose
 // segments are further apart than the spanned windows allow under the
 // per-window shift budget λ0.
-func (v *verifier[E]) runRegions(q seq.Sequence[E], hits []Hit[E], sc *verifyScratch) []region {
+func (v *verifier[E]) runRegions(q seq.Sequence[E], hits []Hit[E], sc *verifyScratch[E]) []region {
 	lam0 := v.p.Lambda0
 	byWin := sc.byWin
 	for i, h := range hits {
@@ -183,37 +183,227 @@ func (v *verifier[E]) runRegions(q seq.Sequence[E], hits []Hit[E], sc *verifyScr
 	return out
 }
 
-// forEachPair enumerates the candidate pairs of a region that satisfy the
-// length constraints, invoking fn for each; fn returning false stops the
-// enumeration early.
-func (v *verifier[E]) forEachPair(r region, fn func(qs, qe, xs, xe int) bool) {
+// startRef says that region reg admits candidates starting at database
+// position xs of sequence seqID.
+type startRef struct {
+	seqID, xs, reg int32
+}
+
+// pass is one start pair (qs, xs) on sequence seqID together with the
+// regions that hold candidates starting there (members[lo:hi], indices into
+// the region list). rows and cols bound the DP table those candidates
+// occupy: the largest qe−qs and xe−xs any of them has.
+type pass struct {
+	seqID, xs, qs int32
+	lo, hi        int32
+	rows, cols    int32
+}
+
+// reach bounds the DP table that region r's candidates from start (qs, xs)
+// occupy: the largest candidate lengths rows = qe−qs and cols = xe−xs under
+// |SQ|,|SX| ≥ λ and ||SQ|−|SX|| ≤ λ0. ok is false when r has no candidate
+// starting there.
+func (v *verifier[E]) reach(r *region, qs, xs int) (rows, cols int, ok bool) {
 	lam, lam0 := v.p.Lambda, v.p.Lambda0
-	for xs := r.xsMin; xs <= r.xsMax; xs++ {
-		for xe := r.xeMin; xe <= r.xeMax; xe++ {
-			xlen := xe - xs
-			if xlen < lam {
-				continue
+	iLo, iHi := max(r.qeMin-qs, lam), r.qeMax-qs
+	jLo, jHi := max(r.xeMin-xs, lam), r.xeMax-xs
+	rows, cols = min(iHi, jHi+lam0), min(jHi, iHi+lam0)
+	return rows, cols, max(iLo, jLo-lam0) <= rows && max(jLo, iLo-lam0) <= cols
+}
+
+// passes enumerates the distinct start pairs of regs, each with the regions
+// it belongs to, ordered by (seqID, xs, qs) so that passes over one database
+// start are neighbours and share a window binding. A start pair is listed
+// only if some region holds a candidate for it.
+func (v *verifier[E]) passes(regs []region, sc *verifyScratch[E]) []pass {
+	starts := sc.starts[:0]
+	for i := range regs {
+		r := &regs[i]
+		for xs := r.xsMin; xs <= r.xsMax; xs++ {
+			starts = append(starts, startRef{int32(r.seqID), int32(xs), int32(i)})
+		}
+	}
+	slices.SortFunc(starts, func(a, b startRef) int {
+		return cmp.Or(cmp.Compare(a.seqID, b.seqID), cmp.Compare(a.xs, b.xs), cmp.Compare(a.reg, b.reg))
+	})
+	out, members := sc.passes[:0], sc.members[:0]
+	for s := 0; s < len(starts); {
+		e := s + 1
+		for e < len(starts) && starts[e].seqID == starts[s].seqID && starts[e].xs == starts[s].xs {
+			e++
+		}
+		group := starts[s:e] // the regions whose start box covers this xs
+		xs := int(group[0].xs)
+		qsLo, qsHi := math.MaxInt, -1
+		for _, g := range group {
+			qsLo, qsHi = min(qsLo, regs[g.reg].qsMin), max(qsHi, regs[g.reg].qsMax)
+		}
+		for qs := qsLo; qs <= qsHi; qs++ {
+			p := pass{seqID: group[0].seqID, xs: group[0].xs, qs: int32(qs), lo: int32(len(members))}
+			for _, g := range group {
+				r := &regs[g.reg]
+				if qs < r.qsMin || qs > r.qsMax {
+					continue
+				}
+				if rows, cols, ok := v.reach(r, qs, xs); ok {
+					members = append(members, g.reg)
+					p.rows, p.cols = max(p.rows, int32(rows)), max(p.cols, int32(cols))
+				}
 			}
-			for qs := r.qsMin; qs <= r.qsMax; qs++ {
-				// |qlen − xlen| ≤ λ0 restricts qe to a narrow band.
-				qeLo := qs + xlen - lam0
-				if qeLo < r.qeMin {
-					qeLo = r.qeMin
-				}
-				if qeLo < qs+lam {
-					qeLo = qs + lam
-				}
-				qeHi := qs + xlen + lam0
-				if qeHi > r.qeMax {
-					qeHi = r.qeMax
-				}
-				for qe := qeLo; qe <= qeHi; qe++ {
-					if !fn(qs, qe, xs, xe) {
-						return
+			if p.hi = int32(len(members)); p.hi > p.lo {
+				out = append(out, p)
+			}
+		}
+		s = e
+	}
+	sc.starts, sc.passes, sc.members = starts, out, members
+	return out
+}
+
+// visitor receives the candidates a scan prices and steers it: radius is
+// the largest distance still of interest (the scan offers only candidates
+// within it, and abandons a pass once the kernel proves every later cell
+// beyond it), minQLen the shortest query span still of interest (shorter
+// rows are not read, passes that cannot reach it not run). Both may tighten
+// as matches arrive.
+type visitor interface {
+	radius() float64
+	minQLen() int
+	visit(m Match)
+}
+
+// scan prices the candidates of every pass and offers those within the
+// visitor's radius. Per pass it binds one kernel to the database side
+// x[xs:xs+cols] — or keeps the previous binding when that already starts at
+// xs and is at least as long, a longer window changing no cell — feeds the
+// query side q[qs:] element by element, and after row i reads the cells
+// j ∈ [i−λ0, i+λ0] that lie in a member region. A cell inside the pass's
+// rows × cols box but in no member region is not a candidate: the box is
+// the union's bounding box, the candidate set the union itself.
+//
+// The answer never depends on pass order or on where a pass is abandoned:
+// a pass stops early only when the kernel's Floor strictly exceeds the
+// radius, which no later cell can then be within.
+func (v *verifier[E]) scan(q seq.Sequence[E], regs []region, passes []pass, sc *verifyScratch[E], vis visitor) {
+	lam, lam0 := v.p.Lambda, v.p.Lambda0
+	// A kernel pass is one DP however many cells are read; the Fn adapter
+	// (no Prepare) makes one Fn call per cell read instead.
+	perRead := v.m.Prepare == nil
+	var evals int64
+	bound := pass{seqID: -1}
+	for _, p := range passes {
+		if int(p.rows) < vis.minQLen() {
+			continue
+		}
+		qs, xs := int(p.qs), int(p.xs)
+		x := v.db[p.seqID]
+		if bound.seqID != p.seqID || bound.xs != p.xs || bound.cols < p.cols {
+			sc.prep = v.m.Reprepare(sc.prep, x[xs:xs+int(p.cols)])
+			sc.kernel = dist.BindKernel(sc.kernel, sc.prep)
+			bound = p
+		} else {
+			sc.kernel.Reset()
+		}
+		k := sc.kernel
+		members := sc.members[p.lo:p.hi]
+		reads := int64(0)
+		for i := 1; i <= int(p.rows); i++ {
+			k.Feed(q[qs+i-1])
+			if i >= lam && i >= vis.minQLen() {
+				qe := qs + i
+				for j := max(i-lam0, lam); j <= min(i+lam0, int(p.cols)); j++ {
+					xe := xs + j
+					if !anyHolds(regs, members, qe, xe) {
+						continue
+					}
+					reads++
+					if d := k.At(j); d <= vis.radius() {
+						vis.visit(Match{SeqID: int(p.seqID), QStart: qs, QEnd: qe, XStart: xs, XEnd: xe, Dist: d})
 					}
 				}
 			}
+			if k.Floor() > vis.radius() {
+				break
+			}
 		}
+		if perRead {
+			evals += reads
+		} else {
+			evals++
+		}
+	}
+	v.calls.Add(evals)
+}
+
+// anyHolds reports whether some member region's end box holds (qe, xe).
+// Members already hold the pass's start.
+func anyHolds(regs []region, members []int32, qe, xe int) bool {
+	for _, m := range members {
+		if r := &regs[m]; qe >= r.qeMin && qe <= r.qeMax && xe >= r.xeMin && xe <= r.xeMax {
+			return true
+		}
+	}
+	return false
+}
+
+// allMatches is the Type I visitor: every candidate within eps.
+type allMatches struct {
+	eps float64
+	out []Match
+}
+
+func (a *allMatches) radius() float64 { return a.eps }
+func (a *allMatches) minQLen() int    { return 0 }
+func (a *allMatches) visit(m Match)   { a.out = append(a.out, m) }
+
+// longestMatch is the Type II visitor: the least candidate within eps under
+// longestBefore. The order is strict and total, so the answer is a function
+// of the candidate set alone.
+type longestMatch struct {
+	eps   float64
+	best  Match
+	found bool
+}
+
+func (l *longestMatch) radius() float64 { return l.eps }
+
+// minQLen rises to the running best, not above it: a candidate of the same
+// length may still win on distance.
+func (l *longestMatch) minQLen() int {
+	if l.found {
+		return l.best.QLen()
+	}
+	return 0
+}
+
+func (l *longestMatch) visit(m Match) {
+	if !l.found || longestBefore(m, l.best) {
+		l.best, l.found = m, true
+	}
+}
+
+// nearestMatch is the Type III visitor: the least candidate within eps under
+// nearestBefore, strict and total like longestBefore.
+type nearestMatch struct {
+	eps   float64
+	best  Match
+	found bool
+}
+
+// radius shrinks to the running best, not below it: a candidate at the same
+// distance may still win the canonical tie-break.
+func (n *nearestMatch) radius() float64 {
+	if n.found {
+		return n.best.Dist
+	}
+	return n.eps
+}
+
+func (n *nearestMatch) minQLen() int { return 0 }
+
+func (n *nearestMatch) visit(m Match) {
+	if !n.found || nearestBefore(m, n.best) {
+		n.best, n.found = m, true
 	}
 }
 
@@ -221,64 +411,28 @@ func (v *verifier[E]) forEachPair(r region, fn func(qs, qe, xs, xe int) bool) {
 func (v *verifier[E]) verifyAll(q seq.Sequence[E], hits []Hit[E], eps float64) []Match {
 	sc := v.getScratch()
 	defer v.putScratch(sc)
-	seen := sc.seen
-	var out []Match
 	for _, h := range hits {
-		r := v.hitRegion(q, h)
-		x := v.db[r.seqID]
-		v.forEachPair(r, func(qs, qe, xs, xe int) bool {
-			k := pairKey{r.seqID, qs, qe, xs, xe}
-			if seen[k] {
-				return true
-			}
-			seen[k] = true
-			if d := v.dist(q[qs:qe], x[xs:xe]); d <= eps {
-				out = append(out, Match{SeqID: r.seqID, QStart: qs, QEnd: qe, XStart: xs, XEnd: xe, Dist: d})
-			}
-			return true
-		})
+		sc.regs = append(sc.regs, v.hitRegion(q, h))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.SeqID != b.SeqID {
-			return a.SeqID < b.SeqID
-		}
-		if a.XStart != b.XStart {
-			return a.XStart < b.XStart
-		}
-		if a.XEnd != b.XEnd {
-			return a.XEnd < b.XEnd
-		}
-		if a.QStart != b.QStart {
-			return a.QStart < b.QStart
-		}
-		return a.QEnd < b.QEnd
-	})
-	return out
+	vis := allMatches{eps: eps}
+	v.scan(q, sc.regs, v.passes(sc.regs, sc), sc, &vis)
+	slices.SortFunc(vis.out, canonicalCompare)
+	return vis.out
 }
 
-// canonicalBefore is the canonical total order on matches — ascending
+// canonicalCompare is the canonical total order on matches — ascending
 // coordinates, the order verifyAll sorts by. Distinct pairs never share
 // all five coordinates, so the order is strict; it is the final
 // tie-break that makes every query answer a pure function of the
 // candidate set rather than of traversal order, which is what lets a
 // sharded fleet (internal/shard) reproduce a single node's answer
 // bit for bit.
-func canonicalBefore(a, b Match) bool {
-	if a.SeqID != b.SeqID {
-		return a.SeqID < b.SeqID
-	}
-	if a.XStart != b.XStart {
-		return a.XStart < b.XStart
-	}
-	if a.XEnd != b.XEnd {
-		return a.XEnd < b.XEnd
-	}
-	if a.QStart != b.QStart {
-		return a.QStart < b.QStart
-	}
-	return a.QEnd < b.QEnd
+func canonicalCompare(a, b Match) int {
+	return cmp.Or(cmp.Compare(a.SeqID, b.SeqID), cmp.Compare(a.XStart, b.XStart), cmp.Compare(a.XEnd, b.XEnd),
+		cmp.Compare(a.QStart, b.QStart), cmp.Compare(a.QEnd, b.QEnd))
 }
+
+func canonicalBefore(a, b Match) bool { return canonicalCompare(a, b) < 0 }
 
 // nearestBefore orders Type III answers: smaller distance wins, equal
 // distances resolve canonically.
@@ -305,94 +459,26 @@ func longestBefore(a, b Match) bool {
 func (v *verifier[E]) verifyNearest(q seq.Sequence[E], hits []Hit[E], eps float64) (Match, bool) {
 	sc := v.getScratch()
 	defer v.putScratch(sc)
-	seen := sc.seen
-	var best Match
-	found := false
-	for _, r := range v.runRegions(q, hits, sc) {
-		x := v.db[r.seqID]
-		v.forEachPair(r, func(qs, qe, xs, xe int) bool {
-			k := pairKey{r.seqID, qs, qe, xs, xe}
-			if seen[k] {
-				return true
-			}
-			seen[k] = true
-			d := v.dist(q[qs:qe], x[xs:xe])
-			if d <= eps {
-				m := Match{SeqID: r.seqID, QStart: qs, QEnd: qe, XStart: xs, XEnd: xe, Dist: d}
-				if !found || nearestBefore(m, best) {
-					best, found = m, true
-				}
-			}
-			return true
-		})
-	}
-	return best, found
+	regs := v.runRegions(q, hits, sc)
+	vis := nearestMatch{eps: eps}
+	v.scan(q, regs, v.passes(regs, sc), sc, &vis)
+	return vis.best, vis.found
 }
 
-// verifyLongest implements query Type II verification: process run regions
-// from the largest query-length bound down, verify candidates in
-// decreasing |SQ| order, and stop once no remaining region can beat the
-// best match found.
+// verifyLongest implements query Type II verification: the longest query
+// span within eps over the run regions. Equal-length ties resolve by
+// distance, then canonically (longestBefore), never by traversal order — a
+// topology-independent answer is what lets the sharded tier
+// (internal/shard) merge per-shard longest matches bit-identically to a
+// single node. Passes run from the longest reachable span down, so the
+// first matches found rule out most of the rest unrun.
 func (v *verifier[E]) verifyLongest(q seq.Sequence[E], hits []Hit[E], eps float64) (Match, bool) {
-	if len(hits) == 0 {
-		return Match{}, false
-	}
 	sc := v.getScratch()
 	defer v.putScratch(sc)
-	regions := v.runRegions(q, hits, sc)
-	sort.Slice(regions, func(i, j int) bool { return regions[i].qlenUpper() > regions[j].qlenUpper() })
-
-	seen := sc.seen
-	var best Match
-	found := false
-	for _, r := range regions {
-		ub := r.qlenUpper()
-		if found && ub < best.QLen() {
-			break // regions are sorted by upper bound
-		}
-		x := v.db[r.seqID]
-		// Enumerate candidate |SQ| from largest to smallest. The first
-		// verified length is the answer's, but that whole length level is
-		// still finished — here and in every region whose bound can tie —
-		// so equal-length ties resolve canonically (longestBefore: smaller
-		// distance, then lower coordinates) instead of by traversal order.
-		// A topology-independent answer is what lets the sharded tier
-		// (internal/shard) merge per-shard longest matches bit-identically
-		// to a single node.
-		for qlen := ub; qlen >= v.p.Lambda; qlen-- {
-			if found && qlen < best.QLen() {
-				break
-			}
-			for qs := r.qsMin; qs <= r.qsMax; qs++ {
-				qe := qs + qlen
-				if qe < r.qeMin || qe > r.qeMax {
-					continue
-				}
-				for xs := r.xsMin; xs <= r.xsMax; xs++ {
-					xeLo := clamp(qlen-v.p.Lambda0+xs, r.xeMin, r.xeMax+1)
-					xeHi := clamp(qlen+v.p.Lambda0+xs, r.xeMin-1, r.xeMax)
-					for xe := xeLo; xe <= xeHi; xe++ {
-						if xe-xs < v.p.Lambda {
-							continue
-						}
-						k := pairKey{r.seqID, qs, qe, xs, xe}
-						if seen[k] {
-							continue
-						}
-						seen[k] = true
-						if d := v.dist(q[qs:qe], x[xs:xe]); d <= eps {
-							m := Match{SeqID: r.seqID, QStart: qs, QEnd: qe, XStart: xs, XEnd: xe, Dist: d}
-							if !found || longestBefore(m, best) {
-								best, found = m, true
-							}
-						}
-					}
-				}
-			}
-			if found && qlen == best.QLen() {
-				break // the winning length level is fully enumerated
-			}
-		}
-	}
-	return best, found
+	regs := v.runRegions(q, hits, sc)
+	passes := v.passes(regs, sc)
+	slices.SortStableFunc(passes, func(a, b pass) int { return cmp.Compare(b.rows, a.rows) })
+	vis := longestMatch{eps: eps}
+	v.scan(q, regs, passes, sc, &vis)
+	return vis.best, vis.found
 }

@@ -187,21 +187,18 @@ func proteinBounded(a, b []byte, eps float64) float64 {
 func erpBounded[E any](g Ground[E], gap E) BoundedFunc[E] {
 	return func(a, b []E, eps float64) float64 {
 		n, m := len(a), len(b)
-		prev := make([]float64, m+1)
-		cur := make([]float64, m+1)
-		for j := 1; j <= m; j++ {
-			prev[j] = prev[j-1] + g(b[j-1], gap)
-		}
+		prev, cur, gb := erpRows(g, gap, b)
 		for i := 1; i <= n; i++ {
-			ga := g(a[i-1], gap)
+			ai := a[i-1]
+			ga := g(ai, gap)
 			cur[0] = prev[0] + ga
 			rowMin := cur[0]
 			for j := 1; j <= m; j++ {
-				best := prev[j-1] + g(a[i-1], b[j-1])
+				best := prev[j-1] + g(ai, b[j-1])
 				if v := prev[j] + ga; v < best {
 					best = v
 				}
-				if v := cur[j-1] + g(b[j-1], gap); v < best {
+				if v := cur[j-1] + gb[j-1]; v < best {
 					best = v
 				}
 				cur[j] = best

@@ -135,6 +135,23 @@ func (m Measure[E]) NewKernel(w []E) Kernel[E] {
 	return m.Prepare(w).NewState()
 }
 
+// Reprepare returns kernel preprocessing over w for a caller that owns it
+// exclusively and binds one window after another: p itself, rebuilt in
+// place, when p can hold w (see Reusable; pass nil the first time), a fresh
+// value otherwise — from Prepare when the measure has one, else an adapter
+// whose kernels price each At read with one Fn call (and whose Feed prices
+// nothing), so a reader of At needs no second path for measures without a
+// kernel.
+func (m Measure[E]) Reprepare(p Prepared[E], w []E) Prepared[E] {
+	if r, ok := p.(Reusable[E]); ok && r.Reprepare(w) {
+		return p
+	}
+	if m.Prepare == nil {
+		return &fnPrepared[E]{fn: m.Fn, w: w}
+	}
+	return m.Prepare(w)
+}
+
 // Coupling is one element pairing in an optimal alignment, as recovered by
 // DTWAlignment, FrechetAlignment and ERPAlignment: element I of the first
 // sequence is aligned with element J of the second. In ERP alignments an

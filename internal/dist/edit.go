@@ -146,10 +146,7 @@ func WeightedEditMeasure() Measure[byte] {
 		Fn:    WeightedEdit[byte](weightedSub, func(byte) float64 { return weightedEditIndel }),
 		Props: Properties{Consistent: true, Metric: true, LockStep: false},
 		Prepare: func(w []byte) Prepared[byte] {
-			return newEditRowPrepared(w,
-				func(x byte, j int) float64 { return weightedSub(x, w[j]) },
-				func(byte) float64 { return weightedEditIndel },
-				func(int) float64 { return weightedEditIndel })
+			return newEditRowPrepared(w, weightedSub, func(byte) float64 { return weightedEditIndel })
 		},
 		Bounded: func(a, b []byte, eps float64) float64 {
 			return boundedEditBand(len(a), len(b),

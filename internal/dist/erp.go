@@ -17,19 +17,17 @@ import "repro/internal/seq"
 func ERP[E any](g Ground[E], gap E) Func[E] {
 	return func(a, b []E) float64 {
 		n, m := len(a), len(b)
-		prev := make([]float64, m+1)
-		cur := make([]float64, m+1)
-		for j := 1; j <= m; j++ {
-			prev[j] = prev[j-1] + g(b[j-1], gap)
-		}
+		prev, cur, gb := erpRows(g, gap, b)
 		for i := 1; i <= n; i++ {
-			cur[0] = prev[0] + g(a[i-1], gap)
+			ai := a[i-1]
+			ga := g(ai, gap)
+			cur[0] = prev[0] + ga
 			for j := 1; j <= m; j++ {
-				best := prev[j-1] + g(a[i-1], b[j-1])        // substitute
-				if v := prev[j] + g(a[i-1], gap); v < best { // gap b
+				best := prev[j-1] + g(ai, b[j-1]) // substitute
+				if v := prev[j] + ga; v < best {  // gap b
 					best = v
 				}
-				if v := cur[j-1] + g(b[j-1], gap); v < best { // gap a
+				if v := cur[j-1] + gb[j-1]; v < best { // gap a
 					best = v
 				}
 				cur[j] = best
@@ -38,6 +36,21 @@ func ERP[E any](g Ground[E], gap E) Func[E] {
 		}
 		return prev[m]
 	}
+}
+
+// erpRows makes the working set of a two-row ERP evaluation against b in
+// one allocation: the empty-prefix row (b's cumulative gap cost), a scratch
+// row, and b's per-element gap costs — priced here once instead of once per
+// DP cell.
+func erpRows[E any](g Ground[E], gap E, b []E) (prev, cur, gb []float64) {
+	m := len(b)
+	buf := make([]float64, 3*m+2)
+	prev, cur, gb = buf[:m+1], buf[m+1:2*m+2], buf[2*m+2:]
+	for j, e := range b {
+		gb[j] = g(e, gap)
+		prev[j+1] = prev[j] + gb[j]
+	}
+	return prev, cur, gb
 }
 
 // ERPMeasure is ERP bundled with its properties: a consistent metric,
@@ -66,23 +79,26 @@ func init() {
 func ERPAlignment[E any](g Ground[E], gap E, a, b []E) (float64, []Coupling) {
 	n, m := len(a), len(b)
 	d := fullMatrix(n, m)
+	gb := make([]float64, m)
 	d[0][0] = 0
 	for j := 1; j <= m; j++ {
-		d[0][j] = d[0][j-1] + g(b[j-1], gap)
+		gb[j-1] = g(b[j-1], gap)
+		d[0][j] = d[0][j-1] + gb[j-1]
 	}
 	for i := 1; i <= n; i++ {
-		d[i][0] = d[i-1][0] + g(a[i-1], gap)
-	}
-	for i := 1; i <= n; i++ {
+		ai := a[i-1]
+		ga := g(ai, gap)
+		row, above := d[i], d[i-1]
+		row[0] = above[0] + ga
 		for j := 1; j <= m; j++ {
-			best := d[i-1][j-1] + g(a[i-1], b[j-1])
-			if v := d[i-1][j] + g(a[i-1], gap); v < best {
+			best := above[j-1] + g(ai, b[j-1])
+			if v := above[j] + ga; v < best {
 				best = v
 			}
-			if v := d[i][j-1] + g(b[j-1], gap); v < best {
+			if v := row[j-1] + gb[j-1]; v < best {
 				best = v
 			}
-			d[i][j] = best
+			row[j] = best
 		}
 	}
 	var rev []Coupling

@@ -43,10 +43,21 @@ import "math"
 // to the empty prefix so it can be reused for a new left-hand sequence; the
 // bound w (and any preprocessing of it) is retained across Resets.
 //
+// The row a Feed completes prices more than the whole window: At(j) is
+// d(x[0:n], w[:j]) for any 0 ≤ j ≤ len(w), bit for bit what Fn returns on
+// those slices, and Feed's result is At(len(w)). One pass of n feeds
+// therefore prices every (prefix length, window-prefix length) pair — what
+// the verifier reads to price every candidate end of one start pair.
+// Floor is a lower bound on every cell of every later row (0 when the
+// kernel has none to offer): once it exceeds a radius, no longer prefix
+// can come back under it and the pass can stop.
+//
 // A Kernel is single-threaded state: use one kernel per goroutine.
 type Kernel[E any] interface {
 	Feed(x E) float64
 	Reset()
+	At(j int) float64
+	Floor() float64
 }
 
 // Prepared is the shared immutable half of an incremental kernel: the bound
@@ -72,6 +83,18 @@ type Rebindable[E any] interface {
 	Rebind(p Prepared[E]) bool
 }
 
+// Reusable is optionally implemented by a Prepared whose tables can be
+// rebuilt in place for another window, so a caller binding one window after
+// another (the verifier binds one per pass) allocates its preprocessing
+// once. Reprepare reports false, leaving the Prepared unchanged, when w
+// needs a different kernel form (the single-word Myers table cannot hold a
+// window over 64 bytes). It breaks the immutability a Prepared otherwise
+// promises: only the exclusive owner may call it, and kernels minted from
+// the Prepared must be rebound (BindKernel) before their next Feed.
+type Reusable[E any] interface {
+	Reprepare(w []E) bool
+}
+
 // BindKernel returns a kernel over p's window, rewound to the empty prefix:
 // state itself when it can be rebound in place (the steady-state path — no
 // allocation), a fresh p.NewState() otherwise (first use, or a state from a
@@ -93,6 +116,11 @@ type euclideanPrepared[E any] struct {
 func (p *euclideanPrepared[E]) WindowLen() int { return len(p.w) }
 
 func (p *euclideanPrepared[E]) NewState() Kernel[E] { return &euclideanState[E]{p: p} }
+
+func (p *euclideanPrepared[E]) Reprepare(w []E) bool {
+	p.w = w
+	return true
+}
 
 // euclideanState accumulates the sum of squared ground distances
 // elementwise and reports sqrt at the exact window length, +Inf elsewhere.
@@ -117,6 +145,18 @@ func (k *euclideanState[E]) Feed(x E) float64 {
 	return math.Inf(1)
 }
 
+// At is defined on the diagonal only: a lock-step distance exists between
+// equal lengths, so the fed prefix prices w[:j] at j = the fed count.
+func (k *euclideanState[E]) At(j int) float64 {
+	if j != k.n {
+		return math.Inf(1)
+	}
+	return math.Sqrt(k.sum)
+}
+
+// Floor is the running value: the squared sum only grows.
+func (k *euclideanState[E]) Floor() float64 { return math.Sqrt(k.sum) }
+
 func (k *euclideanState[E]) Reset() { k.n, k.sum = 0, 0 }
 
 func (k *euclideanState[E]) Rebind(p Prepared[E]) bool {
@@ -137,6 +177,11 @@ type hammingPrepared[E comparable] struct {
 func (p *hammingPrepared[E]) WindowLen() int { return len(p.w) }
 
 func (p *hammingPrepared[E]) NewState() Kernel[E] { return &hammingState[E]{p: p} }
+
+func (p *hammingPrepared[E]) Reprepare(w []E) bool {
+	p.w = w
+	return true
+}
 
 // hammingState is a running mismatch count, defined at the exact window
 // length only.
@@ -162,6 +207,17 @@ func (k *hammingState[E]) Feed(x E) float64 {
 	return math.Inf(1)
 }
 
+// At is defined on the diagonal only, like euclideanState.At.
+func (k *hammingState[E]) At(j int) float64 {
+	if j != k.n {
+		return math.Inf(1)
+	}
+	return float64(k.misses)
+}
+
+// Floor is the running mismatch count, which only grows.
+func (k *hammingState[E]) Floor() float64 { return float64(k.misses) }
+
 func (k *hammingState[E]) Reset() { k.n, k.misses = 0, 0 }
 
 func (k *hammingState[E]) Rebind(p Prepared[E]) bool {
@@ -176,28 +232,41 @@ func (k *hammingState[E]) Rebind(p Prepared[E]) bool {
 
 // editRowPrepared is the shared half of the edit-family kernels
 // (Levenshtein, weighted edit, protein edit, ERP): the window, the cost
-// model, and the empty-prefix base row (cumulative delW costs — for ERP,
-// the gap column), precomputed once so every state Reset is a copy.
+// model, the per-position cost of dropping a window element (for ERP a
+// ground distance each — priced here once instead of in every cell of every
+// Feed), and the empty-prefix base row (their running sum — for ERP, the
+// gap column), precomputed so every state Reset is a copy.
 //
-// The cost model mirrors editDP: sub(x, j) prices substituting x with w[j],
-// delX(x) prices dropping a fed element, delW(j) prices dropping w[j].
+// The cost model mirrors editDP: sub(x, y) prices substituting a fed
+// element x with a window element y, indel(e) prices dropping an element of
+// either side. Neither captures the window, so Reprepare rebuilds the
+// tables for another window without allocating.
 type editRowPrepared[E any] struct {
-	w    []E
-	sub  func(x E, j int) float64
-	delX func(x E) float64
-	delW func(j int) float64
-	base []float64
+	w     []E
+	sub   func(x, y E) float64
+	indel func(E) float64
+	// base[j] = Σ gap[:j] and gap[j] = indel(w[j]), both slices of buf.
+	base, gap, buf []float64
 }
 
-func newEditRowPrepared[E any](w []E, sub func(x E, j int) float64, delX func(x E) float64, delW func(j int) float64) *editRowPrepared[E] {
-	p := &editRowPrepared[E]{
-		w: w, sub: sub, delX: delX, delW: delW,
-		base: make([]float64, len(w)+1),
-	}
-	for j := 1; j <= len(w); j++ {
-		p.base[j] = p.base[j-1] + delW(j-1)
-	}
+func newEditRowPrepared[E any](w []E, sub func(x, y E) float64, indel func(E) float64) *editRowPrepared[E] {
+	p := &editRowPrepared[E]{sub: sub, indel: indel}
+	p.Reprepare(w)
 	return p
+}
+
+func (p *editRowPrepared[E]) Reprepare(w []E) bool {
+	n := len(w)
+	if cap(p.buf) < 2*n+1 {
+		p.buf = make([]float64, 2*n+1)
+	}
+	p.w, p.base, p.gap = w, p.buf[:n+1], p.buf[n+1:2*n+1]
+	p.base[0] = 0
+	for j, y := range w {
+		p.gap[j] = p.indel(y)
+		p.base[j+1] = p.base[j] + p.gap[j]
+	}
+	return true
 }
 
 func (p *editRowPrepared[E]) WindowLen() int { return len(p.w) }
@@ -218,21 +287,37 @@ type editRowState[E any] struct {
 
 func (k *editRowState[E]) Feed(x E) float64 {
 	p := k.p
-	dx := p.delX(x)
-	diag := k.row[0]
-	k.row[0] += dx
-	for j := 1; j < len(k.row); j++ {
-		best := diag + p.sub(x, j-1)
-		if v := k.row[j] + dx; v < best {
+	row, w, gap := k.row, p.w, p.gap
+	dx := p.indel(x)
+	diag := row[0]
+	row[0] += dx
+	for j := 1; j < len(row); j++ {
+		best := diag + p.sub(x, w[j-1])
+		if v := row[j] + dx; v < best {
 			best = v
 		}
-		if v := k.row[j-1] + p.delW(j-1); v < best {
+		if v := row[j-1] + gap[j-1]; v < best {
 			best = v
 		}
-		diag = k.row[j]
-		k.row[j] = best
+		diag = row[j]
+		row[j] = best
 	}
-	return k.row[len(k.row)-1]
+	return row[len(row)-1]
+}
+
+func (k *editRowState[E]) At(j int) float64 { return k.row[j] }
+
+// Floor is the row minimum: every cell of the next row is a cell of this
+// one (or, by induction, of the next) plus a non-negative cost — the
+// argument erpBounded abandons on.
+func (k *editRowState[E]) Floor() float64 {
+	m := k.row[0]
+	for _, v := range k.row[1:] {
+		if v < m {
+			m = v
+		}
+	}
+	return m
 }
 
 func (k *editRowState[E]) Reset() { copy(k.row, k.p.base) }
@@ -252,36 +337,83 @@ func (k *editRowState[E]) Rebind(p Prepared[E]) bool {
 	return true
 }
 
+func unitIndel[E any](E) float64 { return 1 }
+
+func unitSub[E comparable](x, y E) float64 {
+	if x == y {
+		return 0
+	}
+	return 1
+}
+
 // levenshteinPrepare builds the unit-cost incremental kernel preprocessing
 // over any comparable alphabet.
 func levenshteinPrepare[E comparable](w []E) Prepared[E] {
-	return newEditRowPrepared(w,
-		func(x E, j int) float64 {
-			if x == w[j] {
-				return 0
-			}
-			return 1
-		},
-		func(E) float64 { return 1 },
-		func(int) float64 { return 1 })
+	return newEditRowPrepared(w, unitSub[E], unitIndel[E])
 }
 
 // erpPrepare builds the incremental ERP kernel preprocessing: substitution
 // priced by the ground distance, indels by the ground distance to the gap
 // element (the base row is exactly ERP's cumulative gap column).
 func erpPrepare[E any](g Ground[E], gap E) func(w []E) Prepared[E] {
-	return func(w []E) Prepared[E] {
-		return newEditRowPrepared(w,
-			func(x E, j int) float64 { return g(x, w[j]) },
-			func(x E) float64 { return g(x, gap) },
-			func(j int) float64 { return g(w[j], gap) })
-	}
+	indel := func(e E) float64 { return g(e, gap) }
+	return func(w []E) Prepared[E] { return newEditRowPrepared(w, g, indel) }
 }
+
+func proteinIndelCost(byte) float64 { return proteinIndel }
 
 // proteinPrepare builds the incremental protein-edit kernel preprocessing.
 func proteinPrepare(w []byte) Prepared[byte] {
-	return newEditRowPrepared(w,
-		func(x byte, j int) float64 { return proteinSubCost(x, w[j]) },
-		func(byte) float64 { return proteinIndel },
-		func(int) float64 { return proteinIndel })
+	return newEditRowPrepared(w, proteinSubCost, proteinIndelCost)
+}
+
+// fnPrepared adapts a measure without an incremental kernel (DTW, discrete
+// Fréchet, caller-assembled measures) to the kernel contract's read side, so
+// a consumer that reads At — the verifier — has one code path for every
+// measure.
+type fnPrepared[E any] struct {
+	fn Func[E]
+	w  []E
+}
+
+func (p *fnPrepared[E]) WindowLen() int { return len(p.w) }
+
+func (p *fnPrepared[E]) NewState() Kernel[E] { return &fnState[E]{p: p} }
+
+func (p *fnPrepared[E]) Reprepare(w []E) bool {
+	p.w = w
+	return true
+}
+
+// fnState buffers the fed prefix and prices a cell only when it is read:
+// At(j) is one call Fn(prefix, w[:j]), so a reader pays for exactly the
+// cells it asks for and nothing is shared between them. Feed therefore
+// prices nothing either and returns NaN where a row kernel returns
+// At(len(w)) — pricing the whole window on every feed would cost a full Fn
+// per element that no reader of At wants. That makes it unfit as a filter
+// kernel, and Measure.NewKernel still returns nil for such measures.
+type fnState[E any] struct {
+	p      *fnPrepared[E]
+	prefix []E
+}
+
+func (k *fnState[E]) Feed(x E) float64 {
+	k.prefix = append(k.prefix, x)
+	return math.NaN()
+}
+
+func (k *fnState[E]) At(j int) float64 { return k.p.fn(k.prefix, k.p.w[:j]) }
+
+func (k *fnState[E]) Floor() float64 { return 0 }
+
+func (k *fnState[E]) Reset() { k.prefix = k.prefix[:0] }
+
+func (k *fnState[E]) Rebind(p Prepared[E]) bool {
+	fp, ok := p.(*fnPrepared[E])
+	if !ok {
+		return false
+	}
+	k.p = fp
+	k.Reset()
+	return true
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -310,25 +311,51 @@ func (p *myersPrepared64) NewState() Kernel[byte] {
 	return s
 }
 
+func (p *myersPrepared64) Reprepare(w []byte) bool {
+	if len(w) == 0 || len(w) > 64 {
+		return false
+	}
+	p.peq = [256]uint64{}
+	p.m, p.last = len(w), 1<<uint(len(w)-1)
+	for i, c := range w {
+		p.peq[c] |= 1 << uint(i)
+	}
+	return true
+}
+
 // myersState64 advances the column by one query element per Feed and
 // returns the current bottom-row score — d(fed prefix, w).
 type myersState64 struct {
 	p      *myersPrepared64
 	pv, mv uint64
 	score  int
+	n      int // elements fed: the column's boundary value D[0]
 }
 
 func (k *myersState64) Feed(c byte) float64 {
 	var sd int
 	k.pv, k.mv, _, sd = myersStep(k.pv, k.mv, k.p.peq[c], 1, k.p.last)
 	k.score += sd
+	k.n++
 	return float64(k.score)
 }
+
+// At sums the column's vertical deltas up to row j: D[j] = D[0] + (+1
+// deltas below j) − (−1 deltas below j), two popcounts. The deltas are
+// exact at every row, not only the tracked bottom one.
+func (k *myersState64) At(j int) float64 {
+	mask := ^uint64(0) >> uint(64-j) // j = 0 shifts every bit out
+	return float64(k.n + bits.OnesCount64(k.pv&mask) - bits.OnesCount64(k.mv&mask))
+}
+
+// Floor offers no bound: the column minimum is not tracked.
+func (k *myersState64) Floor() float64 { return 0 }
 
 func (k *myersState64) Reset() {
 	k.pv = ^uint64(0)
 	k.mv = 0
 	k.score = k.p.m
+	k.n = 0
 }
 
 func (k *myersState64) Rebind(p Prepared[byte]) bool {
@@ -358,12 +385,33 @@ func (p *myersBlockPrepared) NewState() Kernel[byte] {
 	return s
 }
 
+// Reprepare takes any non-empty window: below 65 bytes the block form
+// degenerates to one word per step.
+func (p *myersBlockPrepared) Reprepare(w []byte) bool {
+	if len(w) == 0 {
+		return false
+	}
+	nw := (len(w) + 63) >> 6
+	if cap(p.peq) < 256*nw {
+		p.peq = make([]uint64, 256*nw)
+	} else {
+		p.peq = p.peq[:256*nw]
+		clear(p.peq)
+	}
+	p.w, p.m, p.lastBit = nw, len(w), 1<<uint((len(w)-1)&63)
+	for i, c := range w {
+		p.peq[int(c)*nw+(i>>6)] |= 1 << uint(i&63)
+	}
+	return true
+}
+
 // myersBlockState carries the per-worker delta vectors (2·w words — a
 // fraction of the shared peq table's 256·w).
 type myersBlockState struct {
 	p      *myersBlockPrepared
 	pv, mv []uint64
 	score  int
+	n      int // elements fed, as in myersState64
 }
 
 func (k *myersBlockState) Feed(c byte) float64 {
@@ -377,8 +425,26 @@ func (k *myersBlockState) Feed(c byte) float64 {
 	var sd int
 	k.pv[w-1], k.mv[w-1], _, sd = myersStep(k.pv[w-1], k.mv[w-1], row[w-1], hin, p.lastBit)
 	k.score += sd
+	k.n++
 	return float64(k.score)
 }
+
+// At is myersState64.At over the word chain: whole words below row j, then
+// the masked remainder.
+func (k *myersBlockState) At(j int) float64 {
+	d := k.n
+	full := j >> 6
+	for i := 0; i < full; i++ {
+		d += bits.OnesCount64(k.pv[i]) - bits.OnesCount64(k.mv[i])
+	}
+	if r := uint(j & 63); r != 0 {
+		mask := ^uint64(0) >> (64 - r)
+		d += bits.OnesCount64(k.pv[full]&mask) - bits.OnesCount64(k.mv[full]&mask)
+	}
+	return float64(d)
+}
+
+func (k *myersBlockState) Floor() float64 { return 0 }
 
 func (k *myersBlockState) Reset() {
 	for i := range k.pv {
@@ -386,6 +452,7 @@ func (k *myersBlockState) Reset() {
 		k.mv[i] = 0
 	}
 	k.score = k.p.m
+	k.n = 0
 }
 
 func (k *myersBlockState) Rebind(p Prepared[byte]) bool {
@@ -412,21 +479,12 @@ func myersPrepare(w []byte) Prepared[byte] {
 	case len(w) == 0:
 		return levenshteinPrepare(w)
 	case len(w) <= 64:
-		p := &myersPrepared64{m: len(w), last: 1 << uint(len(w)-1)}
-		for i, c := range w {
-			p.peq[c] |= 1 << uint(i)
-		}
+		p := &myersPrepared64{}
+		p.Reprepare(w)
 		return p
 	default:
-		nw := (len(w) + 63) >> 6
-		p := &myersBlockPrepared{
-			peq: make([]uint64, 256*nw),
-			w:   nw, m: len(w),
-			lastBit: 1 << uint((len(w)-1)&63),
-		}
-		for i, c := range w {
-			p.peq[int(c)*nw+(i>>6)] |= 1 << uint(i&63)
-		}
+		p := &myersBlockPrepared{}
+		p.Reprepare(w)
 		return p
 	}
 }
