@@ -130,7 +130,7 @@ func cmdStats(args []string) {
 	fmt.Printf("reference net: %v\n", st)
 	fmt.Println("level histogram:")
 	for _, h := range hist {
-		fmt.Printf("  level %2d: %d nodes\n", h.Level, h.Count)
+		fmt.Printf("  level %2d: %d nodes, %d childless\n", h.Level, h.Count, h.Childless)
 	}
 }
 

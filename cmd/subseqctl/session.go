@@ -27,7 +27,7 @@ import (
 type session interface {
 	describe() string
 	numWindows() int
-	netStats() (refnet.Stats, []struct{ Level, Count int })
+	netStats() (refnet.Stats, []struct{ Level, Count, Childless int })
 	distanceSample(samples int) []float64
 	runQuery(opts queryOpts) (string, error)
 	// newServer builds the long-lived serving state behind `subseqctl
@@ -137,7 +137,7 @@ func (s *typedSession[E]) describe() string {
 
 func (s *typedSession[E]) numWindows() int { return len(s.ds.Windows) }
 
-func (s *typedSession[E]) netStats() (refnet.Stats, []struct{ Level, Count int }) {
+func (s *typedSession[E]) netStats() (refnet.Stats, []struct{ Level, Count, Childless int }) {
 	net := refnet.New(func(a, b seq.Window[E]) float64 { return s.measure.Fn(a.Data, b.Data) })
 	for _, w := range s.ds.Windows {
 		net.Insert(w)

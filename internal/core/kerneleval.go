@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/dist"
@@ -91,79 +91,42 @@ type batchRangerEval[E any] interface {
 // kernelEvaluator implements metric.BatchEvaluator over segment probes by
 // streaming each probe group — probes sharing a query offset — through the
 // target window's shared incremental kernel. It lives in the pooled filter
-// scratch, so each concurrent traversal owns one kernel state and one sort
-// buffer. Each EvalBatch counts one filter distance evaluation per kernel
-// pass (a pass costs one longest-member evaluation), which is what makes
-// the refnet filter's counted cost drop below one evaluation per probe.
+// scratch, so each concurrent traversal owns one kernel state. Each
+// EvalBatch counts one filter distance evaluation per kernel pass (a pass
+// costs one longest-member evaluation), which is what makes the refnet
+// filter's counted cost drop below one evaluation per probe.
+//
+// probes must be ordered offset-major — by (Start, length), as
+// filterScratch.offsetMajorProbes lays them out. The traversal hands every
+// node its probe indices ascending (refnet.BatchRangeEval), so each idxs
+// then arrives already grouped by offset, shortest member first, and
+// EvalBatch only walks the runs: nothing is sorted per visited node.
 type kernelEvaluator[E any] struct {
 	mt     *Matcher[E]
 	probes []seq.Window[E]
-	// groupOf assigns each probe its offset-group key: probes with equal
-	// keys share a start offset of the one query being filtered, so the
-	// shorter ones are prefixes of the longest.
-	groupOf []int32
-	state   dist.Kernel[E]
-	ord     []int32
-}
-
-// bind readies the evaluator for one traversal over probes, with probe i in
-// offset group groupOf[i].
-func (ev *kernelEvaluator[E]) bind(mt *Matcher[E], probes []seq.Window[E]) {
-	ev.mt = mt
-	ev.probes = probes
-	if cap(ev.groupOf) < len(probes) {
-		ev.groupOf = make([]int32, len(probes))
-	}
-	ev.groupOf = ev.groupOf[:len(probes)]
+	state  dist.Kernel[E]
 }
 
 func (ev *kernelEvaluator[E]) Exact() bool { return true }
 
 func (ev *kernelEvaluator[E]) EvalBatch(item seq.Window[E], idxs []int32, _ float64, out []float64) {
 	p := ev.mt.preparedFor(item)
-	// Order the probes by (group, length): group members become contiguous
-	// runs, shortest first. ord holds positions into idxs (and out), so the
-	// sort never moves the caller's data. Deep nodes see a handful of
-	// inconclusive probes (insertion sort, no allocation); the root sees
-	// the whole chunk in length-major generation order — near-maximal
-	// inversions — so larger sets go through sort.Slice.
-	ord := ev.ord[:0]
-	for k := range idxs {
-		ord = append(ord, int32(k))
-	}
-	less := func(a, b int32) bool {
-		ga, gb := ev.groupOf[idxs[a]], ev.groupOf[idxs[b]]
-		if ga != gb {
-			return ga < gb
-		}
-		return len(ev.probes[idxs[a]].Data) < len(ev.probes[idxs[b]].Data)
-	}
-	if len(ord) > 24 {
-		sort.Slice(ord, func(i, j int) bool { return less(ord[i], ord[j]) })
-	} else {
-		for i := 1; i < len(ord); i++ {
-			for j := i; j > 0 && less(ord[j], ord[j-1]); j-- {
-				ord[j], ord[j-1] = ord[j-1], ord[j]
-			}
-		}
-	}
-	ev.ord = ord
 	var passes int64
-	for s := 0; s < len(ord); {
-		g := ev.groupOf[idxs[ord[s]]]
+	for s := 0; s < len(idxs); {
+		start := ev.probes[idxs[s]].Start
 		e := s + 1
-		for e < len(ord) && ev.groupOf[idxs[ord[e]]] == g {
+		for e < len(idxs) && ev.probes[idxs[e]].Start == start {
 			e++
 		}
-		// One streamed pass prices the whole group: every member is a
-		// prefix of the longest member's data.
+		// One streamed pass prices the whole run: every member is a prefix
+		// of the last (longest) member's data.
 		ev.state = dist.BindKernel(ev.state, p)
-		longest := ev.probes[idxs[ord[e-1]]].Data
+		longest := ev.probes[idxs[e-1]].Data
 		k := s
 		for n := 1; n <= len(longest); n++ {
 			d := ev.state.Feed(longest[n-1])
-			for k < e && len(ev.probes[idxs[ord[k]]].Data) == n {
-				out[ord[k]] = d
+			for k < e && len(ev.probes[idxs[k]].Data) == n {
+				out[k] = d
 				k++
 			}
 		}
@@ -171,4 +134,31 @@ func (ev *kernelEvaluator[E]) EvalBatch(item seq.Window[E], idxs []int32, _ floa
 		s = e
 	}
 	ev.mt.counter.Add(passes)
+}
+
+// offsetMajorProbes lays the segments out as index probes ordered by
+// (Start, length) into sc.probes and returns pos, where pos[i] is the probe
+// position of segs[i] — the inverse the caller emits hits through to keep
+// them segment-major. segs arrive length-major (seq.AppendSegments), so a
+// stable counting sort on Start alone leaves each offset's members shortest
+// first. Both index buffers are pooled in the scratch.
+func (sc *filterScratch[E]) offsetMajorProbes(segs []seq.Segment[E], qlen int) (pos []int32) {
+	sc.next = slices.Grow(sc.next[:0], qlen+1)[:qlen+1]
+	sc.pos = slices.Grow(sc.pos[:0], len(segs))[:len(segs)]
+	sc.probes = slices.Grow(sc.probes[:0], len(segs))[:len(segs)]
+	next, pos := sc.next, sc.pos
+	clear(next)
+	for _, s := range segs {
+		next[s.Start+1]++
+	}
+	for a := 1; a <= qlen; a++ {
+		next[a] += next[a-1]
+	}
+	for i, s := range segs {
+		j := next[s.Start]
+		next[s.Start]++
+		pos[i] = j
+		sc.probes[j] = seq.Window[E]{SeqID: -1, Start: s.Start, Data: s.Data}
+	}
+	return pos
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/seq"
 )
@@ -57,6 +58,103 @@ func TestRefnetKernelTraversalFewerFilterCalls(t *testing.T) {
 		}
 		if kc >= pc {
 			t.Fatalf("eps=%v: kernel traversal counted %d filter evaluations, per-probe %d — no reduction", eps, kc, pc)
+		}
+	}
+
+	// A ceiling beside the ratio: the net prunes with each node's measured
+	// cover radius. On the benchmark's protein index (500 windows, λ = 40,
+	// λ0 = 1) an exact-match filter — ε = 0, where a childless window can
+	// only be hit by an identical segment — ran some 7 500 kernel passes a
+	// query while every node was charged its level's worst case, of the
+	// scan's 13 000; it runs some 2 600 now. The ceiling sits between.
+	ds := data.Proteins(500, 20, 1)
+	mt, err := NewMatcher(dist.LevenshteinFastMeasure(),
+		Config{Params: Params{Lambda: 40, Lambda0: 1}, Index: IndexRefNet}, ds.Sequences)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queries = 40
+	for i := 0; i < queries; i++ {
+		mt.FilterHits(data.RandomQuery(ds, 45, 0.1, data.MutateAA, uint64(i+1)), 0)
+	}
+	if per := float64(mt.FilterDistanceCalls()) / queries; per >= 4000 {
+		t.Fatalf("ε=0 filter on PROTEINS 500 ran %.0f kernel passes per query, want fewer than 4000", per)
+	}
+}
+
+// orderCheckingEval wraps the kernel evaluator and fails the test when a
+// batch does not arrive ordered by (offset group, length) — the order
+// EvalBatch's run walk depends on now that it sorts nothing.
+type orderCheckingEval[E any] struct {
+	t     *testing.T
+	inner *kernelEvaluator[E]
+	calls int
+	multi int // batches holding more than one probe
+}
+
+func (e *orderCheckingEval[E]) Exact() bool { return e.inner.Exact() }
+
+func (e *orderCheckingEval[E]) EvalBatch(item seq.Window[E], idxs []int32, bound float64, out []float64) {
+	e.calls++
+	if len(idxs) > 1 {
+		e.multi++
+	}
+	for k := 1; k < len(idxs); k++ {
+		a, b := e.inner.probes[idxs[k-1]], e.inner.probes[idxs[k]]
+		if a.Start > b.Start || (a.Start == b.Start && len(a.Data) >= len(b.Data)) {
+			e.t.Fatalf("EvalBatch got probe (start %d, len %d) before (start %d, len %d)",
+				a.Start, len(a.Data), b.Start, len(b.Data))
+		}
+	}
+	e.inner.EvalBatch(item, idxs, bound, out)
+}
+
+// The traversal must hand every node its probes already grouped by offset,
+// shortest first: filterHits lays the probes out offset-major once per
+// query, and the net keeps every pending list a subsequence of that order.
+func TestKernelEvalBatchesArriveOrdered(t *testing.T) {
+	rng := rand.New(rand.NewPCG(24, 2400))
+	db, qs := batchQueries(rng, 4)
+	p := Params{Lambda: 8, Lambda0: 2}
+	mt, err := NewMatcher(dist.LevenshteinMeasure[byte](), Config{Params: p, Index: IndexRefNet}, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := mt.getScratch()
+	defer mt.putScratch(sc)
+	for _, q := range qs {
+		for _, eps := range []float64{0, 1, 2} {
+			segs := seq.AppendSegmentsFor(sc.segs[:0], q, p.Lambda, p.Lambda0)
+			pos := sc.offsetMajorProbes(segs, len(q))
+			seen := make([]bool, len(segs))
+			for i, s := range segs {
+				pr := sc.probes[pos[i]]
+				if seen[pos[i]] || pr.Start != s.Start || len(pr.Data) != len(s.Data) {
+					t.Fatalf("pos is not the inverse of the probe layout at segment %d", i)
+				}
+				seen[pos[i]] = true
+			}
+			sc.keval.mt, sc.keval.probes = mt, sc.probes
+			ev := &orderCheckingEval[byte]{t: t, inner: &sc.keval}
+			results := mt.net.BatchRangeEval(sc.probes, eps, ev)
+			if ev.calls == 0 || ev.multi == 0 {
+				t.Fatalf("eps=%v: vacuous (%d batches, %d with several probes)", eps, ev.calls, ev.multi)
+			}
+			// Through pos the results are the segment-major hits FilterHits
+			// returns.
+			want := mt.FilterHits(q, eps)
+			k := 0
+			for i, s := range segs {
+				for _, w := range results[pos[i]] {
+					if k >= len(want) || want[k].Window.String() != w.String() || want[k].Segment.String() != s.String() {
+						t.Fatalf("eps=%v: hit %d differs from FilterHits", eps, k)
+					}
+					k++
+				}
+			}
+			if k != len(want) {
+				t.Fatalf("eps=%v: %d hits through pos, FilterHits has %d", eps, k, len(want))
+			}
 		}
 	}
 }

@@ -72,7 +72,8 @@ type LatencyStats struct {
 	Count int64 `json:"count"`
 	// MeanMillis/MaxMillis summarise the distribution; P50/P95/P99 are
 	// interpolated within the histogram buckets, so their resolution is
-	// the bucket width at that rank (HDR-style bounded relative error).
+	// the bucket width at that rank (HDR-style bounded relative error),
+	// and capped at MaxMillis.
 	MeanMillis float64         `json:"mean_ms"`
 	MaxMillis  float64         `json:"max_ms"`
 	P50Millis  float64         `json:"p50_ms"`
@@ -97,9 +98,12 @@ func (h *latencyHist) snapshot() LatencyStats {
 		return st
 	}
 	st.MeanMillis = float64(h.sum.Load()) * millisPerNano / float64(total)
-	st.P50Millis = quantile(&counts, total, 0.50)
-	st.P95Millis = quantile(&counts, total, 0.95)
-	st.P99Millis = quantile(&counts, total, 0.99)
+	// Interpolation places a rank by its bucket's edges; when the top
+	// occupied bucket holds only values near its lower edge that lands above
+	// anything observed, so no quantile is reported past the maximum.
+	st.P50Millis = min(quantile(&counts, total, 0.50), st.MaxMillis)
+	st.P95Millis = min(quantile(&counts, total, 0.95), st.MaxMillis)
+	st.P99Millis = min(quantile(&counts, total, 0.99), st.MaxMillis)
 	for i, c := range counts {
 		if c == 0 {
 			continue

@@ -133,9 +133,11 @@ type filterScratch[E any] struct {
 	// preprocessing it points at is shared matcher-wide.
 	kstate dist.Kernel[E]
 	// keval is the grouped kernel evaluator driving kernel-aware index
-	// traversals (refnet BatchRangeEval); it owns its own kernel state and
-	// sort buffer.
-	keval kernelEvaluator[E]
+	// traversals (refnet BatchRangeEval); it owns its own kernel state.
+	// next and pos are the index buffers of its offset-major probe layout
+	// (offsetMajorProbes, kerneleval.go).
+	keval     kernelEvaluator[E]
+	next, pos []int32
 }
 
 func (mt *Matcher[E]) getScratch() *filterScratch[E] {
@@ -308,23 +310,27 @@ func (mt *Matcher[E]) filterHits(q seq.Sequence[E], eps float64, sc *filterScrat
 	if mt.linear != nil && mt.kernelTraversal() {
 		return mt.filterHitsIncremental(q, eps, sc)
 	}
+	if bre, ok := mt.index.(batchRangerEval[E]); ok && mt.kernelTraversal() {
+		// Kernel-fed traversal: probes sharing a start offset are priced by
+		// one streamed kernel pass per visited node. The probes go in
+		// offset-major, once per query, so no node has to regroup them; the
+		// hits come back out through pos, segment-major as on every path.
+		pos := sc.offsetMajorProbes(segs, len(q))
+		sc.keval.mt, sc.keval.probes = mt, sc.probes
+		results := bre.BatchRangeEval(sc.probes, eps, &sc.keval)
+		for i, s := range segs {
+			for _, w := range results[pos[i]] {
+				sc.hits = append(sc.hits, Hit[E]{Window: w, Segment: s})
+			}
+		}
+		return sc.hits
+	}
 	if br, ok := mt.index.(batchRanger[E]); ok {
 		sc.probes = sc.probes[:0]
 		for _, s := range segs {
 			sc.probes = append(sc.probes, seq.Window[E]{SeqID: -1, Start: s.Start, Data: s.Data})
 		}
-		var results [][]seq.Window[E]
-		if bre, ok := mt.index.(batchRangerEval[E]); ok && mt.kernelTraversal() {
-			// Kernel-fed traversal: probes sharing a start offset are
-			// priced by one streamed kernel pass per visited node.
-			sc.keval.bind(mt, sc.probes)
-			for i, s := range segs {
-				sc.keval.groupOf[i] = int32(s.Start)
-			}
-			results = bre.BatchRangeEval(sc.probes, eps, &sc.keval)
-		} else {
-			results = br.BatchRange(sc.probes, eps)
-		}
+		results := br.BatchRange(sc.probes, eps)
 		for i, wins := range results {
 			for _, w := range wins {
 				sc.hits = append(sc.hits, Hit[E]{Window: w, Segment: segs[i]})

@@ -428,10 +428,10 @@ func (p *QueryPool[E]) streamWorker() {
 			// The counter moves before the future completes, so a caller
 			// that awaits its last future and immediately snapshots
 			// StreamStats never observes Completed lagging its own
-			// resolved work.
+			// resolved work. answer holds the latency histogram to the
+			// same rule.
 			s.completed.Add(1)
 			p.answer(j)
-			s.latency.observe(time.Since(j.t0))
 		}
 		s.finish(j)
 	}
@@ -444,26 +444,44 @@ func (p *QueryPool[E]) streamWorker() {
 // underneath (a faulty distance evaluator, an index bug) fails this one
 // future with ErrWorkerCrashed and moves it from Completed to Crashed
 // instead of killing the worker: the pool self-heals around a poisoned
-// query.
+// query. Either way the submit→resolution latency is observed once the
+// outcome is in hand and before the future completes, so a caller that
+// awaits its last future never snapshots a histogram one observation short.
 func (p *QueryPool[E]) answer(j *streamJob[E]) {
+	s := &p.streaming
 	defer func() {
-		if r := recover(); r != nil && j.fail(fmt.Errorf("%w: %v", ErrWorkerCrashed, r)) {
-			p.streaming.completed.Add(-1)
-			p.streaming.crashed.Add(1)
+		if r := recover(); r != nil {
+			s.latency.observe(time.Since(j.t0))
+			if j.fail(fmt.Errorf("%w: %v", ErrWorkerCrashed, r)) {
+				s.completed.Add(-1)
+				s.crashed.Add(1)
+			}
 		}
 	}()
 	mt, release := p.acquire()
 	defer release()
+	var (
+		hits []Hit[E]
+		all  []Match
+		one  QueryResult
+	)
 	switch j.kind {
 	case kindFilter:
-		j.fHits.complete(mt.FilterHits(j.q, j.eps), nil)
+		hits = mt.FilterHits(j.q, j.eps)
 	case kindFindAll:
-		j.fAll.complete(mt.FindAll(j.q, j.eps), nil)
+		all = mt.FindAll(j.q, j.eps)
 	case kindLongest:
-		m, ok := mt.Longest(j.q, j.eps)
-		j.fOne.complete(QueryResult{Match: m, Found: ok}, nil)
+		one.Match, one.Found = mt.Longest(j.q, j.eps)
 	case kindNearest:
-		m, ok := mt.Nearest(j.q, j.opts)
-		j.fOne.complete(QueryResult{Match: m, Found: ok}, nil)
+		one.Match, one.Found = mt.Nearest(j.q, j.opts)
+	}
+	s.latency.observe(time.Since(j.t0))
+	switch j.kind {
+	case kindFilter:
+		j.fHits.complete(hits, nil)
+	case kindFindAll:
+		j.fAll.complete(all, nil)
+	default:
+		j.fOne.complete(one, nil)
 	}
 }

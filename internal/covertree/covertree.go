@@ -5,7 +5,9 @@
 // main indexing baseline (Section 6, Figures 8–11).
 //
 // The implementation deliberately shares its geometry with the reference
-// net — level radii ǫᵢ = ǫ′·2ⁱ and subtree cover radius ǫ′·(2^{l+1}−2) — so
+// net — level radii ǫᵢ = ǫ′·2ⁱ, and a measured cover radius on every node
+// (max over children of stored edge distance + child's radius, under the
+// level's worst case ǫ′·(2^{l+1}−2)) that both traversals prune with — so
 // that space and pruning comparisons between the two structures isolate the
 // single structural difference the paper highlights: multi-parent
 // membership.
@@ -28,8 +30,15 @@ type Tree[T any] struct {
 }
 
 type node[T any] struct {
-	item     T
-	level    int
+	item  T
+	level int
+	// rho is the measured cover radius, as in the reference net: 0 for a
+	// leaf, otherwise the max over children of (edge distance + child's
+	// rho). parent/pd (the link to the single parent and its stored
+	// distance) exist to carry a new leaf's reach up to the root.
+	rho      float64
+	parent   *node[T]
+	pd       float64
 	children []edge[T]
 }
 
@@ -53,7 +62,9 @@ var _ metric.Index[int] = (*Tree[int])(nil)
 // Eps returns the radius ǫ′·2ⁱ of level i.
 func (t *Tree[T]) Eps(i int) float64 { return math.Ldexp(t.base, i) }
 
-// CoverRadius bounds the distance from a level-l node to any descendant.
+// CoverRadius is the worst-case distance from a level-l node to any
+// descendant. The traversals prune with each node's measured radius, which
+// this bound dominates (Validate checks it).
 func (t *Tree[T]) CoverRadius(level int) float64 {
 	if level <= 0 {
 		return 0
@@ -129,8 +140,13 @@ func (t *Tree[T]) Insert(item T) {
 		}
 		cur = next
 	}
-	n := &node[T]{item: item, level: bestLevel - 1}
+	n := &node[T]{item: item, level: bestLevel - 1, parent: bestParent, pd: bestD}
 	bestParent.children = append(bestParent.children, edge[T]{n: n, d: bestD})
+	// Raise the cover radii above the new leaf: walk up while the reach
+	// through this path exceeds what the ancestor already covers.
+	for c := n; c.parent != nil && c.pd+c.rho > c.parent.rho; c = c.parent {
+		c.parent.rho = c.pd + c.rho
+	}
 }
 
 // Range returns every item within eps of q (inclusive).
@@ -162,7 +178,7 @@ func (t *Tree[T]) RangeFunc(q T, eps float64, yield func(T)) {
 		stack = stack[:len(stack)-1]
 		for _, ce := range e.n.children {
 			c := ce.n
-			rho := t.CoverRadius(c.level)
+			rho := c.rho
 			lo := e.d - ce.d
 			if lo < 0 {
 				lo = -lo
@@ -224,9 +240,10 @@ func (t *Tree[T]) Stats() Stats {
 		}
 	}
 	walk(t.root)
-	// 48 bytes per node (item header, level, slice header) plus 16 per
-	// edge: an estimate consistent with the reference net's accounting.
-	s.StructBytes = int64(s.Nodes)*48 + int64(s.Edges)*16
+	// 72 bytes per node (item header, level, slice header; cover radius,
+	// parent link and its distance) plus 16 per edge: an estimate
+	// consistent with the reference net's accounting.
+	s.StructBytes = int64(s.Nodes)*72 + int64(s.Edges)*16
 	return s
 }
 
@@ -248,7 +265,9 @@ func (t *Tree[T]) Items() []T {
 }
 
 // Validate checks the covering invariant (every parent-child link within
-// the child level's parent radius) and reachability of all Len() items.
+// the child level's parent radius), that every node's measured cover radius
+// equals the max over its children of (edge distance + child's radius) and
+// stays under CoverRadius(level), and reachability of all Len() items.
 func (t *Tree[T]) Validate() error {
 	if t.root == nil {
 		if t.size != 0 {
@@ -261,8 +280,22 @@ func (t *Tree[T]) Validate() error {
 	var walk func(n *node[T])
 	walk = func(n *node[T]) {
 		count++
+		var rho float64
+		for _, e := range n.children {
+			if v := e.d + e.n.rho; v > rho {
+				rho = v
+			}
+		}
+		if verr == nil && (n.rho != rho || rho > t.CoverRadius(n.level)+1e-9) {
+			verr = fmt.Errorf("covertree: level-%d node holds cover radius %g, its children give %g (worst case %g)",
+				n.level, n.rho, rho, t.CoverRadius(n.level))
+		}
 		for _, e := range n.children {
 			if verr != nil {
+				return
+			}
+			if e.n.parent != n || e.n.pd != e.d {
+				verr = fmt.Errorf("covertree: child's parent link does not mirror its edge")
 				return
 			}
 			if e.n.level >= n.level {

@@ -169,3 +169,44 @@ func TestInfiniteDistancePanics(t *testing.T) {
 	}()
 	tr.Insert(2)
 }
+
+// The measured cover radius the traversals prune with: after every insert
+// Validate holds it equal to the max over children of (edge distance +
+// child's radius), and a brute walk finds no descendant beyond it. Integer
+// points under the L1 metric, so distances tie and the bound is met with
+// equality somewhere.
+func TestCoverRadiusMeasuredOnInsert(t *testing.T) {
+	type pt [2]float64
+	l1 := func(a, b pt) float64 { return math.Abs(a[0]-b[0]) + math.Abs(a[1]-b[1]) }
+	rng := rand.New(rand.NewPCG(37, 38))
+	tr := New(l1, 0.75)
+	tight := false
+	for i := 0; i < 250; i++ {
+		tr.Insert(pt{float64(rng.IntN(30)), float64(rng.IntN(30))})
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		var walk func(n *node[pt])
+		walk = func(n *node[pt]) {
+			var under func(c *node[pt])
+			under = func(c *node[pt]) {
+				for _, e := range c.children {
+					d := l1(n.item, e.n.item)
+					if d > n.rho {
+						t.Fatalf("insert %d: descendant at %v, beyond its ancestor's rho %v", i, d, n.rho)
+					}
+					tight = tight || (d == n.rho && d > 0)
+					under(e.n)
+				}
+			}
+			under(n)
+			for _, e := range n.children {
+				walk(e.n)
+			}
+		}
+		walk(tr.root)
+	}
+	if !tight {
+		t.Fatal("vacuous: no descendant ever sat exactly at its ancestor's rho")
+	}
+}

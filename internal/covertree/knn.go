@@ -41,7 +41,7 @@ func (t *Tree[T]) KNN(q T, k int) []Neighbor[T] {
 	offer(t.root.item, d)
 	frontier := &knnMin[T]{}
 	if len(t.root.children) > 0 {
-		heap.Push(frontier, knnEntry[T]{t.root, d, d - t.CoverRadius(t.root.level)})
+		heap.Push(frontier, knnEntry[T]{t.root, d, d - t.root.rho})
 	}
 	for frontier.Len() > 0 {
 		e := heap.Pop(frontier).(knnEntry[T])
@@ -50,7 +50,7 @@ func (t *Tree[T]) KNN(q T, k int) []Neighbor[T] {
 		}
 		for _, ce := range e.n.children {
 			c := ce.n
-			rho := t.CoverRadius(c.level)
+			rho := c.rho
 			lo := e.d - ce.d
 			if lo < 0 {
 				lo = -lo

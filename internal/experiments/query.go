@@ -144,7 +144,7 @@ func Fig08(size Size) []Table {
 	t := queryPerf("fig08", "Query performance, PROTEINS / Levenshtein (% distance computations vs naive)",
 		dist.LevenshteinFast, ds.Windows, queries, eps,
 		[]perfVariant[byte]{rnVariant[byte]("RN", 0), ctVariant[byte](), mvVariant[byte](5), mvVariant[byte](50)},
-		"expect: RN ≤ CT; MV-5 worst; MV-50 good only at small eps; all → 100% as eps → dmax=20")
+		"expect: RN ≈ CT (within a few points); MV-5 worst from eps 2 up; MV-50 good only at small eps; all → 100% as eps → dmax=20")
 	return []Table{t}
 }
 

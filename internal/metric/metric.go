@@ -72,8 +72,8 @@ type BoundedDistFunc[T any] func(a, b T, eps float64) float64
 // callers can share evaluation work across probes (the framework feeds
 // probes that share a query offset through one incremental kernel pass;
 // see refnet.BatchRangeEval). idxs are indices into the probe slice the
-// evaluator was constructed over; EvalBatch stores the distance for probe
-// idxs[k] into out[k].
+// evaluator was constructed over, always in ascending order; EvalBatch
+// stores the distance for probe idxs[k] into out[k].
 //
 // bound is the largest distance the traversal acts on exactly (the query
 // radius plus the visited node's cover radius). Values ≤ bound must be

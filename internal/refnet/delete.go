@@ -28,6 +28,7 @@ func (t *Net[T]) Delete(h *Node[T]) error {
 	}
 	for _, p := range h.parents {
 		p.n.children = removeChild(p.n.children, h)
+		p.n.settle()
 	}
 	h.parents = nil
 	t.size--
@@ -79,7 +80,9 @@ func (t *Net[T]) deleteRoot() error {
 }
 
 // detachChildren removes n from the parent lists of all its children and
-// returns the children that became parentless.
+// returns the children that became parentless. n is left childless, so its
+// cover radius goes to 0 and its parents settle (every caller passes a node
+// already cut from its parents, so today nothing is above it to settle).
 func detachChildren[T any](n *Node[T]) []*Node[T] {
 	var orphans []*Node[T]
 	for _, e := range n.children {
@@ -89,6 +92,7 @@ func detachChildren[T any](n *Node[T]) []*Node[T] {
 		}
 	}
 	n.children = nil
+	n.settle()
 	return orphans
 }
 

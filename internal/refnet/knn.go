@@ -21,9 +21,10 @@ type Neighbor[T any] struct {
 // KNN returns the k items nearest to q, sorted by ascending distance.
 // It performs a best-first branch-and-bound traversal: a subtree rooted at
 // a node with computed distance d cannot contain anything nearer than
-// d − ρ(level), so subtrees are expanded in order of that optimistic bound
-// and search stops when the bound of the best unexpanded subtree is no
-// smaller than the current k-th nearest distance. Stored parent-child
+// d − ρ (ρ the node's measured cover radius), so subtrees are expanded in
+// order of that optimistic bound and search stops when the bound of the
+// best unexpanded subtree is no smaller than the current k-th nearest
+// distance. Stored parent-child
 // distances prune children without distance computations, exactly as in
 // range queries.
 //
@@ -64,7 +65,7 @@ func (t *Net[T]) KNN(q T, k int) []Neighbor[T] {
 	frontier := &minHeap[T]{}
 	offer(t.root.item, d)
 	if len(t.root.children) > 0 {
-		heap.Push(frontier, frontierEntry[T]{t.root, d, d - t.CoverRadius(t.root.level)})
+		heap.Push(frontier, frontierEntry[T]{t.root, d, d - t.root.rho})
 	}
 	for frontier.Len() > 0 {
 		e := heap.Pop(frontier).(frontierEntry[T])
@@ -77,7 +78,7 @@ func (t *Net[T]) KNN(q T, k int) []Neighbor[T] {
 				continue
 			}
 			visited[c] = true
-			rho := t.CoverRadius(c.level)
+			rho := c.rho
 			lo := e.d - ce.d
 			if lo < 0 {
 				lo = -lo

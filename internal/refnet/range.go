@@ -18,7 +18,10 @@ import "repro/internal/metric"
 // paper illustrates in Figure 2: a node sitting in several reference
 // lists can be certified through whichever reference yields the tightest
 // bound — a single-parent tree has no such choice. Writing ρ for the
-// subtree cover radius of c, the rules are then:
+// cover radius of c — the measured one, c.rho: the max over c's children of
+// (stored edge distance + child's ρ), 0 for a childless c, kept equal to
+// that by every mutation (raise and settle in refnet.go) — the rules are
+// then:
 //
 //  1. lo − ρ > ε  ⇒ the whole subtree of c is outside; prune with no
 //     distance computation (Lemma 4 generalised with stored distances).
@@ -27,6 +30,12 @@ import "repro/internal/metric"
 //  3. otherwise compute dc = δ(q,c); then dc − ρ > ε prunes and
 //     dc + ρ ≤ ε collects the subtree, as in the Appendix.
 //  4. inconclusive ⇒ report c if dc ≤ ε and recurse into its children.
+//
+// The rules need only that ρ bounds δ(c, x) for every descendant x of c,
+// which the triangle inequality gives along any path of stored edges. The
+// tighter ρ is, the more often rules 1–3 fire — a childless c (most nodes,
+// whatever their level) has ρ = 0 and is settled by its own distance alone
+// — but the answer never depends on it.
 //
 // Multi-parent sharing means a node can be reached along several paths;
 // the decided flag guarantees each node's membership is settled exactly
@@ -140,7 +149,7 @@ func (t *Net[T]) Exists(q T, eps float64) bool {
 // yield; yield returning false stops the walk immediately and makes
 // rangeWith return false.
 func (t *Net[T]) rangeWith(st *queryState[T], q T, eps float64, yield func(T) bool) bool {
-	rootRho := t.CoverRadius(t.root.level)
+	rootRho := t.root.rho
 	d, _ := t.probeDist(q, t.root.item, eps+rootRho)
 	if d > eps+rootRho {
 		// δ(q, root) > ε + ρ(root): every item is outside the ball (rule 3
@@ -163,7 +172,7 @@ func (t *Net[T]) rangeWith(st *queryState[T], q T, eps float64, yield func(T) bo
 			if st.flags[c.id]&decidedBit != 0 {
 				continue
 			}
-			rho := t.CoverRadius(c.level)
+			rho := c.rho
 			if !t.noEdgeBounds {
 				lo := d - ce.d
 				if lo < 0 {
@@ -386,9 +395,12 @@ func (t *Net[T]) BatchRange(qs []T, eps float64) [][]T {
 // to ev in one EvalBatch call, so the evaluator can share work across them
 // — e.g. advance a node window's incremental kernel once for a group of
 // probes that share a query offset and read the distance off at every probe
-// length. ev == nil selects the default probe-by-probe evaluator (the
-// net's distance, bounded when armed). Results are identical for any
-// correct evaluator.
+// length. Every idxs handed to ev is ascending: each pending list is a
+// filtered subsequence of the root's 0..len(qs)−1, so an evaluator whose
+// probes are laid out with related probes adjacent receives them still
+// adjacent, in order, at every node. ev == nil selects the default
+// probe-by-probe evaluator (the net's distance, bounded when armed).
+// Results are identical for any correct evaluator.
 func (t *Net[T]) BatchRangeEval(qs []T, eps float64, ev metric.BatchEvaluator[T]) [][]T {
 	out := make([][]T, len(qs))
 	if t.root == nil || len(qs) == 0 {
@@ -406,7 +418,7 @@ func (t *Net[T]) BatchRangeEval(qs []T, eps float64, ev metric.BatchEvaluator[T]
 	states := bs.states
 
 	// Root: one batched evaluation prices every probe.
-	rootRho := t.CoverRadius(t.root.level)
+	rootRho := t.root.rho
 	pending := bs.pending[:0]
 	for i := range qs {
 		pending = append(pending, int32(i))
@@ -439,7 +451,7 @@ func (t *Net[T]) BatchRangeEval(qs []T, eps float64, ev metric.BatchEvaluator[T]
 		stack = stack[:len(stack)-1]
 		for _, ce := range e.n.children {
 			c := ce.n
-			rho := t.CoverRadius(c.level)
+			rho := c.rho
 			bound := eps + rho
 			// Phase 1: settle what the zero-computation bounds can; queue
 			// the rest for one batched evaluation.

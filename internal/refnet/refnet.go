@@ -27,6 +27,21 @@
 // is what lets a single reference certify more of the database during range
 // queries (Figure 2 of the paper).
 //
+// # Cover radius
+//
+// Lemma 4 and the Appendix's range query exclude or include a reference's
+// lists by the radius those lists have. Every node therefore carries ρ, its
+// measured cover radius: 0 for a childless node, otherwise the max over its
+// children of (stored edge distance + the child's ρ). By the triangle
+// inequality ρ bounds the distance to every descendant, and every traversal
+// prunes with it. The level's worst case, CoverRadius(level) = ǫ′·(2^{l+1}−2),
+// only dominates it: a node's level is set by how far its nearest reference
+// is, not by what hangs below it, and most nodes at level ≥ 1 are childless.
+// The invariant is held with equality and maintained from the stored edge
+// distances alone (attach raises, Delete settles, Load derives them bottom
+// up — see raise and settle), so it costs no distance computation, and a
+// live net and the same net restored by Load hold identical radii.
+//
 // # Complexity
 //
 // Space is O(n·p) where p is the average parent count (bounded by nummax
@@ -107,9 +122,14 @@ func (t *Net[T]) SetBounded(fn metric.BoundedDistFunc[T]) { t.bounded = fn }
 // Node is a handle to an item stored in the net, returned by InsertTracked
 // and accepted by Delete. Handles become invalid after the item is deleted.
 type Node[T any] struct {
-	item     T
-	level    int
-	id       int32 // dense index into per-query scratch, assigned at creation
+	item  T
+	level int
+	id    int32 // dense index into per-query scratch, assigned at creation
+	// rho is the measured cover radius: 0 for a childless node, otherwise
+	// the max over children of (stored edge distance + the child's rho). By
+	// the triangle inequality it bounds the distance to every descendant;
+	// it is what the traversals prune with. See raise and settle.
+	rho      float64
 	children []edge[T]
 	parents  []edge[T] // back-links with the same stored distances
 }
@@ -174,9 +194,12 @@ func New[T any](dist metric.DistFunc[T], opts ...Option) *Net[T] {
 // Eps returns the radius ǫ′·2ⁱ of level i.
 func (t *Net[T]) Eps(i int) float64 { return math.Ldexp(t.base, i) }
 
-// CoverRadius returns an upper bound on the distance from a level-l node to
-// any node in its subtree: Σ_{k=1..l} ǫₖ = ǫ′·(2^{l+1} − 2). This is the
-// "derived from R(i,j)" bound of Lemma 4 and the Appendix's range query.
+// CoverRadius returns the worst-case distance from a level-l node to any
+// node in its subtree: Σ_{k=1..l} ǫₖ = ǫ′·(2^{l+1} − 2), the "derived from
+// R(i,j)" bound of Lemma 4 and the Appendix's range query. No traversal
+// prunes with it: every node carries its measured radius (rho; see raise
+// and settle), which this bound dominates because every edge respects its
+// list radius — Validate holds each node's measured radius under it.
 func (t *Net[T]) CoverRadius(level int) float64 {
 	if level <= 0 {
 		return 0
@@ -302,7 +325,9 @@ func (t *Net[T]) descend(item T) (level int, parents []cand[T]) {
 }
 
 // attach links n under the given candidate parents, nearest first, capped
-// at numMax when set.
+// at numMax when set, raising each parent's cover radius over the new link.
+// n's own radius is not always 0 here: rehome's fast path re-attaches an
+// orphan that keeps its children.
 func (t *Net[T]) attach(n *Node[T], parents []cand[T]) {
 	sort.Slice(parents, func(i, j int) bool { return parents[i].d < parents[j].d })
 	if t.numMax > 0 && len(parents) > t.numMax {
@@ -311,5 +336,56 @@ func (t *Net[T]) attach(n *Node[T], parents []cand[T]) {
 	for _, p := range parents {
 		p.n.children = append(p.n.children, edge[T]{n: n, d: p.d})
 		n.parents = append(n.parents, edge[T]{n: p.n, d: p.d})
+		p.n.raise(p.d + n.rho)
+	}
+}
+
+// The cover-radius invariant, held with equality on every node:
+//
+//	n.rho == max over n.children of (e.d + e.n.rho), 0 when childless.
+//
+// Equality rather than an upper bound is what makes a live net, a net
+// rebuilt from scratch and a net restored by Load agree bit for bit: the
+// value is a max of sums of the same stored float64s whatever order the
+// links arrived in. Both maintenance steps read stored edge distances only
+// — no distance is ever computed — and both walk parent links, along which
+// levels strictly rise, so they stop within root-level steps.
+
+// raise lifts n's cover radius to at least r — a child link now reaches
+// that far — and carries any increase through all of n's parents (the net
+// is a multi-parent DAG). Only the one term grew, so max(old, r) is the new
+// max over children.
+func (n *Node[T]) raise(r float64) {
+	if r <= n.rho {
+		return
+	}
+	n.rho = r
+	for _, p := range n.parents {
+		p.n.raise(p.d + r)
+	}
+}
+
+// reach is the right-hand side of the invariant: how far n's child links
+// reach, given the children's current radii.
+func (n *Node[T]) reach() float64 {
+	var r float64
+	for _, e := range n.children {
+		if v := e.d + e.n.rho; v > r {
+			r = v
+		}
+	}
+	return r
+}
+
+// settle recomputes n's cover radius after it lost a child or a child's
+// radius fell, and carries the change upward only while the value falls.
+func (n *Node[T]) settle() {
+	r := n.reach()
+	if r == n.rho {
+		return
+	}
+	n.rho = r
+	for _, p := range n.parents {
+		p.n.settle()
 	}
 }

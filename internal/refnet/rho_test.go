@@ -1,0 +1,302 @@
+package refnet
+
+import (
+	"bytes"
+	"math"
+	"math/rand/v2"
+	"slices"
+	"testing"
+)
+
+// The measured cover radius under mutation. Every traversal prunes with
+// Node.rho, so these tests hold it to its definition after every insert,
+// delete and Save→Load, and hold every query surface to a linear scan —
+// in particular at the radii where the pruning rules sit on their
+// boundary.
+
+// stormPt carries an identity so result sets compare exactly even when
+// coordinates repeat (the integer metric produces many duplicates and
+// ties on purpose). Exported fields: Save encodes items with gob.
+type stormPt struct {
+	ID   int
+	X, Y float64
+}
+
+// manhattan on integer coordinates is an integer-valued metric: sums and
+// differences of its values are exact in float64, so d == ε and
+// d == ε + ρ occur exactly and often.
+func manhattan(a, b stormPt) float64 { return math.Abs(a.X-b.X) + math.Abs(a.Y-b.Y) }
+
+func euclid(a, b stormPt) float64 { return math.Hypot(a.X-b.X, a.Y-b.Y) }
+
+// scratchRho recomputes every cover radius bottom-up from the stored edge
+// distances alone, independently of raise and settle.
+func scratchRho[T any](n *Net[T]) map[*Node[T]]float64 {
+	memo := map[*Node[T]]float64{}
+	var rec func(x *Node[T]) float64
+	rec = func(x *Node[T]) float64 {
+		if v, ok := memo[x]; ok {
+			return v
+		}
+		var r float64
+		for _, e := range x.children {
+			if v := e.d + rec(e.n); v > r {
+				r = v
+			}
+		}
+		memo[x] = r
+		return r
+	}
+	n.walk(func(x *Node[T]) { rec(x) })
+	return memo
+}
+
+// checkRho asserts, for every node, that rho equals the from-scratch
+// recompute bit for bit and that a brute walk of the subtree finds no
+// descendant farther than rho (slack absorbs float rounding in the
+// triangle inequality; the integer metric runs with 0).
+func checkRho[T any](t *testing.T, n *Net[T], slack float64) {
+	t.Helper()
+	want := scratchRho(n)
+	n.walk(func(x *Node[T]) {
+		if math.Float64bits(x.rho) != math.Float64bits(want[x]) {
+			t.Fatalf("level-%d node holds rho %v, bottom-up recompute gives %v", x.level, x.rho, want[x])
+		}
+		seen := map[*Node[T]]bool{}
+		var down func(y *Node[T])
+		down = func(y *Node[T]) {
+			for _, e := range y.children {
+				if seen[e.n] {
+					continue
+				}
+				seen[e.n] = true
+				if d := n.dist(x.item, e.n.item); d > x.rho+slack {
+					t.Fatalf("level-%d node has a descendant at %v, beyond its rho %v", x.level, d, x.rho)
+				}
+				down(e.n)
+			}
+		}
+		down(x)
+	})
+}
+
+func ids(items []stormPt) []int {
+	out := make([]int, len(items))
+	for i, it := range items {
+		out[i] = it.ID
+	}
+	slices.Sort(out)
+	return out
+}
+
+// checkQueries holds Range, BatchRange, Exists and KNN to a linear scan of
+// the live items, at a random radius, at 0, and at the two boundary radii
+// of a random node c: ε = δ(q,c) (c sits exactly on the ball) and
+// ε = δ(q,c) − ρ(c) (c sits at exactly ε + ρ, where rule 3 must not
+// prune). It returns how many (query, radius) pairs had an item at exactly
+// d = ε and at exactly d = ε + ρ of some node, so the storm can prove the
+// boundary cases ran.
+func checkQueries(t *testing.T, n *Net[stormPt], live []*Node[stormPt], rng *rand.Rand, draw func() stormPt) (onBall, onCover int) {
+	t.Helper()
+	items := make([]stormPt, len(live))
+	for i, h := range live {
+		items[i] = h.item
+	}
+	for range 3 {
+		q := draw()
+		if len(items) > 0 && rng.IntN(2) == 0 {
+			q = items[rng.IntN(len(items))]
+		}
+		radii := []float64{0, rng.Float64() * 30}
+		if len(live) > 0 {
+			c := live[rng.IntN(len(live))]
+			d := n.dist(q, c.item)
+			radii = append(radii, d)
+			if d >= c.rho {
+				radii = append(radii, d-c.rho)
+			}
+		}
+		for _, eps := range radii {
+			var want []stormPt
+			for _, it := range items {
+				if n.dist(q, it) <= eps {
+					want = append(want, it)
+				}
+			}
+			for _, h := range live {
+				d := n.dist(q, h.item)
+				if d == eps {
+					onBall++
+				}
+				if h.rho > 0 && d == eps+h.rho {
+					onCover++
+				}
+			}
+			if got := n.Range(q, eps); !slices.Equal(ids(got), ids(want)) {
+				t.Fatalf("Range(%v, %v) = ids %v, linear scan %v", q, eps, ids(got), ids(want))
+			}
+			if got := n.Exists(q, eps); got != (len(want) > 0) {
+				t.Fatalf("Exists(%v, %v) = %v with %d items in range", q, eps, got, len(want))
+			}
+			// The batch carries q beside two other probes so active lists
+			// split and merge on the way down.
+			qs := []stormPt{draw(), q, draw()}
+			for i, got := range n.BatchRange(qs, eps) {
+				var w []stormPt
+				for _, it := range items {
+					if n.dist(qs[i], it) <= eps {
+						w = append(w, it)
+					}
+				}
+				if !slices.Equal(ids(got), ids(w)) {
+					t.Fatalf("BatchRange probe %d (%v, %v) = ids %v, linear scan %v", i, qs[i], eps, ids(got), ids(w))
+				}
+			}
+		}
+		const k = 5
+		all := make([]float64, len(items))
+		for i, it := range items {
+			all[i] = n.dist(q, it)
+		}
+		slices.Sort(all)
+		nn := n.KNN(q, k)
+		if len(nn) != min(k, len(items)) {
+			t.Fatalf("KNN returned %d of %d items", len(nn), len(items))
+		}
+		for i, nb := range nn {
+			if nb.Dist != all[i] || n.dist(q, nb.Item) != nb.Dist {
+				t.Fatalf("KNN rank %d at %v, linear scan %v", i, nb.Dist, all[i])
+			}
+		}
+	}
+	return onBall, onCover
+}
+
+func TestCoverRadiusStorm(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		dist    func(a, b stormPt) float64
+		integer bool
+		parents int
+	}{
+		{"integer/uncapped", manhattan, true, 0},
+		{"integer/max2", manhattan, true, 2},
+		{"float/uncapped", euclid, false, 0},
+		{"float/max2", euclid, false, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(2207, uint64(len(tc.name))))
+			nextID := 0
+			draw := func() stormPt {
+				nextID++
+				if tc.integer {
+					return stormPt{nextID, float64(rng.IntN(24)), float64(rng.IntN(24))}
+				}
+				return stormPt{nextID, rng.Float64() * 24, rng.Float64() * 24}
+			}
+			slack := 1e-9
+			if tc.integer {
+				slack = 0
+			}
+			n := New(tc.dist, WithBase(0.75), WithMaxParents(tc.parents))
+			var live []*Node[stormPt]
+			var onBall, onCover, deletes, rootDeletes, loads int
+			for step := 0; step < 220; step++ {
+				switch r := rng.IntN(20); {
+				case r == 0 && len(live) > 0:
+					// Save → Load: carry on with the restored net, handles
+					// re-collected in its walk order.
+					var buf bytes.Buffer
+					if err := n.Save(&buf); err != nil {
+						t.Fatal(err)
+					}
+					loaded, err := Load(&buf, tc.dist)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n, live = loaded, live[:0]
+					n.Walk(func(h *Node[stormPt]) { live = append(live, h) })
+					loads++
+				case r < 8 && len(live) > 8:
+					i := rng.IntN(len(live))
+					if r == 1 {
+						i = slices.Index(live, n.root)
+						rootDeletes++
+					}
+					if err := n.Delete(live[i]); err != nil {
+						t.Fatal(err)
+					}
+					live = slices.Delete(live, i, i+1)
+					deletes++
+				default:
+					live = append(live, n.InsertTracked(draw()))
+				}
+				if err := n.Validate(); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				checkRho(t, n, slack)
+				b, c := checkQueries(t, n, live, rng, draw)
+				onBall, onCover = onBall+b, onCover+c
+			}
+			if deletes < 20 || rootDeletes == 0 || loads == 0 {
+				t.Fatalf("storm too tame: %d deletes, %d of the root, %d reloads", deletes, rootDeletes, loads)
+			}
+			if onBall == 0 || onCover == 0 {
+				t.Fatalf("boundary radii never hit: %d items at d = ε, %d at d = ε + ρ", onBall, onCover)
+			}
+		})
+	}
+}
+
+// A net restored from a snapshot holds, on every node, the very cover
+// radius the live net held when it was saved — the stream does not carry
+// radii, Load re-derives them from the stored edge distances.
+func TestLoadRestoresCoverRadii(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2208, 1))
+	n := New(euclid, WithBase(0.5))
+	var live []*Node[stormPt]
+	for i := 0; i < 300; i++ {
+		live = append(live, n.InsertTracked(stormPt{i, rng.Float64() * 40, rng.Float64() * 40}))
+	}
+	for i := 0; i < 80; i++ {
+		j := rng.IntN(len(live))
+		if err := n.Delete(live[j]); err != nil {
+			t.Fatal(err)
+		}
+		live = slices.Delete(live, j, j+1)
+	}
+	var buf bytes.Buffer
+	if err := n.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf, euclid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// Save writes nodes in walk order and Load keeps child order, so the
+	// two walks pair the nodes up.
+	var was, is []*Node[stormPt]
+	n.Walk(func(h *Node[stormPt]) { was = append(was, h) })
+	loaded.Walk(func(h *Node[stormPt]) { is = append(is, h) })
+	if len(was) != len(is) {
+		t.Fatalf("%d nodes saved, %d restored", len(was), len(is))
+	}
+	nonzero := 0
+	for i := range was {
+		if was[i].item.ID != is[i].item.ID {
+			t.Fatalf("walk position %d: item %d saved, %d restored", i, was[i].item.ID, is[i].item.ID)
+		}
+		if math.Float64bits(was[i].rho) != math.Float64bits(is[i].rho) {
+			t.Fatalf("item %d: rho %v live, %v restored", was[i].item.ID, was[i].rho, is[i].rho)
+		}
+		if was[i].rho > 0 {
+			nonzero++
+		}
+	}
+	if nonzero == 0 {
+		t.Fatal("vacuous: no node with children")
+	}
+}

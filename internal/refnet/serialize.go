@@ -9,11 +9,15 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Persistence. A net is serialised as a flat adjacency list: nodes in a
 // stable walk order with their levels and items, plus parent→child edges
-// carrying the stored distances. Loading therefore needs NO distance
+// carrying the stored distances. Cover radii are not stored: Load
+// re-derives them from the edge distances once the nodes are linked (the
+// format is the one written before nodes carried a measured radius, so
+// older snapshots restore unchanged). Loading therefore needs NO distance
 // computations — important when the metric is expensive (edit distances
 // over long windows), since rebuilding a 100K-window net costs millions
 // of distance evaluations while decoding costs none.
@@ -288,6 +292,11 @@ func Load[T any](r io.Reader, dist func(a, b T) float64) (*Net[T], error) {
 			return nil, cr.corrupt(fmt.Sprintf("edge %d has invalid distance %v", i, d), nil)
 		}
 		p, c := ns[pi], ns[ci]
+		if c.level >= p.level {
+			// Levels strictly fall along every link of a real net: no
+			// cycles, so every walk along links ends.
+			return nil, cr.corrupt(fmt.Sprintf("edge %d links level %d under level %d", i, c.level, p.level), nil)
+		}
 		p.children = append(p.children, edge[T]{n: c, d: d})
 		c.parents = append(c.parents, edge[T]{n: p, d: d})
 	}
@@ -313,6 +322,15 @@ func Load[T any](r io.Reader, dist func(a, b T) float64) (*Net[T], error) {
 		if i != 0 && len(n.parents) == 0 {
 			return nil, &CorruptError{Offset: wantOff, Reason: fmt.Sprintf("node %d unreachable (no parents)", i)}
 		}
+	}
+	// Cover radii are not in the stream; they are a function of the stored
+	// edge distances alone. Children sit at strictly lower levels, so one
+	// pass in ascending level order finds every child's radius final, and
+	// lands on the same bits the saved net held (the invariant is an
+	// equality; see raise).
+	slices.SortFunc(ns, func(a, b *Node[T]) int { return a.level - b.level })
+	for _, n := range ns {
+		n.rho = n.reach()
 	}
 	return t, nil
 }

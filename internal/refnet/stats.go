@@ -17,6 +17,10 @@ type Stats struct {
 	MaxLevel int
 	// NodesPerLevel counts nodes by their storage level.
 	NodesPerLevel map[int]int
+	// ChildlessPerLevel counts, by storage level, the nodes with no
+	// children — cover radius 0 whatever their level, which is why the
+	// traversals prune with measured radii rather than the level's bound.
+	ChildlessPerLevel map[int]int
 	// ParentLinks is the total number of parent→child edges. Divided by
 	// Nodes it is the paper's "average number of parents per window".
 	ParentLinks int
@@ -51,7 +55,7 @@ func (t *Net[T]) Stats() Stats { return t.StatsWithPayload(nil) }
 // StatsWithPayload is Stats with a caller-supplied payload sizer, used to
 // report total index size for variable-size items (e.g. sequence windows).
 func (t *Net[T]) StatsWithPayload(payloadBytes func(T) int) Stats {
-	s := Stats{NodesPerLevel: map[int]int{}}
+	s := Stats{NodesPerLevel: map[int]int{}, ChildlessPerLevel: map[int]int{}}
 	if t.root == nil {
 		return s
 	}
@@ -61,6 +65,9 @@ func (t *Net[T]) StatsWithPayload(payloadBytes func(T) int) Stats {
 	t.walk(func(n *Node[T]) {
 		s.Nodes++
 		s.NodesPerLevel[n.level]++
+		if len(n.children) == 0 {
+			s.ChildlessPerLevel[n.level]++
+		}
 		s.ParentLinks += len(n.children)
 		levels := map[int]bool{}
 		for _, e := range n.children {
@@ -137,7 +144,10 @@ func (t *Net[T]) Items() []T {
 //     level's parent radius δ(p,c) ≤ ǫ_{level(c)+1}, and stored edge
 //     distances match the metric;
 //   - parent backlinks are consistent with child lists;
-//   - the parent cap nummax.
+//   - the parent cap nummax;
+//   - cover radius: every node's rho equals, exactly, the max over its
+//     children of (stored edge distance + child's rho) — 0 when childless —
+//     and stays under the level's worst case CoverRadius(level).
 func (t *Net[T]) Validate() error {
 	if t.root == nil {
 		if t.size != 0 {
@@ -173,6 +183,14 @@ func (t *Net[T]) Validate() error {
 				return
 			}
 		}
+		if rho := p.reach(); p.rho != rho {
+			err = fmt.Errorf("refnet: level-%d node holds cover radius %g, its children give %g", p.level, p.rho, rho)
+			return
+		}
+		if limit := t.CoverRadius(p.level); p.rho > limit+1e-9 {
+			err = fmt.Errorf("refnet: cover radius %g exceeds the level-%d worst case %g", p.rho, p.level, limit)
+			return
+		}
 		for _, e := range p.children {
 			if e.n.level >= p.level {
 				err = fmt.Errorf("refnet: child level %d not below parent level %d", e.n.level, p.level)
@@ -204,17 +222,18 @@ func (t *Net[T]) Validate() error {
 }
 
 // LevelHistogram returns the storage levels present in the net in
-// ascending order with their node counts, for diagnostics.
-func (t *Net[T]) LevelHistogram() []struct{ Level, Count int } {
+// ascending order with their node counts, and how many of those nodes are
+// childless, for diagnostics.
+func (t *Net[T]) LevelHistogram() []struct{ Level, Count, Childless int } {
 	s := t.Stats()
 	levels := make([]int, 0, len(s.NodesPerLevel))
 	for l := range s.NodesPerLevel {
 		levels = append(levels, l)
 	}
 	sort.Ints(levels)
-	out := make([]struct{ Level, Count int }, len(levels))
+	out := make([]struct{ Level, Count, Childless int }, len(levels))
 	for i, l := range levels {
-		out[i] = struct{ Level, Count int }{l, s.NodesPerLevel[l]}
+		out[i] = struct{ Level, Count, Childless int }{l, s.NodesPerLevel[l], s.ChildlessPerLevel[l]}
 	}
 	return out
 }
