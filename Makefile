@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-smoke bench-counts serve-smoke snapshot-smoke shard-smoke replica-smoke cache-smoke chaos-smoke fmt fmt-fix vet size check docs-check
+.PHONY: all build test test-short bench bench-smoke bench-counts serve-smoke snapshot-smoke shard-smoke replica-smoke cache-smoke chaos-smoke fmt fmt-fix vet size loc race-accounting check docs-check
 
 all: check
 
@@ -111,6 +111,21 @@ vet:
 size:
 	@big=$$(git ls-files -z | xargs -0 du -k | awk '$$1 > 1024'); \
 	if [ -n "$$big" ]; then echo "tracked files over 1 MiB (KiB, path):"; echo "$$big"; exit 1; fi
+
+# loc prints the non-test Go lines outside bench/ by package, with the
+# total: the measured number a design-quality PR (ROADMAP aim 2) reports
+# instead of an estimate. No threshold; CI echoes it.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total (non-test Go lines outside bench/)\n", t }' | sort -k2
+
+# race-accounting holds the stream engine's accounting rule (every counter
+# and release moves before the future resolves; DESIGN.md §9) under the
+# race detector, repeated: the two tests that used to see InFlight 1 after
+# their last Await, and the deterministic 2 000-submission sweep.
+race-accounting:
+	$(GO) test -race -count=20 -run 'TestStreamPanicFailsOnlyThatJob|TestWorkerPanicSelfHeals|TestStreamAccountingSettlesBeforeFuture' ./internal/core/
 
 # docs-check keeps the documentation honest: every relative markdown link
 # must resolve, and every Example* godoc test must run (and match its

@@ -66,6 +66,8 @@ func TestReplicatedFleetMasksReplicaLossAllBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 			gts, servers := startReplicatedFleet(t, spec, plan, 2)
+			// The single node on the wire, for /query/filter's raw order.
+			single, _ := newTestServerSpec(t, registry.ServerSpec{SessionSpec: spec, Workers: 2, QueueDepth: 16}, "")
 
 			// Kill one replica — a different slot each backend, so the four
 			// runs together cover every range/replica position.
@@ -99,10 +101,12 @@ func TestReplicatedFleetMasksReplicaLossAllBackends(t *testing.T) {
 				if fl.Degradation != nil {
 					t.Fatalf("filter degraded: %+v", fl.Degradation)
 				}
-				wantHits := toShardHits(mt.FilterHits([]byte(q), eps))
-				shard.SortHits(wantHits)
-				if !reflect.DeepEqual(fl.Hits, wantHits) {
-					t.Fatalf("filter: gateway %v, single node %v", fl.Hits, wantHits)
+				var sfl shard.HitsResponse
+				if code := postJSON(t, single, "/query/filter", body, &sfl); code != http.StatusOK {
+					t.Fatalf("single-node filter status %d", code)
+				}
+				if !reflect.DeepEqual(fl.Hits, sfl.Hits) {
+					t.Fatalf("filter: gateway %v, single node %v", fl.Hits, sfl.Hits)
 				}
 
 				var lg shard.BestResponse

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -423,11 +424,11 @@ func (s *typedSession[E]) newServer(spec registry.ServerSpec, restore string) (q
 		}
 	}()
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query/findall", srv.handleFindAll)
-	mux.HandleFunc("POST /query/longest", srv.handleLongest)
-	mux.HandleFunc("POST /query/nearest", srv.handleNearest)
-	mux.HandleFunc("POST /query/filter", srv.handleFilter)
-	mux.HandleFunc("POST /query/batch", srv.handleBatch)
+	kinds := servedKinds[E]()
+	for _, k := range kinds {
+		mux.HandleFunc("POST /query/"+k.Name, srv.handleQuery(k))
+	}
+	mux.HandleFunc("POST /query/batch", srv.handleBatch(kinds))
 	mux.HandleFunc("POST /admin/append", srv.handleAppend)
 	mux.HandleFunc("POST /admin/retire", srv.handleRetire)
 	mux.HandleFunc("POST /admin/snapshot", srv.handleSnapshot)
@@ -458,35 +459,51 @@ func (srv *typedServer[E]) close() {
 // queryRequest is the body of every /query/* POST. Query's encoding
 // depends on the dataset's element type: a JSON string for byte datasets,
 // an array of numbers for float64, an array of [x, y] pairs for point2.
+// The parameters are the kind table's (shard.Params).
 type queryRequest struct {
 	Query json.RawMessage `json:"query"`
-	// Eps is the query radius (findall, longest, filter).
-	Eps *float64 `json:"eps"`
-	// EpsMax/EpsInc tune nearest (Type III); eps_inc defaults to
-	// eps_max/16.
-	EpsMax *float64 `json:"eps_max"`
-	EpsInc *float64 `json:"eps_inc"`
+	shard.Params
 }
 
 // The wire envelopes are the shard package's (shard.Match, shard.Hit,
 // shard.MatchesResponse, …): a single node and the gateway speak one
 // protocol, so there is one set of types for it.
 
-// match converts a store-local match to the wire, re-basing the sequence
-// ID into the global numbering when this process is a shard.
-func (srv *typedServer[E]) match(m core.Match) shard.Match {
-	return shard.Match{
-		SeqID: m.SeqID + srv.seqBase, QStart: m.QStart, QEnd: m.QEnd,
-		XStart: m.XStart, XEnd: m.XEnd, Dist: m.Dist,
+// matches puts store-local matches on the wire, re-basing the sequence IDs
+// into the global numbering when this process is a shard. The result is
+// never nil: no match encodes as [], not null.
+func (srv *typedServer[E]) matches(ms []core.Match) []shard.Match {
+	out := make([]shard.Match, len(ms))
+	for i, m := range ms {
+		m.SeqID += srv.seqBase
+		out[i] = m
 	}
+	return out
 }
 
-// hit converts a store-local filter hit to the wire, re-based like match.
-func (srv *typedServer[E]) hit(h core.Hit[E]) shard.Hit {
-	return shard.Hit{
-		SeqID: h.Window.SeqID + srv.seqBase, WindowStart: h.Window.Start, WindowEnd: h.Window.End(),
-		SegStart: h.Segment.Start, SegEnd: h.Segment.End(),
+// best puts a longest or nearest answer on the wire, re-based like matches.
+func (srv *typedServer[E]) best(m core.Match, found bool) shard.BestResult {
+	if !found {
+		return shard.BestResult{}
 	}
+	m.SeqID += srv.seqBase
+	return shard.BestResult{Found: true, Match: &m}
+}
+
+// hits puts store-local filter hits on the wire, re-based like matches and
+// in the canonical hit order (shard.SortHits): the matcher emits hits in
+// its backend's traversal order, the wire does not, so a single node's
+// /query/filter is the gateway's byte for byte.
+func (srv *typedServer[E]) hits(hs []core.Hit[E]) []shard.Hit {
+	out := make([]shard.Hit, len(hs))
+	for i, h := range hs {
+		out[i] = shard.Hit{
+			SeqID: h.Window.SeqID + srv.seqBase, WindowStart: h.Window.Start, WindowEnd: h.Window.End(),
+			SegStart: h.Segment.Start, SegEnd: h.Segment.End(),
+		}
+	}
+	shard.SortHits(out)
+	return out
 }
 
 type statsResponse struct {
@@ -607,17 +624,6 @@ func decodeSeq[E any](raw json.RawMessage) (seq.Sequence[E], error) {
 	}
 }
 
-// needEps validates the radius shared by findall, longest and filter.
-func needEps(req queryRequest) (float64, error) {
-	if req.Eps == nil {
-		return 0, errors.New(`missing "eps"`)
-	}
-	if *req.Eps < 0 {
-		return 0, errors.New(`"eps" must be >= 0`)
-	}
-	return *req.Eps, nil
-}
-
 // submitErrStatus maps a streaming-submission error to an HTTP status,
 // the contract documented in docs/SERVING.md ("Operating under load"):
 // shed queries are 429 Too Many Requests, deadline-expired queries 504
@@ -669,113 +675,96 @@ func (srv *typedServer[E]) submitOpts(r *http.Request) (context.Context, context
 	return ctx, cancel, opts
 }
 
-func (srv *typedServer[E]) handleFindAll(w http.ResponseWriter, r *http.Request) {
-	req, q, err := srv.decodeQuery(w, r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	eps, err := needEps(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel, sopts := srv.submitOpts(r)
-	defer cancel()
-	ms, err := srv.pool.Submit(ctx, q, eps, sopts...).Await(ctx)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	resp := shard.MatchesResponse{Count: len(ms), Matches: make([]shard.Match, len(ms))}
-	for i, m := range ms {
-		resp.Matches[i] = srv.match(m)
-	}
-	writeJSON(w, http.StatusOK, resp)
+// servedKind is a kind-table entry (shard.Kinds) with the half only a
+// serve process has: how the kind is answered on an element-typed matcher.
+type servedKind[E any] struct {
+	shard.Kind
+	// one streams a single query through the pool — admission, deadline,
+	// tenant — and returns its response envelope.
+	one func(srv *typedServer[E], ctx context.Context, q seq.Sequence[E], a shard.Args, opts []core.SubmitOption) (any, error)
+	// batch answers qs on one pinned matcher with the kind's *Batch loop and
+	// fills the kind's column of resp; nil when the kind has no batch form.
+	batch func(srv *typedServer[E], mt *core.Matcher[E], qs []seq.Sequence[E], eps float64, resp *shard.BatchResponse)
 }
 
-func (srv *typedServer[E]) handleLongest(w http.ResponseWriter, r *http.Request) {
-	req, q, err := srv.decodeQuery(w, r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+// servedKinds is the serve side of the kind table: per kind, the Submit*
+// call, the *Batch loop and the encoders (matches, best, hits) that both
+// share.
+func servedKinds[E any]() []servedKind[E] {
+	type (
+		server  = *typedServer[E]
+		query   = seq.Sequence[E]
+		options = []core.SubmitOption
+	)
+	bestOne := func(srv server, res core.QueryResult, err error) (any, error) {
+		return shard.BestResponse{BestResult: srv.best(res.Match, res.Found)}, err
 	}
-	eps, err := needEps(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel, sopts := srv.submitOpts(r)
-	defer cancel()
-	res, err := srv.pool.SubmitLongest(ctx, q, eps, sopts...).Await(ctx)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	resp := shard.BestResponse{Found: res.Found}
-	if res.Found {
-		m := srv.match(res.Match)
-		resp.Match = &m
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return []servedKind[E]{{
+		Kind: shard.FindAll,
+		one: func(srv server, ctx context.Context, q query, a shard.Args, o options) (any, error) {
+			ms, err := srv.pool.Submit(ctx, q, a.Eps, o...).Await(ctx)
+			return shard.MatchesResponse{Count: len(ms), Matches: srv.matches(ms)}, err
+		},
+		batch: func(srv server, mt *core.Matcher[E], qs []query, eps float64, resp *shard.BatchResponse) {
+			for _, ms := range mt.FindAllBatch(qs, eps) {
+				resp.Matches = append(resp.Matches, srv.matches(ms))
+			}
+		},
+	}, {
+		Kind: shard.Longest,
+		one: func(srv server, ctx context.Context, q query, a shard.Args, o options) (any, error) {
+			res, err := srv.pool.SubmitLongest(ctx, q, a.Eps, o...).Await(ctx)
+			return bestOne(srv, res, err)
+		},
+		batch: func(srv server, mt *core.Matcher[E], qs []query, eps float64, resp *shard.BatchResponse) {
+			ms, found := mt.LongestBatch(qs, eps)
+			for i := range ms {
+				resp.Best = append(resp.Best, srv.best(ms[i], found[i]))
+			}
+		},
+	}, {
+		Kind: shard.Nearest,
+		one: func(srv server, ctx context.Context, q query, a shard.Args, o options) (any, error) {
+			res, err := srv.pool.SubmitNearest(ctx, q, a.Nearest, o...).Await(ctx)
+			return bestOne(srv, res, err)
+		},
+	}, {
+		Kind: shard.Filter,
+		one: func(srv server, ctx context.Context, q query, a shard.Args, o options) (any, error) {
+			hs, err := srv.pool.SubmitFilter(ctx, q, a.Eps, o...).Await(ctx)
+			return shard.HitsResponse{Count: len(hs), Hits: srv.hits(hs)}, err
+		},
+		batch: func(srv server, mt *core.Matcher[E], qs []query, eps float64, resp *shard.BatchResponse) {
+			for _, hs := range mt.FilterHitsBatch(qs, eps) {
+				resp.Hits = append(resp.Hits, srv.hits(hs))
+			}
+		},
+	}}
 }
 
-func (srv *typedServer[E]) handleNearest(w http.ResponseWriter, r *http.Request) {
-	req, q, err := srv.decodeQuery(w, r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+// handleQuery serves one kind's single-query route from its table entry:
+// decode, check the kind's parameters, stream the query through the pool,
+// encode.
+func (srv *typedServer[E]) handleQuery(k servedKind[E]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, q, err := srv.decodeQuery(w, r)
+		var args shard.Args
+		if err == nil {
+			args, err = k.Check(req.Params)
+		}
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		ctx, cancel, sopts := srv.submitOpts(r)
+		defer cancel()
+		resp, err := k.one(srv, ctx, q, args, sopts)
+		if err != nil {
+			writeSubmitErr(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	if req.EpsMax == nil || *req.EpsMax <= 0 {
-		writeErr(w, http.StatusBadRequest, errors.New(`nearest requires "eps_max" > 0`))
-		return
-	}
-	opts := core.NearestOptions{EpsMax: *req.EpsMax, EpsInc: *req.EpsMax / 16}
-	if req.EpsInc != nil {
-		opts.EpsInc = *req.EpsInc
-	}
-	if opts.EpsInc <= 0 {
-		writeErr(w, http.StatusBadRequest, errors.New(`"eps_inc" must be > 0`))
-		return
-	}
-	ctx, cancel, sopts := srv.submitOpts(r)
-	defer cancel()
-	res, err := srv.pool.SubmitNearest(ctx, q, opts, sopts...).Await(ctx)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	resp := shard.BestResponse{Found: res.Found}
-	if res.Found {
-		m := srv.match(res.Match)
-		resp.Match = &m
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (srv *typedServer[E]) handleFilter(w http.ResponseWriter, r *http.Request) {
-	req, q, err := srv.decodeQuery(w, r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	eps, err := needEps(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel, sopts := srv.submitOpts(r)
-	defer cancel()
-	hits, err := srv.pool.SubmitFilter(ctx, q, eps, sopts...).Await(ctx)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	resp := shard.HitsResponse{Count: len(hits), Hits: make([]shard.Hit, len(hits))}
-	for i, h := range hits {
-		resp.Hits[i] = srv.hit(h)
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleBatch answers POST /query/batch: many queries of one kind in one
@@ -784,74 +773,37 @@ func (srv *typedServer[E]) handleFilter(w http.ResponseWriter, r *http.Request) 
 // each with its own index traversal, against one pinned view of the store.
 // The loop runs outside the streaming pool: no admission control, no
 // deadline, no priority — a large batch holds the view for its whole run.
-func (srv *typedServer[E]) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req shard.BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
-		return
-	}
-	if !shard.ValidBatchKind(req.Kind) {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf(`"kind" must be findall, longest or filter, got %q`, req.Kind))
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New(`"queries" must not be empty`))
-		return
-	}
-	if req.Eps == nil {
-		writeErr(w, http.StatusBadRequest, errors.New(`missing "eps"`))
-		return
-	}
-	if *req.Eps < 0 {
-		writeErr(w, http.StatusBadRequest, errors.New(`"eps" must be >= 0`))
-		return
-	}
-	qs := make([]seq.Sequence[E], len(req.Queries))
-	for i, raw := range req.Queries {
-		q, err := decodeSeq[E](raw)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
+// Validation and encoding are the kind table's, shared with the
+// single-query routes.
+func (srv *typedServer[E]) handleBatch(kinds []servedKind[E]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req shard.BatchRequest
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
 			return
 		}
-		qs[i] = q
+		_, args, err := req.Validate()
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		qs := make([]seq.Sequence[E], len(req.Queries))
+		for i, raw := range req.Queries {
+			if qs[i], err = decodeSeq[E](raw); err != nil {
+				writeErr(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
+				return
+			}
+		}
+		mt, release := srv.st.View()
+		defer release()
+		resp := shard.BatchResponse{Kind: req.Kind, Count: len(qs)}
+		// Validate accepted req.Kind, so it names exactly one batched entry.
+		k := kinds[slices.IndexFunc(kinds, func(k servedKind[E]) bool { return k.Name == req.Kind })]
+		k.batch(srv, mt, qs, args.Eps, &resp)
+		writeJSON(w, http.StatusOK, resp)
 	}
-	mt, release := srv.st.View()
-	defer release()
-	resp := shard.BatchResponse{Kind: req.Kind, Count: len(qs)}
-	switch req.Kind {
-	case "findall":
-		per := mt.FindAllBatch(qs, *req.Eps)
-		resp.Matches = make([][]shard.Match, len(per))
-		for i, ms := range per {
-			out := make([]shard.Match, len(ms))
-			for j, m := range ms {
-				out[j] = srv.match(m)
-			}
-			resp.Matches[i] = out
-		}
-	case "longest":
-		ms, found := mt.LongestBatch(qs, *req.Eps)
-		resp.Best = make([]shard.BestResult, len(ms))
-		for i := range ms {
-			if found[i] {
-				m := srv.match(ms[i])
-				resp.Best[i] = shard.BestResult{Found: true, Match: &m}
-			}
-		}
-	case "filter":
-		per := mt.FilterHitsBatch(qs, *req.Eps)
-		resp.Hits = make([][]shard.Hit, len(per))
-		for i, hs := range per {
-			out := make([]shard.Hit, len(hs))
-			for j, h := range hs {
-				out[j] = srv.hit(h)
-			}
-			resp.Hits[i] = out
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (srv *typedServer[E]) handleStats(w http.ResponseWriter, r *http.Request) {

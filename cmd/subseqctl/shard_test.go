@@ -69,6 +69,23 @@ func toShardHits(hs []core.Hit[byte]) []shard.Hit {
 	return out
 }
 
+// sameHitSet reports whether a and b hold the same hits, order aside.
+func sameHitSet(a, b []shard.Hit) bool {
+	n := map[shard.Hit]int{}
+	for _, h := range a {
+		n[h]++
+	}
+	for _, h := range b {
+		n[h]--
+	}
+	for _, c := range n {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // equivWindows sizes the equivalence datasets: 100 windows generate five
 // protein sequences, enough for 2–4 shard partitions with varied splits.
 const equivWindows = 100
@@ -100,6 +117,9 @@ func TestCrossShardEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The single node on the wire: /query/filter is compared against it
+		// in raw order, with no canonicalisation in between.
+		single, _ := newTestServerSpec(t, registry.ServerSpec{SessionSpec: spec, Workers: 2, QueueDepth: 16}, "")
 		for trial := 0; trial < 3; trial++ {
 			t.Run(fmt.Sprintf("%s/trial%d", backend, trial), func(t *testing.T) {
 				// Deterministic "random" topology, logged so any failure
@@ -133,10 +153,17 @@ func TestCrossShardEquivalence(t *testing.T) {
 						if code := postJSON(t, gts, "/query/filter", body, &fl); code != http.StatusOK {
 							t.Fatalf("filter status %d", code)
 						}
-						wantHits := toShardHits(mt.FilterHits([]byte(q), eps))
-						shard.SortHits(wantHits)
-						if !reflect.DeepEqual(fl.Hits, wantHits) {
-							t.Fatalf("filter(q%d, eps=%g): gateway %v, single node %v", qi, eps, fl.Hits, wantHits)
+						var sfl shard.HitsResponse
+						if code := postJSON(t, single, "/query/filter", body, &sfl); code != http.StatusOK {
+							t.Fatalf("single-node filter status %d", code)
+						}
+						if !reflect.DeepEqual(fl.Hits, sfl.Hits) {
+							t.Fatalf("filter(q%d, eps=%g): gateway %v, single node %v", qi, eps, fl.Hits, sfl.Hits)
+						}
+						// The wire order is a reordering of the library's
+						// traversal-ordered hit set, nothing more.
+						if lib := toShardHits(mt.FilterHits([]byte(q), eps)); !sameHitSet(sfl.Hits, lib) {
+							t.Fatalf("filter(q%d, eps=%g): single node %v, library %v", qi, eps, sfl.Hits, lib)
 						}
 
 						var lg shard.BestResponse

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -142,43 +143,36 @@ func WithTenant(id string) SubmitOption {
 // admit acquires an in-flight slot for j according to the pool's shed
 // policy, maintaining per-tenant load accounting. On success the job
 // holds one slot token (and one tenant count if labelled), released by
-// finish. The error is the typed admission outcome; the caller maps it
-// onto the stats counters.
-func (p *QueryPool[E]) admit(j *streamJob[E]) error {
+// finish. On failure it returns the typed admission error with the stats
+// counter that outcome belongs to.
+func (p *QueryPool[E]) admit(j *streamJob[E]) (outcome *atomic.Int64, err error) {
 	s := &p.streaming
-	switch p.shedPolicy {
-	case ShedRejectNewest:
+	if p.shedPolicy != ShedBlock {
 		select {
 		case s.slots <- struct{}{}:
 			s.addTenant(j)
-			return nil
+			return nil, nil
 		default:
-			return ErrQueueFull
 		}
-	case ShedFairShare:
-		select {
-		case s.slots <- struct{}{}:
-			s.addTenant(j)
-			return nil
-		default:
-			return s.evictForFairShare(j)
+		if p.shedPolicy == ShedFairShare {
+			return &s.shed, s.evictForFairShare(j)
 		}
-	default: // ShedBlock
-		var deadlineCh <-chan time.Time
-		if !j.deadline.IsZero() {
-			t := time.NewTimer(time.Until(j.deadline))
-			defer t.Stop()
-			deadlineCh = t.C
-		}
-		select {
-		case s.slots <- struct{}{}:
-			s.addTenant(j)
-			return nil
-		case <-j.ctx.Done():
-			return j.ctx.Err()
-		case <-deadlineCh:
-			return ErrDeadlineExceeded
-		}
+		return &s.shed, ErrQueueFull
+	}
+	var deadlineCh <-chan time.Time
+	if !j.deadline.IsZero() {
+		t := time.NewTimer(time.Until(j.deadline))
+		defer t.Stop()
+		deadlineCh = t.C
+	}
+	select {
+	case s.slots <- struct{}{}:
+		s.addTenant(j)
+		return nil, nil
+	case <-j.ctx.Done():
+		return &s.cancelled, j.ctx.Err()
+	case <-deadlineCh:
+		return &s.expired, ErrDeadlineExceeded
 	}
 }
 
@@ -195,18 +189,14 @@ func (s *streamState[E]) addTenant(j *streamJob[E]) {
 	s.mu.Unlock()
 }
 
-// dropTenant releases j's tenant count.
-func (s *streamState[E]) dropTenant(j *streamJob[E]) {
-	if j.tenant == "" {
-		return
-	}
-	s.mu.Lock()
-	if n := s.tenantLoad[j.tenant] - 1; n > 0 {
-		s.tenantLoad[j.tenant] = n
+// dropTenantLocked releases one in-flight count of a labelled tenant;
+// callers hold s.mu.
+func (s *streamState[E]) dropTenantLocked(tenant string) {
+	if n := s.tenantLoad[tenant] - 1; n > 0 {
+		s.tenantLoad[tenant] = n
 	} else {
-		delete(s.tenantLoad, j.tenant)
+		delete(s.tenantLoad, tenant)
 	}
-	s.mu.Unlock()
 }
 
 // evictForFairShare implements ShedFairShare at saturation: scan the
@@ -234,30 +224,29 @@ func (s *streamState[E]) evictForFairShare(j *streamJob[E]) error {
 		s.mu.Unlock()
 		return ErrQueueFull
 	}
-	victim := s.queue[victimIdx]
-	s.queue = append(s.queue[:victimIdx], s.queue[victimIdx+1:]...)
+	victim := s.takeLocked(victimIdx)
 	// Transfer the victim's slot to j: the token stays in the channel,
-	// only the accounting moves.
-	if s.tenantLoad == nil {
-		s.tenantLoad = make(map[string]int)
-	}
-	if n := s.tenantLoad[victim.tenant] - 1; n > 0 {
-		s.tenantLoad[victim.tenant] = n
-	} else {
-		delete(s.tenantLoad, victim.tenant)
-	}
+	// only the accounting moves (the victim's tenant is labelled: it
+	// out-weighs j's) — and, resolve's rule, all of it moves before the
+	// victim's future settles.
+	s.dropTenantLocked(victim.tenant)
 	if j.tenant != "" {
 		s.tenantLoad[j.tenant]++
 	}
 	s.mu.Unlock()
 	s.shed.Add(1)
-	victim.fail(ErrQueueFull)
+	victim.settle(ErrQueueFull)
 	return nil
 }
 
 // finish releases j's admission state: the in-flight slot and the tenant
-// count. Called exactly once per admitted job, after its future resolves.
+// count. Called exactly once per admitted job, by resolve, before the
+// job's future settles.
 func (s *streamState[E]) finish(j *streamJob[E]) {
 	<-s.slots
-	s.dropTenant(j)
+	if j.tenant != "" {
+		s.mu.Lock()
+		s.dropTenantLocked(j.tenant)
+		s.mu.Unlock()
+	}
 }

@@ -246,24 +246,32 @@ func TestShedFairShare(t *testing.T) {
 }
 
 // The pop order: a worker takes the highest-priority pending job, FIFO
-// among equals — regardless of query kind or radius — so default-priority
-// traffic is answered in arrival order.
+// among equals, so default-priority traffic is answered in arrival order.
+// (A job carries no query kind or radius for the order to depend on.)
 func TestClaimPrioritySeed(t *testing.T) {
-	mk := func(kind queryKind, eps float64, prio int) *streamJob[byte] {
-		return &streamJob[byte]{kind: kind, eps: eps, priority: prio, ctx: context.Background()}
+	mk := func(prio int) *streamJob[byte] {
+		return &streamJob[byte]{submitConfig: submitConfig{priority: prio}, ctx: context.Background()}
 	}
 	var s streamState[byte]
-	lo1, lo2, lo3 := mk(kindFindAll, 2, 0), mk(kindFilter, 3, 0), mk(kindFindAll, 2, 0)
-	hi1, hi2 := mk(kindLongest, 3, 5), mk(kindFindAll, 2, 5)
-	neg, top := mk(kindFindAll, 2, -1), mk(kindNearest, 0, 9)
+	lo1, lo2, lo3 := mk(0), mk(0), mk(0)
+	hi1, hi2 := mk(5), mk(5)
+	neg, top := mk(-1), mk(9)
 	s.queue = []*streamJob[byte]{neg, lo1, hi1, lo2, top, hi2, lo3}
+	backing := s.queue
 	for i, want := range []*streamJob[byte]{top, hi1, hi2, lo1, lo2, lo3, neg} {
 		if got := s.popLocked(); got != want {
-			t.Fatalf("pop %d: got priority %d kind %d, want priority %d kind %d", i, got.priority, got.kind, want.priority, want.kind)
+			t.Fatalf("pop %d: got priority %d, want priority %d", i, got.priority, want.priority)
 		}
 	}
 	if len(s.queue) != 0 {
 		t.Fatalf("queue holds %d jobs after popping all", len(s.queue))
+	}
+	// takeLocked clears every vacated tail slot: nothing that left the queue
+	// stays reachable through its backing array.
+	for i, j := range backing {
+		if j != nil {
+			t.Fatalf("backing slot %d still pins a popped job", i)
+		}
 	}
 }
 
@@ -277,7 +285,7 @@ const poison = 0xFD
 // their own, whatever else runs beside them. Prepare/Bounded are stripped
 // so all evaluation flows through Fn. The helper returns well-behaved
 // queries with their answers.
-func markedPool(t *testing.T, workers int, gates map[byte]chan struct{}) (*QueryPool[byte], []seq.Sequence[byte], [][]Match) {
+func markedPool(t *testing.T, workers int, gates map[byte]chan struct{}, opts ...PoolOption) (*QueryPool[byte], []seq.Sequence[byte], [][]Match) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(97, 9700))
 	db, qs := batchQueries(rng, 4)
@@ -303,7 +311,7 @@ func markedPool(t *testing.T, workers int, gates map[byte]chan struct{}) (*Query
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewQueryPool(mt, workers)
+	pool := NewQueryPool(mt, workers, opts...)
 	t.Cleanup(func() {
 		// A failed test may leave a gate shut; open it so Close can drain.
 		for _, gate := range gates {
@@ -460,6 +468,68 @@ func TestWorkerPanicSelfHeals(t *testing.T) {
 	}
 	if st.InFlight != 0 {
 		t.Fatalf("crashed job leaked slots: %+v", st)
+	}
+}
+
+// The engine's one accounting rule: every counter and every release moves
+// before the future resolves. Queries go in one at a time — every kind,
+// under every shed policy, with a sprinkling of pre-cancelled contexts,
+// past deadlines and poisoned queries — and after each Await the snapshot
+// must already be settled: nothing in flight, every submission in exactly
+// one outcome counter.
+func TestStreamAccountingSettlesBeforeFuture(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	past := WithSubmitDeadline(time.Now().Add(-time.Second))
+	const perPolicy = 667 // × 3 policies ≈ 2 000 submissions
+	for _, policy := range []ShedPolicy{ShedBlock, ShedRejectNewest, ShedFairShare} {
+		pool, qs, _ := markedPool(t, 2, nil, WithShedPolicy(policy), WithQueueDepth(4))
+		var want StreamStats
+		for i := 0; i < perPolicy; i++ {
+			// Short queries at radius 0: the test is about the scheduler, so
+			// the answers are kept cheap enough to repeat under -race.
+			ctx, q, opts := context.Background(), qs[i%len(qs)][:7], []SubmitOption{WithTenant(fmt.Sprint("t", i%3))}
+			switch i % 11 {
+			case 3:
+				ctx = cancelled
+				want.Cancelled++
+			case 5:
+				opts = append(opts, past)
+				want.Expired++
+			case 7:
+				q = marked(poison)
+				want.Crashed++
+			default:
+				want.Completed++
+			}
+			var err error
+			switch i % 4 {
+			case 0:
+				_, err = pool.Submit(ctx, q, 0, opts...).Await(context.Background())
+			case 1:
+				_, err = pool.SubmitFilter(ctx, q, 0, opts...).Await(context.Background())
+			case 2:
+				_, err = pool.SubmitLongest(ctx, q, 0, opts...).Await(context.Background())
+			case 3:
+				_, err = pool.SubmitNearest(ctx, q, NearestOptions{EpsMax: 0.25, EpsInc: 0.25}, opts...).Await(context.Background())
+			}
+			st := pool.StreamStats()
+			if st.InFlight != 0 || st.Pending != 0 {
+				t.Fatalf("%v submission %d (err %v): awaited future left work in flight: %+v", policy, i, err, st)
+			}
+			if st.Submitted != int64(i+1) || st.Completed != want.Completed || st.Cancelled != want.Cancelled ||
+				st.Expired != want.Expired || st.Crashed != want.Crashed || st.Shed != 0 || st.Rejected != 0 {
+				t.Fatalf("%v submission %d (err %v): counters lag the resolved future: %+v, want %+v", policy, i, err, st, want)
+			}
+		}
+		pool.Close()
+		if _, err := pool.Submit(context.Background(), qs[0], 0.5).Await(context.Background()); !errors.Is(err, ErrPoolClosed) {
+			t.Fatalf("%v: submission after Close resolved to %v", policy, err)
+		}
+		if st := pool.StreamStats(); st.Rejected != 1 || st.InFlight != 0 ||
+			st.Submitted != st.Completed+st.Cancelled+st.Rejected+st.Shed+st.Expired+st.Crashed {
+			t.Fatalf("%v: accounting after Close: %+v", policy, st)
+		}
 	}
 }
 

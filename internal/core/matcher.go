@@ -15,12 +15,16 @@ import (
 
 // Match is a reported pair of similar subsequences: the query subsequence
 // Q[QStart:QEnd) matches the database subsequence db[SeqID][XStart:XEnd)
-// at distance Dist.
+// at distance Dist. The JSON tags are the serving protocol's: internal/shard
+// aliases this type as its wire match, so a match has one definition from
+// the verifier to the gateway.
 type Match struct {
-	SeqID        int
-	QStart, QEnd int
-	XStart, XEnd int
-	Dist         float64
+	SeqID  int     `json:"seq_id"`
+	QStart int     `json:"q_start"`
+	QEnd   int     `json:"q_end"`
+	XStart int     `json:"x_start"`
+	XEnd   int     `json:"x_end"`
+	Dist   float64 `json:"dist"`
 }
 
 // QLen returns the query subsequence length.

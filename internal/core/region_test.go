@@ -199,7 +199,7 @@ func verifierCase[E any](t *testing.T, m dist.Measure[E], cfg Config, seed uint6
 					want = append(want, c)
 				}
 			}
-			slices.SortFunc(want, canonicalCompare)
+			slices.SortFunc(want, CanonicalCompare)
 			got := v.verifyAll(q, hits, eps)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d eps %v: FindAll %d matches, reference %d", trial, eps, len(got), len(want))
@@ -217,11 +217,11 @@ func verifierCase[E any](t *testing.T, m dist.Measure[E], cfg Config, seed uint6
 
 			regs = runRegionsOf(v, q, hits)
 			cands := refCandidates(v, q, regs)
-			wantL, okL := refBest(cands, eps, longestBefore)
+			wantL, okL := refBest(cands, eps, LongestBefore)
 			if gotL, ok := v.verifyLongest(q, hits, eps); ok != okL || !sameMatch(gotL, wantL) {
 				t.Fatalf("trial %d eps %v: Longest = %v/%v, reference %v/%v", trial, eps, gotL, ok, wantL, okL)
 			}
-			wantN, okN := refBest(cands, eps, nearestBefore)
+			wantN, okN := refBest(cands, eps, NearestBefore)
 			if gotN, ok := v.verifyNearest(q, hits, eps); ok != okN || !sameMatch(gotN, wantN) {
 				t.Fatalf("trial %d eps %v: Nearest = %v/%v, reference %v/%v", trial, eps, gotN, ok, wantN, okN)
 			}

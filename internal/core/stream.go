@@ -57,17 +57,14 @@ type Future[T any] struct {
 
 func newFuture[T any]() *Future[T] { return &Future[T]{done: make(chan struct{})} }
 
-// complete resolves the future, reporting whether this call was the one
-// that settled it. The guard makes completion idempotent, so a worker's
-// panic recovery can fail the job it was answering without knowing whether
-// the answer had already been delivered.
-func (f *Future[T]) complete(v T, err error) bool {
-	if !f.settled.CompareAndSwap(false, true) {
-		return false
+// complete resolves the future. The engine settles every job exactly once
+// (resolve, or the fair-share eviction); the guard keeps a second completion
+// — which only a scheduler bug could produce — from closing done twice.
+func (f *Future[T]) complete(v T, err error) {
+	if f.settled.CompareAndSwap(false, true) {
+		f.val, f.err = v, err
+		close(f.done)
 	}
-	f.val, f.err = v, err
-	close(f.done)
-	return true
 }
 
 // Await blocks until the result is ready or ctx is done, whichever comes
@@ -99,51 +96,25 @@ type QueryResult struct {
 	Found bool
 }
 
-// queryKind tags a streaming submission with its query type.
-type queryKind uint8
+func queryResult(m Match, found bool) QueryResult { return QueryResult{Match: m, Found: found} }
 
-const (
-	kindFilter queryKind = iota
-	kindFindAll
-	kindLongest
-	kindNearest
-)
-
-// streamJob is one pending submission. Exactly one of the future fields is
-// set, matching kind.
+// streamJob is one pending submission. The engine never learns what kind
+// of query it carries: run answers it on a pinned matcher and keeps the
+// result, settle resolves the caller's future — with that result when err
+// is nil, with err alone otherwise. Both close over the typed future and
+// are built in one place, submitFunc.
 type streamJob[E any] struct {
-	kind queryKind
-	q    seq.Sequence[E]
-	eps  float64
-	opts NearestOptions
-	ctx  context.Context
+	run    func(mt *Matcher[E])
+	settle func(err error)
+	ctx    context.Context
 
-	// Serving metadata (SubmitOption): zero deadline means none, priority
-	// defaults to 0, empty tenant is the shared anonymous tenant. t0 is
-	// when the submission entered the engine (end-to-end latency origin);
-	// enq is when it was enqueued (queue-wait origin).
-	deadline time.Time
-	priority int
-	tenant   string
-	t0       time.Time
-	enq      time.Time
-
-	fHits *Future[[]Hit[E]]
-	fAll  *Future[[]Match]
-	fOne  *Future[QueryResult]
-}
-
-// fail completes the job's future with err, reporting whether this call
-// settled it (false when the future had already resolved).
-func (j *streamJob[E]) fail(err error) bool {
-	switch j.kind {
-	case kindFilter:
-		return j.fHits.complete(nil, err)
-	case kindFindAll:
-		return j.fAll.complete(nil, err)
-	default:
-		return j.fOne.complete(QueryResult{}, err)
-	}
+	// Serving metadata, set by the SubmitOptions: zero deadline means none,
+	// priority defaults to 0, empty tenant is the shared anonymous tenant.
+	submitConfig
+	// t0 is when the submission entered the engine (end-to-end latency
+	// origin); enq is when it was enqueued (queue-wait origin).
+	t0  time.Time
+	enq time.Time
 }
 
 // streamState is the engine behind the streaming submissions: a bounded
@@ -193,7 +164,10 @@ type StreamStats struct {
 	// Close), Shed (turned away or evicted at queue saturation —
 	// ErrQueueFull), Expired (its deadline passed first —
 	// ErrDeadlineExceeded) or Crashed (a worker panicked answering it —
-	// ErrWorkerCrashed). Submitted is their sum.
+	// ErrWorkerCrashed). Submitted is their sum. A submission's counter moves,
+	// and its InFlight slot is released, before its future resolves
+	// (resolve), so a caller that has awaited all its futures reads InFlight
+	// 0 and a balanced sum.
 	Submitted int64 `json:"submitted"`
 	Completed int64 `json:"completed"`
 	Cancelled int64 `json:"cancelled"`
@@ -246,44 +220,28 @@ func (p *QueryPool[E]) submit(ctx context.Context, j *streamJob[E], opts []Submi
 		ctx = context.Background()
 	}
 	j.ctx = ctx
-	if len(opts) > 0 {
-		var sc submitConfig
-		for _, o := range opts {
-			o(&sc)
-		}
-		j.deadline, j.priority, j.tenant = sc.deadline, sc.priority, sc.tenant
+	for _, o := range opts {
+		o(&j.submitConfig)
 	}
 	s := p.stream()
 	s.submitted.Add(1)
 	j.t0 = time.Now()
 	if err := ctx.Err(); err != nil {
-		s.cancelled.Add(1)
-		j.fail(err)
+		s.resolve(j, &s.cancelled, false, err)
 		return
 	}
 	if !j.deadline.IsZero() && !j.t0.Before(j.deadline) {
-		s.expired.Add(1)
-		j.fail(ErrDeadlineExceeded)
+		s.resolve(j, &s.expired, false, ErrDeadlineExceeded)
 		return
 	}
-	if err := p.admit(j); err != nil {
-		switch {
-		case errors.Is(err, ErrQueueFull):
-			s.shed.Add(1)
-		case errors.Is(err, ErrDeadlineExceeded):
-			s.expired.Add(1)
-		default:
-			s.cancelled.Add(1)
-		}
-		j.fail(err)
+	if outcome, err := p.admit(j); err != nil {
+		s.resolve(j, outcome, false, err)
 		return
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.finish(j)
-		s.rejected.Add(1)
-		j.fail(ErrPoolClosed)
+		s.resolve(j, &s.rejected, true, ErrPoolClosed)
 		return
 	}
 	j.enq = time.Now()
@@ -292,37 +250,56 @@ func (p *QueryPool[E]) submit(ctx context.Context, j *streamJob[E], opts []Submi
 	s.cond.Signal()
 }
 
+// resolve ends a submission under the engine's one accounting rule: count
+// the outcome, release the admission state (admitted jobs hold a slot and a
+// tenant count), and only then settle the future. A caller that awaits its
+// last future and snapshots StreamStats therefore always sees its own work
+// fully accounted: InFlight back to 0 and Submitted equal to the sum of the
+// outcome counters.
+func (s *streamState[E]) resolve(j *streamJob[E], outcome *atomic.Int64, admitted bool, err error) {
+	outcome.Add(1)
+	if admitted {
+		s.finish(j)
+	}
+	j.settle(err)
+}
+
+// submitFunc is the one submit path: it wraps answer — a single-query
+// Matcher call — into a job whose future resolves to exactly what answer
+// returns. The four Submit* methods are its per-kind spellings.
+func submitFunc[E, T any](p *QueryPool[E], ctx context.Context, opts []SubmitOption, answer func(mt *Matcher[E]) T) *Future[T] {
+	f := newFuture[T]()
+	var val T
+	p.submit(ctx, &streamJob[E]{
+		run:    func(mt *Matcher[E]) { val = answer(mt) },
+		settle: func(err error) { f.complete(val, err) },
+	}, opts)
+	return f
+}
+
 // Submit streams one FindAll (query Type I) through the pool: the returned
 // future resolves to exactly Matcher.FindAll(q, eps). Options attach a
 // deadline, priority or tenant label.
 func (p *QueryPool[E]) Submit(ctx context.Context, q seq.Sequence[E], eps float64, opts ...SubmitOption) *Future[[]Match] {
-	j := &streamJob[E]{kind: kindFindAll, q: q, eps: eps, fAll: newFuture[[]Match]()}
-	p.submit(ctx, j, opts)
-	return j.fAll
+	return submitFunc(p, ctx, opts, func(mt *Matcher[E]) []Match { return mt.FindAll(q, eps) })
 }
 
 // SubmitFilter streams the filtering steps (3–4) for one query: the future
 // resolves to exactly Matcher.FilterHits(q, eps).
 func (p *QueryPool[E]) SubmitFilter(ctx context.Context, q seq.Sequence[E], eps float64, opts ...SubmitOption) *Future[[]Hit[E]] {
-	j := &streamJob[E]{kind: kindFilter, q: q, eps: eps, fHits: newFuture[[]Hit[E]]()}
-	p.submit(ctx, j, opts)
-	return j.fHits
+	return submitFunc(p, ctx, opts, func(mt *Matcher[E]) []Hit[E] { return mt.FilterHits(q, eps) })
 }
 
 // SubmitLongest streams one Longest (query Type II): the future resolves to
 // exactly Matcher.Longest(q, eps).
 func (p *QueryPool[E]) SubmitLongest(ctx context.Context, q seq.Sequence[E], eps float64, opts ...SubmitOption) *Future[QueryResult] {
-	j := &streamJob[E]{kind: kindLongest, q: q, eps: eps, fOne: newFuture[QueryResult]()}
-	p.submit(ctx, j, opts)
-	return j.fOne
+	return submitFunc(p, ctx, opts, func(mt *Matcher[E]) QueryResult { return queryResult(mt.Longest(q, eps)) })
 }
 
 // SubmitNearest streams one Nearest (query Type III): the future resolves
 // to exactly Matcher.Nearest(q, opts).
 func (p *QueryPool[E]) SubmitNearest(ctx context.Context, q seq.Sequence[E], opts NearestOptions, subOpts ...SubmitOption) *Future[QueryResult] {
-	j := &streamJob[E]{kind: kindNearest, q: q, opts: opts, fOne: newFuture[QueryResult]()}
-	p.submit(ctx, j, subOpts)
-	return j.fOne
+	return submitFunc(p, ctx, subOpts, func(mt *Matcher[E]) QueryResult { return queryResult(mt.Nearest(q, opts)) })
 }
 
 // Close stops the streaming engine gracefully: submissions already accepted
@@ -388,15 +365,20 @@ func (s *streamState[E]) popLocked() *streamJob[E] {
 			best = i
 		}
 	}
-	j := s.queue[best]
-	// Delete clears the vacated tail slot, so a popped job does not stay
-	// pinned by the queue's backing array.
-	s.queue = slices.Delete(s.queue, best, best+1)
+	return s.takeLocked(best)
+}
+
+// takeLocked removes and returns queue[i]; callers hold s.mu. Delete clears
+// the vacated tail slot, so a job that left the queue — popped or evicted —
+// does not stay pinned by the queue's backing array.
+func (s *streamState[E]) takeLocked(i int) *streamJob[E] {
+	j := s.queue[i]
+	s.queue = slices.Delete(s.queue, i, i+1)
 	return j
 }
 
 // streamWorker is the long-lived worker loop: wait for work, pop one job,
-// answer it, complete its future.
+// answer it, resolve its future.
 func (p *QueryPool[E]) streamWorker() {
 	s := &p.streaming
 	defer s.wg.Done()
@@ -418,70 +400,38 @@ func (p *QueryPool[E]) streamWorker() {
 		// nobody is waiting for.
 		now := time.Now()
 		if err := j.ctx.Err(); err != nil {
-			j.fail(err)
-			s.cancelled.Add(1)
+			s.resolve(j, &s.cancelled, true, err)
 		} else if !j.deadline.IsZero() && !now.Before(j.deadline) {
-			j.fail(ErrDeadlineExceeded)
-			s.expired.Add(1)
+			s.resolve(j, &s.expired, true, ErrDeadlineExceeded)
 		} else {
 			s.queueWait.observe(now.Sub(j.enq))
-			// The counter moves before the future completes, so a caller
-			// that awaits its last future and immediately snapshots
-			// StreamStats never observes Completed lagging its own
-			// resolved work. answer holds the latency histogram to the
-			// same rule.
-			s.completed.Add(1)
 			p.answer(j)
 		}
-		s.finish(j)
 	}
 }
 
-// answer runs one job on the single-query Matcher method of its kind and
-// completes its future. The matcher is pinned per job, so a view-backed
-// pool holds its read guard only while a query is actually computing —
-// between jobs the store is free to mutate or swap. A panic anywhere
-// underneath (a faulty distance evaluator, an index bug) fails this one
-// future with ErrWorkerCrashed and moves it from Completed to Crashed
-// instead of killing the worker: the pool self-heals around a poisoned
-// query. Either way the submit→resolution latency is observed once the
-// outcome is in hand and before the future completes, so a caller that
-// awaits its last future never snapshots a histogram one observation short.
+// answer runs one job and resolves its future. The matcher is pinned per
+// job, so a view-backed pool holds its read guard only while a query is
+// actually computing — between jobs the store is free to mutate or swap. A
+// panic anywhere underneath (a faulty distance evaluator, an index bug)
+// fails this one future with ErrWorkerCrashed and counts it Crashed instead
+// of killing the worker: the pool self-heals around a poisoned query.
+// Either way the submit→resolution latency is observed once the outcome is
+// in hand and before the future resolves, the same rule resolve holds the
+// counters to.
 func (p *QueryPool[E]) answer(j *streamJob[E]) {
 	s := &p.streaming
-	defer func() {
-		if r := recover(); r != nil {
-			s.latency.observe(time.Since(j.t0))
-			if j.fail(fmt.Errorf("%w: %v", ErrWorkerCrashed, r)) {
-				s.completed.Add(-1)
-				s.crashed.Add(1)
+	outcome, err := &s.completed, error(nil)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				outcome, err = &s.crashed, fmt.Errorf("%w: %v", ErrWorkerCrashed, r)
 			}
-		}
+		}()
+		mt, release := p.acquire()
+		defer release()
+		j.run(mt)
 	}()
-	mt, release := p.acquire()
-	defer release()
-	var (
-		hits []Hit[E]
-		all  []Match
-		one  QueryResult
-	)
-	switch j.kind {
-	case kindFilter:
-		hits = mt.FilterHits(j.q, j.eps)
-	case kindFindAll:
-		all = mt.FindAll(j.q, j.eps)
-	case kindLongest:
-		one.Match, one.Found = mt.Longest(j.q, j.eps)
-	case kindNearest:
-		one.Match, one.Found = mt.Nearest(j.q, j.opts)
-	}
 	s.latency.observe(time.Since(j.t0))
-	switch j.kind {
-	case kindFilter:
-		j.fHits.complete(hits, nil)
-	case kindFindAll:
-		j.fAll.complete(all, nil)
-	default:
-		j.fOne.complete(one, nil)
-	}
+	s.resolve(j, outcome, true, err)
 }

@@ -38,18 +38,18 @@ func TestStreamMatchesSequentialAllBackends(t *testing.T) {
 			wantNear[i], wantNearOK[i] = mt.Nearest(q, nopts)
 		}
 		pool := NewQueryPool(mt, 3)
-		fHits := make([]*Future[[]Hit[byte]], len(qs))
-		fAll := make([]*Future[[]Match], len(qs))
+		hitFuts := make([]*Future[[]Hit[byte]], len(qs))
+		allFuts := make([]*Future[[]Match], len(qs))
 		fLong := make([]*Future[QueryResult], len(qs))
 		fNear := make([]*Future[QueryResult], len(qs))
 		for i, q := range qs {
-			fHits[i] = pool.SubmitFilter(ctx, q, eps)
-			fAll[i] = pool.Submit(ctx, q, eps)
+			hitFuts[i] = pool.SubmitFilter(ctx, q, eps)
+			allFuts[i] = pool.Submit(ctx, q, eps)
 			fLong[i] = pool.SubmitLongest(ctx, q, eps)
 			fNear[i] = pool.SubmitNearest(ctx, q, nopts)
 		}
 		for i := range qs {
-			hits, err := fHits[i].Await(ctx)
+			hits, err := hitFuts[i].Await(ctx)
 			if err != nil {
 				t.Fatalf("%v query %d: SubmitFilter: %v", kind, i, err)
 			}
@@ -63,7 +63,7 @@ func TestStreamMatchesSequentialAllBackends(t *testing.T) {
 						hits[j].Window, hits[j].Segment, wantHits[i][j].Window, wantHits[i][j].Segment)
 				}
 			}
-			ms, err := fAll[i].Await(ctx)
+			ms, err := allFuts[i].Await(ctx)
 			if err != nil {
 				t.Fatalf("%v query %d: Submit: %v", kind, i, err)
 			}

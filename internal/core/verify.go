@@ -357,7 +357,7 @@ func (a *allMatches) minQLen() int    { return 0 }
 func (a *allMatches) visit(m Match)   { a.out = append(a.out, m) }
 
 // longestMatch is the Type II visitor: the least candidate within eps under
-// longestBefore. The order is strict and total, so the answer is a function
+// LongestBefore. The order is strict and total, so the answer is a function
 // of the candidate set alone.
 type longestMatch struct {
 	eps   float64
@@ -377,13 +377,13 @@ func (l *longestMatch) minQLen() int {
 }
 
 func (l *longestMatch) visit(m Match) {
-	if !l.found || longestBefore(m, l.best) {
+	if !l.found || LongestBefore(m, l.best) {
 		l.best, l.found = m, true
 	}
 }
 
 // nearestMatch is the Type III visitor: the least candidate within eps under
-// nearestBefore, strict and total like longestBefore.
+// NearestBefore, strict and total like LongestBefore.
 type nearestMatch struct {
 	eps   float64
 	best  Match
@@ -402,7 +402,7 @@ func (n *nearestMatch) radius() float64 {
 func (n *nearestMatch) minQLen() int { return 0 }
 
 func (n *nearestMatch) visit(m Match) {
-	if !n.found || nearestBefore(m, n.best) {
+	if !n.found || NearestBefore(m, n.best) {
 		n.best, n.found = m, true
 	}
 }
@@ -416,45 +416,44 @@ func (v *verifier[E]) verifyAll(q seq.Sequence[E], hits []Hit[E], eps float64) [
 	}
 	vis := allMatches{eps: eps}
 	v.scan(q, sc.regs, v.passes(sc.regs, sc), sc, &vis)
-	slices.SortFunc(vis.out, canonicalCompare)
+	slices.SortFunc(vis.out, CanonicalCompare)
 	return vis.out
 }
 
-// canonicalCompare is the canonical total order on matches — ascending
+// CanonicalCompare is the canonical total order on matches — ascending
 // coordinates, the order verifyAll sorts by. Distinct pairs never share
 // all five coordinates, so the order is strict; it is the final
 // tie-break that makes every query answer a pure function of the
-// candidate set rather than of traversal order, which is what lets a
-// sharded fleet (internal/shard) reproduce a single node's answer
-// bit for bit.
-func canonicalCompare(a, b Match) int {
+// candidate set rather than of traversal order. The three orders here are
+// the only definitions: the sharded tier (internal/shard) merges per-shard
+// answers with these same functions, which is what lets a fleet reproduce
+// a single node's answer bit for bit.
+func CanonicalCompare(a, b Match) int {
 	return cmp.Or(cmp.Compare(a.SeqID, b.SeqID), cmp.Compare(a.XStart, b.XStart), cmp.Compare(a.XEnd, b.XEnd),
 		cmp.Compare(a.QStart, b.QStart), cmp.Compare(a.QEnd, b.QEnd))
 }
 
-func canonicalBefore(a, b Match) bool { return canonicalCompare(a, b) < 0 }
-
-// nearestBefore orders Type III answers: smaller distance wins, equal
+// NearestBefore orders Type III answers: smaller distance wins, equal
 // distances resolve canonically.
-func nearestBefore(a, b Match) bool {
+func NearestBefore(a, b Match) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist
 	}
-	return canonicalBefore(a, b)
+	return CanonicalCompare(a, b) < 0
 }
 
-// longestBefore orders Type II answers: longer query span wins, then
+// LongestBefore orders Type II answers: longer query span wins, then
 // smaller distance, then the canonical order.
-func longestBefore(a, b Match) bool {
+func LongestBefore(a, b Match) bool {
 	if a.QLen() != b.QLen() {
 		return a.QLen() > b.QLen()
 	}
-	return nearestBefore(a, b)
+	return NearestBefore(a, b)
 }
 
 // verifyNearest implements query Type III verification: the minimum
 // distance pair within the run regions, if any pair is within eps.
-// Distance ties resolve canonically (nearestBefore), never by traversal
+// Distance ties resolve canonically (NearestBefore), never by traversal
 // order.
 func (v *verifier[E]) verifyNearest(q seq.Sequence[E], hits []Hit[E], eps float64) (Match, bool) {
 	sc := v.getScratch()
@@ -467,7 +466,7 @@ func (v *verifier[E]) verifyNearest(q seq.Sequence[E], hits []Hit[E], eps float6
 
 // verifyLongest implements query Type II verification: the longest query
 // span within eps over the run regions. Equal-length ties resolve by
-// distance, then canonically (longestBefore), never by traversal order — a
+// distance, then canonically (LongestBefore), never by traversal order — a
 // topology-independent answer is what lets the sharded tier
 // (internal/shard) merge per-shard longest matches bit-identically to a
 // single node. Passes run from the longest reachable span down, so the

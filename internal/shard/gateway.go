@@ -209,10 +209,9 @@ func NewReplicatedGateway(plan Plan, replicas [][]string, opts ...GatewayOption)
 		}
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query/findall", g.handleFindAll)
-	mux.HandleFunc("POST /query/longest", func(w http.ResponseWriter, r *http.Request) { g.handleBest(w, r, "longest", BestLongest) })
-	mux.HandleFunc("POST /query/nearest", func(w http.ResponseWriter, r *http.Request) { g.handleBest(w, r, "nearest", BestNearest) })
-	mux.HandleFunc("POST /query/filter", g.handleFilter)
+	for _, k := range Kinds {
+		mux.HandleFunc("POST /query/"+k.Name, g.handleQuery(k))
+	}
 	mux.HandleFunc("POST /query/batch", g.handleBatch)
 	mux.HandleFunc("POST /admin/append", g.handleAdminAppend)
 	mux.HandleFunc("POST /admin/retire", g.handleAdminRetire)
@@ -434,47 +433,49 @@ func shardErrorText(body []byte) string {
 // rangeAddrs renders a range's replica endpoints for failure reports.
 func (g *Gateway) rangeAddrs(i int) string { return strings.Join(g.replicas[i], ",") }
 
-// classify splits range replies into per-range successes (decoded into
-// fresh values of T), the first client-error reply to pass through
-// verbatim (nil if none), and the range failures. ok[i] is nil for a
-// failed range.
-func classify[T any](g *Gateway, replies []rangeReply) (ok []*T, passThrough *shardReply, deg *Degradation) {
-	ok = make([]*T, len(replies))
+// classify splits range replies into the successes in range order (decoded
+// into fresh values of T, and passed by check when one is given), the first
+// client-error reply to pass through verbatim (nil if none), and the range
+// failures.
+func classify[T any](g *Gateway, replies []rangeReply, check func(*T) error) (answered []*T, passThrough *shardReply, deg *Degradation) {
 	var failures []ShardFailure
 	for i, rep := range replies {
+		fail := ShardFailure{Shard: i, Range: g.rangeOf(i), Addr: g.rangeAddrs(i), Status: rep.status}
 		switch {
 		case rep.err != nil:
-			failures = append(failures, ShardFailure{
-				Shard: i, Range: g.rangeOf(i), Addr: g.rangeAddrs(i),
-				Error: rep.err.Error(), Replicas: rep.replicaErrs,
-			})
+			fail.Error, fail.Replicas = rep.err.Error(), rep.replicaErrs
 		case rep.status >= 400 && rep.status < 500:
 			// The request itself is bad; every shard shares the session
 			// spec, so the first verdict speaks for the fleet.
 			if passThrough == nil {
 				passThrough = &shardReply{status: rep.status, body: rep.body}
 			}
+			continue
 		case rep.status != http.StatusOK:
-			failures = append(failures, ShardFailure{
-				Shard: i, Range: g.rangeOf(i), Addr: g.rangeAddrs(i),
-				Status: rep.status, Error: shardErrorText(rep.body),
-			})
+			fail.Error = shardErrorText(rep.body)
 		default:
+			// A range whose 200 does not decode, or does not have the shape
+			// asked for, is a protocol violation: demote it to a failure
+			// rather than merge it.
 			var v T
-			if err := json.Unmarshal(rep.body, &v); err != nil {
-				failures = append(failures, ShardFailure{
-					Shard: i, Range: g.rangeOf(i), Addr: g.rangeAddrs(i),
-					Status: rep.status, Error: fmt.Sprintf("undecodable response: %v", err),
-				})
+			err := json.Unmarshal(rep.body, &v)
+			if err != nil {
+				err = fmt.Errorf("undecodable response: %v", err)
+			} else if check != nil {
+				err = check(&v)
+			}
+			if err == nil {
+				answered = append(answered, &v)
 				continue
 			}
-			ok[i] = &v
+			fail.Error = err.Error()
 		}
+		failures = append(failures, fail)
 	}
 	if len(failures) > 0 {
 		deg = &Degradation{Degraded: true, Failures: failures}
 	}
-	return ok, passThrough, deg
+	return answered, passThrough, deg
 }
 
 // --- response plumbing ---
@@ -564,25 +565,21 @@ func (g *Gateway) collapse(ctx context.Context, path string, body []byte, comput
 	return res
 }
 
-// gatherResult runs the scatter/classify/accounting choreography for
-// one query kind and hands the per-range successes to merge; merge is
-// only called when at least one range answered.
-func gatherResult[T any](g *Gateway, ctx context.Context, path string, body []byte, merge func(ok []*T, deg *Degradation) flightResult) flightResult {
+// gatherResult runs the scatter/classify/accounting choreography for one
+// query path — a kind's own route or /query/batch — and hands the ranges
+// that answered, in range order, to merge, which returns the response
+// envelope; merge is only called when at least one range answered. check,
+// when given, vets each decoded range answer (classify).
+func gatherResult[T any](g *Gateway, ctx context.Context, path string, body []byte, check func(*T) error, merge func(answered []*T, deg *Degradation) any) flightResult {
 	replies := g.scatter(ctx, path, body)
-	ok, passThrough, deg := classify[T](g, replies)
+	answered, passThrough, deg := classify(g, replies, check)
 	if deg != nil {
 		g.shardErrors.Add(int64(len(deg.Failures)))
 	}
 	if passThrough != nil {
 		return flightResult{status: passThrough.status, body: passThrough.body}
 	}
-	answered := 0
-	for _, v := range ok {
-		if v != nil {
-			answered++
-		}
-	}
-	if answered == 0 {
+	if len(answered) == 0 {
 		if deg == nil {
 			// Unreachable by construction (no pass-through, no success, no
 			// failure would mean zero ranges), but fail loudly if it happens.
@@ -593,78 +590,28 @@ func gatherResult[T any](g *Gateway, ctx context.Context, path string, body []by
 	if deg != nil {
 		g.degraded.Add(1)
 	}
-	res := merge(ok, deg)
-	res.degraded = deg != nil
-	return res
+	return flightResult{status: http.StatusOK, body: encodeJSON(merge(answered, deg)), degraded: deg != nil}
 }
 
 // --- query handlers ---
 
-func (g *Gateway) handleFindAll(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	g.queries.Add(1)
-	res := g.collapse(r.Context(), "/query/findall", body, func(ctx context.Context) flightResult {
-		return gatherResult(g, ctx, "/query/findall", body, func(ok []*MatchesResponse, deg *Degradation) flightResult {
-			lists := make([][]Match, 0, len(ok))
-			for _, resp := range ok {
-				if resp != nil {
-					lists = append(lists, resp.Matches)
-				}
-			}
-			merged := MergeMatches(lists)
-			return flightResult{status: http.StatusOK, body: encodeJSON(MatchesResponse{Count: len(merged), Matches: merged, Degradation: deg})}
+// handleQuery serves one kind's single-query route from its table entry:
+// the body goes to every range verbatim (shards do the validation) and the
+// kind's reducer merges what comes back.
+func (g *Gateway) handleQuery(k Kind) http.HandlerFunc {
+	path := "/query/" + k.Name
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := readBody(w, r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		g.queries.Add(1)
+		res := g.collapse(r.Context(), path, body, func(ctx context.Context) flightResult {
+			return k.one(g, ctx, path, body)
 		})
-	})
-	writeRaw(w, res.status, res.body)
-}
-
-func (g *Gateway) handleFilter(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		writeRaw(w, res.status, res.body)
 	}
-	g.queries.Add(1)
-	res := g.collapse(r.Context(), "/query/filter", body, func(ctx context.Context) flightResult {
-		return gatherResult(g, ctx, "/query/filter", body, func(ok []*HitsResponse, deg *Degradation) flightResult {
-			lists := make([][]Hit, 0, len(ok))
-			for _, resp := range ok {
-				if resp != nil {
-					lists = append(lists, resp.Hits)
-				}
-			}
-			merged := MergeHits(lists)
-			return flightResult{status: http.StatusOK, body: encodeJSON(HitsResponse{Count: len(merged), Hits: merged, Degradation: deg})}
-		})
-	})
-	writeRaw(w, res.status, res.body)
-}
-
-func (g *Gateway) handleBest(w http.ResponseWriter, r *http.Request, kind string, best func([]*Match) *Match) {
-	body, err := readBody(w, r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	g.queries.Add(1)
-	path := "/query/" + kind
-	res := g.collapse(r.Context(), path, body, func(ctx context.Context) flightResult {
-		return gatherResult(g, ctx, path, body, func(ok []*BestResponse, deg *Degradation) flightResult {
-			cands := make([]*Match, 0, len(ok))
-			for _, resp := range ok {
-				if resp != nil && resp.Found {
-					cands = append(cands, resp.Match)
-				}
-			}
-			b := best(cands)
-			return flightResult{status: http.StatusOK, body: encodeJSON(BestResponse{Found: b != nil, Match: b, Degradation: deg})}
-		})
-	})
-	writeRaw(w, res.status, res.body)
 }
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -680,96 +627,35 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid batch request: %w", err))
 		return
 	}
-	if !ValidBatchKind(req.Kind) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch kind must be findall, longest or filter, got %q", req.Kind))
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New(`"queries" must be non-empty`))
+	k, _, err := req.Validate()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	n := len(req.Queries)
 	g.batches.Add(1)
 	g.queries.Add(int64(n))
 	res := g.collapse(r.Context(), "/query/batch", body, func(ctx context.Context) flightResult {
-		return g.batchResult(ctx, body, req.Kind, n)
+		return g.batchResult(ctx, body, k, n)
 	})
 	writeRaw(w, res.status, res.body)
 }
 
-func (g *Gateway) batchResult(ctx context.Context, body []byte, kind string, n int) flightResult {
-	replies := g.scatter(ctx, "/query/batch", body)
-	ok, passThrough, deg := classify[BatchResponse](g, replies)
-	if deg != nil {
-		g.shardErrors.Add(int64(len(deg.Failures)))
-	}
-	if passThrough != nil {
-		return flightResult{status: passThrough.status, body: passThrough.body}
-	}
-	// A shard whose answer doesn't line up query-for-query is a protocol
-	// violation; demote it to a failure rather than misattributing results.
-	var answered []*BatchResponse
-	for i, resp := range ok {
-		if resp == nil {
-			continue
+// batchResult is gatherResult over batch envelopes: a range must answer the
+// kind asked, query for query, and the kind's reducer then merges column by
+// column with the function its single-query route uses.
+func (g *Gateway) batchResult(ctx context.Context, body []byte, k Kind, n int) flightResult {
+	shape := func(b *BatchResponse) error {
+		if b.Kind != k.Name || b.Count != n || k.width(b) != n {
+			return fmt.Errorf("batch answer mismatch: kind %q count %d (want %q × %d)", b.Kind, b.Count, k.Name, n)
 		}
-		bad := resp.Kind != kind || resp.Count != n ||
-			(kind == "findall" && len(resp.Matches) != n) ||
-			(kind == "longest" && len(resp.Best) != n) ||
-			(kind == "filter" && len(resp.Hits) != n)
-		if bad {
-			if deg == nil {
-				deg = &Degradation{Degraded: true}
-			}
-			deg.Failures = append(deg.Failures, ShardFailure{
-				Shard: i, Range: g.rangeOf(i), Addr: g.rangeAddrs(i), Status: http.StatusOK,
-				Error: fmt.Sprintf("batch answer mismatch: kind %q count %d (want %q × %d)", resp.Kind, resp.Count, kind, n),
-			})
-			g.shardErrors.Add(1)
-			continue
-		}
-		answered = append(answered, resp)
+		return nil
 	}
-	if len(answered) == 0 {
-		return allFailedResult(deg)
-	}
-	if deg != nil {
-		g.degraded.Add(1)
-	}
-	out := BatchResponse{Kind: kind, Count: n, Degradation: deg}
-	switch kind {
-	case "findall":
-		out.Matches = make([][]Match, n)
-		for q := 0; q < n; q++ {
-			lists := make([][]Match, len(answered))
-			for s, resp := range answered {
-				lists[s] = resp.Matches[q]
-			}
-			out.Matches[q] = MergeMatches(lists)
-		}
-	case "filter":
-		out.Hits = make([][]Hit, n)
-		for q := 0; q < n; q++ {
-			lists := make([][]Hit, len(answered))
-			for s, resp := range answered {
-				lists[s] = resp.Hits[q]
-			}
-			out.Hits[q] = MergeHits(lists)
-		}
-	case "longest":
-		out.Best = make([]BestResult, n)
-		for q := 0; q < n; q++ {
-			cands := make([]*Match, 0, len(answered))
-			for _, resp := range answered {
-				if resp.Best[q].Found {
-					cands = append(cands, resp.Best[q].Match)
-				}
-			}
-			b := BestLongest(cands)
-			out.Best[q] = BestResult{Found: b != nil, Match: b}
-		}
-	}
-	return flightResult{status: http.StatusOK, body: encodeJSON(out), degraded: deg != nil}
+	return gatherResult(g, ctx, "/query/batch", body, shape, func(answered []*BatchResponse, deg *Degradation) any {
+		out := BatchResponse{Kind: k.Name, Count: n, Degradation: deg}
+		k.columns(&out, answered, n)
+		return out
+	})
 }
 
 // --- stats & health ---

@@ -166,12 +166,12 @@ func TestGatewayBestMerge(t *testing.T) {
 	long := Match{SeqID: 0, QStart: 0, QEnd: 8, XStart: 0, XEnd: 8, Dist: 2}
 	short := Match{SeqID: 3, QStart: 0, QEnd: 4, XStart: 0, XEnd: 4, Dist: 0}
 	s0 := fakeShard(t, map[string]any{
-		"POST /query/longest": BestResponse{Found: true, Match: &long},
-		"POST /query/nearest": BestResponse{Found: true, Match: &long},
+		"POST /query/longest": BestResponse{BestResult: BestResult{Found: true, Match: &long}},
+		"POST /query/nearest": BestResponse{BestResult: BestResult{Found: true, Match: &long}},
 	})
 	s1 := fakeShard(t, map[string]any{
-		"POST /query/longest": BestResponse{Found: true, Match: &short},
-		"POST /query/nearest": BestResponse{Found: true, Match: &short},
+		"POST /query/longest": BestResponse{BestResult: BestResult{Found: true, Match: &short}},
+		"POST /query/nearest": BestResponse{BestResult: BestResult{Found: true, Match: &short}},
 	})
 	g := newTestGateway(t, mustPlan(t, 6, []Range{{0, 3}, {3, 6}}), []string{s0.URL, s1.URL})
 
@@ -194,8 +194,8 @@ func TestGatewayBestMerge(t *testing.T) {
 }
 
 func TestGatewayBestNoneFound(t *testing.T) {
-	s0 := fakeShard(t, map[string]any{"POST /query/longest": BestResponse{Found: false}})
-	s1 := fakeShard(t, map[string]any{"POST /query/longest": BestResponse{Found: false}})
+	s0 := fakeShard(t, map[string]any{"POST /query/longest": BestResponse{}})
+	s1 := fakeShard(t, map[string]any{"POST /query/longest": BestResponse{}})
 	g := newTestGateway(t, mustPlan(t, 4, []Range{{0, 2}, {2, 4}}), []string{s0.URL, s1.URL})
 	rec, body := doPost(t, g.Handler(), "/query/longest", `{"query":"abc","eps":0.1}`)
 	if rec.Code != http.StatusOK {

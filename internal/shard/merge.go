@@ -1,191 +1,90 @@
 package shard
 
 import (
-	"container/heap"
-	"sort"
+	"cmp"
+	"slices"
+
+	"repro/internal/core"
 )
 
 // Deterministic merges. The single-node engine's verified answers come
-// out in a canonical order — internal/core's verifyAll sorts matches by
-// (SeqID, XStart, XEnd, QStart, QEnd) — and a Plan gives each shard a
-// disjoint, contiguous slice of the SeqID space, so a k-way merge of
-// per-shard answers under the same comparator reproduces the single-node
-// byte order exactly. Filter hits are the one traversal-order-dependent
-// answer (each backend walks its index differently), so the gateway
-// imposes a canonical hit order of its own; longest and nearest reduce
-// to a best-of with explicit tie-breaking so the gateway's pick never
-// depends on which shard answered first.
+// out in a canonical order — internal/core's verifyAll sorts matches with
+// core.CanonicalCompare — and a Plan gives each shard a disjoint,
+// contiguous slice of the SeqID space, so merging per-shard answers under
+// the same comparator reproduces the single-node byte order exactly. "The
+// same comparator" is literal: the match orders used here
+// (core.CanonicalCompare, core.LongestBefore, core.NearestBefore) are
+// imported from the engine, not mirrored, so the verifier's pick and the
+// gateway's pick cannot drift apart. Filter hits are the one answer the
+// engine emits in traversal order (each backend walks its index
+// differently), so the serving tiers impose a canonical hit order of
+// their own: a serve process sorts with SortHits before it encodes, the
+// gateway merges with MergeHits, and a single node and a fleet agree byte
+// for byte.
 
-// matchLess is the canonical match order: the comparator verifyAll sorts
-// single-node answers by, extended with Dist as a final key so the order
-// is total even over hypothetical duplicate coordinates.
-func matchLess(a, b Match) bool {
-	if a.SeqID != b.SeqID {
-		return a.SeqID < b.SeqID
-	}
-	if a.XStart != b.XStart {
-		return a.XStart < b.XStart
-	}
-	if a.XEnd != b.XEnd {
-		return a.XEnd < b.XEnd
-	}
-	if a.QStart != b.QStart {
-		return a.QStart < b.QStart
-	}
-	if a.QEnd != b.QEnd {
-		return a.QEnd < b.QEnd
-	}
-	return a.Dist < b.Dist
-}
-
-// hitLess is the canonical filter-hit order: by database offset first
+// compareHits is the canonical filter-hit order: by database offset first
 // (the "stable sort by offset" the merged answer promises), then window.
-func hitLess(a, b Hit) bool {
-	if a.SeqID != b.SeqID {
-		return a.SeqID < b.SeqID
-	}
-	if a.SegStart != b.SegStart {
-		return a.SegStart < b.SegStart
-	}
-	if a.SegEnd != b.SegEnd {
-		return a.SegEnd < b.SegEnd
-	}
-	return a.WindowStart < b.WindowStart
+func compareHits(a, b Hit) int {
+	return cmp.Or(cmp.Compare(a.SeqID, b.SeqID), cmp.Compare(a.SegStart, b.SegStart),
+		cmp.Compare(a.SegEnd, b.SegEnd), cmp.Compare(a.WindowStart, b.WindowStart))
 }
 
-// matchHeap is the k-way merge frontier: one cursor per shard list,
-// ordered by the canonical comparator of the head element.
-type matchHeap struct {
-	lists [][]Match
-	pos   []int
-	order []int // heap of list indices
+// gather concatenates per-shard lists in shard order. The result is never
+// nil, so an empty merged answer encodes as [], not null.
+func gather[T any](lists [][]T) []T {
+	if out := slices.Concat(lists...); out != nil {
+		return out
+	}
+	return []T{}
 }
 
-func (h *matchHeap) Len() int { return len(h.order) }
-func (h *matchHeap) Less(i, j int) bool {
-	a, b := h.order[i], h.order[j]
-	am, bm := h.lists[a][h.pos[a]], h.lists[b][h.pos[b]]
-	if matchLess(am, bm) {
-		return true
-	}
-	if matchLess(bm, am) {
-		return false
-	}
-	return a < b // equal heads: lower shard first, for stability
-}
-func (h *matchHeap) Swap(i, j int) { h.order[i], h.order[j] = h.order[j], h.order[i] }
-func (h *matchHeap) Push(x any)    { h.order = append(h.order, x.(int)) }
-func (h *matchHeap) Pop() any {
-	x := h.order[len(h.order)-1]
-	h.order = h.order[:len(h.order)-1]
-	return x
-}
-
-// MergeMatches k-way merges per-shard findall answers into the canonical
-// global order. Each input list must itself be canonically ordered
-// (single-node answers are); the lists need not cover disjoint SeqID
-// ranges — the heap handles interleaving — but when they do (the Plan
-// invariant) the merge degenerates to exact concatenation and the output
-// is bit-identical to a single node over the union of the shards.
+// MergeMatches merges per-shard findall answers into the canonical global
+// order: a stable sort of the lists laid end to end in shard order. Each
+// input list is canonically ordered (single-node answers are), and under
+// the Plan invariant the lists cover disjoint ascending SeqID ranges, so
+// the concatenation is already sorted, the sort moves nothing, and the
+// output is bit-identical to a single node over the union of the shards;
+// lists that interleave are merged all the same, equal coordinates keeping
+// shard order.
 func MergeMatches(lists [][]Match) []Match {
-	total := 0
-	nonEmpty := 0
-	for _, l := range lists {
-		total += len(l)
-		if len(l) > 0 {
-			nonEmpty++
-		}
-	}
-	if total == 0 {
-		return []Match{}
-	}
-	out := make([]Match, 0, total)
-	h := &matchHeap{lists: lists, pos: make([]int, len(lists)), order: make([]int, 0, nonEmpty)}
-	for i, l := range lists {
-		if len(l) > 0 {
-			h.order = append(h.order, i)
-		}
-	}
-	heap.Init(h)
-	for h.Len() > 0 {
-		i := h.order[0]
-		out = append(out, h.lists[i][h.pos[i]])
-		h.pos[i]++
-		if h.pos[i] < len(h.lists[i]) {
-			heap.Fix(h, 0)
-		} else {
-			heap.Pop(h)
-		}
-	}
+	out := gather(lists)
+	slices.SortStableFunc(out, core.CanonicalCompare)
 	return out
 }
 
 // MergeHits gathers per-shard filter answers and sorts them into the
-// canonical hit order. No k-way structure is exploitable here: each
-// backend emits hits in its own traversal order, so the merged answer is
-// defined by the sort, not by the arrival order.
+// canonical hit order. Each backend emits hits in its own traversal order,
+// so the merged answer is defined by the sort, not by the arrival order.
 func MergeHits(lists [][]Hit) []Hit {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	out := make([]Hit, 0, total)
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	sort.Slice(out, func(i, j int) bool { return hitLess(out[i], out[j]) })
+	out := gather(lists)
+	SortHits(out)
 	return out
 }
 
-// SortHits sorts hits in place into the canonical order MergeHits uses —
-// exported so the equivalence harness can canonicalise a single node's
-// traversal-ordered answer before comparing.
-func SortHits(hits []Hit) {
-	sort.Slice(hits, func(i, j int) bool { return hitLess(hits[i], hits[j]) })
-}
-
-// betterLongest reports whether a beats b as a Type-II (longest) answer:
-// longer matched query prefix wins, then smaller distance, then the
-// canonical match order — so the gateway's pick is a pure function of
-// the candidate set, never of shard arrival order.
-func betterLongest(a, b Match) bool {
-	if a.QLen() != b.QLen() {
-		return a.QLen() > b.QLen()
-	}
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
-	}
-	return matchLess(a, b)
-}
-
-// betterNearest reports whether a beats b as a Type-III (nearest)
-// answer: smaller distance wins, then the canonical match order.
-func betterNearest(a, b Match) bool {
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
-	}
-	return matchLess(a, b)
-}
+// SortHits sorts hits in place into the canonical order MergeHits uses. A
+// serve process calls it on every filter answer before encoding, which is
+// what makes a single node's /query/filter the gateway's byte for byte.
+func SortHits(hits []Hit) { slices.SortFunc(hits, compareHits) }
 
 // BestLongest reduces per-shard longest answers (nil = shard found
 // nothing) to the global deterministic best.
 func BestLongest(cands []*Match) *Match {
-	return bestBy(cands, betterLongest)
+	return bestBy(cands, core.LongestBefore)
 }
 
 // BestNearest reduces per-shard nearest answers to the global
 // deterministic best.
 func BestNearest(cands []*Match) *Match {
-	return bestBy(cands, betterNearest)
+	return bestBy(cands, core.NearestBefore)
 }
 
-func bestBy(cands []*Match, better func(a, b Match) bool) *Match {
+func bestBy(cands []*Match, before func(a, b Match) bool) *Match {
 	var best *Match
 	for _, c := range cands {
 		if c == nil {
 			continue
 		}
-		if best == nil || better(*c, *best) {
+		if best == nil || before(*c, *best) {
 			m := *c
 			best = &m
 		}

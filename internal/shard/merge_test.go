@@ -3,8 +3,10 @@ package shard
 import (
 	"math/rand/v2"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // randomMatches draws n matches with small coordinates so duplicates and
@@ -24,8 +26,32 @@ func randomMatches(rng *rand.Rand, n int) []Match {
 	return ms
 }
 
+// sortMatches sorts by the engine's canonical order — the shared
+// definition the merge itself imports. Stable, like the merge: coordinate
+// duplicates keep their list order.
 func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool { return matchLess(ms[i], ms[j]) })
+	slices.SortStableFunc(ms, core.CanonicalCompare)
+}
+
+// kWayMerge is the reference MergeMatches is held to: repeatedly take the
+// least head under the engine's canonical order, the lowest list first
+// among equal heads.
+func kWayMerge(lists [][]Match) []Match {
+	pos := make([]int, len(lists))
+	var out []Match
+	for {
+		best := -1
+		for i, l := range lists {
+			if pos[i] < len(l) && (best < 0 || core.CanonicalCompare(l[pos[i]], lists[best][pos[best]]) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		out = append(out, lists[best][pos[best]])
+		pos[best]++
+	}
 }
 
 func TestMergeMatchesEqualsGlobalSort(t *testing.T) {
@@ -33,22 +59,20 @@ func TestMergeMatchesEqualsGlobalSort(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		k := 1 + rng.IntN(5)
 		lists := make([][]Match, k)
-		var all []Match
 		for i := range lists {
 			lists[i] = randomMatches(rng, rng.IntN(12))
 			sortMatches(lists[i])
-			all = append(all, lists[i]...)
 		}
-		sortMatches(all)
+		want := kWayMerge(lists)
 		got := MergeMatches(lists)
-		if len(all) == 0 {
-			if len(got) != 0 {
-				t.Fatalf("trial %d: merged %d matches from empty input", trial, len(got))
+		if len(want) == 0 {
+			if got == nil || len(got) != 0 {
+				t.Fatalf("trial %d: empty input merged to %#v, want a non-nil empty list", trial, got)
 			}
 			continue
 		}
-		if !reflect.DeepEqual(got, all) {
-			t.Fatalf("trial %d: k-way merge differs from global sort\n got %v\nwant %v", trial, got, all)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: merge differs from the k-way reference\n got %v\nwant %v", trial, got, want)
 		}
 	}
 }
@@ -95,7 +119,7 @@ func TestMergeHitsCanonicalOrder(t *testing.T) {
 		t.Fatalf("MergeHits differs from canonical sort\n got %v\nwant %v", got, all)
 	}
 	for i := 1; i < len(got); i++ {
-		if hitLess(got[i], got[i-1]) {
+		if compareHits(got[i], got[i-1]) < 0 {
 			t.Fatalf("merged hits out of order at %d: %v after %v", i, got[i], got[i-1])
 		}
 	}
@@ -134,6 +158,42 @@ func TestBestNearestDeterministic(t *testing.T) {
 	for _, cands := range [][]*Match{{&near, &tie}, {&tie, &near}} {
 		if got := BestNearest(cands); *got != tie {
 			t.Fatalf("BestNearest tie-break not canonical: %v", got)
+		}
+	}
+}
+
+// The gateway's picks are the engine's orders applied to the candidate
+// set: over random candidates with forced ties, BestLongest and BestNearest
+// return exactly the minimum under core.LongestBefore / core.NearestBefore,
+// whatever the arrival order.
+func TestBestUsesEngineOrders(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 21))
+	for trial := 0; trial < 200; trial++ {
+		ms := randomMatches(rng, 1+rng.IntN(8))
+		cands := make([]*Match, len(ms))
+		for i := range ms {
+			cands[i] = &ms[i]
+		}
+		for name, c := range map[string]struct {
+			pick   func([]*Match) *Match
+			before func(a, b Match) bool
+		}{
+			"longest": {BestLongest, core.LongestBefore},
+			"nearest": {BestNearest, core.NearestBefore},
+		} {
+			want := ms[0]
+			for _, m := range ms[1:] {
+				if c.before(m, want) {
+					want = m
+				}
+			}
+			if got := c.pick(cands); *got != want {
+				t.Fatalf("trial %d %s: picked %v, engine order picks %v", trial, name, *got, want)
+			}
+			slices.Reverse(cands)
+			if got := c.pick(cands); c.before(want, *got) {
+				t.Fatalf("trial %d %s: reversed arrival picked %v, which %v precedes", trial, name, *got, want)
+			}
 		}
 	}
 }

@@ -2,7 +2,11 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
+
+	"repro/internal/core"
 )
 
 // Wire types shared by the shard serve processes and the scatter-gather
@@ -15,19 +19,10 @@ import (
 // element-agnostic and never decodes sequences, it only fans bodies out
 // and merges the typed result envelopes.
 
-// Match is one verified subsequence match (core.Match on the wire).
-type Match struct {
-	SeqID  int     `json:"seq_id"`
-	QStart int     `json:"q_start"`
-	QEnd   int     `json:"q_end"`
-	XStart int     `json:"x_start"`
-	XEnd   int     `json:"x_end"`
-	Dist   float64 `json:"dist"`
-}
-
-// QLen is the matched query-side length, the quantity Type-II (longest)
-// queries maximise.
-func (m Match) QLen() int { return m.QEnd - m.QStart }
+// Match is one verified subsequence match: core.Match itself, whose JSON
+// tags are the wire format, so the engine, a serve process and the gateway
+// share one definition of a match and of its orders (merge.go).
+type Match = core.Match
 
 // Hit is one filtered segment↔window pair.
 type Hit struct {
@@ -48,8 +43,7 @@ type MatchesResponse struct {
 
 // BestResponse answers longest and nearest.
 type BestResponse struct {
-	Found       bool         `json:"found"`
-	Match       *Match       `json:"match,omitempty"`
+	BestResult
 	Degradation *Degradation `json:"degradation,omitempty"`
 }
 
@@ -92,19 +86,29 @@ type BatchResponse struct {
 	Degradation *Degradation `json:"degradation,omitempty"`
 }
 
-// BestResult is one query's longest-match answer inside a batch.
+// BestResult is one query's best match: the body of a longest or nearest
+// answer, and one entry of a longest batch.
 type BestResult struct {
 	Found bool   `json:"found"`
 	Match *Match `json:"match,omitempty"`
 }
 
-// ValidBatchKind reports whether kind names a batched query type.
-func ValidBatchKind(kind string) bool {
-	switch kind {
-	case "findall", "longest", "filter":
-		return true
+// Validate checks the batch envelope — a batched kind, at least one
+// query, and the radius under the same check the kind's single-query route
+// applies — and returns the kind's table entry with the checked
+// parameters. A serve process and the gateway both call it, so an invalid
+// batch draws the same 400 from either.
+func (r *BatchRequest) Validate() (Kind, Args, error) {
+	i := slices.IndexFunc(Kinds, func(k Kind) bool { return k.Batch && k.Name == r.Kind })
+	if i < 0 {
+		return Kind{}, Args{}, fmt.Errorf("batch kind must be findall, longest or filter, got %q", r.Kind)
 	}
-	return false
+	k := Kinds[i]
+	if len(r.Queries) == 0 {
+		return Kind{}, Args{}, errors.New(`"queries" must be non-empty`)
+	}
+	args, err := k.Check(Params{Eps: r.Eps})
+	return k, args, err
 }
 
 // --- Admin write fan-out (admin.go) ---
