@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-smoke bench-counts serve-smoke snapshot-smoke shard-smoke replica-smoke cache-smoke chaos-smoke fmt fmt-fix vet size loc race-accounting check docs-check
+.PHONY: all build test test-short bench bench-smoke bench-counts serve-smoke snapshot-smoke shard-smoke replica-smoke cache-smoke chaos-smoke fmt fmt-fix vet size loc race-accounting nearest-equiv check docs-check
 
 all: check
 
@@ -126,6 +126,14 @@ loc:
 # their last Await, and the deterministic 2 000-submission sweep.
 race-accounting:
 	$(GO) test -race -count=20 -run 'TestStreamPanicFailsOnlyThatJob|TestWorkerPanicSelfHeals|TestStreamAccountingSettlesBeforeFuture' ./internal/core/
+
+# nearest-equiv holds Type III to Section 7 under the race detector,
+# repeated: Nearest against the radius bisection run on the filter itself, on
+# every backend and measure kind (DESIGN.md §3), and the refnet session
+# (MinDist, then Range reads that evaluate no pair twice) against a linear
+# scan after every step of the mutation storm.
+nearest-equiv:
+	$(GO) test -race -count=3 -run 'TestNearestMatchesBisectionReference|TestCoverRadiusStorm' ./internal/core/ ./internal/refnet/
 
 # docs-check keeps the documentation honest: every relative markdown link
 # must resolve, and every Example* godoc test must run (and match its

@@ -5,7 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/dist"
-	"repro/internal/metric"
+	"repro/internal/refnet"
 	"repro/internal/seq"
 )
 
@@ -17,10 +17,10 @@ import (
 // reference net's traversal needs the distances from several such probes to
 // one database window, a single incremental-kernel pass prices all of them
 // — bind the window's kernel, feed the longest member's elements, and read
-// the distance off at every member length. kernelEvaluator implements
-// refnet's BatchEvaluator hook with exactly that grouping, turning up to
-// 2λ0+1 probe evaluations per (node, offset) into one streamed evaluation
-// plus O(1) reads.
+// the distance off at every member length. kernelEvaluator implements the
+// BatchEvaluator hook of a refnet session with exactly that grouping,
+// turning up to 2λ0+1 probe evaluations per (node, offset) into one streamed
+// evaluation plus O(1) reads.
 //
 // Memory discipline mirrors the linear backend: the immutable window
 // preprocessing (dist.Prepared — Myers peq tables, edit base rows) is built
@@ -82,10 +82,25 @@ func (mt *Matcher[E]) kernelTraversal() bool {
 	return mt.measure.Prepare != nil && mt.cfg.Params.Lambda0 > 0
 }
 
-// batchRangerEval is the kernel-aware batched-query fast path (implemented
-// by the reference net).
-type batchRangerEval[E any] interface {
-	BatchRangeEval(qs []seq.Window[E], eps float64, ev metric.BatchEvaluator[seq.Window[E]]) [][]seq.Window[E]
+// openSession lays sc.segs out as index probes and opens a traversal
+// session over them on the reference net; segment i is probe sc.pos[i]. With
+// a kernel to feed, the probes go in offset-major, once per query, so that no
+// node has to regroup them, and the session prices them through the grouped
+// kernel evaluator; otherwise they go in as the segments come and the net's
+// own (bounded) distance prices them one by one. The caller closes the
+// session.
+func (mt *Matcher[E]) openSession(q seq.Sequence[E], sc *filterScratch[E]) *refnet.Session[seq.Window[E]] {
+	if mt.kernelTraversal() {
+		sc.offsetMajorProbes(sc.segs, len(q))
+		sc.keval.mt, sc.keval.probes = mt, sc.probes
+		return mt.net.OpenSession(sc.probes, &sc.keval)
+	}
+	sc.pos, sc.probes = sc.pos[:0], sc.probes[:0]
+	for i, s := range sc.segs {
+		sc.pos = append(sc.pos, int32(i))
+		sc.probes = append(sc.probes, probeOf(s))
+	}
+	return mt.net.OpenSession(sc.probes, nil)
 }
 
 // kernelEvaluator implements metric.BatchEvaluator over segment probes by
@@ -98,9 +113,12 @@ type batchRangerEval[E any] interface {
 //
 // probes must be ordered offset-major — by (Start, length), as
 // filterScratch.offsetMajorProbes lays them out. The traversal hands every
-// node its probe indices ascending (refnet.BatchRangeEval), so each idxs
+// node its probe indices ascending (refnet.OpenSession), so each idxs
 // then arrives already grouped by offset, shortest member first, and
-// EvalBatch only walks the runs: nothing is sorted per visited node.
+// EvalBatch only walks the runs: nothing is sorted per visited node. In a
+// session traversed more than once (Nearest) a run may arrive without the
+// members an earlier traversal priced against this node; the pass then runs
+// to the longest member that is left.
 type kernelEvaluator[E any] struct {
 	mt     *Matcher[E]
 	probes []seq.Window[E]
@@ -158,7 +176,7 @@ func (sc *filterScratch[E]) offsetMajorProbes(segs []seq.Segment[E], qlen int) (
 		j := next[s.Start]
 		next[s.Start]++
 		pos[i] = j
-		sc.probes[j] = seq.Window[E]{SeqID: -1, Start: s.Start, Data: s.Data}
+		sc.probes[j] = probeOf(s)
 	}
 	return pos
 }

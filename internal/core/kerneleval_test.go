@@ -80,6 +80,21 @@ func TestRefnetKernelTraversalFewerFilterCalls(t *testing.T) {
 	if per := float64(mt.FilterDistanceCalls()) / queries; per >= 4000 {
 		t.Fatalf("ε=0 filter on PROTEINS 500 ran %.0f kernel passes per query, want fewer than 4000", per)
 	}
+
+	// And one for Type III at the benchmark's setting (EpsMax 8, EpsInc 1).
+	// A filter run per probed radius and per verification round cost some
+	// 34 600 evaluations an op, filter and verification together; one
+	// MinDist and rounds that evaluate no (segment, window) pair twice cost
+	// some 8 100.
+	before := mt.FilterDistanceCalls() + mt.VerifyDistanceCalls()
+	for i := 0; i < queries; i++ {
+		mt.Nearest(data.RandomQuery(ds, 45, 0.1, data.MutateAA, uint64(i+1)), NearestOptions{EpsMax: 8, EpsInc: 1})
+	}
+	if per := float64(mt.FilterDistanceCalls()+mt.VerifyDistanceCalls()-before) / queries; per >= 12000 {
+		t.Fatalf("Type III on PROTEINS 500 counted %.0f evaluations per op, want fewer than 12000", per)
+	} else {
+		t.Logf("Type III on PROTEINS 500: %.0f counted evaluations per op", per)
+	}
 }
 
 // orderCheckingEval wraps the kernel evaluator and fails the test when a

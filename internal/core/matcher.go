@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -51,19 +52,6 @@ type Hit[E any] struct {
 type windowIndex[E any] interface {
 	Range(q seq.Window[E], eps float64) []seq.Window[E]
 	Len() int
-}
-
-// batchRanger is the optional batched-query fast path (implemented by the
-// reference net).
-type batchRanger[E any] interface {
-	BatchRange(qs []seq.Window[E], eps float64) [][]seq.Window[E]
-}
-
-// existenceIndex is the optional existence-only fast path (implemented by
-// the reference net and the linear scan): it stops at the first in-range
-// window instead of materialising the full result set.
-type existenceIndex[E any] interface {
-	Exists(q seq.Window[E], eps float64) bool
 }
 
 // Matcher is the subsequence-retrieval engine. Construct with NewMatcher,
@@ -137,9 +125,9 @@ type filterScratch[E any] struct {
 	// preprocessing it points at is shared matcher-wide.
 	kstate dist.Kernel[E]
 	// keval is the grouped kernel evaluator driving kernel-aware index
-	// traversals (refnet BatchRangeEval); it owns its own kernel state.
-	// next and pos are the index buffers of its offset-major probe layout
-	// (offsetMajorProbes, kerneleval.go).
+	// traversals (refnet sessions); it owns its own kernel state. next and
+	// pos are the index buffers of the probe layout a session is opened over
+	// (openSession, kerneleval.go).
 	keval     kernelEvaluator[E]
 	next, pos []int32
 }
@@ -303,8 +291,7 @@ func (mt *Matcher[E]) FilterHits(q seq.Sequence[E], eps float64) []Hit[E] {
 func (mt *Matcher[E]) filterHits(q seq.Sequence[E], eps float64, sc *filterScratch[E]) []Hit[E] {
 	sc.segs = seq.AppendSegmentsFor(sc.segs[:0], q, mt.cfg.Params.Lambda, mt.cfg.Params.Lambda0)
 	sc.hits = sc.hits[:0]
-	segs := sc.segs
-	if len(segs) == 0 {
+	if len(sc.segs) == 0 {
 		return nil
 	}
 	// The incremental kernel prices all segment lengths at one start for a
@@ -314,54 +301,78 @@ func (mt *Matcher[E]) filterHits(q seq.Sequence[E], eps float64, sc *filterScrat
 	if mt.linear != nil && mt.kernelTraversal() {
 		return mt.filterHitsIncremental(q, eps, sc)
 	}
-	if bre, ok := mt.index.(batchRangerEval[E]); ok && mt.kernelTraversal() {
-		// Kernel-fed traversal: probes sharing a start offset are priced by
-		// one streamed kernel pass per visited node. The probes go in
-		// offset-major, once per query, so no node has to regroup them; the
-		// hits come back out through pos, segment-major as on every path.
-		pos := sc.offsetMajorProbes(segs, len(q))
-		sc.keval.mt, sc.keval.probes = mt, sc.probes
-		results := bre.BatchRangeEval(sc.probes, eps, &sc.keval)
-		for i, s := range segs {
-			for _, w := range results[pos[i]] {
-				sc.hits = append(sc.hits, Hit[E]{Window: w, Segment: s})
-			}
-		}
-		return sc.hits
+	if mt.net != nil {
+		s := mt.openSession(q, sc)
+		defer s.Close()
+		return mt.sessionHits(s, eps, sc)
 	}
-	if br, ok := mt.index.(batchRanger[E]); ok {
-		sc.probes = sc.probes[:0]
-		for _, s := range segs {
-			sc.probes = append(sc.probes, seq.Window[E]{SeqID: -1, Start: s.Start, Data: s.Data})
-		}
-		results := br.BatchRange(sc.probes, eps)
-		for i, wins := range results {
-			for _, w := range wins {
-				sc.hits = append(sc.hits, Hit[E]{Window: w, Segment: segs[i]})
-			}
-		}
-		return sc.hits
-	}
-	for _, s := range segs {
-		probe := seq.Window[E]{SeqID: -1, Start: s.Start, Data: s.Data}
-		for _, w := range mt.index.Range(probe, eps) {
+	for _, s := range sc.segs {
+		for _, w := range mt.index.Range(probeOf(s), eps) {
 			sc.hits = append(sc.hits, Hit[E]{Window: w, Segment: s})
 		}
 	}
 	return sc.hits
 }
 
+// probeOf is the index probe of a query segment: a window that belongs to
+// no database sequence.
+func probeOf[E any](s seq.Segment[E]) seq.Window[E] {
+	return seq.Window[E]{SeqID: -1, Start: s.Start, Data: s.Data}
+}
+
+// sessionHits reads the session opened over sc.segs as a range query at eps
+// and returns the hits segment-major, as on every path.
+func (mt *Matcher[E]) sessionHits(s *refnet.Session[seq.Window[E]], eps float64, sc *filterScratch[E]) []Hit[E] {
+	sc.hits = sc.hits[:0]
+	results := s.Range(eps)
+	for i, seg := range sc.segs {
+		for _, w := range results[sc.pos[i]] {
+			sc.hits = append(sc.hits, Hit[E]{Window: w, Segment: seg})
+		}
+	}
+	return sc.hits
+}
+
 // filterHitsIncremental is the linear-backend filter driven by the
-// measure's incremental kernel (ROADMAP: per-measure window-distance
-// evaluation across overlapping segments). For every database window it
-// binds one kernel and, per query offset, streams the λ/2+λ0 elements once,
-// reading off the distance of every segment length on the way — 2λ0+1
-// segment evaluations for one pass instead of 2λ0+1 independent DPs.
-//
-// Results are bucketed per segment and flattened segment-major so the hit
-// order matches the plain path exactly; distance accounting also matches
-// (one counted evaluation per priced segment↔window pair).
+// measure's incremental kernel (kernelScan). Results are bucketed per
+// segment and flattened segment-major so the hit order matches the plain
+// path exactly.
 func (mt *Matcher[E]) filterHitsIncremental(q seq.Sequence[E], eps float64, sc *filterScratch[E]) []Hit[E] {
+	segs := sc.segs
+	for len(sc.perSeg) < len(segs) {
+		sc.perSeg = append(sc.perSeg, nil)
+	}
+	perSeg := sc.perSeg[:len(segs)]
+	for i := range perSeg {
+		perSeg[i] = perSeg[i][:0]
+	}
+	mt.kernelScan(q, eps, sc, perSeg)
+	for i, wins := range perSeg {
+		for _, w := range wins {
+			sc.hits = append(sc.hits, Hit[E]{Window: w, Segment: segs[i]})
+		}
+	}
+	return sc.hits
+}
+
+// kernelScan is the linear backend's pass over every (window, query offset)
+// pair under the measure's incremental kernel (ROADMAP: per-measure
+// window-distance evaluation across overlapping segments). For every
+// database window it binds one kernel and, per query offset, streams the
+// λ/2+λ0 elements once, reading off the distance of every segment length on
+// the way — 2λ0+1 segment evaluations for one pass instead of 2λ0+1
+// independent DPs.
+//
+// It is read two ways, like the net's traversal. With perSeg it is the
+// range filter: perSeg[i] collects the windows within eps of segment i. With
+// perSeg nil it returns the least segment-to-window distance if that is at
+// most eps, +Inf otherwise: eps is then a bound that drops to just under
+// every distance found, and a pass stops once the kernel's Floor proves no
+// longer segment can come back under it.
+//
+// Distance accounting matches the plain path: one counted evaluation per
+// segment↔window pair of a pass, read or abandoned.
+func (mt *Matcher[E]) kernelScan(q seq.Sequence[E], eps float64, sc *filterScratch[E], perSeg [][]seq.Window[E]) float64 {
 	l := mt.cfg.Params.WindowLen()
 	minLen, maxLen := l-mt.cfg.Params.Lambda0, l+mt.cfg.Params.Lambda0
 	if minLen < 1 {
@@ -370,20 +381,12 @@ func (mt *Matcher[E]) filterHitsIncremental(q seq.Sequence[E], eps float64, sc *
 	if maxLen > len(q) {
 		maxLen = len(q)
 	}
-	segs := sc.segs
 	// seg index of (length n, start a): offsets[n-minLen] + a, matching
 	// AppendSegments' length-major order.
 	offsets := make([]int, maxLen-minLen+1)
 	for n, off := minLen+1, 0; n <= maxLen; n++ {
 		off += len(q) - (n - 1) + 1
 		offsets[n-minLen] = off
-	}
-	for len(sc.perSeg) < len(segs) {
-		sc.perSeg = append(sc.perSeg, nil)
-	}
-	perSeg := sc.perSeg[:len(segs)]
-	for i := range perSeg {
-		perSeg[i] = perSeg[i][:0]
 	}
 	items := mt.linear.Items()
 	// The immutable window preprocessing is shared matcher-wide; this
@@ -392,6 +395,7 @@ func (mt *Matcher[E]) filterHitsIncremental(q seq.Sequence[E], eps float64, sc *
 	// The linear scan touches every window per query, so the lazy slots
 	// all fill on the first query and later queries read them for free.
 	mt.preparedInit()
+	best := math.Inf(1)
 	var evals int64
 	for wi, w := range items {
 		sc.kstate = dist.BindKernel(sc.kstate, mt.preparedAt(int32(wi)))
@@ -404,7 +408,14 @@ func (mt *Matcher[E]) filterHitsIncremental(q seq.Sequence[E], eps float64, sc *
 			}
 			for n := 1; n <= top; n++ {
 				d := k.Feed(q[a+n-1])
-				if n >= minLen && d <= eps {
+				if perSeg == nil {
+					if n >= minLen && d <= eps {
+						best, eps = d, math.Nextafter(d, math.Inf(-1))
+					}
+					if k.Floor() > eps {
+						break
+					}
+				} else if n >= minLen && d <= eps {
 					perSeg[offsets[n-minLen]+a] = append(perSeg[offsets[n-minLen]+a], w)
 				}
 			}
@@ -412,32 +423,32 @@ func (mt *Matcher[E]) filterHitsIncremental(q seq.Sequence[E], eps float64, sc *
 		}
 	}
 	mt.counter.Add(evals)
-	for i, wins := range perSeg {
-		for _, w := range wins {
-			sc.hits = append(sc.hits, Hit[E]{Window: w, Segment: segs[i]})
-		}
-	}
-	return sc.hits
+	return best
 }
 
-// hasHits reports whether the filter produces any segment hit at radius
-// eps, stopping at the first in-range window. Nearest's binary search
-// probes many radii; materialising (and then discarding) the full hit list
-// at every probe is what this path avoids.
-func (mt *Matcher[E]) hasHits(q seq.Sequence[E], eps float64, sc *filterScratch[E]) bool {
-	sc.segs = seq.AppendSegmentsFor(sc.segs[:0], q, mt.cfg.Params.Lambda, mt.cfg.Params.Lambda0)
-	ex, hasEx := mt.index.(existenceIndex[E])
+// minDist is ε₀ on the backends without a session: the least distance
+// between any segment in sc.segs and any indexed window if that is at most
+// epsMax, +Inf otherwise. The linear scan with a kernel reads it off
+// kernelScan. The others range-query each segment at the best distance so
+// far and price what comes back through the counted distance, so the radius
+// shrinks from segment to segment.
+func (mt *Matcher[E]) minDist(q seq.Sequence[E], epsMax float64, sc *filterScratch[E]) float64 {
+	if mt.linear != nil && mt.kernelTraversal() {
+		return mt.kernelScan(q, epsMax, sc, nil)
+	}
+	best, bound := math.Inf(1), epsMax
 	for _, s := range sc.segs {
-		probe := seq.Window[E]{SeqID: -1, Start: s.Start, Data: s.Data}
-		if hasEx {
-			if ex.Exists(probe, eps) {
-				return true
+		if bound < 0 {
+			break
+		}
+		probe := probeOf(s)
+		for _, w := range mt.index.Range(probe, bound) {
+			if d := mt.counter.Distance(probe, w); d <= bound {
+				best, bound = d, math.Nextafter(d, math.Inf(-1))
 			}
-		} else if len(mt.index.Range(probe, eps)) > 0 {
-			return true
 		}
 	}
-	return false
+	return best
 }
 
 // FindAll answers query Type I: it returns every pair of similar
@@ -469,48 +480,75 @@ func (mt *Matcher[E]) Longest(q seq.Sequence[E], eps float64) (Match, bool) {
 
 // NearestOptions tunes Nearest (query Type III).
 type NearestOptions struct {
-	// EpsMax is the largest radius considered; if no pair exists within
-	// it, Nearest reports not found.
+	// EpsMax is the largest radius considered: a pair farther apart than
+	// EpsMax is never returned, and if no pair exists within it Nearest
+	// reports not found.
 	EpsMax float64
-	// EpsInc is the paper's ǫ_inc: the radius increment between
-	// verification rounds, and the binary-search resolution. Choose a
-	// small fraction of typical pairwise distances.
+	// EpsInc is the paper's ǫ_inc: the resolution of the radius search and
+	// the radius increment between verification rounds. Choose a small
+	// fraction of typical pairwise distances.
 	EpsInc float64
 }
 
 // Nearest answers query Type III: it returns a pair minimising δ(SQ,SX)
-// subject to the length constraints. Following Section 7 it binary-searches
-// the minimal radius at which the filter produces any segment hit, then
-// verifies, enlarging the radius by EpsInc until a pair is confirmed. The
-// binary-search probes are existence-only (hasHits): they stop at the first
-// in-range window instead of materialising every hit at every probe radius;
-// only the final verification rounds run the full filter.
+// subject to the length constraints, if one exists within EpsMax.
+//
+// Section 7 binary-searches the least radius at which the filter produces
+// any segment hit, then verifies, enlarging the radius by EpsInc until a
+// pair is confirmed. Every probe of that search asks whether its radius
+// reaches ε₀, the least distance between any query segment and any window —
+// so ε₀ is found once, by one nearest-neighbour search capped at EpsMax
+// (refnet.Session.MinDist on the net, minDist elsewhere), and the bisection
+// is replayed on that number with the arithmetic it always had: the radius
+// it ends at is bit for bit the one a filter run per probe would give.
+//
+// The verification rounds then run at that radius, +EpsInc, +2·EpsInc, …,
+// each clamped to EpsMax, and end with the first round that confirms a pair
+// or with the round at EpsMax. On the net they are Range reads of the
+// session MinDist ran on, which evaluates no (segment, window) pair twice
+// over the whole query; on the other backends each is a filter run.
 func (mt *Matcher[E]) Nearest(q seq.Sequence[E], opts NearestOptions) (Match, bool) {
 	if opts.EpsMax <= 0 || opts.EpsInc <= 0 {
 		return Match{}, false
 	}
 	sc := mt.getScratch()
 	defer mt.putScratch(sc)
-	if !mt.hasHits(q, opts.EpsMax, sc) {
+	sc.segs = seq.AppendSegmentsFor(sc.segs[:0], q, mt.cfg.Params.Lambda, mt.cfg.Params.Lambda0)
+	if len(sc.segs) == 0 {
+		return Match{}, false
+	}
+	var eps0 float64
+	var round func(eps float64) []Hit[E]
+	if mt.net != nil {
+		s := mt.openSession(q, sc)
+		defer s.Close()
+		eps0 = s.MinDist(opts.EpsMax)
+		round = func(eps float64) []Hit[E] { return mt.sessionHits(s, eps, sc) }
+	} else {
+		eps0 = mt.minDist(q, opts.EpsMax, sc)
+		round = func(eps float64) []Hit[E] { return mt.filterHits(q, eps, sc) }
+	}
+	if eps0 > opts.EpsMax {
 		return Match{}, false
 	}
 	lo, hi := 0.0, opts.EpsMax
-	if mt.hasHits(q, 0, sc) {
+	if eps0 <= 0 {
 		hi = 0
 	}
 	for hi-lo > opts.EpsInc {
-		mid := lo + (hi-lo)/2
-		if mt.hasHits(q, mid, sc) {
+		if mid := lo + (hi-lo)/2; eps0 <= mid {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
-	for eps := hi; eps <= opts.EpsMax+opts.EpsInc/2; eps += opts.EpsInc {
-		hits := mt.filterHits(q, eps, sc)
-		if best, ok := mt.verifier.verifyNearest(q, hits, eps); ok {
+	for eps := hi; ; eps += opts.EpsInc {
+		eps = min(eps, opts.EpsMax)
+		if best, ok := mt.verifier.verifyNearest(q, round(eps), eps); ok {
 			return best, true
 		}
+		if eps == opts.EpsMax {
+			return Match{}, false
+		}
 	}
-	return Match{}, false
 }

@@ -71,7 +71,7 @@ type BoundedDistFunc[T any] func(a, b T, eps float64) float64
 // a single call — the hook the reference net's batched traversal offers so
 // callers can share evaluation work across probes (the framework feeds
 // probes that share a query offset through one incremental kernel pass;
-// see refnet.BatchRangeEval). idxs are indices into the probe slice the
+// see refnet.OpenSession). idxs are indices into the probe slice the
 // evaluator was constructed over, always in ascending order; EvalBatch
 // stores the distance for probe idxs[k] into out[k].
 //
@@ -157,7 +157,7 @@ func NewLinearScan[T any](dist DistFunc[T]) *LinearScan[T] {
 	return &LinearScan[T]{dist: dist}
 }
 
-// SetBounded arms the early-abandoning evaluation used by Range and Exists.
+// SetBounded arms the early-abandoning evaluation used by Range.
 // fn must agree with the scan's DistFunc under the BoundedDistFunc
 // contract; nil disarms it.
 func (s *LinearScan[T]) SetBounded(fn BoundedDistFunc[T]) { s.bounded = fn }
@@ -186,21 +186,6 @@ func (s *LinearScan[T]) Range(q T, eps float64) []T {
 		}
 	}
 	return out
-}
-
-// Exists reports whether any item lies within eps of q, stopping at the
-// first hit instead of scanning the rest.
-func (s *LinearScan[T]) Exists(q T, eps float64) bool {
-	for _, it := range s.items {
-		if s.bounded != nil {
-			if s.bounded(q, it, eps) <= eps {
-				return true
-			}
-		} else if s.dist(q, it) <= eps {
-			return true
-		}
-	}
-	return false
 }
 
 // Items exposes the stored items (shared slice; callers must not mutate).

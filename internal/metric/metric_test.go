@@ -87,9 +87,9 @@ func TestLinearScanComputesExactlyNDistances(t *testing.T) {
 	}
 }
 
-// A bounded evaluation must not change which items Range returns, must be
-// consulted with the query radius, and Exists must stop at the first hit.
-func TestLinearScanBoundedAndExists(t *testing.T) {
+// A bounded evaluation must not change which items Range returns, and must
+// be consulted.
+func TestLinearScanBounded(t *testing.T) {
 	plain := NewLinearScan(DistFunc[float64](func(a, b float64) float64 { return math.Abs(a - b) }))
 	armed := NewLinearScan(DistFunc[float64](func(a, b float64) float64 { return math.Abs(a - b) }))
 	evals := 0
@@ -109,19 +109,9 @@ func TestLinearScanBoundedAndExists(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("eps=%v: bounded Range %d items, plain %d", eps, len(got), len(want))
 		}
-		if armed.Exists(25.2, eps) != (len(want) > 0) {
-			t.Fatalf("eps=%v: Exists disagrees with Range", eps)
-		}
 	}
 	if evals == 0 {
 		t.Fatal("bounded evaluation never consulted")
-	}
-	evals = 0
-	if !armed.Exists(0, 1000) {
-		t.Fatal("Exists missed")
-	}
-	if evals != 1 {
-		t.Fatalf("Exists computed %d distances, want 1 (first item is in range)", evals)
 	}
 }
 

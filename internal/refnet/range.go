@@ -1,6 +1,11 @@
 package refnet
 
-import "repro/internal/metric"
+import (
+	"math"
+	"slices"
+
+	"repro/internal/metric"
+)
 
 // Range query (Appendix A.3). The traversal maintains, per query, the two
 // certainty sets of the paper — items proven inside the ball and items
@@ -41,26 +46,37 @@ import "repro/internal/metric"
 // the decided flag guarantees each node's membership is settled exactly
 // once.
 //
-// Step 3 is where all the distance cost lives, and two capabilities cut it.
+// Two traversals apply the rules. rangeWith walks the net for one probe
+// (Range, RangeFunc). Session.walk walks it once for a whole probe set —
+// the subsequence framework passes the segments of one query — and is read
+// two ways: Session.Range is rules 1–4 per probe, Session.MinDist the same
+// walk with ε replaced by one bound all probes share, which shrinks to just
+// under every exact distance met, so what is left at the end is the least
+// probe-to-item distance. BatchRange and BatchRangeEval are a session
+// opened, read once as Range, and closed.
+//
+// Step 3 is where all the distance cost lives, and three things cut it.
 // When the net's distance has a bounded evaluation (SetBounded), probes are
 // evaluated with threshold ε+ρ: the evaluation may abandon as soon as the
 // subtree is provably outside, and the abandoned (inexact) value is simply
 // not recorded for the parent bounds. When the caller supplies a
-// BatchEvaluator (BatchRangeEval), all probes that reach step 3 at a node
-// are evaluated in ONE call, letting the evaluator share work across them —
-// the framework streams probes sharing a query offset through a single
-// incremental kernel pass over the node's window.
+// BatchEvaluator (OpenSession), all probes that reach step 3 at a node are
+// evaluated in ONE call, letting the evaluator share work across them — the
+// framework streams probes sharing a query offset through a single
+// incremental kernel pass over the node's window. And a session that is
+// traversed more than once keeps every exact distance it has computed: only
+// the decided flags are cleared between its traversals, so a (probe, node)
+// pair is evaluated at most once however many radii the query asks about.
 //
 // Per-query bookkeeping lives in flat slices indexed by the dense node ids
 // assigned at insertion — a query touches each slot with two or three
 // unhashed array accesses where a map would hash a pointer per probe. The
 // slices are pooled on the net, so steady-state queries allocate only their
-// result slice; the same pooled state backs the batched traversal, whose
-// profile was dominated by map operations before the switch.
+// result slice; a session holds one such state per probe.
 
-// decidedBit marks a node whose ball membership is settled for this query;
-// computedBit marks a node whose distance to the query has been computed
-// (and stored in queryState.d).
+// decidedBit marks a node whose ball membership is settled for this
+// traversal; computedBit marks a node whose distance to the query has been
+// computed (and stored in queryState.d).
 const (
 	decidedBit  = 1
 	computedBit = 2
@@ -127,40 +143,25 @@ func (t *Net[T]) RangeFunc(q T, eps float64, yield func(T)) {
 		return
 	}
 	st := t.getState()
-	t.rangeWith(st, q, eps, func(item T) bool { yield(item); return true })
+	t.rangeWith(st, q, eps, yield)
 	t.putState(st)
 }
 
-// Exists reports whether any item lies within eps of q. It runs the same
-// traversal as Range but stops at the first item proven inside the ball —
-// including a whole subtree certified by rule 2, whose first member
-// terminates the walk without visiting the rest.
-func (t *Net[T]) Exists(q T, eps float64) bool {
-	if t.root == nil {
-		return false
-	}
-	st := t.getState()
-	found := !t.rangeWith(st, q, eps, func(T) bool { return false })
-	t.putState(st)
-	return found
-}
-
-// rangeWith runs the traversal with the given scratch, streaming results to
-// yield; yield returning false stops the walk immediately and makes
-// rangeWith return false.
-func (t *Net[T]) rangeWith(st *queryState[T], q T, eps float64, yield func(T) bool) bool {
+// rangeWith runs the one-probe traversal with the given scratch, streaming
+// results to yield.
+func (t *Net[T]) rangeWith(st *queryState[T], q T, eps float64, yield func(T)) {
 	rootRho := t.root.rho
 	d, _ := t.probeDist(q, t.root.item, eps+rootRho)
 	if d > eps+rootRho {
 		// δ(q, root) > ε + ρ(root): every item is outside the ball (rule 3
 		// at the root; when the evaluation abandoned, a proof rather than a
 		// distance). Values at or under the bound are exact.
-		return true
+		return
 	}
 	st.flags[t.root.id] = decidedBit | computedBit
 	st.d[t.root.id] = d
-	if d <= eps && !yield(t.root.item) {
-		return false
+	if d <= eps {
+		yield(t.root.item)
 	}
 	stack := append(st.stack[:0], stackEntry[T]{t.root, d})
 	for len(stack) > 0 {
@@ -199,10 +200,7 @@ func (t *Net[T]) rangeWith(st *queryState[T], q T, eps float64, yield func(T) bo
 					continue
 				}
 				if hi+rho <= eps {
-					if !t.collectSubtree(c, st, yield) {
-						st.stack = stack
-						return false
-					}
+					t.collectSubtree(c, st, yield)
 					continue
 				}
 			}
@@ -220,16 +218,12 @@ func (t *Net[T]) rangeWith(st *queryState[T], q T, eps float64, yield func(T) bo
 				continue
 			}
 			if dc+rho <= eps {
-				if !t.collectSubtree(c, st, yield) {
-					st.stack = stack
-					return false
-				}
+				t.collectSubtree(c, st, yield)
 				continue
 			}
 			st.flags[c.id] |= decidedBit
-			if dc <= eps && !yield(c.item) {
-				st.stack = stack
-				return false
+			if dc <= eps {
+				yield(c.item)
 			}
 			if len(c.children) > 0 {
 				stack = append(stack, stackEntry[T]{c, dc})
@@ -237,7 +231,6 @@ func (t *Net[T]) rangeWith(st *queryState[T], q T, eps float64, yield func(T) bo
 		}
 	}
 	st.stack = stack
-	return true
 }
 
 // markSubtree marks c and its multi-parent descendants as decided
@@ -261,24 +254,18 @@ func (t *Net[T]) markSubtree(c *Node[T], st *queryState[T]) {
 // collectSubtree reports c and all its not-yet-decided descendants as
 // results, with the same single-parent marking optimisation as markSubtree
 // (a single-parent node can be collected only through its one parent, so it
-// cannot be yielded twice). A false return from yield aborts the collection
-// and propagates.
-func (t *Net[T]) collectSubtree(c *Node[T], st *queryState[T], yield func(T) bool) bool {
+// cannot be yielded twice).
+func (t *Net[T]) collectSubtree(c *Node[T], st *queryState[T], yield func(T)) {
 	if len(c.parents) > 1 {
 		if st.flags[c.id]&decidedBit != 0 {
-			return true
+			return
 		}
 		st.flags[c.id] |= decidedBit
 	}
-	if !yield(c.item) {
-		return false
-	}
+	yield(c.item)
 	for _, e := range c.children {
-		if !t.collectSubtree(e.n, st, yield) {
-			return false
-		}
+		t.collectSubtree(e.n, st, yield)
 	}
-	return true
 }
 
 // collectSubtreeInto is collectSubtree appending straight into dst — the
@@ -306,54 +293,289 @@ type qd struct {
 
 // batchEntry is one frame of the batched traversal: a node plus the probes
 // still undecided for it. The active list is owned by the frame and
-// recycled through the scratch freelist when the frame is consumed.
+// recycled through the session's freelist when the frame is consumed.
 type batchEntry[T any] struct {
 	n      *Node[T]
 	active []qd
 }
 
-// batchScratch is the per-BatchRange working set, pooled on the net: probe
-// states, the frame stack, a freelist of active-list backing arrays (a
-// traversal previously allocated a fresh list per inconclusive node), and
-// the pending/dists buffers of the per-node batched evaluation.
-type batchScratch[T any] struct {
-	states  []*queryState[T]
-	stack   []batchEntry[T]
-	free    [][]qd
-	pending []int32
-	dists   []float64
-	defEval distEvaluator[T]
+// Session is a probe set held open on the net for as many traversals as
+// one query needs. It owns one queryState per probe, and across its
+// traversals only the decided bits of those states are cleared: a
+// (probe, node) distance recorded under computedBit stays, is read back
+// instead of evaluated when a later traversal reaches the pair again, and
+// tightens that traversal's triangle bounds from its first node on. The
+// framework's Type III query is the caller this is for — one MinDist, then a
+// Range per verification round, all over the same segments.
+//
+// A session reads the net and must not span a mutation (the states are
+// sized to the node ids at OpenSession); Close returns it to the net's pool.
+// It is single-goroutine state.
+type Session[T any] struct {
+	t     *Net[T]
+	ev    metric.BatchEvaluator[T]
+	exact bool
+	// memo is set once a traversal has run: decided bits are then stale and
+	// computed bits may be found on pairs not yet visited.
+	memo   bool
+	states []*queryState[T]
+	stack  []batchEntry[T]
+	free   [][]qd
+	// pending lists the probes that reach the evaluation rule at the node
+	// being visited, unpriced the ones among them with no recorded distance;
+	// dists holds len(states) distances aligned with pending and, behind
+	// them, as many freshly evaluated ones aligned with unpriced.
+	pending, unpriced []int32
+	dists             []float64
+	defEval           distEvaluator[T]
+
+	// The traversal in progress: the radius (in the MinDist read, the
+	// shared bound), the least distance met, and the result lists (nil in
+	// the MinDist read).
+	eps, best float64
+	out       [][]T
 }
 
-func (t *Net[T]) getBatchScratch() *batchScratch[T] {
-	bs, _ := t.bpool.Get().(*batchScratch[T])
-	if bs == nil {
-		bs = &batchScratch[T]{}
+// OpenSession opens a session over the probes qs. At every node, all probes
+// that reach the evaluation rule (step 3) are handed to ev in one EvalBatch
+// call, so the evaluator can share work across them — e.g. advance a node
+// window's incremental kernel once for a group of probes that share a query
+// offset and read the distance off at every probe length. Every idxs handed
+// to ev is ascending: each is a filtered subsequence of 0..len(qs)−1, so an
+// evaluator whose probes are laid out with related probes adjacent receives
+// them still adjacent, in order, at every node. ev == nil selects the
+// default probe-by-probe evaluator (the net's distance, bounded when
+// armed). Results are identical for any correct evaluator.
+func (t *Net[T]) OpenSession(qs []T, ev metric.BatchEvaluator[T]) *Session[T] {
+	s, _ := t.bpool.Get().(*Session[T])
+	if s == nil {
+		s = &Session[T]{}
 	}
-	return bs
+	if ev == nil {
+		s.defEval = distEvaluator[T]{t: t, qs: qs}
+		ev = &s.defEval
+	}
+	s.t, s.ev, s.exact, s.memo = t, ev, ev.Exact(), false
+	for range qs {
+		s.states = append(s.states, t.getState())
+	}
+	s.pending = slices.Grow(s.pending[:0], len(qs))
+	s.unpriced = slices.Grow(s.unpriced[:0], len(qs))
+	s.dists = slices.Grow(s.dists[:0], 2*len(qs))[:2*len(qs)]
+	return s
 }
 
-func (t *Net[T]) putBatchScratch(bs *batchScratch[T]) {
-	bs.states = bs.states[:0]
-	bs.stack = bs.stack[:0]
-	t.bpool.Put(bs)
+// Close releases the session's states and returns it to the net's pool.
+func (s *Session[T]) Close() {
+	for _, st := range s.states {
+		s.t.putState(st)
+	}
+	s.states = s.states[:0]
+	s.ev, s.defEval, s.out = nil, distEvaluator[T]{}, nil
+	s.t.bpool.Put(s)
+}
+
+// Range is the traversal read as a range query: result i holds the items
+// within eps of probe i (rules 1–4).
+func (s *Session[T]) Range(eps float64) [][]T {
+	out := make([][]T, len(s.states))
+	s.walk(eps, out)
+	return out
+}
+
+// MinDist is the traversal read as a nearest-neighbour search for the whole
+// probe set: the least distance between any probe and any item if that is
+// at most epsMax, +Inf otherwise. The walk is Range's with one bound shared
+// by every probe in place of the radius: it starts at epsMax and drops to
+// just under every exact distance it meets (math.Nextafter towards −∞, so a
+// first find at exactly epsMax counts and a later one must be strictly
+// better). A subtree pruned under the bound stays pruned as the bound
+// shrinks, so the decided flags mean what they mean in Range; rule 2 is
+// unused, there being nothing to collect. A value above the bound it was
+// evaluated under — all an abandoned evaluation returns — prunes but is
+// never taken for a distance.
+func (s *Session[T]) MinDist(epsMax float64) float64 {
+	s.walk(epsMax, nil)
+	return s.best
+}
+
+// walk is the batched traversal, the only one: out != nil reads it as Range,
+// out == nil as MinDist.
+func (s *Session[T]) walk(eps float64, out [][]T) {
+	t := s.t
+	s.eps, s.best, s.out = eps, math.Inf(1), out
+	if t.root == nil || len(s.states) == 0 {
+		return
+	}
+	if s.memo {
+		for _, st := range s.states {
+			for i := range st.flags {
+				st.flags[i] &= computedBit
+			}
+		}
+	}
+	pending := s.pending[:0]
+	for i := range s.states {
+		pending = append(pending, int32(i))
+	}
+	s.visit(t.root, pending)
+	// No distance is negative: once the bound is, nothing is left to find.
+	for len(s.stack) > 0 && s.eps >= 0 {
+		e := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
+		for _, ce := range e.n.children {
+			c := ce.n
+			rho, eps := c.rho, s.eps
+			// Phase 1: settle what the zero-computation bounds can; queue
+			// the rest for one batched evaluation.
+			pending = pending[:0]
+			for _, a := range e.active {
+				st := s.states[a.qi]
+				f := st.flags[c.id]
+				if f&decidedBit != 0 {
+					continue
+				}
+				// A pair priced by an earlier traversal of this session
+				// needs no bounds: its distance is read back in phase 2.
+				if f&computedBit == 0 && !t.noEdgeBounds {
+					lo := a.d - ce.d
+					if lo < 0 {
+						lo = -lo
+					}
+					hi := a.d + ce.d
+					for _, pe := range c.parents {
+						if pe.n == e.n || st.flags[pe.n.id]&computedBit == 0 {
+							continue
+						}
+						dp := st.d[pe.n.id]
+						if l := dp - pe.d; l > lo {
+							lo = l
+						} else if -l > lo {
+							lo = -l
+						}
+						if h := dp + pe.d; h < hi {
+							hi = h
+						}
+					}
+					if lo-rho > eps {
+						t.markSubtree(c, st)
+						continue
+					}
+					if out != nil && hi+rho <= eps {
+						t.collectSubtreeInto(c, st, &out[a.qi])
+						continue
+					}
+				}
+				pending = append(pending, a.qi)
+			}
+			if len(pending) > 0 {
+				s.visit(c, pending)
+			}
+		}
+		s.putList(e.active)
+	}
+	for _, e := range s.stack {
+		s.putList(e.active)
+	}
+	s.stack = s.stack[:0]
+	s.memo = true
+}
+
+// visit applies rules 3–4 at c to the probes in pending (phases 2 and 3):
+// it prices them in one batched evaluation, settles each, and pushes a frame
+// for the probes left inconclusive.
+func (s *Session[T]) visit(c *Node[T], pending []int32) {
+	t, rho := s.t, c.rho
+	bound := s.eps + rho
+	dists := s.price(c, pending, bound)
+	next := s.getList()
+	for k, qi := range pending {
+		st, dc := s.states[qi], dists[k]
+		if s.exact || dc <= bound {
+			// Exact, so it seeds the triangle bounds of later visits and is
+			// never evaluated again in this session — also when it prunes.
+			st.flags[c.id] |= computedBit
+			st.d[c.id] = dc
+		}
+		if s.out == nil && dc <= s.eps {
+			s.best, s.eps = dc, math.Nextafter(dc, math.Inf(-1))
+		}
+		if dc > s.eps+rho {
+			// δ(q,c) > ε + ρ: the subtree is outside. (An abandoned value
+			// is a proof, not a distance.) A probe pruned at the root is in
+			// no active list, so nothing ever reads its flags.
+			if c != t.root {
+				t.markSubtree(c, st)
+			}
+			continue
+		}
+		// From here on dc ≤ ε + ρ. In the MinDist read the bound has just
+		// dropped below dc, so neither of the two dc ≤ ε rules below fires
+		// and out is never touched.
+		if dc+rho <= s.eps {
+			t.collectSubtreeInto(c, st, &s.out[qi])
+			continue
+		}
+		st.flags[c.id] |= decidedBit
+		if dc <= s.eps {
+			s.out[qi] = append(s.out[qi], c.item)
+		}
+		next = append(next, qd{qi, dc})
+	}
+	if len(next) > 0 && len(c.children) > 0 {
+		s.stack = append(s.stack, batchEntry[T]{c, next})
+	} else {
+		s.putList(next)
+	}
+}
+
+// price returns the distances from the probes in pending to c, aligned with
+// pending. Distances an earlier traversal of the session recorded are read
+// back; the rest go to the evaluator in one call, as an ascending
+// subsequence of pending.
+func (s *Session[T]) price(c *Node[T], pending []int32, bound float64) []float64 {
+	dists := s.dists[:len(pending)]
+	if !s.memo {
+		s.ev.EvalBatch(c.item, pending, bound, dists)
+		return dists
+	}
+	unpriced := s.unpriced[:0]
+	for _, qi := range pending {
+		if s.states[qi].flags[c.id]&computedBit == 0 {
+			unpriced = append(unpriced, qi)
+		}
+	}
+	fresh := s.dists[len(s.states):][:len(unpriced)]
+	if len(unpriced) > 0 {
+		s.ev.EvalBatch(c.item, unpriced, bound, fresh)
+	}
+	k := 0
+	for i, qi := range pending {
+		if st := s.states[qi]; st.flags[c.id]&computedBit != 0 {
+			dists[i] = st.d[c.id]
+		} else {
+			dists[i] = fresh[k]
+			k++
+		}
+	}
+	return dists
 }
 
 // getList hands out an empty active list, reusing a retired one when
 // available.
-func (bs *batchScratch[T]) getList() []qd {
-	if n := len(bs.free); n > 0 {
-		l := bs.free[n-1]
-		bs.free = bs.free[:n-1]
+func (s *Session[T]) getList() []qd {
+	if n := len(s.free); n > 0 {
+		l := s.free[n-1]
+		s.free = s.free[:n-1]
 		return l
 	}
 	return nil
 }
 
 // putList retires an active list's backing array to the freelist.
-func (bs *batchScratch[T]) putList(l []qd) {
+func (s *Session[T]) putList(l []qd) {
 	if cap(l) > 0 {
-		bs.free = append(bs.free, l[:0])
+		s.free = append(s.free, l[:0])
 	}
 }
 
@@ -380,167 +602,20 @@ func (e *distEvaluator[T]) EvalBatch(item T, idxs []int32, bound float64, out []
 
 // BatchRange answers many range queries with the same radius in a single
 // traversal of the net (Section 7: "it is possible that many queries are
-// executed at the same time on the index structure in a single traversal").
-// Result i holds the items within eps of qs[i]. The per-probe distance
-// evaluations match per-query Range calls; the saving is in traversal
-// overhead — each node's children are walked once for the whole surviving
-// query set rather than once per query — and in locality when the query
-// set is large.
+// executed at the same time on the index structure in a single traversal"):
+// a session opened, read once as Range, and closed. Result i holds the items
+// within eps of qs[i]. The per-probe distance evaluations match per-query
+// Range calls; the saving is in traversal overhead — each node's children
+// are walked once for the whole surviving query set rather than once per
+// query — and in locality when the query set is large.
 func (t *Net[T]) BatchRange(qs []T, eps float64) [][]T {
 	return t.BatchRangeEval(qs, eps, nil)
 }
 
-// BatchRangeEval is BatchRange with a caller-supplied batch evaluator: at
-// every node, all probes that reach the evaluation rule (step 3) are handed
-// to ev in one EvalBatch call, so the evaluator can share work across them
-// — e.g. advance a node window's incremental kernel once for a group of
-// probes that share a query offset and read the distance off at every probe
-// length. Every idxs handed to ev is ascending: each pending list is a
-// filtered subsequence of the root's 0..len(qs)−1, so an evaluator whose
-// probes are laid out with related probes adjacent receives them still
-// adjacent, in order, at every node. ev == nil selects the default
-// probe-by-probe evaluator (the net's distance, bounded when armed).
-// Results are identical for any correct evaluator.
+// BatchRangeEval is BatchRange with a caller-supplied batch evaluator (see
+// OpenSession).
 func (t *Net[T]) BatchRangeEval(qs []T, eps float64, ev metric.BatchEvaluator[T]) [][]T {
-	out := make([][]T, len(qs))
-	if t.root == nil || len(qs) == 0 {
-		return out
-	}
-	bs := t.getBatchScratch()
-	if ev == nil {
-		bs.defEval = distEvaluator[T]{t: t, qs: qs}
-		ev = &bs.defEval
-	}
-	exact := ev.Exact()
-	for range qs {
-		bs.states = append(bs.states, t.getState())
-	}
-	states := bs.states
-
-	// Root: one batched evaluation prices every probe.
-	rootRho := t.root.rho
-	pending := bs.pending[:0]
-	for i := range qs {
-		pending = append(pending, int32(i))
-	}
-	if cap(bs.dists) < len(qs) {
-		bs.dists = make([]float64, len(qs))
-	}
-	dists := bs.dists[:len(qs)]
-	ev.EvalBatch(t.root.item, pending, eps+rootRho, dists)
-	rootActive := bs.getList()
-	for i := range qs {
-		d := dists[i]
-		if d > eps+rootRho {
-			// The whole net is outside this probe's ball; drop the probe.
-			// (With an exact evaluator this is rule 3 at the root; with a
-			// bounded one the value is a proof, not a distance.)
-			continue
-		}
-		st := states[i]
-		st.flags[t.root.id] = decidedBit | computedBit
-		st.d[t.root.id] = d
-		if d <= eps {
-			out[i] = append(out[i], t.root.item)
-		}
-		rootActive = append(rootActive, qd{int32(i), d})
-	}
-	stack := append(bs.stack[:0], batchEntry[T]{t.root, rootActive})
-	for len(stack) > 0 {
-		e := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ce := range e.n.children {
-			c := ce.n
-			rho := c.rho
-			bound := eps + rho
-			// Phase 1: settle what the zero-computation bounds can; queue
-			// the rest for one batched evaluation.
-			pending = pending[:0]
-			for _, a := range e.active {
-				st := states[a.qi]
-				if st.flags[c.id]&decidedBit != 0 {
-					continue
-				}
-				if !t.noEdgeBounds {
-					lo := a.d - ce.d
-					if lo < 0 {
-						lo = -lo
-					}
-					hi := a.d + ce.d
-					for _, pe := range c.parents {
-						if pe.n == e.n || st.flags[pe.n.id]&computedBit == 0 {
-							continue
-						}
-						dp := st.d[pe.n.id]
-						if l := dp - pe.d; l > lo {
-							lo = l
-						} else if -l > lo {
-							lo = -l
-						}
-						if h := dp + pe.d; h < hi {
-							hi = h
-						}
-					}
-					if lo-rho > eps {
-						t.markSubtree(c, st)
-						continue
-					}
-					if hi+rho <= eps {
-						t.collectSubtreeInto(c, st, &out[a.qi])
-						continue
-					}
-				}
-				pending = append(pending, a.qi)
-			}
-			if len(pending) == 0 {
-				continue
-			}
-			// Phase 2: evaluate every queued probe against c at once.
-			if cap(dists) < len(pending) {
-				bs.dists = make([]float64, len(pending))
-				dists = bs.dists
-			}
-			dists = dists[:len(pending)]
-			ev.EvalBatch(c.item, pending, bound, dists)
-			// Phase 3: apply rules 3–4 per probe.
-			next := bs.getList()
-			for k, qi := range pending {
-				st := states[qi]
-				dc := dists[k]
-				if dc > bound {
-					// δ(q,c) > ε + ρ: prune the subtree. Exact values still
-					// seed the triangle bounds of later visits.
-					if exact {
-						st.flags[c.id] |= computedBit
-						st.d[c.id] = dc
-					}
-					t.markSubtree(c, st)
-					continue
-				}
-				st.flags[c.id] |= computedBit
-				st.d[c.id] = dc
-				if dc+rho <= eps {
-					t.collectSubtreeInto(c, st, &out[qi])
-					continue
-				}
-				st.flags[c.id] |= decidedBit
-				if dc <= eps {
-					out[qi] = append(out[qi], c.item)
-				}
-				next = append(next, qd{qi, dc})
-			}
-			if len(next) > 0 && len(c.children) > 0 {
-				stack = append(stack, batchEntry[T]{c, next})
-			} else {
-				bs.putList(next)
-			}
-		}
-		bs.putList(e.active)
-	}
-	bs.pending, bs.dists, bs.stack = pending, dists, stack
-	for _, st := range states {
-		t.putState(st)
-	}
-	t.putBatchScratch(bs)
-	return out
+	s := t.OpenSession(qs, ev)
+	defer s.Close()
+	return s.Range(eps)
 }

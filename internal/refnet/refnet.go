@@ -51,19 +51,20 @@
 //
 // # Query surface
 //
-// Beyond single-probe Range, the net answers Exists (existence-only, stops
-// at the first in-range item — the probe Nearest's radius search issues),
-// KNN (knn.go), and BatchRange (range.go), which walks the hierarchy once
-// for a whole probe set — the subsequence framework passes the segments of
-// one query. Two capabilities cut the evaluation cost of traversal probes:
-// SetBounded arms an early-abandoning distance (probes evaluate at the
-// query radius plus the node's cover radius, proving subtrees outside at
-// a fraction of a full evaluation), and BatchRangeEval accepts a
-// metric.BatchEvaluator that prices all probes inconclusive at a node in
-// one call — the subsequence framework streams probes sharing a query
-// offset through a single incremental kernel pass there. Nets serialise
-// with Save/Load (serialize.go) without recomputing any distances, and
-// support Delete with invariant repair (delete.go).
+// Beyond single-probe Range, the net answers KNN (knn.go) and, through a
+// Session (range.go), a whole probe set in one walk of the hierarchy — the
+// subsequence framework passes the segments of one query. A session is read
+// as Range (BatchRange is a session opened, read once and closed) or as
+// MinDist, the least probe-to-item distance, and keeps every distance it has
+// computed across its reads. Two capabilities cut the evaluation cost of
+// traversal probes: SetBounded arms an early-abandoning distance (probes
+// evaluate at the query radius plus the node's cover radius, proving
+// subtrees outside at a fraction of a full evaluation), and OpenSession
+// accepts a metric.BatchEvaluator that prices all probes inconclusive at a
+// node in one call — the subsequence framework streams probes sharing a
+// query offset through a single incremental kernel pass there. Nets
+// serialise with Save/Load (serialize.go) without recomputing any
+// distances, and support Delete with invariant repair (delete.go).
 package refnet
 
 import (
@@ -101,13 +102,13 @@ type Net[T any] struct {
 	// id) so range queries allocate nothing per visited node. sync.Pool
 	// keeps concurrent read-only queries safe.
 	qpool sync.Pool
-	// bpool recycles the batched-traversal scratch (per-probe active lists,
-	// pending evaluation buffers) — see BatchRangeEval.
+	// bpool recycles sessions with their batched-traversal scratch (active
+	// lists, pending evaluation buffers) — see OpenSession.
 	bpool sync.Pool
 }
 
 // SetBounded arms an early-abandoning distance evaluation for range
-// traversals (Range, Exists, BatchRange). fn must agree with the net's
+// traversals (Range, sessions). fn must agree with the net's
 // DistFunc under the BoundedDistFunc contract. When armed, every child
 // probe is evaluated with threshold eps+ρ (the query radius plus the
 // child's cover radius): an abandoned evaluation proves the whole subtree

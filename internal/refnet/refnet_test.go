@@ -374,33 +374,3 @@ func TestLevelHistogram(t *testing.T) {
 		t.Errorf("histogram total %d, want 64", total)
 	}
 }
-
-// Exists must agree with Range emptiness on every radius, and must keep
-// agreeing after pooled query state is recycled across interleaved calls.
-func TestExistsMatchesRange(t *testing.T) {
-	rng := rand.New(rand.NewPCG(21, 22))
-	n := New(absDist)
-	var items []float64
-	for i := 0; i < 400; i++ {
-		v := rng.Float64() * 1000
-		items = append(items, v)
-		n.Insert(v)
-	}
-	for _, eps := range []float64{0, 0.4, 2, 9, 40, 300, 2000} {
-		for trial := 0; trial < 25; trial++ {
-			q := rng.Float64()*1400 - 200
-			want := len(sortedScan(items, q, eps)) > 0
-			if got := n.Exists(q, eps); got != want {
-				t.Fatalf("eps=%v q=%v: Exists=%v, scan says %v", eps, q, got, want)
-			}
-			// Interleave a Range so Exists and Range share pooled state.
-			if got := len(n.Range(q, eps)) > 0; got != want {
-				t.Fatalf("eps=%v q=%v: Range nonempty=%v, scan says %v", eps, q, got, want)
-			}
-		}
-	}
-	empty := New(absDist)
-	if empty.Exists(1, 100) {
-		t.Fatal("Exists on empty net")
-	}
-}

@@ -89,7 +89,7 @@ func ids(items []stormPt) []int {
 	return out
 }
 
-// checkQueries holds Range, BatchRange, Exists and KNN to a linear scan of
+// checkQueries holds Range, BatchRange and KNN to a linear scan of
 // the live items, at a random radius, at 0, and at the two boundary radii
 // of a random node c: ε = δ(q,c) (c sits exactly on the ball) and
 // ε = δ(q,c) − ρ(c) (c sits at exactly ε + ρ, where rule 3 must not
@@ -135,9 +135,6 @@ func checkQueries(t *testing.T, n *Net[stormPt], live []*Node[stormPt], rng *ran
 			if got := n.Range(q, eps); !slices.Equal(ids(got), ids(want)) {
 				t.Fatalf("Range(%v, %v) = ids %v, linear scan %v", q, eps, ids(got), ids(want))
 			}
-			if got := n.Exists(q, eps); got != (len(want) > 0) {
-				t.Fatalf("Exists(%v, %v) = %v with %d items in range", q, eps, got, len(want))
-			}
 			// The batch carries q beside two other probes so active lists
 			// split and merge on the way down.
 			qs := []stormPt{draw(), q, draw()}
@@ -172,6 +169,92 @@ func checkQueries(t *testing.T, n *Net[stormPt], live []*Node[stormPt], rng *ran
 	return onBall, onCover
 }
 
+// stormEval prices probes through the net's distance and audits what a
+// session asks of its evaluator: every idxs ascending, and no (probe, item)
+// pair asked again once its exact distance has been returned. When bounded
+// it answers +Inf above the bound, as an abandoned evaluation may, and such
+// an answer records nothing — the session cannot have kept it either.
+type stormEval struct {
+	t       *testing.T
+	dist    func(a, b stormPt) float64
+	qs      []stormPt
+	bounded bool
+	known   map[[2]int]bool // (probe index, item ID) → exact distance returned
+	priced  int
+}
+
+func (e *stormEval) Exact() bool { return !e.bounded }
+
+func (e *stormEval) EvalBatch(item stormPt, idxs []int32, bound float64, out []float64) {
+	if !slices.IsSorted(idxs) {
+		e.t.Fatalf("EvalBatch got idxs %v, not ascending", idxs)
+	}
+	for k, qi := range idxs {
+		key := [2]int{int(qi), item.ID}
+		if e.known[key] {
+			e.t.Fatalf("probe %d priced against item %d a second time in one session", qi, item.ID)
+		}
+		e.priced++
+		out[k] = e.dist(e.qs[qi], item)
+		if e.bounded && out[k] > bound {
+			out[k] = math.Inf(1)
+			continue
+		}
+		e.known[key] = true
+	}
+}
+
+// checkSession holds a session's two reads to a linear scan and to fresh
+// BatchRange calls: MinDist at a cap just below, at and above the true
+// minimum, then Range at three radii ascending and again descending, all on
+// the one session, under an exact and under a bounded evaluator. It returns
+// the evaluations the sessions asked for and the evaluations the same Range
+// calls cost without a session, so the storm can prove distances were kept.
+func checkSession(t *testing.T, n *Net[stormPt], live []*Node[stormPt], rng *rand.Rand, draw func() stormPt) (kept, fresh int) {
+	t.Helper()
+	qs := []stormPt{draw(), draw(), draw(), draw()}
+	if rng.IntN(2) == 0 {
+		qs[1] = live[rng.IntN(len(live))].item
+	}
+	least := math.Inf(1)
+	for _, q := range qs {
+		for _, h := range live {
+			least = min(least, n.dist(q, h.item))
+		}
+	}
+	c := live[rng.IntN(len(live))]
+	radii := []float64{least, n.dist(qs[2], c.item), least + rng.Float64()*12}
+	slices.Sort(radii)
+	radii = append(radii, radii[2], radii[1], radii[0])
+	for _, bounded := range []bool{false, true} {
+		ev := &stormEval{t: t, dist: n.dist, qs: qs, bounded: bounded, known: map[[2]int]bool{}}
+		s := n.OpenSession(qs, ev)
+		for _, cap := range []float64{math.Nextafter(least, math.Inf(-1)), least, least + 1.5} {
+			want := least
+			if least > cap {
+				want = math.Inf(1)
+			}
+			if got := s.MinDist(cap); got != want {
+				t.Fatalf("MinDist(%v) = %v (bounded evaluator: %v), linear scan says %v", cap, got, bounded, want)
+			}
+		}
+		for _, eps := range radii {
+			count := &stormEval{t: t, dist: n.dist, qs: qs, known: map[[2]int]bool{}}
+			want := n.BatchRangeEval(qs, eps, count)
+			fresh += count.priced
+			for i, got := range s.Range(eps) {
+				if !slices.Equal(ids(got), ids(want[i])) {
+					t.Fatalf("session Range(%v) probe %d = ids %v (bounded evaluator: %v), fresh BatchRange %v",
+						eps, i, ids(got), bounded, ids(want[i]))
+				}
+			}
+		}
+		s.Close()
+		kept += ev.priced
+	}
+	return kept, fresh
+}
+
 func TestCoverRadiusStorm(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -200,7 +283,7 @@ func TestCoverRadiusStorm(t *testing.T) {
 			}
 			n := New(tc.dist, WithBase(0.75), WithMaxParents(tc.parents))
 			var live []*Node[stormPt]
-			var onBall, onCover, deletes, rootDeletes, loads int
+			var onBall, onCover, deletes, rootDeletes, loads, kept, fresh int
 			for step := 0; step < 220; step++ {
 				switch r := rng.IntN(20); {
 				case r == 0 && len(live) > 0:
@@ -237,9 +320,15 @@ func TestCoverRadiusStorm(t *testing.T) {
 				checkRho(t, n, slack)
 				b, c := checkQueries(t, n, live, rng, draw)
 				onBall, onCover = onBall+b, onCover+c
+				k, f := checkSession(t, n, live, rng, draw)
+				kept, fresh = kept+k, fresh+f
 			}
 			if deletes < 20 || rootDeletes == 0 || loads == 0 {
 				t.Fatalf("storm too tame: %d deletes, %d of the root, %d reloads", deletes, rootDeletes, loads)
+			}
+			t.Logf("sessions: %d evaluations for 3 MinDist + 6 Range reads; the Range reads alone, sessionless: %d", kept, fresh)
+			if kept >= fresh {
+				t.Fatalf("sessions kept nothing: %d evaluations for three MinDist and six Range reads, %d for the Range reads alone without a session", kept, fresh)
 			}
 			if onBall == 0 || onCover == 0 {
 				t.Fatalf("boundary radii never hit: %d items at d = ε, %d at d = ε + ρ", onBall, onCover)
