@@ -5,6 +5,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/seq"
+	"repro/internal/shard"
 )
 
 // FuzzParseQueryRequest hammers the element-typed HTTP query decoder with
@@ -13,8 +14,9 @@ import (
 // absolute: it must never panic, and it must never hand back a nil
 // sequence without an error (a server would then index into it). The seed
 // corpus under testdata/fuzz/FuzzParseQueryRequest pins the interesting
-// shapes: valid bodies for all three element encodings, the eps variants,
-// and the malformed bodies the validation tests reject.
+// shapes: valid bodies for all three element encodings, the eps variants
+// (among them an eps_inc under one ulp of eps_max, which the nearest check
+// must refuse), and the malformed bodies the validation tests reject.
 func FuzzParseQueryRequest(f *testing.F) {
 	seeds := []string{
 		`{"query":"ACDEFGHIKLMNPQRS","eps":2}`,
@@ -60,6 +62,14 @@ func checkParse[E any](t *testing.T, body []byte) {
 	// decoder's contract changed underneath the servers.
 	if s, ok := any(q).(seq.Sequence[byte]); ok && !utf8.ValidString(string(s)) {
 		t.Fatalf("accepted byte query %q is not valid UTF-8", s)
+	}
+	// A nearest schedule the kind table accepts is one Nearest will run to
+	// an end: whatever eps_inc the body carries, the checked options
+	// validate.
+	if args, err := shard.Nearest.Check(req.Params); err == nil {
+		if verr := args.Nearest.Validate(); verr != nil {
+			t.Fatalf("parseQueryRequest(%q): nearest accepts options that do not validate: %v", body, verr)
+		}
 	}
 	// Accepted eps fields are dereferenceable.
 	for _, p := range []*float64{req.Eps, req.EpsMax, req.EpsInc} {

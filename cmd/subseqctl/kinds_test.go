@@ -45,6 +45,10 @@ func TestKindTableDrivesServeAndGateway(t *testing.T) {
 			`{"query":` + q + `,"eps_max":-2}`:             `nearest requires "eps_max" > 0`,
 			`{"query":` + q + `,"eps_max":2,"eps_inc":0}`:  `"eps_inc" must be > 0`,
 			`{"query":` + q + `,"eps_max":2,"eps_inc":-1}`: `"eps_inc" must be > 0`,
+			// Under one ulp of the radius the schedule never ends; a little
+			// above, it is 10⁹ rounds. Both are refused, not run.
+			`{"query":` + q + `,"eps_max":8,"eps_inc":1e-17}`: `"eps_inc" must be at least "eps_max"/4096`,
+			`{"query":` + q + `,"eps_max":8,"eps_inc":1e-9}`:  `"eps_inc" must be at least "eps_max"/4096`,
 		},
 	}
 	// Every kind reads the same body fields, so one body is valid for all.

@@ -216,15 +216,16 @@ func TestServeRequestValidation(t *testing.T) {
 	cases := []struct {
 		path, body string
 	}{
-		{"/query/findall", `{}`},                                     // missing query
-		{"/query/findall", `{"query":"AC"}`},                         // missing eps
-		{"/query/findall", `{"query":"AC","eps":-1}`},                // negative eps
-		{"/query/findall", `not json`},                               // malformed body
-		{"/query/findall", `{"query":"AC","epsilon":1}`},             // unknown field
-		{"/query/nearest", `{"query":"AC"}`},                         // missing eps_max
-		{"/query/nearest", `{"query":"AC","eps_max":-2}`},            // bad eps_max
-		{"/query/nearest", `{"query":"AC","eps_max":2,"eps_inc":0}`}, // bad eps_inc
-		{"/query/filter", `{"query":[1,2],"eps":1}`},                 // wrong element encoding
+		{"/query/findall", `{}`},                                         // missing query
+		{"/query/findall", `{"query":"AC"}`},                             // missing eps
+		{"/query/findall", `{"query":"AC","eps":-1}`},                    // negative eps
+		{"/query/findall", `not json`},                                   // malformed body
+		{"/query/findall", `{"query":"AC","epsilon":1}`},                 // unknown field
+		{"/query/nearest", `{"query":"AC"}`},                             // missing eps_max
+		{"/query/nearest", `{"query":"AC","eps_max":-2}`},                // bad eps_max
+		{"/query/nearest", `{"query":"AC","eps_max":2,"eps_inc":0}`},     // bad eps_inc
+		{"/query/nearest", `{"query":"AC","eps_max":8,"eps_inc":1e-17}`}, // a schedule that would never end
+		{"/query/filter", `{"query":[1,2],"eps":1}`},                     // wrong element encoding
 	}
 	for _, c := range cases {
 		var er shard.ErrorResponse

@@ -13,7 +13,9 @@
 //     (Lemma 2 requires l ≤ λ/2 for the filter to be lossless);
 //  2. the windows are inserted into a metric index (Config.Index selects
 //     the reference net, the cover tree, the MV reference index, or a
-//     linear scan for non-metric measures);
+//     linear scan for non-metric measures; the Matcher holds whichever it
+//     is behind one contract, backend.go, and opens one session per query
+//     on it);
 //  3. every query segment of length λ/2−λ0 … λ/2+λ0 probes the index for
 //     windows within the query radius;
 //  4. surviving segment↔window pairs (Hits) seed candidate regions;

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/dist"
-	"repro/internal/refnet"
 	"repro/internal/seq"
 )
 
@@ -80,27 +79,6 @@ func (mt *Matcher[E]) preparedFor(w seq.Window[E]) dist.Prepared[E] {
 // with a single length a kernel pass equals a plain evaluation).
 func (mt *Matcher[E]) kernelTraversal() bool {
 	return mt.measure.Prepare != nil && mt.cfg.Params.Lambda0 > 0
-}
-
-// openSession lays sc.segs out as index probes and opens a traversal
-// session over them on the reference net; segment i is probe sc.pos[i]. With
-// a kernel to feed, the probes go in offset-major, once per query, so that no
-// node has to regroup them, and the session prices them through the grouped
-// kernel evaluator; otherwise they go in as the segments come and the net's
-// own (bounded) distance prices them one by one. The caller closes the
-// session.
-func (mt *Matcher[E]) openSession(q seq.Sequence[E], sc *filterScratch[E]) *refnet.Session[seq.Window[E]] {
-	if mt.kernelTraversal() {
-		sc.offsetMajorProbes(sc.segs, len(q))
-		sc.keval.mt, sc.keval.probes = mt, sc.probes
-		return mt.net.OpenSession(sc.probes, &sc.keval)
-	}
-	sc.pos, sc.probes = sc.pos[:0], sc.probes[:0]
-	for i, s := range sc.segs {
-		sc.pos = append(sc.pos, int32(i))
-		sc.probes = append(sc.probes, probeOf(s))
-	}
-	return mt.net.OpenSession(sc.probes, nil)
 }
 
 // kernelEvaluator implements metric.BatchEvaluator over segment probes by

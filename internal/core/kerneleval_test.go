@@ -151,7 +151,9 @@ func TestKernelEvalBatchesArriveOrdered(t *testing.T) {
 			}
 			sc.keval.mt, sc.keval.probes = mt, sc.probes
 			ev := &orderCheckingEval[byte]{t: t, inner: &sc.keval}
-			results := mt.net.BatchRangeEval(sc.probes, eps, ev)
+			session := mt.index.(*netBackend[byte]).net.OpenSession(sc.probes, ev)
+			results := session.Range(eps)
+			session.Close()
 			if ev.calls == 0 || ev.multi == 0 {
 				t.Fatalf("eps=%v: vacuous (%d batches, %d with several probes)", eps, ev.calls, ev.multi)
 			}
@@ -175,8 +177,8 @@ func TestKernelEvalBatchesArriveOrdered(t *testing.T) {
 }
 
 // The single-query filter must take the same kernel traversal as the batch
-// (FilterHits routes through BatchRangeEval on the refnet backend), with
-// the same counted reduction.
+// (FilterHits opens a kernel-fed session on the refnet backend), with the
+// same counted reduction.
 func TestRefnetKernelSingleQueryFewerFilterCalls(t *testing.T) {
 	rng := rand.New(rand.NewPCG(22, 2200))
 	db, qs := batchQueries(rng, 2)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/metric"
-	"repro/internal/refnet"
 	"repro/internal/seq"
 )
 
@@ -49,25 +48,11 @@ func (mt *Matcher[E]) chargeBuild(fn func()) {
 // answers subsequent queries exactly as if it had been built over the
 // extended database from scratch. Not safe concurrently with queries.
 func (mt *Matcher[E]) AppendSequence(x seq.Sequence[E]) (seqID, added int, err error) {
-	if mt.mv != nil && len(mt.windows) == 0 {
-		// Unreachable in practice: NewMatcher refuses to build an MV index
-		// over an empty database.
-		return 0, 0, fmt.Errorf("core: MV index has no reference set to insert into")
-	}
 	seqID = len(mt.db)
 	wins := seq.Partition(seqID, x, mt.cfg.Params.WindowLen())
 	mt.chargeBuild(func() {
 		for _, w := range wins {
-			switch {
-			case mt.net != nil:
-				mt.tracked[winKey{w.SeqID, w.Ord}] = mt.net.InsertTracked(w)
-			case mt.ct != nil:
-				mt.ct.Insert(w)
-			case mt.mv != nil:
-				mt.mv.Insert(w)
-			case mt.linear != nil:
-				mt.linear.Insert(w)
-			}
+			mt.index.insert(w)
 		}
 	})
 	mt.db = append(mt.db, x)
@@ -82,7 +67,7 @@ func (mt *Matcher[E]) AppendSequence(x seq.Sequence[E]) (seqID, added int, err e
 // RetireSequence removes every window of sequence seqID from the index and
 // tombstones the sequence (its ID stays allocated and resolves to an empty
 // sequence, so later windows keep their identities). It returns the number
-// of windows removed. The cover-tree backend has no deletion and returns
+// of windows removed. A backend with no deletion (the cover tree) returns
 // ErrRetireUnsupported. Not safe concurrently with queries.
 func (mt *Matcher[E]) RetireSequence(seqID int) (removed int, err error) {
 	if seqID < 0 || seqID >= len(mt.db) {
@@ -91,32 +76,8 @@ func (mt *Matcher[E]) RetireSequence(seqID int) (removed int, err error) {
 	if mt.db[seqID] == nil {
 		return 0, fmt.Errorf("core: retire: sequence %d already retired", seqID)
 	}
-	if mt.ct != nil {
-		return 0, fmt.Errorf("%w: cover tree", ErrRetireUnsupported)
-	}
-	wins := seq.Partition(seqID, mt.db[seqID], mt.cfg.Params.WindowLen())
 	mt.chargeBuild(func() {
-		switch {
-		case mt.net != nil:
-			for _, w := range wins {
-				k := winKey{w.SeqID, w.Ord}
-				h, ok := mt.tracked[k]
-				if !ok {
-					err = fmt.Errorf("core: retire: window %v has no tracked handle", w)
-					return
-				}
-				if derr := mt.net.Delete(h); derr != nil {
-					err = fmt.Errorf("core: retire: %w", derr)
-					return
-				}
-				delete(mt.tracked, k)
-			}
-			removed = len(wins)
-		case mt.mv != nil:
-			removed = mt.mv.RemoveFunc(func(w seq.Window[E]) bool { return w.SeqID == seqID })
-		case mt.linear != nil:
-			removed = mt.linear.RemoveFunc(func(w seq.Window[E]) bool { return w.SeqID == seqID })
-		}
+		removed, err = mt.index.remove(seqID, len(mt.db[seqID])/mt.cfg.Params.WindowLen())
 	})
 	if err != nil {
 		return 0, err
@@ -155,8 +116,8 @@ func (mt *Matcher[E]) growPrepared(wins []seq.Window[E]) {
 // their pointers, so preprocessing already built on first touch survives
 // the compaction; retired windows' slots are dropped and their tables
 // freed. Positional invariant: prepared[i] belongs to windows[i], which
-// filterHitsIncremental relies on (the linear backend's item order is kept
-// in lockstep by LinearScan.RemoveFunc).
+// kernelScan relies on (the linear backend's item order is kept in lockstep
+// by LinearScan.RemoveFunc).
 func (mt *Matcher[E]) compactPrepared() {
 	if mt.prepared == nil {
 		return
@@ -185,12 +146,7 @@ func (mt *Matcher[E]) DB() []seq.Sequence[E] { return mt.db }
 // re-indexing. Only the reference net has a serialised form
 // (refnet.Save); other backends return ErrSaveUnsupported and are rebuilt
 // from raw sequences on restore.
-func (mt *Matcher[E]) SaveIndex(w io.Writer) error {
-	if mt.net == nil {
-		return fmt.Errorf("%w: %v", ErrSaveUnsupported, mt.cfg.Index)
-	}
-	return mt.net.Save(w)
-}
+func (mt *Matcher[E]) SaveIndex(w io.Writer) error { return mt.index.save(w) }
 
 // NewMatcherFromSavedIndex reconstructs a refnet-backed matcher from db
 // and an index stream written by SaveIndex, without recomputing any
@@ -205,71 +161,10 @@ func (mt *Matcher[E]) SaveIndex(w io.Writer) error {
 // decoded from the stream are re-aliased onto views of db, so sequences
 // are held in memory once, not twice.
 func NewMatcherFromSavedIndex[E any](m dist.Measure[E], cfg Config, db []seq.Sequence[E], r io.Reader) (*Matcher[E], error) {
-	cfg.defaults()
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateMeasure(m, cfg); err != nil {
-		return nil, err
-	}
 	if cfg.Index != IndexRefNet {
 		return nil, fmt.Errorf("core: restore: backend %v has no serialised form", cfg.Index)
 	}
-	mt := &Matcher[E]{
-		measure: m,
-		cfg:     cfg,
-		db:      db,
-		windows: seq.PartitionAll(db, cfg.Params.WindowLen()),
-	}
-	mt.counter = metric.NewCounter(func(a, b seq.Window[E]) float64 {
-		return m.Fn(a.Data, b.Data)
+	return newMatcher(m, cfg, db, func(mt *Matcher[E], bounded metric.BoundedDistFunc[seq.Window[E]]) (backend[E], error) {
+		return loadNetBackend(mt, bounded, r)
 	})
-	net, err := refnet.Load(r, mt.counter.Distance)
-	if err != nil {
-		return nil, err
-	}
-	if m.Bounded != nil {
-		bounded := m.Bounded
-		net.SetBounded(mt.counter.CountBounded(
-			func(a, b seq.Window[E], eps float64) float64 {
-				return bounded(a.Data, b.Data, eps)
-			}))
-	}
-	if net.Len() != len(mt.windows) {
-		return nil, fmt.Errorf("core: restore: index holds %d windows but database partitions into %d (sequences and index stream do not belong together)",
-			net.Len(), len(mt.windows))
-	}
-	// Re-alias decoded window payloads onto the canonical database views
-	// and rebuild the window→handle map for future retires. Every indexed
-	// window must identify a window the database actually has.
-	byKey := make(map[winKey]seq.Window[E], len(mt.windows))
-	for _, w := range mt.windows {
-		byKey[winKey{w.SeqID, w.Ord}] = w
-	}
-	mt.tracked = make(map[winKey]*refnet.Node[seq.Window[E]], len(mt.windows))
-	rerr := error(nil)
-	net.RewriteItems(func(w seq.Window[E]) seq.Window[E] {
-		canon, ok := byKey[winKey{w.SeqID, w.Ord}]
-		if !ok && rerr == nil {
-			rerr = fmt.Errorf("core: restore: index window %v not present in database", w)
-		}
-		return canon
-	})
-	if rerr != nil {
-		return nil, rerr
-	}
-	net.Walk(func(n *refnet.Node[seq.Window[E]]) {
-		w := n.Item()
-		mt.tracked[winKey{w.SeqID, w.Ord}] = n
-	})
-	if len(mt.tracked) != len(mt.windows) {
-		return nil, fmt.Errorf("core: restore: index holds %d distinct windows, database has %d (duplicate or missing entries)",
-			len(mt.tracked), len(mt.windows))
-	}
-	mt.index = net
-	mt.net = net
-	mt.buildCalls = mt.counter.Calls() // zero: decoding computes no distances
-	mt.counter.Reset()
-	mt.verifier = newVerifier(m, cfg.Params, db)
-	return mt, nil
 }

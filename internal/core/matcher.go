@@ -1,16 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/covertree"
 	"repro/internal/dist"
 	"repro/internal/metric"
-	"repro/internal/refindex"
-	"repro/internal/refnet"
 	"repro/internal/seq"
 )
 
@@ -47,13 +44,6 @@ type Hit[E any] struct {
 	Segment seq.Segment[E]
 }
 
-// windowIndex is the operation the framework needs from its filter
-// backend.
-type windowIndex[E any] interface {
-	Range(q seq.Window[E], eps float64) []seq.Window[E]
-	Len() int
-}
-
 // Matcher is the subsequence-retrieval engine. Construct with NewMatcher,
 // which runs the two offline steps (dataset windowing, index construction);
 // the query methods FindAll, Longest and Nearest run the online steps.
@@ -63,7 +53,9 @@ type Matcher[E any] struct {
 	cfg     Config
 	db      []seq.Sequence[E]
 	windows []seq.Window[E]
-	index   windowIndex[E]
+	// index is the window index behind the backend contract (backend.go):
+	// the one thing the query and lifecycle paths know about it.
+	index backend[E]
 
 	// counter wraps the window distance used by the index, for the
 	// paper's distance-computation accounting.
@@ -73,19 +65,6 @@ type Matcher[E any] struct {
 	buildCalls int64
 	// verifier handles candidate generation + verification (step 5).
 	verifier *verifier[E]
-	// linear is set when the backend is IndexLinearScan; the incremental
-	// filter kernels need direct access to the window slice.
-	linear *metric.LinearScan[seq.Window[E]]
-	// net/ct/mv are the typed backend handles behind mt.index — the index
-	// lifecycle (lifecycle.go) needs backend-specific operations (tracked
-	// deletes, row removal, serialisation) the windowIndex face does not
-	// carry. Exactly one is non-nil, matching cfg.Index.
-	net *refnet.Net[seq.Window[E]]
-	ct  *covertree.Tree[seq.Window[E]]
-	mv  *refindex.Index[seq.Window[E]]
-	// tracked maps each indexed window to its refnet node handle so
-	// RetireSequence can Delete without searching (refnet backend only).
-	tracked map[winKey]*refnet.Node[seq.Window[E]]
 	// scratch pools per-query filter state (segment, probe and hit slices)
 	// so concurrent queries allocate nothing per segment.
 	scratch sync.Pool
@@ -114,9 +93,9 @@ type filterScratch[E any] struct {
 	segs   []seq.Segment[E]
 	probes []seq.Window[E]
 	hits   []Hit[E]
-	// perSeg collects, on the incremental-kernel path, the windows hit by
-	// each segment so results can be emitted in the same segment-major
-	// order as the plain path.
+	// perSeg collects, on the kernel linear scan, the windows hit by each
+	// segment so results can be emitted in the same segment-major order as
+	// every other path.
 	perSeg [][]seq.Window[E]
 	// kstate is the per-worker mutable half of the incremental kernels:
 	// a single state, rebound window to window against the matcher's
@@ -127,9 +106,14 @@ type filterScratch[E any] struct {
 	// keval is the grouped kernel evaluator driving kernel-aware index
 	// traversals (refnet sessions); it owns its own kernel state. next and
 	// pos are the index buffers of the probe layout a session is opened over
-	// (openSession, kerneleval.go).
+	// (netBackend.open).
 	keval     kernelEvaluator[E]
 	next, pos []int32
+	// The query's session lives in the one of these its backend's form
+	// uses, so opening it allocates nothing.
+	netSession   netSession[E]
+	rangeSession rangeSession[E]
+	scanSession  scanSession[E]
 }
 
 func (mt *Matcher[E]) getScratch() *filterScratch[E] {
@@ -145,6 +129,15 @@ func (mt *Matcher[E]) putScratch(sc *filterScratch[E]) { mt.scratch.Put(sc) }
 // partitions every database sequence into windows of length λ/2 (step 1)
 // and builds the window index (step 2).
 func NewMatcher[E any](m dist.Measure[E], cfg Config, db []seq.Sequence[E]) (*Matcher[E], error) {
+	return newMatcher(m, cfg, db, buildBackend[E])
+}
+
+// newMatcher is everything NewMatcher and NewMatcherFromSavedIndex share,
+// which is everything but where the index comes from: index builds or
+// restores it over mt.windows through mt.counter, and is handed the counted
+// early-abandoning window distance (nil when the measure has none).
+func newMatcher[E any](m dist.Measure[E], cfg Config, db []seq.Sequence[E],
+	index func(*Matcher[E], metric.BoundedDistFunc[seq.Window[E]]) (backend[E], error)) (*Matcher[E], error) {
 	cfg.defaults()
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
@@ -161,64 +154,17 @@ func NewMatcher[E any](m dist.Measure[E], cfg Config, db []seq.Sequence[E]) (*Ma
 	mt.counter = metric.NewCounter(func(a, b seq.Window[E]) float64 {
 		return m.Fn(a.Data, b.Data)
 	})
-	windowDist := mt.counter.Distance
-	switch cfg.Index {
-	case IndexRefNet:
-		net := refnet.New(windowDist, refnet.WithBase(cfg.Base), refnet.WithMaxParents(cfg.MaxParents))
-		if m.Bounded != nil {
-			// Arm the eps+ρ early-abandoning traversal: probes prove
-			// subtrees outside the query ball at a fraction of a full
-			// evaluation (results are unchanged; see refnet.SetBounded).
-			bounded := m.Bounded
-			net.SetBounded(mt.counter.CountBounded(
-				func(a, b seq.Window[E], eps float64) float64 {
-					return bounded(a.Data, b.Data, eps)
-				}))
-		}
-		mt.tracked = make(map[winKey]*refnet.Node[seq.Window[E]], len(mt.windows))
-		for _, w := range mt.windows {
-			mt.tracked[winKey{w.SeqID, w.Ord}] = net.InsertTracked(w)
-		}
-		mt.index = net
-		mt.net = net
-	case IndexCoverTree:
-		ct := covertree.New(windowDist, cfg.Base)
-		for _, w := range mt.windows {
-			ct.Insert(w)
-		}
-		mt.index = ct
-		mt.ct = ct
-	case IndexMV:
-		if len(mt.windows) == 0 {
-			return nil, fmt.Errorf("core: MV index requires a non-empty database")
-		}
-		mv, err := refindex.Build(mt.windows, cfg.MVRefs, windowDist, refindex.Options{Seed: cfg.Seed})
-		if err != nil {
-			return nil, err
-		}
-		mt.index = mv
-		mt.mv = mv
-	case IndexLinearScan:
-		ls := metric.NewLinearScan(windowDist)
-		if m.Bounded != nil {
-			// Thread the query radius into the distance kernel: an
-			// early-abandoned comparison still counts as one distance
-			// computation, but costs a fraction of the cells.
-			bounded := m.Bounded
-			ls.SetBounded(mt.counter.CountBounded(
-				func(a, b seq.Window[E], eps float64) float64 {
-					return bounded(a.Data, b.Data, eps)
-				}))
-		}
-		for _, w := range mt.windows {
-			ls.Insert(w)
-		}
-		mt.index = ls
-		mt.linear = ls
-	default:
-		return nil, fmt.Errorf("core: unknown index kind %v", cfg.Index)
+	var bounded metric.BoundedDistFunc[seq.Window[E]]
+	if m.Bounded != nil {
+		bounded = mt.counter.CountBounded(func(a, b seq.Window[E], eps float64) float64 {
+			return m.Bounded(a.Data, b.Data, eps)
+		})
 	}
-	mt.buildCalls = mt.counter.Calls()
+	var err error
+	if mt.index, err = index(mt, bounded); err != nil {
+		return nil, err
+	}
+	mt.buildCalls = mt.counter.Calls() // zero after a restore: decoding computes no distances
 	mt.counter.Reset()
 	mt.verifier = newVerifier(m, cfg.Params, db)
 	return mt, nil
@@ -285,170 +231,26 @@ func (mt *Matcher[E]) FilterHits(q seq.Sequence[E], eps float64) []Hit[E] {
 
 // filterHits is FilterHits into pooled scratch: the returned slice aliases
 // sc.hits and is valid until the scratch is reused. The internal query
-// paths (FindAll, Longest, Nearest) consume the hits
-// before returning the scratch, so steady-state queries allocate neither
-// probe windows nor hit slices.
+// paths (FindAll, Longest) consume the hits before returning the scratch, so
+// steady-state queries allocate neither probe windows nor hit slices.
 func (mt *Matcher[E]) filterHits(q seq.Sequence[E], eps float64, sc *filterScratch[E]) []Hit[E] {
+	s := mt.openQuery(q, sc)
+	if s == nil {
+		return nil
+	}
+	defer s.close()
+	return s.hits(eps)
+}
+
+// openQuery extracts q's segments into sc and opens the query's session on
+// the index over them; nil when q is too short to have a segment. The
+// caller closes the session.
+func (mt *Matcher[E]) openQuery(q seq.Sequence[E], sc *filterScratch[E]) session[E] {
 	sc.segs = seq.AppendSegmentsFor(sc.segs[:0], q, mt.cfg.Params.Lambda, mt.cfg.Params.Lambda0)
-	sc.hits = sc.hits[:0]
 	if len(sc.segs) == 0 {
 		return nil
 	}
-	// The incremental kernel prices all segment lengths at one start for a
-	// single pass over the window; it pays off exactly when there is more
-	// than one length (λ0 > 0 — with a single length the bounded scan's
-	// early abandoning is the better linear-backend kernel).
-	if mt.linear != nil && mt.kernelTraversal() {
-		return mt.filterHitsIncremental(q, eps, sc)
-	}
-	if mt.net != nil {
-		s := mt.openSession(q, sc)
-		defer s.Close()
-		return mt.sessionHits(s, eps, sc)
-	}
-	for _, s := range sc.segs {
-		for _, w := range mt.index.Range(probeOf(s), eps) {
-			sc.hits = append(sc.hits, Hit[E]{Window: w, Segment: s})
-		}
-	}
-	return sc.hits
-}
-
-// probeOf is the index probe of a query segment: a window that belongs to
-// no database sequence.
-func probeOf[E any](s seq.Segment[E]) seq.Window[E] {
-	return seq.Window[E]{SeqID: -1, Start: s.Start, Data: s.Data}
-}
-
-// sessionHits reads the session opened over sc.segs as a range query at eps
-// and returns the hits segment-major, as on every path.
-func (mt *Matcher[E]) sessionHits(s *refnet.Session[seq.Window[E]], eps float64, sc *filterScratch[E]) []Hit[E] {
-	sc.hits = sc.hits[:0]
-	results := s.Range(eps)
-	for i, seg := range sc.segs {
-		for _, w := range results[sc.pos[i]] {
-			sc.hits = append(sc.hits, Hit[E]{Window: w, Segment: seg})
-		}
-	}
-	return sc.hits
-}
-
-// filterHitsIncremental is the linear-backend filter driven by the
-// measure's incremental kernel (kernelScan). Results are bucketed per
-// segment and flattened segment-major so the hit order matches the plain
-// path exactly.
-func (mt *Matcher[E]) filterHitsIncremental(q seq.Sequence[E], eps float64, sc *filterScratch[E]) []Hit[E] {
-	segs := sc.segs
-	for len(sc.perSeg) < len(segs) {
-		sc.perSeg = append(sc.perSeg, nil)
-	}
-	perSeg := sc.perSeg[:len(segs)]
-	for i := range perSeg {
-		perSeg[i] = perSeg[i][:0]
-	}
-	mt.kernelScan(q, eps, sc, perSeg)
-	for i, wins := range perSeg {
-		for _, w := range wins {
-			sc.hits = append(sc.hits, Hit[E]{Window: w, Segment: segs[i]})
-		}
-	}
-	return sc.hits
-}
-
-// kernelScan is the linear backend's pass over every (window, query offset)
-// pair under the measure's incremental kernel (ROADMAP: per-measure
-// window-distance evaluation across overlapping segments). For every
-// database window it binds one kernel and, per query offset, streams the
-// λ/2+λ0 elements once, reading off the distance of every segment length on
-// the way — 2λ0+1 segment evaluations for one pass instead of 2λ0+1
-// independent DPs.
-//
-// It is read two ways, like the net's traversal. With perSeg it is the
-// range filter: perSeg[i] collects the windows within eps of segment i. With
-// perSeg nil it returns the least segment-to-window distance if that is at
-// most eps, +Inf otherwise: eps is then a bound that drops to just under
-// every distance found, and a pass stops once the kernel's Floor proves no
-// longer segment can come back under it.
-//
-// Distance accounting matches the plain path: one counted evaluation per
-// segment↔window pair of a pass, read or abandoned.
-func (mt *Matcher[E]) kernelScan(q seq.Sequence[E], eps float64, sc *filterScratch[E], perSeg [][]seq.Window[E]) float64 {
-	l := mt.cfg.Params.WindowLen()
-	minLen, maxLen := l-mt.cfg.Params.Lambda0, l+mt.cfg.Params.Lambda0
-	if minLen < 1 {
-		minLen = 1
-	}
-	if maxLen > len(q) {
-		maxLen = len(q)
-	}
-	// seg index of (length n, start a): offsets[n-minLen] + a, matching
-	// AppendSegments' length-major order.
-	offsets := make([]int, maxLen-minLen+1)
-	for n, off := minLen+1, 0; n <= maxLen; n++ {
-		off += len(q) - (n - 1) + 1
-		offsets[n-minLen] = off
-	}
-	items := mt.linear.Items()
-	// The immutable window preprocessing is shared matcher-wide; this
-	// worker carries one kernel state and rebinds it window to window, so
-	// steady-state kernel memory is O(windows), not O(windows × workers).
-	// The linear scan touches every window per query, so the lazy slots
-	// all fill on the first query and later queries read them for free.
-	mt.preparedInit()
-	best := math.Inf(1)
-	var evals int64
-	for wi, w := range items {
-		sc.kstate = dist.BindKernel(sc.kstate, mt.preparedAt(int32(wi)))
-		k := sc.kstate
-		for a := 0; a+minLen <= len(q); a++ {
-			k.Reset()
-			top := maxLen
-			if a+top > len(q) {
-				top = len(q) - a
-			}
-			for n := 1; n <= top; n++ {
-				d := k.Feed(q[a+n-1])
-				if perSeg == nil {
-					if n >= minLen && d <= eps {
-						best, eps = d, math.Nextafter(d, math.Inf(-1))
-					}
-					if k.Floor() > eps {
-						break
-					}
-				} else if n >= minLen && d <= eps {
-					perSeg[offsets[n-minLen]+a] = append(perSeg[offsets[n-minLen]+a], w)
-				}
-			}
-			evals += int64(top - minLen + 1)
-		}
-	}
-	mt.counter.Add(evals)
-	return best
-}
-
-// minDist is ε₀ on the backends without a session: the least distance
-// between any segment in sc.segs and any indexed window if that is at most
-// epsMax, +Inf otherwise. The linear scan with a kernel reads it off
-// kernelScan. The others range-query each segment at the best distance so
-// far and price what comes back through the counted distance, so the radius
-// shrinks from segment to segment.
-func (mt *Matcher[E]) minDist(q seq.Sequence[E], epsMax float64, sc *filterScratch[E]) float64 {
-	if mt.linear != nil && mt.kernelTraversal() {
-		return mt.kernelScan(q, epsMax, sc, nil)
-	}
-	best, bound := math.Inf(1), epsMax
-	for _, s := range sc.segs {
-		if bound < 0 {
-			break
-		}
-		probe := probeOf(s)
-		for _, w := range mt.index.Range(probe, bound) {
-			if d := mt.counter.Distance(probe, w); d <= bound {
-				best, bound = d, math.Nextafter(d, math.Inf(-1))
-			}
-		}
-	}
-	return best
+	return mt.index.open(q, sc)
 }
 
 // FindAll answers query Type I: it returns every pair of similar
@@ -490,44 +292,62 @@ type NearestOptions struct {
 	EpsInc float64
 }
 
+// MaxNearestSteps is the largest EpsMax/EpsInc a Type III query may ask for:
+// the number of verification rounds between radius 0 and EpsMax, and 2 to
+// the number of bisection steps. The smallest EpsInc in use is EpsMax/16.
+const MaxNearestSteps = 1 << 12
+
+// The errors NearestOptions.Validate returns.
+var (
+	ErrNearestEpsNotPositive = errors.New("core: nearest: EpsMax and EpsInc must be > 0")
+	ErrNearestEpsIncTooSmall = fmt.Errorf("core: nearest: EpsInc must be at least EpsMax/%d", MaxNearestSteps)
+)
+
+// Validate reports whether the options describe a radius schedule Nearest
+// can run: both radii positive, and EpsInc no finer than EpsMax /
+// MaxNearestSteps. Below that the schedule is unbounded work in one call —
+// 10⁹ rounds at EpsMax/EpsInc = 10⁹ — and under one ulp of the radius
+// (eps + EpsInc == eps) it never ends.
+func (o NearestOptions) Validate() error {
+	if !(o.EpsMax > 0 && o.EpsInc > 0) {
+		return ErrNearestEpsNotPositive
+	}
+	if !(o.EpsMax/o.EpsInc <= MaxNearestSteps) {
+		return ErrNearestEpsIncTooSmall
+	}
+	return nil
+}
+
 // Nearest answers query Type III: it returns a pair minimising δ(SQ,SX)
-// subject to the length constraints, if one exists within EpsMax.
+// subject to the length constraints, if one exists within EpsMax. Options
+// that do not Validate find nothing.
 //
 // Section 7 binary-searches the least radius at which the filter produces
 // any segment hit, then verifies, enlarging the radius by EpsInc until a
 // pair is confirmed. Every probe of that search asks whether its radius
 // reaches ε₀, the least distance between any query segment and any window —
-// so ε₀ is found once, by one nearest-neighbour search capped at EpsMax
-// (refnet.Session.MinDist on the net, minDist elsewhere), and the bisection
-// is replayed on that number with the arithmetic it always had: the radius
-// it ends at is bit for bit the one a filter run per probe would give.
+// so ε₀ is found once, by one nearest-neighbour search capped at EpsMax (the
+// session's minDist), and the bisection is replayed on that number with the
+// arithmetic it always had: the radius it ends at is bit for bit the one a
+// filter run per probe would give.
 //
 // The verification rounds then run at that radius, +EpsInc, +2·EpsInc, …,
 // each clamped to EpsMax, and end with the first round that confirms a pair
-// or with the round at EpsMax. On the net they are Range reads of the
-// session MinDist ran on, which evaluates no (segment, window) pair twice
-// over the whole query; on the other backends each is a filter run.
+// or with the round at EpsMax. Each is a hits read of the session minDist
+// ran on: on the net that evaluates no (segment, window) pair twice over the
+// whole query; the other session forms run the filter again.
 func (mt *Matcher[E]) Nearest(q seq.Sequence[E], opts NearestOptions) (Match, bool) {
-	if opts.EpsMax <= 0 || opts.EpsInc <= 0 {
+	if opts.Validate() != nil {
 		return Match{}, false
 	}
 	sc := mt.getScratch()
 	defer mt.putScratch(sc)
-	sc.segs = seq.AppendSegmentsFor(sc.segs[:0], q, mt.cfg.Params.Lambda, mt.cfg.Params.Lambda0)
-	if len(sc.segs) == 0 {
+	s := mt.openQuery(q, sc)
+	if s == nil {
 		return Match{}, false
 	}
-	var eps0 float64
-	var round func(eps float64) []Hit[E]
-	if mt.net != nil {
-		s := mt.openSession(q, sc)
-		defer s.Close()
-		eps0 = s.MinDist(opts.EpsMax)
-		round = func(eps float64) []Hit[E] { return mt.sessionHits(s, eps, sc) }
-	} else {
-		eps0 = mt.minDist(q, opts.EpsMax, sc)
-		round = func(eps float64) []Hit[E] { return mt.filterHits(q, eps, sc) }
-	}
+	defer s.close()
+	eps0 := s.minDist(opts.EpsMax)
 	if eps0 > opts.EpsMax {
 		return Match{}, false
 	}
@@ -544,7 +364,7 @@ func (mt *Matcher[E]) Nearest(q seq.Sequence[E], opts NearestOptions) (Match, bo
 	}
 	for eps := hi; ; eps += opts.EpsInc {
 		eps = min(eps, opts.EpsMax)
-		if best, ok := mt.verifier.verifyNearest(q, round(eps), eps); ok {
+		if best, ok := mt.verifier.verifyNearest(q, s.hits(eps), eps); ok {
 			return best, true
 		}
 		if eps == opts.EpsMax {

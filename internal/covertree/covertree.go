@@ -7,7 +7,7 @@
 // The implementation deliberately shares its geometry with the reference
 // net — level radii ǫᵢ = ǫ′·2ⁱ, and a measured cover radius on every node
 // (max over children of stored edge distance + child's radius, under the
-// level's worst case ǫ′·(2^{l+1}−2)) that both traversals prune with — so
+// level's worst case ǫ′·(2^{l+1}−2)) that the range traversal prunes with — so
 // that space and pruning comparisons between the two structures isolate the
 // single structural difference the paper highlights: multi-parent
 // membership.
@@ -63,8 +63,8 @@ var _ metric.Index[int] = (*Tree[int])(nil)
 func (t *Tree[T]) Eps(i int) float64 { return math.Ldexp(t.base, i) }
 
 // CoverRadius is the worst-case distance from a level-l node to any
-// descendant. The traversals prune with each node's measured radius, which
-// this bound dominates (Validate checks it).
+// descendant. The range traversal prunes with each node's measured radius,
+// which this bound dominates (Validate checks it).
 func (t *Tree[T]) CoverRadius(level int) float64 {
 	if level <= 0 {
 		return 0

@@ -3,7 +3,9 @@ package refindex
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/metric"
@@ -157,5 +159,34 @@ func TestDeterministicWithSeed(t *testing.T) {
 		if a.References()[i] != b.References()[i] {
 			t.Fatal("same seed produced different references")
 		}
+	}
+}
+
+// Pool workers query one MV index at the same time; Range must be a pure
+// read. Run under -race (the CI list) for the decisive check.
+func TestConcurrentReadQueries(t *testing.T) {
+	idx, items := buildUniform(t, 500, 5)
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			r := rand.New(rand.NewPCG(seed, 1))
+			for i := 0; i < 50; i++ {
+				q, eps := r.Float64()*1000, r.Float64()*50
+				got := idx.Range(q, eps)
+				sort.Float64s(got)
+				if !slices.Equal(got, sortedScan(items, q, eps)) {
+					errs <- "range mismatch under concurrency"
+					return
+				}
+			}
+		}(uint64(w))
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }

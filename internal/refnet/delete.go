@@ -32,6 +32,7 @@ func (t *Net[T]) Delete(h *Node[T]) error {
 	}
 	h.parents = nil
 	t.size--
+	t.freeIDs = append(t.freeIDs, h.id)
 	orphans := detachChildren(h)
 	for _, c := range orphans {
 		t.rehome(c)
@@ -54,6 +55,7 @@ func (t *Net[T]) deleteRoot() error {
 		// state with no orphans is an empty net.
 		return fmt.Errorf("refnet: internal error: root with %d items had no orphans", t.size)
 	}
+	t.freeIDs = append(t.freeIDs, old.id)
 	if len(orphans) == 0 {
 		t.root = nil
 		return nil

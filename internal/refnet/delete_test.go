@@ -2,6 +2,7 @@ package refnet
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -181,5 +182,52 @@ func TestDeleteWithMaxParentsCap(t *testing.T) {
 	}
 	if !equalFloats(sortedRange(n, 0, 15), sortedScan(vals, 0, 15)) {
 		t.Error("range mismatch after capped deletes")
+	}
+}
+
+// Per-query scratch is sized to the node-id space, so a net held at a fixed
+// live size through delete+insert churn — a store appending and retiring
+// sequences, a TTL sweep — must keep that space at the live size: freed ids
+// are handed out again. Every id in use stays distinct, and queries over the
+// churned net still answer as a scan does.
+func TestDeleteInsertChurnKeepsIDSpaceAtLiveSize(t *testing.T) {
+	const liveSize, pairs = 200, 5000
+	rng := rand.New(rand.NewPCG(73, 79))
+	n := New(absDist)
+	var live []*Node[float64]
+	for i := 0; i < liveSize; i++ {
+		live = append(live, n.InsertTracked(rng.Float64()*100))
+	}
+	for i := 0; i < pairs; i++ {
+		// Oldest out, as a retire does; every 50th pair takes the root.
+		victim := 0
+		if i%50 == 0 {
+			victim = slices.IndexFunc(live, func(h *Node[float64]) bool { return h == n.root })
+		}
+		if err := n.Delete(live[victim]); err != nil {
+			t.Fatalf("pair %d: Delete: %v", i, err)
+		}
+		live = append(slices.Delete(live, victim, victim+1), n.InsertTracked(rng.Float64()*100))
+	}
+	if int(n.nextID) > liveSize {
+		t.Fatalf("id space is %d after %d delete+insert pairs on %d live items: freed ids are not reused", n.nextID, pairs, liveSize)
+	}
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]bool, n.nextID)
+	items := make([]float64, len(live))
+	for i, h := range live {
+		if seen[h.id] {
+			t.Fatalf("id %d is held by two live nodes", h.id)
+		}
+		seen[h.id] = true
+		items[i] = h.item
+	}
+	for i := 0; i < 20; i++ {
+		q, eps := rng.Float64()*100, rng.Float64()*5
+		if got, want := sortedRange(n, q, eps), sortedScan(items, q, eps); !equalFloats(got, want) {
+			t.Fatalf("Range(%v, %v) = %v after churn, linear scan %v", q, eps, got, want)
+		}
 	}
 }

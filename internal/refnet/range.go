@@ -46,14 +46,14 @@ import (
 // the decided flag guarantees each node's membership is settled exactly
 // once.
 //
-// Two traversals apply the rules. rangeWith walks the net for one probe
-// (Range, RangeFunc). Session.walk walks it once for a whole probe set —
-// the subsequence framework passes the segments of one query — and is read
-// two ways: Session.Range is rules 1–4 per probe, Session.MinDist the same
-// walk with ε replaced by one bound all probes share, which shrinks to just
-// under every exact distance met, so what is left at the end is the least
-// probe-to-item distance. BatchRange and BatchRangeEval are a session
-// opened, read once as Range, and closed.
+// One traversal applies the rules: Session.walk walks the net once for a
+// whole probe set — the subsequence framework passes the segments of one
+// query — and is read two ways: Session.Range is rules 1–4 per probe,
+// Session.MinDist the same walk with ε replaced by one bound all probes
+// share, which shrinks to just under every exact distance met, so what is
+// left at the end is the least probe-to-item distance. Range is a session of
+// one probe and BatchRange a session of many, each opened, read once as
+// Range, and closed.
 //
 // Step 3 is where all the distance cost lives, and three things cut it.
 // When the net's distance has a bounded evaluation (SetBounded), probes are
@@ -82,17 +82,11 @@ const (
 	computedBit = 2
 )
 
-// queryState is the per-query traversal scratch: node flags, computed
-// distances, and the explicit DFS stack, all recycled via Net.qpool.
+// queryState is one probe's traversal scratch: node flags and computed
+// distances, recycled via Net.qpool.
 type queryState[T any] struct {
 	flags []uint8
 	d     []float64
-	stack []stackEntry[T]
-}
-
-type stackEntry[T any] struct {
-	n *Node[T]
-	d float64
 }
 
 // getState returns a query state sized for the current node-id space with
@@ -111,126 +105,17 @@ func (t *Net[T]) getState() *queryState[T] {
 		s.d = s.d[:n]
 		clear(s.flags)
 	}
-	s.stack = s.stack[:0]
 	return s
 }
 
 func (t *Net[T]) putState(s *queryState[T]) { t.qpool.Put(s) }
 
-// probeDist evaluates δ(q, item) under the net's bounded evaluation when
-// armed: exact reports whether the returned value is the true distance
-// (false only for an abandoned bounded evaluation, which proves the true
-// distance exceeds bound).
-func (t *Net[T]) probeDist(q, item T, bound float64) (d float64, exact bool) {
-	if t.bounded != nil {
-		v := t.bounded(q, item, bound)
-		return v, v <= bound
-	}
-	return t.dist(q, item), true
-}
-
-// Range returns every item within eps of q (inclusive).
+// Range returns every item within eps of q (inclusive): a session of one
+// probe, opened, read once and closed.
 func (t *Net[T]) Range(q T, eps float64) []T {
-	var out []T
-	t.RangeFunc(q, eps, func(item T) { out = append(out, item) })
-	return out
-}
-
-// RangeFunc streams every item within eps of q to yield, avoiding result
-// slice allocation. The order of results is unspecified.
-func (t *Net[T]) RangeFunc(q T, eps float64, yield func(T)) {
-	if t.root == nil {
-		return
-	}
-	st := t.getState()
-	t.rangeWith(st, q, eps, yield)
-	t.putState(st)
-}
-
-// rangeWith runs the one-probe traversal with the given scratch, streaming
-// results to yield.
-func (t *Net[T]) rangeWith(st *queryState[T], q T, eps float64, yield func(T)) {
-	rootRho := t.root.rho
-	d, _ := t.probeDist(q, t.root.item, eps+rootRho)
-	if d > eps+rootRho {
-		// δ(q, root) > ε + ρ(root): every item is outside the ball (rule 3
-		// at the root; when the evaluation abandoned, a proof rather than a
-		// distance). Values at or under the bound are exact.
-		return
-	}
-	st.flags[t.root.id] = decidedBit | computedBit
-	st.d[t.root.id] = d
-	if d <= eps {
-		yield(t.root.item)
-	}
-	stack := append(st.stack[:0], stackEntry[T]{t.root, d})
-	for len(stack) > 0 {
-		e := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n, d := e.n, e.d
-		for _, ce := range n.children {
-			c := ce.n
-			if st.flags[c.id]&decidedBit != 0 {
-				continue
-			}
-			rho := c.rho
-			if !t.noEdgeBounds {
-				lo := d - ce.d
-				if lo < 0 {
-					lo = -lo
-				}
-				hi := d + ce.d
-				// Tighten through every other parent already computed.
-				for _, pe := range c.parents {
-					if pe.n == n || st.flags[pe.n.id]&computedBit == 0 {
-						continue
-					}
-					dp := st.d[pe.n.id]
-					if l := dp - pe.d; l > lo {
-						lo = l
-					} else if -l > lo {
-						lo = -l
-					}
-					if h := dp + pe.d; h < hi {
-						hi = h
-					}
-				}
-				if lo-rho > eps {
-					t.markSubtree(c, st)
-					continue
-				}
-				if hi+rho <= eps {
-					t.collectSubtree(c, st, yield)
-					continue
-				}
-			}
-			dc, exact := t.probeDist(q, c.item, eps+rho)
-			if !exact {
-				// Abandoned: δ(q,c) > ε + ρ proves the subtree outside; the
-				// inexact value is not recorded for parent bounds.
-				t.markSubtree(c, st)
-				continue
-			}
-			st.flags[c.id] |= computedBit
-			st.d[c.id] = dc
-			if dc-rho > eps {
-				t.markSubtree(c, st)
-				continue
-			}
-			if dc+rho <= eps {
-				t.collectSubtree(c, st, yield)
-				continue
-			}
-			st.flags[c.id] |= decidedBit
-			if dc <= eps {
-				yield(c.item)
-			}
-			if len(c.children) > 0 {
-				stack = append(stack, stackEntry[T]{c, dc})
-			}
-		}
-	}
-	st.stack = stack
+	s := t.OpenSession([]T{q}, nil)
+	defer s.Close()
+	return s.Range(eps)[0]
 }
 
 // markSubtree marks c and its multi-parent descendants as decided
@@ -251,26 +136,10 @@ func (t *Net[T]) markSubtree(c *Node[T], st *queryState[T]) {
 	}
 }
 
-// collectSubtree reports c and all its not-yet-decided descendants as
-// results, with the same single-parent marking optimisation as markSubtree
-// (a single-parent node can be collected only through its one parent, so it
-// cannot be yielded twice).
-func (t *Net[T]) collectSubtree(c *Node[T], st *queryState[T], yield func(T)) {
-	if len(c.parents) > 1 {
-		if st.flags[c.id]&decidedBit != 0 {
-			return
-		}
-		st.flags[c.id] |= decidedBit
-	}
-	yield(c.item)
-	for _, e := range c.children {
-		t.collectSubtree(e.n, st, yield)
-	}
-}
-
-// collectSubtreeInto is collectSubtree appending straight into dst — the
-// batched traversal's form, which avoids minting a yield closure per
-// collected subtree.
+// collectSubtreeInto appends c and all its not-yet-decided descendants to
+// dst as results, with the same single-parent marking optimisation as
+// markSubtree (a single-parent node can be collected only through its one
+// parent, so it cannot be appended twice).
 func (t *Net[T]) collectSubtreeInto(c *Node[T], st *queryState[T], dst *[]T) {
 	if len(c.parents) > 1 {
 		if st.flags[c.id]&decidedBit != 0 {
@@ -609,13 +478,7 @@ func (e *distEvaluator[T]) EvalBatch(item T, idxs []int32, bound float64, out []
 // are walked once for the whole surviving query set rather than once per
 // query — and in locality when the query set is large.
 func (t *Net[T]) BatchRange(qs []T, eps float64) [][]T {
-	return t.BatchRangeEval(qs, eps, nil)
-}
-
-// BatchRangeEval is BatchRange with a caller-supplied batch evaluator (see
-// OpenSession).
-func (t *Net[T]) BatchRangeEval(qs []T, eps float64, ev metric.BatchEvaluator[T]) [][]T {
-	s := t.OpenSession(qs, ev)
+	s := t.OpenSession(qs, nil)
 	defer s.Close()
 	return s.Range(eps)
 }

@@ -25,31 +25,32 @@ func (e *batchCountingEval) EvalBatch(item float64, idxs []int32, _ float64, out
 	}
 }
 
-// BatchRangeEval with an exact custom evaluator must return exactly the
-// default BatchRange results, and must have batched the probes: strictly
-// fewer EvalBatch calls than probe evaluations once several probes survive
-// to the same nodes.
-func TestBatchRangeEvalMatchesBatchRange(t *testing.T) {
+// A session priced by an exact custom evaluator must return exactly what a
+// linear scan of the items returns, and must have batched the probes:
+// strictly fewer EvalBatch calls than probe evaluations once several probes
+// survive to the same nodes.
+func TestSessionEvaluatorMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 43))
 	n := New(absDist)
+	var items []float64
 	for i := 0; i < 400; i++ {
-		n.Insert(rng.Float64() * 100)
+		items = append(items, rng.Float64()*100)
+		n.Insert(items[i])
 	}
 	qs := make([]float64, 24)
 	for i := range qs {
 		qs[i] = rng.Float64() * 100
 	}
 	const eps = 3.0
-	want := n.BatchRange(qs, eps)
 	ev := &batchCountingEval{qs: qs}
-	got := n.BatchRangeEval(qs, eps, ev)
-	for i := range qs {
+	s := n.OpenSession(qs, ev)
+	got := s.Range(eps)
+	s.Close()
+	for i, q := range qs {
 		g := append([]float64(nil), got[i]...)
-		w := append([]float64(nil), want[i]...)
 		sort.Float64s(g)
-		sort.Float64s(w)
-		if !equalFloats(g, w) {
-			t.Fatalf("query %d: eval path %v, default %v", i, g, w)
+		if w := sortedScan(items, q, eps); !equalFloats(g, w) {
+			t.Fatalf("query %d: session %v, linear scan %v", i, g, w)
 		}
 	}
 	if ev.calls == 0 || ev.probes == 0 {
@@ -61,11 +62,10 @@ func TestBatchRangeEvalMatchesBatchRange(t *testing.T) {
 }
 
 // A bounded evaluation armed via SetBounded must leave every Range and
-// BatchRange result unchanged — abandoned probes only ever prune
-// subtrees the exact traversal would also have pruned.
+// BatchRange result what a linear scan returns — abandoned probes only ever
+// prune subtrees that hold nothing inside the ball.
 func TestBoundedTraversalMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(47, 53))
-	exactNet := New(absDist)
 	boundedNet := New(absDist)
 	boundedNet.SetBounded(func(a, b float64, eps float64) float64 {
 		d := math.Abs(a - b)
@@ -74,34 +74,26 @@ func TestBoundedTraversalMatchesExact(t *testing.T) {
 		}
 		return d
 	})
+	var items []float64
 	for i := 0; i < 500; i++ {
-		v := rng.Float64() * 200
-		exactNet.Insert(v)
-		boundedNet.Insert(v)
+		items = append(items, rng.Float64()*200)
+		boundedNet.Insert(items[i])
 	}
 	qs := make([]float64, 16)
 	for i := range qs {
 		qs[i] = rng.Float64() * 200
 	}
 	for _, eps := range []float64{0, 1.5, 10, 60} {
-		for _, q := range qs {
-			want := append([]float64(nil), exactNet.Range(q, eps)...)
-			got := append([]float64(nil), boundedNet.Range(q, eps)...)
-			sort.Float64s(want)
-			sort.Float64s(got)
-			if !equalFloats(got, want) {
-				t.Fatalf("eps=%v q=%v: bounded Range %v, exact %v", eps, q, got, want)
-			}
-		}
-		wantB := exactNet.BatchRange(qs, eps)
 		gotB := boundedNet.BatchRange(qs, eps)
-		for i := range qs {
+		for i, q := range qs {
+			want := sortedScan(items, q, eps)
+			if got := sortedRange(boundedNet, q, eps); !equalFloats(got, want) {
+				t.Fatalf("eps=%v q=%v: bounded Range %v, linear scan %v", eps, q, got, want)
+			}
 			g := append([]float64(nil), gotB[i]...)
-			w := append([]float64(nil), wantB[i]...)
 			sort.Float64s(g)
-			sort.Float64s(w)
-			if !equalFloats(g, w) {
-				t.Fatalf("eps=%v query %d: bounded BatchRange %v, exact %v", eps, i, g, w)
+			if !equalFloats(g, want) {
+				t.Fatalf("eps=%v query %d: bounded BatchRange %v, linear scan %v", eps, i, g, want)
 			}
 		}
 	}

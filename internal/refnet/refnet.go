@@ -51,10 +51,9 @@
 //
 // # Query surface
 //
-// Beyond single-probe Range, the net answers KNN (knn.go) and, through a
-// Session (range.go), a whole probe set in one walk of the hierarchy — the
-// subsequence framework passes the segments of one query. A session is read
-// as Range (BatchRange is a session opened, read once and closed) or as
+// Every range read is a Session (range.go): a probe set held open on the net
+// and answered in one walk of the hierarchy — the subsequence framework
+// passes the segments of one query. A session is read as Range or as
 // MinDist, the least probe-to-item distance, and keeps every distance it has
 // computed across its reads. Two capabilities cut the evaluation cost of
 // traversal probes: SetBounded arms an early-abandoning distance (probes
@@ -64,7 +63,11 @@
 // node in one call — the subsequence framework streams probes sharing a
 // query offset through a single incremental kernel pass there. Nets
 // serialise with Save/Load (serialize.go) without recomputing any
-// distances, and support Delete with invariant repair (delete.go).
+// distances, and support Delete with invariant repair (delete.go). Net.Range
+// is a session of one probe and BatchRange a session of many, each opened,
+// read once and closed; there is no second range traversal. KNN (knn.go) is
+// the one other walk: a best-first search for the k nearest items, which for
+// k > 1 is not a MinDist read.
 package refnet
 
 import (
@@ -91,10 +94,14 @@ type Net[T any] struct {
 	noEdgeBounds bool
 	root         *Node[T]
 	size         int
-	// nextID is the next per-node query-state index to hand out. Node ids
-	// are dense on a freshly built or loaded net; deletions leave holes,
-	// which only cost a few unused scratch slots.
-	nextID int32
+	// nextID is the size of the node-id space: every probe of every query
+	// sizes and clears its scratch to it (getState). Ids are dense on a
+	// freshly built or loaded net; Delete hands a node's id to freeIDs and
+	// newID draws from there first, so under delete+insert churn the space
+	// stays at the net's peak size instead of growing with every insertion
+	// ever made.
+	nextID  int32
+	freeIDs []int32
 	// bounded, when set, is the early-abandoning evaluation of dist used by
 	// range traversals (see SetBounded).
 	bounded metric.BoundedDistFunc[T]
@@ -234,8 +241,14 @@ func (t *Net[T]) InsertTracked(item T) *Node[T] {
 	return n
 }
 
-// newID hands out the next query-state index.
+// newID hands out a query-state index: one a deleted node gave back if
+// there is one, the next unused one otherwise.
 func (t *Net[T]) newID() int32 {
+	if n := len(t.freeIDs); n > 0 {
+		id := t.freeIDs[n-1]
+		t.freeIDs = t.freeIDs[:n-1]
+		return id
+	}
 	id := t.nextID
 	t.nextID++
 	return id

@@ -204,8 +204,7 @@ func (e *stormEval) EvalBatch(item stormPt, idxs []int32, bound float64, out []f
 	}
 }
 
-// checkSession holds a session's two reads to a linear scan and to fresh
-// BatchRange calls: MinDist at a cap just below, at and above the true
+// checkSession holds a session's two reads to a linear scan: MinDist at a cap just below, at and above the true
 // minimum, then Range at three radii ascending and again descending, all on
 // the one session, under an exact and under a bounded evaluator. It returns
 // the evaluations the sessions asked for and the evaluations the same Range
@@ -239,13 +238,23 @@ func checkSession(t *testing.T, n *Net[stormPt], live []*Node[stormPt], rng *ran
 			}
 		}
 		for _, eps := range radii {
+			// The same read on a session of its own, for what it costs
+			// with nothing kept.
 			count := &stormEval{t: t, dist: n.dist, qs: qs, known: map[[2]int]bool{}}
-			want := n.BatchRangeEval(qs, eps, count)
+			fs := n.OpenSession(qs, count)
+			fs.Range(eps)
+			fs.Close()
 			fresh += count.priced
 			for i, got := range s.Range(eps) {
-				if !slices.Equal(ids(got), ids(want[i])) {
-					t.Fatalf("session Range(%v) probe %d = ids %v (bounded evaluator: %v), fresh BatchRange %v",
-						eps, i, ids(got), bounded, ids(want[i]))
+				var want []stormPt
+				for _, h := range live {
+					if n.dist(qs[i], h.item) <= eps {
+						want = append(want, h.item)
+					}
+				}
+				if !slices.Equal(ids(got), ids(want)) {
+					t.Fatalf("session Range(%v) probe %d = ids %v (bounded evaluator: %v), linear scan %v",
+						eps, i, ids(got), bounded, ids(want))
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"repro/internal/core"
 )
@@ -22,7 +23,8 @@ type Params struct {
 	// Eps is the query radius (findall, longest, filter, every batch).
 	Eps *float64 `json:"eps"`
 	// EpsMax/EpsInc tune nearest (Type III); eps_inc defaults to
-	// eps_max/16.
+	// eps_max/16 and may not be under eps_max/4096
+	// (core.NearestOptions.Validate).
 	EpsMax *float64 `json:"eps_max"`
 	EpsInc *float64 `json:"eps_inc"`
 }
@@ -93,7 +95,12 @@ func nearest(p Params) (Args, error) {
 	if p.EpsInc != nil {
 		opts.EpsInc = *p.EpsInc
 	}
-	if opts.EpsInc <= 0 {
+	// eps_max is positive here, so what is left for Validate to refuse is
+	// eps_inc.
+	switch err := opts.Validate(); {
+	case errors.Is(err, core.ErrNearestEpsIncTooSmall):
+		return Args{}, fmt.Errorf(`"eps_inc" must be at least "eps_max"/%d`, core.MaxNearestSteps)
+	case err != nil:
 		return Args{}, errors.New(`"eps_inc" must be > 0`)
 	}
 	return Args{Nearest: opts}, nil

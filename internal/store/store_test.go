@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -397,4 +398,46 @@ func less(a, b core.Match) bool {
 		return a.QEnd < b.QEnd
 	}
 	return a.Dist < b.Dist
+}
+
+// The reference net a scripted build + append + retire program leaves must be
+// node for node and edge for edge the net the same program has always left:
+// the store snapshot (sequences, tombstones, nodes in walk order, levels,
+// parent→child edges with their stored distances) is pinned by its SHA-256,
+// taken at the commit before Matcher moved behind the backend contract and
+// refnet node ids began to be reused. A change that alters which windows are
+// inserted or deleted, in what order, or what an insertion or a re-homing
+// decides, changes these bytes.
+func TestScriptedProgramSnapshotBytesPinned(t *testing.T) {
+	s, _, rng := testStore(t, core.IndexRefNet)
+	for step := 0; step < 24; step++ {
+		switch ids, _ := s.Len(); {
+		case step%3 == 2:
+			// Oldest live sequence out: step 2 retires sequence 0, whose
+			// first window is the net's root.
+			victim := 0
+			for s.Matcher().DB()[victim] == nil {
+				victim++
+			}
+			if _, err := s.Retire(victim); err != nil {
+				t.Fatalf("step %d: retire %d: %v", step, victim, err)
+			}
+		case step%7 == 5:
+			if _, err := s.Retire(ids - 1); err != nil { // newest out
+				t.Fatalf("step %d: retire %d: %v", step, ids-1, err)
+			}
+		default:
+			if _, err := s.Append(randSeq(rng, 20+rng.Intn(30))); err != nil {
+				t.Fatalf("step %d: append: %v", step, err)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const wantLen, wantSum = 2782, "4d06a87c30af0a15a198ff2b1ddf253c68d7d019242eee19d971717f6069db3b"
+	if sum := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != wantLen || sum != wantSum {
+		t.Fatalf("snapshot is %d bytes, sha256 %s; pinned %d bytes, %s", buf.Len(), sum, wantLen, wantSum)
+	}
 }

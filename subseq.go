@@ -130,7 +130,9 @@ type Match = core.Match
 // Hit is a filtered segment↔window pair (steps 3–4 output).
 type Hit[E any] = core.Hit[E]
 
-// NearestOptions tunes Nearest (query Type III).
+// NearestOptions tunes Nearest (query Type III). Its Validate method says
+// whether Nearest will run the schedule (both radii positive, EpsInc at
+// least EpsMax/4096): options it refuses find nothing.
 type NearestOptions = core.NearestOptions
 
 // QueryPool drives a Matcher from worker goroutines, one query per
