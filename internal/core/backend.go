@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/covertree"
 	"repro/internal/dist"
@@ -196,7 +197,7 @@ func (b *netBackend[E]) open(q seq.Sequence[E], sc *filterScratch[E]) session[E]
 	var ev metric.BatchEvaluator[seq.Window[E]] // nil: the net's own distance
 	if b.mt.kernelTraversal() {
 		sc.offsetMajorProbes(sc.segs, len(q))
-		sc.keval.mt, sc.keval.probes = b.mt, sc.probes
+		sc.keval.open(b.mt, q, sc)
 		ev = &sc.keval
 	} else {
 		sc.pos, sc.probes = sc.pos[:0], sc.probes[:0]
@@ -209,8 +210,9 @@ func (b *netBackend[E]) open(q seq.Sequence[E], sc *filterScratch[E]) session[E]
 	return &sc.netSession
 }
 
-// netSession reads a refnet.Session, which evaluates no (segment, window)
-// pair twice however many reads the query makes.
+// netSession reads a refnet.Session, which computes no recorded (segment,
+// window) distance twice however many reads the query makes; a pair the
+// pre-pass ruled out under one radius may earn one exact pass under a wider.
 type netSession[E any] struct {
 	s  *refnet.Session[seq.Window[E]]
 	sc *filterScratch[E]
@@ -310,6 +312,7 @@ type scanBackend[E any] struct {
 }
 
 func (b *scanBackend[E]) open(q seq.Sequence[E], sc *filterScratch[E]) session[E] {
+	sc.free.open(b.mt)
 	sc.scanSession = scanSession[E]{b, q, sc}
 	return &sc.scanSession
 }
@@ -349,19 +352,24 @@ func (s *scanSession[E]) close() {}
 // kernelScan is the pass over every (window, query offset) pair under the
 // measure's incremental kernel (ROADMAP: per-measure window-distance
 // evaluation across overlapping segments). For every database window it
-// binds one kernel and, per query offset, streams the λ/2+λ0 elements once,
-// reading off the distance of every segment length on the way — 2λ0+1
-// segment evaluations for one pass instead of 2λ0+1 independent DPs.
+// first runs one free-start pass over the whole query (freePass), which
+// bounds from below every segment by its end; an offset whose 2λ0+1 ends are
+// all bounded over the radius is skipped unpriced. For each offset left it
+// streams the λ/2+λ0 elements through the window's kernel once, reading off
+// the distance of every segment length on the way — 2λ0+1 segment
+// evaluations for one pass instead of 2λ0+1 independent DPs. A kernel
+// without the free-start mode skips nothing.
 //
 // It is read two ways, like the net's traversal. With perSeg it is the
 // range filter: perSeg[i] collects the windows within eps of segment i. With
 // perSeg nil it returns the least segment-to-window distance if that is at
 // most eps, +Inf otherwise: eps is then a bound that drops to just under
-// every distance found, and a pass stops once the kernel's Floor proves no
-// longer segment can come back under it.
+// every distance found, offsets are skipped against the bound as it stands,
+// and a pass stops once the kernel's Floor proves no longer segment can come
+// back under it.
 //
-// Distance accounting matches the per-segment path: one counted evaluation
-// per segment↔window pair of a pass, read or abandoned.
+// Distance accounting is the net's and the verifier's: one counted
+// evaluation per kernel pass, the free-start pass included.
 func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float64 {
 	mt, q, sc := s.b.mt, s.q, s.sc
 	l := mt.cfg.Params.WindowLen()
@@ -374,29 +382,45 @@ func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float
 	}
 	// seg index of (length n, start a): offsets[n-minLen] + a, matching
 	// AppendSegments' length-major order.
-	offsets := make([]int, maxLen-minLen+1)
-	for n, off := minLen+1, 0; n <= maxLen; n++ {
-		off += len(q) - (n - 1) + 1
-		offsets[n-minLen] = off
+	sc.next = slices.Grow(sc.next[:0], maxLen-minLen+1)[:maxLen-minLen+1]
+	offsets := sc.next
+	offsets[0] = 0
+	for n := minLen + 1; n <= maxLen; n++ {
+		offsets[n-minLen] = offsets[n-minLen-1] + int32(len(q)-(n-1)+1)
 	}
 	items := s.b.scan.Items()
 	// The immutable window preprocessing is shared matcher-wide; this
-	// worker carries one kernel state and rebinds it window to window, so
-	// steady-state kernel memory is O(windows), not O(windows × workers).
-	// The linear scan touches every window per query, so the lazy slots
-	// all fill on the first query and later queries read them for free.
+	// worker carries one kernel state (and one free-start state) and rebinds
+	// it window to window, so steady-state kernel memory is O(windows), not
+	// O(windows × workers). The linear scan touches every window per query,
+	// so the lazy slots all fill on the first query and later queries read
+	// them for free.
 	mt.preparedInit()
 	best := math.Inf(1)
-	var evals int64
+	var passes int64
 	for wi, w := range items {
-		sc.kstate = dist.BindKernel(sc.kstate, mt.preparedAt(int32(wi)))
+		p := mt.preparedAt(int32(wi))
+		lower := sc.free.run(p, q)
+		if lower != nil {
+			passes++
+		}
+		sc.kstate = dist.BindKernel(sc.kstate, p)
 		k := sc.kstate
 		for a := 0; a+minLen <= len(q); a++ {
-			k.Reset()
 			top := maxLen
 			if a+top > len(q) {
 				top = len(q) - a
 			}
+			if lower != nil {
+				n := minLen
+				for n <= top && lower[a+n] > eps {
+					n++
+				}
+				if n > top {
+					continue
+				}
+			}
+			k.Reset()
 			for n := 1; n <= top; n++ {
 				d := k.Feed(q[a+n-1])
 				if perSeg == nil {
@@ -407,12 +431,13 @@ func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float
 						break
 					}
 				} else if n >= minLen && d <= eps {
-					perSeg[offsets[n-minLen]+a] = append(perSeg[offsets[n-minLen]+a], w)
+					i := int(offsets[n-minLen]) + a
+					perSeg[i] = append(perSeg[i], w)
 				}
 			}
-			evals += int64(top - minLen + 1)
+			passes++
 		}
 	}
-	mt.counter.Add(evals)
+	mt.counter.Add(passes)
 	return best
 }

@@ -36,7 +36,11 @@
 // lengths at one query offset in a single streamed pass — on the linear
 // backend per window, and on the reference net inside the index traversal
 // itself (kerneleval.go), where grouped probes cut counted filter
-// evaluations below one per probe. Bounded early-abandoning evaluation
+// evaluations below one per probe. Both first spend one free-start pass
+// (dist.FreeStartKernel) over the stretch of the query at stake — per
+// window on the scan, per visited node on the net — which bounds every
+// offset from below, and stream an exact pass only at the offsets it
+// cannot rule out. Bounded early-abandoning evaluation
 // stops a distance computation as soon as it provably exceeds the radius,
 // on the linear scan and on the net's traversal probes alike. The
 // immutable kernel preprocessing is built lazily, once per window on

@@ -81,13 +81,56 @@ func (mt *Matcher[E]) kernelTraversal() bool {
 	return mt.measure.Prepare != nil && mt.cfg.Params.Lambda0 > 0
 }
 
+// freePass is the free-start half of a pooled filter scratch: a second
+// kernel state, fed through FeedFree, and the bounds its last pass left. It
+// is what lets the filter price a window against a whole stretch of the
+// query at once — offset a+1 shares all but one element with offset a, so
+// one pass over q[lo:hi] with the start left free gives, at every end e, a
+// lower bound on the segments of every start and length that end there, and
+// only the offsets that bound cannot rule out earn an exact pass.
+type freePass[E any] struct {
+	// k is nil when the measure's kernel has no free-start mode (asked once,
+	// of the first window a session is opened over: known).
+	k     dist.FreeStartKernel[E]
+	known bool
+	lower []float64
+}
+
+// open resolves, the first time the scratch meets a non-empty index, whether
+// the measure's kernel has the mode.
+func (f *freePass[E]) open(mt *Matcher[E]) {
+	if !f.known && len(mt.windows) > 0 {
+		mt.preparedInit()
+		f.k, f.known = dist.BindFreeStart(nil, mt.preparedAt(0)), true
+	}
+}
+
+// run feeds q to the free-start kernel over p's window and returns lower,
+// where lower[n] = min over 0 ≤ s ≤ n of δ(q[s:n], w) for every 1 ≤ n ≤
+// len(q) (lower[0] is not set); nil when the kernel has no such mode. The
+// slice is valid until the next run.
+func (f *freePass[E]) run(p dist.Prepared[E], q []E) []float64 {
+	if f.k == nil {
+		return nil
+	}
+	if f.k = dist.BindFreeStart(f.k, p); f.k == nil {
+		return nil
+	}
+	f.lower = slices.Grow(f.lower[:0], len(q)+1)[:len(q)+1]
+	for n, x := range q {
+		f.lower[n+1] = f.k.FeedFree(x)
+	}
+	return f.lower
+}
+
 // kernelEvaluator implements metric.BatchEvaluator over segment probes by
 // streaming each probe group — probes sharing a query offset — through the
 // target window's shared incremental kernel. It lives in the pooled filter
-// scratch, so each concurrent traversal owns one kernel state. Each
-// EvalBatch counts one filter distance evaluation per kernel pass (a pass
-// costs one longest-member evaluation), which is what makes the refnet
-// filter's counted cost drop below one evaluation per probe.
+// scratch, so each concurrent traversal owns one kernel state (and the
+// scratch's free-start state). Each EvalBatch counts one filter distance
+// evaluation per kernel pass, the pre-pass included (an exact pass costs one
+// longest-member evaluation), which is what makes the refnet filter's
+// counted cost drop below one evaluation per probe.
 //
 // probes must be ordered offset-major — by (Start, length), as
 // filterScratch.offsetMajorProbes lays them out. The traversal hands every
@@ -99,34 +142,75 @@ func (mt *Matcher[E]) kernelTraversal() bool {
 // to the longest member that is left.
 type kernelEvaluator[E any] struct {
 	mt     *Matcher[E]
+	q      seq.Sequence[E]
 	probes []seq.Window[E]
 	state  dist.Kernel[E]
+	free   *freePass[E]
 }
 
-func (ev *kernelEvaluator[E]) Exact() bool { return true }
+// open points the evaluator at one query's probes, laid out in sc.
+func (ev *kernelEvaluator[E]) open(mt *Matcher[E], q seq.Sequence[E], sc *filterScratch[E]) {
+	sc.free.open(mt)
+	ev.mt, ev.q, ev.probes, ev.free = mt, q, sc.probes, &sc.free
+}
 
-func (ev *kernelEvaluator[E]) EvalBatch(item seq.Window[E], idxs []int32, _ float64, out []float64) {
-	p := ev.mt.preparedFor(item)
+// Exact is false once there is a pre-pass: what it writes for a run it rules
+// out is a proof that the run is over bound, not a distance.
+func (ev *kernelEvaluator[E]) Exact() bool { return ev.free.k == nil }
+
+// EvalBatch prices the runs in idxs against item. With more than one run
+// pending it first runs one free-start pass from the lowest pending start to
+// the largest pending end: a run whose members' ends are all bounded over
+// bound is written as those bounds and costs nothing more — what an
+// abandoned Bounded evaluation tells the traversal — and only the runs left
+// stream their exact pass. A lone run's exact pass (its longest member) is
+// shorter than any pre-pass, so it goes straight to it.
+func (ev *kernelEvaluator[E]) EvalBatch(item seq.Window[E], idxs []int32, bound float64, out []float64) {
+	p, probes := ev.mt.preparedFor(item), ev.probes
 	var passes int64
+	var lower []float64
+	lo := probes[idxs[0]].Start
+	if probes[idxs[len(idxs)-1]].Start != lo {
+		// The pass must reach the largest end, not the last run's: a run with
+		// a smaller start can end later when members are missing.
+		hi := lo
+		for _, i := range idxs {
+			hi = max(hi, probes[i].End())
+		}
+		if lower = ev.free.run(p, ev.q[lo:hi]); lower != nil {
+			passes++
+		}
+	}
 	for s := 0; s < len(idxs); {
-		start := ev.probes[idxs[s]].Start
+		start := probes[idxs[s]].Start
 		e := s + 1
-		for e < len(idxs) && ev.probes[idxs[e]].Start == start {
+		for e < len(idxs) && probes[idxs[e]].Start == start {
 			e++
 		}
-		// One streamed pass prices the whole run: every member is a prefix
-		// of the last (longest) member's data.
-		ev.state = dist.BindKernel(ev.state, p)
-		longest := ev.probes[idxs[e-1]].Data
 		k := s
-		for n := 1; n <= len(longest); n++ {
-			d := ev.state.Feed(longest[n-1])
-			for k < e && len(ev.probes[idxs[k]].Data) == n {
-				out[k] = d
+		if lower != nil {
+			for k < e {
+				if out[k] = lower[probes[idxs[k]].End()-lo]; out[k] <= bound {
+					break
+				}
 				k++
 			}
 		}
-		passes++
+		if k < e {
+			// One streamed pass prices the whole run: every member is a
+			// prefix of the last (longest) member's data.
+			ev.state = dist.BindKernel(ev.state, p)
+			longest := probes[idxs[e-1]].Data
+			k = s
+			for n := 1; n <= len(longest); n++ {
+				d := ev.state.Feed(longest[n-1])
+				for k < e && len(probes[idxs[k]].Data) == n {
+					out[k] = d
+					k++
+				}
+			}
+			passes++
+		}
 		s = e
 	}
 	ev.mt.counter.Add(passes)

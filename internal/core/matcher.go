@@ -103,10 +103,13 @@ type filterScratch[E any] struct {
 	// in the scratch (one per concurrent query); the immutable window
 	// preprocessing it points at is shared matcher-wide.
 	kstate dist.Kernel[E]
+	// free is the free-start pre-pass of whichever kernel consumer the
+	// query's session is: the net's evaluator or the kernel scan.
+	free freePass[E]
 	// keval is the grouped kernel evaluator driving kernel-aware index
 	// traversals (refnet sessions); it owns its own kernel state. next and
 	// pos are the index buffers of the probe layout a session is opened over
-	// (netBackend.open).
+	// (netBackend.open); the kernel scan keeps its segment offsets in next.
 	keval     kernelEvaluator[E]
 	next, pos []int32
 	// The query's session lives in the one of these its backend's form
@@ -188,8 +191,10 @@ func (mt *Matcher[E]) BuildDistanceCalls() int64 { return mt.buildCalls }
 // the paper compare against a full scan. An early-abandoned bounded
 // evaluation counts as one computation; a streamed kernel pass pricing a
 // whole group of same-offset probes also counts as one (it costs one
-// longest-member evaluation), which is how the kernel-fed refnet traversal
-// drops below one counted evaluation per probe.
+// longest-member evaluation), and so does the free-start pass that bounds
+// every group at a node, or every offset against a window on the kernel
+// scan — which is how the kernel-fed filters drop below one counted
+// evaluation per probe.
 func (mt *Matcher[E]) FilterDistanceCalls() int64 { return mt.counter.Calls() }
 
 // ResetFilterCalls zeroes the query-side distance counter.
@@ -334,8 +339,9 @@ func (o NearestOptions) Validate() error {
 // The verification rounds then run at that radius, +EpsInc, +2·EpsInc, …,
 // each clamped to EpsMax, and end with the first round that confirms a pair
 // or with the round at EpsMax. Each is a hits read of the session minDist
-// ran on: on the net that evaluates no (segment, window) pair twice over the
-// whole query; the other session forms run the filter again.
+// ran on: on the net that computes no exact distance it has recorded twice
+// over the whole query (a proof may be followed by one exact pass under a
+// wider bound); the other session forms run the filter again.
 func (mt *Matcher[E]) Nearest(q seq.Sequence[E], opts NearestOptions) (Match, bool) {
 	if opts.Validate() != nil {
 		return Match{}, false

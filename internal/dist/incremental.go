@@ -60,6 +60,29 @@ type Kernel[E any] interface {
 	Floor() float64
 }
 
+// FreeStartKernel is optionally implemented by kernel states whose
+// recurrence can leave the start of the left-hand sequence free (Sellers
+// 1980): FeedFree is Feed with the boundary cell d(fed prefix, w[:0]) held at
+// 0 instead of charged for every fed element, so a prefix may be dropped at
+// no cost. On a state rewound to the empty prefix and fed x[0:n] through
+// FeedFree only, the n-th call returns
+//
+//	min over 0 ≤ s ≤ n of d(x[s:n], w)
+//
+// (s = n is the empty segment) — the float64 bits of the least of those Fn
+// values: each cell is a min over paths of sums, rounding is monotone, so
+// the min over starts commutes with every addition along a path. One pass
+// therefore bounds from below, at every end n, the segments of every start
+// and length that end there; the filter runs it over a whole query and
+// spends exact passes only on the offsets it cannot rule out. At reads the
+// same free-start row; Floor keeps its meaning. A pass is fed through Feed
+// or through FeedFree, never both. The lock-step kernels (no shift to free)
+// and the Fn adapter do not have the mode.
+type FreeStartKernel[E any] interface {
+	Kernel[E]
+	FeedFree(x E) float64
+}
+
 // Prepared is the shared immutable half of an incremental kernel: the bound
 // window plus whatever preprocessing the measure's kernel needs. A Prepared
 // is safe for concurrent use; the mutable evaluation state lives in the
@@ -104,6 +127,14 @@ func BindKernel[E any](state Kernel[E], p Prepared[E]) Kernel[E] {
 		return state
 	}
 	return p.NewState()
+}
+
+// BindFreeStart is BindKernel for a state that is fed through FeedFree
+// (pass nil the first time); it returns nil when p's kernels do not have
+// the mode.
+func BindFreeStart[E any](state FreeStartKernel[E], p Prepared[E]) FreeStartKernel[E] {
+	fs, _ := BindKernel[E](state, p).(FreeStartKernel[E])
+	return fs
 }
 
 // euclideanPrepared is the (preprocessing-free) shared half of the rolling
@@ -286,11 +317,20 @@ type editRowState[E any] struct {
 }
 
 func (k *editRowState[E]) Feed(x E) float64 {
+	dx := k.p.indel(x)
+	return k.feed(x, dx, dx)
+}
+
+// FeedFree holds row[0] at 0: dropping the fed prefix costs nothing.
+func (k *editRowState[E]) FeedFree(x E) float64 { return k.feed(x, k.p.indel(x), 0) }
+
+// feed advances the row by x, whose indel cost is dx, charging the boundary
+// cell d0 (dx, or 0 in free-start mode).
+func (k *editRowState[E]) feed(x E, dx, d0 float64) float64 {
 	p := k.p
 	row, w, gap := k.row, p.w, p.gap
-	dx := p.indel(x)
 	diag := row[0]
-	row[0] += dx
+	row[0] += d0
 	for j := 1; j < len(row); j++ {
 		best := diag + p.sub(x, w[j-1])
 		if v := row[j] + dx; v < best {

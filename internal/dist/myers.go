@@ -37,7 +37,8 @@ func LevenshteinFast(a, b []byte) float64 {
 // pattern-match mask for the character, and hin the horizontal delta
 // entering at the word's top boundary (-1, 0 or +1; the whole column's
 // boundary row contributes +1 per character, so the bottom word chain
-// starts at hin = +1). It returns the new vertical deltas, the outgoing
+// starts at hin = +1 — or at 0 in free-start mode, FeedFree, where the
+// boundary row stays 0). It returns the new vertical deltas, the outgoing
 // horizontal delta at the word's top bit (the hin of the next word up —
 // Hyyrö's carry formulation, which subsumes both the match-propagating
 // addition carry and the delta shift carry of Myers §4), and the horizontal
@@ -340,6 +341,16 @@ func (k *myersState64) Feed(c byte) float64 {
 	return float64(k.score)
 }
 
+// FeedFree enters the column with hin 0 where Feed enters with +1: the
+// boundary row stays at D[0] = 0 (n is not advanced), which is the
+// semi-global search the recurrence was published for.
+func (k *myersState64) FeedFree(c byte) float64 {
+	var sd int
+	k.pv, k.mv, _, sd = myersStep(k.pv, k.mv, k.p.peq[c], 0, k.p.last)
+	k.score += sd
+	return float64(k.score)
+}
+
 // At sums the column's vertical deltas up to row j: D[j] = D[0] + (+1
 // deltas below j) − (−1 deltas below j), two popcounts. The deltas are
 // exact at every row, not only the tracked bottom one.
@@ -415,17 +426,24 @@ type myersBlockState struct {
 }
 
 func (k *myersBlockState) Feed(c byte) float64 {
+	k.n++
+	return k.feed(c, 1)
+}
+
+// FeedFree is myersState64.FeedFree over the word chain.
+func (k *myersBlockState) FeedFree(c byte) float64 { return k.feed(c, 0) }
+
+// feed advances the chain by c with hin entering the bottom word.
+func (k *myersBlockState) feed(c byte, hin int) float64 {
 	p := k.p
 	w := p.w
 	row := p.peq[int(c)*w : int(c)*w+w]
-	hin := 1
 	for i := 0; i < w-1; i++ {
 		k.pv[i], k.mv[i], hin, _ = myersStep(k.pv[i], k.mv[i], row[i], hin, 0)
 	}
 	var sd int
 	k.pv[w-1], k.mv[w-1], _, sd = myersStep(k.pv[w-1], k.mv[w-1], row[w-1], hin, p.lastBit)
 	k.score += sd
-	k.n++
 	return float64(k.score)
 }
 

@@ -78,12 +78,17 @@ type BoundedDistFunc[T any] func(a, b T, eps float64) float64
 // bound is the largest distance the traversal acts on exactly (the query
 // radius plus the visited node's cover radius). Values ≤ bound must be
 // exact; values > bound may be anything > bound, mirroring BoundedDistFunc,
-// which lets bounded evaluators abandon mid-computation.
+// which lets bounded evaluators abandon mid-computation — and lets an
+// evaluator that can bound several probes from below at once (the
+// framework's free-start kernel pass over the stretch of the query the
+// probes cover) answer for the ones it proves over bound without pricing
+// them at all.
 type BatchEvaluator[T any] interface {
 	EvalBatch(item T, idxs []int32, bound float64, out []float64)
 	// Exact reports whether EvalBatch always returns exact distances, even
 	// above bound. The traversal then keeps over-bound values for triangle
-	// bounds instead of discarding them as approximations.
+	// bounds instead of discarding them as proofs; an evaluator that ever
+	// answers with a proof must report false.
 	Exact() bool
 }
 

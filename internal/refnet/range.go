@@ -63,10 +63,16 @@ import (
 // BatchEvaluator (OpenSession), all probes that reach step 3 at a node are
 // evaluated in ONE call, letting the evaluator share work across them — the
 // framework streams probes sharing a query offset through a single
-// incremental kernel pass over the node's window. And a session that is
-// traversed more than once keeps every exact distance it has computed: only
-// the decided flags are cleared between its traversals, so a (probe, node)
-// pair is evaluated at most once however many radii the query asks about.
+// incremental kernel pass over the node's window, and may answer for a
+// probe with a proof instead of a distance, exactly as a bounded evaluation
+// does: any value over ε+ρ, however it came by it (the framework's evaluator
+// bounds all the probes at a node with one free-start kernel pass and prices
+// only the ones that bound cannot rule out). And a session that is traversed
+// more than once keeps every distance it has recorded: only the decided
+// flags are cleared between its traversals, so no recorded (probe, node)
+// distance is computed twice however many radii the query asks about. What
+// an inexact evaluator returned over ε+ρ was not recorded; such a pair is
+// evaluated again if a later traversal reaches it under a wider bound.
 //
 // Per-query bookkeeping lives in flat slices indexed by the dense node ids
 // assigned at insertion — a query touches each slot with two or three
@@ -173,7 +179,9 @@ type batchEntry[T any] struct {
 // traversals only the decided bits of those states are cleared: a
 // (probe, node) distance recorded under computedBit stays, is read back
 // instead of evaluated when a later traversal reaches the pair again, and
-// tightens that traversal's triangle bounds from its first node on. The
+// tightens that traversal's triangle bounds from its first node on (a proof
+// — a value an inexact evaluator returned over the bound — is not recorded).
+// The
 // framework's Type III query is the caller this is for — one MinDist, then a
 // Range per verification round, all over the same segments.
 //
