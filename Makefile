@@ -131,9 +131,11 @@ race-accounting:
 # repeated: Nearest against the radius bisection run on the filter itself, on
 # every backend and measure kind (DESIGN.md §3), and the refnet session
 # (MinDist, then Range reads that evaluate no pair twice) against a linear
-# scan after every step of the mutation storm.
+# scan after every step of the mutation storm. Beside them runs the pinned
+# build and re-home program (Save bytes and evaluations of a build, a delete
+# of a third and the reinsert, on proteins and trajectories).
 nearest-equiv:
-	$(GO) test -race -count=3 -run 'TestNearestMatchesBisectionReference|TestCoverRadiusStorm' ./internal/core/ ./internal/refnet/
+	$(GO) test -race -count=3 -run 'TestNearestMatchesBisectionReference|TestCoverRadiusStorm|TestBuildAndRehomePinned' ./internal/core/ ./internal/refnet/
 
 # docs-check keeps the documentation honest: every relative markdown link
 # must resolve, and every Example* godoc test must run (and match its

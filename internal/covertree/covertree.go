@@ -75,17 +75,19 @@ func (t *Tree[T]) CoverRadius(level int) float64 {
 // Len reports the number of items in the tree.
 func (t *Tree[T]) Len() int { return t.size }
 
-// Insert adds an item to the tree.
+// Insert adds an item to the tree. An item at a non-finite distance from
+// the root is refused with a panic, before the tree is changed.
 func (t *Tree[T]) Insert(item T) {
-	t.size++
 	if t.root == nil {
 		t.root = &node[T]{item: item, level: 1}
+		t.size++
 		return
 	}
 	d := t.dist(item, t.root.item)
 	if math.IsInf(d, 1) || math.IsNaN(d) {
 		panic("covertree: non-finite distance to root; the item cannot be indexed")
 	}
+	t.size++
 	for d > t.Eps(t.root.level) {
 		t.root.level++
 	}

@@ -170,6 +170,38 @@ func TestInfiniteDistancePanics(t *testing.T) {
 	tr.Insert(2)
 }
 
+// An insert refused for its non-finite distance to the root leaves the tree
+// as it was: same Len, still valid, same answers.
+func TestRefusedInsertLeavesTreeUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewPCG(39, 40))
+	tr := New(absDist, 1)
+	var items []float64
+	for i := 0; i < 50; i++ {
+		v := rng.Float64() * 100
+		items = append(items, v)
+		tr.Insert(v)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected panic for non-finite distance")
+			}
+		}()
+		tr.Insert(math.Inf(1))
+	}()
+	if tr.Len() != len(items) {
+		t.Errorf("Len = %d after a refused insert, want %d", tr.Len(), len(items))
+	}
+	if err := tr.Validate(); err != nil {
+		t.Errorf("after a refused insert: %v", err)
+	}
+	for _, eps := range []float64{0, 5, 200} {
+		if got, want := sortedRange(tr, 50, eps), sortedScan(items, 50, eps); !equalFloats(got, want) {
+			t.Errorf("Range(50, %v) = %v after a refused insert, linear scan %v", eps, got, want)
+		}
+	}
+}
+
 // The measured cover radius the traversals prune with: after every insert
 // Validate holds it equal to the max over children of (edge distance +
 // child's radius), and a brute walk finds no descendant beyond it. Integer

@@ -14,13 +14,20 @@ var ErrNotMember = errors.New("refnet: node is not a member of this net")
 // As in the paper, children of the deleted node that still appear in some
 // other reference's list are left alone; orphaned children are re-homed —
 // first by searching for replacement parents at their own level, and if
-// none exist by re-locating them with the insertion descent (which may
-// change their level and recursively re-home their own children).
+// none exist by re-locating them from the root (which may change their level
+// and recursively re-home their own children); see rehome.
 func (t *Net[T]) Delete(h *Node[T]) error {
-	if h == nil || t.root == nil {
+	if h == nil {
 		return ErrNotMember
 	}
-	if h != t.root && len(h.parents) == 0 {
+	// A member's parent links lead up to this net's root: O(height), no
+	// distance computed. A deleted node has no parents, and another net's
+	// node leads to that net's root.
+	top := h
+	for len(top.parents) > 0 {
+		top = top.parents[0].n
+	}
+	if top != t.root {
 		return ErrNotMember
 	}
 	if h == t.root {
@@ -99,81 +106,31 @@ func detachChildren[T any](n *Node[T]) []*Node[T] {
 }
 
 // rehome finds a new position for an orphaned node (a node with no
-// parents). It first tries to keep the node at its current level by
-// searching for qualifying parents; failing that it re-runs the insertion
-// descent, which may assign a different level, in which case children whose
-// levels no longer fit beneath the node are recursively re-homed.
+// parents) by one of two paths. The fast path keeps the node at its level,
+// with its children: it runs the descent down to the level above the node
+// and attaches the node under every qualifying parent there. When there is
+// none (or the root is below that level), the slow path relocates the node
+// as insertion would, at whatever level the descent finds, and re-homes its
+// children in turn.
 func (t *Net[T]) rehome(c *Node[T]) {
 	if c == t.root {
 		return
 	}
-	// Fast path: find replacement parents at the node's own level.
-	if parents := t.findParents(c.item, c.level); len(parents) > 0 {
-		t.attach(c, parents)
-		return
+	if target := c.level + 1; t.root.level >= target {
+		if level, parents := t.frontier(c.item, t.dist(c.item, t.root.item), target); level == target {
+			t.attach(c, parents)
+			return
+		}
 	}
-	// Slow path: relocate via the insertion descent. Detach all children
-	// first so the descent cannot route through (and cycle into) the
-	// node's own subtree; children are re-homed afterwards.
+	// Detach all children first so the descent cannot route through (and
+	// cycle into) the node's own subtree; they are re-homed afterwards.
 	orphans := detachChildren(c)
-	level, parents := t.descend(c.item)
-	// The descent may hand back the node itself... it cannot: c has no
-	// parents and is not the root, so it is unreachable from the root.
-	c.level = level
+	var parents []cand[T]
+	c.level, parents = t.locate(c.item)
 	t.attach(c, parents)
 	for _, o := range orphans {
 		t.rehome(o)
 	}
-}
-
-// findParents searches for nodes of level ≥ level+1 within ǫ_{level+1} of
-// item — the legal parents for a node at the given level. It reuses the
-// insertion descent frontier, stopping at conceptual level level+1.
-func (t *Net[T]) findParents(item T, level int) []cand[T] {
-	target := level + 1
-	if t.root == nil || t.root.level < target {
-		return nil
-	}
-	d := t.dist(item, t.root.item)
-	cur := []cand[T]{{t.root, d}}
-	visited := map[*Node[T]]bool{t.root: true}
-	for i := t.root.level; i > target; i-- {
-		bound := t.Eps(i) // 2ǫ_{i−1}
-		next := cur[:0:0]
-		for _, c := range cur {
-			if c.d <= bound {
-				next = append(next, c)
-			}
-		}
-		for _, c := range cur {
-			for _, e := range c.n.children {
-				if e.n.level != i-1 || visited[e.n] {
-					continue
-				}
-				if lb := c.d - e.d; lb > bound || -lb > bound {
-					visited[e.n] = true
-					continue
-				}
-				visited[e.n] = true
-				dd := t.dist(item, e.n.item)
-				if dd <= bound {
-					next = append(next, cand[T]{e.n, dd})
-				}
-			}
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		cur = next
-	}
-	var parents []cand[T]
-	epsT := t.Eps(target)
-	for _, c := range cur {
-		if c.d <= epsT {
-			parents = append(parents, c)
-		}
-	}
-	return parents
 }
 
 func removeChild[T any](edges []edge[T], n *Node[T]) []edge[T] {

@@ -83,6 +83,38 @@ func TestDeleteDetectsDoubleDelete(t *testing.T) {
 	}
 }
 
+// A handle from another net is not a member: Delete refuses it and leaves
+// both nets as they were, instead of unlinking the node from its own net and
+// counting the loss against this one.
+func TestDeleteRefusesHandleFromAnotherNet(t *testing.T) {
+	rng := rand.New(rand.NewPCG(27, 28))
+	a, b := New(absDist), New(absDist)
+	var items []float64
+	var hs []*Node[float64]
+	for i := 0; i < 50; i++ {
+		v := rng.Float64() * 100
+		items = append(items, v)
+		a.Insert(v)
+		hs = append(hs, b.InsertTracked(v))
+	}
+	for _, h := range []*Node[float64]{hs[0], hs[17], hs[49]} { // b's root, then two others
+		if err := a.Delete(h); err != ErrNotMember {
+			t.Fatalf("Delete of a handle from another net = %v, want ErrNotMember", err)
+		}
+	}
+	for name, n := range map[string]*Net[float64]{"a": a, "b": b} {
+		if n.Len() != 50 {
+			t.Errorf("net %s: Len = %d, want 50", name, n.Len())
+		}
+		if err := n.Validate(); err != nil {
+			t.Errorf("net %s: %v", name, err)
+		}
+		if got, want := sortedRange(n, 50, 100), sortedScan(items, 50, 100); !equalFloats(got, want) {
+			t.Errorf("net %s holds %v, want %v", name, got, want)
+		}
+	}
+}
+
 func TestRandomInsertDeleteWorkload(t *testing.T) {
 	// Interleave inserts and deletes; after every batch the net must stay
 	// valid and agree with a shadow slice on range queries.

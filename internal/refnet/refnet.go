@@ -42,6 +42,14 @@
 // up — see raise and settle), so it costs no distance computation, and a
 // live net and the same net restored by Load hold identical radii.
 //
+// # Mutation
+//
+// Insertion and the repair after Delete (delete.go) share one top-down
+// descent, frontier, which keeps at conceptual level i every node within 2ǫᵢ
+// of the item. An inserted item hangs under the nodes of the lowest level i
+// that lie within ǫᵢ; Delete re-homes an orphan with the descent stopped one
+// level above it, or relocates it from the root when nothing there qualifies.
+//
 // # Complexity
 //
 // Space is O(n·p) where p is the average parent count (bounded by nummax
@@ -63,11 +71,10 @@
 // node in one call — the subsequence framework streams probes sharing a
 // query offset through a single incremental kernel pass there. Nets
 // serialise with Save/Load (serialize.go) without recomputing any
-// distances, and support Delete with invariant repair (delete.go). Net.Range
-// is a session of one probe and BatchRange a session of many, each opened,
-// read once and closed; there is no second range traversal. KNN (knn.go) is
-// the one other walk: a best-first search for the k nearest items, which for
-// k > 1 is not a MinDist read.
+// distances. Net.Range is a session of one probe and BatchRange a session of
+// many, each opened, read once and closed; there is no second range
+// traversal. KNN (knn.go) is the one other walk: a best-first search for the
+// k nearest items, which for k > 1 is not a MinDist read.
 package refnet
 
 import (
@@ -112,6 +119,12 @@ type Net[T any] struct {
 	// bpool recycles sessions with their batched-traversal scratch (active
 	// lists, pending evaluation buffers) — see OpenSession.
 	bpool sync.Pool
+	// Mutation scratch for frontier, which no query reads: marks[id] ==
+	// epoch flags a node the current descent has considered, and cur, next
+	// and within are its reused frontier buffers.
+	marks             []uint32
+	epoch             uint32
+	cur, next, within []cand[T]
 }
 
 // SetBounded arms an early-abandoning distance evaluation for range
@@ -228,16 +241,18 @@ func (t *Net[T]) MaxParents() int { return t.numMax }
 func (t *Net[T]) Insert(item T) { t.InsertTracked(item) }
 
 // InsertTracked adds an item and returns its node handle, which can later
-// be passed to Delete.
+// be passed to Delete. An item at a non-finite distance from the root is
+// refused with a panic, before the net is changed.
 func (t *Net[T]) InsertTracked(item T) *Node[T] {
-	t.size++
 	if t.root == nil {
 		t.root = &Node[T]{item: item, level: 1, id: t.newID()}
+		t.size++
 		return t.root
 	}
-	level, parents := t.descend(item)
+	level, parents := t.locate(item)
 	n := &Node[T]{item: item, level: level, id: t.newID()}
 	t.attach(n, parents)
+	t.size++
 	return n
 }
 
@@ -261,19 +276,11 @@ type cand[T any] struct {
 	d float64
 }
 
-// descend runs the top-down location pass shared by insertion and orphan
-// re-homing. It returns the level the item belongs at, and the qualifying
-// parents (conceptual nodes of the level above within that level's radius,
-// with distances).
-//
-// The frontier P at conceptual level i provably contains every node of
-// level ≥ i within 2ǫᵢ of the item: a level-(i−1) node z within 2ǫ_{i−1}
-// has each of its parents p within δ(z,p) ≤ ǫᵢ, so δ(item,p) ≤ 2ǫ_{i−1} +
-// ǫᵢ = 2ǫᵢ, hence p was on the previous frontier and z is enumerated among
-// its children. The item's level is then i*−1 for the lowest level i* at
-// which some conceptual node lies within ǫ_{i*}; the frontier's 2ǫ bound
-// makes that test exact.
-func (t *Net[T]) descend(item T) (level int, parents []cand[T]) {
+// locate finds the level item belongs at in a non-empty net, and its
+// parents: it raises the root until the root covers the item, then descends
+// all the way. It panics, before changing anything, when the item's distance
+// to the root is not finite.
+func (t *Net[T]) locate(item T) (level int, parents []cand[T]) {
 	d := t.dist(item, t.root.item)
 	if math.IsInf(d, 1) || math.IsNaN(d) {
 		panic("refnet: non-finite distance to root; the item cannot be indexed")
@@ -281,49 +288,66 @@ func (t *Net[T]) descend(item T) (level int, parents []cand[T]) {
 	for d > t.Eps(t.root.level) {
 		t.root.level++
 	}
-	cur := []cand[T]{{t.root, d}}
-	visited := map[*Node[T]]bool{t.root: true}
-	bestLevel := -1
-	var bestParents []cand[T]
-	for i := t.root.level; i >= 1; i-- {
+	// The root now qualifies at its own level, so i ≥ 1.
+	i, parents := t.frontier(item, d, 1)
+	return i - 1, parents
+}
+
+// frontier is the top-down location pass of insertion and orphan re-homing
+// (Appendix A.1–A.2), run from the root (at distance d from item) down to
+// conceptual level stop ≥ 1. It returns the lowest level i ≥ stop at which
+// some conceptual node lies within ǫᵢ of item, with those nodes — the
+// parents of a node stored at level i−1 — or 0 and no nodes if no level does.
+//
+// The frontier P at conceptual level i provably contains every node of
+// level ≥ i within 2ǫᵢ of the item: a level-(i−1) node z within 2ǫ_{i−1}
+// has each of its parents p within δ(z,p) ≤ ǫᵢ, so δ(item,p) ≤ 2ǫ_{i−1} +
+// ǫᵢ = 2ǫᵢ, hence p was on the previous frontier and z is enumerated among
+// its children. The frontier's 2ǫ bound makes the within-ǫᵢ test exact.
+//
+// The returned slice is the net's own buffer, valid until the next call;
+// attach consumes it.
+func (t *Net[T]) frontier(item T, d float64, stop int) (level int, within []cand[T]) {
+	if t.epoch++; t.epoch == 0 { // wrapped: clear so no old mark reads as current
+		clear(t.marks)
+		t.epoch = 1
+	}
+	if n := int(t.nextID); len(t.marks) < n {
+		t.marks = append(t.marks, make([]uint32, n-len(t.marks))...)
+	}
+	t.marks[t.root.id] = t.epoch
+	cur, next, within := append(t.cur[:0], cand[T]{t.root, d}), t.next, t.within[:0]
+	for i := t.root.level; i >= stop; i-- {
+		// The frontier for conceptual level i−1 keeps everything within
+		// 2ǫ_{i−1} = ǫᵢ, which is exactly level i's within set.
 		epsI := t.Eps(i)
-		var within []cand[T]
+		next = next[:0]
 		for _, c := range cur {
 			if c.d <= epsI {
-				within = append(within, c)
-			}
-		}
-		if len(within) > 0 {
-			bestLevel = i
-			bestParents = within
-		}
-		if i == 1 {
-			break
-		}
-		// Frontier for conceptual level i−1: keep everything within
-		// 2ǫ_{i−1} = ǫᵢ, adding the level-(i−1) children of the current
-		// frontier. The stored parent-child distance gives a free lower
-		// bound |δ(item,p) − δ(p,c)| ≤ δ(item,c) that skips most children
-		// without a distance computation.
-		bound := epsI
-		next := cur[:0:0]
-		for _, c := range cur {
-			if c.d <= bound {
 				next = append(next, c)
 			}
 		}
+		if len(next) > 0 {
+			level, within = i, append(within[:0], next...)
+		}
+		if i == stop {
+			break
+		}
+		// Add the level-(i−1) children of the current frontier. The stored
+		// parent-child distance gives a free lower bound |δ(item,p) −
+		// δ(p,c)| ≤ δ(item,c) that skips most children without a distance
+		// computation; it is tested against the first parent that reaches
+		// the child only.
 		for _, c := range cur {
 			for _, e := range c.n.children {
-				if e.n.level != i-1 || visited[e.n] {
+				if e.n.level != i-1 || t.marks[e.n.id] == t.epoch {
 					continue
 				}
-				if lb := c.d - e.d; lb > bound || -lb > bound {
-					visited[e.n] = true
+				t.marks[e.n.id] = t.epoch
+				if lb := c.d - e.d; lb > epsI || -lb > epsI {
 					continue
 				}
-				visited[e.n] = true
-				dd := t.dist(item, e.n.item)
-				if dd <= bound {
+				if dd := t.dist(item, e.n.item); dd <= epsI {
 					next = append(next, cand[T]{e.n, dd})
 				}
 			}
@@ -331,27 +355,32 @@ func (t *Net[T]) descend(item T) (level int, parents []cand[T]) {
 		if len(next) == 0 {
 			break
 		}
-		cur = next
+		cur, next = next, cur
 	}
-	// bestLevel ≥ 1 always: the root qualifies at its own level after the
-	// raise loop above.
-	return bestLevel - 1, bestParents
+	// Drop the node pointers so no stale entry keeps a deleted item alive.
+	clear(cur[:cap(cur)])
+	clear(next[:cap(next)])
+	t.cur, t.next, t.within = cur, next, within
+	return level, within
 }
 
 // attach links n under the given candidate parents, nearest first, capped
 // at numMax when set, raising each parent's cover radius over the new link.
 // n's own radius is not always 0 here: rehome's fast path re-attaches an
-// orphan that keeps its children.
+// orphan that keeps its children. parents is frontier's buffer; attach
+// clears it to its capacity, so no node pointer outlives the call there.
 func (t *Net[T]) attach(n *Node[T], parents []cand[T]) {
 	sort.Slice(parents, func(i, j int) bool { return parents[i].d < parents[j].d })
-	if t.numMax > 0 && len(parents) > t.numMax {
-		parents = parents[:t.numMax]
+	linked := parents
+	if t.numMax > 0 && len(linked) > t.numMax {
+		linked = linked[:t.numMax]
 	}
-	for _, p := range parents {
+	for _, p := range linked {
 		p.n.children = append(p.n.children, edge[T]{n: n, d: p.d})
 		n.parents = append(n.parents, edge[T]{n: p.n, d: p.d})
 		p.n.raise(p.d + n.rho)
 	}
+	clear(parents[:cap(parents)])
 }
 
 // The cover-radius invariant, held with equality on every node:

@@ -275,6 +275,38 @@ func TestInfiniteDistancePanics(t *testing.T) {
 	n.Insert(2)
 }
 
+// An insert refused for its non-finite distance to the root leaves the net
+// as it was: same Len, still valid, same answers.
+func TestRefusedInsertLeavesNetUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 14))
+	n := New(absDist)
+	var items []float64
+	for i := 0; i < 50; i++ {
+		v := rng.Float64() * 100
+		items = append(items, v)
+		n.Insert(v)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected panic for non-finite distance")
+			}
+		}()
+		n.Insert(math.Inf(1))
+	}()
+	if n.Len() != len(items) {
+		t.Errorf("Len = %d after a refused insert, want %d", n.Len(), len(items))
+	}
+	if err := n.Validate(); err != nil {
+		t.Errorf("after a refused insert: %v", err)
+	}
+	for _, eps := range []float64{0, 5, 200} {
+		if got, want := sortedRange(n, 50, eps), sortedScan(items, 50, eps); !equalFloats(got, want) {
+			t.Errorf("Range(50, %v) = %v after a refused insert, linear scan %v", eps, got, want)
+		}
+	}
+}
+
 func TestBatchRangeMatchesIndividualQueries(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
 	n := New(absDist)
