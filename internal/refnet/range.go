@@ -2,6 +2,7 @@ package refnet
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/metric"
@@ -9,8 +10,9 @@ import (
 
 // Range query (Appendix A.3). The traversal maintains, per query, the two
 // certainty sets of the paper — items proven inside the ball and items
-// proven outside — realised here as a per-node decided flag plus the result
-// stream, and additionally the computed query-to-node distances.
+// proven outside — realised here as per-node decided masks over the probe
+// set plus the result stream, and additionally the computed query-to-node
+// distances.
 //
 // For a child c of a node whose distance is known, the triangle inequality
 // through EVERY parent of c with a computed distance gives bounds
@@ -43,8 +45,8 @@ import (
 // — but the answer never depends on it.
 //
 // Multi-parent sharing means a node can be reached along several paths;
-// the decided flag guarantees each node's membership is settled exactly
-// once.
+// the decided mask guarantees each node's membership is settled exactly
+// once per probe.
 //
 // One traversal applies the rules: Session.walk walks the net once for a
 // whole probe set — the subsequence framework passes the segments of one
@@ -65,56 +67,29 @@ import (
 // framework streams probes sharing a query offset through a single
 // incremental kernel pass over the node's window, and may answer for a
 // probe with a proof instead of a distance, exactly as a bounded evaluation
-// does: any value over ε+ρ, however it came by it (the framework's evaluator
-// bounds all the probes at a node with one free-start kernel pass and prices
-// only the ones that bound cannot rule out). And a session that is traversed
-// more than once keeps every distance it has recorded: only the decided
-// flags are cleared between its traversals, so no recorded (probe, node)
-// distance is computed twice however many radii the query asks about. What
-// an inexact evaluator returned over ε+ρ was not recorded; such a pair is
-// evaluated again if a later traversal reaches it under a wider bound.
+// does: any value over ε+ρ, however it came by it (the framework's
+// evaluator bounds all the probes at a node with one free-start kernel pass
+// and prices only the ones that bound cannot rule out). And a session that
+// is traversed more than once keeps every distance it has recorded: only
+// the decided masks are cleared between its traversals, so no recorded
+// (probe, node) distance is computed twice however many radii the query
+// asks about. What an inexact evaluator returned over ε+ρ was not recorded;
+// such a pair is evaluated again if a later traversal reaches it under a
+// wider bound.
 //
-// Per-query bookkeeping lives in flat slices indexed by the dense node ids
-// assigned at insertion — a query touches each slot with two or three
-// unhashed array accesses where a map would hash a pointer per probe. The
-// slices are pooled on the net, so steady-state queries allocate only their
-// result slice; a session holds one such state per probe.
-
-// decidedBit marks a node whose ball membership is settled for this
-// traversal; computedBit marks a node whose distance to the query has been
-// computed (and stored in queryState.d).
-const (
-	decidedBit  = 1
-	computedBit = 2
-)
-
-// queryState is one probe's traversal scratch: node flags and computed
-// distances, recycled via Net.qpool.
-type queryState[T any] struct {
-	flags []uint8
-	d     []float64
-}
-
-// getState returns a query state sized for the current node-id space with
-// all flags cleared.
-func (t *Net[T]) getState() *queryState[T] {
-	s, _ := t.qpool.Get().(*queryState[T])
-	if s == nil {
-		s = &queryState[T]{}
-	}
-	n := int(t.nextID)
-	if cap(s.flags) < n {
-		s.flags = make([]uint8, n)
-		s.d = make([]float64, n)
-	} else {
-		s.flags = s.flags[:n]
-		s.d = s.d[:n]
-		clear(s.flags)
-	}
-	return s
-}
-
-func (t *Net[T]) putState(s *queryState[T]) { t.qpool.Put(s) }
+// The bookkeeping is kept per node over the whole probe set, not per probe.
+// Indexed by the dense node ids assigned at insertion, a session holds two
+// bitmasks of ⌈P/64⌉ words per node for its P probes — decided (settled in
+// this traversal) and computed (the exact distance is recorded) — and one
+// node-major table of P distances per node. A frame of the walk is a node
+// and the mask of probes still inconclusive there, whose distances are in
+// the table. So a child is tested against the probes not yet decided for it
+// with a few word operations, a parent's bounds reach only the probes it has
+// a distance for, and one walk of a subtree marks or collects every probe a
+// rule settled at its top. Every probe still meets the bounds, the rules
+// and the evaluator calls it would meet alone, in the same order. The
+// tables live in the session, which the net pools, so steady-state queries
+// allocate only their result slices.
 
 // Range returns every item within eps of q (inclusive): a session of one
 // probe, opened, read once and closed.
@@ -124,68 +99,18 @@ func (t *Net[T]) Range(q T, eps float64) []T {
 	return s.Range(eps)[0]
 }
 
-// markSubtree marks c and its multi-parent descendants as decided
-// (outside the ball). Mirroring the Appendix, this prevents re-examining,
-// via another parent, nodes already excluded by a subtree bound. Nodes
-// with a single parent are reachable only through this walk, so skipping
-// their flags is safe and keeps per-query bookkeeping proportional to the
-// multi-parent population rather than the subtree size.
-func (t *Net[T]) markSubtree(c *Node[T], st *queryState[T]) {
-	if len(c.parents) > 1 {
-		if st.flags[c.id]&decidedBit != 0 {
-			return
-		}
-		st.flags[c.id] |= decidedBit
-	}
-	for _, e := range c.children {
-		t.markSubtree(e.n, st)
-	}
-}
-
-// collectSubtreeInto appends c and all its not-yet-decided descendants to
-// dst as results, with the same single-parent marking optimisation as
-// markSubtree (a single-parent node can be collected only through its one
-// parent, so it cannot be appended twice).
-func (t *Net[T]) collectSubtreeInto(c *Node[T], st *queryState[T], dst *[]T) {
-	if len(c.parents) > 1 {
-		if st.flags[c.id]&decidedBit != 0 {
-			return
-		}
-		st.flags[c.id] |= decidedBit
-	}
-	*dst = append(*dst, c.item)
-	for _, e := range c.children {
-		t.collectSubtreeInto(e.n, st, dst)
-	}
-}
-
-// qd is one surviving probe on a node's active list: the probe index and
-// its (exact) computed distance to the node.
-type qd struct {
-	qi int32
-	d  float64
-}
-
-// batchEntry is one frame of the batched traversal: a node plus the probes
-// still undecided for it. The active list is owned by the frame and
-// recycled through the session's freelist when the frame is consumed.
-type batchEntry[T any] struct {
-	n      *Node[T]
-	active []qd
-}
-
 // Session is a probe set held open on the net for as many traversals as
-// one query needs. It owns one queryState per probe, and across its
-// traversals only the decided bits of those states are cleared: a
-// (probe, node) distance recorded under computedBit stays, is read back
-// instead of evaluated when a later traversal reaches the pair again, and
-// tightens that traversal's triangle bounds from its first node on (a proof
-// — a value an inexact evaluator returned over the bound — is not recorded).
-// The
-// framework's Type III query is the caller this is for — one MinDist, then a
-// Range per verification round, all over the same segments.
+// one query needs. Its bookkeeping is per node over all its probes: a
+// decided and a computed bitmask, one bit per probe, and a row of the
+// distance table. Across its traversals only the decided masks are cleared:
+// a (probe, node) distance recorded under its computed bit stays, is read
+// back instead of evaluated when a later traversal reaches the pair again,
+// and tightens that traversal's triangle bounds from its first node on (a
+// proof — a value an inexact evaluator returned over the bound — is not
+// recorded). The framework's Type III query is the caller this is for — one
+// MinDist, then a Range per verification round, all over the same segments.
 //
-// A session reads the net and must not span a mutation (the states are
+// A session reads the net and must not span a mutation (the tables are
 // sized to the node ids at OpenSession); Close returns it to the net's pool.
 // It is single-goroutine state.
 type Session[T any] struct {
@@ -194,14 +119,29 @@ type Session[T any] struct {
 	exact bool
 	// memo is set once a traversal has run: decided bits are then stale and
 	// computed bits may be found on pairs not yet visited.
-	memo   bool
-	states []*queryState[T]
-	stack  []batchEntry[T]
-	free   [][]qd
+	memo bool
+	// n probes, words mask words per node (⌈n/64⌉).
+	n, words int
+	// decided and computed hold words mask words per node id; d holds n
+	// distances per node id, valid where the computed bit is set.
+	decided, computed []uint64
+	d                 []float64
+	// stack holds the frames of the walk: a node, and in masks (words per
+	// frame, in the same order) its inconclusive probes.
+	stack []*Node[T]
+	masks []uint64
+	// Per-child scratch masks: the popped frame's probes, those still
+	// undecided at a child (then the ones bound for evaluation), those among
+	// them without a recorded distance there, and those a rule prunes or
+	// collects. deep holds a narrowed mask per depth of a subtree walk.
+	active, pend, need, prune, coll, deep []uint64
+	// lo and hi are the triangle bounds of the probes being tested at a
+	// child, indexed by probe.
+	lo, hi []float64
 	// pending lists the probes that reach the evaluation rule at the node
 	// being visited, unpriced the ones among them with no recorded distance;
-	// dists holds len(states) distances aligned with pending and, behind
-	// them, as many freshly evaluated ones aligned with unpriced.
+	// dists holds n distances aligned with pending and, behind them, as
+	// many freshly evaluated ones aligned with unpriced.
 	pending, unpriced []int32
 	dists             []float64
 	defEval           distEvaluator[T]
@@ -233,21 +173,38 @@ func (t *Net[T]) OpenSession(qs []T, ev metric.BatchEvaluator[T]) *Session[T] {
 		ev = &s.defEval
 	}
 	s.t, s.ev, s.exact, s.memo = t, ev, ev.Exact(), false
-	for range qs {
-		s.states = append(s.states, t.getState())
+	n, w, ids := len(qs), (len(qs)+63)/64, int(t.nextID)
+	s.n, s.words = n, w
+	s.decided = sized(s.decided, ids*w)
+	s.computed = sized(s.computed, ids*w)
+	clear(s.decided)
+	clear(s.computed)
+	s.d = sized(s.d, ids*n)
+	s.active, s.pend, s.need = sized(s.active, w), sized(s.pend, w), sized(s.need, w)
+	s.prune, s.coll = sized(s.prune, w), sized(s.coll, w)
+	// A subtree walk narrows its mask at most once per node on a path, and
+	// levels fall strictly along every edge (Validate's level order).
+	if t.root != nil {
+		s.deep = sized(s.deep, (t.root.level+1)*w)
 	}
-	s.pending = slices.Grow(s.pending[:0], len(qs))
-	s.unpriced = slices.Grow(s.unpriced[:0], len(qs))
-	s.dists = slices.Grow(s.dists[:0], 2*len(qs))[:2*len(qs)]
+	s.lo, s.hi = sized(s.lo, n), sized(s.hi, n)
+	s.pending = slices.Grow(s.pending[:0], n)
+	s.unpriced = slices.Grow(s.unpriced[:0], n)
+	s.dists = sized(s.dists, 2*n)
 	return s
 }
 
-// Close releases the session's states and returns it to the net's pool.
-func (s *Session[T]) Close() {
-	for _, st := range s.states {
-		s.t.putState(st)
+// sized returns b resliced to length n, reallocated when too short; the
+// contents are not cleared.
+func sized[E any](b []E, n int) []E {
+	if cap(b) < n {
+		return make([]E, n)
 	}
-	s.states = s.states[:0]
+	return b[:n]
+}
+
+// Close returns the session, with its tables, to the net's pool.
+func (s *Session[T]) Close() {
 	s.ev, s.defEval, s.out = nil, distEvaluator[T]{}, nil
 	s.t.bpool.Put(s)
 }
@@ -255,7 +212,7 @@ func (s *Session[T]) Close() {
 // Range is the traversal read as a range query: result i holds the items
 // within eps of probe i (rules 1–4).
 func (s *Session[T]) Range(eps float64) [][]T {
-	out := make([][]T, len(s.states))
+	out := make([][]T, s.n)
 	s.walk(eps, out)
 	return out
 }
@@ -267,7 +224,7 @@ func (s *Session[T]) Range(eps float64) [][]T {
 // just under every exact distance it meets (math.Nextafter towards −∞, so a
 // first find at exactly epsMax counts and a later one must be strictly
 // better). A subtree pruned under the bound stays pruned as the bound
-// shrinks, so the decided flags mean what they mean in Range; rule 2 is
+// shrinks, so the decided masks mean what they mean in Range; rule 2 is
 // unused, there being nothing to collect. A value above the bound it was
 // evaluated under — all an abandoned evaluation returns — prunes but is
 // never taken for a distance.
@@ -276,103 +233,162 @@ func (s *Session[T]) MinDist(epsMax float64) float64 {
 	return s.best
 }
 
+// mask returns node id's words in a per-node mask table.
+func (s *Session[T]) mask(table []uint64, id int32) []uint64 {
+	return table[int(id)*s.words:][:s.words]
+}
+
+// row returns node id's distances in the table.
+func (s *Session[T]) row(id int32) []float64 { return s.d[int(id)*s.n:][:s.n] }
+
 // walk is the batched traversal, the only one: out != nil reads it as Range,
 // out == nil as MinDist.
 func (s *Session[T]) walk(eps float64, out [][]T) {
 	t := s.t
 	s.eps, s.best, s.out = eps, math.Inf(1), out
-	if t.root == nil || len(s.states) == 0 {
+	if t.root == nil || s.n == 0 {
 		return
 	}
 	if s.memo {
-		for _, st := range s.states {
-			for i := range st.flags {
-				st.flags[i] &= computedBit
-			}
-		}
+		clear(s.decided)
 	}
-	pending := s.pending[:0]
-	for i := range s.states {
-		pending = append(pending, int32(i))
+	all := s.pend
+	clear(all)
+	for qi := range s.n {
+		all[qi>>6] |= 1 << (qi & 63)
 	}
-	s.visit(t.root, pending)
+	s.visit(t.root, all)
+	w := s.words
+	active, pend, need, prune, coll := s.active, s.pend, s.need, s.prune, s.coll
+	los, his := s.lo, s.hi
 	// No distance is negative: once the bound is, nothing is left to find.
 	for len(s.stack) > 0 && s.eps >= 0 {
-		e := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		for _, ce := range e.n.children {
+		top := len(s.stack) - 1
+		e := s.stack[top]
+		copy(active, s.masks[top*w:])
+		s.stack, s.masks = s.stack[:top], s.masks[:top*w]
+		from := s.row(e.id)
+		for _, ce := range e.children {
 			c := ce.n
-			rho, eps := c.rho, s.eps
 			// Phase 1: settle what the zero-computation bounds can; queue
 			// the rest for one batched evaluation.
-			pending = pending[:0]
-			for _, a := range e.active {
-				st := s.states[a.qi]
-				f := st.flags[c.id]
-				if f&decidedBit != 0 {
-					continue
-				}
-				// A pair priced by an earlier traversal of this session
-				// needs no bounds: its distance is read back in phase 2.
-				if f&computedBit == 0 && !t.noEdgeBounds {
-					lo := a.d - ce.d
+			dec := s.mask(s.decided, c.id)
+			var left uint64
+			for i := range pend {
+				pend[i] = active[i] &^ dec[i]
+				left |= pend[i]
+			}
+			if left == 0 {
+				continue
+			}
+			if t.noEdgeBounds {
+				s.visit(c, pend)
+				continue
+			}
+			rho, eps := c.rho, s.eps
+			// A pair priced by an earlier traversal of this session needs no
+			// bounds: its distance is read back in phase 2.
+			comp := s.mask(s.computed, c.id)
+			var queued, unknown uint64
+			for i := range pend {
+				need[i] = pend[i] &^ comp[i]
+				pend[i] &= comp[i]
+				queued |= pend[i]
+				unknown |= need[i]
+				for m := need[i]; m != 0; m &= m - 1 {
+					qi := i<<6 | bits.TrailingZeros64(m)
+					dp := from[qi]
+					lo := dp - ce.d
 					if lo < 0 {
 						lo = -lo
 					}
-					hi := a.d + ce.d
-					for _, pe := range c.parents {
-						if pe.n == e.n || st.flags[pe.n.id]&computedBit == 0 {
-							continue
-						}
-						dp := st.d[pe.n.id]
-						if l := dp - pe.d; l > lo {
-							lo = l
-						} else if -l > lo {
-							lo = -l
-						}
-						if h := dp + pe.d; h < hi {
-							hi = h
-						}
-					}
-					if lo-rho > eps {
-						t.markSubtree(c, st)
+					los[qi], his[qi] = lo, dp+ce.d
+				}
+			}
+			if unknown != 0 {
+				for _, pe := range c.parents {
+					if pe.n == e {
 						continue
 					}
-					if out != nil && hi+rho <= eps {
-						t.collectSubtreeInto(c, st, &out[a.qi])
-						continue
+					pc, pd := s.mask(s.computed, pe.n.id), s.row(pe.n.id)
+					for i := range need {
+						for m := need[i] & pc[i]; m != 0; m &= m - 1 {
+							qi := i<<6 | bits.TrailingZeros64(m)
+							dp := pd[qi]
+							if l := math.Abs(dp - pe.d); l > los[qi] {
+								los[qi] = l
+							}
+							if h := dp + pe.d; h < his[qi] {
+								his[qi] = h
+							}
+						}
 					}
 				}
-				pending = append(pending, a.qi)
+				var pruned, collected uint64
+				for i := range need {
+					prune[i], coll[i] = 0, 0
+					for m := need[i]; m != 0; m &= m - 1 {
+						b := m & -m
+						qi := i<<6 | bits.TrailingZeros64(m)
+						if los[qi]-rho > eps {
+							prune[i] |= b
+						} else if out != nil && his[qi]+rho <= eps {
+							coll[i] |= b
+						} else {
+							pend[i] |= b
+						}
+					}
+					pruned |= prune[i]
+					collected |= coll[i]
+					queued |= pend[i]
+				}
+				if pruned != 0 {
+					s.markSubtree(c, prune, 0)
+				}
+				if collected != 0 {
+					s.collect(c, coll, 0)
+				}
 			}
-			if len(pending) > 0 {
-				s.visit(c, pending)
+			if queued != 0 {
+				s.visit(c, pend)
 			}
 		}
-		s.putList(e.active)
 	}
-	for _, e := range s.stack {
-		s.putList(e.active)
-	}
-	s.stack = s.stack[:0]
+	s.stack, s.masks = s.stack[:0], s.masks[:0]
 	s.memo = true
 }
 
-// visit applies rules 3–4 at c to the probes in pending (phases 2 and 3):
-// it prices them in one batched evaluation, settles each, and pushes a frame
-// for the probes left inconclusive.
-func (s *Session[T]) visit(c *Node[T], pending []int32) {
-	t, rho := s.t, c.rho
+// visit applies rules 3–4 at c to the probes in pend (phases 2 and 3): it
+// prices them in one batched evaluation, settles each, and pushes a frame
+// for the probes left inconclusive. pend is not empty; it may be a scratch
+// mask the visit itself reuses, and is read first.
+func (s *Session[T]) visit(c *Node[T], pend []uint64) {
+	pending := s.pending[:0]
+	for i, m := range pend {
+		for ; m != 0; m &= m - 1 {
+			pending = append(pending, int32(i<<6|bits.TrailingZeros64(m)))
+		}
+	}
+	t, rho, w := s.t, c.rho, s.words
 	bound := s.eps + rho
 	dists := s.price(c, pending, bound)
-	next := s.getList()
+	comp, dec, row := s.mask(s.computed, c.id), s.mask(s.decided, c.id), s.row(c.id)
+	// The frame's mask is written in place on the stack and dropped again if
+	// it stays empty.
+	base := len(s.masks)
+	s.masks = slices.Grow(s.masks, w)[:base+w]
+	next, prune, coll := s.masks[base:], s.prune, s.coll
+	clear(next)
+	clear(prune)
+	clear(coll)
+	var pruned, collected, left uint64
 	for k, qi := range pending {
-		st, dc := s.states[qi], dists[k]
+		dc, i, b := dists[k], qi>>6, uint64(1)<<(qi&63)
 		if s.exact || dc <= bound {
 			// Exact, so it seeds the triangle bounds of later visits and is
 			// never evaluated again in this session — also when it prunes.
-			st.flags[c.id] |= computedBit
-			st.d[c.id] = dc
+			comp[i] |= b
+			row[qi] = dc
 		}
 		if s.out == nil && dc <= s.eps {
 			s.best, s.eps = dc, math.Nextafter(dc, math.Inf(-1))
@@ -380,9 +396,10 @@ func (s *Session[T]) visit(c *Node[T], pending []int32) {
 		if dc > s.eps+rho {
 			// δ(q,c) > ε + ρ: the subtree is outside. (An abandoned value
 			// is a proof, not a distance.) A probe pruned at the root is in
-			// no active list, so nothing ever reads its flags.
+			// no frame, so nothing ever reads its decided bits.
 			if c != t.root {
-				t.markSubtree(c, st)
+				prune[i] |= b
+				pruned |= b
 			}
 			continue
 		}
@@ -390,19 +407,88 @@ func (s *Session[T]) visit(c *Node[T], pending []int32) {
 		// dropped below dc, so neither of the two dc ≤ ε rules below fires
 		// and out is never touched.
 		if dc+rho <= s.eps {
-			t.collectSubtreeInto(c, st, &s.out[qi])
+			coll[i] |= b
+			collected |= b
 			continue
 		}
-		st.flags[c.id] |= decidedBit
+		dec[i] |= b
 		if dc <= s.eps {
 			s.out[qi] = append(s.out[qi], c.item)
 		}
-		next = append(next, qd{qi, dc})
+		next[i] |= b
+		left |= b
 	}
-	if len(next) > 0 && len(c.children) > 0 {
-		s.stack = append(s.stack, batchEntry[T]{c, next})
+	if pruned != 0 {
+		s.markSubtree(c, prune, 0)
+	}
+	if collected != 0 {
+		s.collect(c, coll, 0)
+	}
+	if left != 0 && len(c.children) > 0 {
+		s.stack = append(s.stack, c)
 	} else {
-		s.putList(next)
+		s.masks = s.masks[:base]
+	}
+}
+
+// narrow takes the probes in m that are not yet decided at c, marks them
+// decided there, and returns them in the scratch mask of the given depth;
+// nil when none is left. Only multi-parent nodes are narrowed: a node with
+// one parent is reachable only through it, so the walk above it has settled
+// it for every probe it carries, and skipping its bits keeps the
+// bookkeeping proportional to the multi-parent population rather than the
+// subtree size.
+func (s *Session[T]) narrow(c *Node[T], m []uint64, depth int) []uint64 {
+	dec, nm := s.mask(s.decided, c.id), s.deep[depth*s.words:][:s.words]
+	var left uint64
+	for i, x := range m {
+		x &^= dec[i]
+		nm[i] = x
+		dec[i] |= x
+		left |= x
+	}
+	if left == 0 {
+		return nil
+	}
+	return nm
+}
+
+// markSubtree marks c and its multi-parent descendants as decided (outside
+// the ball) for the probes in m, narrowing m at each multi-parent node to
+// the probes not decided there yet. Mirroring the Appendix, this prevents
+// re-examining, via another parent, nodes already excluded by a subtree
+// bound. One walk serves every probe a rule pruned at c.
+func (s *Session[T]) markSubtree(c *Node[T], m []uint64, depth int) {
+	if len(c.parents) > 1 {
+		if m = s.narrow(c, m, depth); m == nil {
+			return
+		}
+		depth++
+	}
+	for _, e := range c.children {
+		s.markSubtree(e.n, m, depth)
+	}
+}
+
+// collect appends c and all its not-yet-decided descendants to the result
+// list of every probe in m, narrowing m as markSubtree does (a single-parent
+// node can be collected only through its one parent, so it cannot be
+// appended twice).
+func (s *Session[T]) collect(c *Node[T], m []uint64, depth int) {
+	if len(c.parents) > 1 {
+		if m = s.narrow(c, m, depth); m == nil {
+			return
+		}
+		depth++
+	}
+	for i, x := range m {
+		for ; x != 0; x &= x - 1 {
+			qi := i<<6 | bits.TrailingZeros64(x)
+			s.out[qi] = append(s.out[qi], c.item)
+		}
+	}
+	for _, e := range c.children {
+		s.collect(e.n, m, depth)
 	}
 }
 
@@ -416,44 +502,27 @@ func (s *Session[T]) price(c *Node[T], pending []int32, bound float64) []float64
 		s.ev.EvalBatch(c.item, pending, bound, dists)
 		return dists
 	}
+	comp, row := s.mask(s.computed, c.id), s.row(c.id)
 	unpriced := s.unpriced[:0]
 	for _, qi := range pending {
-		if s.states[qi].flags[c.id]&computedBit == 0 {
+		if comp[qi>>6]&(1<<(qi&63)) == 0 {
 			unpriced = append(unpriced, qi)
 		}
 	}
-	fresh := s.dists[len(s.states):][:len(unpriced)]
+	fresh := s.dists[s.n:][:len(unpriced)]
 	if len(unpriced) > 0 {
 		s.ev.EvalBatch(c.item, unpriced, bound, fresh)
 	}
 	k := 0
 	for i, qi := range pending {
-		if st := s.states[qi]; st.flags[c.id]&computedBit != 0 {
-			dists[i] = st.d[c.id]
+		if comp[qi>>6]&(1<<(qi&63)) != 0 {
+			dists[i] = row[qi]
 		} else {
 			dists[i] = fresh[k]
 			k++
 		}
 	}
 	return dists
-}
-
-// getList hands out an empty active list, reusing a retired one when
-// available.
-func (s *Session[T]) getList() []qd {
-	if n := len(s.free); n > 0 {
-		l := s.free[n-1]
-		s.free = s.free[:n-1]
-		return l
-	}
-	return nil
-}
-
-// putList retires an active list's backing array to the freelist.
-func (s *Session[T]) putList(l []qd) {
-	if cap(l) > 0 {
-		s.free = append(s.free, l[:0])
-	}
 }
 
 // distEvaluator is the default batch evaluator: probe-by-probe evaluation

@@ -124,9 +124,9 @@ func TestBoundedTraversalAbandons(t *testing.T) {
 	}
 }
 
-// BatchRange must recycle its active lists: after a warm-up call, repeat
-// calls allocate only the result slices, not a fresh list per inconclusive
-// node.
+// BatchRange must reuse its traversal state: after a warm-up call, repeat
+// calls allocate only the result slices, not fresh frame state per
+// inconclusive node.
 func TestBatchRangeActiveListReuse(t *testing.T) {
 	rng := rand.New(rand.NewPCG(67, 71))
 	n := New(absDist)
@@ -158,8 +158,8 @@ func TestBatchRangeActiveListReuse(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		n.BatchRange(qs, eps)
 	})
-	// out, a slice per non-empty result set, plus small pool slack; a fresh
-	// active list per inconclusive node would add tens to hundreds.
+	// out, a slice per non-empty result set, plus small pool slack; fresh
+	// frame state per inconclusive node would add tens to hundreds.
 	if limit := float64(2*len(qs) + 8); allocs > limit {
 		t.Fatalf("BatchRange allocates %v objects per call, want ≤ %v", allocs, limit)
 	}

@@ -101,8 +101,8 @@ type Net[T any] struct {
 	noEdgeBounds bool
 	root         *Node[T]
 	size         int
-	// nextID is the size of the node-id space: every probe of every query
-	// sizes and clears its scratch to it (getState). Ids are dense on a
+	// nextID is the size of the node-id space: every session sizes its
+	// per-node tables to it (OpenSession). Ids are dense on a
 	// freshly built or loaded net; Delete hands a node's id to freeIDs and
 	// newID draws from there first, so under delete+insert churn the space
 	// stays at the net's peak size instead of growing with every insertion
@@ -112,12 +112,10 @@ type Net[T any] struct {
 	// bounded, when set, is the early-abandoning evaluation of dist used by
 	// range traversals (see SetBounded).
 	bounded metric.BoundedDistFunc[T]
-	// qpool recycles per-query traversal state (flat slices indexed by node
-	// id) so range queries allocate nothing per visited node. sync.Pool
+	// bpool recycles sessions with their traversal state (per-node masks and
+	// distances indexed by node id, frame and evaluation buffers) so range
+	// queries allocate nothing per visited node — see OpenSession. sync.Pool
 	// keeps concurrent read-only queries safe.
-	qpool sync.Pool
-	// bpool recycles sessions with their batched-traversal scratch (active
-	// lists, pending evaluation buffers) — see OpenSession.
 	bpool sync.Pool
 	// Mutation scratch for frontier, which no query reads: marks[id] ==
 	// epoch flags a node the current descent has considered, and cur, next
@@ -145,7 +143,7 @@ func (t *Net[T]) SetBounded(fn metric.BoundedDistFunc[T]) { t.bounded = fn }
 type Node[T any] struct {
 	item  T
 	level int
-	id    int32 // dense index into per-query scratch, assigned at creation
+	id    int32 // dense index into per-session tables, assigned at creation
 	// rho is the measured cover radius: 0 for a childless node, otherwise
 	// the max over children of (stored edge distance + the child's rho). By
 	// the triangle inequality it bounds the distance to every descendant;

@@ -135,7 +135,7 @@ func checkQueries(t *testing.T, n *Net[stormPt], live []*Node[stormPt], rng *ran
 			if got := n.Range(q, eps); !slices.Equal(ids(got), ids(want)) {
 				t.Fatalf("Range(%v, %v) = ids %v, linear scan %v", q, eps, ids(got), ids(want))
 			}
-			// The batch carries q beside two other probes so active lists
+			// The batch carries q beside two other probes so frame masks
 			// split and merge on the way down.
 			qs := []stormPt{draw(), q, draw()}
 			for i, got := range n.BatchRange(qs, eps) {
