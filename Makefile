@@ -114,9 +114,11 @@ size:
 
 # loc prints the non-test Go lines outside bench/ by package, with the
 # total: the measured number a design-quality PR (ROADMAP aim 2) reports
-# instead of an estimate. No threshold; CI echoes it.
+# instead of an estimate. Untracked files that are not ignored count, so a
+# new package is in the number before it is committed. No threshold; CI
+# echoes it.
 loc:
-	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs wc -l | \
+	@git ls-files --cached --others --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs wc -l | \
 	awk '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total (non-test Go lines outside bench/)\n", t }' | sort -k2
 

@@ -3,8 +3,10 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -563,45 +565,59 @@ func TestServeSnapshotInterval(t *testing.T) {
 
 // A corrupt -restore snapshot is quarantined (moved to .corrupt) and the
 // index rebuilt, instead of wedging the start in a crash loop; a
-// mismatched snapshot stays a hard error.
+// mismatched snapshot stays a hard error. Corrupt includes a snapshot
+// whose checksum holds but whose embedded net stream is damaged.
 func TestServeQuarantinesCorruptRestore(t *testing.T) {
 	spec := newSpec("proteins", "levenshtein-fast", "refnet")
 	st, _, err := registry.NewStore[byte](spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := filepath.Join(t.TempDir(), "live.snap")
-	if err := st.SnapshotFile(snap); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-8] ^= 0xFF
-	if err := os.WriteFile(snap, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		reseal bool // recompute the outer checksum after the flip
+	}{
+		{"byte flipped", false},
+		{"net stream byte flipped, snapshot resealed", true},
+	} {
+		snap := filepath.Join(t.TempDir(), "live.snap")
+		if err := st.SnapshotFile(snap); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The index block is the snapshot's last block and a net stream
+		// ends in its own checksum: byte len-8 is that checksum's first.
+		raw[len(raw)-8] ^= 0xFF
+		if tc.reseal {
+			binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
+		}
+		if err := os.WriteFile(snap, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	ts, qs := newTestServerSpec(t, registry.ServerSpec{SessionSpec: spec, Workers: 2, QueueDepth: 16}, snap)
-	if qs.wasRestored() {
-		t.Fatal("corrupt snapshot reported as restored")
-	}
-	if _, err := os.Stat(snap + ".corrupt"); err != nil {
-		t.Fatalf("corrupt snapshot not quarantined: %v", err)
-	}
-	if _, err := os.Stat(snap); !os.IsNotExist(err) {
-		t.Fatalf("corrupt snapshot still in place: %v", err)
-	}
-	// The rebuilt server answers queries.
-	var fa shard.MatchesResponse
-	if code := postJSON(t, ts, "/query/findall", `{"query":"ACDEFGHIKLMNPQRS","eps":4}`, &fa); code != http.StatusOK {
-		t.Fatalf("rebuilt server findall status %d", code)
-	}
-	var sr statsResponse
-	getJSON(t, ts, "/stats", &sr)
-	if sr.Store.Restored {
-		t.Fatal("/stats claims restored=true after a quarantined rebuild")
+		ts, qs := newTestServerSpec(t, registry.ServerSpec{SessionSpec: spec, Workers: 2, QueueDepth: 16}, snap)
+		if qs.wasRestored() {
+			t.Fatalf("%s: corrupt snapshot reported as restored", tc.name)
+		}
+		if _, err := os.Stat(snap + ".corrupt"); err != nil {
+			t.Fatalf("%s: corrupt snapshot not quarantined: %v", tc.name, err)
+		}
+		if _, err := os.Stat(snap); !os.IsNotExist(err) {
+			t.Fatalf("%s: corrupt snapshot still in place: %v", tc.name, err)
+		}
+		// The rebuilt server answers queries.
+		var fa shard.MatchesResponse
+		if code := postJSON(t, ts, "/query/findall", `{"query":"ACDEFGHIKLMNPQRS","eps":4}`, &fa); code != http.StatusOK {
+			t.Fatalf("%s: rebuilt server findall status %d", tc.name, code)
+		}
+		var sr statsResponse
+		getJSON(t, ts, "/stats", &sr)
+		if sr.Store.Restored {
+			t.Fatalf("%s: /stats claims restored=true after a quarantined rebuild", tc.name)
+		}
 	}
 }
 

@@ -2,29 +2,31 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
+	"cmp"
 	"encoding/gob"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/frame"
 	"repro/internal/seq"
 )
 
-// Snapshot wire format, version 1. Everything is little-endian and the
-// whole stream is covered by a trailing CRC32 (IEEE), so any single-byte
-// corruption is caught before a damaged index reaches a serving process.
+// Snapshot wire format, version 1. The stream is framed by
+// internal/frame: everything is little-endian, lengths are capped before
+// allocating, and the whole stream is covered by a trailing CRC32 (IEEE),
+// so any single-byte corruption is caught before a damaged index reaches
+// a serving process. The layout inside the frame:
 //
 //	offset  size  field
 //	0       8     magic "SSNAPv1\0"
 //	8       4     header length H (uint32, ≤ 1 MiB)
 //	12      H     header (gob-encoded Header)
-//	...     8     sequence block length S (uint64, ≤ 4 GiB)
+//	...     8     sequence block length S (uint64, ≤ frame.MaxBlock = 4 GiB)
 //	...     S     sequences (gob-encoded []seq.Sequence[E], tombstones
 //	              listed in Header.Tombstones — the decoder re-nils them)
 //	...     8     TTL block length T (uint64, ≤ 4 GiB)
@@ -48,7 +50,6 @@ const (
 	FormatVersion = 1
 
 	maxHeaderBytes = 1 << 20
-	maxBlockBytes  = 1 << 32
 )
 
 // Header is the snapshot's self-description: enough to reconstruct the
@@ -80,21 +81,9 @@ type ttlEntry struct {
 }
 
 // CorruptError reports a snapshot stream that cannot be decoded: it
-// carries the byte offset at which decoding failed and the reason.
-type CorruptError struct {
-	Offset int64
-	Reason string
-	Err    error
-}
-
-func (e *CorruptError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("store: corrupt snapshot at offset %d: %s: %v", e.Offset, e.Reason, e.Err)
-	}
-	return fmt.Sprintf("store: corrupt snapshot at offset %d: %s", e.Offset, e.Reason)
-}
-
-func (e *CorruptError) Unwrap() error { return e.Err }
+// carries the byte offset at which decoding failed and the reason. It is
+// frame.CorruptError, the type the embedded net stream fails with too.
+type CorruptError = frame.CorruptError
 
 // MismatchError reports a well-formed snapshot that belongs to a
 // different session: a field of its header disagrees with what the
@@ -119,61 +108,6 @@ func parseBackend(name string) (core.IndexKind, bool) {
 		}
 	}
 	return 0, false
-}
-
-// crcWriter tees writes through a running CRC32 and tracks the offset.
-type crcWriter struct {
-	w   io.Writer
-	crc hash.Hash32
-	off int64
-}
-
-func newCRCWriter(w io.Writer) *crcWriter {
-	return &crcWriter{w: w, crc: crc32.NewIEEE()}
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc.Write(p[:n])
-	cw.off += int64(n)
-	return n, err
-}
-
-// crcReader tees reads through a running CRC32 and tracks the offset,
-// minting CorruptErrors that carry it.
-type crcReader struct {
-	r   io.Reader
-	crc hash.Hash32
-	off int64
-}
-
-func newCRCReader(r io.Reader) *crcReader {
-	return &crcReader{r: r, crc: crc32.NewIEEE()}
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc.Write(p[:n])
-	cr.off += int64(n)
-	return n, err
-}
-
-func (cr *crcReader) corrupt(reason string, err error) *CorruptError {
-	return &CorruptError{Offset: cr.off, Reason: reason, Err: err}
-}
-
-// readBlock reads exactly n bytes, growing the buffer with the bytes
-// actually present so a corrupt length claim cannot pre-allocate gigabytes.
-func (cr *crcReader) readBlock(n int64, what string) ([]byte, error) {
-	var buf bytes.Buffer
-	copied, err := io.Copy(&buf, io.LimitReader(cr, n))
-	if err != nil {
-		return nil, cr.corrupt(fmt.Sprintf("reading %s", what), err)
-	}
-	if copied != n {
-		return nil, cr.corrupt(fmt.Sprintf("%s truncated: %d of %d bytes", what, copied, n), io.ErrUnexpectedEOF)
-	}
-	return buf.Bytes(), nil
 }
 
 // header builds the store's self-description. Caller holds at least the
@@ -208,68 +142,33 @@ func (s *Store[E]) header() Header {
 // writeSnapshot emits the full snapshot stream. Caller holds at least
 // the read lock.
 func (s *Store[E]) writeSnapshot(w io.Writer) error {
-	cw := newCRCWriter(w)
-	if _, err := cw.Write([]byte(snapMagic)); err != nil {
-		return fmt.Errorf("store: snapshot: %w", err)
-	}
-
-	writeGob32 := func(v any, what string) error {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			return fmt.Errorf("store: snapshot: encoding %s: %w", what, err)
-		}
-		if err := binary.Write(cw, binary.LittleEndian, uint32(buf.Len())); err != nil {
-			return fmt.Errorf("store: snapshot: %w", err)
-		}
-		_, err := cw.Write(buf.Bytes())
-		return err
-	}
-	writeGob64 := func(v any, what string) error {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			return fmt.Errorf("store: snapshot: encoding %s: %w", what, err)
-		}
-		if err := binary.Write(cw, binary.LittleEndian, uint64(buf.Len())); err != nil {
-			return fmt.Errorf("store: snapshot: %w", err)
-		}
-		_, err := cw.Write(buf.Bytes())
-		return err
-	}
-
-	if err := writeGob32(s.header(), "header"); err != nil {
-		return err
-	}
-	if err := writeGob64(s.mt.DB(), "sequences"); err != nil {
-		return err
+	// Gob numbers types per process in first-use order, so the header,
+	// the sequences and the TTL table are encoded before SaveIndex
+	// encodes the net's items: the other order writes other bytes.
+	var hdr bytes.Buffer
+	if err := gob.NewEncoder(&hdr).Encode(s.header()); err != nil {
+		return fmt.Errorf("store: snapshot: encoding header: %w", err)
 	}
 	ttls := make([]ttlEntry, 0, len(s.expiry))
 	for id, deadline := range s.expiry {
 		ttls = append(ttls, ttlEntry{SeqID: id, Expire: deadline.UnixNano()})
 	}
-	// Sort so identical store states produce identical snapshot bytes.
-	for i := 1; i < len(ttls); i++ {
-		for j := i; j > 0 && ttls[j].SeqID < ttls[j-1].SeqID; j-- {
-			ttls[j], ttls[j-1] = ttls[j-1], ttls[j]
-		}
-	}
-	if err := writeGob64(ttls, "ttl table"); err != nil {
-		return err
-	}
+	// Sorted, so identical store states in one process write identical bytes.
+	slices.SortFunc(ttls, func(a, b ttlEntry) int { return cmp.Compare(a.SeqID, b.SeqID) })
 
+	fw := frame.NewWriter(w, snapMagic)
+	fw.Fixed(uint32(hdr.Len()))
+	fw.Bytes(hdr.Bytes())
+	fw.GobBlock(s.mt.DB())
+	fw.GobBlock(ttls)
 	var index bytes.Buffer
 	if s.cfg.Index == core.IndexRefNet {
 		if err := s.mt.SaveIndex(&index); err != nil {
 			return fmt.Errorf("store: snapshot: %w", err)
 		}
 	}
-	if err := binary.Write(cw, binary.LittleEndian, uint64(index.Len())); err != nil {
-		return fmt.Errorf("store: snapshot: %w", err)
-	}
-	if _, err := cw.Write(index.Bytes()); err != nil {
-		return fmt.Errorf("store: snapshot: %w", err)
-	}
-
-	if err := binary.Write(w, binary.LittleEndian, cw.crc.Sum32()); err != nil {
+	fw.Block(index.Bytes())
+	if err := fw.Finish(); err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
 	return nil
@@ -281,53 +180,36 @@ func (s *Store[E]) writeSnapshot(w io.Writer) error {
 // mismatched restores before any decoding work happens). The stream CRC
 // is NOT verified (that requires reading the whole stream; Open does).
 func ReadHeader(r io.Reader) (Header, error) {
-	cr := newCRCReader(r)
-	h, err := readHeader(cr)
-	if err != nil {
-		return Header{}, err
-	}
-	return h, nil
+	_, h, err := readHeader(r)
+	return h, err
 }
 
-func readHeader(cr *crcReader) (Header, error) {
-	magic := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return Header{}, cr.corrupt("reading magic", err)
-	}
-	if string(magic) != snapMagic {
-		return Header{}, &CorruptError{Offset: 0, Reason: fmt.Sprintf("bad magic %q (not a snapshot stream)", magic)}
+// readHeader opens the frame on r and decodes the header, leaving the
+// reader at the sequence block.
+func readHeader(r io.Reader) (*frame.Reader, Header, error) {
+	fr, err := frame.NewReader(r, snapMagic, "store snapshot")
+	if err != nil {
+		return nil, Header{}, err
 	}
 	var hlen uint32
-	if err := binary.Read(cr, binary.LittleEndian, &hlen); err != nil {
-		return Header{}, cr.corrupt("reading header length", err)
+	if err := fr.Fixed(&hlen, "header length"); err != nil {
+		return nil, Header{}, err
 	}
 	if hlen > maxHeaderBytes {
-		return Header{}, cr.corrupt(fmt.Sprintf("header length %d exceeds cap %d", hlen, maxHeaderBytes), nil)
+		return nil, Header{}, fr.Corrupt(fmt.Sprintf("header length %d exceeds cap %d", hlen, maxHeaderBytes), nil)
 	}
-	hbytes, err := cr.readBlock(int64(hlen), "header")
+	hbytes, err := fr.Bytes(int64(hlen), "header")
 	if err != nil {
-		return Header{}, err
+		return nil, Header{}, err
 	}
 	var h Header
 	if err := gob.NewDecoder(bytes.NewReader(hbytes)).Decode(&h); err != nil {
-		return Header{}, cr.corrupt("decoding header", err)
+		return nil, Header{}, fr.Corrupt("decoding header", err)
 	}
 	if h.Version != FormatVersion {
-		return Header{}, &CorruptError{Offset: cr.off, Reason: fmt.Sprintf("snapshot format version %d; this build reads version %d", h.Version, FormatVersion)}
+		return nil, Header{}, fr.Corrupt(fmt.Sprintf("snapshot format version %d; this build reads version %d", h.Version, FormatVersion), nil)
 	}
-	return h, nil
-}
-
-// readBlock64 reads a uint64-framed block.
-func (cr *crcReader) readBlock64(what string) ([]byte, error) {
-	var blen uint64
-	if err := binary.Read(cr, binary.LittleEndian, &blen); err != nil {
-		return nil, cr.corrupt(fmt.Sprintf("reading %s length", what), err)
-	}
-	if blen > maxBlockBytes {
-		return nil, cr.corrupt(fmt.Sprintf("%s length %d exceeds cap %d", what, blen, maxBlockBytes), nil)
-	}
-	return cr.readBlock(int64(blen), what)
+	return fr, h, nil
 }
 
 // Open restores a Store from a snapshot stream written by Snapshot,
@@ -338,9 +220,11 @@ func (cr *crcReader) readBlock64(what string) ([]byte, error) {
 // is refused with the offending field explained rather than producing a
 // silently wrong index. For the reference-net backend the index
 // structure is decoded, not rebuilt: restoring computes zero distances.
+// A checksummed stream whose blocks disagree with each other — an index
+// block that does not restore over the sequences, or a window count the
+// restored index does not have — is a *CorruptError too.
 func Open[E any](r io.Reader, m dist.Measure[E], check func(Header) error, opts ...Option) (*Store[E], error) {
-	cr := newCRCReader(r)
-	h, err := readHeader(cr)
+	fr, h, err := readHeader(r)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +236,7 @@ func Open[E any](r io.Reader, m dist.Measure[E], check func(Header) error, opts 
 	}
 	kind, ok := parseBackend(h.Backend)
 	if !ok {
-		return nil, &CorruptError{Offset: cr.off, Reason: fmt.Sprintf("unknown backend %q", h.Backend)}
+		return nil, fr.Corrupt(fmt.Sprintf("unknown backend %q", h.Backend), nil)
 	}
 	if check != nil {
 		if err := check(h); err != nil {
@@ -360,51 +244,38 @@ func Open[E any](r io.Reader, m dist.Measure[E], check func(Header) error, opts 
 		}
 	}
 
-	sbytes, err := cr.readBlock64("sequence block")
-	if err != nil {
+	var db []seq.Sequence[E]
+	if err := fr.GobBlock(&db, "sequence block"); err != nil {
 		return nil, err
 	}
-	var db []seq.Sequence[E]
-	if err := gob.NewDecoder(bytes.NewReader(sbytes)).Decode(&db); err != nil {
-		return nil, cr.corrupt("decoding sequences", err)
-	}
 	if len(db) != h.Sequences {
-		return nil, cr.corrupt(fmt.Sprintf("header claims %d sequences, block holds %d", h.Sequences, len(db)), nil)
+		return nil, fr.Corrupt(fmt.Sprintf("header claims %d sequences, block holds %d", h.Sequences, len(db)), nil)
 	}
 	for _, id := range h.Tombstones {
 		if id < 0 || id >= len(db) {
-			return nil, cr.corrupt(fmt.Sprintf("tombstone id %d out of range [0,%d)", id, len(db)), nil)
+			return nil, fr.Corrupt(fmt.Sprintf("tombstone id %d out of range [0,%d)", id, len(db)), nil)
 		}
 		db[id] = nil
 	}
 
-	tbytes, err := cr.readBlock64("TTL block")
-	if err != nil {
-		return nil, err
-	}
 	var ttls []ttlEntry
-	if err := gob.NewDecoder(bytes.NewReader(tbytes)).Decode(&ttls); err != nil {
-		return nil, cr.corrupt("decoding TTL table", err)
+	if err := fr.GobBlock(&ttls, "TTL block"); err != nil {
+		return nil, err
 	}
 	for _, e := range ttls {
 		if e.SeqID < 0 || e.SeqID >= len(db) || db[e.SeqID] == nil {
-			return nil, cr.corrupt(fmt.Sprintf("TTL entry for absent sequence %d", e.SeqID), nil)
+			return nil, fr.Corrupt(fmt.Sprintf("TTL entry for absent sequence %d", e.SeqID), nil)
 		}
 	}
 
-	ibytes, err := cr.readBlock64("index block")
+	indexOff := fr.Offset()
+	ibytes, err := fr.Block("index block")
 	if err != nil {
 		return nil, err
 	}
-
 	// Verify the stream checksum before building anything from it.
-	sum := cr.crc.Sum32()
-	var stored uint32
-	if err := binary.Read(cr, binary.LittleEndian, &stored); err != nil {
-		return nil, cr.corrupt("reading checksum", err)
-	}
-	if stored != sum {
-		return nil, cr.corrupt(fmt.Sprintf("checksum mismatch: stream %08x, computed %08x", stored, sum), nil)
+	if err := fr.Verify(); err != nil {
+		return nil, err
 	}
 
 	cfg := core.Config{
@@ -419,18 +290,19 @@ func Open[E any](r io.Reader, m dist.Measure[E], check func(Header) error, opts 
 	switch {
 	case kind == core.IndexRefNet:
 		if len(ibytes) == 0 {
-			return nil, &CorruptError{Offset: cr.off, Reason: "refnet snapshot has no index block"}
+			return nil, &CorruptError{Offset: indexOff, Reason: "refnet snapshot has no index block"}
 		}
-		mt, err = core.NewMatcherFromSavedIndex(m, cfg, db, bytes.NewReader(ibytes))
+		if mt, err = core.NewMatcherFromSavedIndex(m, cfg, db, bytes.NewReader(ibytes)); err != nil {
+			return nil, &CorruptError{Offset: indexOff, Reason: "index block does not restore", Err: err}
+		}
 	default:
 		// Backends with no serialised form rebuild from the sequences.
-		mt, err = core.NewMatcher(m, cfg, db)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: open: %w", err)
+		if mt, err = core.NewMatcher(m, cfg, db); err != nil {
+			return nil, fmt.Errorf("store: open: %w", err)
+		}
 	}
 	if mt.NumWindows() != h.Windows {
-		return nil, fmt.Errorf("store: open: restored index holds %d windows, header claims %d", mt.NumWindows(), h.Windows)
+		return nil, fr.Corrupt(fmt.Sprintf("restored index holds %d windows, header claims %d", mt.NumWindows(), h.Windows), nil)
 	}
 	s := adopt(m, cfg, mt, opts...)
 	for _, e := range ttls {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,6 +16,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/frame"
+	"repro/internal/refnet"
 	"repro/internal/seq"
 )
 
@@ -187,6 +190,100 @@ func TestOpenCorruption(t *testing.T) {
 		if _, err := Open(bytes.NewReader(mangled), lev, nil); err == nil {
 			t.Fatalf("flip at %d restored silently", pos)
 		}
+	}
+}
+
+// reseal decodes a snapshot's frame into its header and three blocks,
+// lets edit change them, and frames the result again under a fresh CRC:
+// a stream that passes the checksum but whose blocks may disagree.
+func reseal(t *testing.T, raw []byte, edit func(h *Header, blocks [][]byte)) []byte {
+	t.Helper()
+	fr, h, err := readHeader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := make([][]byte, 3) // sequences, TTL table, index
+	for i := range blocks {
+		if blocks[i], err = fr.Block("block"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edit(&h, blocks)
+	var hdr, out bytes.Buffer
+	if err := gob.NewEncoder(&hdr).Encode(h); err != nil {
+		t.Fatal(err)
+	}
+	fw := frame.NewWriter(&out, snapMagic)
+	fw.Fixed(uint32(hdr.Len()))
+	fw.Bytes(hdr.Bytes())
+	for _, b := range blocks {
+		fw.Block(b)
+	}
+	if err := fw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// A snapshot whose checksum holds but whose blocks disagree with each
+// other is corrupt, not an untyped failure: a damaged net stream inside
+// the index block, an index block from another store, and a header
+// window count the restored index does not have.
+func TestOpenResealedDisagreement(t *testing.T) {
+	s, db, _ := testStore(t, core.IndexRefNet)
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	small, err := New(dist.LevenshteinMeasure[byte](), s.cfg, db[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var smallNet bytes.Buffer
+	if err := small.Matcher().SaveIndex(&smallNet); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(h *Header, blocks [][]byte)
+	}{
+		{"net stream byte flipped", func(_ *Header, b [][]byte) { b[2][len(b[2])/2] ^= 0x10 }},
+		{"net stream of a 4-sequence store", func(_ *Header, b [][]byte) { b[2] = smallNet.Bytes() }},
+		{"header window count", func(h *Header, _ [][]byte) { h.Windows++ }},
+	} {
+		raw := reseal(t, buf.Bytes(), tc.edit)
+		_, err := Open(bytes.NewReader(raw), dist.LevenshteinMeasure[byte](), nil)
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: %v, want CorruptError", tc.name, err)
+		}
+		if ce.Offset < 0 || ce.Offset > int64(len(raw)) {
+			t.Fatalf("%s: offset witness %d out of range", tc.name, ce.Offset)
+		}
+	}
+	// The unedited stream reframed the same way still restores.
+	if _, err := Open(bytes.NewReader(reseal(t, buf.Bytes(), func(*Header, [][]byte) {})), dist.LevenshteinMeasure[byte](), nil); err != nil {
+		t.Fatalf("reframed snapshot: %v", err)
+	}
+}
+
+// Each persisted format refuses the other's bytes as corrupt: a net
+// stream is not a snapshot, and a snapshot is not a net stream.
+func TestCrossFormatStreamsAreCorrupt(t *testing.T) {
+	s, _, _ := testStore(t, core.IndexRefNet)
+	var snap, net bytes.Buffer
+	if err := s.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Matcher().SaveIndex(&net); err != nil {
+		t.Fatal(err)
+	}
+	var ce *CorruptError
+	if _, err := Open(bytes.NewReader(net.Bytes()), dist.LevenshteinMeasure[byte](), nil); !errors.As(err, &ce) {
+		t.Fatalf("net stream opened as a snapshot: %v, want CorruptError", err)
+	}
+	if _, err := refnet.Load(bytes.NewReader(snap.Bytes()), func(a, b seq.Window[byte]) float64 { return 0 }); !errors.As(err, &ce) {
+		t.Fatalf("snapshot loaded as a net stream: %v, want CorruptError", err)
 	}
 }
 

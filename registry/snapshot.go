@@ -1,7 +1,9 @@
 package registry
 
 import (
+	"fmt"
 	"io"
+	"os"
 	"strconv"
 
 	subseq "repro"
@@ -112,17 +114,10 @@ func OpenStore[E any](r io.Reader, spec SessionSpec) (*subseq.Store[E], error) {
 
 // OpenStoreFile is OpenStore over a snapshot file.
 func OpenStoreFile[E any](path string, spec SessionSpec) (*subseq.Store[E], error) {
-	check, err := spec.SnapshotCheck()
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("registry: open snapshot: %w", err)
 	}
-	_, mi, _, err := spec.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	m, err := Measure[E](mi.Name)
-	if err != nil {
-		return nil, err
-	}
-	return subseq.OpenStoreFile(path, m, check)
+	defer f.Close()
+	return OpenStore[E](f, spec)
 }

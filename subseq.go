@@ -437,7 +437,9 @@ type AppendResult = store.AppendResult
 type SnapshotHeader = store.Header
 
 // SnapshotCorruptError reports a snapshot stream that cannot be decoded,
-// with the byte offset at which decoding failed.
+// with the byte offset at which decoding failed. It is the one corruption
+// type of both persisted formats, so a damaged net stream inside a
+// snapshot, or blocks of a checksummed snapshot that disagree, are one too.
 type SnapshotCorruptError = store.CorruptError
 
 // SnapshotMismatchError reports a well-formed snapshot that belongs to a
