@@ -1,8 +1,12 @@
 package registry
 
 import (
+	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func serverSpec(name, dataset string, mut func(*ServerSpec)) ServerSpec {
@@ -207,5 +211,55 @@ func TestServerSpecResolveEchoesShardAndName(t *testing.T) {
 	}
 	if cfg.Name != "p1" || cfg.ShardLo != 3 || cfg.ShardHi != 7 {
 		t.Errorf("config does not echo name/shard: %+v", cfg)
+	}
+}
+
+// TestServerConfigWireShape pins the JSON a resolved ServerSpec marshals
+// to, byte for byte: it is the "config" block of /stats and each entry of
+// GET /sessions, so clients parse exactly these keys in this order. The
+// default spec's worker count is GOMAXPROCS, filled in at run time.
+func TestServerConfigWireShape(t *testing.T) {
+	cases := []struct {
+		name string
+		spec ServerSpec
+		want string
+	}{
+		{
+			name: "default",
+			spec: ServerSpec{SessionSpec: SessionSpec{Dataset: "proteins", Windows: 2000}},
+			want: fmt.Sprintf(`{"dataset":{"name":"proteins","elem":"byte","description":"protein-like strings over the 20-letter amino-acid alphabet","default_measure":"levenshtein-fast"},"measure":{"name":"levenshtein-fast","elem":"byte","description":"unit-cost edit distance via Myers' bit-parallel recurrence","metric":true,"consistent":true,"lock_step":false,"incremental":true,"bounded":true},"backend":{"name":"refnet","description":"the paper's Reference Net (multi-parent hierarchical metric index)","needs_metric":true},"windows":2000,"window_len":20,"lambda":40,"lambda0":1,"seed":0,"addr":"127.0.0.1:8077","workers":%d,"queue_depth":1024,"shed":"block"}`,
+				runtime.GOMAXPROCS(0)),
+		},
+		{
+			name: "sharded traj/dfd/mv, every field set",
+			spec: ServerSpec{
+				SessionSpec: SessionSpec{Dataset: "traj", Measure: "frechet", Backend: "mv", Windows: 300,
+					WindowLen: 8, Lambda0: 3, Seed: 9, ShardLo: 1, ShardHi: 4},
+				Name: "t1", Restore: "t1.snap", Addr: "127.0.0.1:9001", Workers: 3, QueueDepth: 64,
+				Shed: "reject", RequestTimeout: 1500 * time.Millisecond,
+				SnapshotInterval: 2 * time.Second, SnapshotPath: "t1-bg.snap",
+			},
+			want: `{"name":"t1","dataset":{"name":"traj","elem":"point2","description":"2-D parking-lot trajectories","default_measure":"erp"},"measure":{"name":"dfd","elem":"point2","description":"discrete Fréchet distance (max-aggregated warping metric)","metric":true,"consistent":true,"lock_step":false,"incremental":false,"bounded":true},"backend":{"name":"mv","description":"reference-based index with maximum-variance reference selection","needs_metric":true},"windows":300,"window_len":8,"lambda":16,"lambda0":3,"seed":9,"shard_lo":1,"shard_hi":4,"restore":"t1.snap","addr":"127.0.0.1:9001","workers":3,"queue_depth":64,"shed":"reject","request_timeout_ms":1500,"snapshot_interval_ms":2000,"snapshot_path":"t1-bg.snap"}`,
+		},
+		{
+			name: "lock-step euclidean",
+			spec: ServerSpec{SessionSpec: SessionSpec{Dataset: "songs", Measure: "l2", Windows: 50, WindowLen: 5, Seed: 2}, Workers: 1},
+			want: `{"dataset":{"name":"songs","elem":"float64","description":"melodic pitch-class series (values 0..11)","default_measure":"dfd"},"measure":{"name":"euclidean","elem":"float64","description":"lock-step L2 distance over equal-length sequences","metric":true,"consistent":true,"lock_step":true,"incremental":true,"bounded":true},"backend":{"name":"refnet","description":"the paper's Reference Net (multi-parent hierarchical metric index)","needs_metric":true},"windows":50,"window_len":5,"lambda":10,"lambda0":0,"seed":2,"addr":"127.0.0.1:8077","workers":1,"queue_depth":1024,"shed":"block"}`,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg, err := c.spec.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != c.want {
+				t.Errorf("wire shape changed\ngot  %s\nwant %s", got, c.want)
+			}
+		})
 	}
 }
