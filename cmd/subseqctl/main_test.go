@@ -68,6 +68,55 @@ func TestNewSessionErrors(t *testing.T) {
 	}
 }
 
+// TestOneRefusalPerBadSpec holds every bad-spec refusal to one text,
+// whichever path builds the session: registry.NewMatcher, registry.NewStore
+// and the CLI's newSession. Resolve refuses every row but the range past
+// the end, which only Generate can see.
+func TestOneRefusalPerBadSpec(t *testing.T) {
+	proteins := registry.SessionSpec{Dataset: "proteins", Windows: 100}
+	cases := []struct {
+		name      string
+		mut       func(*registry.SessionSpec)
+		byResolve bool
+		want      string
+	}{
+		{"window length 1", func(s *registry.SessionSpec) { s.WindowLen = 1 }, true,
+			"registry: window length must be at least 2, got 1"},
+		{"range below 0", func(s *registry.SessionSpec) { s.ShardLo, s.ShardHi = -1, 2 }, true,
+			"registry: shard range [-1,2) starts before sequence 0"},
+		{"empty range", func(s *registry.SessionSpec) { s.ShardLo, s.ShardHi = 2, 2 }, true,
+			"registry: shard range [2,2) is empty (shard_hi must exceed shard_lo)"},
+		{"range past the end", func(s *registry.SessionSpec) { s.ShardLo, s.ShardHi = 1, 99 }, false,
+			"shard range [1,99) exceeds the dataset's 5 sequences (windows=100 at windowlen=20 generates 5 sequences)"},
+		{"lambda0 on a lock-step measure", func(s *registry.SessionSpec) {
+			s.Dataset, s.Measure, s.Lambda0 = "songs", "euclidean", 2
+		}, true, `registry: lock-step measure "euclidean" admits no temporal shift; lambda0 must be 0, got 2`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec := proteins
+			c.mut(&spec)
+			if _, err := spec.Resolve(); (err != nil) != c.byResolve {
+				t.Errorf("Resolve refused: %v, want %v (err %v)", err != nil, c.byResolve, err)
+			}
+			var errs [3]error
+			if spec.Dataset == "songs" {
+				_, _, errs[0] = registry.NewMatcher[float64](spec)
+				_, _, errs[1] = registry.NewStore[float64](spec)
+			} else {
+				_, _, errs[0] = registry.NewMatcher[byte](spec)
+				_, _, errs[1] = registry.NewStore[byte](spec)
+			}
+			_, errs[2] = newSession(spec)
+			for i, path := range []string{"registry.NewMatcher", "registry.NewStore", "newSession"} {
+				if errs[i] == nil || errs[i].Error() != c.want {
+					t.Errorf("%s: %v\nwant %s", path, errs[i], c.want)
+				}
+			}
+		})
+	}
+}
+
 // TestQueryTypes runs each query type (and numeral alias) through a tiny
 // session, on one worker and on two, and checks the report names the mode
 // that actually ran.

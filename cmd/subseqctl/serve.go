@@ -373,7 +373,7 @@ func (s *typedSession[E]) newServer(spec registry.ServerSpec, restore string) (q
 		// refused with the disagreement explained. A snapshot whose bytes
 		// are corrupt (as opposed to mismatched) is quarantined and the
 		// index rebuilt, so one bad file never wedges a restart loop.
-		st, err = registry.OpenStoreFile[E](restore, s.spec)
+		st, err = registry.OpenStoreFile[E](restore, spec.SessionSpec)
 		var corrupt *store.CorruptError
 		switch {
 		case err == nil:
@@ -398,7 +398,7 @@ func (s *typedSession[E]) newServer(spec registry.ServerSpec, restore string) (q
 		pool:       st.NewQueryPool(cfg.Workers, core.WithQueueDepth(cfg.QueueDepth), core.WithShedPolicy(shed)),
 		start:      time.Now(),
 		restored:   restored,
-		seqBase:    spec.ShardLo,
+		seqBase:    cfg.ShardLo,
 		reqTimeout: spec.RequestTimeout,
 		sweepStop:  make(chan struct{}),
 	}

@@ -49,88 +49,53 @@ type queryOpts struct {
 	seed    uint64
 }
 
-// typedSession binds a resolved spec to its generated dataset and measure.
+// typedSession binds a resolved session to its generated dataset and
+// measure.
 type typedSession[E any] struct {
-	spec    registry.SessionSpec
-	minfo   registry.MeasureInfo
-	backend registry.BackendInfo
-	lambda0 int
+	sess    registry.Session
 	measure dist.Measure[E]
 	ds      data.Dataset[E]
 	mutate  func(rng *rand.Rand, e E) E
 }
 
 func newSession(spec registry.SessionSpec) (session, error) {
-	di, err := registry.DatasetByName(spec.Dataset)
+	sess, err := spec.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	switch di.Elem {
+	switch sess.Dataset.Elem {
 	case "byte":
-		return buildSession[byte](spec)
+		return buildSession[byte](sess)
 	case "float64":
-		return buildSession[float64](spec)
+		return buildSession[float64](sess)
 	case "point2":
-		return buildSession[seq.Point2](spec)
+		return buildSession[seq.Point2](sess)
 	default:
-		return nil, fmt.Errorf("dataset %q has unsupported element type %q", di.Name, di.Elem)
+		return nil, fmt.Errorf("dataset %q has unsupported element type %q", sess.Dataset.Name, sess.Dataset.Elem)
 	}
 }
 
-func buildSession[E any](spec registry.SessionSpec) (session, error) {
-	if spec.WindowLen == 0 {
-		spec.WindowLen = 20
-	}
-	if spec.WindowLen < 2 {
-		return nil, fmt.Errorf("window length must be at least 2, got %d", spec.WindowLen)
-	}
-	_, mi, bi, err := spec.Resolve()
+// buildSession generates the session's dataset — one shard's sequences
+// when it is sharded; serve.go re-bases wire-level sequence IDs by
+// ShardLo, so shards report global numbering.
+func buildSession[E any](sess registry.Session) (session, error) {
+	m, ds, err := registry.Generate[E](sess)
 	if err != nil {
 		return nil, err
 	}
-	m, err := registry.Measure[E](mi.Name)
+	mut, err := registry.QueryMutator[E](sess.Dataset.Name)
 	if err != nil {
 		return nil, err
 	}
-	lambda0, err := spec.Lambda0For(mi)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := registry.GenerateDataset[E](spec.Dataset, spec.Windows, spec.WindowLen, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Sharded() {
-		// One shard of the logical index: generation is deterministic per
-		// (dataset, windows, window_len, seed), so every shard process
-		// derives the same logical whole and keeps only its slice of whole
-		// sequences. Matches never span sequences, which is what makes the
-		// scatter-gather merge exact (see internal/shard). Wire-level
-		// sequence IDs are re-based by ShardLo in serve.go, so shards
-		// report global numbering.
-		if spec.ShardHi > len(ds.Sequences) {
-			return nil, fmt.Errorf("shard range [%d,%d) exceeds the dataset's %d sequences (windows=%d at windowlen=%d generates %d sequences)",
-				spec.ShardLo, spec.ShardHi, len(ds.Sequences), spec.Windows, spec.WindowLen, len(ds.Sequences))
-		}
-		ds.Sequences = ds.Sequences[spec.ShardLo:spec.ShardHi]
-		ds.Windows = seq.PartitionAll(ds.Sequences, spec.WindowLen)
-	}
-	mut, err := registry.QueryMutator[E](spec.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	return &typedSession[E]{
-		spec: spec, minfo: mi, backend: bi, lambda0: lambda0,
-		measure: m, ds: ds, mutate: mut,
-	}, nil
+	return &typedSession[E]{sess: sess, measure: m, ds: ds, mutate: mut}, nil
 }
 
 func (s *typedSession[E]) describe() string {
 	d := fmt.Sprintf("dataset=%s windows=%d measure=%s backend=%s lambda=%d lambda0=%d",
-		s.spec.Dataset, len(s.ds.Windows), s.minfo.Name, s.backend.Name,
-		2*s.spec.WindowLen, s.lambda0)
-	if s.spec.Sharded() {
-		d += fmt.Sprintf(" shard=[%d,%d)", s.spec.ShardLo, s.spec.ShardHi)
+		s.sess.Dataset.Name, len(s.ds.Windows), s.sess.Measure.Name, s.sess.Backend.Name,
+		s.sess.Lambda, s.sess.Lambda0)
+	if s.sess.Sharded() {
+		d += fmt.Sprintf(" shard=[%d,%d)", s.sess.ShardLo, s.sess.ShardHi)
 	}
 	return d
 }
@@ -150,15 +115,8 @@ func (s *typedSession[E]) distanceSample(samples int) []float64 {
 		func(a, b seq.Window[E]) float64 { return s.measure.Fn(a.Data, b.Data) }, samples, 1)
 }
 
-func (s *typedSession[E]) config() core.Config {
-	return core.Config{
-		Params: core.Params{Lambda: 2 * s.spec.WindowLen, Lambda0: s.lambda0},
-		Index:  s.backend.Kind,
-	}
-}
-
 func (s *typedSession[E]) matcher() (*core.Matcher[E], error) {
-	return core.NewMatcher(s.measure, s.config(), s.ds.Sequences)
+	return core.NewMatcher(s.measure, s.sess.Config(), s.ds.Sequences)
 }
 
 // store builds the live, mutable serving store over the generated
@@ -166,7 +124,7 @@ func (s *typedSession[E]) matcher() (*core.Matcher[E], error) {
 // append/retire/snapshot lifecycle behind `subseqctl serve`'s admin
 // endpoints).
 func (s *typedSession[E]) store() (*store.Store[E], error) {
-	return store.New(s.measure, s.config(), s.ds.Sequences)
+	return store.New(s.measure, s.sess.Config(), s.ds.Sequences)
 }
 
 // runQuery answers opts.queries generated queries on a QueryPool of

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/seq"
@@ -68,22 +68,7 @@ func (b *BruteForce[E]) FindAll(q seq.Sequence[E], eps float64, maxLen int) []Ma
 			out = append(out, Match{SeqID: seqID, QStart: qs, QEnd: qe, XStart: xs, XEnd: xe, Dist: d})
 		}
 	})
-	sort.Slice(out, func(i, j int) bool {
-		a, c := out[i], out[j]
-		if a.SeqID != c.SeqID {
-			return a.SeqID < c.SeqID
-		}
-		if a.XStart != c.XStart {
-			return a.XStart < c.XStart
-		}
-		if a.XEnd != c.XEnd {
-			return a.XEnd < c.XEnd
-		}
-		if a.QStart != c.QStart {
-			return a.QStart < c.QStart
-		}
-		return a.QEnd < c.QEnd
-	})
+	slices.SortFunc(out, CanonicalCompare)
 	return out
 }
 

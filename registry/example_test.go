@@ -43,9 +43,10 @@ func ExampleCompatible() {
 
 // Resolving a serving-daemon configuration from names: a ServerSpec is a
 // SessionSpec plus the serving knobs, and Resolve yields the canonical
-// configuration a daemon runs (and echoes on /stats). Building the server
-// itself is then registry.NewMatcher plus a streaming QueryPool — exactly
-// what `subseqctl serve` does.
+// configuration a daemon runs (and echoes on /stats). The server then
+// builds on the resolved session: Resolve → Generate → a matcher (here
+// registry.NewMatcher) plus a streaming QueryPool — the path `subseqctl
+// serve` takes, with a live Store in place of the bare matcher.
 func ExampleServerSpec() {
 	spec := registry.ServerSpec{
 		SessionSpec: registry.SessionSpec{

@@ -19,10 +19,13 @@
 // error, not a runtime panic. Common alternate names resolve via aliases
 // ("frechet" → "dfd", "protein" → "protein-edit").
 //
-// NewMatcher ties it all together: resolve a SessionSpec (dataset, measure,
-// backend by name), validate the pairing, generate the dataset and build
-// the matcher. `subseqctl` and the table-driven matrix tests are both thin
-// wrappers over it.
+// One path ties it all together: SessionSpec.Resolve turns a spec into a
+// Session once (defaults applied, names looked up, the pairing, window
+// length, λ0 and shard range checked), Generate yields the session's
+// measure and its dataset cut to the shard, and a constructor builds on
+// them. NewMatcher and NewStore are Resolve → Generate → build;
+// `subseqctl` takes the same Resolve → Generate path, and the table-driven
+// matrix tests drive NewMatcher.
 package registry
 
 import (
@@ -36,6 +39,7 @@ import (
 	subseq "repro"
 	"repro/internal/data"
 	"repro/internal/dist"
+	"repro/internal/seq"
 )
 
 // MeasureInfo is the untyped view of one registered (measure, element type)
@@ -322,17 +326,39 @@ type SessionSpec struct {
 	ShardHi int `json:"shard_hi,omitempty"`
 }
 
-// Sharded reports whether the spec restricts the session to a shard
-// range.
-func (s SessionSpec) Sharded() bool { return s.ShardLo != 0 || s.ShardHi != 0 }
+// Session is a SessionSpec resolved: every default applied, every name
+// looked up and every parameter checked. It is the paper's parameter set —
+// a consistent measure (Definition 1), an index that suits it, the window
+// length l = λ/2 and the shift bound λ0 — over one dataset family, cut to
+// an optional shard range. Resolve is the only place that produces one;
+// every constructor, the snapshot check and `subseqctl` read it, and it
+// marshals to the session fields of a daemon's /stats config.
+type Session struct {
+	Dataset   DatasetInfo `json:"dataset"`
+	Measure   MeasureInfo `json:"measure"`
+	Backend   BackendInfo `json:"backend"`
+	Windows   int         `json:"windows"`
+	WindowLen int         `json:"window_len"`
+	// Lambda is the minimum match length λ = 2·WindowLen.
+	Lambda  int    `json:"lambda"`
+	Lambda0 int    `json:"lambda0"`
+	Seed    uint64 `json:"seed"`
+	// ShardLo/ShardHi are the shard range ([0,0) = unsharded).
+	ShardLo int `json:"shard_lo,omitempty"`
+	ShardHi int `json:"shard_hi,omitempty"`
+}
 
-// Resolve fills the spec's defaults and resolves its names against the
-// registry, without generating anything: the dataset family, the measure
-// info (element-type checked) and the backend, with the pairing validated.
-func (s SessionSpec) Resolve() (DatasetInfo, MeasureInfo, BackendInfo, error) {
+// Resolve fills the spec's defaults, resolves its names against the
+// registry and checks the result, without generating anything: the
+// measure must be defined over the dataset's element type and suit the
+// backend (Compatible), the window length must be at least 2, a lock-step
+// measure admits no λ0 > 0, and a shard range must be non-empty and start
+// at sequence 0 or later. Whether the range fits the dataset is known once
+// it is generated (Generate).
+func (s SessionSpec) Resolve() (Session, error) {
 	di, err := DatasetByName(s.Dataset)
 	if err != nil {
-		return DatasetInfo{}, MeasureInfo{}, BackendInfo{}, err
+		return Session{}, err
 	}
 	mname := s.Measure
 	if mname == "" {
@@ -340,7 +366,7 @@ func (s SessionSpec) Resolve() (DatasetInfo, MeasureInfo, BackendInfo, error) {
 	}
 	mi, err := LookupMeasure(mname, di.Elem)
 	if err != nil {
-		return DatasetInfo{}, MeasureInfo{}, BackendInfo{}, err
+		return Session{}, err
 	}
 	bname := s.Backend
 	if bname == "" {
@@ -348,44 +374,80 @@ func (s SessionSpec) Resolve() (DatasetInfo, MeasureInfo, BackendInfo, error) {
 	}
 	bi, err := Backend(bname)
 	if err != nil {
-		return DatasetInfo{}, MeasureInfo{}, BackendInfo{}, err
+		return Session{}, err
 	}
 	if err := Compatible(mi, bi); err != nil {
-		return DatasetInfo{}, MeasureInfo{}, BackendInfo{}, fmt.Errorf("registry: %w", err)
+		return Session{}, fmt.Errorf("registry: %w", err)
 	}
-	if s.Sharded() {
+	wl := s.WindowLen
+	if wl == 0 {
+		wl = 20
+	}
+	if wl < 2 {
+		return Session{}, fmt.Errorf("registry: window length must be at least 2, got %d", wl)
+	}
+	// λ0: lock-step measures admit no shift; otherwise the zero value
+	// selects 1, a negative value forces 0 and a positive one is kept.
+	lambda0 := max(s.Lambda0, 0)
+	switch {
+	case mi.LockStep && s.Lambda0 > 0:
+		return Session{}, fmt.Errorf("registry: lock-step measure %q admits no temporal shift; lambda0 must be 0, got %d",
+			mi.Name, s.Lambda0)
+	case !mi.LockStep && s.Lambda0 == 0:
+		lambda0 = 1
+	}
+	sess := Session{
+		Dataset: di, Measure: mi, Backend: bi,
+		Windows: s.Windows, WindowLen: wl, Lambda: 2 * wl, Lambda0: lambda0, Seed: s.Seed,
+		ShardLo: s.ShardLo, ShardHi: s.ShardHi,
+	}
+	if sess.Sharded() {
 		if s.ShardLo < 0 {
-			return DatasetInfo{}, MeasureInfo{}, BackendInfo{}, fmt.Errorf(
-				"registry: shard range [%d,%d) starts before sequence 0", s.ShardLo, s.ShardHi)
+			return Session{}, fmt.Errorf("registry: shard range [%d,%d) starts before sequence 0", s.ShardLo, s.ShardHi)
 		}
 		if s.ShardHi <= s.ShardLo {
-			return DatasetInfo{}, MeasureInfo{}, BackendInfo{}, fmt.Errorf(
-				"registry: shard range [%d,%d) is empty (shard_hi must exceed shard_lo)", s.ShardLo, s.ShardHi)
+			return Session{}, fmt.Errorf("registry: shard range [%d,%d) is empty (shard_hi must exceed shard_lo)", s.ShardLo, s.ShardHi)
 		}
 	}
-	return di, mi, bi, nil
+	return sess, nil
 }
 
-// Lambda0For returns the λ0 the spec resolves to for measure mi: lock-step
-// measures force 0; otherwise the zero value selects the default of 1,
-// negative values explicitly select no temporal shift, and positive values
-// pass through.
-func (s SessionSpec) Lambda0For(mi MeasureInfo) (int, error) {
-	if mi.LockStep {
-		if s.Lambda0 > 0 {
-			return 0, fmt.Errorf("registry: lock-step measure %q admits no temporal shift; lambda0 must be 0, got %d",
-				mi.Name, s.Lambda0)
+// Sharded reports whether the session is restricted to a shard range.
+func (s Session) Sharded() bool { return s.ShardLo != 0 || s.ShardHi != 0 }
+
+// Config returns the matcher configuration the session runs: λ, λ0 and
+// the backend's index kind.
+func (s Session) Config() subseq.Config {
+	return subseq.Config{
+		Params: subseq.Params{Lambda: s.Lambda, Lambda0: s.Lambda0},
+		Index:  s.Backend.Kind,
+	}
+}
+
+// Generate returns the session's measure at element type E and its
+// dataset, cut to the shard's whole sequences when the session is sharded
+// (see SessionSpec.ShardLo). Matches never span sequences, which is what
+// makes the scatter-gather merge exact (see internal/shard). E must be the
+// element type of the session's dataset family.
+func Generate[E any](s Session) (subseq.Measure[E], Dataset[E], error) {
+	m, err := Measure[E](s.Measure.Name)
+	if err != nil {
+		return subseq.Measure[E]{}, Dataset[E]{}, err
+	}
+	ds, err := GenerateDataset[E](s.Dataset.Name, s.Windows, s.WindowLen, s.Seed)
+	if err != nil {
+		return subseq.Measure[E]{}, Dataset[E]{}, err
+	}
+	if s.Sharded() {
+		if s.ShardHi > len(ds.Sequences) {
+			return subseq.Measure[E]{}, Dataset[E]{}, fmt.Errorf(
+				"shard range [%d,%d) exceeds the dataset's %d sequences (windows=%d at windowlen=%d generates %d sequences)",
+				s.ShardLo, s.ShardHi, len(ds.Sequences), s.Windows, s.WindowLen, len(ds.Sequences))
 		}
-		return 0, nil
+		ds.Sequences = ds.Sequences[s.ShardLo:s.ShardHi]
+		ds.Windows = seq.PartitionAll(ds.Sequences, s.WindowLen)
 	}
-	switch {
-	case s.Lambda0 < 0:
-		return 0, nil
-	case s.Lambda0 == 0:
-		return 1, nil
-	default:
-		return s.Lambda0, nil
-	}
+	return m, ds, nil
 }
 
 // ServerSpec names a complete serving-daemon configuration: a session
@@ -432,39 +494,15 @@ type ServerSpec struct {
 // none is given.
 const DefaultServeAddr = "127.0.0.1:8077"
 
-// resolveWindowLen applies the shared window-length default (0 selects
-// 20, the paper's setting; λ = 2l follows) and floor — the single place
-// every session constructor resolves it, so a served /stats config can
-// never diverge from the matcher the daemon built.
-func resolveWindowLen(wl int) (int, error) {
-	if wl == 0 {
-		wl = 20
-	}
-	if wl < 2 {
-		return 0, fmt.Errorf("registry: window length must be at least 2, got %d", wl)
-	}
-	return wl, nil
-}
-
-// ServerConfig is a ServerSpec after name resolution: the canonical
-// dataset, measure and backend descriptors plus every resolved parameter.
-// It marshals to the JSON a daemon's /stats endpoint echoes, so a client
-// can always ask a server what it is.
+// ServerConfig is a ServerSpec after name resolution: the resolved
+// Session plus every serving knob with its default applied. It marshals to
+// the JSON a daemon's /stats endpoint echoes, so a client can always ask a
+// server what it is.
 type ServerConfig struct {
 	// Name is the session's mount name inside a multi-session process
 	// ("" when the process serves it as its only, legacy-routed session).
-	Name      string      `json:"name,omitempty"`
-	Dataset   DatasetInfo `json:"dataset"`
-	Measure   MeasureInfo `json:"measure"`
-	Backend   BackendInfo `json:"backend"`
-	Windows   int         `json:"windows"`
-	WindowLen int         `json:"window_len"`
-	Lambda    int         `json:"lambda"`
-	Lambda0   int         `json:"lambda0"`
-	Seed      uint64      `json:"seed"`
-	// ShardLo/ShardHi echo the session's shard range ([0,0) = unsharded).
-	ShardLo    int    `json:"shard_lo,omitempty"`
-	ShardHi    int    `json:"shard_hi,omitempty"`
+	Name string `json:"name,omitempty"`
+	Session
 	Restore    string `json:"restore,omitempty"`
 	Addr       string `json:"addr"`
 	Workers    int    `json:"workers"`
@@ -480,19 +518,11 @@ type ServerConfig struct {
 	SnapshotPath           string `json:"snapshot_path,omitempty"`
 }
 
-// Resolve fills the spec's defaults and resolves every name against the
-// registry, validating the measure × backend pairing; nothing is generated
-// or built. The returned config is what the daemon serves under /stats.
+// Resolve resolves the session (SessionSpec.Resolve) and fills the serving
+// knobs' defaults, validating them; nothing is generated or built. The
+// returned config is what the daemon serves under /stats.
 func (s ServerSpec) Resolve() (ServerConfig, error) {
-	di, mi, bi, err := s.SessionSpec.Resolve()
-	if err != nil {
-		return ServerConfig{}, err
-	}
-	lambda0, err := s.Lambda0For(mi)
-	if err != nil {
-		return ServerConfig{}, err
-	}
-	wl, err := resolveWindowLen(s.WindowLen)
+	sess, err := s.SessionSpec.Resolve()
 	if err != nil {
 		return ServerConfig{}, err
 	}
@@ -513,11 +543,7 @@ func (s ServerSpec) Resolve() (ServerConfig, error) {
 		return ServerConfig{}, err
 	}
 	cfg := ServerConfig{
-		Name:    s.Name,
-		Dataset: di, Measure: mi, Backend: bi,
-		Windows: s.Windows, WindowLen: wl,
-		Lambda: 2 * wl, Lambda0: lambda0, Seed: s.Seed,
-		ShardLo: s.ShardLo, ShardHi: s.ShardHi, Restore: s.Restore,
+		Name: s.Name, Session: sess, Restore: s.Restore,
 		Addr: s.Addr, Workers: s.Workers, QueueDepth: s.QueueDepth,
 		Shed:                   shed.String(),
 		RequestTimeoutMillis:   s.RequestTimeout.Milliseconds(),
@@ -536,33 +562,19 @@ func (s ServerSpec) Resolve() (ServerConfig, error) {
 	return cfg, nil
 }
 
-// NewMatcher resolves spec, generates its dataset and builds the matcher
-// over it. E must be the element type of the spec's dataset family.
+// NewMatcher resolves spec, generates its dataset (Generate) and builds
+// the matcher over it. E must be the element type of the spec's dataset
+// family.
 func NewMatcher[E any](spec SessionSpec) (*subseq.Matcher[E], Dataset[E], error) {
-	di, mi, bi, err := spec.Resolve()
+	sess, err := spec.Resolve()
 	if err != nil {
 		return nil, Dataset[E]{}, err
 	}
-	m, err := Measure[E](mi.Name)
+	m, ds, err := Generate[E](sess)
 	if err != nil {
 		return nil, Dataset[E]{}, err
 	}
-	wl, err := resolveWindowLen(spec.WindowLen)
-	if err != nil {
-		return nil, Dataset[E]{}, err
-	}
-	lambda0, err := spec.Lambda0For(mi)
-	if err != nil {
-		return nil, Dataset[E]{}, err
-	}
-	ds, err := GenerateDataset[E](di.Name, spec.Windows, wl, spec.Seed)
-	if err != nil {
-		return nil, Dataset[E]{}, err
-	}
-	mt, err := subseq.NewMatcher(m, subseq.Config{
-		Params: subseq.Params{Lambda: 2 * wl, Lambda0: lambda0},
-		Index:  bi.Kind,
-	}, ds.Sequences)
+	mt, err := subseq.NewMatcher(m, sess.Config(), ds.Sequences)
 	if err != nil {
 		return nil, Dataset[E]{}, err
 	}

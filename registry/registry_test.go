@@ -1,6 +1,7 @@
 package registry_test
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -92,7 +93,7 @@ func TestPairingRejections(t *testing.T) {
 	for _, backend := range []string{"refnet", "covertree", "mv"} {
 		spec := registry.SessionSpec{Dataset: "songs", Measure: "dtw", Backend: backend,
 			Windows: 10, WindowLen: 4}
-		if _, _, _, err := spec.Resolve(); err == nil {
+		if _, err := spec.Resolve(); err == nil {
 			t.Errorf("dtw × %s accepted; want rejection", backend)
 		} else if !strings.Contains(err.Error(), "not a metric") {
 			t.Errorf("dtw × %s rejection does not state the reason: %v", backend, err)
@@ -100,34 +101,29 @@ func TestPairingRejections(t *testing.T) {
 	}
 	spec := registry.SessionSpec{Dataset: "songs", Measure: "dtw", Backend: "linear",
 		Windows: 10, WindowLen: 4}
-	if _, _, _, err := spec.Resolve(); err != nil {
+	if _, err := spec.Resolve(); err != nil {
 		t.Errorf("dtw × linear rejected: %v", err)
 	}
 
 	// Lock-step measures admit no temporal shift.
 	spec = registry.SessionSpec{Dataset: "songs", Measure: "euclidean", Backend: "refnet",
 		Windows: 10, WindowLen: 4, Lambda0: 2}
-	_, mi, _, err := spec.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := spec.Lambda0For(mi); err == nil {
+	if _, err := spec.Resolve(); err == nil {
 		t.Error("euclidean with lambda0=2 accepted; want rejection")
 	}
-	if l0, err := (registry.SessionSpec{}).Lambda0For(mi); err != nil || l0 != 0 {
-		t.Errorf("euclidean default lambda0 = %d, %v; want 0, nil", l0, err)
+	spec.Lambda0 = 0
+	if sess, err := spec.Resolve(); err != nil || sess.Lambda0 != 0 {
+		t.Errorf("euclidean default lambda0 = %d, %v; want 0, nil", sess.Lambda0, err)
 	}
 
 	// Non-lock-step λ0 defaulting: the zero value selects 1, -1 forces 0.
-	erp, err := registry.LookupMeasure("erp", "float64")
-	if err != nil {
-		t.Fatal(err)
+	spec.Measure = "erp"
+	if sess, err := spec.Resolve(); err != nil || sess.Lambda0 != 1 {
+		t.Errorf("erp default lambda0 = %d, %v; want 1, nil", sess.Lambda0, err)
 	}
-	if l0, err := (registry.SessionSpec{}).Lambda0For(erp); err != nil || l0 != 1 {
-		t.Errorf("erp default lambda0 = %d, %v; want 1, nil", l0, err)
-	}
-	if l0, err := (registry.SessionSpec{Lambda0: -1}).Lambda0For(erp); err != nil || l0 != 0 {
-		t.Errorf("erp forced lambda0 = %d, %v; want 0, nil", l0, err)
+	spec.Lambda0 = -1
+	if sess, err := spec.Resolve(); err != nil || sess.Lambda0 != 0 {
+		t.Errorf("erp forced lambda0 = %d, %v; want 0, nil", sess.Lambda0, err)
 	}
 }
 
@@ -246,12 +242,12 @@ func TestMatrixSweep(t *testing.T) {
 // TestSessionDefaults verifies the spec's zero-value defaulting: dataset
 // default measure, refnet backend, window length 20.
 func TestSessionDefaults(t *testing.T) {
-	di, mi, bi, err := (registry.SessionSpec{Dataset: "proteins", Windows: 10}).Resolve()
+	sess, err := (registry.SessionSpec{Dataset: "proteins", Windows: 10}).Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if di.Name != "proteins" || mi.Name != "levenshtein-fast" || bi.Name != "refnet" {
-		t.Errorf("defaults resolved to %s/%s/%s", di.Name, mi.Name, bi.Name)
+	if sess.Dataset.Name != "proteins" || sess.Measure.Name != "levenshtein-fast" || sess.Backend.Name != "refnet" {
+		t.Errorf("defaults resolved to %s/%s/%s", sess.Dataset.Name, sess.Measure.Name, sess.Backend.Name)
 	}
 	mt, ds, err := registry.NewMatcher[byte](registry.SessionSpec{
 		Dataset: "proteins", Windows: 30,
@@ -264,5 +260,54 @@ func TestSessionDefaults(t *testing.T) {
 	}
 	if mt.Params().Lambda != 40 || mt.Params().Lambda0 != 1 {
 		t.Errorf("default params %+v", mt.Params())
+	}
+}
+
+// TestShardedSpecThroughRegistry: NewMatcher and NewStore on a sharded
+// spec hold exactly the shard's sequences of the generated whole, and a
+// range past the end of the dataset is refused.
+func TestShardedSpecThroughRegistry(t *testing.T) {
+	whole, err := registry.GenerateDataset[byte]("proteins", 100, 20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(whole.Sequences) != 5 {
+		t.Fatalf("100 proteins windows generate %d sequences, want 5", len(whole.Sequences))
+	}
+	spec := registry.SessionSpec{Dataset: "proteins", Windows: 100, ShardLo: 1, ShardHi: 2}
+	mt, ds, err := registry.NewMatcher[byte](spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, sds, err := registry.NewStore[byte](spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []struct {
+		path    string
+		db      []subseq.Sequence[byte]
+		windows int
+		ds      registry.Dataset[byte]
+	}{
+		{"NewMatcher", mt.DB(), mt.NumWindows(), ds},
+		{"NewStore", st.Matcher().DB(), st.Matcher().NumWindows(), sds},
+	} {
+		if len(got.db) != 1 || len(got.ds.Sequences) != 1 || got.windows != 20 || len(got.ds.Windows) != 20 {
+			t.Errorf("%s: %d sequences (dataset %d), %d windows (dataset %d); want 1 sequence, 20 windows",
+				got.path, len(got.db), len(got.ds.Sequences), got.windows, len(got.ds.Windows))
+			continue
+		}
+		if !bytes.Equal(got.db[0], whole.Sequences[1]) || !bytes.Equal(got.ds.Sequences[0], whole.Sequences[1]) {
+			t.Errorf("%s: the shard's sequence is not sequence 1 of the generated whole", got.path)
+		}
+	}
+
+	spec.ShardHi = 99
+	want := "shard range [1,99) exceeds the dataset's 5 sequences (windows=100 at windowlen=20 generates 5 sequences)"
+	if _, _, err := registry.NewMatcher[byte](spec); err == nil || err.Error() != want {
+		t.Errorf("NewMatcher on [1,99): %v, want %s", err, want)
+	}
+	if _, _, err := registry.NewStore[byte](spec); err == nil || err.Error() != want {
+		t.Errorf("NewStore on [1,99): %v, want %s", err, want)
 	}
 }
