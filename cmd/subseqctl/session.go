@@ -182,7 +182,7 @@ func (s *typedSession[E]) runQuery(opts queryOpts) (string, error) {
 			fmt.Fprintf(&b, "; longest %v", best)
 		}
 	case "nearest":
-		nopts := core.NearestOptions{EpsMax: opts.eps, EpsInc: opts.eps / 16}
+		nopts := core.DefaultNearestOptions(opts.eps)
 		ms, found := pool.Nearest(qs, nopts)
 		n := 0
 		var nearest core.Match

@@ -212,7 +212,12 @@ func (b *netBackend[E]) open(q seq.Sequence[E], sc *filterScratch[E]) session[E]
 
 // netSession reads a refnet.Session, which computes no recorded (segment,
 // window) distance twice however many reads the query makes; a pair the
-// pre-pass ruled out under one radius may earn one exact pass under a wider.
+// pre-pass ruled out under one radius may earn one exact pass under a wider
+// one its bound no longer clears. Type III's rounds at rising radii are one
+// continued traversal: a round's hits are the last round's plus what the
+// wider radius adds, still segment-major — within a segment the windows may
+// come in another order than a walk from the root would give, which no
+// answer depends on (the verifier breaks ties canonically).
 type netSession[E any] struct {
 	s  *refnet.Session[seq.Window[E]]
 	sc *filterScratch[E]

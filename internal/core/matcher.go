@@ -299,8 +299,17 @@ type NearestOptions struct {
 
 // MaxNearestSteps is the largest EpsMax/EpsInc a Type III query may ask for:
 // the number of verification rounds between radius 0 and EpsMax, and 2 to
-// the number of bisection steps. The smallest EpsInc in use is EpsMax/16.
+// the number of bisection steps. The serving and CLI default is
+// EpsMax/16 (DefaultNearestOptions); a caller may ask for any EpsInc down
+// to EpsMax/MaxNearestSteps, and the tests do.
 const MaxNearestSteps = 1 << 12
+
+// DefaultNearestOptions is the Type III schedule for a caller that names
+// only EpsMax — what serve and subseqctl run when no eps_inc is given:
+// EpsInc = EpsMax/16, so at most 16 verification rounds.
+func DefaultNearestOptions(epsMax float64) NearestOptions {
+	return NearestOptions{EpsMax: epsMax, EpsInc: epsMax / 16}
+}
 
 // The errors NearestOptions.Validate returns.
 var (
@@ -339,9 +348,12 @@ func (o NearestOptions) Validate() error {
 // The verification rounds then run at that radius, +EpsInc, +2·EpsInc, …,
 // each clamped to EpsMax, and end with the first round that confirms a pair
 // or with the round at EpsMax. Each is a hits read of the session minDist
-// ran on: on the net that computes no exact distance it has recorded twice
-// over the whole query (a proof may be followed by one exact pass under a
-// wider bound); the other session forms run the filter again.
+// ran on. On the net the rounds are one continued traversal: the first
+// walks from the root, and each wider one goes on from the frontier the
+// last one left, taking up only the pairs whose lower bound the new radius
+// reaches — no exact distance is computed twice and no settled pair is
+// walked again (a proof may be followed by one exact pass under a bound it
+// no longer exceeds). The other session forms run the filter again.
 func (mt *Matcher[E]) Nearest(q seq.Sequence[E], opts NearestOptions) (Match, bool) {
 	if opts.Validate() != nil {
 		return Match{}, false

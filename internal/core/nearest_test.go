@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/seq"
 )
@@ -161,6 +162,49 @@ func TestNearestMatchesBisectionReference(t *testing.T) {
 		tally.cases, tally.foundAtCap, tally.notFound, tally.threeRounds, tally.zeroEps0)
 	if tally.foundAtCap == 0 || tally.notFound == 0 || tally.threeRounds == 0 || tally.zeroEps0 == 0 {
 		t.Fatal("vacuous: a shape the comparison is there for never occurred")
+	}
+}
+
+// Type III's rounds on the net are one continued traversal. Under the
+// serving schedule, EpsInc = EpsMax/16, a query runs up to 16 of them; each
+// must give the answer a round on a session of its own gives. On the two
+// -seq workloads' shapes — 500 protein windows under levenshtein-fast and
+// 500 trajectory windows under ERP, λ = 40, λ0 = 1 — 40 queries each are
+// held field for field, Dist by bits, to refNearest, whose every round is a
+// FilterHits call: a session opened, read once and closed.
+func TestNearestManyRoundsMatchesFreshRounds(t *testing.T) {
+	p := Params{Lambda: 40, Lambda0: 1}
+	t.Run("proteins/levenshtein-fast", func(t *testing.T) {
+		manyRounds(t, dist.LevenshteinFastMeasure(), p, data.Proteins(500, 20, 1), 0.1, data.MutateAA, 8)
+	})
+	t.Run("traj/erp", func(t *testing.T) {
+		manyRounds(t, dist.ERPMeasure(dist.Point2Dist, seq.Point2{}), p, data.Trajectories(500, 20, 1), 0.02, data.MutatePoint, 4)
+	})
+}
+
+func manyRounds[E any](t *testing.T, m dist.Measure[E], p Params, ds data.Dataset[E], rate float64,
+	mutate func(*rand.Rand, E) E, epsMax float64) {
+	mt, err := NewMatcher(m, Config{Params: p, Index: IndexRefNet}, ds.Sequences)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultNearestOptions(epsMax)
+	most, found := 0, 0
+	for i := 0; i < 40; i++ {
+		q := data.RandomQuery(ds, 45, rate, mutate, uint64(i+1))
+		want, wok, rounds := refNearest(mt, q, opts)
+		got, gok := mt.Nearest(q, opts)
+		if gok != wok || !sameMatch(got, want) {
+			t.Fatalf("query %d, %d rounds: Nearest = %v, %v; with a session per round %v, %v", i, rounds, got, gok, want, wok)
+		}
+		most = max(most, rounds)
+		if wok {
+			found++
+		}
+	}
+	t.Logf("%d of 40 found; at most %d rounds", found, most)
+	if most < 5 || found == 0 {
+		t.Fatalf("vacuous: at most %d rounds, %d found", most, found)
 	}
 }
 

@@ -77,12 +77,16 @@ type BoundedDistFunc[T any] func(a, b T, eps float64) float64
 //
 // bound is the largest distance the traversal acts on exactly (the query
 // radius plus the visited node's cover radius). Values ≤ bound must be
-// exact; values > bound may be anything > bound, mirroring BoundedDistFunc,
-// which lets bounded evaluators abandon mid-computation — and lets an
-// evaluator that can bound several probes from below at once (the
-// framework's free-start kernel pass over the stretch of the query the
-// probes cover) answer for the ones it proves over bound without pricing
-// them at all.
+// exact; a value > bound may be a proof instead of the distance — any
+// value over bound that is still a lower bound on the distance. That lets
+// bounded evaluators abandon mid-computation (all an abandoned
+// BoundedDistFunc tells is that the distance is over bound, so the next
+// float above bound is always a valid answer) and lets an evaluator that
+// can bound several probes from below at once (the framework's free-start
+// kernel pass over the stretch of the query the probes cover) answer for
+// the ones it proves over bound without pricing them at all. The traversal
+// keys what it defers to a wider radius by these values, so the tighter a
+// proof, the later the pair is priced again.
 type BatchEvaluator[T any] interface {
 	EvalBatch(item T, idxs []int32, bound float64, out []float64)
 	// Exact reports whether EvalBatch always returns exact distances, even

@@ -67,29 +67,52 @@ import (
 // framework streams probes sharing a query offset through a single
 // incremental kernel pass over the node's window, and may answer for a
 // probe with a proof instead of a distance, exactly as a bounded evaluation
-// does: any value over ε+ρ, however it came by it (the framework's
-// evaluator bounds all the probes at a node with one free-start kernel pass
-// and prices only the ones that bound cannot rule out). And a session that
-// is traversed more than once keeps every distance it has recorded: only
-// the decided masks are cleared between its traversals, so no recorded
-// (probe, node) distance is computed twice however many radii the query
-// asks about. What an inexact evaluator returned over ε+ρ was not recorded;
-// such a pair is evaluated again if a later traversal reaches it under a
-// wider bound.
+// does: any value over ε+ρ that is still a lower bound on the distance,
+// however it came by it (the framework's evaluator bounds all the probes at
+// a node with one free-start kernel pass and prices only the ones that bound
+// cannot rule out). And a session that is read more than once keeps every
+// distance it has recorded, so no recorded (probe, node) distance is
+// computed twice however many radii the query asks about. What an inexact
+// evaluator returned over ε+ρ was not recorded; such a pair is evaluated
+// again if a later read reaches it under a bound the value no longer
+// exceeds.
+//
+// Range reads at rising radii are one continued traversal (distance
+// browsing, Hjaltason & Samet, TODS 1999: a wider radius goes on from the
+// frontier the narrower one left). A Range read leaves behind what a wider
+// one can keep: per node, the probes it reported or collected there (inside
+// for any larger radius, their results kept and extended) or whose children
+// it walked — together the kept mask — and a deferred frontier. Every rule
+// that settles probes outside records a frontier entry: the node, the
+// probes, and per probe a key, a lower bound on the distance from the probe
+// to what the entry holds back — rule 1 lo − ρ; rule 3 the value the
+// evaluator returned, exact or a proof (tested against ε + ρ) — and a node
+// whose children were walked while its own dc > ε records dc, to report
+// itself. A later Range at a radius no smaller starts with decided = kept
+// and takes up only the probes whose keys it reaches: level by level from
+// the top, each node once with every probe that reaches it, running phase 1
+// there again against every parent with a recorded distance. The rest stays
+// on the frontier and marks its subtree decided again, as the prune that
+// recorded it did, so nothing it holds outside is reached through another
+// parent. Each key is tested in the form of the rule that recorded it, so a
+// probe is passed over only while that rule would still fire, and every
+// probe's hit set is a fresh walk's. A smaller radius, and the first Range
+// after MinDist, walk afresh from the root.
 //
 // The bookkeeping is kept per node over the whole probe set, not per probe.
-// Indexed by the dense node ids assigned at insertion, a session holds two
+// Indexed by the dense node ids assigned at insertion, a session holds
 // bitmasks of ⌈P/64⌉ words per node for its P probes — decided (settled in
-// this traversal) and computed (the exact distance is recorded) — and one
-// node-major table of P distances per node. A frame of the walk is a node
-// and the mask of probes still inconclusive there, whose distances are in
-// the table. So a child is tested against the probes not yet decided for it
-// with a few word operations, a parent's bounds reach only the probes it has
-// a distance for, and one walk of a subtree marks or collects every probe a
-// rule settled at its top. Every probe still meets the bounds, the rules
-// and the evaluator calls it would meet alone, in the same order. The
-// tables live in the session, which the net pools, so steady-state queries
-// allocate only their result slices.
+// this read), computed (the exact distance is recorded) and kept — and
+// node-major tables of P distances and P frontier keys per node. A frame of
+// the walk is a node and the mask of probes still inconclusive there, whose
+// distances are in the table. So a child is tested against the probes not
+// yet decided for it with a few word operations, a parent's bounds reach
+// only the probes it has a distance for, and one walk of a subtree marks or
+// collects every probe a rule settled at its top. In a walk from the root
+// every probe still meets the bounds, the rules and the evaluator calls it
+// would meet alone, in the same order. The tables live in the session,
+// which the net pools, so steady-state queries allocate only their result
+// slices.
 
 // Range returns every item within eps of q (inclusive): a session of one
 // probe, opened, read once and closed.
@@ -99,16 +122,18 @@ func (t *Net[T]) Range(q T, eps float64) []T {
 	return s.Range(eps)[0]
 }
 
-// Session is a probe set held open on the net for as many traversals as
-// one query needs. Its bookkeeping is per node over all its probes: a
-// decided and a computed bitmask, one bit per probe, and a row of the
-// distance table. Across its traversals only the decided masks are cleared:
-// a (probe, node) distance recorded under its computed bit stays, is read
-// back instead of evaluated when a later traversal reaches the pair again,
-// and tightens that traversal's triangle bounds from its first node on (a
+// Session is a probe set held open on the net for as many reads as one
+// query needs. Its bookkeeping is per node over all its probes: decided,
+// computed and kept bitmasks, one bit per probe, and a row each of the
+// distance and key tables. A (probe, node) distance recorded under its computed bit stays for
+// the life of the session, is read back instead of evaluated when a later
+// read reaches the pair again, and tightens that read's triangle bounds (a
 // proof — a value an inexact evaluator returned over the bound — is not
-// recorded). The framework's Type III query is the caller this is for — one
-// MinDist, then a Range per verification round, all over the same segments.
+// recorded). A Range read at a radius no smaller than the last Range's
+// continues it from the deferred frontier that read left; any other read
+// walks from the root. The framework's Type III query is the caller this is
+// for — one MinDist, then a Range per verification round at rising radii,
+// all over the same segments.
 //
 // A session reads the net and must not span a mutation (the tables are
 // sized to the node ids at OpenSession); Close returns it to the net's pool.
@@ -120,21 +145,40 @@ type Session[T any] struct {
 	// memo is set once a traversal has run: decided bits are then stale and
 	// computed bits may be found on pairs not yet visited.
 	memo bool
+	// ranged is set while the last read was a Range at radius eps ≥ 0, which
+	// a Range at a radius no smaller continues.
+	ranged bool
 	// n probes, words mask words per node (⌈n/64⌉).
 	n, words int
-	// decided and computed hold words mask words per node id; d holds n
-	// distances per node id, valid where the computed bit is set.
-	decided, computed []uint64
-	d                 []float64
+	// decided, computed and kept hold words mask words per node id; d holds
+	// n distances per node id, valid where the computed bit is set, and
+	// keys n frontier keys per node id, valid for the probes deferred there.
+	// kept is what the last Range read settled for good at a node: the
+	// probes it reported or collected there, or whose children it walked.
+	// (With exact arithmetic a continued read never reaches such a node —
+	// none of its parents was pruned — so kept is the guard against a
+	// rounding that prunes a parent and not the child, as decided is within
+	// a read.) wake holds the probes a continued read takes up at a node (zero
+	// outside resume), and woken those nodes, one list per level.
+	decided, computed, kept, wake []uint64
+	d, keys                       []float64
+	woken                         [][]*Node[T]
+	// front is the deferred frontier of the last Range read, its probe masks
+	// words apiece in fmask; spare and smask are the buffers the next
+	// continued read builds the frontier it leaves in.
+	front, spare []deferred[T]
+	fmask, smask []uint64
 	// stack holds the frames of the walk: a node, and in masks (words per
 	// frame, in the same order) its inconclusive probes.
 	stack []*Node[T]
 	masks []uint64
 	// Per-child scratch masks: the popped frame's probes, those still
 	// undecided at a child (then the ones bound for evaluation), those among
-	// them without a recorded distance there, and those a rule prunes or
-	// collects. deep holds a narrowed mask per depth of a subtree walk.
-	active, pend, need, prune, coll, deep []uint64
+	// them without a recorded distance there, those a rule prunes or
+	// collects, and those whose children a visit walks while their own
+	// distance is over the radius. deep holds a narrowed mask per depth of a
+	// subtree walk.
+	active, pend, need, prune, coll, far, deep []uint64
 	// lo and hi are the triangle bounds of the probes being tested at a
 	// child, indexed by probe.
 	lo, hi []float64
@@ -146,11 +190,45 @@ type Session[T any] struct {
 	dists             []float64
 	defEval           distEvaluator[T]
 
-	// The traversal in progress: the radius (in the MinDist read, the
-	// shared bound), the least distance met, and the result lists (nil in
-	// the MinDist read).
+	// The read in progress: the radius (in the MinDist read, the shared
+	// bound), the least distance met, and the result lists (nil in the
+	// MinDist read).
 	eps, best float64
 	out       [][]T
+}
+
+// deferred is a frontier entry: node n was settled for the probes in its
+// mask, and each of them has a key in the session's key table, a lower
+// bound on its distance to n. A deferLo entry (rule 1, key lo) holds the
+// subtree outside while key − ρ > ε; a deferDist entry (rule 3, key the
+// value the evaluator returned, exact or a proof) while key > ε + ρ; a
+// deferFar entry is a node whose children were walked, reported for a
+// probe once key, its distance, is within ε. key here is the least of the
+// entry's keys, so an entry the radius does not reach is passed over whole.
+type deferred[T any] struct {
+	n    *Node[T]
+	key  float64
+	kind uint8
+}
+
+// The kinds of deferred entry.
+const (
+	deferLo   uint8 = iota // rule 1: key lo
+	deferDist              // rule 3: key dc
+	deferFar               // walked below, key dc > ε
+)
+
+// reached reports whether radius eps reaches key k under the entry's rule,
+// tested in the form the rule itself tests — so an entry is passed over
+// exactly while its rule would still settle the probe.
+func (e deferred[T]) reached(k, eps float64) bool {
+	switch e.kind {
+	case deferLo:
+		return !(k-e.n.rho > eps)
+	case deferDist:
+		return !(k > eps+e.n.rho)
+	}
+	return !(k > eps)
 }
 
 // OpenSession opens a session over the probes qs. At every node, all probes
@@ -172,16 +250,20 @@ func (t *Net[T]) OpenSession(qs []T, ev metric.BatchEvaluator[T]) *Session[T] {
 		s.defEval = distEvaluator[T]{t: t, qs: qs}
 		ev = &s.defEval
 	}
-	s.t, s.ev, s.exact, s.memo = t, ev, ev.Exact(), false
+	s.t, s.ev, s.exact, s.memo, s.ranged = t, ev, ev.Exact(), false, false
 	n, w, ids := len(qs), (len(qs)+63)/64, int(t.nextID)
 	s.n, s.words = n, w
 	s.decided = sized(s.decided, ids*w)
 	s.computed = sized(s.computed, ids*w)
+	s.kept = sized(s.kept, ids*w)
+	s.wake = sized(s.wake, ids*w)
 	clear(s.decided)
 	clear(s.computed)
-	s.d = sized(s.d, ids*n)
+	clear(s.wake)
+	s.d, s.keys = sized(s.d, ids*n), sized(s.keys, ids*n)
 	s.active, s.pend, s.need = sized(s.active, w), sized(s.pend, w), sized(s.need, w)
 	s.prune, s.coll = sized(s.prune, w), sized(s.coll, w)
+	s.far = sized(s.far, w)
 	// A subtree walk narrows its mask at most once per node on a path, and
 	// levels fall strictly along every edge (Validate's level order).
 	if t.root != nil {
@@ -210,11 +292,22 @@ func (s *Session[T]) Close() {
 }
 
 // Range is the traversal read as a range query: result i holds the items
-// within eps of probe i (rules 1–4).
+// within eps of probe i (rules 1–4). When the last read was a Range at a
+// radius no larger, this one continues it: result i holds that read's items
+// for probe i followed by the ones eps adds. The lists are the caller's; a
+// later read does not write to them.
 func (s *Session[T]) Range(eps float64) [][]T {
-	out := make([][]T, s.n)
-	s.walk(eps, out)
-	return out
+	if s.ranged && eps >= s.eps {
+		s.resume(eps)
+	} else {
+		clear(s.kept)
+		s.front, s.fmask = s.front[:0], s.fmask[:0]
+		s.walk(eps, make([][]T, s.n))
+	}
+	// A negative radius ends the walk at the root (no distance is negative),
+	// so it leaves nothing to continue.
+	s.ranged = eps >= 0
+	return s.out
 }
 
 // MinDist is the traversal read as a nearest-neighbour search for the whole
@@ -229,6 +322,7 @@ func (s *Session[T]) Range(eps float64) [][]T {
 // evaluated under — all an abandoned evaluation returns — prunes but is
 // never taken for a distance.
 func (s *Session[T]) MinDist(epsMax float64) float64 {
+	s.ranged = false
 	s.walk(epsMax, nil)
 	return s.best
 }
@@ -241,8 +335,11 @@ func (s *Session[T]) mask(table []uint64, id int32) []uint64 {
 // row returns node id's distances in the table.
 func (s *Session[T]) row(id int32) []float64 { return s.d[int(id)*s.n:][:s.n] }
 
-// walk is the batched traversal, the only one: out != nil reads it as Range,
-// out == nil as MinDist.
+// keyRow returns node id's frontier keys.
+func (s *Session[T]) keyRow(id int32) []float64 { return s.keys[int(id)*s.n:][:s.n] }
+
+// walk is the batched traversal from the root: out != nil reads it as
+// Range, out == nil as MinDist.
 func (s *Session[T]) walk(eps float64, out [][]T) {
 	t := s.t
 	s.eps, s.best, s.out = eps, math.Inf(1), out
@@ -258,104 +355,250 @@ func (s *Session[T]) walk(eps float64, out [][]T) {
 		all[qi>>6] |= 1 << (qi & 63)
 	}
 	s.visit(t.root, all)
+	s.drain()
+	s.memo = true
+}
+
+// resume continues the last Range read at radius eps, no smaller than its
+// own: the probes it kept at a node stay decided, the frontier entries eps
+// does not reach are held over, and the walk goes on from the ones it
+// does. It goes level by level, from the top down: a node is taken up once,
+// with the probes of every entry and every frame that reach it merged, so it
+// is tested once and its evaluations stay one batched call, and the bounds
+// come from all its parents with a recorded distance. (Levels fall strictly
+// along every edge, so when a level is taken up nothing can reach it any
+// more.)
+func (s *Session[T]) resume(eps float64) {
+	prev := s.out
+	s.out = make([][]T, s.n)
+	for i, l := range prev {
+		s.out[i] = l[:len(l):len(l)]
+	}
+	s.eps = eps
+	if s.t.root == nil {
+		return
+	}
+	copy(s.decided, s.kept)
 	w := s.words
-	active, pend, need, prune, coll := s.active, s.pend, s.need, s.prune, s.coll
-	los, his := s.lo, s.hi
-	// No distance is negative: once the bound is, nothing is left to find.
-	for len(s.stack) > 0 && s.eps >= 0 {
-		top := len(s.stack) - 1
-		e := s.stack[top]
-		copy(active, s.masks[top*w:])
-		s.stack, s.masks = s.stack[:top], s.masks[:top*w]
-		from := s.row(e.id)
-		for _, ce := range e.children {
-			c := ce.n
-			// Phase 1: settle what the zero-computation bounds can; queue
-			// the rest for one batched evaluation.
-			dec := s.mask(s.decided, c.id)
-			var left uint64
-			for i := range pend {
-				pend[i] = active[i] &^ dec[i]
-				left |= pend[i]
-			}
-			if left == 0 {
-				continue
-			}
-			if t.noEdgeBounds {
-				s.visit(c, pend)
-				continue
-			}
-			rho, eps := c.rho, s.eps
-			// A pair priced by an earlier traversal of this session needs no
-			// bounds: its distance is read back in phase 2.
-			comp := s.mask(s.computed, c.id)
-			var queued, unknown uint64
-			for i := range pend {
-				need[i] = pend[i] &^ comp[i]
-				pend[i] &= comp[i]
-				queued |= pend[i]
-				unknown |= need[i]
-				for m := need[i]; m != 0; m &= m - 1 {
-					qi := i<<6 | bits.TrailingZeros64(m)
-					dp := from[qi]
-					lo := dp - ce.d
-					if lo < 0 {
-						lo = -lo
-					}
-					los[qi], his[qi] = lo, dp+ce.d
+	s.woken = sized(s.woken, s.t.root.level+1)
+	front, fmask := s.front, s.fmask
+	s.front, s.fmask = s.spare[:0], s.smask[:0]
+	for k, e := range front {
+		m := fmask[k*w:][:w]
+		if e.reached(e.key, eps) {
+			s.takeUp(e, m)
+		} else {
+			s.hold(e.n, m, e.key, e.kind)
+		}
+	}
+	s.spare, s.smask = front[:0], fmask[:0]
+	for l := len(s.woken) - 1; l >= 0; l-- {
+		for k := 0; k < len(s.woken[l]); k++ {
+			c := s.woken[l][k]
+			wk := s.mask(s.wake, c.id)
+			s.test(c, nil, 0, wk)
+			clear(wk)
+			// visit pushed at most c's own frame: its probes go on to the
+			// children, to be tested when their level is taken up.
+			if len(s.stack) > 0 {
+				for _, ce := range c.children {
+					s.wakeAt(ce.n, s.masks[:w])
 				}
+				s.stack, s.masks = s.stack[:0], s.masks[:0]
 			}
-			if unknown != 0 {
-				for _, pe := range c.parents {
-					if pe.n == e {
-						continue
-					}
-					pc, pd := s.mask(s.computed, pe.n.id), s.row(pe.n.id)
-					for i := range need {
-						for m := need[i] & pc[i]; m != 0; m &= m - 1 {
-							qi := i<<6 | bits.TrailingZeros64(m)
-							dp := pd[qi]
-							if l := math.Abs(dp - pe.d); l > los[qi] {
-								los[qi] = l
-							}
-							if h := dp + pe.d; h < his[qi] {
-								his[qi] = h
-							}
-						}
-					}
+		}
+		s.woken[l] = s.woken[l][:0]
+	}
+}
+
+// wakeAt adds the probes in m, not empty, to the ones a continued read
+// takes up at c.
+func (s *Session[T]) wakeAt(c *Node[T], m []uint64) {
+	wk := s.mask(s.wake, c.id)
+	var had uint64
+	for i, x := range m {
+		had |= wk[i]
+		wk[i] |= x
+	}
+	if had == 0 {
+		s.woken[c.level] = append(s.woken[c.level], c)
+	}
+}
+
+// takeUp splits an entry the radius reaches by its probes' own keys: the
+// probes whose key it reaches are reported (deferFar) or woken, the rest
+// deferred again.
+func (s *Session[T]) takeUp(e deferred[T], m []uint64) {
+	c, take, rest := e.n, s.prune, s.coll
+	keys, key := s.keyRow(c.id), math.Inf(1)
+	var took, left uint64
+	for i, x := range m {
+		take[i], rest[i] = 0, 0
+		for ; x != 0; x &= x - 1 {
+			b := x & -x
+			qi := i<<6 | bits.TrailingZeros64(x)
+			if k := keys[qi]; e.reached(k, s.eps) {
+				take[i] |= b
+				took |= b
+				if e.kind == deferFar {
+					s.out[qi] = append(s.out[qi], c.item)
 				}
-				var pruned, collected uint64
-				for i := range need {
-					prune[i], coll[i] = 0, 0
-					for m := need[i]; m != 0; m &= m - 1 {
-						b := m & -m
-						qi := i<<6 | bits.TrailingZeros64(m)
-						if los[qi]-rho > eps {
-							prune[i] |= b
-						} else if out != nil && his[qi]+rho <= eps {
-							coll[i] |= b
-						} else {
-							pend[i] |= b
-						}
-					}
-					pruned |= prune[i]
-					collected |= coll[i]
-					queued |= pend[i]
-				}
-				if pruned != 0 {
-					s.markSubtree(c, prune, 0)
-				}
-				if collected != 0 {
-					s.collect(c, coll, 0)
-				}
-			}
-			if queued != 0 {
-				s.visit(c, pend)
+			} else {
+				rest[i] |= b
+				left |= b
+				key = min(key, k)
 			}
 		}
 	}
+	if left != 0 {
+		s.hold(c, rest, key, e.kind)
+	}
+	if e.kind != deferFar && took != 0 {
+		s.wakeAt(c, take)
+	}
+}
+
+// hold carries a frontier entry the radius does not reach over to the
+// frontier the read leaves, and marks its subtree decided for its probes
+// as the prune that recorded it did: still outside, it must not be reached
+// through another parent.
+func (s *Session[T]) hold(c *Node[T], m []uint64, key float64, kind uint8) {
+	s.postpone(c, m, key, kind)
+	if kind != deferFar && c != s.t.root {
+		s.markSubtree(c, m, 0)
+	}
+}
+
+// postpone records a frontier entry for the probes in m at c (Range reads
+// only).
+func (s *Session[T]) postpone(c *Node[T], m []uint64, key float64, kind uint8) {
+	s.front = append(s.front, deferred[T]{c, key, kind})
+	s.fmask = append(s.fmask, m...)
+}
+
+// drain pops frames until the stack is empty — in the MinDist read, also
+// once the bound is negative, since no distance is — and tests every child
+// of each for the frame's probes.
+func (s *Session[T]) drain() {
+	w := s.words
+	for len(s.stack) > 0 && s.eps >= 0 {
+		top := len(s.stack) - 1
+		e := s.stack[top]
+		copy(s.active, s.masks[top*w:])
+		s.stack, s.masks = s.stack[:top], s.masks[:top*w]
+		for _, ce := range e.children {
+			s.test(ce.n, e, ce.d, s.active)
+		}
+	}
 	s.stack, s.masks = s.stack[:0], s.masks[:0]
-	s.memo = true
+}
+
+// test is phase 1 at c for the probes in active not yet decided there: the
+// zero-computation bounds settle what they can (rules 1 and 2), and the rest
+// are queued for one batched evaluation (visit). e is the parent whose frame
+// is being walked and ed the stored distance from it — every probe in the
+// frame has its distance to e recorded — or nil when a continued read takes
+// c up from the frontier; the other parents with a recorded distance tighten
+// the bounds either way.
+func (s *Session[T]) test(c, e *Node[T], ed float64, active []uint64) {
+	pend, need, prune, coll := s.pend, s.need, s.prune, s.coll
+	dec := s.mask(s.decided, c.id)
+	var left uint64
+	for i := range pend {
+		pend[i] = active[i] &^ dec[i]
+		left |= pend[i]
+	}
+	if left == 0 {
+		return
+	}
+	if s.t.noEdgeBounds {
+		s.visit(c, pend)
+		return
+	}
+	rho, eps := c.rho, s.eps
+	los, his := s.lo, s.hi
+	var from []float64
+	if e != nil {
+		from = s.row(e.id)
+	}
+	// A pair priced by an earlier read of this session needs no bounds: its
+	// distance is read back in phase 2.
+	comp := s.mask(s.computed, c.id)
+	var queued, unknown uint64
+	for i := range pend {
+		need[i] = pend[i] &^ comp[i]
+		pend[i] &= comp[i]
+		queued |= pend[i]
+		unknown |= need[i]
+		for m := need[i]; m != 0; m &= m - 1 {
+			qi := i<<6 | bits.TrailingZeros64(m)
+			if from == nil {
+				los[qi], his[qi] = 0, math.Inf(1)
+				continue
+			}
+			dp := from[qi]
+			lo := dp - ed
+			if lo < 0 {
+				lo = -lo
+			}
+			los[qi], his[qi] = lo, dp+ed
+		}
+	}
+	if unknown == 0 {
+		s.visit(c, pend)
+		return
+	}
+	for _, pe := range c.parents {
+		if pe.n == e {
+			continue
+		}
+		pc, pd := s.mask(s.computed, pe.n.id), s.row(pe.n.id)
+		for i := range need {
+			for m := need[i] & pc[i]; m != 0; m &= m - 1 {
+				qi := i<<6 | bits.TrailingZeros64(m)
+				dp := pd[qi]
+				if l := math.Abs(dp - pe.d); l > los[qi] {
+					los[qi] = l
+				}
+				if h := dp + pe.d; h < his[qi] {
+					his[qi] = h
+				}
+			}
+		}
+	}
+	var pruned, collected uint64
+	key, keys := math.Inf(1), s.keyRow(c.id)
+	for i := range need {
+		prune[i], coll[i] = 0, 0
+		for m := need[i]; m != 0; m &= m - 1 {
+			b := m & -m
+			qi := i<<6 | bits.TrailingZeros64(m)
+			if lo := los[qi]; lo-rho > eps {
+				prune[i] |= b
+				keys[qi] = lo
+				key = min(key, lo)
+			} else if s.out != nil && his[qi]+rho <= eps {
+				coll[i] |= b
+			} else {
+				pend[i] |= b
+			}
+		}
+		pruned |= prune[i]
+		collected |= coll[i]
+		queued |= pend[i]
+	}
+	if pruned != 0 {
+		s.markSubtree(c, prune, 0)
+		if s.out != nil {
+			s.postpone(c, prune, key, deferLo)
+		}
+	}
+	if collected != 0 {
+		s.collect(c, coll, 0)
+	}
+	if queued != 0 {
+		s.visit(c, pend)
+	}
 }
 
 // visit applies rules 3–4 at c to the probes in pend (phases 2 and 3): it
@@ -373,18 +616,22 @@ func (s *Session[T]) visit(c *Node[T], pend []uint64) {
 	bound := s.eps + rho
 	dists := s.price(c, pending, bound)
 	comp, dec, row := s.mask(s.computed, c.id), s.mask(s.decided, c.id), s.row(c.id)
+	kept, keys := s.mask(s.kept, c.id), s.keyRow(c.id)
 	// The frame's mask is written in place on the stack and dropped again if
 	// it stays empty.
 	base := len(s.masks)
 	s.masks = slices.Grow(s.masks, w)[:base+w]
-	next, prune, coll := s.masks[base:], s.prune, s.coll
+	next, prune, coll, far := s.masks[base:], s.prune, s.coll, s.far
 	clear(next)
 	clear(prune)
 	clear(coll)
-	var pruned, collected, left uint64
+	clear(far)
+	var pruned, collected, left, farOff uint64
+	pruneKey, farKey := math.Inf(1), math.Inf(1)
 	for k, qi := range pending {
 		dc, i, b := dists[k], qi>>6, uint64(1)<<(qi&63)
-		if s.exact || dc <= bound {
+		exact := s.exact || dc <= bound
+		if exact {
 			// Exact, so it seeds the triangle bounds of later visits and is
 			// never evaluated again in this session — also when it prunes.
 			comp[i] |= b
@@ -395,12 +642,12 @@ func (s *Session[T]) visit(c *Node[T], pend []uint64) {
 		}
 		if dc > s.eps+rho {
 			// δ(q,c) > ε + ρ: the subtree is outside. (An abandoned value
-			// is a proof, not a distance.) A probe pruned at the root is in
-			// no frame, so nothing ever reads its decided bits.
-			if c != t.root {
-				prune[i] |= b
-				pruned |= b
-			}
+			// is a proof, not a distance — but never more than the distance,
+			// so it keys the frontier as well as one.)
+			prune[i] |= b
+			pruned |= b
+			keys[qi] = dc
+			pruneKey = min(pruneKey, dc)
 			continue
 		}
 		// From here on dc ≤ ε + ρ. In the MinDist read the bound has just
@@ -412,17 +659,33 @@ func (s *Session[T]) visit(c *Node[T], pend []uint64) {
 			continue
 		}
 		dec[i] |= b
+		kept[i] |= b
 		if dc <= s.eps {
 			s.out[qi] = append(s.out[qi], c.item)
+		} else {
+			far[i] |= b
+			farOff |= b
+			keys[qi] = dc
+			farKey = min(farKey, dc)
 		}
 		next[i] |= b
 		left |= b
 	}
 	if pruned != 0 {
-		s.markSubtree(c, prune, 0)
+		// A probe pruned at the root is in no frame, so nothing ever reads
+		// its decided bits below.
+		if c != t.root {
+			s.markSubtree(c, prune, 0)
+		}
+		if s.out != nil {
+			s.postpone(c, prune, pruneKey, deferDist)
+		}
 	}
 	if collected != 0 {
 		s.collect(c, coll, 0)
+	}
+	if farOff != 0 && s.out != nil {
+		s.postpone(c, far, farKey, deferFar)
 	}
 	if left != 0 && len(c.children) > 0 {
 		s.stack = append(s.stack, c)
@@ -457,7 +720,8 @@ func (s *Session[T]) narrow(c *Node[T], m []uint64, depth int) []uint64 {
 // the ball) for the probes in m, narrowing m at each multi-parent node to
 // the probes not decided there yet. Mirroring the Appendix, this prevents
 // re-examining, via another parent, nodes already excluded by a subtree
-// bound. One walk serves every probe a rule pruned at c.
+// bound. One walk serves every probe a rule pruned at c. The marks last for
+// the read: the frontier entry at c answers for the subtree in a wider one.
 func (s *Session[T]) markSubtree(c *Node[T], m []uint64, depth int) {
 	if len(c.parents) > 1 {
 		if m = s.narrow(c, m, depth); m == nil {
@@ -473,13 +737,18 @@ func (s *Session[T]) markSubtree(c *Node[T], m []uint64, depth int) {
 // collect appends c and all its not-yet-decided descendants to the result
 // list of every probe in m, narrowing m as markSubtree does (a single-parent
 // node can be collected only through its one parent, so it cannot be
-// appended twice).
+// appended twice). A multi-parent node collected is kept too: inside for
+// any wider radius, it must not be reached again through another parent.
 func (s *Session[T]) collect(c *Node[T], m []uint64, depth int) {
 	if len(c.parents) > 1 {
 		if m = s.narrow(c, m, depth); m == nil {
 			return
 		}
 		depth++
+		kept := s.mask(s.kept, c.id)
+		for i, x := range m {
+			kept[i] |= x
+		}
 	}
 	for i, x := range m {
 		for ; x != 0; x &= x - 1 {
@@ -493,9 +762,9 @@ func (s *Session[T]) collect(c *Node[T], m []uint64, depth int) {
 }
 
 // price returns the distances from the probes in pending to c, aligned with
-// pending. Distances an earlier traversal of the session recorded are read
-// back; the rest go to the evaluator in one call, as an ascending
-// subsequence of pending.
+// pending. Distances an earlier read of the session recorded are read back;
+// the rest go to the evaluator in one call, as an ascending subsequence of
+// pending.
 func (s *Session[T]) price(c *Node[T], pending []int32, bound float64) []float64 {
 	dists := s.dists[:len(pending)]
 	if !s.memo {
@@ -536,8 +805,13 @@ func (e *distEvaluator[T]) Exact() bool { return e.t.bounded == nil }
 
 func (e *distEvaluator[T]) EvalBatch(item T, idxs []int32, bound float64, out []float64) {
 	if b := e.t.bounded; b != nil {
+		// An abandoned evaluation returns anything over bound; all it proves
+		// is that the distance is, so that is what the session is told.
+		over := math.Nextafter(bound, math.Inf(1))
 		for k, qi := range idxs {
-			out[k] = b(e.qs[qi], item, bound)
+			if out[k] = b(e.qs[qi], item, bound); out[k] > bound {
+				out[k] = over
+			}
 		}
 		return
 	}

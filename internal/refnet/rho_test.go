@@ -172,8 +172,10 @@ func checkQueries(t *testing.T, n *Net[stormPt], live []*Node[stormPt], rng *ran
 // stormEval prices probes through the net's distance and audits what a
 // session asks of its evaluator: every idxs ascending, and no (probe, item)
 // pair asked again once its exact distance has been returned. When bounded
-// it answers +Inf above the bound, as an abandoned evaluation may, and such
-// an answer records nothing — the session cannot have kept it either.
+// it answers the next float above the bound for a pair over it — the least
+// an abandoned evaluation proves, and a lower bound as the BatchEvaluator
+// contract asks — and such an answer records nothing: the session cannot
+// have kept it either.
 type stormEval struct {
 	t       *testing.T
 	dist    func(a, b stormPt) float64
@@ -197,7 +199,7 @@ func (e *stormEval) EvalBatch(item stormPt, idxs []int32, bound float64, out []f
 		e.priced++
 		out[k] = e.dist(e.qs[qi], item)
 		if e.bounded && out[k] > bound {
-			out[k] = math.Inf(1)
+			out[k] = math.Nextafter(bound, math.Inf(1))
 			continue
 		}
 		e.known[key] = true

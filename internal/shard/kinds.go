@@ -91,7 +91,7 @@ func nearest(p Params) (Args, error) {
 	if p.EpsMax == nil || *p.EpsMax <= 0 {
 		return Args{}, errors.New(`nearest requires "eps_max" > 0`)
 	}
-	opts := core.NearestOptions{EpsMax: *p.EpsMax, EpsInc: *p.EpsMax / 16}
+	opts := core.DefaultNearestOptions(*p.EpsMax)
 	if p.EpsInc != nil {
 		opts.EpsInc = *p.EpsInc
 	}
