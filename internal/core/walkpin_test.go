@@ -28,14 +28,14 @@ func TestSessionWalkPinned(t *testing.T) {
 	p := Params{Lambda: 40, Lambda0: 1}
 	t.Run("proteins/levenshtein-fast", func(t *testing.T) {
 		runWalkPin(t, dist.LevenshteinFastMeasure(), p, data.Proteins(500, 20, 1), 0.1, data.MutateAA, walkPin{
-			sum:   "ca1c13f2bb291ee7054da4eb2d920b4a6b98eabf7a6b789c57498c3d284be7f5",
-			calls: 98933,
+			sum:   "7d711711afde36b8aedc1e3f411faa4baa2f8ebaa5d0a3ff67fbc335aa5c1745",
+			calls: 94771,
 		})
 	})
 	t.Run("traj/erp", func(t *testing.T) {
 		runWalkPin(t, dist.ERPMeasure(dist.Point2Dist, seq.Point2{}), p, data.Trajectories(500, 20, 1), 0.02, data.MutatePoint, walkPin{
-			sum:   "7a703fbe9bc0d85abbe24fda2c9260a5f5ea70dab56cf6b6658c63547859034e",
-			calls: 19374,
+			sum:   "156f9f9217b615c9b4641a061bff474ddde7c3cb6324a63f48633ec11468624e",
+			calls: 15137,
 		})
 	})
 }
