@@ -102,10 +102,11 @@ import (
 // The bookkeeping is kept per node over the whole probe set, not per probe.
 // Indexed by the dense node ids assigned at insertion, a session holds
 // bitmasks of ⌈P/64⌉ words per node for its P probes — decided (settled in
-// this read), computed (the exact distance is recorded) and kept — and
-// node-major tables of P distances and P frontier keys per node. A frame of
-// the walk is a node and the mask of probes still inconclusive there, whose
-// distances are in the table. So a child is tested against the probes not
+// this read), computed (the exact distance is recorded) and kept — and one
+// node-major table of P distances per node, which holds a deferred probe's
+// frontier key where no distance is recorded (an exact distance is the best
+// key there is). A frame of the walk is a node and the mask of probes still
+// inconclusive there, whose distances are in the table. So a child is tested against the probes not
 // yet decided for it with a few word operations, a parent's bounds reach
 // only the probes it has a distance for, and one walk of a subtree marks or
 // collects every probe a rule settled at its top. In a walk from the root
@@ -151,9 +152,8 @@ type Session[T any] struct {
 	// n probes, words mask words per node (⌈n/64⌉).
 	n, words int
 	// decided, computed and kept hold words mask words per node id; d holds
-	// n distances per node id, valid where the computed bit is set, and
-	// keys n frontier keys per node id, valid for the probes deferred there.
-	// kept is what the last Range read settled for good at a node: the
+	// n values per node id: the distance where the computed bit is set, and
+	// otherwise, for a probe deferred there, its frontier key. kept is what the last Range read settled for good at a node: the
 	// probes it reported or collected there, or whose children it walked.
 	// (With exact arithmetic a continued read never reaches such a node —
 	// none of its parents was pruned — so kept is the guard against a
@@ -161,13 +161,12 @@ type Session[T any] struct {
 	// a read.) wake holds the probes a continued read takes up at a node (zero
 	// outside resume), and woken those nodes, one list per level.
 	decided, computed, kept, wake []uint64
-	d, keys                       []float64
+	d                             []float64
 	woken                         [][]*Node[T]
 	// front is the deferred frontier of the last Range read, its probe masks
-	// words apiece in fmask; spare and smask are the buffers the next
-	// continued read builds the frontier it leaves in.
-	front, spare []deferred[T]
-	fmask, smask []uint64
+	// words apiece in fmask.
+	front []deferred[T]
+	fmask []uint64
 	// stack holds the frames of the walk: a node, and in masks (words per
 	// frame, in the same order) its inconclusive probes.
 	stack []*Node[T]
@@ -198,8 +197,8 @@ type Session[T any] struct {
 }
 
 // deferred is a frontier entry: node n was settled for the probes in its
-// mask, and each of them has a key in the session's key table, a lower
-// bound on its distance to n. A deferLo entry (rule 1, key lo) holds the
+// mask, and each of them has a key in n's row of the distance table, a
+// lower bound on its distance to n. A deferLo entry (rule 1, key lo) holds the
 // subtree outside while key − ρ > ε; a deferDist entry (rule 3, key the
 // value the evaluator returned, exact or a proof) while key > ε + ρ; a
 // deferFar entry is a node whose children were walked, reported for a
@@ -260,7 +259,7 @@ func (t *Net[T]) OpenSession(qs []T, ev metric.BatchEvaluator[T]) *Session[T] {
 	clear(s.decided)
 	clear(s.computed)
 	clear(s.wake)
-	s.d, s.keys = sized(s.d, ids*n), sized(s.keys, ids*n)
+	s.d = sized(s.d, ids*n)
 	s.active, s.pend, s.need = sized(s.active, w), sized(s.pend, w), sized(s.need, w)
 	s.prune, s.coll = sized(s.prune, w), sized(s.coll, w)
 	s.far = sized(s.far, w)
@@ -335,9 +334,6 @@ func (s *Session[T]) mask(table []uint64, id int32) []uint64 {
 // row returns node id's distances in the table.
 func (s *Session[T]) row(id int32) []float64 { return s.d[int(id)*s.n:][:s.n] }
 
-// keyRow returns node id's frontier keys.
-func (s *Session[T]) keyRow(id int32) []float64 { return s.keys[int(id)*s.n:][:s.n] }
-
 // walk is the batched traversal from the root: out != nil reads it as
 // Range, out == nil as MinDist.
 func (s *Session[T]) walk(eps float64, out [][]T) {
@@ -381,8 +377,10 @@ func (s *Session[T]) resume(eps float64) {
 	copy(s.decided, s.kept)
 	w := s.words
 	s.woken = sized(s.woken, s.t.root.level+1)
+	// The frontier this read leaves is built over the one it reads: an entry
+	// gives at most one entry back, so none is overwritten before it is read.
 	front, fmask := s.front, s.fmask
-	s.front, s.fmask = s.spare[:0], s.smask[:0]
+	s.front, s.fmask = front[:0], fmask[:0]
 	for k, e := range front {
 		m := fmask[k*w:][:w]
 		if e.reached(e.key, eps) {
@@ -391,7 +389,6 @@ func (s *Session[T]) resume(eps float64) {
 			s.hold(e.n, m, e.key, e.kind)
 		}
 	}
-	s.spare, s.smask = front[:0], fmask[:0]
 	for l := len(s.woken) - 1; l >= 0; l-- {
 		for k := 0; k < len(s.woken[l]); k++ {
 			c := s.woken[l][k]
@@ -430,7 +427,7 @@ func (s *Session[T]) wakeAt(c *Node[T], m []uint64) {
 // deferred again.
 func (s *Session[T]) takeUp(e deferred[T], m []uint64) {
 	c, take, rest := e.n, s.prune, s.coll
-	keys, key := s.keyRow(c.id), math.Inf(1)
+	keys, key := s.row(c.id), math.Inf(1)
 	var took, left uint64
 	for i, x := range m {
 		take[i], rest[i] = 0, 0
@@ -567,7 +564,7 @@ func (s *Session[T]) test(c, e *Node[T], ed float64, active []uint64) {
 		}
 	}
 	var pruned, collected uint64
-	key, keys := math.Inf(1), s.keyRow(c.id)
+	key, keys := math.Inf(1), s.row(c.id)
 	for i := range need {
 		prune[i], coll[i] = 0, 0
 		for m := need[i]; m != 0; m &= m - 1 {
@@ -616,7 +613,7 @@ func (s *Session[T]) visit(c *Node[T], pend []uint64) {
 	bound := s.eps + rho
 	dists := s.price(c, pending, bound)
 	comp, dec, row := s.mask(s.computed, c.id), s.mask(s.decided, c.id), s.row(c.id)
-	kept, keys := s.mask(s.kept, c.id), s.keyRow(c.id)
+	kept := s.mask(s.kept, c.id)
 	// The frame's mask is written in place on the stack and dropped again if
 	// it stays empty.
 	base := len(s.masks)
@@ -646,7 +643,7 @@ func (s *Session[T]) visit(c *Node[T], pend []uint64) {
 			// so it keys the frontier as well as one.)
 			prune[i] |= b
 			pruned |= b
-			keys[qi] = dc
+			row[qi] = dc
 			pruneKey = min(pruneKey, dc)
 			continue
 		}
@@ -665,7 +662,6 @@ func (s *Session[T]) visit(c *Node[T], pend []uint64) {
 		} else {
 			far[i] |= b
 			farOff |= b
-			keys[qi] = dc
 			farKey = min(farKey, dc)
 		}
 		next[i] |= b
