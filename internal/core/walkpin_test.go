@@ -28,13 +28,13 @@ func TestSessionWalkPinned(t *testing.T) {
 	p := Params{Lambda: 40, Lambda0: 1}
 	t.Run("proteins/levenshtein-fast", func(t *testing.T) {
 		runWalkPin(t, dist.LevenshteinFastMeasure(), p, data.Proteins(500, 20, 1), 0.1, data.MutateAA, walkPin{
-			sum:   "7d711711afde36b8aedc1e3f411faa4baa2f8ebaa5d0a3ff67fbc335aa5c1745",
+			sum:   "6657d786e45e3d9a708255632c48f11066d89df53f750ee3b35ff1854574a8c1",
 			calls: 94771,
 		})
 	})
 	t.Run("traj/erp", func(t *testing.T) {
 		runWalkPin(t, dist.ERPMeasure(dist.Point2Dist, seq.Point2{}), p, data.Trajectories(500, 20, 1), 0.02, data.MutatePoint, walkPin{
-			sum:   "156f9f9217b615c9b4641a061bff474ddde7c3cb6324a63f48633ec11468624e",
+			sum:   "836cf9f02ad20d083ee6c24ecdebc466f961be5e2b3092b589f192bb9c934c81",
 			calls: 15137,
 		})
 	})

@@ -153,20 +153,21 @@ type Session[T any] struct {
 	n, words int
 	// decided, computed and kept hold words mask words per node id; d holds
 	// n values per node id: the distance where the computed bit is set, and
-	// otherwise, for a probe deferred there, its frontier key. kept is what the last Range read settled for good at a node: the
-	// probes it reported or collected there, or whose children it walked.
-	// (With exact arithmetic a continued read never reaches such a node —
-	// none of its parents was pruned — so kept is the guard against a
-	// rounding that prunes a parent and not the child, as decided is within
-	// a read.) wake holds the probes a continued read takes up at a node (zero
-	// outside resume), and woken those nodes, one list per level.
+	// otherwise, for a probe deferred there, its frontier key. kept is what
+	// the last Range read settled for good at a node: the probes it
+	// reported or collected there, or whose children it walked. (With exact
+	// arithmetic a continued read never reaches such a node — none of its
+	// parents was pruned — so kept is the guard against a rounding that
+	// prunes a parent and not the child, as decided is within a read.) wake
+	// holds the probes a continued read takes up at a node, and woken those
+	// nodes, one list per level; both are sized by the first continued read.
 	decided, computed, kept, wake []uint64
 	d                             []float64
 	woken                         [][]*Node[T]
-	// front is the deferred frontier of the last Range read, its probe masks
-	// words apiece in fmask.
-	front []deferred[T]
-	fmask []uint64
+	// front is the deferred frontier of the last Range read, a list per kind
+	// of entry, their probe masks words apiece in fmask.
+	front [deferKinds][]deferred[T]
+	fmask [deferKinds][]uint64
 	// stack holds the frames of the walk: a node, and in masks (words per
 	// frame, in the same order) its inconclusive probes.
 	stack []*Node[T]
@@ -198,34 +199,35 @@ type Session[T any] struct {
 
 // deferred is a frontier entry: node n was settled for the probes in its
 // mask, and each of them has a key in n's row of the distance table, a
-// lower bound on its distance to n. A deferLo entry (rule 1, key lo) holds the
-// subtree outside while key − ρ > ε; a deferDist entry (rule 3, key the
-// value the evaluator returned, exact or a proof) while key > ε + ρ; a
-// deferFar entry is a node whose children were walked, reported for a
-// probe once key, its distance, is within ε. key here is the least of the
-// entry's keys, so an entry the radius does not reach is passed over whole.
+// lower bound on its distance to n. Its kind says how: a deferLo entry
+// (rule 1, key lo) holds the subtree outside while key − ρ > ε; a
+// deferDist entry (rule 3, key the value the evaluator returned, exact or
+// a proof) while key > ε + ρ; a deferFar entry is a node whose children
+// were walked, reported for a probe once key, its distance, is within ε.
+// key here is the least of the entry's keys, so an entry the radius does
+// not reach is passed over whole.
 type deferred[T any] struct {
-	n    *Node[T]
-	key  float64
-	kind uint8
+	n   *Node[T]
+	key float64
 }
 
 // The kinds of deferred entry.
 const (
-	deferLo   uint8 = iota // rule 1: key lo
-	deferDist              // rule 3: key dc
-	deferFar               // walked below, key dc > ε
+	deferLo   = iota // rule 1: key lo
+	deferDist        // rule 3: key dc
+	deferFar         // walked below, key dc > ε
+	deferKinds
 )
 
-// reached reports whether radius eps reaches key k under the entry's rule,
-// tested in the form the rule itself tests — so an entry is passed over
-// exactly while its rule would still settle the probe.
-func (e deferred[T]) reached(k, eps float64) bool {
-	switch e.kind {
+// reached reports whether radius eps reaches key k at node n under the rule
+// of kind, tested in the form the rule itself tests — so an entry is passed
+// over exactly while its rule would still settle the probe.
+func reached[T any](kind int, n *Node[T], k, eps float64) bool {
+	switch kind {
 	case deferLo:
-		return !(k-e.n.rho > eps)
+		return !(k-n.rho > eps)
 	case deferDist:
-		return !(k > eps+e.n.rho)
+		return !(k > eps+n.rho)
 	}
 	return !(k > eps)
 }
@@ -255,10 +257,8 @@ func (t *Net[T]) OpenSession(qs []T, ev metric.BatchEvaluator[T]) *Session[T] {
 	s.decided = sized(s.decided, ids*w)
 	s.computed = sized(s.computed, ids*w)
 	s.kept = sized(s.kept, ids*w)
-	s.wake = sized(s.wake, ids*w)
 	clear(s.decided)
 	clear(s.computed)
-	clear(s.wake)
 	s.d = sized(s.d, ids*n)
 	s.active, s.pend, s.need = sized(s.active, w), sized(s.pend, w), sized(s.need, w)
 	s.prune, s.coll = sized(s.prune, w), sized(s.coll, w)
@@ -300,7 +300,9 @@ func (s *Session[T]) Range(eps float64) [][]T {
 		s.resume(eps)
 	} else {
 		clear(s.kept)
-		s.front, s.fmask = s.front[:0], s.fmask[:0]
+		for kind := range s.front {
+			s.front[kind], s.fmask[kind] = s.front[kind][:0], s.fmask[kind][:0]
+		}
 		s.walk(eps, make([][]T, s.n))
 	}
 	// A negative radius ends the walk at the root (no distance is negative),
@@ -376,25 +378,27 @@ func (s *Session[T]) resume(eps float64) {
 	}
 	copy(s.decided, s.kept)
 	w := s.words
+	s.wake = sized(s.wake, len(s.kept))
+	clear(s.wake)
 	s.woken = sized(s.woken, s.t.root.level+1)
 	// The frontier this read leaves is built over the one it reads: an entry
 	// gives at most one entry back, so none is overwritten before it is read.
-	front, fmask := s.front, s.fmask
-	s.front, s.fmask = front[:0], fmask[:0]
-	for k, e := range front {
-		m := fmask[k*w:][:w]
-		if e.reached(e.key, eps) {
-			s.takeUp(e, m)
-		} else {
-			s.hold(e.n, m, e.key, e.kind)
+	for kind := range s.front {
+		front, fmask := s.front[kind], s.fmask[kind]
+		s.front[kind], s.fmask[kind] = front[:0], fmask[:0]
+		for k, e := range front {
+			m := fmask[k*w:][:w]
+			if reached(kind, e.n, e.key, eps) {
+				s.takeUp(kind, e.n, m)
+			} else {
+				s.hold(kind, e.n, m, e.key)
+			}
 		}
 	}
 	for l := len(s.woken) - 1; l >= 0; l-- {
 		for k := 0; k < len(s.woken[l]); k++ {
 			c := s.woken[l][k]
-			wk := s.mask(s.wake, c.id)
-			s.test(c, nil, 0, wk)
-			clear(wk)
+			s.test(c, nil, 0, s.mask(s.wake, c.id))
 			// visit pushed at most c's own frame: its probes go on to the
 			// children, to be tested when their level is taken up.
 			if len(s.stack) > 0 {
@@ -422,11 +426,11 @@ func (s *Session[T]) wakeAt(c *Node[T], m []uint64) {
 	}
 }
 
-// takeUp splits an entry the radius reaches by its probes' own keys: the
-// probes whose key it reaches are reported (deferFar) or woken, the rest
-// deferred again.
-func (s *Session[T]) takeUp(e deferred[T], m []uint64) {
-	c, take, rest := e.n, s.prune, s.coll
+// takeUp splits an entry at c the radius reaches by its probes' own keys:
+// the probes whose key it reaches are reported (deferFar) or woken, the
+// rest deferred again.
+func (s *Session[T]) takeUp(kind int, c *Node[T], m []uint64) {
+	take, rest := s.prune, s.coll
 	keys, key := s.row(c.id), math.Inf(1)
 	var took, left uint64
 	for i, x := range m {
@@ -434,10 +438,10 @@ func (s *Session[T]) takeUp(e deferred[T], m []uint64) {
 		for ; x != 0; x &= x - 1 {
 			b := x & -x
 			qi := i<<6 | bits.TrailingZeros64(x)
-			if k := keys[qi]; e.reached(k, s.eps) {
+			if k := keys[qi]; reached(kind, c, k, s.eps) {
 				take[i] |= b
 				took |= b
-				if e.kind == deferFar {
+				if kind == deferFar {
 					s.out[qi] = append(s.out[qi], c.item)
 				}
 			} else {
@@ -448,9 +452,9 @@ func (s *Session[T]) takeUp(e deferred[T], m []uint64) {
 		}
 	}
 	if left != 0 {
-		s.hold(c, rest, key, e.kind)
+		s.hold(kind, c, rest, key)
 	}
-	if e.kind != deferFar && took != 0 {
+	if kind != deferFar && took != 0 {
 		s.wakeAt(c, take)
 	}
 }
@@ -459,8 +463,8 @@ func (s *Session[T]) takeUp(e deferred[T], m []uint64) {
 // frontier the read leaves, and marks its subtree decided for its probes
 // as the prune that recorded it did: still outside, it must not be reached
 // through another parent.
-func (s *Session[T]) hold(c *Node[T], m []uint64, key float64, kind uint8) {
-	s.postpone(c, m, key, kind)
+func (s *Session[T]) hold(kind int, c *Node[T], m []uint64, key float64) {
+	s.postpone(kind, c, m, key)
 	if kind != deferFar && c != s.t.root {
 		s.markSubtree(c, m, 0)
 	}
@@ -468,9 +472,9 @@ func (s *Session[T]) hold(c *Node[T], m []uint64, key float64, kind uint8) {
 
 // postpone records a frontier entry for the probes in m at c (Range reads
 // only).
-func (s *Session[T]) postpone(c *Node[T], m []uint64, key float64, kind uint8) {
-	s.front = append(s.front, deferred[T]{c, key, kind})
-	s.fmask = append(s.fmask, m...)
+func (s *Session[T]) postpone(kind int, c *Node[T], m []uint64, key float64) {
+	s.front[kind] = append(s.front[kind], deferred[T]{c, key})
+	s.fmask[kind] = append(s.fmask[kind], m...)
 }
 
 // drain pops frames until the stack is empty — in the MinDist read, also
@@ -587,7 +591,7 @@ func (s *Session[T]) test(c, e *Node[T], ed float64, active []uint64) {
 	if pruned != 0 {
 		s.markSubtree(c, prune, 0)
 		if s.out != nil {
-			s.postpone(c, prune, key, deferLo)
+			s.postpone(deferLo, c, prune, key)
 		}
 	}
 	if collected != 0 {
@@ -674,14 +678,14 @@ func (s *Session[T]) visit(c *Node[T], pend []uint64) {
 			s.markSubtree(c, prune, 0)
 		}
 		if s.out != nil {
-			s.postpone(c, prune, pruneKey, deferDist)
+			s.postpone(deferDist, c, prune, pruneKey)
 		}
 	}
 	if collected != 0 {
 		s.collect(c, coll, 0)
 	}
 	if farOff != 0 && s.out != nil {
-		s.postpone(c, far, farKey, deferFar)
+		s.postpone(deferFar, c, far, farKey)
 	}
 	if left != 0 && len(c.children) > 0 {
 		s.stack = append(s.stack, c)
