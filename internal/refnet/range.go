@@ -84,8 +84,8 @@ import (
 // for any larger radius, their results kept and extended) or whose children
 // it walked — together the kept mask — and a deferred frontier. Every rule
 // that settles probes outside records a frontier entry: the node, the
-// probes, and per probe a key, a lower bound on the distance from the probe
-// to what the entry holds back — rule 1 lo − ρ; rule 3 the value the
+// probes, and per probe a key, a lower bound on the probe's distance to the
+// node — rule 1 lo (tested as lo − ρ against ε); rule 3 the value the
 // evaluator returned, exact or a proof (tested against ε + ρ) — and a node
 // whose children were walked while its own dc > ε records dc, to report
 // itself. A later Range at a radius no smaller starts with decided = kept
@@ -106,14 +106,14 @@ import (
 // node-major table of P distances per node, which holds a deferred probe's
 // frontier key where no distance is recorded (an exact distance is the best
 // key there is). A frame of the walk is a node and the mask of probes still
-// inconclusive there, whose distances are in the table. So a child is tested against the probes not
-// yet decided for it with a few word operations, a parent's bounds reach
-// only the probes it has a distance for, and one walk of a subtree marks or
-// collects every probe a rule settled at its top. In a walk from the root
-// every probe still meets the bounds, the rules and the evaluator calls it
-// would meet alone, in the same order. The tables live in the session,
-// which the net pools, so steady-state queries allocate only their result
-// slices.
+// inconclusive there, whose distances are in the table. So a child is tested
+// against the probes not yet decided for it with a few word operations, a
+// parent's bounds reach only the probes it has a distance for, and one walk
+// of a subtree marks or collects every probe a rule settled at its top. In
+// a walk from the root every probe still meets the bounds, the rules and
+// the evaluator calls it would meet alone, in the same order. The tables
+// live in the session, which the net pools, so steady-state queries
+// allocate only their result slices.
 
 // Range returns every item within eps of q (inclusive): a session of one
 // probe, opened, read once and closed.
@@ -125,8 +125,8 @@ func (t *Net[T]) Range(q T, eps float64) []T {
 
 // Session is a probe set held open on the net for as many reads as one
 // query needs. Its bookkeeping is per node over all its probes: decided,
-// computed and kept bitmasks, one bit per probe, and a row each of the
-// distance and key tables. A (probe, node) distance recorded under its computed bit stays for
+// computed and kept bitmasks, one bit per probe, and a row of the distance
+// table. A (probe, node) distance recorded under its computed bit stays for
 // the life of the session, is read back instead of evaluated when a later
 // read reaches the pair again, and tightens that read's triangle bounds (a
 // proof — a value an inexact evaluator returned over the bound — is not
