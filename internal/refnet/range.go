@@ -292,9 +292,10 @@ func (s *Session[T]) Close() {
 
 // Range is the traversal read as a range query: result i holds the items
 // within eps of probe i (rules 1–4). When the last read was a Range at a
-// radius no larger, this one continues it: result i holds that read's items
-// for probe i followed by the ones eps adds. The lists are the caller's; a
-// later read does not write to them.
+// radius no larger, this one continues it: it extends that read's lists in
+// place, result i holding the earlier items for probe i followed by the
+// ones eps adds — so a caller that keeps a read's lists across the next
+// read copies them first.
 func (s *Session[T]) Range(eps float64) [][]T {
 	if s.ranged && eps >= s.eps {
 		s.resume(eps)
@@ -367,11 +368,6 @@ func (s *Session[T]) walk(eps float64, out [][]T) {
 // along every edge, so when a level is taken up nothing can reach it any
 // more.)
 func (s *Session[T]) resume(eps float64) {
-	prev := s.out
-	s.out = make([][]T, s.n)
-	for i, l := range prev {
-		s.out[i] = l[:len(l):len(l)]
-	}
 	s.eps = eps
 	if s.t.root == nil {
 		return
