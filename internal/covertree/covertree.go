@@ -161,12 +161,28 @@ func (t *Tree[T]) Range(q T, eps float64) []T {
 // RangeFunc streams every item within eps of q to yield. The traversal uses
 // the same four pruning rules as the reference net: stored parent-child
 // distances give zero-computation subtree inclusion/exclusion bounds, and
-// computed node distances give the exact subtree rules.
+// computed node distances give the exact subtree rules. As there, a bound
+// settles an item only once it clears eps by a rounding allowance: none
+// while every distance met is an integer, else 2⁻³² of the largest in play
+// (bounds built from rounded sums can pass the distance they bound by an
+// ulp).
 func (t *Tree[T]) RangeFunc(q T, eps float64, yield func(T)) {
 	if t.root == nil {
 		return
 	}
+	whole, scale := true, 0.0
+	note := func(d float64) {
+		scale = max(scale, d)
+		whole = whole && d == math.Trunc(d)
+	}
+	slack := func() float64 {
+		if whole {
+			return 0
+		}
+		return (scale + math.Abs(eps)) * 0x1p-32
+	}
 	d := t.dist(q, t.root.item)
+	note(d)
 	if d <= eps {
 		yield(t.root.item)
 	}
@@ -181,22 +197,23 @@ func (t *Tree[T]) RangeFunc(q T, eps float64, yield func(T)) {
 		for _, ce := range e.n.children {
 			c := ce.n
 			rho := c.rho
-			lo := e.d - ce.d
-			if lo < 0 {
-				lo = -lo
-			}
-			if lo-rho > eps {
+			note(ce.d)
+			note(rho)
+			a := slack()
+			if lo := math.Abs(e.d - ce.d); lo-rho > eps+a {
 				continue // whole subtree provably outside
 			}
-			if e.d+ce.d+rho <= eps {
+			if e.d+ce.d+rho+a <= eps {
 				collect(c, yield) // whole subtree provably inside
 				continue
 			}
 			dc := t.dist(q, c.item)
-			if dc-rho > eps {
+			note(dc)
+			a = slack()
+			if dc-rho > eps+a {
 				continue
 			}
-			if dc+rho <= eps {
+			if dc+rho+a <= eps {
 				collect(c, yield)
 				continue
 			}

@@ -14,6 +14,7 @@ package refindex
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"repro/internal/metric"
@@ -36,6 +37,10 @@ type Index[T any] struct {
 	// table[i][j] = dist(items[i], refs[j]), laid out row-major.
 	table []float64
 	k     int
+	// frac is set once a fractional distance entered the table, and scale
+	// bounds the table: what a query's rounding allowance needs (Range).
+	frac  bool
+	scale float64
 }
 
 // Options configures reference selection.
@@ -93,6 +98,7 @@ func Build[T any](items []T, k int, dist metric.DistFunc[T], opts Options) (*Ind
 		row := idx.table[i*k : (i+1)*k]
 		for j, r := range refs {
 			row[j] = dist(it, r)
+			idx.note(row[j])
 		}
 	}
 	return idx, nil
@@ -156,6 +162,7 @@ func (x *Index[T]) Insert(item T) {
 	x.items = append(x.items, item)
 	for _, r := range x.refs {
 		x.table = append(x.table, x.dist(item, r))
+		x.note(x.table[len(x.table)-1])
 	}
 }
 
@@ -193,6 +200,12 @@ func (x *Index[T]) References() []T { return x.refs }
 // index's dominant space cost (8 bytes per entry).
 func (x *Index[T]) TableBytes() int64 { return int64(len(x.table)) * 8 }
 
+// note records a distance entering the table.
+func (x *Index[T]) note(d float64) {
+	x.scale = max(x.scale, d)
+	x.frac = x.frac || d != math.Trunc(d)
+}
+
 // Range returns every item within eps of q (inclusive). It computes k
 // reference distances, then for each item derives
 //
@@ -200,7 +213,11 @@ func (x *Index[T]) TableBytes() int64 { return int64(len(x.table)) * 8 }
 //	upper = min_j (d(q,ref_j) + table[i][j])
 //
 // pruning when lower > eps, certifying when upper ≤ eps, and computing the
-// true distance only otherwise.
+// true distance only otherwise. The bounds are built from rounded sums and
+// can pass the distance they bound by an ulp, so each must clear eps by a
+// rounding allowance: none while the table and the query's reference
+// distances are all integers, whose sums and differences are exact, else
+// 2⁻³² of the largest magnitude in play.
 func (x *Index[T]) Range(q T, eps float64) []T {
 	var out []T
 	x.RangeFunc(q, eps, func(item T) { out = append(out, item) })
@@ -210,8 +227,15 @@ func (x *Index[T]) Range(q T, eps float64) []T {
 // RangeFunc streams every item within eps of q to yield.
 func (x *Index[T]) RangeFunc(q T, eps float64, yield func(T)) {
 	qd := make([]float64, x.k)
+	frac, scale := x.frac, x.scale+math.Abs(eps)
 	for j, r := range x.refs {
 		qd[j] = x.dist(q, r)
+		frac = frac || qd[j] != math.Trunc(qd[j])
+		scale = max(scale, qd[j]+x.scale+math.Abs(eps))
+	}
+	var a float64
+	if frac {
+		a = scale * 0x1p-32
 	}
 	for i, it := range x.items {
 		row := x.table[i*x.k : (i+1)*x.k]
@@ -228,10 +252,10 @@ func (x *Index[T]) RangeFunc(q T, eps float64, yield func(T)) {
 				upper = hi
 			}
 		}
-		if lower > eps {
+		if lower > eps+a {
 			continue
 		}
-		if upper <= eps {
+		if upper+a <= eps {
 			yield(it)
 			continue
 		}

@@ -44,6 +44,15 @@ import (
 // whatever their level) has ρ = 0 and is settled by its own distance alone
 // — but the answer never depends on it.
 //
+// The distances are floating-point sums, so a bound computed from them can
+// pass the computed distance it bounds by an ulp or two: rule 1 or 3 would
+// prune a pair at exactly ε, rule 2 collect one an ulp over it. So each rule
+// clears ε by a rounding allowance before it settles a probe (slack): none
+// while every distance the session has met is an integer, whose sums and
+// differences are exact, so integer measures prune exactly as written, and
+// otherwise 2⁻³² of the largest magnitude in play. A probe's own distance is
+// tested against ε as it is.
+//
 // Multi-parent sharing means a node can be reached along several paths;
 // the decided mask guarantees each node's membership is settled exactly
 // once per probe.
@@ -195,6 +204,12 @@ type Session[T any] struct {
 	// MinDist read).
 	eps, best float64
 	out       [][]T
+	// whole is set while every distance the session has met — the radii
+	// and stored edges of the nodes it tested and the probe distances it
+	// recorded — is an integer, and scale bounds them all: what slack
+	// needs.
+	whole bool
+	scale float64
 }
 
 // deferred is a frontier entry: node n was settled for the probes in its
@@ -219,17 +234,34 @@ const (
 	deferKinds
 )
 
-// reached reports whether radius eps reaches key k at node n under the rule
-// of kind, tested in the form the rule itself tests — so an entry is passed
-// over exactly while its rule would still settle the probe.
-func reached[T any](kind int, n *Node[T], k, eps float64) bool {
+// reached reports whether the read's radius reaches key k at node n under
+// the rule of kind, tested in the form the rule itself tests — so an entry
+// is passed over exactly while its rule would still settle the probe.
+func (s *Session[T]) reached(kind int, n *Node[T], k float64) bool {
 	switch kind {
 	case deferLo:
-		return !(k-n.rho > eps)
+		return !(k-n.rho > s.eps+s.slack())
 	case deferDist:
-		return !(k > eps+n.rho)
+		return !(k > s.eps+n.rho+s.slack())
 	}
-	return !(k > eps)
+	return !(k > s.eps)
+}
+
+// note records a distance the session's rules are about to build on.
+func (s *Session[T]) note(d float64) {
+	s.scale = max(s.scale, d)
+	s.whole = s.whole && d == math.Trunc(d)
+}
+
+// slack is the rounding allowance a rule's bound must clear before it
+// settles a probe without its distance: none while every distance met is an
+// integer, else 2⁻³² of the largest magnitude in play — some 10⁴ times the
+// rounding a distance summed over a thousand terms can carry.
+func (s *Session[T]) slack() float64 {
+	if s.whole {
+		return 0
+	}
+	return (s.scale + math.Abs(s.eps)) * 0x1p-32
 }
 
 // OpenSession opens a session over the probes qs. At every node, all probes
@@ -252,6 +284,7 @@ func (t *Net[T]) OpenSession(qs []T, ev metric.BatchEvaluator[T]) *Session[T] {
 		ev = &s.defEval
 	}
 	s.t, s.ev, s.exact, s.memo, s.ranged = t, ev, ev.Exact(), false, false
+	s.whole, s.scale = true, 0
 	n, w, ids := len(qs), (len(qs)+63)/64, int(t.nextID)
 	s.n, s.words = n, w
 	s.decided = sized(s.decided, ids*w)
@@ -384,7 +417,7 @@ func (s *Session[T]) resume(eps float64) {
 		s.front[kind], s.fmask[kind] = front[:0], fmask[:0]
 		for k, e := range front {
 			m := fmask[k*w:][:w]
-			if reached(kind, e.n, e.key, eps) {
+			if s.reached(kind, e.n, e.key) {
 				s.takeUp(kind, e.n, m)
 			} else {
 				s.hold(kind, e.n, m, e.key)
@@ -434,7 +467,7 @@ func (s *Session[T]) takeUp(kind int, c *Node[T], m []uint64) {
 		for ; x != 0; x &= x - 1 {
 			b := x & -x
 			qi := i<<6 | bits.TrailingZeros64(x)
-			if k := keys[qi]; reached(kind, c, k, s.eps) {
+			if k := keys[qi]; s.reached(kind, c, k) {
 				take[i] |= b
 				took |= b
 				if kind == deferFar {
@@ -514,9 +547,11 @@ func (s *Session[T]) test(c, e *Node[T], ed float64, active []uint64) {
 	}
 	rho, eps := c.rho, s.eps
 	los, his := s.lo, s.hi
+	s.note(rho)
 	var from []float64
 	if e != nil {
 		from = s.row(e.id)
+		s.note(ed)
 	}
 	// A pair priced by an earlier read of this session needs no bounds: its
 	// distance is read back in phase 2.
@@ -549,6 +584,7 @@ func (s *Session[T]) test(c, e *Node[T], ed float64, active []uint64) {
 		if pe.n == e {
 			continue
 		}
+		s.note(pe.d)
 		pc, pd := s.mask(s.computed, pe.n.id), s.row(pe.n.id)
 		for i := range need {
 			for m := need[i] & pc[i]; m != 0; m &= m - 1 {
@@ -565,16 +601,17 @@ func (s *Session[T]) test(c, e *Node[T], ed float64, active []uint64) {
 	}
 	var pruned, collected uint64
 	key, keys := math.Inf(1), s.row(c.id)
+	a := s.slack()
 	for i := range need {
 		prune[i], coll[i] = 0, 0
 		for m := need[i]; m != 0; m &= m - 1 {
 			b := m & -m
 			qi := i<<6 | bits.TrailingZeros64(m)
-			if lo := los[qi]; lo-rho > eps {
+			if lo := los[qi]; lo-rho > eps+a {
 				prune[i] |= b
 				keys[qi] = lo
 				key = min(key, lo)
-			} else if s.out != nil && his[qi]+rho <= eps {
+			} else if s.out != nil && his[qi]+rho+a <= eps {
 				coll[i] |= b
 			} else {
 				pend[i] |= b
@@ -610,7 +647,11 @@ func (s *Session[T]) visit(c *Node[T], pend []uint64) {
 		}
 	}
 	t, rho, w := s.t, c.rho, s.words
-	bound := s.eps + rho
+	s.note(rho)
+	// a is this visit's allowance, fixed before pricing: the bound is the
+	// threshold rule 3 prunes at, and what the evaluator abandons over.
+	a := s.slack()
+	bound := s.eps + rho + a
 	dists := s.price(c, pending, bound)
 	comp, dec, row := s.mask(s.computed, c.id), s.mask(s.decided, c.id), s.row(c.id)
 	kept := s.mask(s.kept, c.id)
@@ -633,12 +674,13 @@ func (s *Session[T]) visit(c *Node[T], pend []uint64) {
 			// never evaluated again in this session — also when it prunes.
 			comp[i] |= b
 			row[qi] = dc
+			s.note(dc)
 		}
 		if s.out == nil && dc <= s.eps {
 			s.best, s.eps = dc, math.Nextafter(dc, math.Inf(-1))
 		}
-		if dc > s.eps+rho {
-			// δ(q,c) > ε + ρ: the subtree is outside. (An abandoned value
+		if dc > s.eps+rho+a {
+			// δ(q,c) > ε + ρ (+ a): the subtree is outside. (An abandoned value
 			// is a proof, not a distance — but never more than the distance,
 			// so it keys the frontier as well as one.)
 			prune[i] |= b
@@ -647,10 +689,10 @@ func (s *Session[T]) visit(c *Node[T], pend []uint64) {
 			pruneKey = min(pruneKey, dc)
 			continue
 		}
-		// From here on dc ≤ ε + ρ. In the MinDist read the bound has just
-		// dropped below dc, so neither of the two dc ≤ ε rules below fires
-		// and out is never touched.
-		if dc+rho <= s.eps {
+		// From here on dc ≤ ε + ρ + a, so dc is exact. In the MinDist read
+		// the bound has just dropped below dc, so neither of the two rules
+		// below that report fires and out is never touched.
+		if dc+rho+a <= s.eps {
 			coll[i] |= b
 			collected |= b
 			continue
