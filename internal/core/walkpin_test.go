@@ -34,7 +34,7 @@ func TestSessionWalkPinned(t *testing.T) {
 	})
 	t.Run("traj/erp", func(t *testing.T) {
 		runWalkPin(t, dist.ERPMeasure(dist.Point2Dist, seq.Point2{}), p, data.Trajectories(500, 20, 1), 0.02, data.MutatePoint, walkPin{
-			sum:   "836cf9f02ad20d083ee6c24ecdebc466f961be5e2b3092b589f192bb9c934c81",
+			sum:   "26ac415fd9bdbb878f4a05d88f44b78654056ae8d1020579bb9f2f90a18f1c6f",
 			calls: 15137,
 		})
 	})
