@@ -296,34 +296,6 @@ func TestFindAllResultsAreValid(t *testing.T) {
 	}
 }
 
-func TestAllBackendsAgreeOnFindAll(t *testing.T) {
-	p := Params{Lambda: 6, Lambda0: 1}
-	lev := dist.LevenshteinMeasure[byte]()
-	rng := rand.New(rand.NewPCG(2, 600))
-	db, q := randStrings(rng, 2, 36, 20, 8, true)
-	const eps = 1.5
-	var ref []Match
-	for i, kind := range []IndexKind{IndexRefNet, IndexCoverTree, IndexMV, IndexLinearScan} {
-		mt, err := NewMatcher(lev, Config{Params: p, Index: kind, MVRefs: 3}, db)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		got := mt.FindAll(q, eps)
-		if i == 0 {
-			ref = got
-			continue
-		}
-		if len(got) != len(ref) {
-			t.Fatalf("%v returned %d matches, refnet returned %d", kind, len(got), len(ref))
-		}
-		for j := range got {
-			if got[j] != ref[j] {
-				t.Fatalf("%v result %d = %v, refnet = %v", kind, j, got[j], ref[j])
-			}
-		}
-	}
-}
-
 func TestLongestFindsPlantedLongMatch(t *testing.T) {
 	p := Params{Lambda: 6, Lambda0: 1}
 	lev := dist.LevenshteinMeasure[byte]()
