@@ -23,82 +23,50 @@ func batchQueries(rng *rand.Rand, numQ int) ([]seq.Sequence[byte], []seq.Sequenc
 	return db, qs
 }
 
-// The *Batch methods must return exactly the single-query results at
-// exactly the single-query cost — the same counted filter plus verify
-// distance evaluations — on every index backend.
-func TestBatchMatchesSequentialAllBackends(t *testing.T) {
+// The *Batch methods cost exactly what the single-query methods cost — the
+// same counted filter plus verify distance evaluations — on every index
+// backend (DESIGN.md §4). Their answers are held to the oracle
+// (internal/store TestProgramsMatchOracle, path "batch").
+func TestBatchCostEqualsSequentialAllBackends(t *testing.T) {
 	p := Params{Lambda: 6, Lambda0: 1}
 	lev := dist.LevenshteinMeasure[byte]()
 	rng := rand.New(rand.NewPCG(8, 800))
 	db, qs := batchQueries(rng, 5)
 	const eps = 0.5
-	for _, kind := range []IndexKind{IndexRefNet, IndexCoverTree, IndexMV, IndexLinearScan} {
+	for _, kind := range allBackends {
 		mt, err := NewMatcher(lev, Config{Params: p, Index: kind, MVRefs: 3}, db)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		// sameCost runs the batch call, then the single-query loop, and
-		// fails unless both counted the same number of evaluations.
 		calls := func() int64 { return mt.FilterDistanceCalls() + mt.VerifyDistanceCalls() }
-		sameCost := func(name string, batch, single func()) {
-			t.Helper()
+		for _, c := range []struct {
+			name          string
+			batch, single func()
+		}{
+			{"FilterHits", func() { mt.FilterHitsBatch(qs, eps) }, func() {
+				for _, q := range qs {
+					mt.FilterHits(q, eps)
+				}
+			}},
+			{"FindAll", func() { mt.FindAllBatch(qs, eps) }, func() {
+				for _, q := range qs {
+					mt.FindAll(q, eps)
+				}
+			}},
+			{"Longest", func() { mt.LongestBatch(qs, eps) }, func() {
+				for _, q := range qs {
+					mt.Longest(q, eps)
+				}
+			}},
+		} {
 			c0 := calls()
-			batch()
+			c.batch()
 			c1 := calls()
-			single()
+			c.single()
 			if b, s := c1-c0, calls()-c1; b != s {
-				t.Fatalf("%v %s: batch counted %d evaluations, one at a time %d", kind, name, b, s)
+				t.Fatalf("%v %s: batch counted %d evaluations, one at a time %d", kind, c.name, b, s)
 			}
 		}
-		// FilterHitsBatch vs FilterHits.
-		var hitsBatch, hitsSeq [][]Hit[byte]
-		sameCost("FilterHits", func() { hitsBatch = mt.FilterHitsBatch(qs, eps) }, func() {
-			for _, q := range qs {
-				hitsSeq = append(hitsSeq, mt.FilterHits(q, eps))
-			}
-		})
-		for i := range qs {
-			want := hitsSeq[i]
-			if len(hitsBatch[i]) != len(want) {
-				t.Fatalf("%v query %d: batch %d hits, sequential %d", kind, i, len(hitsBatch[i]), len(want))
-			}
-			for j := range want {
-				if hitsBatch[i][j].Window.String() != want[j].Window.String() ||
-					hitsBatch[i][j].Segment.String() != want[j].Segment.String() {
-					t.Fatalf("%v query %d hit %d: batch %v/%v, sequential %v/%v", kind, i, j,
-						hitsBatch[i][j].Window, hitsBatch[i][j].Segment, want[j].Window, want[j].Segment)
-				}
-			}
-		}
-		// FindAllBatch vs FindAll.
-		var allBatch, allSeq [][]Match
-		sameCost("FindAll", func() { allBatch = mt.FindAllBatch(qs, eps) }, func() {
-			for _, q := range qs {
-				allSeq = append(allSeq, mt.FindAll(q, eps))
-			}
-		})
-		for i := range qs {
-			want := allSeq[i]
-			if len(allBatch[i]) != len(want) {
-				t.Fatalf("%v query %d: FindAllBatch %d matches, FindAll %d", kind, i, len(allBatch[i]), len(want))
-			}
-			for j := range want {
-				if allBatch[i][j] != want[j] {
-					t.Fatalf("%v query %d match %d: batch %v, sequential %v", kind, i, j, allBatch[i][j], want[j])
-				}
-			}
-		}
-		// LongestBatch vs Longest.
-		var longBatch []Match
-		var foundBatch []bool
-		sameCost("Longest", func() { longBatch, foundBatch = mt.LongestBatch(qs, eps) }, func() {
-			for i, q := range qs {
-				want, ok := mt.Longest(q, eps)
-				if foundBatch[i] != ok || (ok && longBatch[i] != want) {
-					t.Fatalf("%v query %d: LongestBatch (%v,%v), Longest (%v,%v)", kind, i, longBatch[i], foundBatch[i], want, ok)
-				}
-			}
-		})
 	}
 }
 
