@@ -70,67 +70,6 @@ func TestBatchCostEqualsSequentialAllBackends(t *testing.T) {
 	}
 }
 
-// The pool's barrier methods must return the single-query results for
-// every query type, at several worker counts (more workers than queries
-// included).
-func TestQueryPoolMatchesSequential(t *testing.T) {
-	p := Params{Lambda: 6, Lambda0: 1}
-	lev := dist.LevenshteinMeasure[byte]()
-	rng := rand.New(rand.NewPCG(9, 900))
-	db, qs := batchQueries(rng, 9)
-	const eps = 0.5
-	mt, err := NewMatcher(lev, Config{Params: p}, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAll := mt.FindAllBatch(qs, eps)
-	wantLong, wantFound := mt.LongestBatch(qs, eps)
-	wantHits := make([][]Hit[byte], len(qs))
-	for i, q := range qs {
-		wantHits[i] = mt.FilterHits(q, eps)
-	}
-	nopts := NearestOptions{EpsMax: 4, EpsInc: 0.5}
-	wantNear := make([]Match, len(qs))
-	wantNearOK := make([]bool, len(qs))
-	for i, q := range qs {
-		wantNear[i], wantNearOK[i] = mt.Nearest(q, nopts)
-	}
-	for _, workers := range []int{1, 2, 5, 16} {
-		pool := NewQueryPool(mt, workers)
-		gotAll := pool.FindAll(qs, eps)
-		gotLong, gotFound := pool.Longest(qs, eps)
-		gotNear, gotNearOK := pool.Nearest(qs, nopts)
-		gotHits := pool.FilterHits(qs, eps)
-		for i := range qs {
-			if len(gotHits[i]) != len(wantHits[i]) {
-				t.Fatalf("workers=%d query %d: pool FilterHits %d hits, want %d", workers, i, len(gotHits[i]), len(wantHits[i]))
-			}
-			for j := range wantHits[i] {
-				if gotHits[i][j].Window.SeqID != wantHits[i][j].Window.SeqID ||
-					gotHits[i][j].Window.Start != wantHits[i][j].Window.Start ||
-					gotHits[i][j].Segment.Start != wantHits[i][j].Segment.Start ||
-					gotHits[i][j].Segment.End() != wantHits[i][j].Segment.End() {
-					t.Fatalf("workers=%d query %d hit %d: pool %v, want %v", workers, i, j, gotHits[i][j], wantHits[i][j])
-				}
-			}
-			if len(gotAll[i]) != len(wantAll[i]) {
-				t.Fatalf("workers=%d query %d: pool FindAll %d matches, want %d", workers, i, len(gotAll[i]), len(wantAll[i]))
-			}
-			for j := range wantAll[i] {
-				if gotAll[i][j] != wantAll[i][j] {
-					t.Fatalf("workers=%d query %d match %d: pool %v, want %v", workers, i, j, gotAll[i][j], wantAll[i][j])
-				}
-			}
-			if gotFound[i] != wantFound[i] || (wantFound[i] && gotLong[i] != wantLong[i]) {
-				t.Fatalf("workers=%d query %d: pool Longest (%v,%v), want (%v,%v)", workers, i, gotLong[i], gotFound[i], wantLong[i], wantFound[i])
-			}
-			if gotNearOK[i] != wantNearOK[i] || (wantNearOK[i] && gotNear[i] != wantNear[i]) {
-				t.Fatalf("workers=%d query %d: pool Nearest (%v,%v), want (%v,%v)", workers, i, gotNear[i], gotNearOK[i], wantNear[i], wantNearOK[i])
-			}
-		}
-	}
-}
-
 // Drive one matcher from many goroutines (direct queries and pools mixed)
 // so `go test -race ./internal/core/` exercises the pooled scratch, the
 // pooled refnet query state and the atomic counters under contention.
