@@ -12,88 +12,6 @@ import (
 	"repro/internal/dist"
 )
 
-// The streaming submit path must return results bit-identical to the
-// sequential per-query path and the barrier path, on every index
-// backend, for all four query types — the serving daemon's answers are
-// exactly the library's.
-func TestStreamMatchesSequentialAllBackends(t *testing.T) {
-	p := Params{Lambda: 6, Lambda0: 1}
-	lev := dist.LevenshteinMeasure[byte]()
-	rng := rand.New(rand.NewPCG(31, 3100))
-	db, qs := batchQueries(rng, 7)
-	const eps = 0.5
-	nopts := NearestOptions{EpsMax: 4, EpsInc: 0.5}
-	ctx := context.Background()
-	for _, kind := range []IndexKind{IndexRefNet, IndexCoverTree, IndexMV, IndexLinearScan} {
-		mt, err := NewMatcher(lev, Config{Params: p, Index: kind, MVRefs: 3}, db)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		wantHits := mt.FilterHitsBatch(qs, eps)
-		wantAll := mt.FindAllBatch(qs, eps)
-		wantLong, wantLongOK := mt.LongestBatch(qs, eps)
-		wantNear := make([]Match, len(qs))
-		wantNearOK := make([]bool, len(qs))
-		for i, q := range qs {
-			wantNear[i], wantNearOK[i] = mt.Nearest(q, nopts)
-		}
-		pool := NewQueryPool(mt, 3)
-		hitFuts := make([]*Future[[]Hit[byte]], len(qs))
-		allFuts := make([]*Future[[]Match], len(qs))
-		fLong := make([]*Future[QueryResult], len(qs))
-		fNear := make([]*Future[QueryResult], len(qs))
-		for i, q := range qs {
-			hitFuts[i] = pool.SubmitFilter(ctx, q, eps)
-			allFuts[i] = pool.Submit(ctx, q, eps)
-			fLong[i] = pool.SubmitLongest(ctx, q, eps)
-			fNear[i] = pool.SubmitNearest(ctx, q, nopts)
-		}
-		for i := range qs {
-			hits, err := hitFuts[i].Await(ctx)
-			if err != nil {
-				t.Fatalf("%v query %d: SubmitFilter: %v", kind, i, err)
-			}
-			if len(hits) != len(wantHits[i]) {
-				t.Fatalf("%v query %d: stream %d hits, batch %d", kind, i, len(hits), len(wantHits[i]))
-			}
-			for j := range hits {
-				if hits[j].Window.String() != wantHits[i][j].Window.String() ||
-					hits[j].Segment.String() != wantHits[i][j].Segment.String() {
-					t.Fatalf("%v query %d hit %d: stream %v/%v, batch %v/%v", kind, i, j,
-						hits[j].Window, hits[j].Segment, wantHits[i][j].Window, wantHits[i][j].Segment)
-				}
-			}
-			ms, err := allFuts[i].Await(ctx)
-			if err != nil {
-				t.Fatalf("%v query %d: Submit: %v", kind, i, err)
-			}
-			if len(ms) != len(wantAll[i]) {
-				t.Fatalf("%v query %d: stream %d matches, batch %d", kind, i, len(ms), len(wantAll[i]))
-			}
-			for j := range ms {
-				if ms[j] != wantAll[i][j] {
-					t.Fatalf("%v query %d match %d: stream %v, batch %v", kind, i, j, ms[j], wantAll[i][j])
-				}
-			}
-			lr, err := fLong[i].Await(ctx)
-			if err != nil {
-				t.Fatalf("%v query %d: SubmitLongest: %v", kind, i, err)
-			}
-			if lr.Found != wantLongOK[i] || (lr.Found && lr.Match != wantLong[i]) {
-				t.Fatalf("%v query %d: stream Longest (%v,%v), batch (%v,%v)", kind, i, lr.Match, lr.Found, wantLong[i], wantLongOK[i])
-			}
-			nr, err := fNear[i].Await(ctx)
-			if err != nil {
-				t.Fatalf("%v query %d: SubmitNearest: %v", kind, i, err)
-			}
-			if nr.Found != wantNearOK[i] || (nr.Found && nr.Match != wantNear[i]) {
-				t.Fatalf("%v query %d: stream Nearest (%v,%v), sequential (%v,%v)", kind, i, nr.Match, nr.Found, wantNear[i], wantNearOK[i])
-			}
-		}
-		pool.Close()
-	}
-}
-
 // Future semantics: Await honours its own context but a completed future
 // always reports its result, and Done unblocks selects.
 func TestFutureAwait(t *testing.T) {
