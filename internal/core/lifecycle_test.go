@@ -59,59 +59,6 @@ func sortMatches(ms []Match) {
 	})
 }
 
-// TestAppendEqualsRebuildAllBackends is the tentpole equivalence proof:
-// on every backend, a matcher grown by AppendSequence answers queries
-// bit-identically to one built from scratch over the extended database.
-func TestAppendEqualsRebuildAllBackends(t *testing.T) {
-	p := Params{Lambda: 6, Lambda0: 1}
-	lev := dist.LevenshteinMeasure[byte]()
-	rng := rand.New(rand.NewPCG(11, 1100))
-	db, _ := randStrings(rng, 3, 48, 0, 0, false)
-	extra, _ := randStrings(rng, 3, 40, 0, 0, false)
-	extra = append(extra, seq.Sequence[byte]("AB")) // too short for a window
-	queries := make([]seq.Sequence[byte], 6)
-	for i := range queries {
-		_, queries[i] = randStrings(rng, 1, 10, 14, 7, i%2 == 0)
-	}
-	const eps = 1.0
-	for _, kind := range allBackends {
-		cfg := Config{Params: p, Index: kind, MVRefs: 3}
-		grown, err := NewMatcher(lev, cfg, append([]seq.Sequence[byte](nil), db...))
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		full := append(append([]seq.Sequence[byte](nil), db...), extra...)
-		for i, x := range extra {
-			id, added, err := grown.AppendSequence(x)
-			if err != nil {
-				t.Fatalf("%v: append %d: %v", kind, i, err)
-			}
-			if id != len(db)+i {
-				t.Fatalf("%v: append %d: seqID %d, want %d", kind, i, id, len(db)+i)
-			}
-			if wantWins := len(x) / p.WindowLen(); added != wantWins {
-				t.Fatalf("%v: append %d: %d windows, want %d", kind, i, added, wantWins)
-			}
-		}
-		rebuilt, err := NewMatcher(lev, cfg, full)
-		if err != nil {
-			t.Fatalf("%v rebuild: %v", kind, err)
-		}
-		if grown.NumWindows() != rebuilt.NumWindows() {
-			t.Fatalf("%v: %d windows after append, rebuild has %d", kind, grown.NumWindows(), rebuilt.NumWindows())
-		}
-		for qi, q := range queries {
-			sameHits(t, kind.String()+" filter", grown.FilterHits(q, eps), rebuilt.FilterHits(q, eps))
-			sameMatches(t, kind.String()+" findall", grown.FindAll(q, eps), rebuilt.FindAll(q, eps))
-			gm, gok := grown.Longest(q, eps)
-			rm, rok := rebuilt.Longest(q, eps)
-			if gok != rok || gm != rm {
-				t.Fatalf("%v query %d: Longest %v/%v, want %v/%v", kind, qi, gm, gok, rm, rok)
-			}
-		}
-	}
-}
-
 // TestRetireEqualsRebuild: after retiring a sequence, every backend that
 // supports deletion answers with the same match set as a matcher built
 // without that sequence. (The refnet's delete re-homes orphans, so its
