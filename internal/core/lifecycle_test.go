@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -59,58 +60,22 @@ func sortMatches(ms []Match) {
 	})
 }
 
-// TestRetireEqualsRebuild: after retiring a sequence, every backend that
-// supports deletion answers with the same match set as a matcher built
-// without that sequence. (The refnet's delete re-homes orphans, so its
-// traversal order may differ from a fresh build — the comparison is
-// order-insensitive, unlike the append test.)
-func TestRetireEqualsRebuild(t *testing.T) {
+// Retiring a sequence twice, or one that does not exist, is an error on
+// every backend that retires. What a retire does to the answers is held to
+// the oracle (internal/store TestProgramsMatchOracle).
+func TestRetireRefusesRetiredAndUnknown(t *testing.T) {
 	p := Params{Lambda: 6, Lambda0: 1}
-	lev := dist.LevenshteinMeasure[byte]()
 	rng := rand.New(rand.NewPCG(13, 1300))
 	db, _ := randStrings(rng, 4, 48, 0, 0, false)
-	queries := make([]seq.Sequence[byte], 5)
-	for i := range queries {
-		_, queries[i] = randStrings(rng, 1, 10, 14, 7, true)
-	}
-	const eps = 1.0
 	const victim = 1
 	for _, kind := range []IndexKind{IndexRefNet, IndexMV, IndexLinearScan} {
-		cfg := Config{Params: p, Index: kind, MVRefs: 3}
-		mt, err := NewMatcher(lev, cfg, append([]seq.Sequence[byte](nil), db...))
+		mt, err := NewMatcher(dist.LevenshteinMeasure[byte](), Config{Params: p, Index: kind, MVRefs: 3}, slices.Clone(db))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		removed, err := mt.RetireSequence(victim)
-		if err != nil {
-			t.Fatalf("%v: retire: %v", kind, err)
+		if removed, err := mt.RetireSequence(victim); err != nil || removed != len(db[victim])/p.WindowLen() {
+			t.Fatalf("%v: retire = %d, %v", kind, removed, err)
 		}
-		if want := len(db[victim]) / p.WindowLen(); removed != want {
-			t.Fatalf("%v: retired %d windows, want %d", kind, removed, want)
-		}
-		reduced := append([]seq.Sequence[byte](nil), db...)
-		reduced[victim] = nil
-		rebuilt, err := NewMatcher(lev, cfg, reduced)
-		if err != nil {
-			t.Fatalf("%v rebuild: %v", kind, err)
-		}
-		if mt.NumWindows() != rebuilt.NumWindows() {
-			t.Fatalf("%v: %d windows after retire, rebuild has %d", kind, mt.NumWindows(), rebuilt.NumWindows())
-		}
-		for qi, q := range queries {
-			got, want := mt.FindAll(q, eps), rebuilt.FindAll(q, eps)
-			sortMatches(got)
-			sortMatches(want)
-			sameMatches(t, kind.String()+" findall", got, want)
-			if qi == 0 {
-				for _, m := range got {
-					if m.SeqID == victim {
-						t.Fatalf("%v: match against retired sequence: %v", kind, m)
-					}
-				}
-			}
-		}
-		// Double retire and bad IDs are errors.
 		if _, err := mt.RetireSequence(victim); err == nil {
 			t.Fatalf("%v: double retire accepted", kind)
 		}
