@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand/v2"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/dist"
@@ -39,25 +38,6 @@ func sameMatches(t *testing.T, label string, got, want []Match) {
 			t.Fatalf("%s match %d: %v, want %v", label, i, got[i], want[i])
 		}
 	}
-}
-
-func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		a, b := ms[i], ms[j]
-		if a.SeqID != b.SeqID {
-			return a.SeqID < b.SeqID
-		}
-		if a.QStart != b.QStart {
-			return a.QStart < b.QStart
-		}
-		if a.QEnd != b.QEnd {
-			return a.QEnd < b.QEnd
-		}
-		if a.XStart != b.XStart {
-			return a.XStart < b.XStart
-		}
-		return a.XEnd < b.XEnd
-	})
 }
 
 // Retiring a sequence twice, or one that does not exist, is an error on
@@ -95,46 +75,6 @@ func TestRetireUnsupportedOnCoverTree(t *testing.T) {
 	}
 	if _, err := mt.RetireSequence(0); !errors.Is(err, ErrRetireUnsupported) {
 		t.Fatalf("cover tree retire: %v, want ErrRetireUnsupported", err)
-	}
-}
-
-// TestAppendAfterKernelTablesBuilt mutates a matcher whose lazily-built
-// prepared tables already exist (a query ran first), on both kernel-path
-// backends: the grown/compacted slot arrays must stay positionally in
-// lockstep with the window slice or kernels would price wrong windows.
-func TestAppendAfterKernelTablesBuilt(t *testing.T) {
-	p := Params{Lambda: 6, Lambda0: 1}
-	lev := dist.LevenshteinMeasure[byte]()
-	rng := rand.New(rand.NewPCG(17, 1700))
-	db, _ := randStrings(rng, 3, 36, 0, 0, false)
-	extra, _ := randStrings(rng, 2, 30, 0, 0, false)
-	_, q := randStrings(rng, 1, 10, 14, 7, true)
-	const eps = 1.0
-	for _, kind := range []IndexKind{IndexRefNet, IndexLinearScan} {
-		cfg := Config{Params: p, Index: kind}
-		mt, err := NewMatcher(lev, cfg, append([]seq.Sequence[byte](nil), db...))
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		mt.FilterHits(q, eps) // force prepared-table construction
-		for _, x := range extra {
-			if _, _, err := mt.AppendSequence(x); err != nil {
-				t.Fatalf("%v: %v", kind, err)
-			}
-		}
-		if _, err := mt.RetireSequence(0); err != nil {
-			t.Fatalf("%v: retire: %v", kind, err)
-		}
-		final := append(append([]seq.Sequence[byte](nil), db...), extra...)
-		final[0] = nil
-		rebuilt, err := NewMatcher(lev, cfg, final)
-		if err != nil {
-			t.Fatalf("%v rebuild: %v", kind, err)
-		}
-		got, want := mt.FindAll(q, eps), rebuilt.FindAll(q, eps)
-		sortMatches(got)
-		sortMatches(want)
-		sameMatches(t, kind.String()+" post-mutation", got, want)
 	}
 }
 
