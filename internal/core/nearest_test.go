@@ -3,90 +3,12 @@ package core
 import (
 	"errors"
 	"math"
-	"math/rand/v2"
 	"testing"
 	"time"
 
-	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/seq"
 )
-
-// refNearest is Section 7 taken literally, the way Nearest ran before it
-// computed ε₀: a radius "has hits" when FilterHits at that radius returns
-// any, the least such radius is binary-searched to within EpsInc, and
-// verification rounds run from there in steps of EpsInc — each clamped to
-// EpsMax, the last one at EpsMax. It returns how many rounds it ran.
-func refNearest[E any](mt *Matcher[E], q seq.Sequence[E], opts NearestOptions) (m Match, found bool, rounds int) {
-	has := func(r float64) bool { return len(mt.FilterHits(q, r)) > 0 }
-	if opts.EpsMax <= 0 || opts.EpsInc <= 0 || !has(opts.EpsMax) {
-		return Match{}, false, 0
-	}
-	lo, hi := 0.0, opts.EpsMax
-	if has(0) {
-		hi = 0
-	}
-	for hi-lo > opts.EpsInc {
-		if mid := lo + (hi-lo)/2; has(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	for eps := hi; ; eps += opts.EpsInc {
-		eps = min(eps, opts.EpsMax)
-		rounds++
-		if best, ok := mt.verifier.verifyNearest(q, mt.FilterHits(q, eps), eps); ok {
-			return best, true, rounds
-		}
-		if eps == opts.EpsMax {
-			return Match{}, false, rounds
-		}
-	}
-}
-
-// Type III's rounds on the net are one continued traversal. Under the
-// serving schedule, EpsInc = EpsMax/16, a query runs up to 16 of them; each
-// must give the answer a round on a session of its own gives. On the two
-// -seq workloads' shapes — 500 protein windows under levenshtein-fast and
-// 500 trajectory windows under ERP, λ = 40, λ0 = 1 — 40 queries each are
-// held field for field, Dist by bits, to refNearest, whose every round is a
-// FilterHits call: a session opened, read once and closed.
-func TestNearestManyRoundsMatchesFreshRounds(t *testing.T) {
-	p := Params{Lambda: 40, Lambda0: 1}
-	t.Run("proteins/levenshtein-fast", func(t *testing.T) {
-		manyRounds(t, dist.LevenshteinFastMeasure(), p, data.Proteins(500, 20, 1), 0.1, data.MutateAA, 8)
-	})
-	t.Run("traj/erp", func(t *testing.T) {
-		manyRounds(t, dist.ERPMeasure(dist.Point2Dist, seq.Point2{}), p, data.Trajectories(500, 20, 1), 0.02, data.MutatePoint, 4)
-	})
-}
-
-func manyRounds[E any](t *testing.T, m dist.Measure[E], p Params, ds data.Dataset[E], rate float64,
-	mutate func(*rand.Rand, E) E, epsMax float64) {
-	mt, err := NewMatcher(m, Config{Params: p, Index: IndexRefNet}, ds.Sequences)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultNearestOptions(epsMax)
-	most, found := 0, 0
-	for i := 0; i < 40; i++ {
-		q := data.RandomQuery(ds, 45, rate, mutate, uint64(i+1))
-		want, wok, rounds := refNearest(mt, q, opts)
-		got, gok := mt.Nearest(q, opts)
-		if gok != wok || !sameMatch(got, want) {
-			t.Fatalf("query %d, %d rounds: Nearest = %v, %v; with a session per round %v, %v", i, rounds, got, gok, want, wok)
-		}
-		most = max(most, rounds)
-		if wok {
-			found++
-		}
-	}
-	t.Logf("%d of 40 found; at most %d rounds", found, most)
-	if most < 5 || found == 0 {
-		t.Fatalf("vacuous: at most %d rounds, %d found", most, found)
-	}
-}
 
 // nearestLockStep is the set-up the two EpsMax tests share: Euclidean
 // distance, λ = 40, λ0 = 0, one 40-element sequence.
