@@ -69,6 +69,8 @@
 // (backpressure), and Close drains gracefully. subseqctl serve and
 // docs/SERVING.md build the HTTP surface on exactly this API.
 //
-// BruteForce answers the same three query types exhaustively; it is the
-// correctness oracle the tests compare every backend against.
+// BruteForce answers the same three query types exhaustively over every
+// subsequence pair: the all-pairs baseline behind the Lemma 3 containment
+// tests, not the framework's exact answer, which comes from the candidate
+// regions of the hits.
 package core
