@@ -407,6 +407,13 @@ type shape[E any] struct {
 	grid   float64 // radii on the grid are grid·0 … grid·gridN
 	gridN  int
 	steps  int
+	// rounds makes every query Type III on the grid: EpsMax an even
+	// multiple of the grid step and EpsInc one or two of them, so every
+	// round runs at a radius a distance can equal.
+	rounds bool
+	// programs, when set, is how many programs to play in place of the
+	// test's count.
+	programs int
 }
 
 var allKinds = []core.IndexKind{core.IndexRefNet, core.IndexCoverTree, core.IndexMV, core.IndexLinearScan}
@@ -485,7 +492,11 @@ func (c *config[E]) generate(rng *rand.Rand, n int) []step[E] {
 		case k < 6:
 			st = step[E]{Op: opRestore}
 		default:
-			st = step[E]{Op: []op{opFilter, opFindAll, opLongest, opNearest}[rng.IntN(4)], Path: paths[rng.IntN(len(paths))]}
+			ops := []op{opFilter, opFindAll, opLongest, opNearest, opNearest}
+			if c.sh.rounds {
+				ops = ops[3:]
+			}
+			st = step[E]{Op: ops[rng.IntN(len(ops))], Path: paths[rng.IntN(len(paths))]}
 			for range 1 + rng.IntN(3) {
 				n := c.sh.qLen - 2 + rng.IntN(5)
 				if rng.IntN(16) == 0 {
@@ -496,9 +507,15 @@ func (c *config[E]) generate(rng *rand.Rand, n int) []step[E] {
 			if st.Op == opNearest && rng.IntN(3) == 0 {
 				st.Qs[0] = c.centred(rng, mo.db)
 			}
-			o := mo.query(st.Qs[0])
 			if st.Op == opNearest {
 				st.Path = strings.Replace(st.Path, "batch", "view", 1) // there is no NearestBatch
+			}
+			switch o := mo.query(st.Qs[0]); {
+			case st.Op != opNearest:
+				st.Eps = c.radius(rng, o)
+			case c.sh.rounds:
+				st.Opts = core.NearestOptions{EpsMax: c.sh.grid * float64(2+2*rng.IntN(4)), EpsInc: c.sh.grid * float64(1+rng.IntN(2))}
+			default:
 				// Every round verifies its hits afresh, so a schedule that
 				// runs more than maxRounds on some query is drawn again.
 				for st.Opts = c.nearestOptions(rng, o); slices.ContainsFunc(st.Qs, func(q seq.Sequence[E]) bool {
@@ -506,8 +523,6 @@ func (c *config[E]) generate(rng *rand.Rand, n int) []step[E] {
 					return rounds > maxRounds
 				}); st.Opts = c.nearestOptions(rng, o) {
 				}
-			} else {
-				st.Eps = c.radius(rng, o)
 			}
 		}
 		prog = append(prog, st)
@@ -554,17 +569,21 @@ func (c *config[E]) radius(rng *rand.Rand, o *mquery[E]) float64 {
 	return grid
 }
 
-// nearestOptions draws EpsMax at ε₀, under it, on the grid or off it, and
+// nearestOptions draws EpsMax at ε₀, under it, off the grid, or at a power
+// of two times the grid step, where the bisection ends on the grid; and
 // EpsInc as the serving default, as the finest schedule allowed, as the grid
-// step, or off-grid anywhere between.
+// step, or off-grid anywhere between. On the grid the rounds run at radii a
+// distance can equal, where a continued read must take up the frontier keys
+// its radius reaches exactly.
 func (c *config[E]) nearestOptions(rng *rand.Rand, o *mquery[E]) core.NearestOptions {
 	eps0, top := math.Inf(1), float64(c.sh.gridN)*c.sh.grid
 	if len(o.all) > 0 {
 		eps0 = o.all[0]
 	}
-	epsMax := []float64{eps0, 0.6 * eps0, float64(1+rng.IntN(c.sh.gridN)) * c.sh.grid, eps0 + rng.Float64()*top}[rng.IntN(4)]
+	onGrid := c.sh.grid * float64(int(1)<<rng.IntN(4))
+	epsMax := []float64{eps0, 0.6 * eps0, eps0 + rng.Float64()*top, onGrid}[rng.IntN(4)]
 	if !(epsMax > 0) || math.IsInf(epsMax, 1) {
-		epsMax = float64(1+rng.IntN(c.sh.gridN)) * c.sh.grid
+		epsMax = onGrid
 	}
 	switch rng.IntN(4) {
 	case 0:
@@ -892,6 +911,9 @@ func (c *config[E]) fail(t *testing.T, seed uint64, prog []step[E], err error) {
 // After the first failing program it plays none: one shrunk program is
 // enough to read.
 func runShape[E any](t *testing.T, tl *tally, programs int, sh shape[E]) {
+	if sh.programs > 0 {
+		programs = sh.programs
+	}
 	for k, kind := range sh.kinds {
 		if t.Failed() {
 			return
@@ -957,6 +979,11 @@ func TestProgramsMatchOracle(t *testing.T) {
 	fnOnly.Name, fnOnly.Bounded = "levenshtein-fn", nil
 	for _, sh := range []shape[byte]{
 		{name: "levenshtein", m: dist.LevenshteinMeasure[byte](), lam0s: shift, elem: letter},
+		// Type III's rounds as continued reads of the net, at radii a
+		// distance can equal. An answer turns on a pair at exactly such a
+		// radius in about one program of three, so eight are played.
+		{name: "levenshtein/rounds", m: dist.LevenshteinMeasure[byte](), lam0s: shift, elem: letter, rounds: true,
+			kinds: []core.IndexKind{core.IndexRefNet}, programs: 8},
 		{name: "levenshtein-fast/word", m: dist.LevenshteinFastMeasure(), lam0s: shift, elem: residue},
 		{name: "protein-edit", m: dist.ProteinEditMeasure(), lam0s: shift, elem: residue},
 		{name: "weighted-edit", m: dist.WeightedEditMeasure(), lam0s: shift, elem: letter},
@@ -965,7 +992,10 @@ func TestProgramsMatchOracle(t *testing.T) {
 		{name: "levenshtein-bounded", m: boundedOnly, lam0s: shift, elem: letter, steps: 12},
 		{name: "levenshtein-fn", m: fnOnly, lam0s: shift, elem: letter, steps: 12},
 	} {
-		sh.lambda, sh.kinds, sh.seqLen, sh.qLen, sh.grid, sh.gridN = 8, allKinds, 40, 16, 0.5, 3
+		sh.lambda, sh.seqLen, sh.qLen, sh.grid, sh.gridN = 8, 40, 16, 0.5, 3
+		if sh.kinds == nil {
+			sh.kinds = allKinds
+		}
 		if sh.steps == 0 {
 			sh.steps = 24
 		}
