@@ -9,87 +9,6 @@ import (
 	"repro/internal/seq"
 )
 
-// forEachPair enumerates the candidate pairs of one region that satisfy the
-// length constraints. It is the per-candidate enumeration the verifier ran
-// before it priced candidates by start pair, kept here to count the
-// candidates and start pairs TestVerifyDistanceCallsCountsPasses expects.
-func forEachPair(p Params, r region, fn func(qs, qe, xs, xe int)) {
-	lam, lam0 := p.Lambda, p.Lambda0
-	for xs := r.xsMin; xs <= r.xsMax; xs++ {
-		for xe := r.xeMin; xe <= r.xeMax; xe++ {
-			xlen := xe - xs
-			if xlen < lam {
-				continue
-			}
-			for qs := r.qsMin; qs <= r.qsMax; qs++ {
-				// |qlen − xlen| ≤ λ0 restricts qe to a narrow band.
-				qeLo := max(qs+xlen-lam0, r.qeMin, qs+lam)
-				qeHi := min(qs+xlen+lam0, r.qeMax)
-				for qe := qeLo; qe <= qeHi; qe++ {
-					fn(qs, qe, xs, xe)
-				}
-			}
-		}
-	}
-}
-
-// forEachPair anchors the reference; this property test pins it against an
-// independent brute-force enumeration of the same region specification.
-func TestForEachPairMatchesBruteEnumeration(t *testing.T) {
-	rng := rand.New(rand.NewPCG(91, 92))
-	for trial := 0; trial < 200; trial++ {
-		p := Params{Lambda: 2 + rng.IntN(6), Lambda0: 0}
-		if l := p.WindowLen(); l > 1 {
-			p.Lambda0 = rng.IntN(l)
-		}
-		r := region{
-			seqID: 0,
-			qsMin: rng.IntN(5), qeMin: 5 + rng.IntN(5),
-			xsMin: rng.IntN(5), xeMin: 5 + rng.IntN(5),
-		}
-		r.qsMax = r.qsMin + rng.IntN(4)
-		r.qeMax = r.qeMin + rng.IntN(4)
-		r.xsMax = r.xsMin + rng.IntN(4)
-		r.xeMax = r.xeMin + rng.IntN(4)
-
-		type pk struct{ qs, qe, xs, xe int }
-		got := map[pk]bool{}
-		forEachPair(p, r, func(qs, qe, xs, xe int) {
-			if got[pk{qs, qe, xs, xe}] {
-				t.Fatalf("trial %d: pair emitted twice", trial)
-			}
-			got[pk{qs, qe, xs, xe}] = true
-		})
-
-		want := map[pk]bool{}
-		for qs := r.qsMin; qs <= r.qsMax; qs++ {
-			for qe := r.qeMin; qe <= r.qeMax; qe++ {
-				for xs := r.xsMin; xs <= r.xsMax; xs++ {
-					for xe := r.xeMin; xe <= r.xeMax; xe++ {
-						ql, xl := qe-qs, xe-xs
-						if ql < p.Lambda || xl < p.Lambda {
-							continue
-						}
-						if d := ql - xl; d > p.Lambda0 || -d > p.Lambda0 {
-							continue
-						}
-						want[pk{qs, qe, xs, xe}] = true
-					}
-				}
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d (λ=%d λ0=%d region %+v): %d pairs, want %d",
-				trial, p.Lambda, p.Lambda0, r, len(got), len(want))
-		}
-		for k := range want {
-			if !got[k] {
-				t.Fatalf("trial %d: pair %+v missing", trial, k)
-			}
-		}
-	}
-}
-
 // VerifyDistanceCalls counts one evaluation per pass — a pass is one DP over
 // its start pair's longest candidate, however many ends it prices — and,
 // for a measure without an incremental kernel, one per Fn call the adapter
@@ -102,15 +21,24 @@ func TestVerifyDistanceCallsCountsPasses(t *testing.T) {
 	const eps = 1
 
 	// distinct counts the start pairs and the candidates of the hits'
-	// regions.
+	// regions: the (qs, qe, xs, xe) of a region's box with both lengths at
+	// least λ and at most λ0 apart.
 	distinct := func(v *verifier[byte], hits []Hit[byte]) (starts, pairs int) {
 		seenStart, seenPair := map[[3]int]bool{}, map[[5]int]bool{}
 		for _, h := range hits {
 			r := v.hitRegion(q, h)
-			forEachPair(p, r, func(qs, qe, xs, xe int) {
-				seenStart[[3]int{r.seqID, qs, xs}] = true
-				seenPair[[5]int{r.seqID, qs, qe, xs, xe}] = true
-			})
+			for qs := r.qsMin; qs <= r.qsMax; qs++ {
+				for qe := r.qeMin; qe <= r.qeMax; qe++ {
+					for xs := r.xsMin; xs <= r.xsMax; xs++ {
+						for xe := r.xeMin; xe <= r.xeMax; xe++ {
+							if ql, xl := qe-qs, xe-xs; ql >= p.Lambda && xl >= p.Lambda && max(ql-xl, xl-ql) <= p.Lambda0 {
+								seenStart[[3]int{r.seqID, qs, xs}] = true
+								seenPair[[5]int{r.seqID, qs, qe, xs, xe}] = true
+							}
+						}
+					}
+				}
+			}
 		}
 		return len(seenStart), len(seenPair)
 	}
