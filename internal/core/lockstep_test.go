@@ -83,45 +83,6 @@ func TestHammingNearestAgainstOracle(t *testing.T) {
 	}
 }
 
-// FilterHits through the batch path (reference net) must agree exactly
-// with the sequential path (linear scan backend).
-func TestFilterHitsBatchMatchesSequential(t *testing.T) {
-	p := Params{Lambda: 6, Lambda0: 1}
-	lev := dist.LevenshteinMeasure[byte]()
-	rng := rand.New(rand.NewPCG(5, 1900))
-	db, q := randStrings(rng, 3, 40, 24, 9, true)
-	indexed, err := NewMatcher(lev, Config{Params: p, Index: IndexRefNet}, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	linear, err := NewMatcher(lev, Config{Params: p, Index: IndexLinearScan}, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eps := range []float64{0, 1, 2, 4} {
-		type key struct {
-			seqID, ord, segStart, segLen int
-		}
-		set := func(hits []Hit[byte]) map[key]bool {
-			m := map[key]bool{}
-			for _, h := range hits {
-				m[key{h.Window.SeqID, h.Window.Ord, h.Segment.Start, len(h.Segment.Data)}] = true
-			}
-			return m
-		}
-		a := set(indexed.FilterHits(q, eps))
-		b := set(linear.FilterHits(q, eps))
-		if len(a) != len(b) {
-			t.Fatalf("eps=%v: batch %d hits vs sequential %d", eps, len(a), len(b))
-		}
-		for k := range a {
-			if !b[k] {
-				t.Fatalf("eps=%v: hit %v only in batch path", eps, k)
-			}
-		}
-	}
-}
-
 // The ProteinEdit measure drives the whole indexed pipeline.
 func TestProteinEditPipeline(t *testing.T) {
 	p := Params{Lambda: 8, Lambda0: 1}
