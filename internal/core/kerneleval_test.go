@@ -261,46 +261,3 @@ func TestPreparedTablesSharedAcrossWorkers(t *testing.T) {
 		t.Fatal("preparedInit rebuilt the slot array")
 	}
 }
-
-// The kernel evaluator must price mixed groups correctly even when probes
-// arrive interleaved and partially decided: compare a refnet kernel
-// traversal against the brute linear filter on a measure with distinct
-// per-length distances (ERP, whose prefix distances vary smoothly).
-func TestKernelTraversalERPMatchesLinear(t *testing.T) {
-	rng := rand.New(rand.NewPCG(29, 2900))
-	mkSeq := func(n int) seq.Sequence[float64] {
-		s := make(seq.Sequence[float64], n)
-		for i := range s {
-			s[i] = rng.Float64() * 4
-		}
-		return s
-	}
-	db := []seq.Sequence[float64]{mkSeq(60), mkSeq(60), mkSeq(60)}
-	q := mkSeq(24)
-	p := Params{Lambda: 8, Lambda0: 2}
-	m := dist.ERPMeasure(dist.AbsDiff, 0)
-	net, err := NewMatcher(m, Config{Params: p, Index: IndexRefNet}, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lin, err := NewMatcher(m, Config{Params: p, Index: IndexLinearScan}, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eps := range []float64{0.5, 1.5, 3} {
-		got := net.FilterHits(q, eps)
-		want := lin.FilterHits(q, eps)
-		gotSet := map[string]bool{}
-		for _, h := range got {
-			gotSet[h.Window.String()+h.Segment.String()] = true
-		}
-		if len(got) != len(want) {
-			t.Fatalf("eps=%v: refnet kernel %d hits, linear %d", eps, len(got), len(want))
-		}
-		for _, h := range want {
-			if !gotSet[h.Window.String()+h.Segment.String()] {
-				t.Fatalf("eps=%v: linear hit %v/%v missing from refnet kernel results", eps, h.Window, h.Segment)
-			}
-		}
-	}
-}
