@@ -9,21 +9,16 @@ import (
 
 // BruteForce answers the three query types by exhaustively evaluating all
 // O(|Q|²|X|²) subsequence pairs — the baseline the framework's filtering
-// replaces. It is not the framework's exact answer: it enumerates every
-// pair, not the candidate regions of Section 7, and breaks distance ties by
-// enumeration order. The tests use it for Lemma 3's containment (every pair
-// up to λ long within ε is one the framework finds); the answer every query
-// path must give is the store oracle's (internal/store oracle_test.go).
-// Only feasible for small inputs.
+// replaces, behind the Lemma 3 containment tests. With no candidate regions
+// it is not the framework's exact answer. Only feasible for small inputs.
 type BruteForce[E any] struct {
 	fn dist.Func[E]
 	p  Params
 	db []seq.Sequence[E]
 }
 
-// NewBruteForce builds an exhaustive all-pairs matcher over the same
-// parameters: the same length constraints and distance as a Matcher, but no
-// candidate regions.
+// NewBruteForce builds an exhaustive all-pairs matcher with a Matcher's
+// length constraints and distance.
 func NewBruteForce[E any](m dist.Measure[E], p Params, db []seq.Sequence[E]) (*BruteForce[E], error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -69,8 +69,6 @@
 // (backpressure), and Close drains gracefully. subseqctl serve and
 // docs/SERVING.md build the HTTP surface on exactly this API.
 //
-// BruteForce answers the same three query types exhaustively over every
-// subsequence pair: the all-pairs baseline behind the Lemma 3 containment
-// tests, not the framework's exact answer, which comes from the candidate
-// regions of the hits.
+// BruteForce answers the same three query types over every pair: the
+// all-pairs baseline of the Lemma 3 containment tests, not the exact answer.
 package core

@@ -17,8 +17,8 @@ import (
 // each other — the owning tier (internal/store) serialises them behind a
 // write lock and drains in-flight queries first. A freshly constructed or
 // restored matcher answers queries bit-identically to one rebuilt from
-// scratch over the same final database; the equivalence tests in
-// lifecycle_test.go prove that per backend.
+// scratch over the same final database; the store oracle
+// (internal/store oracle_test.go) holds every backend to that.
 
 // ErrRetireUnsupported is returned by RetireSequence on backends with no
 // deletion operation (the cover tree baseline).

@@ -135,14 +135,10 @@ func (v *verifier[E]) hitRegion(q seq.Sequence[E], h Hit[E]) region {
 
 // runRegions builds the candidate regions for all hit pairs spanning runs
 // of consecutively-hit windows, including the degenerate single-hit
-// regions. A pair of hits hA, hB on the first and last of m ≥ 2
-// consecutive windows of one sequence, every one of which has a hit, is
-// admitted when its query span spanQ — from hA's segment start to hB's
-// segment end — and the windows' span spanX = m·l satisfy
-//
-//	spanQ > 0 and |spanQ − spanX| ≤ (m+1)·λ0,
-//
-// and spans the region with hA's starts and hB's ends (spanRegion).
+// regions. Hits hA, hB on the first and last of m ≥ 2 consecutive windows,
+// every one of them hit, span a region (spanRegion) when spanQ, from hA's
+// segment start to hB's segment end, and spanX = m·l satisfy
+// spanQ > 0 and |spanQ − spanX| ≤ (m+1)·λ0.
 func (v *verifier[E]) runRegions(q seq.Sequence[E], hits []Hit[E], sc *verifyScratch[E]) []region {
 	lam0 := v.p.Lambda0
 	byWin := sc.byWin

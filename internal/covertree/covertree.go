@@ -161,20 +161,14 @@ func (t *Tree[T]) Range(q T, eps float64) []T {
 // RangeFunc streams every item within eps of q to yield. The traversal uses
 // the same four pruning rules as the reference net: stored parent-child
 // distances give zero-computation subtree inclusion/exclusion bounds, and
-// computed node distances give the exact subtree rules. As there, a bound
-// settles an item only once it clears eps by a rounding allowance: none
-// while every distance met is an integer, else 2⁻³² of the largest in play
-// (bounds built from rounded sums can pass the distance they bound by an
-// ulp).
+// computed node distances give the exact subtree rules, each clearing eps by
+// the net's rounding allowance (DESIGN.md §3).
 func (t *Tree[T]) RangeFunc(q T, eps float64, yield func(T)) {
 	if t.root == nil {
 		return
 	}
 	whole, scale := true, 0.0
-	note := func(d float64) {
-		scale = max(scale, d)
-		whole = whole && d == math.Trunc(d)
-	}
+	note := func(d float64) { scale, whole = max(scale, d), whole && d == math.Trunc(d) }
 	slack := func() float64 {
 		if whole {
 			return 0
@@ -197,23 +191,20 @@ func (t *Tree[T]) RangeFunc(q T, eps float64, yield func(T)) {
 		for _, ce := range e.n.children {
 			c := ce.n
 			rho := c.rho
-			note(ce.d)
-			note(rho)
-			a := slack()
-			if lo := math.Abs(e.d - ce.d); lo-rho > eps+a {
+			note(ce.d) // the edges bound rho, whose sums they are
+			if lo := math.Abs(e.d - ce.d); lo-rho > eps+slack() {
 				continue // whole subtree provably outside
 			}
-			if e.d+ce.d+rho+a <= eps {
+			if e.d+ce.d+rho+slack() <= eps {
 				collect(c, yield) // whole subtree provably inside
 				continue
 			}
 			dc := t.dist(q, c.item)
 			note(dc)
-			a = slack()
-			if dc-rho > eps+a {
+			if dc-rho > eps+slack() {
 				continue
 			}
-			if dc+rho+a <= eps {
+			if dc+rho+slack() <= eps {
 				collect(c, yield)
 				continue
 			}

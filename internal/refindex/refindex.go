@@ -37,10 +37,8 @@ type Index[T any] struct {
 	// table[i][j] = dist(items[i], refs[j]), laid out row-major.
 	table []float64
 	k     int
-	// frac is set once a fractional distance entered the table, and scale
-	// bounds the table: what a query's rounding allowance needs (Range).
-	frac  bool
-	scale float64
+	frac  bool    // a fractional distance entered the table
+	scale float64 // the largest distance in it
 }
 
 // Options configures reference selection.
@@ -200,11 +198,7 @@ func (x *Index[T]) References() []T { return x.refs }
 // index's dominant space cost (8 bytes per entry).
 func (x *Index[T]) TableBytes() int64 { return int64(len(x.table)) * 8 }
 
-// note records a distance entering the table.
-func (x *Index[T]) note(d float64) {
-	x.scale = max(x.scale, d)
-	x.frac = x.frac || d != math.Trunc(d)
-}
+func (x *Index[T]) note(d float64) { x.scale, x.frac = max(x.scale, d), x.frac || d != math.Trunc(d) }
 
 // Range returns every item within eps of q (inclusive). It computes k
 // reference distances, then for each item derives
@@ -213,11 +207,8 @@ func (x *Index[T]) note(d float64) {
 //	upper = min_j (d(q,ref_j) + table[i][j])
 //
 // pruning when lower > eps, certifying when upper ≤ eps, and computing the
-// true distance only otherwise. The bounds are built from rounded sums and
-// can pass the distance they bound by an ulp, so each must clear eps by a
-// rounding allowance: none while the table and the query's reference
-// distances are all integers, whose sums and differences are exact, else
-// 2⁻³² of the largest magnitude in play.
+// true distance only otherwise, each bound clearing eps by the net's
+// rounding allowance (DESIGN.md §3).
 func (x *Index[T]) Range(q T, eps float64) []T {
 	var out []T
 	x.RangeFunc(q, eps, func(item T) { out = append(out, item) })
@@ -227,15 +218,13 @@ func (x *Index[T]) Range(q T, eps float64) []T {
 // RangeFunc streams every item within eps of q to yield.
 func (x *Index[T]) RangeFunc(q T, eps float64, yield func(T)) {
 	qd := make([]float64, x.k)
-	frac, scale := x.frac, x.scale+math.Abs(eps)
+	frac, a := x.frac, 0.0
 	for j, r := range x.refs {
 		qd[j] = x.dist(q, r)
-		frac = frac || qd[j] != math.Trunc(qd[j])
-		scale = max(scale, qd[j]+x.scale+math.Abs(eps))
+		frac, a = frac || qd[j] != math.Trunc(qd[j]), max(a, (qd[j]+x.scale+math.Abs(eps))*0x1p-32)
 	}
-	var a float64
-	if frac {
-		a = scale * 0x1p-32
+	if !frac {
+		a = 0
 	}
 	for i, it := range x.items {
 		row := x.table[i*x.k : (i+1)*x.k]

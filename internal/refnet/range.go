@@ -8,27 +8,21 @@ import (
 	"repro/internal/metric"
 )
 
-// Range query (Appendix A.3). The traversal maintains, per query, the two
-// certainty sets of the paper — items proven inside the ball and items
-// proven outside — realised here as per-node decided masks over the probe
-// set plus the result stream, and additionally the computed query-to-node
-// distances.
-//
-// For a child c of a node whose distance is known, the triangle inequality
-// through EVERY parent of c with a computed distance gives bounds
+// Range query (Appendix A.3); DESIGN.md §3 and §5 items 13–14 give the full
+// account. The traversal keeps, per query, the paper's two certainty sets —
+// items proven inside the ball and items proven outside — as per-node
+// decided masks over the probe set plus the result stream, and the computed
+// query-to-node distances. For a child c of a node whose distance is known,
+// the triangle inequality through EVERY parent of c with a computed distance
+// gives bounds
 //
 //	lo = max over known parents p of |δ(q,p) − δ(p,c)|
 //	hi = min over known parents p of  δ(q,p) + δ(p,c)
 //
-// (δ(p,c) is stored on the edge at insertion time, so these cost no
-// distance computations). This is exactly the multi-parent advantage the
-// paper illustrates in Figure 2: a node sitting in several reference
-// lists can be certified through whichever reference yields the tightest
-// bound — a single-parent tree has no such choice. Writing ρ for the
-// cover radius of c — the measured one, c.rho: the max over c's children of
-// (stored edge distance + child's ρ), 0 for a childless c, kept equal to
-// that by every mutation (raise and settle in refnet.go) — the rules are
-// then:
+// (δ(p,c) is stored on the edge, so they cost no distance computation): the
+// multi-parent advantage of the paper's Figure 2. With ρ the measured cover
+// radius of c (c.rho: max over its children of stored edge + child's ρ, 0
+// when childless, kept so by every mutation in refnet.go) the rules are:
 //
 //  1. lo − ρ > ε  ⇒ the whole subtree of c is outside; prune with no
 //     distance computation (Lemma 4 generalised with stored distances).
@@ -38,90 +32,40 @@ import (
 //     dc + ρ ≤ ε collects the subtree, as in the Appendix.
 //  4. inconclusive ⇒ report c if dc ≤ ε and recurse into its children.
 //
-// The rules need only that ρ bounds δ(c, x) for every descendant x of c,
-// which the triangle inequality gives along any path of stored edges. The
-// tighter ρ is, the more often rules 1–3 fire — a childless c (most nodes,
-// whatever their level) has ρ = 0 and is settled by its own distance alone
-// — but the answer never depends on it.
+// Distances are rounded sums, so a bound can pass the distance it bounds by an
+// ulp; each rule clears ε by an allowance before it settles a probe (slack,
+// DESIGN.md §3). The decided mask settles each node once per probe.
 //
-// The distances are floating-point sums, so a bound computed from them can
-// pass the computed distance it bounds by an ulp or two: rule 1 or 3 would
-// prune a pair at exactly ε, rule 2 collect one an ulp over it. So each rule
-// clears ε by a rounding allowance before it settles a probe (slack): none
-// while every distance the session has met is an integer, whose sums and
-// differences are exact, so integer measures prune exactly as written, and
-// otherwise 2⁻³² of the largest magnitude in play. A probe's own distance is
-// tested against ε as it is.
-//
-// Multi-parent sharing means a node can be reached along several paths;
-// the decided mask guarantees each node's membership is settled exactly
-// once per probe.
-//
-// One traversal applies the rules: Session.walk walks the net once for a
-// whole probe set — the subsequence framework passes the segments of one
-// query — and is read two ways: Session.Range is rules 1–4 per probe,
-// Session.MinDist the same walk with ε replaced by one bound all probes
-// share, which shrinks to just under every exact distance met, so what is
-// left at the end is the least probe-to-item distance. Range is a session of
-// one probe and BatchRange a session of many, each opened, read once as
-// Range, and closed.
-//
-// Step 3 is where all the distance cost lives, and three things cut it.
-// When the net's distance has a bounded evaluation (SetBounded), probes are
-// evaluated with threshold ε+ρ: the evaluation may abandon as soon as the
-// subtree is provably outside, and the abandoned (inexact) value is simply
-// not recorded for the parent bounds. When the caller supplies a
-// BatchEvaluator (OpenSession), all probes that reach step 3 at a node are
-// evaluated in ONE call, letting the evaluator share work across them — the
-// framework streams probes sharing a query offset through a single
-// incremental kernel pass over the node's window, and may answer for a
-// probe with a proof instead of a distance, exactly as a bounded evaluation
-// does: any value over ε+ρ that is still a lower bound on the distance,
-// however it came by it (the framework's evaluator bounds all the probes at
-// a node with one free-start kernel pass and prices only the ones that bound
-// cannot rule out). And a session that is read more than once keeps every
-// distance it has recorded, so no recorded (probe, node) distance is
-// computed twice however many radii the query asks about. What an inexact
-// evaluator returned over ε+ρ was not recorded; such a pair is evaluated
-// again if a later read reaches it under a bound the value no longer
-// exceeds.
+// Session.walk walks the net once for a whole probe set — the framework
+// passes the segments of one query — read as Range (rules 1–4 per probe) or
+// as MinDist (ε replaced by one bound all probes share, which shrinks to
+// just under every exact distance met). Step 3 holds the distance cost. A
+// bounded evaluation (SetBounded) runs at threshold ε+ρ and may abandon; a
+// BatchEvaluator (OpenSession) prices all probes that reach step 3 at a
+// node in one call and may answer with a proof — any value over ε+ρ that is
+// a lower bound on the distance — instead of a distance. A proof is not
+// recorded; an exact distance is, and is read back by every later read of
+// the session, never computed twice.
 //
 // Range reads at rising radii are one continued traversal (distance
-// browsing, Hjaltason & Samet, TODS 1999: a wider radius goes on from the
-// frontier the narrower one left). A Range read leaves behind what a wider
-// one can keep: per node, the probes it reported or collected there (inside
-// for any larger radius, their results kept and extended) or whose children
-// it walked — together the kept mask — and a deferred frontier. Every rule
-// that settles probes outside records a frontier entry: the node, the
-// probes, and per probe a key, a lower bound on the probe's distance to the
-// node — rule 1 lo (tested as lo − ρ against ε); rule 3 the value the
-// evaluator returned, exact or a proof (tested against ε + ρ) — and a node
-// whose children were walked while its own dc > ε records dc, to report
-// itself. A later Range at a radius no smaller starts with decided = kept
-// and takes up only the probes whose keys it reaches: level by level from
-// the top, each node once with every probe that reaches it, running phase 1
-// there again against every parent with a recorded distance. The rest stays
-// on the frontier and marks its subtree decided again, as the prune that
-// recorded it did, so nothing it holds outside is reached through another
-// parent. Each key is tested in the form of the rule that recorded it, so a
-// probe is passed over only while that rule would still fire, and every
-// probe's hit set is a fresh walk's. A smaller radius, and the first Range
+// browsing, Hjaltason & Samet, TODS 1999). A read leaves per node a kept
+// mask (probes reported, collected or walked below there) and a deferred
+// frontier: every rule that settles probes outside records the node, the
+// probes and per probe a key, a lower bound on its distance — rule 1 lo
+// (tested as lo − ρ against ε), rule 3 the evaluator's value (tested against
+// ε + ρ), and dc for a node walked below with dc > ε, to report it. A later
+// Range at a radius no smaller starts with decided = kept and takes up, level
+// by level from the top, only the probes whose keys its radius reaches,
+// each key tested in the form of its rule; the rest stay on the frontier and
+// mark their subtrees decided again. A smaller radius, and the first Range
 // after MinDist, walk afresh from the root.
 //
-// The bookkeeping is kept per node over the whole probe set, not per probe.
-// Indexed by the dense node ids assigned at insertion, a session holds
-// bitmasks of ⌈P/64⌉ words per node for its P probes — decided (settled in
-// this read), computed (the exact distance is recorded) and kept — and one
-// node-major table of P distances per node, which holds a deferred probe's
-// frontier key where no distance is recorded (an exact distance is the best
-// key there is). A frame of the walk is a node and the mask of probes still
-// inconclusive there, whose distances are in the table. So a child is tested
-// against the probes not yet decided for it with a few word operations, a
-// parent's bounds reach only the probes it has a distance for, and one walk
-// of a subtree marks or collects every probe a rule settled at its top. In
-// a walk from the root every probe still meets the bounds, the rules and
-// the evaluator calls it would meet alone, in the same order. The tables
-// live in the session, which the net pools, so steady-state queries
+// Indexed by dense node ids, a session holds ⌈P/64⌉-word bitmasks per node
+// for its P probes — decided (in this read), computed (distance recorded)
+// and kept — and a node-major table of P distances per node, which holds a
+// deferred probe's frontier key where no distance is recorded. A frame of
+// the walk is a node and the mask of probes still inconclusive there. The
+// tables live in the session, which the net pools, so steady-state queries
 // allocate only their result slices.
 
 // Range returns every item within eps of q (inclusive): a session of one
@@ -204,10 +148,7 @@ type Session[T any] struct {
 	// MinDist read).
 	eps, best float64
 	out       [][]T
-	// whole is set while every distance the session has met — the radii
-	// and stored edges of the nodes it tested and the probe distances it
-	// recorded — is an integer, and scale bounds them all: what slack
-	// needs.
+	// whole: every distance met is an integer; scale bounds them all.
 	whole bool
 	scale float64
 }
@@ -247,16 +188,12 @@ func (s *Session[T]) reached(kind int, n *Node[T], k float64) bool {
 	return !(k > s.eps)
 }
 
-// note records a distance the session's rules are about to build on.
+// note records a distance the rules are about to build on.
 func (s *Session[T]) note(d float64) {
-	s.scale = max(s.scale, d)
-	s.whole = s.whole && d == math.Trunc(d)
+	s.scale, s.whole = max(s.scale, d), s.whole && d == math.Trunc(d)
 }
 
-// slack is the rounding allowance a rule's bound must clear before it
-// settles a probe without its distance: none while every distance met is an
-// integer, else 2⁻³² of the largest magnitude in play — some 10⁴ times the
-// rounding a distance summed over a thousand terms can carry.
+// slack is the rounding allowance: none over integers, whose sums are exact.
 func (s *Session[T]) slack() float64 {
 	if s.whole {
 		return 0
@@ -648,9 +585,8 @@ func (s *Session[T]) visit(c *Node[T], pend []uint64) {
 	}
 	t, rho, w := s.t, c.rho, s.words
 	s.note(rho)
-	// a is this visit's allowance, fixed before pricing: the bound is the
-	// threshold rule 3 prunes at, and what the evaluator abandons over.
-	a := s.slack()
+	a := s.slack() // fixed before pricing: rule 3 prunes where the evaluator abandons
+
 	bound := s.eps + rho + a
 	dists := s.price(c, pending, bound)
 	comp, dec, row := s.mask(s.computed, c.id), s.mask(s.decided, c.id), s.row(c.id)

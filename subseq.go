@@ -251,10 +251,8 @@ type LatencyBucket = core.LatencyBucket
 // WithQueueDepth is not given.
 const DefaultQueueDepth = core.DefaultQueueDepth
 
-// BruteForce answers the three query types exhaustively over every
-// subsequence pair: the baseline the framework's filtering replaces, not the
-// framework's exact answer (it has no candidate regions, and breaks
-// distance ties by enumeration order).
+// BruteForce answers the three query types exhaustively over every pair:
+// the baseline the framework's filtering replaces, not its exact answer.
 type BruteForce[E any] = core.BruteForce[E]
 
 // NewMatcher builds a matcher over db: it validates the configuration,
@@ -264,8 +262,7 @@ func NewMatcher[E any](m Measure[E], cfg Config, db []Sequence[E]) (*Matcher[E],
 	return core.NewMatcher(m, cfg, db)
 }
 
-// NewBruteForce builds an exhaustive all-pairs matcher with a Matcher's
-// length constraints and distance.
+// NewBruteForce builds an exhaustive all-pairs matcher.
 func NewBruteForce[E any](m Measure[E], p Params, db []Sequence[E]) (*BruteForce[E], error) {
 	return core.NewBruteForce(m, p, db)
 }
