@@ -129,21 +129,22 @@ loc:
 race-accounting:
 	$(GO) test -race -count=20 -run 'TestStreamPanicFailsOnlyThatJob|TestWorkerPanicSelfHeals|TestStreamAccountingSettlesBeforeFuture' ./internal/core/
 
-# nearest-equiv holds Type III to Section 7 under the race detector,
-# repeated: Nearest against the radius bisection run on the filter itself, on
-# every backend and measure kind (DESIGN.md §3), and the refnet session
-# (MinDist, then Range reads that evaluate no pair twice) against a linear
-# scan after every step of the mutation storm. The continued rounds get two
-# of their own: seeded read programs on one session (rising, equal, falling
-# radii) held to a fresh session, a linear scan and the evaluations of a
-# walk from the root per read, and Nearest under the serving schedule (up
-# to 16 rounds) held to a session per round. Beside them run the pinned
-# build and re-home program (Save bytes and evaluations of a build, a delete
-# of a third and the reinsert, on proteins and trajectories) and the pinned
-# session walk (every evaluator call, bound and hit of Nearest-shaped reads
-# under the kernel evaluator, on the same two nets).
+# nearest-equiv holds Type III to Section 7 under the race detector: the
+# store oracle at full size (every query path, on every backend and measure
+# kind, held to a brute-force model that replays Nearest's schedule on its
+# own least segment-window distance; DESIGN.md §3) with its regression
+# programs, once — its programs are seeded, so a repeat replays them — and,
+# three times, the refnet session (MinDist, then Range reads that evaluate no
+# pair twice) against a linear scan after every step of the mutation storm,
+# seeded read programs on one session (rising, equal, falling radii) held to
+# a fresh session, a linear scan and the evaluations of a walk from the root
+# per read, the pinned build and re-home program (Save bytes and evaluations
+# of a build, a delete of a third and the reinsert, on proteins and
+# trajectories) and the pinned session walk (every evaluator call, bound and
+# hit of Nearest-shaped reads under the kernel evaluator, on the same nets).
 nearest-equiv:
-	$(GO) test -race -count=3 -run 'TestNearestMatchesBisectionReference|TestCoverRadiusStorm|TestSessionContinuedReads|TestNearestManyRoundsMatchesFreshRounds|TestBuildAndRehomePinned|TestSessionWalkPinned' ./internal/core/ ./internal/refnet/
+	$(GO) test -race -count=1 -run 'TestProgramsMatchOracle|TestOracleRegressions' ./internal/store/
+	$(GO) test -race -count=3 -run 'TestCoverRadiusStorm|TestSessionContinuedReads|TestBuildAndRehomePinned|TestSessionWalkPinned' ./internal/core/ ./internal/refnet/
 
 # docs-check keeps the documentation honest: every relative markdown link
 # must resolve, and every Example* godoc test must run (and match its

@@ -343,7 +343,7 @@ type shape[E any] struct {
 	// rounds makes every query Type III with EpsMax and EpsInc on the grid,
 	// so every round runs at a radius a distance can equal.
 	rounds   bool
-	programs int // when set, played in place of the test's count
+	programs int // played per backend; 1 when unset
 }
 
 // config is a program's fixed part.
@@ -782,16 +782,13 @@ func (c *config[E]) fail(t *testing.T, seed uint64, prog []step[E], err error) {
 }
 
 // runShape plays seeded programs of sh on its backends, none after a failure.
-func runShape[E any](t *testing.T, tl tally, programs int, sh shape[E]) {
-	if sh.programs > 0 {
-		programs = sh.programs
-	}
+func runShape[E any](t *testing.T, tl tally, sh shape[E]) {
 	for k, kind := range sh.kinds {
 		if t.Failed() {
 			return
 		}
 		t.Run(sh.name+"/"+kind.String(), func(t *testing.T) {
-			for i := range programs {
+			for i := range max(sh.programs, 1) {
 				seed := uint64(100*i + k)
 				rng := rand.New(rand.NewPCG(seed, uint64(len(sh.name))))
 				c := &config[E]{sh: &sh, kind: kind, p: core.Params{Lambda: sh.lambda, Lambda0: sh.lam0s[(i+k)%len(sh.lam0s)]}}
@@ -832,9 +829,9 @@ func runSeqShape[E any](t *testing.T, tl tally, name string, m dist.Measure[E], 
 // in word and block form, row kernels over bytes, floats and points, DFD and
 // DTW with no kernel, the lock-step measures, and bound-only and Fn-only.
 func TestProgramsMatchOracle(t *testing.T) {
-	programs, seqWindows, seqQueries := 2, 500, 40
+	seqWindows, seqQueries := 200, 12
 	if testing.Short() {
-		programs, seqWindows, seqQueries = 1, 120, 12
+		seqWindows, seqQueries = 120, 12
 	}
 	tl := tally{}
 	letter := func(rng *rand.Rand) byte { return "ACGT"[rng.IntN(4)] }
@@ -867,10 +864,10 @@ func TestProgramsMatchOracle(t *testing.T) {
 		if sh.kinds == nil {
 			sh.kinds = allKinds
 		}
-		runShape(t, tl, programs, sh)
+		runShape(t, tl, sh)
 	}
 	// Windows of 66: the filter and the verifier run the block kernel.
-	runShape(t, tl, programs, shape[byte]{name: "levenshtein-fast/block", m: dist.LevenshteinFastMeasure(), lambda: 132,
+	runShape(t, tl, shape[byte]{name: "levenshtein-fast/block", m: dist.LevenshteinFastMeasure(), lambda: 132,
 		lam0s: shift, kinds: allKinds, elem: letter, seqLen: 200, qLen: 136, grid: 2, gridN: 5, steps: 6})
 	for _, sh := range []shape[float64]{
 		{name: "erp/float64", m: dist.ERPMeasure(dist.AbsDiff, 0), kinds: allKinds, gridN: 4},
@@ -887,9 +884,9 @@ func TestProgramsMatchOracle(t *testing.T) {
 		if sh.lam0s == nil {
 			sh.lam0s = shift
 		}
-		runShape(t, tl, programs, sh)
+		runShape(t, tl, sh)
 	}
-	runShape(t, tl, programs, shape[seq.Point2]{name: "erp/point2", m: dist.ERPMeasure(dist.Point2Dist, seq.Point2{}), lambda: 8,
+	runShape(t, tl, shape[seq.Point2]{name: "erp/point2", m: dist.ERPMeasure(dist.Point2Dist, seq.Point2{}), lambda: 8,
 		lam0s: shift, kinds: allKinds, elem: point, seqLen: 40, qLen: 16, grid: 0.5, gridN: 4, steps: 24})
 	runSeqShape(t, tl, "proteins/levenshtein-fast", dist.LevenshteinFastMeasure(), data.Proteins(seqWindows, 20, 1), 0.1, data.MutateAA, 8, seqQueries)
 	runSeqShape(t, tl, "traj/erp", dist.ERPMeasure(dist.Point2Dist, seq.Point2{}), data.Trajectories(seqWindows, 20, 1), 0.02, data.MutatePoint, 4, seqQueries)
