@@ -167,16 +167,18 @@ func (t *Tree[T]) RangeFunc(q T, eps float64, yield func(T)) {
 	if t.root == nil {
 		return
 	}
+	// slack notes the distances a bound is built from; it returns the allowance.
 	whole, scale := true, 0.0
-	note := func(d float64) { scale, whole = max(scale, d), whole && d == math.Trunc(d) }
-	slack := func() float64 {
+	slack := func(ds ...float64) float64 {
+		for _, d := range ds {
+			scale, whole = max(scale, d), whole && d == math.Trunc(d)
+		}
 		if whole {
 			return 0
 		}
 		return (scale + math.Abs(eps)) * 0x1p-32
 	}
 	d := t.dist(q, t.root.item)
-	note(d)
 	if d <= eps {
 		yield(t.root.item)
 	}
@@ -191,8 +193,7 @@ func (t *Tree[T]) RangeFunc(q T, eps float64, yield func(T)) {
 		for _, ce := range e.n.children {
 			c := ce.n
 			rho := c.rho
-			note(ce.d) // the edges bound rho, whose sums they are
-			if lo := math.Abs(e.d - ce.d); lo-rho > eps+slack() {
+			if lo := math.Abs(e.d - ce.d); lo-rho > eps+slack(e.d, ce.d, rho) {
 				continue // whole subtree provably outside
 			}
 			if e.d+ce.d+rho+slack() <= eps {
@@ -200,8 +201,7 @@ func (t *Tree[T]) RangeFunc(q T, eps float64, yield func(T)) {
 				continue
 			}
 			dc := t.dist(q, c.item)
-			note(dc)
-			if dc-rho > eps+slack() {
+			if dc-rho > eps+slack(dc) {
 				continue
 			}
 			if dc+rho+slack() <= eps {

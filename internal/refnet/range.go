@@ -586,7 +586,6 @@ func (s *Session[T]) visit(c *Node[T], pend []uint64) {
 	t, rho, w := s.t, c.rho, s.words
 	s.note(rho)
 	a := s.slack() // fixed before pricing: rule 3 prunes where the evaluator abandons
-
 	bound := s.eps + rho + a
 	dists := s.price(c, pending, bound)
 	comp, dec, row := s.mask(s.computed, c.id), s.mask(s.decided, c.id), s.row(c.id)
