@@ -612,7 +612,7 @@ func (r *runner[E]) query(st step[E]) error {
 		models[i] = r.mo.query(q)
 	}
 	for _, path := range ps {
-		got, err := r.answer(st, path)
+		got, err := r.ask(st, path)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
@@ -628,8 +628,8 @@ func (r *runner[E]) query(st step[E]) error {
 	return nil
 }
 
-// answer runs st's queries on path.
-func (r *runner[E]) answer(st step[E], path string) ([]answer[E], error) {
+// ask runs st's queries on path.
+func (r *runner[E]) ask(st step[E], path string) ([]answer[E], error) {
 	qs, eps, out := st.Qs, st.Eps, make([]answer[E], len(st.Qs))
 	switch path {
 	case "view":
