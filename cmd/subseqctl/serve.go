@@ -510,8 +510,10 @@ type statsResponse struct {
 	Config        registry.ServerConfig `json:"config"`
 	UptimeSeconds float64               `json:"uptime_seconds"`
 	NumWindows    int                   `json:"num_windows"`
-	// DistanceCalls surfaces the matcher's striped distance-call tallies:
-	// the paper's hardware-independent cost accounting, live.
+	// DistanceCalls surfaces the matcher's distance-call totals, the paper's
+	// hardware-independent cost accounting, live: filter and verify add up
+	// each finished query's own record, build counts the index's distance,
+	// which only construction and mutation call.
 	DistanceCalls struct {
 		Build  int64 `json:"build"`
 		Filter int64 `json:"filter"`

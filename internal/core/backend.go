@@ -51,17 +51,13 @@ type session[E any] interface {
 }
 
 // buildBackend builds the index cfg.Index names over mt.windows, pricing
-// through the matcher's counted distance and, where the index can use one,
-// the counted early-abandoning evaluation (nil when the measure has none).
-func buildBackend[E any](mt *Matcher[E], bounded metric.BoundedDistFunc[seq.Window[E]]) (backend[E], error) {
+// through the matcher's counted distance — the one the index stores, which
+// only construction and mutation call: a query prices through its scratch.
+func buildBackend[E any](mt *Matcher[E]) (backend[E], error) {
 	windowDist, cfg := mt.counter.Distance, mt.cfg
 	switch cfg.Index {
 	case IndexRefNet:
 		net := refnet.New(windowDist, refnet.WithBase(cfg.Base), refnet.WithMaxParents(cfg.MaxParents))
-		// Arm the eps+ρ early-abandoning traversal: probes prove subtrees
-		// outside the query ball at a fraction of a full evaluation (results
-		// are unchanged; see refnet.SetBounded).
-		net.SetBounded(bounded)
 		b := &netBackend[E]{mt: mt, net: net, tracked: make(map[winKey]*refnet.Node[seq.Window[E]], len(mt.windows))}
 		for _, w := range mt.windows {
 			b.insert(w)
@@ -84,10 +80,6 @@ func buildBackend[E any](mt *Matcher[E], bounded metric.BoundedDistFunc[seq.Wind
 		return &rangeBackend[E]{mt: mt, index: mv}, nil
 	case IndexLinearScan:
 		ls := metric.NewLinearScan(windowDist)
-		// Thread the query radius into the distance kernel: an
-		// early-abandoned comparison still counts as one distance
-		// computation, but costs a fraction of the cells.
-		ls.SetBounded(bounded)
 		for _, w := range mt.windows {
 			ls.Insert(w)
 		}
@@ -150,12 +142,11 @@ func (b *netBackend[E]) save(w io.Writer) error { return b.net.Save(w) }
 // re-aliased onto the canonical database views, and the handle map is
 // rebuilt from a net walk; every indexed window must identify a window the
 // database actually has.
-func loadNetBackend[E any](mt *Matcher[E], bounded metric.BoundedDistFunc[seq.Window[E]], r io.Reader) (backend[E], error) {
+func loadNetBackend[E any](mt *Matcher[E], r io.Reader) (backend[E], error) {
 	net, err := refnet.Load(r, mt.counter.Distance)
 	if err != nil {
 		return nil, err
 	}
-	net.SetBounded(bounded)
 	if net.Len() != len(mt.windows) {
 		return nil, fmt.Errorf("core: restore: index holds %d windows but database partitions into %d (sequences and index stream do not belong together)",
 			net.Len(), len(mt.windows))
@@ -191,10 +182,10 @@ func loadNetBackend[E any](mt *Matcher[E], bounded metric.BoundedDistFunc[seq.Wi
 // them; segment i is probe sc.pos[i]. With a kernel to feed, the probes go in
 // offset-major, once per query, so that no node has to regroup them, and the
 // session prices them through the grouped kernel evaluator; otherwise they
-// go in as the segments come and the net's own (bounded) distance prices
-// them one by one.
+// go in as the segments come and the scratch's counted distance prices them
+// one by one (early-abandoning where the measure can).
 func (b *netBackend[E]) open(q seq.Sequence[E], sc *filterScratch[E]) session[E] {
-	var ev metric.BatchEvaluator[seq.Window[E]] // nil: the net's own distance
+	var ev metric.BatchEvaluator[seq.Window[E]]
 	if b.mt.kernelTraversal() {
 		sc.offsetMajorProbes(sc.segs, len(q))
 		sc.keval.open(b.mt, q, sc)
@@ -205,6 +196,8 @@ func (b *netBackend[E]) open(q seq.Sequence[E], sc *filterScratch[E]) session[E]
 			sc.pos = append(sc.pos, int32(i))
 			sc.probes = append(sc.probes, probeOf(seg))
 		}
+		sc.deval = refnet.DistEvaluator[seq.Window[E]]{Probes: sc.probes, Dist: sc.fn, Bounded: sc.bounded}
+		ev = &sc.deval
 	}
 	sc.netSession = netSession[E]{b.net.OpenSession(sc.probes, ev), sc}
 	return &sc.netSession
@@ -239,14 +232,41 @@ func (s *netSession[E]) minDist(cap float64) float64 { return s.s.MinDist(cap) }
 
 func (s *netSession[E]) close() { s.s.Close() }
 
-// --- any metric.Index: one Range per segment ---
+// --- the cover tree, the reference-based index, the bare linear scan ---
 
-// rangeBackend serves any metric.Index — the cover tree, the
-// reference-based index, the linear scan without a kernel. Every read is a
-// fresh pass over the segments; nothing is kept between reads.
+// rangeBackend serves the cover tree, the reference-based index and the
+// linear scan without a kernel. Every read is a fresh range query per
+// segment; nothing is kept between reads.
 type rangeBackend[E any] struct {
 	mt    *Matcher[E]
 	index metric.Index[seq.Window[E]]
+}
+
+// rangeFuncer is an index that ranges with the distance it is handed.
+type rangeFuncer[T any] interface {
+	RangeFunc(q T, eps float64, dist metric.DistFunc[T], yield func(T))
+}
+
+// each yields every window within eps of probe, priced through sc's counted
+// distances: the trees' traversal through Fn, the scan through Bounded at
+// eps, or Fn where the measure has no Bounded.
+func (b *rangeBackend[E]) each(probe seq.Window[E], eps float64, sc *filterScratch[E], yield func(seq.Window[E])) {
+	ls, ok := b.index.(*metric.LinearScan[seq.Window[E]])
+	if !ok {
+		b.index.(rangeFuncer[seq.Window[E]]).RangeFunc(probe, eps, sc.fn, yield)
+		return
+	}
+	for _, w := range ls.Items() {
+		var d float64
+		if sc.bounded != nil {
+			d = sc.bounded(probe, w, eps)
+		} else {
+			d = sc.fn(probe, w)
+		}
+		if d <= eps {
+			yield(w)
+		}
+	}
 }
 
 func (b *rangeBackend[E]) insert(w seq.Window[E]) { b.index.Insert(w) }
@@ -278,10 +298,10 @@ type rangeSession[E any] struct {
 func (s *rangeSession[E]) hits(eps float64) []Hit[E] {
 	sc := s.sc
 	sc.hits = sc.hits[:0]
-	for _, seg := range sc.segs {
-		for _, w := range s.b.index.Range(probeOf(seg), eps) {
-			sc.hits = append(sc.hits, Hit[E]{Window: w, Segment: seg})
-		}
+	var seg seq.Segment[E]
+	add := func(w seq.Window[E]) { sc.hits = append(sc.hits, Hit[E]{Window: w, Segment: seg}) }
+	for _, seg = range sc.segs {
+		s.b.each(probeOf(seg), eps, sc, add)
 	}
 	return sc.hits
 }
@@ -290,17 +310,20 @@ func (s *rangeSession[E]) hits(eps float64) []Hit[E] {
 // what comes back through the counted distance, so the radius shrinks from
 // segment to segment.
 func (s *rangeSession[E]) minDist(cap float64) float64 {
+	sc := s.sc
 	best, bound := math.Inf(1), cap
-	for _, seg := range s.sc.segs {
+	var probe seq.Window[E]
+	price := func(w seq.Window[E]) {
+		if d := sc.fn(probe, w); d <= bound {
+			best, bound = d, math.Nextafter(d, math.Inf(-1))
+		}
+	}
+	for _, seg := range sc.segs {
 		if bound < 0 {
 			break
 		}
-		probe := probeOf(seg)
-		for _, w := range s.b.index.Range(probe, bound) {
-			if d := s.b.mt.counter.Distance(probe, w); d <= bound {
-				best, bound = d, math.Nextafter(d, math.Inf(-1))
-			}
-		}
+		probe = probeOf(seg)
+		s.b.each(probe, bound, sc, price)
 	}
 	return best
 }
@@ -310,7 +333,7 @@ func (s *rangeSession[E]) close() {}
 // --- the linear scan under an incremental kernel ---
 
 // scanBackend is the linear scan read through the measure's incremental
-// kernel; it mutates as any metric.Index does.
+// kernel; it mutates as rangeBackend does.
 type scanBackend[E any] struct {
 	rangeBackend[E]
 	scan *metric.LinearScan[seq.Window[E]]
@@ -373,8 +396,8 @@ func (s *scanSession[E]) close() {}
 // and a pass stops once the kernel's Floor proves no longer segment can come
 // back under it.
 //
-// Distance accounting is the net's and the verifier's: one counted
-// evaluation per kernel pass, the free-start pass included.
+// Distance accounting is the net's and the verifier's: one evaluation per
+// kernel pass, the free-start pass included, added to the query's record.
 func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float64 {
 	mt, q, sc := s.b.mt, s.q, s.sc
 	l := mt.cfg.Params.WindowLen()
@@ -402,12 +425,11 @@ func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float
 	// them for free.
 	mt.preparedInit()
 	best := math.Inf(1)
-	var passes int64
 	for wi, w := range items {
 		p := mt.preparedAt(int32(wi))
 		lower := sc.free.run(p, q)
 		if lower != nil {
-			passes++
+			sc.cost.filter++
 		}
 		sc.kstate = dist.BindKernel(sc.kstate, p)
 		k := sc.kstate
@@ -440,9 +462,8 @@ func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float
 					perSeg[i] = append(perSeg[i], w)
 				}
 			}
-			passes++
+			sc.cost.filter++
 		}
 	}
-	mt.counter.Add(passes)
 	return best
 }

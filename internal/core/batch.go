@@ -13,8 +13,9 @@ import (
 // distance evaluation (identical counted evaluations either way, and it
 // measured slower — DESIGN.md §4), so the *Batch methods are convenience
 // loops and QueryPool contributes parallelism only. A Matcher is safe for
-// concurrent queries (the filter scratch is pooled, the counters are
-// atomic), so the pool needs no locking beyond its cursor and queue.
+// concurrent queries (the filter scratch is pooled and holds the query's
+// own cost record), so the pool needs no locking beyond its cursor and
+// queue.
 
 // countBatch tallies one *Batch call carrying n queries (BatchCalls,
 // BatchQueries).

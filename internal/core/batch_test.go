@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
@@ -23,48 +26,124 @@ func batchQueries(rng *rand.Rand, numQ int) ([]seq.Sequence[byte], []seq.Sequenc
 	return db, qs
 }
 
-// The *Batch methods cost exactly what the single-query methods cost — the
-// same counted filter plus verify distance evaluations — on every index
-// backend (DESIGN.md §4). Their answers are held to the oracle
-// (internal/store TestProgramsMatchOracle, path "batch").
+// Every way of running a query counts the same filter plus verify
+// evaluations — the *Batch methods, a 4-worker QueryPool burst and the
+// queries one at a time — on every index backend, through the kernel paths
+// (λ0 = 1) and the probe-by-probe ones (λ0 = 0: the net's DistEvaluator, the
+// bounded scan); DESIGN.md §4. No query moves BuildDistanceCalls, and a
+// mutation moves nothing else: an append, a retire where the backend has
+// one, and an append the index refuses (a window at infinite distance from
+// the root) each count as build work only. The answers are held to the
+// oracle (internal/store TestProgramsMatchOracle, paths "batch" and "pool*").
 func TestBatchCostEqualsSequentialAllBackends(t *testing.T) {
-	p := Params{Lambda: 6, Lambda0: 1}
 	lev := dist.LevenshteinMeasure[byte]()
 	rng := rand.New(rand.NewPCG(8, 800))
 	db, qs := batchQueries(rng, 5)
 	const eps = 0.5
+	opts := NearestOptions{EpsMax: 4, EpsInc: 1}
+	each := func(answer func(q seq.Sequence[byte])) func() {
+		return func() {
+			for _, q := range qs {
+				answer(q)
+			}
+		}
+	}
+	for _, lam0 := range []int{1, 0} {
+		p := Params{Lambda: 6, Lambda0: lam0}
+		for _, kind := range allBackends {
+			label := fmt.Sprintf("%v λ0=%d", kind, lam0)
+			mt, err := NewMatcher(lev, Config{Params: p, Index: kind, MVRefs: 3}, slices.Clone(db))
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			pool := NewQueryPool(mt, 4)
+			build := mt.BuildDistanceCalls()
+			calls := func() int64 { return mt.FilterDistanceCalls() + mt.VerifyDistanceCalls() }
+			for _, c := range []struct {
+				name string
+				ways []func() // batch (where there is one), pool, one at a time
+			}{
+				{"FilterHits", []func(){
+					func() { mt.FilterHitsBatch(qs, eps) },
+					func() { pool.FilterHits(qs, eps) },
+					each(func(q seq.Sequence[byte]) { mt.FilterHits(q, eps) }),
+				}},
+				{"FindAll", []func(){
+					func() { mt.FindAllBatch(qs, eps) },
+					func() { pool.FindAll(qs, eps) },
+					each(func(q seq.Sequence[byte]) { mt.FindAll(q, eps) }),
+				}},
+				{"Longest", []func(){
+					func() { mt.LongestBatch(qs, eps) },
+					func() { pool.Longest(qs, eps) },
+					each(func(q seq.Sequence[byte]) { mt.Longest(q, eps) }),
+				}},
+				{"Nearest", []func(){
+					func() { pool.Nearest(qs, opts) },
+					each(func(q seq.Sequence[byte]) { mt.Nearest(q, opts) }),
+				}},
+			} {
+				var counted []int64
+				for _, way := range c.ways {
+					c0 := calls()
+					way()
+					counted = append(counted, calls()-c0)
+				}
+				if counted[0] == 0 || slices.Min(counted) != slices.Max(counted) {
+					t.Fatalf("%s %s: counted %v evaluations (batch, pool, one at a time), want the same non-zero count", label, c.name, counted)
+				}
+			}
+			if got := mt.BuildDistanceCalls(); got != build {
+				t.Fatalf("%s: queries moved BuildDistanceCalls from %d to %d", label, build, got)
+			}
+			mutation := func(what string, fn func()) {
+				f0, v0, b0 := mt.FilterDistanceCalls(), mt.VerifyDistanceCalls(), mt.BuildDistanceCalls()
+				fn()
+				if f, v := mt.FilterDistanceCalls(), mt.VerifyDistanceCalls(); f != f0 || v != v0 {
+					t.Fatalf("%s %s: filter %d → %d, verify %d → %d; a mutation is build work", label, what, f0, f, v0, v)
+				}
+				if what == "append" && kind != IndexLinearScan && mt.BuildDistanceCalls() == b0 {
+					t.Fatalf("%s: the append computed no distance", label)
+				}
+			}
+			mutation("append", func() {
+				if _, _, err := mt.AppendSequence(slices.Clone(qs[0])); err != nil {
+					t.Fatalf("%s: append: %v", label, err)
+				}
+			})
+			mutation("retire", func() {
+				if _, err := mt.RetireSequence(0); err != nil && !errors.Is(err, ErrRetireUnsupported) {
+					t.Fatalf("%s: retire: %v", label, err)
+				}
+			})
+		}
+	}
+
+	// The refused append: the net and the cover tree refuse a window at a
+	// non-finite distance from the root after pricing that distance.
+	fdb := []seq.Sequence[float64]{{1, 2, 3, 4, 5, 6, 7, 8, 9}, {3, 1, 4, 1, 5, 9, 2, 6, 5}}
+	far := seq.Sequence[float64]{1e308, 1e308, 1e308, 1e308, 1e308, 1e308}
 	for _, kind := range allBackends {
-		mt, err := NewMatcher(lev, Config{Params: p, Index: kind, MVRefs: 3}, db)
+		mt, err := NewMatcher(dist.EuclideanMeasure(dist.AbsDiff), Config{Params: Params{Lambda: 6}, Index: kind, MVRefs: 2}, fdb)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		calls := func() int64 { return mt.FilterDistanceCalls() + mt.VerifyDistanceCalls() }
-		for _, c := range []struct {
-			name          string
-			batch, single func()
-		}{
-			{"FilterHits", func() { mt.FilterHitsBatch(qs, eps) }, func() {
-				for _, q := range qs {
-					mt.FilterHits(q, eps)
-				}
-			}},
-			{"FindAll", func() { mt.FindAllBatch(qs, eps) }, func() {
-				for _, q := range qs {
-					mt.FindAll(q, eps)
-				}
-			}},
-			{"Longest", func() { mt.LongestBatch(qs, eps) }, func() {
-				for _, q := range qs {
-					mt.Longest(q, eps)
-				}
-			}},
-		} {
-			c0 := calls()
-			c.batch()
-			c1 := calls()
-			c.single()
-			if b, s := c1-c0, calls()-c1; b != s {
-				t.Fatalf("%v %s: batch counted %d evaluations, one at a time %d", kind, c.name, b, s)
+		mt.FindAll(fdb[1][:6], 1)
+		f0, v0, b0 := mt.FilterDistanceCalls(), mt.VerifyDistanceCalls(), mt.BuildDistanceCalls()
+		refused := func() (r any) {
+			defer func() { r = recover() }()
+			mt.AppendSequence(far)
+			return nil
+		}()
+		if f, v := mt.FilterDistanceCalls(), mt.VerifyDistanceCalls(); f != f0 || v != v0 {
+			t.Fatalf("%v: a refused append moved filter %d → %d, verify %d → %d", kind, f0, f, v0, v)
+		}
+		if kind == IndexRefNet || kind == IndexCoverTree {
+			if refused == nil {
+				t.Fatalf("%v: the index took a window at infinite distance from its root", kind)
+			}
+			if mt.BuildDistanceCalls() == b0 {
+				t.Fatalf("%v: the refused append's evaluation is not build work (build %d)", kind, b0)
 			}
 		}
 	}

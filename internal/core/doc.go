@@ -50,13 +50,14 @@
 // a start pair are prefixes of one DP table, so it runs one pass per start
 // pair instead of one evaluation per candidate, and abandons a pass once
 // the kernel's Floor proves every later cell outside the radius.
-// VerifyDistanceCalls counts those passes. Every path
-// answers one query with one index traversal over that query's own
-// segments: FilterHitsBatch / FindAllBatch / LongestBatch are loops over
-// the single-query methods, and QueryPool hands queries one at a time to
-// worker goroutines — a traversal shared across queries saved no distance
-// evaluation and measured slower (DESIGN.md §4). A Matcher is safe for
-// concurrent queries.
+// VerifyDistanceCalls counts those passes. Each query counts what it
+// spends in a record of its own, added to the matcher's totals once when it
+// ends; the index's own distance counts build work only. Every path answers one query with one index traversal over that query's
+// own segments: FilterHitsBatch / FindAllBatch / LongestBatch are loops
+// over the single-query methods, and QueryPool hands queries one at a time
+// to worker goroutines — a traversal shared across queries saved no
+// distance evaluation and measured slower (DESIGN.md §4). A Matcher is
+// safe for concurrent queries.
 //
 // # Serving
 //

@@ -183,10 +183,10 @@ func TestEvalBatchPrePassReadsOnlyItsOwnBounds(t *testing.T) {
 				for i := range poison {
 					poison[i] = math.Inf(1)
 				}
-				before := mt.FilterDistanceCalls()
+				before := sc.cost.filter
 				sc.keval.EvalBatch(w, idxs, bound, out)
 				// At most the pre-pass and one exact pass a run.
-				if passes := mt.FilterDistanceCalls() - before; passes < 1 || passes > int64(len(idxs))+1 {
+				if passes := sc.cost.filter - before; passes < 1 || passes > int64(len(idxs))+1 {
 					t.Fatalf("set %d bound %v: %d passes counted for %d probes", si, bound, passes, len(idxs))
 				}
 				for k, i := range idxs {

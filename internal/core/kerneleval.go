@@ -127,10 +127,10 @@ func (f *freePass[E]) run(p dist.Prepared[E], q []E) []float64 {
 // streaming each probe group — probes sharing a query offset — through the
 // target window's shared incremental kernel. It lives in the pooled filter
 // scratch, so each concurrent traversal owns one kernel state (and the
-// scratch's free-start state). Each EvalBatch counts one filter distance
-// evaluation per kernel pass, the pre-pass included (an exact pass costs one
-// longest-member evaluation), which is what makes the refnet filter's
-// counted cost drop below one evaluation per probe.
+// scratch's free-start state). Each EvalBatch adds one filter distance
+// evaluation per kernel pass to the query's record, the pre-pass included
+// (an exact pass costs one longest-member evaluation), which is what makes
+// the refnet filter's counted cost drop below one evaluation per probe.
 //
 // probes must be ordered offset-major — by (Start, length), as
 // filterScratch.offsetMajorProbes lays them out. The traversal hands every
@@ -145,18 +145,18 @@ type kernelEvaluator[E any] struct {
 	q      seq.Sequence[E]
 	probes []seq.Window[E]
 	state  dist.Kernel[E]
-	free   *freePass[E]
+	sc     *filterScratch[E] // its free-start pass and cost record
 }
 
 // open points the evaluator at one query's probes, laid out in sc.
 func (ev *kernelEvaluator[E]) open(mt *Matcher[E], q seq.Sequence[E], sc *filterScratch[E]) {
 	sc.free.open(mt)
-	ev.mt, ev.q, ev.probes, ev.free = mt, q, sc.probes, &sc.free
+	ev.mt, ev.q, ev.probes, ev.sc = mt, q, sc.probes, sc
 }
 
 // Exact is false once there is a pre-pass: what it writes for a run it rules
 // out is a proof that the run is over bound, not a distance.
-func (ev *kernelEvaluator[E]) Exact() bool { return ev.free.k == nil }
+func (ev *kernelEvaluator[E]) Exact() bool { return ev.sc.free.k == nil }
 
 // EvalBatch prices the runs in idxs against item. With more than one run
 // pending it first runs one free-start pass from the lowest pending start to
@@ -167,7 +167,6 @@ func (ev *kernelEvaluator[E]) Exact() bool { return ev.free.k == nil }
 // shorter than any pre-pass, so it goes straight to it.
 func (ev *kernelEvaluator[E]) EvalBatch(item seq.Window[E], idxs []int32, bound float64, out []float64) {
 	p, probes := ev.mt.preparedFor(item), ev.probes
-	var passes int64
 	var lower []float64
 	lo := probes[idxs[0]].Start
 	if probes[idxs[len(idxs)-1]].Start != lo {
@@ -177,8 +176,8 @@ func (ev *kernelEvaluator[E]) EvalBatch(item seq.Window[E], idxs []int32, bound 
 		for _, i := range idxs {
 			hi = max(hi, probes[i].End())
 		}
-		if lower = ev.free.run(p, ev.q[lo:hi]); lower != nil {
-			passes++
+		if lower = ev.sc.free.run(p, ev.q[lo:hi]); lower != nil {
+			ev.sc.cost.filter++
 		}
 	}
 	for s := 0; s < len(idxs); {
@@ -209,11 +208,10 @@ func (ev *kernelEvaluator[E]) EvalBatch(item seq.Window[E], idxs []int32, bound 
 					k++
 				}
 			}
-			passes++
+			ev.sc.cost.filter++
 		}
 		s = e
 	}
-	ev.mt.counter.Add(passes)
 }
 
 // offsetMajorProbes lays the segments out as index probes ordered by

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"repro/internal/dist"
-	"repro/internal/metric"
 	"repro/internal/seq"
 )
 
@@ -29,18 +28,6 @@ var ErrRetireUnsupported = errors.New("core: index backend does not support reti
 // (see store snapshot format notes).
 var ErrSaveUnsupported = errors.New("core: index backend does not support serialisation")
 
-// chargeBuild attributes the distance computations spent inside fn to the
-// build/maintenance budget instead of the query-side filter counter, so
-// FilterDistanceCalls keeps meaning "query evaluation cost" (the paper's
-// Figures 8–11 quantity) across mutations.
-func (mt *Matcher[E]) chargeBuild(fn func()) {
-	before := mt.counter.Calls()
-	fn()
-	delta := mt.counter.Calls() - before
-	mt.buildCalls += delta
-	mt.counter.Add(-delta)
-}
-
 // AppendSequence partitions x into windows of length λ/2, inserts them
 // into the live index, and returns the new sequence's ID plus the number
 // of windows added (a trailing run shorter than λ/2 is discarded, so a
@@ -50,11 +37,9 @@ func (mt *Matcher[E]) chargeBuild(fn func()) {
 func (mt *Matcher[E]) AppendSequence(x seq.Sequence[E]) (seqID, added int, err error) {
 	seqID = len(mt.db)
 	wins := seq.Partition(seqID, x, mt.cfg.Params.WindowLen())
-	mt.chargeBuild(func() {
-		for _, w := range wins {
-			mt.index.insert(w)
-		}
-	})
+	for _, w := range wins {
+		mt.index.insert(w)
+	}
 	mt.db = append(mt.db, x)
 	mt.windows = append(mt.windows, wins...)
 	// The verifier resolves SeqIDs against its own database slice; keep it
@@ -76,10 +61,7 @@ func (mt *Matcher[E]) RetireSequence(seqID int) (removed int, err error) {
 	if mt.db[seqID] == nil {
 		return 0, fmt.Errorf("core: retire: sequence %d already retired", seqID)
 	}
-	mt.chargeBuild(func() {
-		removed, err = mt.index.remove(seqID, len(mt.db[seqID])/mt.cfg.Params.WindowLen())
-	})
-	if err != nil {
+	if removed, err = mt.index.remove(seqID, len(mt.db[seqID])/mt.cfg.Params.WindowLen()); err != nil {
 		return 0, err
 	}
 	mt.db[seqID] = nil
@@ -164,7 +146,7 @@ func NewMatcherFromSavedIndex[E any](m dist.Measure[E], cfg Config, db []seq.Seq
 	if cfg.Index != IndexRefNet {
 		return nil, fmt.Errorf("core: restore: backend %v has no serialised form", cfg.Index)
 	}
-	return newMatcher(m, cfg, db, func(mt *Matcher[E], bounded metric.BoundedDistFunc[seq.Window[E]]) (backend[E], error) {
-		return loadNetBackend(mt, bounded, r)
+	return newMatcher(m, cfg, db, func(mt *Matcher[E]) (backend[E], error) {
+		return loadNetBackend(mt, r)
 	})
 }

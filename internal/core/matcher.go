@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/metric"
+	"repro/internal/refnet"
 	"repro/internal/seq"
 )
 
@@ -57,12 +58,13 @@ type Matcher[E any] struct {
 	// the one thing the query and lifecycle paths know about it.
 	index backend[E]
 
-	// counter wraps the window distance used by the index, for the
-	// paper's distance-computation accounting.
+	// counter wraps the window distance the index stores. Queries price
+	// through their own scratch (filterScratch.cost), so only construction
+	// and mutation call it and its count is the build count.
 	counter *metric.Counter[seq.Window[E]]
-	// buildCalls is the number of distance computations spent on index
-	// construction.
-	buildCalls int64
+	// filterCalls and verifyCalls total the cost records of the queries
+	// that have finished.
+	filterCalls, verifyCalls atomic.Int64
 	// verifier handles candidate generation + verification (step 5).
 	verifier *verifier[E]
 	// scratch pools per-query filter state (segment, probe and hit slices)
@@ -88,8 +90,21 @@ type Matcher[E any] struct {
 	winIndex     map[winKey]int32
 }
 
+// cost is one query's distance evaluations, in the units of
+// FilterDistanceCalls and VerifyDistanceCalls: one per kernel pass, and one
+// per Fn or Bounded call where no kernel prices.
+type cost struct{ filter, verify int64 }
+
 // filterScratch is the reusable per-query working set of the filter steps.
 type filterScratch[E any] struct {
+	// cost is the query's record, which putScratch adds to the totals. fn
+	// and bounded (nil without m.Bounded) are the window distances counted
+	// into it; deval prices the net's probes through them without a kernel.
+	cost    cost
+	fn      metric.DistFunc[seq.Window[E]]
+	bounded metric.BoundedDistFunc[seq.Window[E]]
+	deval   refnet.DistEvaluator[seq.Window[E]]
+
 	segs   []seq.Segment[E]
 	probes []seq.Window[E]
 	hits   []Hit[E]
@@ -123,10 +138,28 @@ func (mt *Matcher[E]) getScratch() *filterScratch[E] {
 	if sc, ok := mt.scratch.Get().(*filterScratch[E]); ok {
 		return sc
 	}
-	return &filterScratch[E]{}
+	sc, m := &filterScratch[E]{}, mt.measure
+	sc.fn = func(a, b seq.Window[E]) float64 {
+		sc.cost.filter++
+		return m.Fn(a.Data, b.Data)
+	}
+	if m.Bounded != nil {
+		sc.bounded = func(a, b seq.Window[E], eps float64) float64 {
+			sc.cost.filter++
+			return m.Bounded(a.Data, b.Data, eps)
+		}
+	}
+	return sc
 }
 
-func (mt *Matcher[E]) putScratch(sc *filterScratch[E]) { mt.scratch.Put(sc) }
+// putScratch ends the query: its cost record goes to the totals, one atomic
+// add each, and the scratch back to the pool.
+func (mt *Matcher[E]) putScratch(sc *filterScratch[E]) {
+	mt.filterCalls.Add(sc.cost.filter)
+	mt.verifyCalls.Add(sc.cost.verify)
+	sc.cost = cost{}
+	mt.scratch.Put(sc)
+}
 
 // NewMatcher builds a matcher over db: it validates the configuration,
 // partitions every database sequence into windows of length λ/2 (step 1)
@@ -137,10 +170,9 @@ func NewMatcher[E any](m dist.Measure[E], cfg Config, db []seq.Sequence[E]) (*Ma
 
 // newMatcher is everything NewMatcher and NewMatcherFromSavedIndex share,
 // which is everything but where the index comes from: index builds or
-// restores it over mt.windows through mt.counter, and is handed the counted
-// early-abandoning window distance (nil when the measure has none).
+// restores it over mt.windows through mt.counter.
 func newMatcher[E any](m dist.Measure[E], cfg Config, db []seq.Sequence[E],
-	index func(*Matcher[E], metric.BoundedDistFunc[seq.Window[E]]) (backend[E], error)) (*Matcher[E], error) {
+	index func(*Matcher[E]) (backend[E], error)) (*Matcher[E], error) {
 	cfg.defaults()
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
@@ -157,18 +189,10 @@ func newMatcher[E any](m dist.Measure[E], cfg Config, db []seq.Sequence[E],
 	mt.counter = metric.NewCounter(func(a, b seq.Window[E]) float64 {
 		return m.Fn(a.Data, b.Data)
 	})
-	var bounded metric.BoundedDistFunc[seq.Window[E]]
-	if m.Bounded != nil {
-		bounded = mt.counter.CountBounded(func(a, b seq.Window[E], eps float64) float64 {
-			return m.Bounded(a.Data, b.Data, eps)
-		})
-	}
 	var err error
-	if mt.index, err = index(mt, bounded); err != nil {
+	if mt.index, err = index(mt); err != nil {
 		return nil, err
 	}
-	mt.buildCalls = mt.counter.Calls() // zero after a restore: decoding computes no distances
-	mt.counter.Reset()
 	mt.verifier = newVerifier(m, cfg.Params, db)
 	return mt, nil
 }
@@ -183,8 +207,10 @@ func (mt *Matcher[E]) NumWindows() int { return len(mt.windows) }
 func (mt *Matcher[E]) Windows() []seq.Window[E] { return mt.windows }
 
 // BuildDistanceCalls reports the distance computations spent building the
-// index (offline cost).
-func (mt *Matcher[E]) BuildDistanceCalls() int64 { return mt.buildCalls }
+// index (offline cost) and, since, appending to it and retiring from it —
+// including an append the index refused. A restored matcher starts at zero:
+// decoding computes no distances.
+func (mt *Matcher[E]) BuildDistanceCalls() int64 { return mt.counter.Calls() }
 
 // FilterDistanceCalls reports the distance computations spent by the index
 // on queries since the last ResetFilterCalls — the quantity Figures 8–11 of
@@ -194,11 +220,11 @@ func (mt *Matcher[E]) BuildDistanceCalls() int64 { return mt.buildCalls }
 // longest-member evaluation), and so does the free-start pass that bounds
 // every group at a node, or every offset against a window on the kernel
 // scan — which is how the kernel-fed filters drop below one counted
-// evaluation per probe.
-func (mt *Matcher[E]) FilterDistanceCalls() int64 { return mt.counter.Calls() }
+// evaluation per probe. A query's evaluations land when it finishes.
+func (mt *Matcher[E]) FilterDistanceCalls() int64 { return mt.filterCalls.Load() }
 
-// ResetFilterCalls zeroes the query-side distance counter.
-func (mt *Matcher[E]) ResetFilterCalls() { mt.counter.Reset() }
+// ResetFilterCalls zeroes the query-side filter total.
+func (mt *Matcher[E]) ResetFilterCalls() { mt.filterCalls.Store(0) }
 
 // BatchCalls reports how many FilterHitsBatch, FindAllBatch and
 // LongestBatch calls ran.
@@ -214,7 +240,7 @@ func (mt *Matcher[E]) BatchQueries() int64 { return mt.batchQueries.Load() }
 // every candidate end on the way, the convention FilterDistanceCalls uses
 // for kernel passes. A measure without an incremental kernel (Prepare nil)
 // is counted per Fn call instead, one per distinct candidate.
-func (mt *Matcher[E]) VerifyDistanceCalls() int64 { return mt.verifier.calls.Load() }
+func (mt *Matcher[E]) VerifyDistanceCalls() int64 { return mt.verifyCalls.Load() }
 
 // FilterHits runs the online filtering steps (3–4): it extracts every
 // query segment of length λ/2−λ0 … λ/2+λ0 and range-queries the window
@@ -270,7 +296,7 @@ func (mt *Matcher[E]) FindAll(q seq.Sequence[E], eps float64) []Match {
 	sc := mt.getScratch()
 	defer mt.putScratch(sc)
 	hits := mt.filterHits(q, eps, sc)
-	return mt.verifier.verifyAll(q, hits, eps)
+	return mt.verifier.verifyAll(q, hits, eps, &sc.cost)
 }
 
 // Longest answers query Type II: among all similar pairs at radius eps it
@@ -282,7 +308,7 @@ func (mt *Matcher[E]) Longest(q seq.Sequence[E], eps float64) (Match, bool) {
 	sc := mt.getScratch()
 	defer mt.putScratch(sc)
 	hits := mt.filterHits(q, eps, sc)
-	return mt.verifier.verifyLongest(q, hits, eps)
+	return mt.verifier.verifyLongest(q, hits, eps, &sc.cost)
 }
 
 // NearestOptions tunes Nearest (query Type III).
@@ -382,7 +408,7 @@ func (mt *Matcher[E]) Nearest(q seq.Sequence[E], opts NearestOptions) (Match, bo
 	}
 	for eps := hi; ; eps += opts.EpsInc {
 		eps = min(eps, opts.EpsMax)
-		if best, ok := mt.verifier.verifyNearest(q, s.hits(eps), eps); ok {
+		if best, ok := mt.verifier.verifyNearest(q, s.hits(eps), eps, &sc.cost); ok {
 			return best, true
 		}
 		if eps == opts.EpsMax {

@@ -52,10 +52,10 @@ func TestVerifyDistanceCallsCountsPasses(t *testing.T) {
 	if starts == 0 || starts == pairs {
 		t.Fatalf("degenerate case: %d start pairs over %d candidates", starts, pairs)
 	}
-	before := mt.VerifyDistanceCalls()
-	mt.verifier.verifyAll(q, hits, eps)
-	if got := mt.VerifyDistanceCalls() - before; got != int64(starts) {
-		t.Errorf("kernel measure: VerifyDistanceCalls advanced by %d, want one per pass = %d (candidates: %d)", got, starts, pairs)
+	var c cost
+	mt.verifier.verifyAll(q, hits, eps, &c)
+	if got := c.verify; got != int64(starts) {
+		t.Errorf("kernel measure: verifyAll counted %d, want one per pass = %d (candidates: %d)", got, starts, pairs)
 	}
 
 	var fnCalls atomic.Int64
@@ -71,11 +71,12 @@ func TestVerifyDistanceCallsCountsPasses(t *testing.T) {
 	}
 	hits = mt.FilterHits(q, eps)
 	_, pairs = distinct(mt.verifier, hits)
-	before, fnBefore := mt.VerifyDistanceCalls(), fnCalls.Load()
-	mt.verifier.verifyAll(q, hits, eps)
-	got, fn := mt.VerifyDistanceCalls()-before, fnCalls.Load()-fnBefore
+	c = cost{}
+	fnBefore := fnCalls.Load()
+	mt.verifier.verifyAll(q, hits, eps, &c)
+	got, fn := c.verify, fnCalls.Load()-fnBefore
 	if got != fn || got != int64(pairs) {
-		t.Errorf("adapter: VerifyDistanceCalls advanced by %d over %d Fn calls, want one per candidate = %d", got, fn, pairs)
+		t.Errorf("adapter: verifyAll counted %d over %d Fn calls, want one per candidate = %d", got, fn, pairs)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/dist"
-	"repro/internal/metric"
 	"repro/internal/seq"
 )
 
@@ -44,11 +43,6 @@ type verifier[E any] struct {
 	m  dist.Measure[E]
 	p  Params
 	db []seq.Sequence[E]
-	// calls counts verification cost in distance evaluations: one per pass
-	// (a pass costs one DP over its longest candidate, the convention the
-	// filter's kernel passes are counted by), or, for a measure without an
-	// incremental kernel, one per Fn call its passes make.
-	calls metric.Tally
 	// scratch pools the per-query working set: region and pass lists and the
 	// pass kernel with its window preprocessing.
 	scratch sync.Pool
@@ -285,12 +279,16 @@ type visitor interface {
 // The answer never depends on pass order or on where a pass is abandoned:
 // a pass stops early only when the kernel's Floor strictly exceeds the
 // radius, which no later cell can then be within.
-func (v *verifier[E]) scan(q seq.Sequence[E], regs []region, passes []pass, sc *verifyScratch[E], vis visitor) {
+//
+// The passes are priced into c.verify: one evaluation per pass (a pass
+// costs one DP over its longest candidate, the convention the filter's
+// kernel passes are counted by), or, for a measure without an incremental
+// kernel, one per Fn call its passes make.
+func (v *verifier[E]) scan(q seq.Sequence[E], regs []region, passes []pass, sc *verifyScratch[E], vis visitor, c *cost) {
 	lam, lam0 := v.p.Lambda, v.p.Lambda0
 	// A kernel pass is one DP however many cells are read; the Fn adapter
 	// (no Prepare) makes one Fn call per cell read instead.
 	perRead := v.m.Prepare == nil
-	var evals int64
 	bound := pass{seqID: -1}
 	for _, p := range passes {
 		if int(p.rows) < vis.minQLen() {
@@ -328,12 +326,11 @@ func (v *verifier[E]) scan(q seq.Sequence[E], regs []region, passes []pass, sc *
 			}
 		}
 		if perRead {
-			evals += reads
+			c.verify += reads
 		} else {
-			evals++
+			c.verify++
 		}
 	}
-	v.calls.Add(evals)
 }
 
 // anyHolds reports whether some member region's end box holds (qe, xe).
@@ -409,14 +406,14 @@ func (n *nearestMatch) visit(m Match) {
 }
 
 // verifyAll implements query Type I verification over the per-hit regions.
-func (v *verifier[E]) verifyAll(q seq.Sequence[E], hits []Hit[E], eps float64) []Match {
+func (v *verifier[E]) verifyAll(q seq.Sequence[E], hits []Hit[E], eps float64, c *cost) []Match {
 	sc := v.getScratch()
 	defer v.putScratch(sc)
 	for _, h := range hits {
 		sc.regs = append(sc.regs, v.hitRegion(q, h))
 	}
 	vis := allMatches{eps: eps}
-	v.scan(q, sc.regs, v.passes(sc.regs, sc), sc, &vis)
+	v.scan(q, sc.regs, v.passes(sc.regs, sc), sc, &vis, c)
 	slices.SortFunc(vis.out, CanonicalCompare)
 	return vis.out
 }
@@ -456,12 +453,12 @@ func LongestBefore(a, b Match) bool {
 // distance pair within the run regions, if any pair is within eps.
 // Distance ties resolve canonically (NearestBefore), never by traversal
 // order.
-func (v *verifier[E]) verifyNearest(q seq.Sequence[E], hits []Hit[E], eps float64) (Match, bool) {
+func (v *verifier[E]) verifyNearest(q seq.Sequence[E], hits []Hit[E], eps float64, c *cost) (Match, bool) {
 	sc := v.getScratch()
 	defer v.putScratch(sc)
 	regs := v.runRegions(q, hits, sc)
 	vis := nearestMatch{eps: eps}
-	v.scan(q, regs, v.passes(regs, sc), sc, &vis)
+	v.scan(q, regs, v.passes(regs, sc), sc, &vis, c)
 	return vis.best, vis.found
 }
 
@@ -472,13 +469,13 @@ func (v *verifier[E]) verifyNearest(q seq.Sequence[E], hits []Hit[E], eps float6
 // (internal/shard) merge per-shard longest matches bit-identically to a
 // single node. Passes run from the longest reachable span down, so the
 // first matches found rule out most of the rest unrun.
-func (v *verifier[E]) verifyLongest(q seq.Sequence[E], hits []Hit[E], eps float64) (Match, bool) {
+func (v *verifier[E]) verifyLongest(q seq.Sequence[E], hits []Hit[E], eps float64, c *cost) (Match, bool) {
 	sc := v.getScratch()
 	defer v.putScratch(sc)
 	regs := v.runRegions(q, hits, sc)
 	passes := v.passes(regs, sc)
 	slices.SortStableFunc(passes, func(a, b pass) int { return cmp.Compare(b.rows, a.rows) })
 	vis := longestMatch{eps: eps}
-	v.scan(q, regs, passes, sc, &vis)
+	v.scan(q, regs, passes, sc, &vis, c)
 	return vis.best, vis.found
 }

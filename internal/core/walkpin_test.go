@@ -102,7 +102,7 @@ func runWalkPin[E any](t *testing.T, m dist.Measure[E], p Params, ds data.Datase
 		}
 		s.Close()
 	}
-	got := walkPin{sum: fmt.Sprintf("%x", ev.h.Sum(nil)), calls: mt.FilterDistanceCalls()}
+	got := walkPin{sum: fmt.Sprintf("%x", ev.h.Sum(nil)), calls: sc.cost.filter}
 	t.Logf("%d hits, %d counted filter evaluations", hits, got.calls)
 	if hits == 0 {
 		t.Fatal("vacuous: no read found a hit")

@@ -154,16 +154,18 @@ func (t *Tree[T]) Insert(item T) {
 // Range returns every item within eps of q (inclusive).
 func (t *Tree[T]) Range(q T, eps float64) []T {
 	var out []T
-	t.RangeFunc(q, eps, func(item T) { out = append(out, item) })
+	t.RangeFunc(q, eps, t.dist, func(item T) { out = append(out, item) })
 	return out
 }
 
-// RangeFunc streams every item within eps of q to yield. The traversal uses
-// the same four pruning rules as the reference net: stored parent-child
-// distances give zero-computation subtree inclusion/exclusion bounds, and
-// computed node distances give the exact subtree rules, each clearing eps by
-// the net's rounding allowance (DESIGN.md §3).
-func (t *Tree[T]) RangeFunc(q T, eps float64, yield func(T)) {
+// RangeFunc streams every item within eps of q to yield, computing the
+// query-to-node distances with dist, which must agree with the tree's own
+// (a caller passes a copy that counts what its query spends). The traversal
+// uses the same four pruning rules as the reference net: stored
+// parent-child distances give zero-computation subtree inclusion/exclusion
+// bounds, and computed node distances give the exact subtree rules, each
+// clearing eps by the net's rounding allowance (DESIGN.md §3).
+func (t *Tree[T]) RangeFunc(q T, eps float64, dist metric.DistFunc[T], yield func(T)) {
 	if t.root == nil {
 		return
 	}
@@ -178,7 +180,7 @@ func (t *Tree[T]) RangeFunc(q T, eps float64, yield func(T)) {
 		}
 		return (scale + math.Abs(eps)) * 0x1p-32
 	}
-	d := t.dist(q, t.root.item)
+	d := dist(q, t.root.item)
 	if d <= eps {
 		yield(t.root.item)
 	}
@@ -200,7 +202,7 @@ func (t *Tree[T]) RangeFunc(q T, eps float64, yield func(T)) {
 				collect(c, yield) // whole subtree provably inside
 				continue
 			}
-			dc := t.dist(q, c.item)
+			dc := dist(q, c.item)
 			if dc-rho > eps+slack(dc) {
 				continue
 			}

@@ -1,57 +1,18 @@
 // Package metric defines the metric-space abstractions shared by the index
 // structures (reference net, cover tree, reference-based index) and the
-// naive linear-scan baseline, plus the distance-computation accounting that
-// the paper uses as its primary query-cost metric (Figures 8–11 report the
-// percentage of distance computations relative to a full scan).
+// naive linear-scan baseline, plus the distance-computation count the paper
+// uses as its primary cost metric (Figures 8–11 report the percentage of
+// distance computations relative to a full scan).
 //
 // The central types are DistFunc (a metric distance over items, wrapped by
-// Counter into a distance that tallies its evaluations) and LinearScan,
-// the no-index baseline every backend is measured against; LinearScan also
+// Counter into a distance that counts its evaluations) and LinearScan, the
+// no-index baseline every backend is measured against; LinearScan also
 // accepts a BoundedDistFunc so that early-abandoning measures stop distance
-// evaluations at the query radius. Tally is the concurrency-friendly
-// counter behind all per-query accounting: increments scatter over padded
-// cells so parallel workers do not serialise on one cache line.
+// evaluations at the query radius. (internal/core counts a query's
+// evaluations in a record of its own; its index Counters count build work.)
 package metric
 
-import (
-	"math/rand/v2"
-	"sync/atomic"
-)
-
-// Tally is a cache-friendly concurrent event counter: increments scatter
-// across padded cells (picked by the runtime's per-core cheap RNG) so the
-// hot query paths of concurrent workers do not ping-pong a single cache
-// line, and Load folds the cells. Counts are exact; only their cell
-// placement is randomised.
-type Tally struct {
-	cells [tallyCells]paddedInt64
-}
-
-const tallyCells = 8
-
-type paddedInt64 struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Add adds n to the tally.
-func (t *Tally) Add(n int64) { t.cells[rand.Uint64()%tallyCells].v.Add(n) }
-
-// Load returns the current total.
-func (t *Tally) Load() int64 {
-	var sum int64
-	for i := range t.cells {
-		sum += t.cells[i].v.Load()
-	}
-	return sum
-}
-
-// Reset zeroes the tally.
-func (t *Tally) Reset() {
-	for i := range t.cells {
-		t.cells[i].v.Store(0)
-	}
-}
+import "sync/atomic"
 
 // DistFunc measures the dissimilarity of two items. Index structures
 // require it to be a metric: non-negative, zero on identical items,
@@ -107,13 +68,11 @@ type Index[T any] interface {
 	Len() int
 }
 
-// Counter wraps a DistFunc and counts invocations. It is safe for
-// concurrent use (counts stripe across a Tally, so concurrent queries do
-// not contend); the count is the paper's hardware-independent cost measure
-// for query evaluation.
+// Counter wraps a DistFunc and counts invocations, the paper's
+// hardware-independent cost measure. It is safe for concurrent use.
 type Counter[T any] struct {
 	fn    DistFunc[T]
-	calls Tally
+	calls atomic.Int64
 }
 
 // NewCounter returns a Counter wrapping fn.
@@ -131,13 +90,7 @@ func (c *Counter[T]) Distance(a, b T) float64 {
 func (c *Counter[T]) Calls() int64 { return c.calls.Load() }
 
 // Reset zeroes the call count.
-func (c *Counter[T]) Reset() { c.calls.Reset() }
-
-// Add bumps the count by n directly. The incremental filter kernels use it
-// to account for evaluations that bypass the wrapped function (one kernel
-// pass subsumes several plain distance calls; the caller decides the
-// equivalence).
-func (c *Counter[T]) Add(n int64) { c.calls.Add(n) }
+func (c *Counter[T]) Reset() { c.calls.Store(0) }
 
 // CountBounded wraps a bounded distance so each call increments the same
 // counter as Distance — an early-abandoned evaluation still counts as one

@@ -115,15 +115,14 @@ func TestLinearScanBounded(t *testing.T) {
 	}
 }
 
-// CountBounded and Add must feed the same counter as Distance.
+// CountBounded must feed the same counter as Distance.
 func TestCounterBoundedAndAdd(t *testing.T) {
 	c := NewCounter(DistFunc[int](func(a, b int) float64 { return float64(a - b) }))
 	bounded := c.CountBounded(func(a, b int, eps float64) float64 { return float64(a - b) })
 	c.Distance(3, 1)
 	bounded(5, 2, 10)
-	c.Add(7)
-	if got := c.Calls(); got != 9 {
-		t.Fatalf("Calls = %d, want 9", got)
+	if got := c.Calls(); got != 2 {
+		t.Fatalf("Calls = %d, want 2", got)
 	}
 	c.Reset()
 	if got := c.Calls(); got != 0 {

@@ -211,16 +211,18 @@ func (x *Index[T]) note(d float64) { x.scale, x.frac = max(x.scale, d), x.frac |
 // rounding allowance (DESIGN.md §3).
 func (x *Index[T]) Range(q T, eps float64) []T {
 	var out []T
-	x.RangeFunc(q, eps, func(item T) { out = append(out, item) })
+	x.RangeFunc(q, eps, x.dist, func(item T) { out = append(out, item) })
 	return out
 }
 
-// RangeFunc streams every item within eps of q to yield.
-func (x *Index[T]) RangeFunc(q T, eps float64, yield func(T)) {
+// RangeFunc streams every item within eps of q to yield, computing the
+// query's distances with dist, which must agree with the index's own (a
+// caller passes a copy that counts what its query spends).
+func (x *Index[T]) RangeFunc(q T, eps float64, dist metric.DistFunc[T], yield func(T)) {
 	qd := make([]float64, x.k)
 	frac, a := x.frac, 0.0
 	for j, r := range x.refs {
-		qd[j] = x.dist(q, r)
+		qd[j] = dist(q, r)
 		frac, a = frac || qd[j] != math.Trunc(qd[j]), max(a, (qd[j]+x.scale+math.Abs(eps))*0x1p-32)
 	}
 	if !frac {
@@ -248,7 +250,7 @@ func (x *Index[T]) RangeFunc(q T, eps float64, yield func(T)) {
 			yield(it)
 			continue
 		}
-		if x.dist(q, it) <= eps {
+		if dist(q, it) <= eps {
 			yield(it)
 		}
 	}

@@ -40,29 +40,33 @@ import (
 // passes the segments of one query — read as Range (rules 1–4 per probe) or
 // as MinDist (ε replaced by one bound all probes share, which shrinks to
 // just under every exact distance met). Step 3 holds the distance cost. A
-// bounded evaluation (SetBounded) runs at threshold ε+ρ and may abandon; a
-// BatchEvaluator (OpenSession) prices all probes that reach step 3 at a
-// node in one call and may answer with a proof — any value over ε+ρ that is
-// a lower bound on the distance — instead of a distance. A proof is not
+// bounded evaluation (SetBounded, or a DistEvaluator's Bounded) runs at
+// threshold ε+ρ and may abandon; a BatchEvaluator (OpenSession) prices all
+// probes that reach step 3 at a node in one call and may answer with a
+// proof — any value over ε+ρ that is a lower bound on the distance —
+// instead of a distance. A proof is not
 // recorded; an exact distance is, and is read back by every later read of
 // the session, never computed twice.
 //
 // Range reads at rising radii are one continued traversal (distance
-// browsing, Hjaltason & Samet, TODS 1999). A read leaves per node a kept
-// mask (probes reported, collected or walked below there) and a deferred
+// browsing, Hjaltason & Samet, TODS 1999). A read leaves a deferred
 // frontier: every rule that settles probes outside records the node, the
 // probes and per probe a key, a lower bound on its distance — rule 1 lo
 // (tested as lo − ρ against ε), rule 3 the evaluator's value (tested against
 // ε + ρ), and dc for a node walked below with dc > ε, to report it. A later
-// Range at a radius no smaller starts with decided = kept and takes up, level
-// by level from the top, only the probes whose keys its radius reaches,
-// each key tested in the form of its rule; the rest stay on the frontier and
-// mark their subtrees decided again. A smaller radius, and the first Range
-// after MinDist, walk afresh from the root.
+// Range at a radius no smaller starts with nothing decided and takes up,
+// level by level from the top, only the probes whose keys its radius
+// reaches, each key tested in the form of its rule; the rest stay on the
+// frontier and mark their subtrees decided again. A node the last read
+// reported, collected or walked below for a probe is not reached again for
+// it: only a parent pruned for that probe could lead there, and a parent's
+// prune puts its whole subtree outside (ρ bounds every descendant, and the
+// rules clear ε by the rounding allowance). A smaller radius, and the first
+// Range after MinDist, walk afresh from the root.
 //
 // Indexed by dense node ids, a session holds ⌈P/64⌉-word bitmasks per node
-// for its P probes — decided (in this read), computed (distance recorded)
-// and kept — and a node-major table of P distances per node, which holds a
+// for its P probes — decided (in this read) and computed (distance
+// recorded) — and a node-major table of P distances per node, which holds a
 // deferred probe's frontier key where no distance is recorded. A frame of
 // the walk is a node and the mask of probes still inconclusive there. The
 // tables live in the session, which the net pools, so steady-state queries
@@ -77,8 +81,8 @@ func (t *Net[T]) Range(q T, eps float64) []T {
 }
 
 // Session is a probe set held open on the net for as many reads as one
-// query needs. Its bookkeeping is per node over all its probes: decided,
-// computed and kept bitmasks, one bit per probe, and a row of the distance
+// query needs. Its bookkeeping is per node over all its probes: decided
+// and computed bitmasks, one bit per probe, and a row of the distance
 // table. A (probe, node) distance recorded under its computed bit stays for
 // the life of the session, is read back instead of evaluated when a later
 // read reaches the pair again, and tightens that read's triangle bounds (a
@@ -104,19 +108,14 @@ type Session[T any] struct {
 	ranged bool
 	// n probes, words mask words per node (⌈n/64⌉).
 	n, words int
-	// decided, computed and kept hold words mask words per node id; d holds
-	// n values per node id: the distance where the computed bit is set, and
-	// otherwise, for a probe deferred there, its frontier key. kept is what
-	// the last Range read settled for good at a node: the probes it
-	// reported or collected there, or whose children it walked. (With exact
-	// arithmetic a continued read never reaches such a node — none of its
-	// parents was pruned — so kept is the guard against a rounding that
-	// prunes a parent and not the child, as decided is within a read.) wake
-	// holds the probes a continued read takes up at a node, and woken those
-	// nodes, one list per level; both are sized by the first continued read.
-	decided, computed, kept, wake []uint64
-	d                             []float64
-	woken                         [][]*Node[T]
+	// decided and computed hold words mask words per node id; d holds n
+	// values per node id: the distance where the computed bit is set, and
+	// otherwise, for a probe deferred there, its frontier key. wake holds
+	// the probes a continued read takes up at a node, and woken those nodes,
+	// one list per level; both are sized by the first continued read.
+	decided, computed, wake []uint64
+	d                       []float64
+	woken                   [][]*Node[T]
 	// front is the deferred frontier of the last Range read, a list per kind
 	// of entry, their probe masks words apiece in fmask.
 	front [deferKinds][]deferred[T]
@@ -141,7 +140,7 @@ type Session[T any] struct {
 	// many freshly evaluated ones aligned with unpriced.
 	pending, unpriced []int32
 	dists             []float64
-	defEval           distEvaluator[T]
+	defEval           DistEvaluator[T]
 
 	// The read in progress: the radius (in the MinDist read, the shared
 	// bound), the least distance met, and the result lists (nil in the
@@ -208,16 +207,16 @@ func (s *Session[T]) slack() float64 {
 // offset and read the distance off at every probe length. Every idxs handed
 // to ev is ascending: each is a filtered subsequence of 0..len(qs)−1, so an
 // evaluator whose probes are laid out with related probes adjacent receives
-// them still adjacent, in order, at every node. ev == nil selects the
-// default probe-by-probe evaluator (the net's distance, bounded when
-// armed). Results are identical for any correct evaluator.
+// them still adjacent, in order, at every node. ev == nil selects a
+// DistEvaluator over the net's own distance, bounded when armed. Results
+// are identical for any correct evaluator.
 func (t *Net[T]) OpenSession(qs []T, ev metric.BatchEvaluator[T]) *Session[T] {
 	s, _ := t.bpool.Get().(*Session[T])
 	if s == nil {
 		s = &Session[T]{}
 	}
 	if ev == nil {
-		s.defEval = distEvaluator[T]{t: t, qs: qs}
+		s.defEval = DistEvaluator[T]{Probes: qs, Dist: t.dist, Bounded: t.bounded}
 		ev = &s.defEval
 	}
 	s.t, s.ev, s.exact, s.memo, s.ranged = t, ev, ev.Exact(), false, false
@@ -226,7 +225,6 @@ func (t *Net[T]) OpenSession(qs []T, ev metric.BatchEvaluator[T]) *Session[T] {
 	s.n, s.words = n, w
 	s.decided = sized(s.decided, ids*w)
 	s.computed = sized(s.computed, ids*w)
-	s.kept = sized(s.kept, ids*w)
 	clear(s.decided)
 	clear(s.computed)
 	s.d = sized(s.d, ids*n)
@@ -256,7 +254,7 @@ func sized[E any](b []E, n int) []E {
 
 // Close returns the session, with its tables, to the net's pool.
 func (s *Session[T]) Close() {
-	s.ev, s.defEval, s.out = nil, distEvaluator[T]{}, nil
+	s.ev, s.defEval, s.out = nil, DistEvaluator[T]{}, nil
 	s.t.bpool.Put(s)
 }
 
@@ -270,7 +268,6 @@ func (s *Session[T]) Range(eps float64) [][]T {
 	if s.ranged && eps >= s.eps {
 		s.resume(eps)
 	} else {
-		clear(s.kept)
 		for kind := range s.front {
 			s.front[kind], s.fmask[kind] = s.front[kind][:0], s.fmask[kind][:0]
 		}
@@ -329,22 +326,21 @@ func (s *Session[T]) walk(eps float64, out [][]T) {
 }
 
 // resume continues the last Range read at radius eps, no smaller than its
-// own: the probes it kept at a node stay decided, the frontier entries eps
-// does not reach are held over, and the walk goes on from the ones it
-// does. It goes level by level, from the top down: a node is taken up once,
-// with the probes of every entry and every frame that reach it merged, so it
-// is tested once and its evaluations stay one batched call, and the bounds
-// come from all its parents with a recorded distance. (Levels fall strictly
-// along every edge, so when a level is taken up nothing can reach it any
-// more.)
+// own: the frontier entries eps does not reach are held over, and the walk
+// goes on from the ones it does. It goes level by level, from the top down:
+// a node is taken up once, with the probes of every entry and every frame
+// that reach it merged, so it is tested once and its evaluations stay one
+// batched call, and the bounds come from all its parents with a recorded
+// distance. (Levels fall strictly along every edge, so when a level is
+// taken up nothing can reach it any more.)
 func (s *Session[T]) resume(eps float64) {
 	s.eps = eps
 	if s.t.root == nil {
 		return
 	}
-	copy(s.decided, s.kept)
+	clear(s.decided)
 	w := s.words
-	s.wake = sized(s.wake, len(s.kept))
+	s.wake = sized(s.wake, len(s.decided))
 	clear(s.wake)
 	s.woken = sized(s.woken, s.t.root.level+1)
 	// The frontier this read leaves is built over the one it reads: an entry
@@ -589,7 +585,6 @@ func (s *Session[T]) visit(c *Node[T], pend []uint64) {
 	bound := s.eps + rho + a
 	dists := s.price(c, pending, bound)
 	comp, dec, row := s.mask(s.computed, c.id), s.mask(s.decided, c.id), s.row(c.id)
-	kept := s.mask(s.kept, c.id)
 	// The frame's mask is written in place on the stack and dropped again if
 	// it stays empty.
 	base := len(s.masks)
@@ -633,7 +628,6 @@ func (s *Session[T]) visit(c *Node[T], pend []uint64) {
 			continue
 		}
 		dec[i] |= b
-		kept[i] |= b
 		if dc <= s.eps {
 			s.out[qi] = append(s.out[qi], c.item)
 		} else {
@@ -710,18 +704,13 @@ func (s *Session[T]) markSubtree(c *Node[T], m []uint64, depth int) {
 // collect appends c and all its not-yet-decided descendants to the result
 // list of every probe in m, narrowing m as markSubtree does (a single-parent
 // node can be collected only through its one parent, so it cannot be
-// appended twice). A multi-parent node collected is kept too: inside for
-// any wider radius, it must not be reached again through another parent.
+// appended twice).
 func (s *Session[T]) collect(c *Node[T], m []uint64, depth int) {
 	if len(c.parents) > 1 {
 		if m = s.narrow(c, m, depth); m == nil {
 			return
 		}
 		depth++
-		kept := s.mask(s.kept, c.id)
-		for i, x := range m {
-			kept[i] |= x
-		}
 	}
 	for i, x := range m {
 		for ; x != 0; x &= x - 1 {
@@ -767,29 +756,36 @@ func (s *Session[T]) price(c *Node[T], pending []int32, bound float64) []float64
 	return dists
 }
 
-// distEvaluator is the default batch evaluator: probe-by-probe evaluation
-// through the net's distance (bounded when armed).
-type distEvaluator[T any] struct {
-	t  *Net[T]
-	qs []T
+// DistEvaluator is the probe-by-probe batch evaluator: each probe priced
+// through Bounded at the visited bound when it is set, through Dist
+// otherwise. Both must agree with the net's distance, Bounded under the
+// BoundedDistFunc contract; a caller passes copies that count what its
+// query spends. OpenSession builds one over the net's own distances when it
+// is handed no evaluator.
+type DistEvaluator[T any] struct {
+	Probes  []T
+	Dist    metric.DistFunc[T]
+	Bounded metric.BoundedDistFunc[T]
 }
 
-func (e *distEvaluator[T]) Exact() bool { return e.t.bounded == nil }
+// Exact reports whether every evaluation is exact: no Bounded is set.
+func (e *DistEvaluator[T]) Exact() bool { return e.Bounded == nil }
 
-func (e *distEvaluator[T]) EvalBatch(item T, idxs []int32, bound float64, out []float64) {
-	if b := e.t.bounded; b != nil {
+// EvalBatch prices the probes in idxs against item one by one.
+func (e *DistEvaluator[T]) EvalBatch(item T, idxs []int32, bound float64, out []float64) {
+	if b := e.Bounded; b != nil {
 		// An abandoned evaluation returns anything over bound; all it proves
 		// is that the distance is, so that is what the session is told.
 		over := math.Nextafter(bound, math.Inf(1))
 		for k, qi := range idxs {
-			if out[k] = b(e.qs[qi], item, bound); out[k] > bound {
+			if out[k] = b(e.Probes[qi], item, bound); out[k] > bound {
 				out[k] = over
 			}
 		}
 		return
 	}
 	for k, qi := range idxs {
-		out[k] = e.t.dist(e.qs[qi], item)
+		out[k] = e.Dist(e.Probes[qi], item)
 	}
 }
 
