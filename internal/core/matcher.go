@@ -207,9 +207,9 @@ func (mt *Matcher[E]) NumWindows() int { return len(mt.windows) }
 func (mt *Matcher[E]) Windows() []seq.Window[E] { return mt.windows }
 
 // BuildDistanceCalls reports the distance computations spent building the
-// index (offline cost) and, since, appending to it and retiring from it —
-// including an append the index refused. A restored matcher starts at zero:
-// decoding computes no distances.
+// index (offline cost) and on every append and retire since, an append the
+// index refused included. A restored matcher starts at zero: decoding
+// computes no distances.
 func (mt *Matcher[E]) BuildDistanceCalls() int64 { return mt.counter.Calls() }
 
 // FilterDistanceCalls reports the distance computations spent by the index
