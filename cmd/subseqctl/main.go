@@ -103,7 +103,7 @@ func commonFlags(fs *flag.FlagSet) *registry.SessionSpec {
 	spec := &registry.SessionSpec{}
 	fs.StringVar(&spec.Dataset, "dataset", "proteins", "dataset family (see `subseqctl list`)")
 	fs.StringVar(&spec.Measure, "measure", "", "distance measure; empty selects the dataset's default")
-	fs.StringVar(&spec.Backend, "backend", "refnet", "filter backend: refnet, covertree, mv or linear")
+	fs.StringVar(&spec.Backend, "backend", "", "filter backend: refnet, covertree, mv or linear; empty selects by the measure's pass cost")
 	fs.IntVar(&spec.Windows, "windows", 2000, "number of database windows to generate")
 	fs.IntVar(&spec.WindowLen, "windowlen", 20, "window length l (matches must span ≥ λ = 2l elements)")
 	fs.IntVar(&spec.Lambda0, "lambda0", 0, "temporal-shift bound λ0; 0 selects the measure default, -1 forces no shift")

@@ -373,11 +373,15 @@ func (s *typedSession[E]) newServer(spec registry.ServerSpec, restore string) (q
 		// refused with the disagreement explained. A snapshot whose bytes
 		// are corrupt (as opposed to mismatched) is quarantined and the
 		// index rebuilt, so one bad file never wedges a restart loop.
+		// Flags that name no backend restore under the snapshot's, which
+		// the config and the startup line then report.
 		st, err = registry.OpenStoreFile[E](restore, spec.SessionSpec)
 		var corrupt *store.CorruptError
 		switch {
 		case err == nil:
 			restored = true
+			cfg.Backend, err = registry.Backend(st.Matcher().Index().String())
+			s.sess.Backend = cfg.Backend
 		case errors.As(err, &corrupt):
 			qpath, qerr := store.Quarantine(restore)
 			if qerr != nil {

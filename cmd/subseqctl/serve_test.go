@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/shard"
+	"repro/internal/store"
 	"repro/registry"
 )
 
@@ -382,6 +384,22 @@ func TestServeAdminLifecycle(t *testing.T) {
 	}
 	if st2.DistanceCalls.Build != 0 {
 		t.Fatalf("restored server computed %d build distances, want 0", st2.DistanceCalls.Build)
+	}
+
+	// Flags that name no backend (whose default here is the scan) restore
+	// the refnet snapshot as the net it was, and say so on /stats.
+	unnamed := newSpec("proteins", "levenshtein-fast", "")
+	ts3, _ := newTestServerSpec(t, registry.ServerSpec{SessionSpec: unnamed, Workers: 2, QueueDepth: 16}, snap)
+	var unnamedMatches shard.MatchesResponse
+	postJSON(t, ts3, "/query/findall", `{"query":`+q+`,"eps":1}`, &unnamedMatches)
+	if !reflect.DeepEqual(unnamedMatches, restoredMatches) {
+		t.Fatalf("restored under no backend flag: %+v, under -backend refnet: %+v", unnamedMatches, restoredMatches)
+	}
+	var st3 statsResponse
+	getJSON(t, ts3, "/stats", &st3)
+	if !st3.Store.Restored || st3.DistanceCalls.Build != 0 || st3.Config.Backend.Name != "refnet" {
+		t.Fatalf("restored under no backend flag: restored=%v, %d build distances, backend %q; want true, 0, refnet",
+			st3.Store.Restored, st3.DistanceCalls.Build, st3.Config.Backend.Name)
 	}
 
 	// A restore under mismatched session flags is refused with the field
@@ -815,7 +833,9 @@ func stopServeBinary(t *testing.T, cmd *exec.Cmd) {
 // via `make snapshot-smoke`: serve, mutate over the admin API, snapshot,
 // restart from the snapshot in a fresh process, and check the restored
 // daemon answers byte-identically without re-indexing — then exercise
-// -snapshot-on-sigterm and verify that snapshot restores too.
+// -snapshot-on-sigterm and verify that snapshot restores too. A last leg
+// runs the same flags on the default backend, the kernel scan, whose
+// snapshot restores by rebuilding from its sequences.
 func TestSnapshotSmokeBinary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary smoke test skipped in -short mode")
@@ -825,8 +845,12 @@ func TestSnapshotSmokeBinary(t *testing.T) {
 	snapLive := filepath.Join(dir, "live.snap")
 	snapTerm := filepath.Join(dir, "sigterm.snap")
 	session := []string{"-dataset", "proteins", "-windows", "150", "-windowlen", "8", "-workers", "2"}
+	// The net's legs name their backend: these flags default to the scan,
+	// whose restore rebuilds, and the zero-build check would pass on it
+	// with no index block to decode.
+	netSession := append([]string{"-backend", "refnet"}, session...)
 
-	cmd, base := startServeBinary(t, bin, append([]string{"-addr", "127.0.0.1:0"}, session...)...)
+	cmd, base := startServeBinary(t, bin, append([]string{"-addr", "127.0.0.1:0"}, netSession...)...)
 	defer cmd.Process.Kill()
 	client := &http.Client{Timeout: 10 * time.Second}
 	postRaw := func(base, path, body string) (int, []byte) {
@@ -838,6 +862,20 @@ func TestSnapshotSmokeBinary(t *testing.T) {
 		defer resp.Body.Close()
 		raw, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, raw
+	}
+	getStats := func(base string) statsResponse {
+		t.Helper()
+		resp, err := client.Get(base + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var st statsResponse
+		if err := json.Unmarshal(raw, &st); err != nil {
+			t.Fatalf("/stats: invalid JSON %q: %v", raw, err)
+		}
+		return st
 	}
 
 	// Mutate the live index, then capture a query answer to replay later.
@@ -865,7 +903,7 @@ func TestSnapshotSmokeBinary(t *testing.T) {
 	snapAuto := filepath.Join(dir, "auto.snap")
 	cmd2, base2 := startServeBinary(t, bin,
 		append([]string{"-addr", "127.0.0.1:0", "-restore", snapLive, "-snapshot-on-sigterm", snapTerm,
-			"-snapshot-interval", "150ms", "-snapshot-path", snapAuto}, session...)...)
+			"-snapshot-interval", "150ms", "-snapshot-path", snapAuto}, netSession...)...)
 	defer cmd2.Process.Kill()
 	code, gotAnswer := postRaw(base2, "/query/findall", query)
 	if code != http.StatusOK {
@@ -874,18 +912,9 @@ func TestSnapshotSmokeBinary(t *testing.T) {
 	if !bytes.Equal(gotAnswer, wantAnswer) {
 		t.Fatalf("restored daemon answered differently:\n got %s\nwant %s", gotAnswer, wantAnswer)
 	}
-	resp, err := client.Get(base2 + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var st statsResponse
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatalf("/stats: invalid JSON %q: %v", raw, err)
-	}
-	if !st.Store.Restored {
-		t.Fatalf("/stats does not report restored=true: %s", raw)
+	st := getStats(base2)
+	if !st.Store.Restored || st.Config.Backend.Name != "refnet" {
+		t.Fatalf("/stats reports restored=%v on %q, want true on refnet", st.Store.Restored, st.Config.Backend.Name)
 	}
 	if st.DistanceCalls.Build != 0 {
 		t.Fatalf("restored daemon computed %d build distances, want 0 (refnet decodes, never rebuilds)", st.DistanceCalls.Build)
@@ -908,7 +937,7 @@ func TestSnapshotSmokeBinary(t *testing.T) {
 	if err != nil || info.Size() == 0 {
 		t.Fatalf("-snapshot-on-sigterm left no snapshot: %v", err)
 	}
-	spec := registry.SessionSpec{Dataset: "proteins", Windows: 150, WindowLen: 8}
+	spec := registry.SessionSpec{Dataset: "proteins", Backend: "refnet", Windows: 150, WindowLen: 8}
 	st3, err := registry.OpenStoreFile[byte](snapTerm, spec)
 	if err != nil {
 		t.Fatalf("restoring the SIGTERM snapshot: %v", err)
@@ -916,4 +945,42 @@ func TestSnapshotSmokeBinary(t *testing.T) {
 	if _, live := st3.Len(); live == 0 {
 		t.Fatal("SIGTERM snapshot restored an empty store")
 	}
+
+	// The default backend: the same flags without -backend serve from the
+	// kernel scan, answer as the net did, and snapshot without an index
+	// block; the restart rebuilds the scan from the snapshot's sequences.
+	snapScan := filepath.Join(dir, "scan.snap")
+	cmd4, base4 := startServeBinary(t, bin, append([]string{"-addr", "127.0.0.1:0"}, session...)...)
+	defer cmd4.Process.Kill()
+	if code, raw := postRaw(base4, "/admin/append", fmt.Sprintf(`{"sequence":%q}`, novel)); code != http.StatusOK {
+		t.Fatalf("append status %d: %s", code, raw)
+	}
+	if code, scanAnswer := postRaw(base4, "/query/findall", query); code != http.StatusOK || !bytes.Equal(scanAnswer, wantAnswer) {
+		t.Fatalf("default-backend findall (status %d) answered differently from the net:\n got %s\nwant %s", code, scanAnswer, wantAnswer)
+	}
+	if b := getStats(base4).Config.Backend.Name; b != "linear" {
+		t.Fatalf("default backend for proteins is %q, want linear", b)
+	}
+	if code, raw := postRaw(base4, "/admin/snapshot", fmt.Sprintf(`{"path":%q}`, snapScan)); code != http.StatusOK {
+		t.Fatalf("snapshot status %d: %s", code, raw)
+	}
+	stopServeBinary(t, cmd4)
+	f, err := os.Open(snapScan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := store.ReadHeader(f)
+	f.Close()
+	if err != nil || h.Backend != "linear" {
+		t.Fatalf("default-backend snapshot header: backend %q (%v), want linear", h.Backend, err)
+	}
+	cmd5, base5 := startServeBinary(t, bin, append([]string{"-addr", "127.0.0.1:0", "-restore", snapScan}, session...)...)
+	defer cmd5.Process.Kill()
+	if code, got := postRaw(base5, "/query/findall", query); code != http.StatusOK || !bytes.Equal(got, wantAnswer) {
+		t.Fatalf("restored default-backend findall (status %d) answered differently:\n got %s\nwant %s", code, got, wantAnswer)
+	}
+	if st := getStats(base5); !st.Store.Restored || st.Config.Backend.Name != "linear" {
+		t.Fatalf("/stats reports restored=%v on %q, want true on linear", st.Store.Restored, st.Config.Backend.Name)
+	}
+	stopServeBinary(t, cmd5)
 }

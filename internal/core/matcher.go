@@ -200,6 +200,9 @@ func newMatcher[E any](m dist.Measure[E], cfg Config, db []seq.Sequence[E],
 // Params returns the matcher's framework parameters.
 func (mt *Matcher[E]) Params() Params { return mt.cfg.Params }
 
+// Index returns the kind of index the matcher filters with.
+func (mt *Matcher[E]) Index() IndexKind { return mt.cfg.Index }
+
 // NumWindows reports how many database windows are indexed.
 func (mt *Matcher[E]) NumWindows() int { return len(mt.windows) }
 

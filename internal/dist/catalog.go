@@ -41,6 +41,8 @@ type CatalogEntry struct {
 	// Incremental and Bounded report the optional capabilities.
 	Incremental bool
 	Bounded     bool
+	// BitParallel is the measure's cost class (Measure.BitParallel).
+	BitParallel bool
 }
 
 type catalogKey struct{ name, elem string }
@@ -86,6 +88,7 @@ func RegisterBuiltin[E any](m Measure[E], description string) {
 		Props:       m.Props,
 		Incremental: m.Prepare != nil,
 		Bounded:     m.Bounded != nil,
+		BitParallel: m.BitParallel,
 	}
 }
 

@@ -122,6 +122,12 @@ type Measure[E any] struct {
 	// Bounded, when non-nil, is the early-abandoning evaluation of Fn;
 	// see BoundedFunc for the contract.
 	Bounded BoundedFunc[E]
+	// BitParallel marks a kernel pass that advances a column a machine
+	// word at a time (Myers): a pass costs a fraction of a microsecond,
+	// so a scan that prices every window once beats an index walk that
+	// saves passes. It is the cost class the registry picks a session's
+	// default backend by (DESIGN.md §5).
+	BitParallel bool
 }
 
 // NewKernel builds a one-off incremental kernel bound to w (Prepare plus a

@@ -227,7 +227,7 @@ func TestServerConfigWireShape(t *testing.T) {
 		{
 			name: "default",
 			spec: ServerSpec{SessionSpec: SessionSpec{Dataset: "proteins", Windows: 2000}},
-			want: fmt.Sprintf(`{"dataset":{"name":"proteins","elem":"byte","description":"protein-like strings over the 20-letter amino-acid alphabet","default_measure":"levenshtein-fast"},"measure":{"name":"levenshtein-fast","elem":"byte","description":"unit-cost edit distance via Myers' bit-parallel recurrence","metric":true,"consistent":true,"lock_step":false,"incremental":true,"bounded":true},"backend":{"name":"refnet","description":"the paper's Reference Net (multi-parent hierarchical metric index)","needs_metric":true},"windows":2000,"window_len":20,"lambda":40,"lambda0":1,"seed":0,"addr":"127.0.0.1:8077","workers":%d,"queue_depth":1024,"shed":"block"}`,
+			want: fmt.Sprintf(`{"dataset":{"name":"proteins","elem":"byte","description":"protein-like strings over the 20-letter amino-acid alphabet","default_measure":"levenshtein-fast"},"measure":{"name":"levenshtein-fast","elem":"byte","description":"unit-cost edit distance via Myers' bit-parallel recurrence","metric":true,"consistent":true,"lock_step":false,"incremental":true,"bounded":true},"backend":{"name":"linear","description":"exhaustive window scan (sound for every consistent measure)","needs_metric":false},"windows":2000,"window_len":20,"lambda":40,"lambda0":1,"seed":0,"addr":"127.0.0.1:8077","workers":%d,"queue_depth":1024,"shed":"block"}`,
 				runtime.GOMAXPROCS(0)),
 		},
 		{

@@ -60,6 +60,10 @@ type MeasureInfo struct {
 	// Incremental and Bounded report the optional fast-path capabilities.
 	Incremental bool `json:"incremental"`
 	Bounded     bool `json:"bounded"`
+	// BitParallel is the measure's cost class: its kernel pass is
+	// bit-parallel (one-word Myers). Resolve reads it to pick the default
+	// backend; it is not part of the wire shape.
+	BitParallel bool `json:"-"`
 }
 
 // measureAliases maps accepted alternate names to canonical measure names.
@@ -91,6 +95,7 @@ func infoOf(e dist.CatalogEntry) MeasureInfo {
 		LockStep:    e.Props.LockStep,
 		Incremental: e.Incremental,
 		Bounded:     e.Bounded,
+		BitParallel: e.BitParallel,
 	}
 }
 
@@ -301,7 +306,8 @@ type SessionSpec struct {
 	// Measure selects the distance measure; "" selects the family's
 	// default. Aliases are accepted.
 	Measure string `json:"measure,omitempty"`
-	// Backend selects the filter backend; "" selects refnet.
+	// Backend selects the filter backend; "" selects it by what a
+	// measure's pass costs (see defaultBackend).
 	Backend string `json:"backend,omitempty"`
 	// Windows is the number of database windows to generate.
 	Windows int `json:"windows"`
@@ -354,7 +360,9 @@ type Session struct {
 // backend (Compatible), the window length must be at least 2, a lock-step
 // measure admits no λ0 > 0, and a shard range must be non-empty and start
 // at sequence 0 or later. Whether the range fits the dataset is known once
-// it is generated (Generate).
+// it is generated (Generate). λ0 resolves before the backend, because a
+// spec that names no backend gets one by the measure's cost class and λ0
+// (defaultBackend); this is the one place that default is decided.
 func (s SessionSpec) Resolve() (Session, error) {
 	di, err := DatasetByName(s.Dataset)
 	if err != nil {
@@ -367,17 +375,6 @@ func (s SessionSpec) Resolve() (Session, error) {
 	mi, err := LookupMeasure(mname, di.Elem)
 	if err != nil {
 		return Session{}, err
-	}
-	bname := s.Backend
-	if bname == "" {
-		bname = "refnet"
-	}
-	bi, err := Backend(bname)
-	if err != nil {
-		return Session{}, err
-	}
-	if err := Compatible(mi, bi); err != nil {
-		return Session{}, fmt.Errorf("registry: %w", err)
 	}
 	wl := s.WindowLen
 	if wl == 0 {
@@ -396,6 +393,17 @@ func (s SessionSpec) Resolve() (Session, error) {
 	case !mi.LockStep && s.Lambda0 == 0:
 		lambda0 = 1
 	}
+	bname := s.Backend
+	if bname == "" {
+		bname = defaultBackend(mi, lambda0)
+	}
+	bi, err := Backend(bname)
+	if err != nil {
+		return Session{}, err
+	}
+	if err := Compatible(mi, bi); err != nil {
+		return Session{}, fmt.Errorf("registry: %w", err)
+	}
 	sess := Session{
 		Dataset: di, Measure: mi, Backend: bi,
 		Windows: s.Windows, WindowLen: wl, Lambda: 2 * wl, Lambda0: lambda0, Seed: s.Seed,
@@ -410,6 +418,20 @@ func (s SessionSpec) Resolve() (Session, error) {
 		}
 	}
 	return sess, nil
+}
+
+// defaultBackend names the backend of a spec that names none, by what one
+// kernel pass costs: the scan for a measure that is not a metric (the one
+// backend it suits) and for a bit-parallel kernel at λ0 > 0, where one
+// free-start pass per window (≈ 0.2 µs on one-word Myers) costs less than
+// the net's walk saves at every size measured; the paper's reference net
+// otherwise, whose pruning pays when a pass is dear (ERP, ≈ 5 µs).
+// DESIGN.md §5 item 15 has the table.
+func defaultBackend(m MeasureInfo, lambda0 int) string {
+	if !m.Metric || (m.BitParallel && lambda0 > 0) {
+		return "linear"
+	}
+	return "refnet"
 }
 
 // Sharded reports whether the session is restricted to a shard range.

@@ -2,6 +2,7 @@ package registry_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -240,13 +241,14 @@ func TestMatrixSweep(t *testing.T) {
 }
 
 // TestSessionDefaults verifies the spec's zero-value defaulting: dataset
-// default measure, refnet backend, window length 20.
+// default measure, the backend its pass cost selects (the scan, for
+// one-word Myers at λ0 = 1), window length 20.
 func TestSessionDefaults(t *testing.T) {
 	sess, err := (registry.SessionSpec{Dataset: "proteins", Windows: 10}).Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Dataset.Name != "proteins" || sess.Measure.Name != "levenshtein-fast" || sess.Backend.Name != "refnet" {
+	if sess.Dataset.Name != "proteins" || sess.Measure.Name != "levenshtein-fast" || sess.Backend.Name != "linear" {
 		t.Errorf("defaults resolved to %s/%s/%s", sess.Dataset.Name, sess.Measure.Name, sess.Backend.Name)
 	}
 	mt, ds, err := registry.NewMatcher[byte](registry.SessionSpec{
@@ -260,6 +262,75 @@ func TestSessionDefaults(t *testing.T) {
 	}
 	if mt.Params().Lambda != 40 || mt.Params().Lambda0 != 1 {
 		t.Errorf("default params %+v", mt.Params())
+	}
+}
+
+// TestDefaultBackendByPassCost holds every catalog measure × element type
+// × λ0 ∈ {0, 1} to the default-backend rule: a measure that is not a metric
+// gets the scan, a bit-parallel kernel at λ0 > 0 gets the scan, every other
+// measure the reference net — and the pick always passes Compatible. A
+// backend the spec names is still held to Compatible as before.
+func TestDefaultBackendByPassCost(t *testing.T) {
+	family := map[string]string{}
+	for _, d := range registry.Datasets() {
+		family[d.Elem] = d.Name
+	}
+	pinned := map[string]string{ // measure/elem/λ0 → backend
+		"dtw/float64/0": "linear", "dtw/float64/1": "linear",
+		"dtw/point2/0": "linear", "dtw/point2/1": "linear",
+		"erp/float64/1": "refnet", "erp/point2/1": "refnet",
+		"dfd/float64/1": "refnet", "dfd/point2/1": "refnet",
+		"protein-edit/byte/0": "refnet", "protein-edit/byte/1": "refnet",
+		"levenshtein-fast/byte/0": "refnet", "levenshtein-fast/byte/1": "linear",
+	}
+	for _, m := range registry.Measures() {
+		if m.BitParallel != (m.Name == "levenshtein-fast") {
+			t.Errorf("%s/%s: BitParallel = %v; only levenshtein-fast is bit-parallel", m.Name, m.Elem, m.BitParallel)
+		}
+		for _, lambda0 := range []int{0, 1} {
+			key := fmt.Sprintf("%s/%s/%d", m.Name, m.Elem, lambda0)
+			spec := registry.SessionSpec{Dataset: family[m.Elem], Measure: m.Name, Windows: 10, Lambda0: lambda0}
+			if lambda0 == 0 {
+				spec.Lambda0 = -1 // the spec's spelling of λ0 = 0
+			}
+			sess, err := spec.Resolve()
+			if m.LockStep && lambda0 > 0 {
+				if err == nil {
+					t.Errorf("%s: lock-step measure resolved at λ0 = 1", key)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s: %v", key, err)
+				continue
+			}
+			if sess.Lambda0 != lambda0 {
+				t.Fatalf("%s: resolved λ0 = %d", key, sess.Lambda0)
+			}
+			want := "refnet"
+			if !m.Metric || (m.BitParallel && lambda0 > 0) {
+				want = "linear"
+			}
+			if p, ok := pinned[key]; ok && p != want {
+				t.Fatalf("%s: the rule says %s, the pin %s", key, want, p)
+			}
+			if sess.Backend.Name != want {
+				t.Errorf("%s: default backend %s, want %s", key, sess.Backend.Name, want)
+			}
+			if err := registry.Compatible(sess.Measure, sess.Backend); err != nil {
+				t.Errorf("%s: default backend %s is not compatible: %v", key, sess.Backend.Name, err)
+			}
+			delete(pinned, key)
+		}
+	}
+	for key := range pinned {
+		t.Errorf("%s: pinned but not in the catalog", key)
+	}
+
+	_, err := (registry.SessionSpec{Dataset: "songs", Measure: "dtw", Backend: "refnet", Windows: 10}).Resolve()
+	const refused = `registry: measure "dtw" is not a metric: backend "refnet" prunes by the triangle inequality and would drop true matches — use the linear backend`
+	if err == nil || err.Error() != refused {
+		t.Errorf("-backend refnet -measure dtw: got %v, want %q", err, refused)
 	}
 }
 

@@ -65,9 +65,10 @@ func NewStore[E any](spec SessionSpec) (*subseq.Store[E], Dataset[E], error) {
 // is resolved, the snapshot header is held against the session
 // (Session.Check), and only a fully matching snapshot restores — a
 // mismatched measure, backend, element type or parameter set is refused
-// with the disagreement explained. Nothing is generated: the snapshot
-// carries the sequences. E must be the element type of the spec's
-// dataset family.
+// with the disagreement explained. A spec that names no backend restores
+// under the snapshot's, which must still suit the measure (restoreCheck).
+// Nothing is generated: the snapshot carries the sequences. E must be the
+// element type of the spec's dataset family.
 func OpenStore[E any](r io.Reader, spec SessionSpec) (*subseq.Store[E], error) {
 	sess, err := spec.Resolve()
 	if err != nil {
@@ -77,7 +78,32 @@ func OpenStore[E any](r io.Reader, spec SessionSpec) (*subseq.Store[E], error) {
 	if err != nil {
 		return nil, err
 	}
-	return subseq.OpenStore(r, m, sess.Check)
+	return subseq.OpenStore(r, m, restoreCheck(spec, sess))
+}
+
+// restoreCheck is the check OpenStore holds a snapshot header to. A spec
+// that names a backend holds the header to it (Check). One that names none
+// takes the header's backend, as long as the measure suits it
+// (Compatible): the default backend is chosen by cost and may have moved
+// since the snapshot was written under the same flags.
+func restoreCheck(spec SessionSpec, sess Session) func(subseq.SnapshotHeader) error {
+	if spec.Backend != "" {
+		return sess.Check
+	}
+	return func(h subseq.SnapshotHeader) error {
+		b, err := Backend(h.Backend)
+		if err != nil {
+			return err
+		}
+		sess.Backend = b
+		if err := sess.Check(h); err != nil {
+			return err
+		}
+		if err := Compatible(sess.Measure, b); err != nil {
+			return fmt.Errorf("registry: snapshot backend: %w", err)
+		}
+		return nil
+	}
 }
 
 // OpenStoreFile is OpenStore over a snapshot file.
