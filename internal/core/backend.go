@@ -382,11 +382,16 @@ func (s *scanSession[E]) close() {}
 // evaluation across overlapping segments). For every database window it
 // first runs one free-start pass over the whole query (freePass), which
 // bounds from below every segment by its end; an offset whose 2λ0+1 ends are
-// all bounded over the radius is skipped unpriced. For each offset left it
-// streams the λ/2+λ0 elements through the window's kernel once, reading off
-// the distance of every segment length on the way — 2λ0+1 segment
-// evaluations for one pass instead of 2λ0+1 independent DPs. A kernel
-// without the free-start mode skips nothing.
+// all bounded over the radius is skipped unpriced, and a window none of
+// whose offsets is left is never bound to its kernel. Where the measure
+// packs windows (dist.Packer: three of 20 bytes to a one-word Myers pass),
+// the pre-pass runs over the matcher's groups of consecutive windows, one
+// packed pass per group, and the windows after the last full group run
+// their own. For each offset left it streams the λ/2+λ0 elements through
+// the window's kernel once — for a packed window, read out of its group's
+// table — reading off the distance of every segment length on the way:
+// 2λ0+1 segment evaluations for one pass instead of 2λ0+1 independent DPs.
+// A kernel without the free-start mode skips nothing.
 //
 // It is read two ways, like the net's traversal. With perSeg it is the
 // range filter: perSeg[i] collects the windows within eps of segment i. With
@@ -397,7 +402,8 @@ func (s *scanSession[E]) close() {}
 // back under it.
 //
 // Distance accounting is the net's and the verifier's: one evaluation per
-// kernel pass, the free-start pass included, added to the query's record.
+// kernel pass, the free-start pass included, added to the query's record. A
+// packed pass over k windows counts k, as the k passes it stands for would.
 func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float64 {
 	mt, q, sc := s.b.mt, s.q, s.sc
 	l := mt.cfg.Params.WindowLen()
@@ -417,22 +423,38 @@ func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float
 		offsets[n-minLen] = offsets[n-minLen-1] + int32(len(q)-(n-1)+1)
 	}
 	items := s.b.scan.Items()
-	// The immutable window preprocessing is shared matcher-wide; this
+	// The immutable window tables are shared matcher-wide: the packed passes
+	// of the full groups, then the Prepared of each window after them. This
 	// worker carries one kernel state (and one free-start state) and rebinds
 	// it window to window, so steady-state kernel memory is O(windows), not
-	// O(windows × workers). The linear scan touches every window per query,
-	// so the lazy slots all fill on the first query and later queries read
-	// them for free.
+	// O(windows × workers). The linear scan touches every group and every
+	// window after them per query, so their lazy slots all fill on the first
+	// query and later queries read them for free.
 	mt.preparedInit()
+	width := mt.packInit()
+	packed := len(mt.packs) * width
+	var pack dist.Packed[E]
+	var rows [][]float64
 	best := math.Inf(1)
 	for wi, w := range items {
-		p := mt.preparedAt(int32(wi))
-		lower := sc.free.run(p, q)
-		if lower != nil {
+		var lower []float64
+		field := 0
+		if wi < packed {
+			if field = wi % width; field == 0 {
+				pack = mt.packAt(wi / width)
+				rows = sc.free.runPacked(pack, q)
+				sc.cost.filter += int64(width)
+			}
+			lower = rows[field]
+		} else if lower = sc.free.run(mt.preparedAt(int32(wi)), q); lower != nil {
 			sc.cost.filter++
 		}
-		sc.kstate = dist.BindKernel(sc.kstate, p)
-		k := sc.kstate
+		// The offsets' ends together are minLen … len(q): with every one
+		// bounded over eps, lower rules out the whole window.
+		if lower != nil && !anyWithin(lower[min(minLen, len(q)):], eps) {
+			continue
+		}
+		var k dist.Kernel[E] // bound at the first offset lower leaves
 		for a := 0; a+minLen <= len(q); a++ {
 			top := maxLen
 			if a+top > len(q) {
@@ -446,6 +468,14 @@ func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float
 				if n > top {
 					continue
 				}
+			}
+			if k == nil {
+				if wi < packed {
+					sc.kstate = pack.Bind(sc.kstate, field)
+				} else {
+					sc.kstate = dist.BindKernel(sc.kstate, mt.preparedAt(int32(wi)))
+				}
+				k = sc.kstate
 			}
 			k.Reset()
 			for n := 1; n <= top; n++ {
@@ -466,4 +496,14 @@ func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float
 		}
 	}
 	return best
+}
+
+// anyWithin reports whether some bound in lower is at most eps.
+func anyWithin(lower []float64, eps float64) bool {
+	for _, v := range lower {
+		if v <= eps {
+			return true
+		}
+	}
+	return false
 }

@@ -73,6 +73,61 @@ func (mt *Matcher[E]) preparedFor(w seq.Window[E]) dist.Prepared[E] {
 	return mt.preparedAt(mt.winIndex[winKey{w.SeqID, w.Ord}])
 }
 
+// packSlot is one group's share of the packed passes, built on first touch
+// like a preparedSlot.
+type packSlot[E any] struct {
+	once sync.Once
+	p    dist.Packed[E]
+}
+
+// packInit sizes the groups once per matcher and returns packWidth: the
+// windows one packed pass holds when the measure packs windows of its
+// length at least two to a pass, else 0 (every window runs its own pass).
+func (mt *Matcher[E]) packInit() int {
+	mt.packOnce.Do(func() {
+		pk := mt.measure.Packer
+		if pk == nil {
+			return
+		}
+		if w := pk.Width(mt.cfg.Params.WindowLen()); w >= 2 {
+			mt.packWidth = w
+			mt.regroup(0)
+		}
+	})
+	return mt.packWidth
+}
+
+// packAt resolves group g, packing its windows on first touch. Safe for
+// concurrent use, like preparedAt.
+func (mt *Matcher[E]) packAt(g int) dist.Packed[E] {
+	s := mt.packs[g]
+	s.once.Do(func() {
+		ws := make([][]E, mt.packWidth)
+		for f := range ws {
+			ws[f] = mt.windows[g*mt.packWidth+f].Data
+		}
+		s.p = mt.measure.Packer.Pack(ws)
+	})
+	return s.p
+}
+
+// regroup re-forms the groups over mt.windows after a mutation that left
+// windows 0 … unmoved−1 where they were: a group wholly among them keeps
+// what it built, and every group after gets a fresh slot. A no-op until
+// packInit has sized the groups.
+func (mt *Matcher[E]) regroup(unmoved int) {
+	if mt.packWidth == 0 {
+		return
+	}
+	n := len(mt.windows) / mt.packWidth
+	kept := min(unmoved/mt.packWidth, n, len(mt.packs))
+	clear(mt.packs[kept:])
+	mt.packs = mt.packs[:kept]
+	for len(mt.packs) < n {
+		mt.packs = append(mt.packs, &packSlot[E]{})
+	}
+}
+
 // kernelTraversal reports whether index traversals should evaluate probes
 // through grouped incremental kernels: the measure must carry Prepare, and
 // there must be more than one segment length per offset to group (λ0 > 0 —
@@ -94,6 +149,7 @@ type freePass[E any] struct {
 	k     dist.FreeStartKernel[E]
 	known bool
 	lower []float64
+	rows  [][]float64 // runPacked's, one per window of a pack
 }
 
 // open resolves, the first time the scratch meets a non-empty index, whether
@@ -121,6 +177,20 @@ func (f *freePass[E]) run(p dist.Prepared[E], q []E) []float64 {
 		f.lower[n+1] = f.k.FeedFree(x)
 	}
 	return f.lower
+}
+
+// runPacked is run over every window of p at once: row f is window f's
+// lower. The rows are valid until the next runPacked.
+func (f *freePass[E]) runPacked(p dist.Packed[E], q []E) [][]float64 {
+	for len(f.rows) < p.Windows() {
+		f.rows = append(f.rows, nil)
+	}
+	rows := f.rows[:p.Windows()]
+	for i := range rows {
+		rows[i] = slices.Grow(rows[i][:0], len(q)+1)[:len(q)+1]
+	}
+	p.FreeStart(q, rows)
+	return rows
 }
 
 // kernelEvaluator implements metric.BatchEvaluator over segment probes by

@@ -46,6 +46,7 @@ func (mt *Matcher[E]) AppendSequence(x seq.Sequence[E]) (seqID, added int, err e
 	// pointed at the (possibly reallocated) extended one.
 	mt.verifier.db = mt.db
 	mt.growPrepared(wins)
+	mt.regroup(len(mt.windows))
 	return seqID, len(wins), nil
 }
 
@@ -65,10 +66,12 @@ func (mt *Matcher[E]) RetireSequence(seqID int) (removed int, err error) {
 		return 0, err
 	}
 	mt.db[seqID] = nil
-	kept := mt.windows[:0]
-	for _, w := range mt.windows {
+	kept, moved := mt.windows[:0], len(mt.windows) // moved: the first window retired
+	for i, w := range mt.windows {
 		if w.SeqID != seqID {
 			kept = append(kept, w)
+		} else {
+			moved = min(moved, i)
 		}
 	}
 	for i := len(kept); i < len(mt.windows); i++ {
@@ -76,6 +79,7 @@ func (mt *Matcher[E]) RetireSequence(seqID int) (removed int, err error) {
 	}
 	mt.windows = kept
 	mt.compactPrepared()
+	mt.regroup(moved)
 	return removed, nil
 }
 

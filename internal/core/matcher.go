@@ -88,6 +88,14 @@ type Matcher[E any] struct {
 	preparedOnce sync.Once
 	prepared     []*preparedSlot[E]
 	winIndex     map[winKey]int32
+	// packs holds, per group of packWidth consecutive windows, the kernel
+	// scan's packed free-start pass (dist.Packer): group g is windows
+	// g·packWidth … (g+1)·packWidth−1, and the windows after the last full
+	// group run the pass one at a time. Built lazily like prepared, on the
+	// scan's first query; packWidth stays 0 when nothing packs. See packAt.
+	packOnce  sync.Once
+	packWidth int
+	packs     []*packSlot[E]
 }
 
 // cost is one query's distance evaluations, in the units of
@@ -223,7 +231,9 @@ func (mt *Matcher[E]) BuildDistanceCalls() int64 { return mt.counter.Calls() }
 // longest-member evaluation), and so does the free-start pass that bounds
 // every group at a node, or every offset against a window on the kernel
 // scan — which is how the kernel-fed filters drop below one counted
-// evaluation per probe. A query's evaluations land when it finishes.
+// evaluation per probe. A packed free-start pass over k windows counts k,
+// one per window it bounds, so packing changes no count. A query's
+// evaluations land when it finishes.
 func (mt *Matcher[E]) FilterDistanceCalls() int64 { return mt.filterCalls.Load() }
 
 // ResetFilterCalls zeroes the query-side filter total.

@@ -1,6 +1,9 @@
 package dist
 
-import "testing"
+import (
+	"math/rand/v2"
+	"testing"
+)
 
 // The Levenshtein kernel ablation (DESIGN.md §5): the same inputs through
 // every implementation the package keeps — generic DP, byte-specialised DP,
@@ -47,4 +50,60 @@ func BenchmarkLevenshteinAblation(b *testing.B) {
 			}
 		})
 	}
+}
+
+// The free-start pre-pass of the kernel scan, one window at a time against
+// three to a word (DESIGN.md §5 item 16): a 45-byte query against 210
+// windows of 20 bytes, each pass writing its bound at every end as the
+// scan's does. ns/op is the whole sweep; ns/window divides it by the
+// windows.
+//
+//	go test -run '^$' -bench FreeStartPass ./internal/dist
+func freeStartPassInputs() (q []byte, ws [][]byte) {
+	rng := rand.New(rand.NewPCG(5, 45))
+	ws = make([][]byte, 210)
+	for i := range ws {
+		ws[i] = randBytes(rng, 20, aminoAcids)
+	}
+	return randBytes(rng, 45, aminoAcids), ws
+}
+
+func BenchmarkFreeStartPassSingle(b *testing.B) {
+	q, ws := freeStartPassInputs()
+	m := LevenshteinFastMeasure()
+	prepared := make([]Prepared[byte], len(ws))
+	for i, w := range ws {
+		prepared[i] = m.Prepare(w)
+	}
+	lower := make([]float64, len(q)+1)
+	var k FreeStartKernel[byte]
+	for b.Loop() {
+		for _, p := range prepared {
+			k = BindFreeStart(k, p)
+			for n, c := range q {
+				lower[n+1] = k.FeedFree(c)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ws)), "ns/window")
+}
+
+func BenchmarkFreeStartPassPacked(b *testing.B) {
+	q, ws := freeStartPassInputs()
+	pk := LevenshteinFastMeasure().Packer
+	width := pk.Width(20)
+	var packs []Packed[byte]
+	for i := 0; i+width <= len(ws); i += width {
+		packs = append(packs, pk.Pack(ws[i:i+width]))
+	}
+	lower := make([][]float64, width)
+	for f := range lower {
+		lower[f] = make([]float64, len(q)+1)
+	}
+	for b.Loop() {
+		for _, p := range packs {
+			p.FreeStart(q, lower)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ws)), "ns/window")
 }

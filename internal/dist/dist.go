@@ -128,6 +128,10 @@ type Measure[E any] struct {
 	// saves passes. It is the cost class the registry picks a session's
 	// default backend by (DESIGN.md §5).
 	BitParallel bool
+	// Packer, when non-nil, runs the free-start mode of Prepare's kernels
+	// over several windows in one pass (see Packer). It must agree with
+	// FeedFree and Feed exactly; only the kernel scan uses it.
+	Packer Packer[E]
 }
 
 // NewKernel builds a one-off incremental kernel bound to w (Prepare plus a

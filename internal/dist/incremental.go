@@ -83,6 +83,37 @@ type FreeStartKernel[E any] interface {
 	FeedFree(x E) float64
 }
 
+// Packer is the optional packed form of a kernel's free-start mode
+// (Measure.Packer): one pass that runs the free-start recurrence of several
+// windows at once, each in a field of one machine word (Hyyrö, Fredriksson &
+// Navarro 2005). Its bounds are the same values, bit for bit, as separate
+// FeedFree passes over each window.
+type Packer[E any] interface {
+	// Width reports how many windows of n elements one packed pass holds;
+	// below 2, packing saves nothing.
+	Width(n int) int
+	// Pack lays ws out in one packed pass, window f in field f; nil when
+	// they do not fit one (or a window is empty).
+	Pack(ws [][]E) Packed[E]
+}
+
+// Packed is one packed pass over the windows it was built from. It is
+// immutable and safe for concurrent use, like a Prepared.
+type Packed[E any] interface {
+	// Windows reports how many windows the pass holds.
+	Windows() int
+	// FreeStart feeds x through every window's free-start recurrence at
+	// once, from the empty prefix: afterwards lower[f][n] is what the n-th
+	// FeedFree of a rewound state over window f returns, for every window f
+	// and 1 ≤ n ≤ len(x), and lower[f][0] is len(window f). Each
+	// lower[f] must hold len(x)+1 values.
+	FreeStart(x []E, lower [][]float64)
+	// Bind is BindKernel for window f, read out of the pass's shared
+	// tables: state itself, re-pointed and rewound, when it can be, a fresh
+	// state otherwise.
+	Bind(state Kernel[E], f int) Kernel[E]
+}
+
 // Prepared is the shared immutable half of an incremental kernel: the bound
 // window plus whatever preprocessing the measure's kernel needs. A Prepared
 // is safe for concurrent use; the mutable evaluation state lives in the

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -229,6 +230,32 @@ func TestKernelFreeStartMatchesBruteMin(t *testing.T) {
 	checkFreeStartBindings(t, ERPMeasure(AbsDiff, 0), levels, shortLens, 12)
 	checkFreeStartBindings(t, ERPMeasure(Point2Dist, seq.Point2{}), points, shortLens, 12)
 
+	// The packed form: fields of equal length, of unequal length filling the
+	// word exactly, two at the 32-byte limit, one to 64 one-byte windows, and
+	// queries past the word length.
+	rng := rand.New(rand.NewPCG(47, 4700))
+	for _, lens := range [][]int{{20, 20, 20}, {21, 21, 22}, {32, 32}, {7, 30, 1, 26}, {64}} {
+		for _, qLen := range []int{0, 12, 45, 70} {
+			checkPacked(t, rng, lens, qLen, qLen <= 45)
+		}
+	}
+	for k := 1; k <= 64; k++ {
+		lens := make([]int, k)
+		for f := range lens {
+			lens[f] = 1
+		}
+		checkPacked(t, rng, lens, 140, false)
+	}
+	pk := LevenshteinFastMeasure().Packer
+	if pk.Pack([][]byte{make([]byte, 33), make([]byte, 32)}) != nil || pk.Pack([][]byte{[]byte("A"), nil}) != nil || pk.Pack(nil) != nil {
+		t.Fatal("Pack accepted windows that do not fit one word")
+	}
+	for n, want := range map[int]int{0: 0, 1: 64, 20: 3, 21: 3, 32: 2, 33: 1, 64: 1, 65: 0} {
+		if got := pk.Width(n); got != want {
+			t.Fatalf("Width(%d) = %d, want %d", n, got, want)
+		}
+	}
+
 	// A lock-step measure has no start to free, and the Fn adapter prices
 	// nothing on a feed: neither may claim the mode.
 	if k := BindFreeStart(nil, EuclideanMeasure(AbsDiff).Prepare(levels(rand.New(rand.NewPCG(1, 1)), 4))); k != nil {
@@ -242,10 +269,73 @@ func TestKernelFreeStartMatchesBruteMin(t *testing.T) {
 	}
 }
 
+// checkPacked packs windows of the given lengths and holds the pass to the
+// separate kernels: every end of FreeStart carries the float64 bits of a
+// separate FeedFree pass over that window, and every field Bind reads out is
+// the window's kernel — by checkTable against Fn when exact is set, else by
+// its Feed against the separate kernel's.
+func checkPacked(t *testing.T, rng *rand.Rand, lens []int, qLen int, exact bool) {
+	t.Helper()
+	alphabet := aminoAcids
+	if rng.IntN(2) == 0 {
+		alphabet = "AB"
+	}
+	ws := make([][]byte, len(lens))
+	for f, n := range lens {
+		ws[f] = randBytes(rng, n, alphabet)
+	}
+	q := randBytes(rng, qLen, alphabet)
+	m := LevenshteinFastMeasure()
+	p := m.Packer.Pack(ws)
+	samePackedPass(t, p, ws, q)
+	var k Kernel[byte] = m.Prepare(ws[0]).NewState() // a state Bind cannot re-point
+	for f, w := range ws {
+		k = p.Bind(k, f) // and from the second field on, one it can
+		what := fmt.Sprintf("field %d of %v", f, lens)
+		if exact {
+			checkTable(t, what, m, k, q, w, false)
+			continue
+		}
+		single := m.NewKernel(w)
+		for i, c := range q {
+			if got, want := k.Feed(c), single.Feed(c); got != want {
+				t.Fatalf("%s: Feed after %d elements = %v, separate kernel %v", what, i+1, got, want)
+			}
+		}
+	}
+}
+
+// samePackedPass holds p's FreeStart over q to one FeedFree pass per window.
+func samePackedPass(t *testing.T, p Packed[byte], ws [][]byte, q []byte) {
+	t.Helper()
+	if p == nil || p.Windows() != len(ws) {
+		t.Fatalf("pack of %d windows: %v", len(ws), p)
+	}
+	lower := make([][]float64, len(ws))
+	for f := range lower {
+		lower[f] = make([]float64, len(q)+1)
+	}
+	p.FreeStart(q, lower)
+	for f, w := range ws {
+		single := BindFreeStart(nil, myersPrepare(w))
+		if lower[f][0] != float64(len(w)) {
+			t.Fatalf("field %d of %d: lower[0] = %v, want %d", f, len(ws), lower[f][0], len(w))
+		}
+		for n, c := range q {
+			if got, want := lower[f][n+1], single.FeedFree(c); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("field %d of %d (|w|=%d): packed bound after q[:%d] = %v, separate FeedFree %v (q %q, w %q)",
+					f, len(ws), len(w), n+1, got, want, q, w)
+			}
+		}
+	}
+}
+
 // FuzzFreeStartLowerBound states the one property the filter leans on, over
 // inputs nobody chose: after q[lo:e] the free-start value is at most
 // Fn(q[s:e], w) for every start s in lo..e, whatever the measure, the window
-// (one word, several, empty) and the start the pass began at. The committed
+// (one word, several, empty) and the start the pass began at. On
+// levenshtein-fast it also cuts w into fields of lo%32+1 bytes and holds the
+// packed pass over them to separate passes, end for end. The committed
 // corpus under testdata/fuzz/FuzzFreeStartLowerBound runs as seeds under a
 // plain go test.
 func FuzzFreeStartLowerBound(f *testing.F) {
@@ -262,6 +352,7 @@ func FuzzFreeStartLowerBound(f *testing.F) {
 		switch which % 5 {
 		case 0:
 			freeStartLowerBound(t, LevenshteinFastMeasure(), q, w, from)
+			packedEqualsSingle(t, q, w, int(lo)%32+1)
 		case 1:
 			freeStartLowerBound(t, LevenshteinMeasure[byte](), q, w, from)
 		case 2:
@@ -272,6 +363,20 @@ func FuzzFreeStartLowerBound(f *testing.F) {
 			freeStartLowerBound(t, ERPMeasure(Point2Dist, seq.Point2{}), bytePoints(q), bytePoints(w), from/2)
 		}
 	})
+}
+
+// packedEqualsSingle cuts w into fields of n bytes, the last one shorter,
+// packs as many as fit one word and holds the packed pass over q to separate
+// ones.
+func packedEqualsSingle(t *testing.T, q, w []byte, n int) {
+	var ws [][]byte
+	for used := 0; len(w) > 0 && used < 64; {
+		f := w[:min(n, len(w), 64-used)]
+		ws, w, used = append(ws, f), w[len(f):], used+len(f)
+	}
+	if len(ws) > 0 {
+		samePackedPass(t, LevenshteinFastMeasure().Packer.Pack(ws), ws, q)
+	}
 }
 
 // bytePoints reads b as planar points, two signed bytes each.

@@ -379,6 +379,153 @@ func (k *myersState64) Rebind(p Prepared[byte]) bool {
 	return true
 }
 
+// myersPacker packs one-word Myers windows ⌊64/n⌋ to a word: three at
+// n = 20. A window over 32 bytes packs alone, which saves nothing.
+type myersPacker struct{}
+
+func (myersPacker) Width(n int) int {
+	if n < 1 || n > 64 {
+		return 0
+	}
+	return 64 / n
+}
+
+func (myersPacker) Pack(ws [][]byte) Packed[byte] {
+	if len(ws) == 0 {
+		return nil
+	}
+	p := &myersPack{fields: make([]myersField, len(ws))}
+	off := 0
+	for f, w := range ws {
+		if len(w) == 0 || off+len(w) > 64 {
+			return nil
+		}
+		for i, c := range w {
+			p.peq[c] |= 1 << uint(off+i)
+		}
+		p.fields[f] = myersField{off: uint(off), m: len(w)}
+		p.low |= 1 << uint(off)
+		p.top |= 1 << uint(off+len(w)-1)
+		off += len(w)
+	}
+	return p
+}
+
+// myersPack is the packed free-start form of the one-word kernel: window f
+// is the field of bits off_f … off_f+m_f−1 of one shared peq table, and one
+// step of the recurrence advances every field's column. The plain step
+// (myersStep at hin = 0) needs three changes for that:
+//   - the addition keeps each carry inside its field: adding with every
+//     field's top bit cleared, then restoring the top bits by xor, drops the
+//     carry out of a field's top bit where it would enter the next field's
+//     bottom bit;
+//   - the shifted horizontal deltas have each field's bottom bit cleared,
+//     which is hin = 0 per field;
+//   - each field's score is read at its own top bit.
+//
+// Bits above the last field hold garbage that nothing below reads: carries
+// and shifts only move upward.
+type myersPack struct {
+	peq      [256]uint64
+	top, low uint64 // every field's top bit and bottom bit
+	fields   []myersField
+}
+
+type myersField struct {
+	off uint
+	m   int
+}
+
+func (p *myersPack) Windows() int { return len(p.fields) }
+
+// FreeStart runs the word's recurrence over x in chunks of up to 64
+// elements, keeping each step's horizontal deltas, then reads every field's
+// scores off them: two tight loops instead of one with a loop over the
+// fields inside.
+func (p *myersPack) FreeStart(x []byte, lower [][]float64) {
+	var phs, mhs [64]uint64
+	top, low := p.top, p.low
+	pv, mv := ^uint64(0), uint64(0)
+	for f, fd := range p.fields {
+		lower[f][0] = float64(fd.m)
+	}
+	for done := 0; done < len(x); done += 64 {
+		chunk := x[done:min(done+64, len(x))]
+		for i, c := range chunk {
+			eq := p.peq[c]
+			xv := eq | mv
+			xp := eq & pv
+			xh := ((((xp &^ top) + (pv &^ top)) ^ ((xp ^ pv) & top)) ^ pv) | eq
+			ph := mv | ^(xh | pv)
+			mh := pv & xh
+			phs[i], mhs[i] = ph, mh
+			ph = ph << 1 &^ low
+			mh = mh << 1 &^ low
+			pv = mh | ^(xv | ph)
+			mv = ph & xv
+		}
+		for f, fd := range p.fields {
+			t := fd.off + uint(fd.m) - 1
+			score := int(lower[f][done])
+			row := lower[f][done+1 : done+1+len(chunk)]
+			ph, mh := phs[:len(row)], mhs[:len(row)]
+			for i := range row {
+				score += int(ph[i]>>t&1) - int(mh[i]>>t&1)
+				row[i] = float64(score)
+			}
+		}
+	}
+}
+
+func (p *myersPack) Bind(state Kernel[byte], f int) Kernel[byte] {
+	k, ok := state.(*myersFieldState)
+	if !ok {
+		k = &myersFieldState{}
+	}
+	fd := p.fields[f]
+	k.peq, k.off, k.m = &p.peq, fd.off, fd.m
+	k.mask, k.last = ^uint64(0)>>uint(64-fd.m), 1<<uint(fd.m-1)
+	k.Reset()
+	return k
+}
+
+// myersFieldState is myersState64 over one window's field of a myersPack's
+// table, read out as peq[c] >> off & mask. It is a type of its own so that
+// a window's own kernel, which the net and the verifier feed, pays no
+// shift.
+type myersFieldState struct {
+	peq        *[256]uint64
+	off        uint
+	mask, last uint64
+	m          int
+	pv, mv     uint64
+	score      int
+	n          int
+}
+
+func (k *myersFieldState) Feed(c byte) float64 {
+	var sd int
+	k.pv, k.mv, _, sd = myersStep(k.pv, k.mv, k.peq[c]>>k.off&k.mask, 1, k.last)
+	k.score += sd
+	k.n++
+	return float64(k.score)
+}
+
+// At is myersState64.At.
+func (k *myersFieldState) At(j int) float64 {
+	mask := ^uint64(0) >> uint(64-j)
+	return float64(k.n + bits.OnesCount64(k.pv&mask) - bits.OnesCount64(k.mv&mask))
+}
+
+func (k *myersFieldState) Floor() float64 { return 0 }
+
+func (k *myersFieldState) Reset() {
+	k.pv = ^uint64(0)
+	k.mv = 0
+	k.score = k.m
+	k.n = 0
+}
+
 // myersBlockPrepared is the shared half of the multi-word kernel for
 // windows longer than 64 bytes: the ⌈m/64⌉-word peq table (256·w words,
 // the dominant kernel memory) built once per window.
@@ -518,6 +665,7 @@ func LevenshteinFastMeasure() Measure[byte] {
 		Prepare:     myersPrepare,
 		Bounded:     levenshteinFastBounded,
 		BitParallel: true,
+		Packer:      myersPacker{},
 	}
 }
 
