@@ -386,10 +386,10 @@ func (s *scanSession[E]) close() {}
 // whose offsets is left is never bound to its kernel. Where the measure
 // packs windows (dist.Packer: three of 20 bytes to a one-word Myers pass),
 // the pre-pass runs over the matcher's groups of consecutive windows, one
-// packed pass per group, and the windows after the last full group run
-// their own. For each offset left it streams the λ/2+λ0 elements through
-// the window's kernel once — for a packed window, read out of its group's
-// table — reading off the distance of every segment length on the way:
+// packed pass per group. For each offset left it streams the λ/2+λ0
+// elements through the window's kernel once — for a packed window, read out
+// of its group's table — reading off the distance of every segment length
+// on the way:
 // 2λ0+1 segment evaluations for one pass instead of 2λ0+1 independent DPs.
 // A kernel without the free-start mode skips nothing.
 //
@@ -424,26 +424,25 @@ func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float
 	}
 	items := s.b.scan.Items()
 	// The immutable window tables are shared matcher-wide: the packed passes
-	// of the full groups, then the Prepared of each window after them. This
-	// worker carries one kernel state (and one free-start state) and rebinds
-	// it window to window, so steady-state kernel memory is O(windows), not
-	// O(windows × workers). The linear scan touches every group and every
-	// window after them per query, so their lazy slots all fill on the first
-	// query and later queries read them for free.
+	// of the groups when the measure packs windows, the Prepared of each
+	// window when it does not. This worker carries one kernel state (and one
+	// free-start state) and rebinds it window to window, so steady-state
+	// kernel memory is O(windows), not O(windows × workers). The linear scan
+	// touches every group or window per query, so their lazy slots all fill
+	// on the first query and later queries read them for free.
 	mt.preparedInit()
 	width := mt.packInit()
-	packed := len(mt.packs) * width
 	var pack dist.Packed[E]
 	var rows [][]float64
 	best := math.Inf(1)
 	for wi, w := range items {
 		var lower []float64
 		field := 0
-		if wi < packed {
+		if width > 0 {
 			if field = wi % width; field == 0 {
 				pack = mt.packAt(wi / width)
 				rows = sc.free.runPacked(pack, q)
-				sc.cost.filter += int64(width)
+				sc.cost.filter += int64(pack.Windows())
 			}
 			lower = rows[field]
 		} else if lower = sc.free.run(mt.preparedAt(int32(wi)), q); lower != nil {
@@ -470,7 +469,7 @@ func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float
 				}
 			}
 			if k == nil {
-				if wi < packed {
+				if width > 0 {
 					sc.kstate = pack.Bind(sc.kstate, field)
 				} else {
 					sc.kstate = dist.BindKernel(sc.kstate, mt.preparedAt(int32(wi)))

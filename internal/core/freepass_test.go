@@ -254,11 +254,12 @@ func TestKernelWithoutFreeStartSkipsThePrePass(t *testing.T) {
 // The kernel scan's packed groups are built by whichever query reaches them
 // first and re-formed by the lifecycle paths. Run under -race: two pool
 // workers' first queries build the groups of a fresh levenshtein-fast scan
-// at once; an append then extends them, keeping the groups it does not
-// touch, and a retire re-forms every group from the first retired window
-// on. At each stage every group is built over the windows now at its
-// positions and the hits equal the brute filter (the store oracle,
-// TestProgramsMatchOracle, is the anchor for the values of every path).
+// at once, the last group packing whatever windows are left; an append then
+// extends them, keeping the full groups it does not touch, and a retire
+// re-forms every group from the first retired window on. At each stage every
+// group is built over the windows now at its positions and the hits equal
+// the brute filter (the store oracle, TestProgramsMatchOracle, is the anchor
+// for the values of every path).
 func TestPackedGroupsBuiltConcurrentlyAndReformed(t *testing.T) {
 	rng := rand.New(rand.NewPCG(29, 2900))
 	db, qs := batchQueries(rng, 8) // three sequences of 48: twelve windows of 4 each
@@ -283,27 +284,29 @@ func TestPackedGroupsBuiltConcurrentlyAndReformed(t *testing.T) {
 			t.Fatalf("%s: %d groups of %d, want %d of 16", stage, len(mt.packs), mt.packWidth, groups)
 		}
 		for g, s := range mt.packs {
-			if s.p == nil || s.p.Windows() != mt.packWidth {
-				t.Fatalf("%s: group %d not built over %d windows", stage, g, mt.packWidth)
+			if want := min(16, len(mt.windows)-16*g); s.p == nil || s.p.Windows() != want {
+				t.Fatalf("%s: group %d not built over %d windows", stage, g, want)
 			}
 		}
 	}
-	check("first queries", 2) // 36 windows: two groups and four alone
+	check("first queries", 3) // 36 windows: two groups of 16 and one of 4
 	before := slices.Clone(mt.packs)
 	if _, _, err := mt.AppendSequence(db[0][:48]); err != nil {
 		t.Fatal(err)
 	}
-	if len(mt.packs) != 3 || mt.packs[0] != before[0] || mt.packs[1] != before[1] {
-		t.Fatalf("append: %d groups, the first two kept %v %v", len(mt.packs), mt.packs[0] == before[0], mt.packs[1] == before[1])
+	// The partial group takes the new windows: it alone is re-formed.
+	if len(mt.packs) != 3 || mt.packs[0] != before[0] || mt.packs[1] != before[1] || mt.packs[2].p != nil {
+		t.Fatalf("append: %d groups, the first two kept %v %v, the last fresh %v",
+			len(mt.packs), mt.packs[0] == before[0], mt.packs[1] == before[1], mt.packs[2].p == nil)
 	}
 	check("after an append", 3)
 	before = slices.Clone(mt.packs)
 	if _, err := mt.RetireSequence(2); err != nil {
 		t.Fatal(err)
 	}
-	// Windows 24–35 went: group 0 kept its windows, group 1 did not.
-	if len(mt.packs) != 2 || mt.packs[0] != before[0] || mt.packs[1] == before[1] || mt.packs[1].p != nil {
+	// Windows 24–35 went: group 0 kept its windows, groups 1 and 2 did not.
+	if len(mt.packs) != 3 || mt.packs[0] != before[0] || mt.packs[1].p != nil || mt.packs[2].p != nil {
 		t.Fatalf("retire: %d groups, group 0 kept %v, group 1 fresh %v", len(mt.packs), mt.packs[0] == before[0], mt.packs[1].p == nil)
 	}
-	check("after a retire", 2)
+	check("after a retire", 3)
 }

@@ -97,12 +97,13 @@ func (mt *Matcher[E]) packInit() int {
 	return mt.packWidth
 }
 
-// packAt resolves group g, packing its windows on first touch. Safe for
-// concurrent use, like preparedAt.
+// packAt resolves group g, packing its windows on first touch: packWidth of
+// them, or the rest of mt.windows for the last group. Safe for concurrent
+// use, like preparedAt.
 func (mt *Matcher[E]) packAt(g int) dist.Packed[E] {
 	s := mt.packs[g]
 	s.once.Do(func() {
-		ws := make([][]E, mt.packWidth)
+		ws := make([][]E, min(mt.packWidth, len(mt.windows)-g*mt.packWidth))
 		for f := range ws {
 			ws[f] = mt.windows[g*mt.packWidth+f].Data
 		}
@@ -112,14 +113,14 @@ func (mt *Matcher[E]) packAt(g int) dist.Packed[E] {
 }
 
 // regroup re-forms the groups over mt.windows after a mutation that left
-// windows 0 … unmoved−1 where they were: a group wholly among them keeps
-// what it built, and every group after gets a fresh slot. A no-op until
-// packInit has sized the groups.
+// windows 0 … unmoved−1 where they were: a full group wholly among them
+// keeps what it built, and every group after gets a fresh slot. A no-op
+// until packInit has sized the groups.
 func (mt *Matcher[E]) regroup(unmoved int) {
 	if mt.packWidth == 0 {
 		return
 	}
-	n := len(mt.windows) / mt.packWidth
+	n := (len(mt.windows) + mt.packWidth - 1) / mt.packWidth
 	kept := min(unmoved/mt.packWidth, n, len(mt.packs))
 	clear(mt.packs[kept:])
 	mt.packs = mt.packs[:kept]

@@ -36,6 +36,7 @@ var ErrSaveUnsupported = errors.New("core: index backend does not support serial
 // extended database from scratch. Not safe concurrently with queries.
 func (mt *Matcher[E]) AppendSequence(x seq.Sequence[E]) (seqID, added int, err error) {
 	seqID = len(mt.db)
+	unmoved := len(mt.windows)
 	wins := seq.Partition(seqID, x, mt.cfg.Params.WindowLen())
 	for _, w := range wins {
 		mt.index.insert(w)
@@ -46,7 +47,7 @@ func (mt *Matcher[E]) AppendSequence(x seq.Sequence[E]) (seqID, added int, err e
 	// pointed at the (possibly reallocated) extended one.
 	mt.verifier.db = mt.db
 	mt.growPrepared(wins)
-	mt.regroup(len(mt.windows))
+	mt.regroup(unmoved)
 	return seqID, len(wins), nil
 }
 

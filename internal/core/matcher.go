@@ -90,9 +90,9 @@ type Matcher[E any] struct {
 	winIndex     map[winKey]int32
 	// packs holds, per group of packWidth consecutive windows, the kernel
 	// scan's packed free-start pass (dist.Packer): group g is windows
-	// g·packWidth … (g+1)·packWidth−1, and the windows after the last full
-	// group run the pass one at a time. Built lazily like prepared, on the
-	// scan's first query; packWidth stays 0 when nothing packs. See packAt.
+	// g·packWidth … (g+1)·packWidth−1, the last group whatever windows are
+	// left. Built lazily like prepared, on the scan's first query;
+	// packWidth stays 0 when nothing packs. See packAt.
 	packOnce  sync.Once
 	packWidth int
 	packs     []*packSlot[E]

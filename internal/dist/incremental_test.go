@@ -239,7 +239,7 @@ func TestPreparedSharesTablesAcrossStates(t *testing.T) {
 	}
 
 	// Cross-family rebinds must refuse and fall back to a fresh state.
-	if (&myersState64{p: &myersPrepared64{m: 1, last: 1}}).Rebind(bp) {
+	if myersPrepare([]byte("A")).NewState().(*myersState64).Rebind(bp) {
 		t.Fatal("single-word state rebound to a block Prepared")
 	}
 }

@@ -288,7 +288,7 @@ func checkPacked(t *testing.T, rng *rand.Rand, lens []int, qLen int, exact bool)
 	m := LevenshteinFastMeasure()
 	p := m.Packer.Pack(ws)
 	samePackedPass(t, p, ws, q)
-	var k Kernel[byte] = m.Prepare(ws[0]).NewState() // a state Bind cannot re-point
+	var k Kernel[byte] = m.Prepare(make([]byte, 65)).NewState() // a state Bind cannot re-point
 	for f, w := range ws {
 		k = p.Bind(k, f) // and from the second field on, one it can
 		what := fmt.Sprintf("field %d of %v", f, lens)
@@ -296,11 +296,27 @@ func checkPacked(t *testing.T, rng *rand.Rand, lens []int, qLen int, exact bool)
 			checkTable(t, what, m, k, q, w, false)
 			continue
 		}
-		single := m.NewKernel(w)
-		for i, c := range q {
-			if got, want := k.Feed(c), single.Feed(c); got != want {
-				t.Fatalf("%s: Feed after %d elements = %v, separate kernel %v", what, i+1, got, want)
-			}
+		sameFeeds(t, what, k, m.NewKernel(w), q)
+	}
+	// The one state type serves a field and a window's own table: a state
+	// Bind left rebinds to its window's Prepared in place, and back.
+	own := m.Prepare(ws[0])
+	if rb := BindKernel(k, own); rb != k {
+		t.Fatalf("%v: a field's state did not rebind to a Prepared in place", lens)
+	}
+	sameFeeds(t, fmt.Sprintf("own table after the fields of %v", lens), k, own.NewState(), q)
+	if rb := p.Bind(k, 0); rb != k {
+		t.Fatalf("%v: Bind did not re-point a window's own state", lens)
+	}
+	sameFeeds(t, fmt.Sprintf("field 0 of %v after its own table", lens), k, own.NewState(), q)
+}
+
+// sameFeeds feeds q to k and want and holds every step's value equal.
+func sameFeeds(t *testing.T, what string, k, want Kernel[byte], q []byte) {
+	t.Helper()
+	for i, c := range q {
+		if got, w := k.Feed(c), want.Feed(c); got != w {
+			t.Fatalf("%s: Feed after %d elements = %v, separate kernel %v", what, i+1, got, w)
 		}
 	}
 }

@@ -297,18 +297,18 @@ func myersBlockBounded(a, b []byte, eps float64) float64 {
 
 // myersPrepared64 is the shared half of the single-word incremental kernel:
 // the pattern (the database window, ≤ 64 bytes) bit-packed once. States
-// minted from it carry only the two delta words and the running score.
+// minted from it point at its table and carry the two delta words and the
+// running score.
 type myersPrepared64 struct {
-	peq  [256]uint64
-	last uint64
-	m    int
+	peq [256]uint64
+	m   int
 }
 
 func (p *myersPrepared64) WindowLen() int { return p.m }
 
 func (p *myersPrepared64) NewState() Kernel[byte] {
-	s := &myersState64{p: p}
-	s.Reset()
+	s := &myersState64{}
+	s.bind(&p.peq, 0, p.m)
 	return s
 }
 
@@ -317,7 +317,7 @@ func (p *myersPrepared64) Reprepare(w []byte) bool {
 		return false
 	}
 	p.peq = [256]uint64{}
-	p.m, p.last = len(w), 1<<uint(len(w)-1)
+	p.m = len(w)
 	for i, c := range w {
 		p.peq[c] |= 1 << uint(i)
 	}
@@ -325,17 +325,31 @@ func (p *myersPrepared64) Reprepare(w []byte) bool {
 }
 
 // myersState64 advances the column by one query element per Feed and
-// returns the current bottom-row score — d(fed prefix, w).
+// returns the current bottom-row score — d(fed prefix, w). Its window is
+// the field of m bits at off of a peq table, read as peq[c] >> off: a
+// myersPrepared64's own table (off 0), or one window's field of a
+// myersPack's. The bits above the field, the pack's later fields, are
+// garbage nothing below reads, as in myersBlock's last word. (off is kept
+// under 64, and the & 63 on each read spares the shift its range check.)
 type myersState64 struct {
-	p      *myersPrepared64
+	peq    *[256]uint64
+	off    uint
+	last   uint64
+	m      int
 	pv, mv uint64
 	score  int
 	n      int // elements fed: the column's boundary value D[0]
 }
 
+// bind points k at the m-bit field at off of peq and rewinds it.
+func (k *myersState64) bind(peq *[256]uint64, off uint, m int) {
+	k.peq, k.off, k.m, k.last = peq, off, m, 1<<uint(m-1)
+	k.Reset()
+}
+
 func (k *myersState64) Feed(c byte) float64 {
 	var sd int
-	k.pv, k.mv, _, sd = myersStep(k.pv, k.mv, k.p.peq[c], 1, k.p.last)
+	k.pv, k.mv, _, sd = myersStep(k.pv, k.mv, k.peq[c]>>(k.off&63), 1, k.last)
 	k.score += sd
 	k.n++
 	return float64(k.score)
@@ -346,7 +360,7 @@ func (k *myersState64) Feed(c byte) float64 {
 // semi-global search the recurrence was published for.
 func (k *myersState64) FeedFree(c byte) float64 {
 	var sd int
-	k.pv, k.mv, _, sd = myersStep(k.pv, k.mv, k.p.peq[c], 0, k.p.last)
+	k.pv, k.mv, _, sd = myersStep(k.pv, k.mv, k.peq[c]>>(k.off&63), 0, k.last)
 	k.score += sd
 	return float64(k.score)
 }
@@ -365,7 +379,7 @@ func (k *myersState64) Floor() float64 { return 0 }
 func (k *myersState64) Reset() {
 	k.pv = ^uint64(0)
 	k.mv = 0
-	k.score = k.p.m
+	k.score = k.m
 	k.n = 0
 }
 
@@ -374,8 +388,7 @@ func (k *myersState64) Rebind(p Prepared[byte]) bool {
 	if !ok {
 		return false
 	}
-	k.p = mp
-	k.Reset()
+	k.bind(&mp.peq, 0, mp.m)
 	return true
 }
 
@@ -477,53 +490,15 @@ func (p *myersPack) FreeStart(x []byte, lower [][]float64) {
 	}
 }
 
+// Bind re-points a myersState64 at field f of the shared table.
 func (p *myersPack) Bind(state Kernel[byte], f int) Kernel[byte] {
-	k, ok := state.(*myersFieldState)
+	k, ok := state.(*myersState64)
 	if !ok {
-		k = &myersFieldState{}
+		k = &myersState64{}
 	}
 	fd := p.fields[f]
-	k.peq, k.off, k.m = &p.peq, fd.off, fd.m
-	k.mask, k.last = ^uint64(0)>>uint(64-fd.m), 1<<uint(fd.m-1)
-	k.Reset()
+	k.bind(&p.peq, fd.off, fd.m)
 	return k
-}
-
-// myersFieldState is myersState64 over one window's field of a myersPack's
-// table, read out as peq[c] >> off & mask. It is a type of its own so that
-// a window's own kernel, which the net and the verifier feed, pays no
-// shift.
-type myersFieldState struct {
-	peq        *[256]uint64
-	off        uint
-	mask, last uint64
-	m          int
-	pv, mv     uint64
-	score      int
-	n          int
-}
-
-func (k *myersFieldState) Feed(c byte) float64 {
-	var sd int
-	k.pv, k.mv, _, sd = myersStep(k.pv, k.mv, k.peq[c]>>k.off&k.mask, 1, k.last)
-	k.score += sd
-	k.n++
-	return float64(k.score)
-}
-
-// At is myersState64.At.
-func (k *myersFieldState) At(j int) float64 {
-	mask := ^uint64(0) >> uint(64-j)
-	return float64(k.n + bits.OnesCount64(k.pv&mask) - bits.OnesCount64(k.mv&mask))
-}
-
-func (k *myersFieldState) Floor() float64 { return 0 }
-
-func (k *myersFieldState) Reset() {
-	k.pv = ^uint64(0)
-	k.mv = 0
-	k.score = k.m
-	k.n = 0
 }
 
 // myersBlockPrepared is the shared half of the multi-word kernel for
