@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -77,6 +80,117 @@ func TestVerifyDistanceCallsCountsPasses(t *testing.T) {
 	got, fn := c.verify, fnCalls.Load()-fnBefore
 	if got != fn || got != int64(pairs) {
 		t.Errorf("adapter: verifyAll counted %d over %d Fn calls, want one per candidate = %d", got, fn, pairs)
+	}
+}
+
+// sortedPasses is the enumeration passes replaced, kept as its reference:
+// one entry per (region, database start), sorted by (seqID, xs, region),
+// then a walk over each xs's group of regions.
+func sortedPasses[E any](v *verifier[E], regs []region) ([]pass, []int32) {
+	type startRef struct{ seqID, xs, reg int32 }
+	var starts []startRef
+	for i := range regs {
+		r := &regs[i]
+		for xs := r.xsMin; xs <= r.xsMax; xs++ {
+			starts = append(starts, startRef{int32(r.seqID), int32(xs), int32(i)})
+		}
+	}
+	slices.SortFunc(starts, func(a, b startRef) int {
+		return cmp.Or(cmp.Compare(a.seqID, b.seqID), cmp.Compare(a.xs, b.xs), cmp.Compare(a.reg, b.reg))
+	})
+	var out []pass
+	var members []int32
+	for s := 0; s < len(starts); {
+		e := s + 1
+		for e < len(starts) && starts[e].seqID == starts[s].seqID && starts[e].xs == starts[s].xs {
+			e++
+		}
+		group := starts[s:e]
+		xs := int(group[0].xs)
+		qsLo, qsHi := math.MaxInt, -1
+		for _, g := range group {
+			qsLo, qsHi = min(qsLo, regs[g.reg].qsMin), max(qsHi, regs[g.reg].qsMax)
+		}
+		for qs := qsLo; qs <= qsHi; qs++ {
+			p := pass{seqID: group[0].seqID, xs: group[0].xs, qs: int32(qs), lo: int32(len(members))}
+			for _, g := range group {
+				r := &regs[g.reg]
+				if qs < r.qsMin || qs > r.qsMax {
+					continue
+				}
+				if rows, cols, ok := v.reach(r, qs, xs); ok {
+					members = append(members, g.reg)
+					p.rows, p.cols = max(p.rows, int32(rows)), max(p.cols, int32(cols))
+				}
+			}
+			if p.hi = int32(len(members)); p.hi > p.lo {
+				out = append(out, p)
+			}
+		}
+		s = e
+	}
+	return out, members
+}
+
+// The sweep in passes must list what the sort it replaced listed: the same
+// passes in the same (seqID, xs, qs) order with the same members in the
+// same order. Type II's minQLen skips, and with them VerifyDistanceCalls,
+// depend on that order. Region sets are random over several sequences and
+// xs scales, so that xs ranges lie on different sequences, overlap, nest,
+// leave gaps and abut; the test fails as vacuous if a shape never occurred.
+func TestPassesMatchSortedEnumeration(t *testing.T) {
+	p := Params{Lambda: 6, Lambda0: 1}
+	v := newVerifier[byte](dist.LevenshteinMeasure[byte](), p, nil)
+	sc := v.getScratch()
+	check := func(regs []region) {
+		t.Helper()
+		want, wantMembers := sortedPasses(v, regs)
+		got := v.passes(regs, sc)
+		if !slices.Equal(got, want) || !slices.Equal(sc.members, wantMembers) {
+			t.Fatalf("regions %+v:\nsweep  %v members %v\nsorted %v members %v", regs, got, sc.members, want, wantMembers)
+		}
+	}
+	check(nil)
+	if len(sc.passes) != 0 || len(sc.members) != 0 {
+		t.Fatalf("no regions gave %d passes", len(sc.passes))
+	}
+
+	rng := rand.New(rand.NewPCG(40, 4000))
+	var apart, overlap, nested, gapped, adjacent, total int
+	for trial := 0; trial < 2000; trial++ {
+		n, seqs, span, width := rng.IntN(8), 1+rng.IntN(3), 1+rng.IntN(60), 1+rng.IntN(12)
+		regs := make([]region, n)
+		for i := range regs {
+			xs, qs := rng.IntN(span), rng.IntN(20)
+			r := region{seqID: rng.IntN(seqs), xsMin: xs, xsMax: xs + rng.IntN(width), qsMin: qs, qsMax: qs + rng.IntN(width)}
+			r.qeMin = r.qsMin + rng.IntN(p.Lambda+4)
+			r.qeMax = r.qeMin + rng.IntN(10)
+			r.xeMin = r.xsMin + rng.IntN(p.Lambda+4)
+			r.xeMax = r.xeMin + rng.IntN(10)
+			regs[i] = r
+		}
+		check(regs)
+		total += len(sc.passes)
+		for i, a := range regs {
+			for _, b := range regs[i+1:] {
+				switch {
+				case a.seqID != b.seqID:
+					apart++
+				case a.xsMax+1 < b.xsMin || b.xsMax+1 < a.xsMin:
+					gapped++
+				case a.xsMax < b.xsMin || b.xsMax < a.xsMin:
+					adjacent++
+				case a.xsMin <= b.xsMin && b.xsMax <= a.xsMax || b.xsMin <= a.xsMin && a.xsMax <= b.xsMax:
+					nested++
+				default:
+					overlap++
+				}
+			}
+		}
+	}
+	if apart == 0 || overlap == 0 || nested == 0 || gapped == 0 || adjacent == 0 || total == 0 {
+		t.Fatalf("vacuous: region pairs %d on two sequences, %d overlapping, %d nested, %d gapped, %d adjacent; %d passes",
+			apart, overlap, nested, gapped, adjacent, total)
 	}
 }
 

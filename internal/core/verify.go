@@ -53,10 +53,11 @@ type verifyScratch[E any] struct {
 	regions map[region]bool
 	byWin   map[winKey][]int
 	regs    []region
-	// starts, passes and members are the pass enumeration (see passes).
-	starts  []startRef
-	passes  []pass
-	members []int32
+	// order, active, passes and members are the pass enumeration (see
+	// passes).
+	order, active []int32
+	passes        []pass
+	members       []int32
 	// prep and kernel are the bound window's preprocessing and the kernel
 	// state over it, both rebuilt in place from pass to pass.
 	prep   dist.Prepared[E]
@@ -178,12 +179,6 @@ func (v *verifier[E]) runRegions(q seq.Sequence[E], hits []Hit[E], sc *verifyScr
 	return out
 }
 
-// startRef says that region reg admits candidates starting at database
-// position xs of sequence seqID.
-type startRef struct {
-	seqID, xs, reg int32
-}
-
 // pass is one start pair (qs, xs) on sequence seqID together with the
 // regions that hold candidates starting there (members[lo:hi], indices into
 // the region list). rows and cols bound the DP table those candidates
@@ -210,38 +205,45 @@ func (v *verifier[E]) reach(r *region, qs, xs int) (rows, cols int, ok bool) {
 // it belongs to, ordered by (seqID, xs, qs) so that passes over one database
 // start are neighbours and share a window binding. A start pair is listed
 // only if some region holds a candidate for it.
+//
+// It sorts the regions by (seqID, xsMin, index), then sweeps xs along each
+// sequence with an active list of the regions whose database-start range
+// covers xs, kept in region-index order. A region joins at its xsMin and
+// leaves after its xsMax, and a stretch of xs no region covers is jumped.
+// Each xs's active list is the group of regions a pass's members are drawn
+// from, in index order.
 func (v *verifier[E]) passes(regs []region, sc *verifyScratch[E]) []pass {
-	starts := sc.starts[:0]
+	order := sc.order[:0]
 	for i := range regs {
-		r := &regs[i]
-		for xs := r.xsMin; xs <= r.xsMax; xs++ {
-			starts = append(starts, startRef{int32(r.seqID), int32(xs), int32(i)})
-		}
+		order = append(order, int32(i))
 	}
-	slices.SortFunc(starts, func(a, b startRef) int {
-		return cmp.Or(cmp.Compare(a.seqID, b.seqID), cmp.Compare(a.xs, b.xs), cmp.Compare(a.reg, b.reg))
+	slices.SortFunc(order, func(a, b int32) int {
+		ra, rb := &regs[a], &regs[b]
+		return cmp.Or(cmp.Compare(ra.seqID, rb.seqID), cmp.Compare(ra.xsMin, rb.xsMin), cmp.Compare(a, b))
 	})
-	out, members := sc.passes[:0], sc.members[:0]
-	for s := 0; s < len(starts); {
-		e := s + 1
-		for e < len(starts) && starts[e].seqID == starts[s].seqID && starts[e].xs == starts[s].xs {
-			e++
+	out, members, active := sc.passes[:0], sc.members[:0], sc.active[:0]
+	seqID, xs := 0, 0
+	for next := 0; next < len(order) || len(active) > 0; {
+		if len(active) == 0 {
+			seqID, xs = regs[order[next]].seqID, regs[order[next]].xsMin
 		}
-		group := starts[s:e] // the regions whose start box covers this xs
-		xs := int(group[0].xs)
+		for ; next < len(order) && regs[order[next]].seqID == seqID && regs[order[next]].xsMin == xs; next++ {
+			at, _ := slices.BinarySearch(active, order[next])
+			active = slices.Insert(active, at, order[next])
+		}
 		qsLo, qsHi := math.MaxInt, -1
-		for _, g := range group {
-			qsLo, qsHi = min(qsLo, regs[g.reg].qsMin), max(qsHi, regs[g.reg].qsMax)
+		for _, i := range active {
+			qsLo, qsHi = min(qsLo, regs[i].qsMin), max(qsHi, regs[i].qsMax)
 		}
 		for qs := qsLo; qs <= qsHi; qs++ {
-			p := pass{seqID: group[0].seqID, xs: group[0].xs, qs: int32(qs), lo: int32(len(members))}
-			for _, g := range group {
-				r := &regs[g.reg]
+			p := pass{seqID: int32(seqID), xs: int32(xs), qs: int32(qs), lo: int32(len(members))}
+			for _, i := range active {
+				r := &regs[i]
 				if qs < r.qsMin || qs > r.qsMax {
 					continue
 				}
 				if rows, cols, ok := v.reach(r, qs, xs); ok {
-					members = append(members, g.reg)
+					members = append(members, i)
 					p.rows, p.cols = max(p.rows, int32(rows)), max(p.cols, int32(cols))
 				}
 			}
@@ -249,9 +251,10 @@ func (v *verifier[E]) passes(regs []region, sc *verifyScratch[E]) []pass {
 				out = append(out, p)
 			}
 		}
-		s = e
+		xs++
+		active = slices.DeleteFunc(active, func(i int32) bool { return regs[i].xsMax < xs })
 	}
-	sc.starts, sc.passes, sc.members = starts, out, members
+	sc.order, sc.active, sc.passes, sc.members = order, active, out, members
 	return out
 }
 

@@ -272,8 +272,8 @@ func TestKernelFreeStartMatchesBruteMin(t *testing.T) {
 // checkPacked packs windows of the given lengths and holds the pass to the
 // separate kernels: every end of FreeStart carries the float64 bits of a
 // separate FeedFree pass over that window, and every field Bind reads out is
-// the window's kernel — by checkTable against Fn when exact is set, else by
-// its Feed against the separate kernel's.
+// the window's kernel — by its Feed and Floor against the separate kernel's,
+// and by checkTable against Fn when exact is set.
 func checkPacked(t *testing.T, rng *rand.Rand, lens []int, qLen int, exact bool) {
 	t.Helper()
 	alphabet := aminoAcids
@@ -292,11 +292,11 @@ func checkPacked(t *testing.T, rng *rand.Rand, lens []int, qLen int, exact bool)
 	for f, w := range ws {
 		k = p.Bind(k, f) // and from the second field on, one it can
 		what := fmt.Sprintf("field %d of %v", f, lens)
-		if exact {
-			checkTable(t, what, m, k, q, w, false)
-			continue
-		}
 		sameFeeds(t, what, k, m.NewKernel(w), q)
+		if exact {
+			k.Reset()
+			checkTable(t, what, m, k, q, w, false)
+		}
 	}
 	// The one state type serves a field and a window's own table: a state
 	// Bind left rebinds to its window's Prepared in place, and back.
@@ -311,12 +311,17 @@ func checkPacked(t *testing.T, rng *rand.Rand, lens []int, qLen int, exact bool)
 	sameFeeds(t, fmt.Sprintf("field 0 of %v after its own table", lens), k, own.NewState(), q)
 }
 
-// sameFeeds feeds q to k and want and holds every step's value equal.
+// sameFeeds feeds q to k and want and holds every step's value and Floor
+// equal. Bound to a pack's field, k sees the later fields' bits above its
+// own; they must not lower its Floor.
 func sameFeeds(t *testing.T, what string, k, want Kernel[byte], q []byte) {
 	t.Helper()
 	for i, c := range q {
 		if got, w := k.Feed(c), want.Feed(c); got != w {
 			t.Fatalf("%s: Feed after %d elements = %v, separate kernel %v", what, i+1, got, w)
+		}
+		if got, w := k.Floor(), want.Floor(); got != w {
+			t.Fatalf("%s: Floor after %d elements = %v, separate kernel %v", what, i+1, got, w)
 		}
 	}
 }
@@ -351,7 +356,10 @@ func samePackedPass(t *testing.T, p Packed[byte], ws [][]byte, q []byte) {
 // Fn(q[s:e], w) for every start s in lo..e, whatever the measure, the window
 // (one word, several, empty) and the start the pass began at. On
 // levenshtein-fast it also cuts w into fields of lo%32+1 bytes and holds the
-// packed pass over them to separate passes, end for end. The committed
+// packed pass over them to separate passes, end for end, and the field
+// states Bind reads out to the windows' own, feed for feed and Floor for
+// Floor; and it holds the exact mode's Floor to its promise: after q[:i] at
+// most Fn(q[:i′], w[:j]) for every i′ ≥ i and every j. The committed
 // corpus under testdata/fuzz/FuzzFreeStartLowerBound runs as seeds under a
 // plain go test.
 func FuzzFreeStartLowerBound(f *testing.F) {
@@ -369,6 +377,7 @@ func FuzzFreeStartLowerBound(f *testing.F) {
 		case 0:
 			freeStartLowerBound(t, LevenshteinFastMeasure(), q, w, from)
 			packedEqualsSingle(t, q, w, int(lo)%32+1)
+			floorLowerBound(t, q, w)
 		case 1:
 			freeStartLowerBound(t, LevenshteinMeasure[byte](), q, w, from)
 		case 2:
@@ -383,15 +392,53 @@ func FuzzFreeStartLowerBound(f *testing.F) {
 
 // packedEqualsSingle cuts w into fields of n bytes, the last one shorter,
 // packs as many as fit one word and holds the packed pass over q to separate
-// ones.
+// ones, and each field's bound state to its window's own.
 func packedEqualsSingle(t *testing.T, q, w []byte, n int) {
 	var ws [][]byte
 	for used := 0; len(w) > 0 && used < 64; {
 		f := w[:min(n, len(w), 64-used)]
 		ws, w, used = append(ws, f), w[len(f):], used+len(f)
 	}
-	if len(ws) > 0 {
-		samePackedPass(t, LevenshteinFastMeasure().Packer.Pack(ws), ws, q)
+	if len(ws) == 0 {
+		return
+	}
+	p := LevenshteinFastMeasure().Packer.Pack(ws)
+	samePackedPass(t, p, ws, q)
+	for f, w := range ws {
+		sameFeeds(t, fmt.Sprintf("field %d of %d", f, len(ws)), p.Bind(nil, f), myersPrepare(w).NewState(), q)
+	}
+}
+
+// floorLowerBound feeds q to levenshtein-fast's kernel over w and holds
+// Floor after q[:i] to at most Fn(q[:i′], w[:j]) for every i′ ≥ i and every
+// j. The cells are read off one plain edit-row pass, which
+// TestKernelTablesMatchFn holds to Fn bit for bit: a table of Fn calls would
+// cost the fuzzer most of its executions.
+func floorLowerBound(t *testing.T, q, w []byte) {
+	// least[i] is the least cell of rows i and later.
+	least := make([]float64, len(q)+2)
+	least[len(q)+1] = math.Inf(1)
+	row := LevenshteinMeasure[byte]().NewKernel(w)
+	for i := 0; i <= len(q); i++ {
+		if i > 0 {
+			row.Feed(q[i-1])
+		}
+		least[i] = math.Inf(1)
+		for j := 0; j <= len(w); j++ {
+			least[i] = min(least[i], row.At(j))
+		}
+	}
+	for i := len(q) - 1; i >= 0; i-- {
+		least[i] = min(least[i], least[i+1])
+	}
+	k := LevenshteinFastMeasure().NewKernel(w)
+	for i := 0; i <= len(q); i++ {
+		if i > 0 {
+			k.Feed(q[i-1])
+		}
+		if f := k.Floor(); f > least[i] {
+			t.Fatalf("Floor %v after q[:%d] exceeds a later cell, %v (q %q, w %q)", f, i, least[i], q, w)
+		}
 	}
 }
 

@@ -329,8 +329,9 @@ func (p *myersPrepared64) Reprepare(w []byte) bool {
 // the field of m bits at off of a peq table, read as peq[c] >> off: a
 // myersPrepared64's own table (off 0), or one window's field of a
 // myersPack's. The bits above the field, the pack's later fields, are
-// garbage nothing below reads, as in myersBlock's last word. (off is kept
-// under 64, and the & 63 on each read spares the shift its range check.)
+// garbage nothing below reads, as in myersBlock's last word; At and Floor
+// mask them off. (off is kept under 64, and the & 63 on each read spares
+// the shift its range check.)
 type myersState64 struct {
 	peq    *[256]uint64
 	off    uint
@@ -373,8 +374,15 @@ func (k *myersState64) At(j int) float64 {
 	return float64(k.n + bits.OnesCount64(k.pv&mask) - bits.OnesCount64(k.mv&mask))
 }
 
-// Floor offers no bound: the column minimum is not tracked.
-func (k *myersState64) Floor() float64 { return 0 }
+// Floor bounds every cell of the column from below (Ukkonen's cut-off for
+// the bit-vector column): D[j] is D[0] = n plus the +1 deltas below j minus
+// the −1 deltas below j, so no cell is under n less every −1 delta of the
+// window's field — one popcount. The mask keeps a pack's later fields out.
+// The Levenshtein row minimum never falls from one fed element to the next,
+// so the bound holds for every later row too.
+func (k *myersState64) Floor() float64 {
+	return float64(k.n - bits.OnesCount64(k.mv&(k.last<<1-1)))
+}
 
 func (k *myersState64) Reset() {
 	k.pv = ^uint64(0)
@@ -584,7 +592,16 @@ func (k *myersBlockState) At(j int) float64 {
 	return float64(d)
 }
 
-func (k *myersBlockState) Floor() float64 { return 0 }
+// Floor is myersState64.Floor over the word chain: every −1 delta of the
+// lower words, and of the last word's rows up to lastBit.
+func (k *myersBlockState) Floor() float64 {
+	last := len(k.mv) - 1
+	d := k.n - bits.OnesCount64(k.mv[last]&(k.p.lastBit<<1-1))
+	for _, mv := range k.mv[:last] {
+		d -= bits.OnesCount64(mv)
+	}
+	return float64(d)
+}
 
 func (k *myersBlockState) Reset() {
 	for i := range k.pv {
