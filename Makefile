@@ -125,9 +125,10 @@ loc:
 # race-accounting holds the stream engine's accounting rule (every counter
 # and release moves before the future resolves; DESIGN.md §9) under the
 # race detector, repeated: the two tests that used to see InFlight 1 after
-# their last Await, and the deterministic 2 000-submission sweep.
+# their last Await, the deterministic 2 000-submission sweep, and the
+# fair-share eviction, which settles its victim through the job's task.
 race-accounting:
-	$(GO) test -race -count=20 -run 'TestStreamPanicFailsOnlyThatJob|TestWorkerPanicSelfHeals|TestStreamAccountingSettlesBeforeFuture' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestStreamPanicFailsOnlyThatJob|TestWorkerPanicSelfHeals|TestStreamAccountingSettlesBeforeFuture|TestShedFairShare' ./internal/core/
 
 # nearest-equiv holds Type III to Section 7 under the race detector: the
 # store oracle at full size (every query path, on every backend and measure

@@ -777,8 +777,8 @@ func (srv *typedServer[E]) handleQuery(k servedKind[E]) http.HandlerFunc {
 // request, saving the HTTP round trips and nothing else. The queries are
 // answered one after another by a plain loop on this handler goroutine,
 // each with its own index traversal, against one pinned view of the store.
-// The loop runs outside the streaming pool: no admission control, no
-// deadline, no priority — a large batch holds the view for its whole run.
+// The loop runs outside the streaming pool: no admission control and no
+// deadline — a large batch holds the view for its whole run.
 // Validation and encoding are the kind table's, shared with the
 // single-query routes.
 func (srv *typedServer[E]) handleBatch(kinds []servedKind[E]) http.HandlerFunc {

@@ -197,8 +197,8 @@ func TestChaosCacheStorm(t *testing.T) {
 		}
 	}
 	gw, err := shard.NewReplicatedGateway(plan, groups,
-		// Sized so no hot answer can trip the per-segment byte budget —
-		// an oversized (uncacheable) answer would zero the hit counter.
+		// Sized so no hot answer can exceed the byte budget — an
+		// oversized (uncacheable) answer would zero the hit counter.
 		shard.WithCache(64<<20, 0),
 		shard.WithProbeInterval(25*time.Millisecond),
 		shard.WithBreaker(3, 150*time.Millisecond),

@@ -17,7 +17,7 @@ import (
 //
 //   - typed saturation errors (ErrQueueFull, ErrDeadlineExceeded) a server
 //     can map onto HTTP 429/503/504 instead of opaque failures;
-//   - per-submission deadlines, priorities and tenant labels (SubmitOption);
+//   - per-submission deadlines and tenant labels (SubmitOption);
 //   - a pluggable shed policy (WithShedPolicy): keep blocking, reject the
 //     newest arrival, or evict the hoggiest tenant's newest queued work so
 //     light tenants keep flowing through a flood.
@@ -103,12 +103,11 @@ func WithShedPolicy(p ShedPolicy) PoolOption {
 }
 
 // SubmitOption attaches per-submission serving metadata — deadline,
-// priority, tenant — to one Submit* call.
+// tenant — to one Submit* call.
 type SubmitOption func(*submitConfig)
 
 type submitConfig struct {
 	deadline time.Time
-	priority int
 	tenant   string
 }
 
@@ -124,14 +123,6 @@ func WithSubmitDeadline(t time.Time) SubmitOption {
 // WithSubmitTimeout is WithSubmitDeadline relative to now.
 func WithSubmitTimeout(d time.Duration) SubmitOption {
 	return func(c *submitConfig) { c.deadline = time.Now().Add(d) }
-}
-
-// WithPriority biases scheduling: an idle worker pops the
-// highest-priority pending submission (ties resolve in arrival order; the
-// default priority is 0, negative deprioritises). Priority affects
-// scheduling only — never admission or eviction.
-func WithPriority(p int) SubmitOption {
-	return func(c *submitConfig) { c.priority = p }
 }
 
 // WithTenant labels the submission for per-tenant accounting and the
@@ -235,7 +226,7 @@ func (s *streamState[E]) evictForFairShare(j *streamJob[E]) error {
 	}
 	s.mu.Unlock()
 	s.shed.Add(1)
-	victim.settle(ErrQueueFull)
+	victim.task.settle(ErrQueueFull)
 	return nil
 }
 

@@ -245,33 +245,81 @@ func TestShedFairShare(t *testing.T) {
 	}
 }
 
-// The pop order: a worker takes the highest-priority pending job, FIFO
-// among equals, so default-priority traffic is answered in arrival order.
-// (A job carries no query kind or radius for the order to depend on.)
-func TestClaimPrioritySeed(t *testing.T) {
-	mk := func(prio int) *streamJob[byte] {
-		return &streamJob[byte]{submitConfig: submitConfig{priority: prio}, ctx: context.Background()}
+// The pop order: a worker answers pending submissions strictly in arrival
+// order. (A job carries no query kind or radius for the order to depend on.)
+func TestQueuePopsFIFO(t *testing.T) {
+	const blocker = 0xFE
+	gates := map[byte]chan struct{}{blocker: make(chan struct{})}
+	pool, _, _ := markedPool(t, 1, gates)
+	ctx := context.Background()
+	b := pool.Submit(ctx, marked(blocker), 0.5)
+	waitPending(t, pool, 0)
+	const n = 8
+	var order []int // appended by the one worker, read after every Await
+	futures := make([]*Future[int], n)
+	for i := range futures {
+		futures[i] = submitFunc(pool, ctx, nil, func(*Matcher[byte]) int {
+			order = append(order, i)
+			return i
+		})
 	}
+	waitPending(t, pool, n)
+	close(gates[blocker])
+	awaitMatches(t, "blocker", b, nil)
+	for i, f := range futures {
+		if v, err := f.Await(ctx); err != nil || v != i {
+			t.Fatalf("job %d resolved to (%v, %v)", i, v, err)
+		}
+	}
+	if !slices.Equal(order, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
+		t.Fatalf("answer order %v, want arrival order", order)
+	}
+
+	// takeLocked clears every vacated tail slot, whether it pops the head
+	// or evicts from the middle: nothing that left the queue stays
+	// reachable through its backing array.
 	var s streamState[byte]
-	lo1, lo2, lo3 := mk(0), mk(0), mk(0)
-	hi1, hi2 := mk(5), mk(5)
-	neg, top := mk(-1), mk(9)
-	s.queue = []*streamJob[byte]{neg, lo1, hi1, lo2, top, hi2, lo3}
+	j0, j1, j2 := &streamJob[byte]{}, &streamJob[byte]{}, &streamJob[byte]{}
+	s.queue = []*streamJob[byte]{j0, j1, j2}
 	backing := s.queue
-	for i, want := range []*streamJob[byte]{top, hi1, hi2, lo1, lo2, lo3, neg} {
-		if got := s.popLocked(); got != want {
-			t.Fatalf("pop %d: got priority %d, want priority %d", i, got.priority, want.priority)
+	for i, want := range []struct {
+		at  int
+		job *streamJob[byte]
+	}{{1, j1}, {0, j0}, {0, j2}} {
+		if got := s.takeLocked(want.at); got != want.job {
+			t.Fatalf("take %d at %d returned the wrong job", i, want.at)
 		}
 	}
 	if len(s.queue) != 0 {
-		t.Fatalf("queue holds %d jobs after popping all", len(s.queue))
+		t.Fatalf("queue holds %d jobs after taking all", len(s.queue))
 	}
-	// takeLocked clears every vacated tail slot: nothing that left the queue
-	// stays reachable through its backing array.
 	for i, j := range backing {
 		if j != nil {
-			t.Fatalf("backing slot %d still pins a popped job", i)
+			t.Fatalf("backing slot %d still pins a job that left the queue", i)
 		}
+	}
+}
+
+// The engine's allocations per Submit+Await beyond the direct Matcher call
+// it answers with: the job (header, answer and future in one), the
+// future's channel and the answer closure.
+func TestSubmitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pinning is meaningless under the race detector")
+	}
+	pool, qs, _ := markedPool(t, 1, nil)
+	mt := pool.mt
+	ctx := context.Background()
+	q := qs[0]
+	direct := testing.AllocsPerRun(50, func() { mt.FindAll(q, 0.5) })
+	streamed := testing.AllocsPerRun(50, func() {
+		if _, err := pool.Submit(ctx, q, 0.5).Await(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations per call: FindAll %.0f, Submit+Await %.0f", direct, streamed)
+	if extra := streamed - direct; extra > 3 {
+		t.Fatalf("Submit+Await allocates %.0f more than FindAll (%.0f against %.0f), want at most 3", extra, streamed, direct)
 	}
 }
 

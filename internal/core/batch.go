@@ -104,8 +104,13 @@ func (p *QueryPool[E]) acquire() (*Matcher[E], func()) {
 	if p.view != nil {
 		return p.view()
 	}
-	return p.mt, func() {}
+	return p.mt, noRelease
 }
+
+// noRelease is a fixed matcher's release. It is declared outside the
+// generic acquire, where a func literal would capture the type dictionary
+// and cost an allocation per query.
+func noRelease() {}
 
 // poolConfig carries the streaming-engine knobs a PoolOption may set —
 // the one place option fields live, so an option cannot silently set a

@@ -64,8 +64,8 @@
 // QueryPool's streaming face (stream.go) is the serving shape over the
 // same machinery: Submit / SubmitFilter / SubmitLongest / SubmitNearest
 // accept queries one at a time and return per-query Futures, answered by
-// a long-lived worker set: an idle worker pops the highest-priority
-// pending submission (FIFO among equals) and answers that one query.
+// a long-lived worker set: an idle worker pops the oldest pending
+// submission and answers that one query.
 // Submissions honour contexts, the in-flight queue is bounded
 // (backpressure), and Close drains gracefully. subseqctl serve and
 // docs/SERVING.md build the HTTP surface on exactly this API.

@@ -23,23 +23,23 @@ import (
 // shape: each submission returns a Future immediately, and a long-lived
 // worker set answers submissions as they arrive.
 //
-// Scheduling is "pop one, answer one": an idle worker takes the
-// highest-priority pending submission (oldest first among equals) and
-// answers it with the single-query Matcher method. A slow query therefore
-// occupies exactly one worker, a crash fails exactly one future, and the
-// pool contributes parallelism only — queries share no index traversal
-// (DESIGN.md §4: sharing one saved no distance evaluation and cost time).
+// Scheduling is "pop one, answer one": an idle worker takes the oldest
+// pending submission and answers it with the single-query Matcher method.
+// A slow query therefore occupies exactly one worker, a crash fails exactly
+// one future, and the pool contributes parallelism only — queries share no
+// index traversal (DESIGN.md §4: sharing one saved no distance evaluation
+// and cost time).
 //
 // Backpressure is a bounded in-flight budget: at most queueDepth
 // submissions may be submitted-but-not-completed at once. What happens at
 // the bound is a policy (admission.go): block the submitter (the default),
 // reject it with ErrQueueFull, or evict the heaviest tenant's newest queued
-// work in its favour. Submissions may also carry deadlines, priorities and
-// tenant labels (SubmitOption); expired submissions are dropped before a
-// worker prices them, and queue-wait plus end-to-end latency distributions
-// are recorded into HDR-style histograms (latency.go) surfaced by
-// StreamStats. This is what keeps a serving deployment's memory *and tail
-// latency* bounded when clients outpace the hardware.
+// work in its favour. Submissions may also carry deadlines and tenant
+// labels (SubmitOption); expired submissions are dropped before a worker
+// prices them, and queue-wait plus end-to-end latency distributions are
+// recorded into HDR-style histograms (latency.go) surfaced by StreamStats.
+// This is what keeps a serving deployment's memory *and tail latency*
+// bounded when clients outpace the hardware.
 
 // ErrPoolClosed is returned by futures whose submission was rejected
 // because Close had already been called.
@@ -54,8 +54,6 @@ type Future[T any] struct {
 	val     T
 	err     error
 }
-
-func newFuture[T any]() *Future[T] { return &Future[T]{done: make(chan struct{})} }
 
 // complete resolves the future. The engine settles every job exactly once
 // (resolve, or the fair-share eviction); the guard keeps a second completion
@@ -98,18 +96,22 @@ type QueryResult struct {
 
 func queryResult(m Match, found bool) QueryResult { return QueryResult{Match: m, Found: found} }
 
-// streamJob is one pending submission. The engine never learns what kind
-// of query it carries: run answers it on a pinned matcher and keeps the
-// result, settle resolves the caller's future — with that result when err
-// is nil, with err alone otherwise. Both close over the typed future and
-// are built in one place, submitFunc.
+// task is what the engine calls on a submission without learning its
+// query kind: run answers it on a pinned matcher and keeps the result,
+// settle resolves the caller's future — with that result when err is nil,
+// with err alone otherwise. typedJob implements it once per answer type.
+type task[E any] interface {
+	run(mt *Matcher[E])
+	settle(err error)
+}
+
+// streamJob is the engine's header of one pending submission.
 type streamJob[E any] struct {
-	run    func(mt *Matcher[E])
-	settle func(err error)
-	ctx    context.Context
+	task task[E] // the typedJob this header is embedded in
+	ctx  context.Context
 
 	// Serving metadata, set by the SubmitOptions: zero deadline means none,
-	// priority defaults to 0, empty tenant is the shared anonymous tenant.
+	// empty tenant is the shared anonymous tenant.
 	submitConfig
 	// t0 is when the submission entered the engine (end-to-end latency
 	// origin); enq is when it was enqueued (queue-wait origin).
@@ -261,25 +263,35 @@ func (s *streamState[E]) resolve(j *streamJob[E], outcome *atomic.Int64, admitte
 	if admitted {
 		s.finish(j)
 	}
-	j.settle(err)
+	j.task.settle(err)
 }
+
+// typedJob is one submission whose answer has type T: the engine's header,
+// the single-query Matcher call that answers it, and the caller's future,
+// in one allocation.
+type typedJob[E, T any] struct {
+	streamJob[E]
+	answer func(mt *Matcher[E]) T
+	Future[T]
+}
+
+func (j *typedJob[E, T]) run(mt *Matcher[E]) { j.val = j.answer(mt) }
+
+func (j *typedJob[E, T]) settle(err error) { j.complete(j.val, err) }
 
 // submitFunc is the one submit path: it wraps answer — a single-query
 // Matcher call — into a job whose future resolves to exactly what answer
 // returns. The four Submit* methods are its per-kind spellings.
 func submitFunc[E, T any](p *QueryPool[E], ctx context.Context, opts []SubmitOption, answer func(mt *Matcher[E]) T) *Future[T] {
-	f := newFuture[T]()
-	var val T
-	p.submit(ctx, &streamJob[E]{
-		run:    func(mt *Matcher[E]) { val = answer(mt) },
-		settle: func(err error) { f.complete(val, err) },
-	}, opts)
-	return f
+	j := &typedJob[E, T]{answer: answer, Future: Future[T]{done: make(chan struct{})}}
+	j.task = j
+	p.submit(ctx, &j.streamJob, opts)
+	return &j.Future
 }
 
 // Submit streams one FindAll (query Type I) through the pool: the returned
 // future resolves to exactly Matcher.FindAll(q, eps). Options attach a
-// deadline, priority or tenant label.
+// deadline or tenant label.
 func (p *QueryPool[E]) Submit(ctx context.Context, q seq.Sequence[E], eps float64, opts ...SubmitOption) *Future[[]Match] {
 	return submitFunc(p, ctx, opts, func(mt *Matcher[E]) []Match { return mt.FindAll(q, eps) })
 }
@@ -354,20 +366,6 @@ func (p *QueryPool[E]) StreamStats() StreamStats {
 	}
 }
 
-// popLocked removes and returns the next job to answer: the
-// highest-priority pending one, oldest first among equals, so
-// default-priority traffic is answered strictly in arrival order. The queue
-// must be non-empty; callers hold s.mu.
-func (s *streamState[E]) popLocked() *streamJob[E] {
-	best := 0
-	for i, j := range s.queue {
-		if j.priority > s.queue[best].priority {
-			best = i
-		}
-	}
-	return s.takeLocked(best)
-}
-
 // takeLocked removes and returns queue[i]; callers hold s.mu. Delete clears
 // the vacated tail slot, so a job that left the queue — popped or evicted —
 // does not stay pinned by the queue's backing array.
@@ -391,7 +389,7 @@ func (p *QueryPool[E]) streamWorker() {
 			s.mu.Unlock()
 			return
 		}
-		j := s.popLocked()
+		j := s.takeLocked(0)
 		s.mu.Unlock()
 
 		// A submission whose context was cancelled or whose deadline passed
@@ -430,7 +428,7 @@ func (p *QueryPool[E]) answer(j *streamJob[E]) {
 		}()
 		mt, release := p.acquire()
 		defer release()
-		j.run(mt)
+		j.task.run(mt)
 	}()
 	s.latency.observe(time.Since(j.t0))
 	s.resolve(j, outcome, true, err)

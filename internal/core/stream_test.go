@@ -15,7 +15,7 @@ import (
 // Future semantics: Await honours its own context but a completed future
 // always reports its result, and Done unblocks selects.
 func TestFutureAwait(t *testing.T) {
-	f := newFuture[int]()
+	f := &Future[int]{done: make(chan struct{})}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := f.Await(cancelled); !errors.Is(err, context.Canceled) {

@@ -41,7 +41,8 @@ type CatalogEntry struct {
 	// Incremental and Bounded report the optional capabilities.
 	Incremental bool
 	Bounded     bool
-	// BitParallel is the measure's cost class (Measure.BitParallel).
+	// BitParallel is the measure's cost class: its kernel pass is
+	// bit-parallel, which a Packer implies (Measure.Packer).
 	BitParallel bool
 }
 
@@ -88,7 +89,7 @@ func RegisterBuiltin[E any](m Measure[E], description string) {
 		Props:       m.Props,
 		Incremental: m.Prepare != nil,
 		Bounded:     m.Bounded != nil,
-		BitParallel: m.BitParallel,
+		BitParallel: m.Packer != nil,
 	}
 }
 

@@ -122,15 +122,14 @@ type Measure[E any] struct {
 	// Bounded, when non-nil, is the early-abandoning evaluation of Fn;
 	// see BoundedFunc for the contract.
 	Bounded BoundedFunc[E]
-	// BitParallel marks a kernel pass that advances a column a machine
-	// word at a time (Myers): a pass costs a fraction of a microsecond,
-	// so a scan that prices every window once beats an index walk that
-	// saves passes. It is the cost class the registry picks a session's
-	// default backend by (DESIGN.md §5).
-	BitParallel bool
 	// Packer, when non-nil, runs the free-start mode of Prepare's kernels
 	// over several windows in one pass (see Packer). It must agree with
-	// FeedFree and Feed exactly; only the kernel scan uses it.
+	// FeedFree and Feed exactly; only the kernel scan uses it. A measure
+	// with a Packer is bit-parallel (one-word Myers): a pass costs a
+	// fraction of a microsecond, so a scan that prices every window once
+	// beats an index walk that saves passes. That is the cost class the
+	// registry picks a session's default backend by
+	// (CatalogEntry.BitParallel; DESIGN.md §5).
 	Packer Packer[E]
 }
 

@@ -651,13 +651,12 @@ func myersPrepare(w []byte) Prepared[byte] {
 // the bit-parallel incremental kernel and banded early abandoning.
 func LevenshteinFastMeasure() Measure[byte] {
 	return Measure[byte]{
-		Name:        "levenshtein-fast",
-		Fn:          LevenshteinFast,
-		Props:       Properties{Consistent: true, Metric: true, LockStep: false},
-		Prepare:     myersPrepare,
-		Bounded:     levenshteinFastBounded,
-		BitParallel: true,
-		Packer:      myersPacker{},
+		Name:    "levenshtein-fast",
+		Fn:      LevenshteinFast,
+		Props:   Properties{Consistent: true, Metric: true, LockStep: false},
+		Prepare: myersPrepare,
+		Bounded: levenshteinFastBounded,
+		Packer:  myersPacker{},
 	}
 }
 

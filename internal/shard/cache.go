@@ -30,39 +30,28 @@ import (
 // is only a belt-and-suspenders bound for mutations that bypass the
 // gateway entirely.
 //
-// The store is a fixed set of independently locked segments, each an LRU
-// list under a slice of the total byte budget, so hot-path Get/Put never
-// contend on one lock fleet-wide.
+// The store is one LRU list under one mutex and the whole byte budget.
 
-const (
-	// cacheSegments is the lock-sharding fan-out. A power of two keeps
-	// the modulo cheap; 16 is plenty for a handler pool's parallelism.
-	cacheSegments = 16
-	// cacheEntryOverhead approximates per-entry bookkeeping (map bucket,
-	// list element, header) charged to the byte budget beyond key+body.
-	cacheEntryOverhead = 128
-)
+// cacheEntryOverhead approximates per-entry bookkeeping (map bucket, list
+// element, header) charged to the byte budget beyond key+body.
+const cacheEntryOverhead = 128
 
-// Cache is a sharded, bounded-memory LRU over canonical query keys.
-// All methods are safe for concurrent use.
+// Cache is a bounded-memory LRU over canonical query keys. All methods are
+// safe for concurrent use.
 type Cache struct {
 	maxBytes int64
 	ttl      time.Duration
 	now      func() time.Time // injectable clock, for TTL tests
-	segs     [cacheSegments]cacheSegment
+
+	mu    sync.Mutex
+	bytes int64
+	lru   *list.List // front = most recently used
+	m     map[string]*list.Element
 
 	hits          atomic.Int64
 	misses        atomic.Int64
 	evictions     atomic.Int64
 	invalidations atomic.Int64
-}
-
-type cacheSegment struct {
-	mu     sync.Mutex
-	budget int64
-	bytes  int64
-	lru    *list.List // front = most recently used
-	m      map[string]*list.Element
 }
 
 type cacheEntry struct {
@@ -72,127 +61,96 @@ type cacheEntry struct {
 	expires time.Time // zero: no TTL
 }
 
-// NewCache builds a cache with a total byte budget (split evenly across
-// segments) and a per-entry TTL; ttl <= 0 keeps entries until they are
-// evicted or invalidated.
+// NewCache builds a cache with a total byte budget and a per-entry TTL;
+// ttl <= 0 keeps entries until they are evicted or invalidated.
 func NewCache(maxBytes int64, ttl time.Duration) *Cache {
-	c := &Cache{maxBytes: maxBytes, ttl: ttl, now: time.Now}
-	for i := range c.segs {
-		c.segs[i].budget = maxBytes / cacheSegments
-		c.segs[i].lru = list.New()
-		c.segs[i].m = make(map[string]*list.Element)
-	}
-	return c
-}
-
-// segIndex picks an entry's segment by FNV-1a over the key.
-func segIndex(key string) int {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return int(h % cacheSegments)
+	return &Cache{maxBytes: maxBytes, ttl: ttl, now: time.Now, lru: list.New(), m: make(map[string]*list.Element)}
 }
 
 // Get returns the cached body for key, refreshing its recency. A present
 // but expired entry is dropped (counted as an eviction) and misses.
 func (c *Cache) Get(key string) ([]byte, bool) {
-	s := &c.segs[segIndex(key)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[key]
 	if !ok {
 		c.misses.Add(1)
 		return nil, false
 	}
 	ent := e.Value.(*cacheEntry)
 	if !ent.expires.IsZero() && c.now().After(ent.expires) {
-		s.removeLocked(e)
+		c.removeLocked(e)
 		c.evictions.Add(1)
 		c.misses.Add(1)
 		return nil, false
 	}
-	s.lru.MoveToFront(e)
+	c.lru.MoveToFront(e)
 	c.hits.Add(1)
 	return ent.body, true
 }
 
 // Put stores body under key, evicting least-recently-used entries until
-// the segment fits its budget slice. A body too large for the segment is
-// not cached at all — one oversized answer must not wipe the segment.
+// the cache fits its budget. A body larger than the whole budget is not
+// cached at all: it would not fit even in an empty cache.
 func (c *Cache) Put(key string, body []byte) {
-	s := &c.segs[segIndex(key)]
 	size := int64(len(key)) + int64(len(body)) + cacheEntryOverhead
-	if size > s.budget {
+	if size > c.maxBytes {
 		return
 	}
 	ent := &cacheEntry{key: key, body: body, size: size}
 	if c.ttl > 0 {
 		ent.expires = c.now().Add(c.ttl)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.m[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.m[key]; ok {
 		// Replacement, not eviction: the key stays resident.
-		s.removeLocked(e)
+		c.removeLocked(e)
 	}
-	s.m[key] = s.lru.PushFront(ent)
-	s.bytes += size
-	for s.bytes > s.budget {
-		back := s.lru.Back()
-		if back == nil {
-			break
-		}
-		s.removeLocked(back)
+	c.m[key] = c.lru.PushFront(ent)
+	c.bytes += size
+	for c.bytes > c.maxBytes { // the new entry alone fits: Back is never it
+		c.removeLocked(c.lru.Back())
 		c.evictions.Add(1)
 	}
 }
 
-// removeLocked unlinks one entry; the segment lock must be held.
-func (s *cacheSegment) removeLocked(e *list.Element) {
+// removeLocked unlinks one entry; c.mu must be held.
+func (c *Cache) removeLocked(e *list.Element) {
 	ent := e.Value.(*cacheEntry)
-	s.lru.Remove(e)
-	delete(s.m, ent.key)
-	s.bytes -= ent.size
+	c.lru.Remove(e)
+	delete(c.m, ent.key)
+	c.bytes -= ent.size
 }
 
 // Flush empties the cache — the write path's invalidation. The number of
 // dropped entries is returned and added to the invalidations counter.
 func (c *Cache) Flush() int {
-	n := 0
-	for i := range c.segs {
-		s := &c.segs[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.lru.Init()
-		clear(s.m)
-		s.bytes = 0
-		s.mu.Unlock()
-	}
+	c.mu.Lock()
+	n := len(c.m)
+	c.lru.Init()
+	clear(c.m)
+	c.bytes = 0
+	c.mu.Unlock()
 	c.invalidations.Add(int64(n))
 	return n
 }
 
 // Stats snapshots the cache counters for /stats.
 func (c *Cache) Stats() CacheCounters {
-	cs := CacheCounters{
+	c.mu.Lock()
+	entries, bytes := len(c.m), c.bytes
+	c.mu.Unlock()
+	return CacheCounters{
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),
 		Invalidations: c.invalidations.Load(),
+		Entries:       entries,
+		Bytes:         bytes,
 		MaxBytes:      c.maxBytes,
 		TTLSeconds:    c.ttl.Seconds(),
 	}
-	for i := range c.segs {
-		s := &c.segs[i]
-		s.mu.Lock()
-		cs.Entries += len(s.m)
-		cs.Bytes += s.bytes
-		s.mu.Unlock()
-	}
-	return cs
 }
 
 // --- canonical cache keys ---

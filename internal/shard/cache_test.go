@@ -75,60 +75,73 @@ func TestCacheKeyRejectsNonCanonicalisableBodies(t *testing.T) {
 
 // --- LRU / TTL / flush mechanics ---
 
-// sameSegmentKeys finds n keys hashing to one cache segment, so LRU
-// order inside that segment is deterministic to assert.
-func sameSegmentKeys(t *testing.T, n int) []string {
-	t.Helper()
-	var keys []string
-	for i := 0; len(keys) < n && i < 1_000_000; i++ {
-		k := fmt.Sprintf("k%06d", i)
-		if segIndex(k) == 0 {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) < n {
-		t.Fatalf("found only %d same-segment keys", len(keys))
-	}
-	return keys
-}
-
 func TestCacheLRUEvictionWithinByteBudget(t *testing.T) {
-	// Per-segment budget 300 bytes; each entry is 7 (key) + 1 (body) +
-	// overhead = 136, so two fit and a third evicts the least recent.
-	c := NewCache(300*cacheSegments, 0)
-	k := sameSegmentKeys(t, 3)
-	c.Put(k[0], []byte("a"))
-	c.Put(k[1], []byte("b"))
-	if _, ok := c.Get(k[0]); !ok { // refresh k0: k1 is now least recent
+	// Budget 300 bytes; each entry is 2 (key) + 1 (body) + overhead = 131,
+	// so two fit and a third evicts the least recent.
+	c := NewCache(300, 0)
+	c.Put("k0", []byte("a"))
+	c.Put("k1", []byte("b"))
+	if _, ok := c.Get("k0"); !ok { // refresh k0: k1 is now least recent
 		t.Fatal("k0 missing before eviction")
 	}
-	c.Put(k[2], []byte("c"))
-	if _, ok := c.Get(k[1]); ok {
+	c.Put("k2", []byte("c"))
+	if _, ok := c.Get("k1"); ok {
 		t.Error("least-recently-used entry survived over budget")
 	}
-	if _, ok := c.Get(k[0]); !ok {
+	if _, ok := c.Get("k0"); !ok {
 		t.Error("recently-used entry evicted")
 	}
-	if _, ok := c.Get(k[2]); !ok {
+	if _, ok := c.Get("k2"); !ok {
 		t.Error("newest entry evicted")
 	}
 	s := c.Stats()
 	if s.Evictions != 1 || s.Entries != 2 {
 		t.Errorf("evictions=%d entries=%d, want 1 and 2", s.Evictions, s.Entries)
 	}
-	if s.Bytes <= 0 || s.Bytes > 300 {
-		t.Errorf("segment bytes %d outside (0, 300]", s.Bytes)
+	if s.Bytes != 2*131 {
+		t.Errorf("bytes %d, want %d", s.Bytes, 2*131)
 	}
 }
 
 func TestCacheOversizedEntryIsNotStored(t *testing.T) {
-	c := NewCache(256*cacheSegments, 0)
+	c := NewCache(4096, 0)
+	c.Put("small", []byte("v"))
 	c.Put("big", make([]byte, 4096))
 	if _, ok := c.Get("big"); ok {
-		t.Error("entry larger than a segment budget was cached")
+		t.Error("entry larger than the whole budget was cached")
 	}
-	if s := c.Stats(); s.Entries != 0 || s.Bytes != 0 {
+	// The refused put evicted nothing.
+	if _, ok := c.Get("small"); !ok {
+		t.Error("a refused oversized put evicted a resident entry")
+	}
+	if s := c.Stats(); s.Entries != 1 || s.Evictions != 0 {
 		t.Errorf("stats after rejected put: %+v", s)
+	}
+}
+
+// One answer may use any share of the budget up to all of it: an entry
+// between 1/16 of the budget and the whole budget is cached, and it
+// evicts what it must to fit.
+func TestCacheLargeEntryUpToWholeBudget(t *testing.T) {
+	const budget = 16 << 10
+	c := NewCache(budget, 0)
+	c.Put("small", []byte("v"))
+	large := make([]byte, budget/2) // 8× a sixteenth of the budget
+	c.Put("large", large)
+	if got, ok := c.Get("large"); !ok || len(got) != len(large) {
+		t.Fatalf("entry of half the budget not cached (ok=%v)", ok)
+	}
+	if _, ok := c.Get("small"); !ok {
+		t.Error("small entry evicted although both fit")
+	}
+	whole := make([]byte, budget-len("whole")-cacheEntryOverhead)
+	c.Put("whole", whole)
+	if _, ok := c.Get("whole"); !ok {
+		t.Fatal("entry of exactly the whole budget not cached")
+	}
+	s := c.Stats()
+	if s.Entries != 1 || s.Bytes != budget || s.Evictions != 2 {
+		t.Errorf("stats after a whole-budget put: %+v, want 1 entry, %d bytes, 2 evictions", s, budget)
 	}
 }
 

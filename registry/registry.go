@@ -61,8 +61,8 @@ type MeasureInfo struct {
 	Incremental bool `json:"incremental"`
 	Bounded     bool `json:"bounded"`
 	// BitParallel is the measure's cost class: its kernel pass is
-	// bit-parallel (one-word Myers). Resolve reads it to pick the default
-	// backend; it is not part of the wire shape.
+	// bit-parallel (one-word Myers; derived from the measure's Packer).
+	// Resolve reads it to pick the default backend; it is not on the wire.
 	BitParallel bool `json:"-"`
 }
 

@@ -142,8 +142,7 @@ type NearestOptions = core.NearestOptions
 // until every answer is back, while the streaming methods (Submit,
 // SubmitFilter, SubmitLongest, SubmitNearest) accept queries one at a
 // time and return per-query Futures, answered by a long-lived worker set
-// that pops the highest-priority pending submission, oldest first among
-// equals. The streaming face adds context cancellation, a bounded
+// that pops the oldest pending submission first. The streaming face adds context cancellation, a bounded
 // in-flight queue with backpressure and graceful Close — the shape a
 // serving daemon needs (see subseqctl serve and docs/SERVING.md).
 type QueryPool[E any] = core.QueryPool[E]
@@ -181,9 +180,9 @@ type StreamStats = core.StreamStats
 var ErrPoolClosed = core.ErrPoolClosed
 
 // Admission control and load shedding (see docs/SERVING.md, "Operating
-// under load"): a streaming submission may carry a deadline, a priority
-// and a tenant, and the pool may shed work instead of blocking when its
-// in-flight budget is exhausted.
+// under load"): a streaming submission may carry a deadline and a tenant,
+// and the pool may shed work instead of blocking when its in-flight budget
+// is exhausted.
 
 // ErrQueueFull is returned (via the submission's Future) when the pool's
 // shed policy rejects a submission because the in-flight budget is
@@ -231,10 +230,6 @@ func WithSubmitDeadline(t time.Time) SubmitOption { return core.WithSubmitDeadli
 
 // WithSubmitTimeout is WithSubmitDeadline at now+d.
 func WithSubmitTimeout(d time.Duration) SubmitOption { return core.WithSubmitTimeout(d) }
-
-// WithPriority makes workers pop higher-priority submissions first
-// (default 0; ties keep arrival order).
-func WithPriority(p int) SubmitOption { return core.WithPriority(p) }
 
 // WithTenant attributes the submission to a tenant for fair-share
 // accounting (see ShedFairShare).
