@@ -391,7 +391,9 @@ func (s *scanSession[E]) close() {}
 // of its group's table — reading off the distance of every segment length
 // on the way:
 // 2λ0+1 segment evaluations for one pass instead of 2λ0+1 independent DPs.
-// A kernel without the free-start mode skips nothing.
+// A kernel without the free-start mode skips nothing. The exact passes over
+// a window read the cost rows its free-start pass priced (costRows), so
+// each query row is priced against the window once.
 //
 // It is read two ways, like the net's traversal. With perSeg it is the
 // range filter: perSeg[i] collects the windows within eps of segment i. With
@@ -445,15 +447,20 @@ func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float
 				sc.cost.filter += int64(pack.Windows())
 			}
 			lower = rows[field]
-		} else if lower = sc.free.run(mt.preparedAt(int32(wi)), q); lower != nil {
-			sc.cost.filter++
+		} else {
+			p := mt.preparedAt(int32(wi))
+			sc.rows.bind(p, q)
+			if lower = sc.free.run(p, &sc.rows, q, 0, len(q)); lower != nil {
+				sc.cost.filter++
+			}
 		}
 		// The offsets' ends together are minLen … len(q): with every one
 		// bounded over eps, lower rules out the whole window.
 		if lower != nil && !anyWithin(lower[min(minLen, len(q)):], eps) {
 			continue
 		}
-		var k dist.Kernel[E] // bound at the first offset lower leaves
+		var k dist.Kernel[E]     // bound at the first offset lower leaves
+		var rk dist.RowKernel[E] // k, when it reads sc.rows
 		for a := 0; a+minLen <= len(q); a++ {
 			top := maxLen
 			if a+top > len(q) {
@@ -473,12 +480,18 @@ func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float
 					sc.kstate = pack.Bind(sc.kstate, field)
 				} else {
 					sc.kstate = dist.BindKernel(sc.kstate, mt.preparedAt(int32(wi)))
+					rk = sc.rows.reader(sc.kstate)
 				}
 				k = sc.kstate
 			}
 			k.Reset()
 			for n := 1; n <= top; n++ {
-				d := k.Feed(q[a+n-1])
+				var d float64
+				if rk != nil {
+					d = rk.FeedRow(sc.rows.at(a + n - 1))
+				} else {
+					d = k.Feed(q[a+n-1])
+				}
 				if perSeg == nil {
 					if n >= minLen && d <= eps {
 						best, eps = d, math.Nextafter(d, math.Inf(-1))

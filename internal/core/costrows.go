@@ -1,0 +1,85 @@
+package core
+
+import (
+	"slices"
+
+	"repro/internal/dist"
+)
+
+// costRows prices each ground cost once per kernel binding. The passes run
+// over one bound window feed overlapping stretches of the query: the
+// filter's free-start pass over a node and the exact passes at the offsets
+// it leaves, the verifier's passes from neighbouring query starts against
+// one database binding. Under an edit-row measure (dist.CostRower) every
+// such feed of q[pos] prices the same row of substitution costs against the
+// window — two ground distances a DP cell under ERP — so the rows are kept,
+// keyed by query position, and each is priced by the first pass that feeds
+// its position and read by every later one.
+//
+// The rows hold for one binding: bind starts a new one by bumping the
+// epoch, which retires every row the last binding priced without clearing
+// any. A pass over a binding without rows (a Myers table, a lock-step
+// kernel, the Fn adapter) feeds its kernel as before. Each cost is the call
+// Feed would make on the same inputs, and the DP consumes it in the same
+// order, so every distance keeps its bits and a pass still counts one
+// evaluation.
+type costRows[E any] struct {
+	cr dist.CostRower[E] // the binding's; nil when it has no rows
+	// none is set at the first binding without rows. A scratch serves one
+	// matcher, whose windows share one measure, so it stops asking: a type
+	// assertion per net node is ≈ 1 % of a Myers filter.
+	none  bool
+	q     []E
+	width int
+	// stamp[pos] == epoch marks row pos priced for this binding; row pos is
+	// buf[pos*width:][:width] and its indel cost dx[pos].
+	epoch uint32
+	stamp []uint32
+	dx    []float64
+	buf   []float64
+}
+
+// bind starts a binding: the rows of q against p's window.
+func (c *costRows[E]) bind(p dist.Prepared[E], q []E) {
+	if c.none {
+		return
+	}
+	if c.cr, _ = p.(dist.CostRower[E]); c.cr == nil {
+		c.none = true
+		return
+	}
+	c.q, c.width = q, p.WindowLen()
+	if c.epoch++; c.epoch == 0 {
+		clear(c.stamp[:cap(c.stamp)])
+		c.epoch = 1
+	}
+	// Stamps past the old length carry epochs from before this binding, or
+	// 0 when freshly allocated: either way, not this one.
+	c.stamp = slices.Grow(c.stamp[:0], len(q))[:len(q)]
+	c.dx = slices.Grow(c.dx[:0], len(q))[:len(q)]
+	c.buf = slices.Grow(c.buf[:0], len(q)*c.width)[:len(q)*c.width]
+}
+
+// reader returns k as a dist.RowKernel when the binding has rows and k
+// takes them, else nil: k, bound to the binding's window, then prices its
+// own costs. A pass feeds q[pos] as rk.FeedRow(c.at(pos)) when rk is
+// non-nil and as k.Feed(q[pos]) otherwise, branching at the call site so
+// that a kernel without rows (Myers: a few ns a feed) pays no extra call.
+func (c *costRows[E]) reader(k dist.Kernel[E]) dist.RowKernel[E] {
+	if c.cr == nil {
+		return nil
+	}
+	rk, _ := k.(dist.RowKernel[E])
+	return rk
+}
+
+// at returns row pos and its indel cost, pricing them on first use in the
+// binding.
+func (c *costRows[E]) at(pos int) ([]float64, float64) {
+	row := c.buf[pos*c.width : (pos+1)*c.width]
+	if c.stamp[pos] != c.epoch {
+		c.dx[pos] = c.cr.CostRow(c.q[pos], row)
+		c.stamp[pos] = c.epoch
+	}
+	return row, c.dx[pos]
+}

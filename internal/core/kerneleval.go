@@ -162,19 +162,26 @@ func (f *freePass[E]) open(mt *Matcher[E]) {
 	}
 }
 
-// run feeds q to the free-start kernel over p's window and returns lower,
-// where lower[n] = min over 0 ≤ s ≤ n of δ(q[s:n], w) for every 1 ≤ n ≤
-// len(q) (lower[0] is not set); nil when the kernel has no such mode. The
-// slice is valid until the next run.
-func (f *freePass[E]) run(p dist.Prepared[E], q []E) []float64 {
+// run feeds the query stretch q[lo:hi] to the free-start kernel over p's
+// window, reading its costs through rows (bound to p over q), and
+// returns lower, where lower[n] = min over 0 ≤ s ≤ n of δ(q[lo+s:lo+n], w)
+// for every 1 ≤ n ≤ hi−lo (lower[0] is not set); nil when the kernel has no
+// such mode. The slice is valid until the next run.
+func (f *freePass[E]) run(p dist.Prepared[E], rows *costRows[E], q []E, lo, hi int) []float64 {
 	if f.k == nil {
 		return nil
 	}
 	if f.k = dist.BindFreeStart(f.k, p); f.k == nil {
 		return nil
 	}
-	f.lower = slices.Grow(f.lower[:0], len(q)+1)[:len(q)+1]
-	for n, x := range q {
+	f.lower = slices.Grow(f.lower[:0], hi-lo+1)[:hi-lo+1]
+	if rk := rows.reader(f.k); rk != nil {
+		for pos := lo; pos < hi; pos++ {
+			f.lower[pos-lo+1] = rk.FeedFreeRow(rows.at(pos))
+		}
+		return f.lower
+	}
+	for n, x := range q[lo:hi] {
 		f.lower[n+1] = f.k.FeedFree(x)
 	}
 	return f.lower
@@ -235,9 +242,12 @@ func (ev *kernelEvaluator[E]) Exact() bool { return ev.sc.free.k == nil }
 // bound is written as those bounds and costs nothing more — what an
 // abandoned Bounded evaluation tells the traversal — and only the runs left
 // stream their exact pass. A lone run's exact pass (its longest member) is
-// shorter than any pre-pass, so it goes straight to it.
+// shorter than any pre-pass, so it goes straight to it. The passes over
+// item share its cost rows (costRows): each query row is priced against the
+// window once, by whichever pass feeds it first.
 func (ev *kernelEvaluator[E]) EvalBatch(item seq.Window[E], idxs []int32, bound float64, out []float64) {
-	p, probes := ev.mt.preparedFor(item), ev.probes
+	p, probes, rows := ev.mt.preparedFor(item), ev.probes, &ev.sc.rows
+	rows.bind(p, ev.q)
 	var lower []float64
 	lo := probes[idxs[0]].Start
 	if probes[idxs[len(idxs)-1]].Start != lo {
@@ -247,7 +257,7 @@ func (ev *kernelEvaluator[E]) EvalBatch(item seq.Window[E], idxs []int32, bound 
 		for _, i := range idxs {
 			hi = max(hi, probes[i].End())
 		}
-		if lower = ev.sc.free.run(p, ev.q[lo:hi]); lower != nil {
+		if lower = ev.sc.free.run(p, rows, ev.q, lo, hi); lower != nil {
 			ev.sc.cost.filter++
 		}
 	}
@@ -270,10 +280,16 @@ func (ev *kernelEvaluator[E]) EvalBatch(item seq.Window[E], idxs []int32, bound 
 			// One streamed pass prices the whole run: every member is a
 			// prefix of the last (longest) member's data.
 			ev.state = dist.BindKernel(ev.state, p)
-			longest := probes[idxs[e-1]].Data
+			rk := rows.reader(ev.state)
+			longest := len(probes[idxs[e-1]].Data)
 			k = s
-			for n := 1; n <= len(longest); n++ {
-				d := ev.state.Feed(longest[n-1])
+			for n := 1; n <= longest; n++ {
+				var d float64
+				if rk != nil {
+					d = rk.FeedRow(rows.at(start + n - 1))
+				} else {
+					d = ev.state.Feed(ev.q[start+n-1])
+				}
 				for k < e && len(probes[idxs[k]].Data) == n {
 					out[k] = d
 					k++

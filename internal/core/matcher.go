@@ -129,6 +129,9 @@ type filterScratch[E any] struct {
 	// free is the free-start pre-pass of whichever kernel consumer the
 	// query's session is: the net's evaluator or the kernel scan.
 	free freePass[E]
+	// rows are the ground-cost rows of the window the filter has bound,
+	// shared by its free-start and exact passes.
+	rows costRows[E]
 	// keval is the grouped kernel evaluator driving kernel-aware index
 	// traversals (refnet sessions); it owns its own kernel state. next and
 	// pos are the index buffers of the probe layout a session is opened over

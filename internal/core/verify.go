@@ -62,6 +62,9 @@ type verifyScratch[E any] struct {
 	// state over it, both rebuilt in place from pass to pass.
 	prep   dist.Prepared[E]
 	kernel dist.Kernel[E]
+	// rows are the bound window's ground-cost rows, shared by the passes
+	// that keep the binding.
+	rows costRows[E]
 }
 
 func newVerifier[E any](m dist.Measure[E], p Params, db []seq.Sequence[E]) *verifier[E] {
@@ -279,6 +282,11 @@ type visitor interface {
 // rows × cols box but in no member region is not a candidate: the box is
 // the union's bounding box, the candidate set the union itself.
 //
+// Passes that keep a binding feed overlapping stretches of q, so the
+// substitution costs of each query row against the bound window are priced
+// once and read by each of them (costRows) where the measure's kernel takes
+// cost rows.
+//
 // The answer never depends on pass order or on where a pass is abandoned:
 // a pass stops early only when the kernel's Floor strictly exceeds the
 // radius, which no later cell can then be within.
@@ -293,6 +301,7 @@ func (v *verifier[E]) scan(q seq.Sequence[E], regs []region, passes []pass, sc *
 	// (no Prepare) makes one Fn call per cell read instead.
 	perRead := v.m.Prepare == nil
 	bound := pass{seqID: -1}
+	var rk dist.RowKernel[E] // sc.kernel, when it reads sc.rows
 	for _, p := range passes {
 		if int(p.rows) < vis.minQLen() {
 			continue
@@ -302,6 +311,8 @@ func (v *verifier[E]) scan(q seq.Sequence[E], regs []region, passes []pass, sc *
 		if bound.seqID != p.seqID || bound.xs != p.xs || bound.cols < p.cols {
 			sc.prep = v.m.Reprepare(sc.prep, x[xs:xs+int(p.cols)])
 			sc.kernel = dist.BindKernel(sc.kernel, sc.prep)
+			sc.rows.bind(sc.prep, q)
+			rk = sc.rows.reader(sc.kernel)
 			bound = p
 		} else {
 			sc.kernel.Reset()
@@ -310,7 +321,11 @@ func (v *verifier[E]) scan(q seq.Sequence[E], regs []region, passes []pass, sc *
 		members := sc.members[p.lo:p.hi]
 		reads := int64(0)
 		for i := 1; i <= int(p.rows); i++ {
-			k.Feed(q[qs+i-1])
+			if rk != nil {
+				rk.FeedRow(sc.rows.at(qs + i - 1))
+			} else {
+				k.Feed(q[qs+i-1])
+			}
 			if i >= lam && i >= vis.minQLen() {
 				qe := qs + i
 				for j := max(i-lam0, lam); j <= min(i+lam0, int(p.cols)); j++ {

@@ -3,6 +3,8 @@ package dist
 import (
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/seq"
 )
 
 // The Levenshtein kernel ablation (DESIGN.md §5): the same inputs through
@@ -106,4 +108,45 @@ func BenchmarkFreeStartPassPacked(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ws)), "ns/window")
+}
+
+// One exact ERP pass over points as the filter runs it on the trajectory
+// workload — 21 rows (λ/2 + λ0) against a 20-point window — priced by Feed,
+// two Hypot calls a cell, against read from cost rows priced beforehand, as
+// every pass after the first over one binding reads them (DESIGN.md §5 item
+// 19). ns/op is one pass.
+//
+//	go test -run '^$' -bench ERPPass ./internal/dist
+func erpPassInputs() (m Measure[seq.Point2], q, w []seq.Point2) {
+	rng := rand.New(rand.NewPCG(19, 21))
+	return ERPMeasure(Point2Dist, seq.Point2{}), points(rng, 21), points(rng, 20)
+}
+
+func BenchmarkERPPassFeed(b *testing.B) {
+	m, q, w := erpPassInputs()
+	k := m.NewKernel(w)
+	for b.Loop() {
+		k.Reset()
+		for _, x := range q {
+			ablationSink += k.Feed(x)
+		}
+	}
+}
+
+func BenchmarkERPPassRows(b *testing.B) {
+	m, q, w := erpPassInputs()
+	p := m.Prepare(w)
+	cr := p.(CostRower[seq.Point2])
+	rows, dx := make([][]float64, len(q)), make([]float64, len(q))
+	for i, x := range q {
+		rows[i] = make([]float64, len(w))
+		dx[i] = cr.CostRow(x, rows[i])
+	}
+	k := p.NewState().(RowKernel[seq.Point2])
+	for b.Loop() {
+		k.Reset()
+		for i := range q {
+			ablationSink += k.FeedRow(rows[i], dx[i])
+		}
+	}
 }

@@ -15,21 +15,20 @@ func Levenshtein[E comparable]() Func[E] {
 				return 0
 			}
 			return 1
-		}, unitCost[E](a), unitCost[E](b))
+		}, unitIndelAt, unitIndelAt)
 	}
 }
 
-// unitCost prices every indel of s at 1.
-func unitCost[E any](s []E) func(int) float64 {
-	return func(int) float64 { return 1 }
-}
+// unitIndelAt prices every indel at 1. It is a plain function, not a
+// closure made per call, so passing it to editDP allocates nothing.
+func unitIndelAt(int) float64 { return 1 }
 
 // editDP is the shared two-row edit-distance DP: sub(i,j) prices
 // substituting a[i] with b[j], delA(i)/delB(j) price removing the respective
 // element. It underlies Levenshtein, WeightedEdit and ProteinEdit.
 func editDP(n, m int, sub func(i, j int) float64, delA, delB func(int) float64) float64 {
-	prev := make([]float64, m+1)
-	cur := make([]float64, m+1)
+	buf := make([]float64, 2*(m+1))
+	prev, cur := buf[:m+1], buf[m+1:]
 	for j := 1; j <= m; j++ {
 		prev[j] = prev[j-1] + delB(j-1)
 	}

@@ -145,3 +145,23 @@ func randBytes(rng *rand.Rand, n int, alphabet string) []byte {
 	}
 	return s
 }
+
+var editSink float64
+
+// The edit-DP Fns run one DP per call over a single two-row buffer: one
+// allocation, however the costs are supplied.
+func TestEditFnAllocations(t *testing.T) {
+	a, b := []byte("ACDEFGHIKLMNPQRSTVWY"), []byte("YWVTSRQPNMLKIHGFEDCA")
+	for _, c := range []struct {
+		name string
+		fn   Func[byte]
+	}{
+		{"levenshtein", Levenshtein[byte]()},
+		{"weighted-edit", WeightedEditMeasure().Fn},
+		{"protein-edit", ProteinEdit},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { editSink += c.fn(a, b) }); allocs > 1 {
+			t.Errorf("%s Fn allocates %v objects per call, want ≤ 1", c.name, allocs)
+		}
+	}
+}

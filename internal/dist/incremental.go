@@ -83,6 +83,29 @@ type FreeStartKernel[E any] interface {
 	FeedFree(x E) float64
 }
 
+// CostRower is optionally implemented by a Prepared whose kernels price a
+// fed element by one row of ground costs against the window: CostRow writes
+// row[j] = sub(x, w[j]), the cost of substituting x for window element j,
+// for every 0 ≤ j < len(w), and returns dx, the cost of dropping x. A caller
+// that feeds one element to several passes over the same window — the
+// filter's free-start and exact passes over a node, the verifier's passes
+// from neighbouring query starts — prices the row once and hands it to
+// every pass through RowKernel.
+type CostRower[E any] interface {
+	CostRow(x E, row []float64) (dx float64)
+}
+
+// RowKernel is optionally implemented by kernel states minted from a
+// CostRower: they take a fed element as its priced row. With c and dx what
+// CostRow(x, c) wrote and returned for the state's window, FeedRow(c, dx) is
+// Feed(x) and FeedFreeRow(c, dx) is FeedFree(x), bit for bit: the same
+// costs enter the same additions and comparisons in the same order.
+type RowKernel[E any] interface {
+	FreeStartKernel[E]
+	FeedRow(c []float64, dx float64) float64
+	FeedFreeRow(c []float64, dx float64) float64
+}
+
 // Packer is the optional packed form of a kernel's free-start mode
 // (Measure.Packer): one pass that runs the free-start recurrence of several
 // windows at once, each in a field of one machine word (Hyyrö, Fredriksson &
@@ -333,37 +356,54 @@ func (p *editRowPrepared[E]) Reprepare(w []E) bool {
 
 func (p *editRowPrepared[E]) WindowLen() int { return len(p.w) }
 
+// CostRow prices x against every window element, as every Feed of x does.
+func (p *editRowPrepared[E]) CostRow(x E, row []float64) float64 {
+	row = row[:len(p.w)]
+	for j, y := range p.w {
+		row[j] = p.sub(x, y)
+	}
+	return p.indel(x)
+}
+
 func (p *editRowPrepared[E]) NewState() Kernel[E] {
-	s := &editRowState[E]{p: p, row: make([]float64, len(p.base))}
-	copy(s.row, p.base)
+	s := &editRowState[E]{}
+	s.Rebind(p)
 	return s
 }
 
 // editRowState maintains the DP row row[j] = d(fed prefix, w[:j]) and
 // advances it by one row per fed element — the row-reuse evaluation of the
-// DP that editDP computes from scratch.
+// DP that editDP computes from scratch. Feed prices the element into cost,
+// a row of the state's own, and advances from it as FeedRow does from a row
+// priced elsewhere: one DP loop serves both.
 type editRowState[E any] struct {
-	p   *editRowPrepared[E]
-	row []float64
+	p         *editRowPrepared[E]
+	row, cost []float64
+	buf       []float64 // row and cost, one allocation
 }
 
 func (k *editRowState[E]) Feed(x E) float64 {
-	dx := k.p.indel(x)
-	return k.feed(x, dx, dx)
+	dx := k.p.CostRow(x, k.cost)
+	return k.feed(k.cost, dx, dx)
 }
 
 // FeedFree holds row[0] at 0: dropping the fed prefix costs nothing.
-func (k *editRowState[E]) FeedFree(x E) float64 { return k.feed(x, k.p.indel(x), 0) }
+func (k *editRowState[E]) FeedFree(x E) float64 { return k.feed(k.cost, k.p.CostRow(x, k.cost), 0) }
 
-// feed advances the row by x, whose indel cost is dx, charging the boundary
-// cell d0 (dx, or 0 in free-start mode).
-func (k *editRowState[E]) feed(x E, dx, d0 float64) float64 {
-	p := k.p
-	row, w, gap := k.row, p.w, p.gap
+func (k *editRowState[E]) FeedRow(c []float64, dx float64) float64 { return k.feed(c, dx, dx) }
+
+func (k *editRowState[E]) FeedFreeRow(c []float64, dx float64) float64 { return k.feed(c, dx, 0) }
+
+// feed advances the row by an element whose substitution costs are c and
+// whose indel cost is dx, charging the boundary cell d0 (dx, or 0 in
+// free-start mode).
+func (k *editRowState[E]) feed(c []float64, dx, d0 float64) float64 {
+	row, gap := k.row, k.p.gap
+	c = c[:len(row)-1]
 	diag := row[0]
 	row[0] += d0
 	for j := 1; j < len(row); j++ {
-		best := diag + p.sub(x, w[j-1])
+		best := diag + c[j-1]
 		if v := row[j] + dx; v < best {
 			best = v
 		}
@@ -398,12 +438,11 @@ func (k *editRowState[E]) Rebind(p Prepared[E]) bool {
 	if !ok {
 		return false
 	}
-	k.p = ep
-	if cap(k.row) < len(ep.base) {
-		k.row = make([]float64, len(ep.base))
-	} else {
-		k.row = k.row[:len(ep.base)]
+	n := len(ep.w)
+	if cap(k.buf) < 2*n+1 {
+		k.buf = make([]float64, 2*n+1)
 	}
+	k.p, k.row, k.cost = ep, k.buf[:n+1], k.buf[n+1:2*n+1]
 	copy(k.row, ep.base)
 	return true
 }

@@ -469,3 +469,154 @@ func freeStartLowerBound[E any](t *testing.T, m Measure[E], q, w []E, lo int) {
 		}
 	}
 }
+
+// sameRowFeeds rewinds ref and k, both bound to the window cr prices, and
+// feeds q to ref through Feed (FeedFree when free) and to k through FeedRow
+// (FeedFreeRow) on the rows cr prices, holding every result, every At(j) and
+// Floor of k to ref's by their bits after every feed.
+func sameRowFeeds[E any](t *testing.T, what string, cr CostRower[E], ref, k RowKernel[E], q []E, n int, free bool) {
+	t.Helper()
+	ref.Reset()
+	k.Reset()
+	row := make([]float64, n)
+	for i, x := range q {
+		var got, want float64
+		if free {
+			got, want = k.FeedFreeRow(row, cr.CostRow(x, row)), ref.FeedFree(x)
+		} else {
+			got, want = k.FeedRow(row, cr.CostRow(x, row)), ref.Feed(x)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s (|w|=%d, free %v): row feed %d = %v, plain feed %v", what, n, free, i+1, got, want)
+		}
+		for j := 0; j <= n; j++ {
+			if got, want := k.At(j), ref.At(j); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s (|w|=%d, free %v): At(%d) after %d row feeds = %v, after plain feeds %v", what, n, free, j, i+1, got, want)
+			}
+		}
+		if got, want := k.Floor(), ref.Floor(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s (|w|=%d, free %v): Floor after %d row feeds = %v, after plain feeds %v", what, n, free, i+1, got, want)
+		}
+	}
+}
+
+// rowKernels binds two states to p, as BindKernel would rebind ref and k,
+// and returns them with p's cost rows; it fails when p or its states lack
+// the capability.
+func rowKernels[E any](t *testing.T, m Measure[E], p Prepared[E], ref, k RowKernel[E]) (CostRower[E], RowKernel[E], RowKernel[E]) {
+	t.Helper()
+	cr, ok := p.(CostRower[E])
+	if !ok {
+		t.Fatalf("%s: Prepared %T has no cost rows", m.Name, p)
+	}
+	bind := func(s RowKernel[E]) RowKernel[E] {
+		var state Kernel[E]
+		if s != nil {
+			state = s
+		}
+		rk, ok := BindKernel(state, p).(RowKernel[E])
+		if !ok {
+			t.Fatalf("%s: kernel over %T does not take cost rows", m.Name, p)
+		}
+		return rk
+	}
+	return cr, bind(ref), bind(k)
+}
+
+// checkCostRows holds the row feeds to the plain ones, plain and free-start,
+// through every way a state comes to be bound: minted, rewound, rebound to
+// another window's tables (Rebind) and to tables rebuilt in place
+// (Reprepare), over window lengths wLens in order.
+func checkCostRows[E any](t *testing.T, m Measure[E], gen func(*rand.Rand, int) []E, wLens []int, qLen int) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(53, uint64(len(wLens))))
+	var owned Prepared[E]
+	var oref, ok RowKernel[E]
+	for _, n := range wLens {
+		w, w2 := gen(rng, n), gen(rng, n)
+		cr, ref, k := rowKernels(t, m, m.Prepare(w), nil, nil)
+		for _, free := range []bool{false, true, false} {
+			sameRowFeeds(t, m.Name+" fresh", cr, ref, k, gen(rng, qLen), n, free)
+		}
+		cr, ref, k = rowKernels(t, m, m.Prepare(w2), ref, k)
+		sameRowFeeds(t, m.Name+" after Rebind", cr, ref, k, gen(rng, qLen), n, false)
+		sameRowFeeds(t, m.Name+" after Rebind", cr, ref, k, gen(rng, qLen), n, true)
+		owned = m.Reprepare(owned, w)
+		cr, oref, ok = rowKernels(t, m, owned, oref, ok)
+		sameRowFeeds(t, m.Name+" after Reprepare", cr, oref, ok, gen(rng, qLen), n, true)
+		sameRowFeeds(t, m.Name+" after Reprepare", cr, oref, ok, gen(rng, qLen), n, false)
+	}
+}
+
+// The callers that share cost rows between passes (internal/core) rely on
+// a row feed being the plain feed, bit for bit, for every edit-row measure
+// in the catalog.
+func TestCostRowsMatchFeed(t *testing.T) {
+	checkCostRows(t, ERPMeasure(AbsDiff, 0), levels, shortLens, 12)
+	checkCostRows(t, ERPMeasure(Point2Dist, seq.Point2{}), points, shortLens, 12)
+	checkCostRows(t, LevenshteinMeasure[byte](), letters("AB"), shortLens, 12)
+	checkCostRows(t, LevenshteinMeasure[float64](), levels, shortLens, 12)
+	checkCostRows(t, WeightedEditMeasure(), letters("ABC"), shortLens, 12)
+	checkCostRows(t, ProteinEditMeasure(), letters(aminoAcids+"BZ"), shortLens, 12)
+
+	// Kernels that price nothing per window element take no rows.
+	for _, p := range []Prepared[byte]{
+		LevenshteinFastMeasure().Prepare([]byte("ACD")),
+		HammingMeasure[byte]().Prepare([]byte("ACD")),
+		DTWMeasure(func(a, b byte) float64 { return math.Abs(float64(a) - float64(b)) }).Reprepare(nil, []byte("ACD")),
+	} {
+		if _, ok := p.(CostRower[byte]); ok {
+			t.Fatalf("%T claims cost rows", p)
+		}
+	}
+}
+
+// FuzzCostRowMatchesFeed is TestCostRowsMatchFeed over inputs nobody chose:
+// the measure, the mode and whether the window is reprepared in place are
+// drawn from which.
+func FuzzCostRowMatchesFeed(f *testing.F) {
+	f.Add([]byte("ACDEFGHIKLMNPQRSTVWY"), []byte("ACDFGHIKLMNQRSTVWY"), uint8(0))
+	f.Add([]byte("ABBABABBBAABABBA"), []byte("BABA"), uint8(9))
+	f.Fuzz(func(t *testing.T, q, w []byte, which uint8) {
+		if len(q) > 48 {
+			q = q[:48]
+		}
+		if len(w) > 64 {
+			w = w[:64]
+		}
+		free, reprepare := which&8 != 0, which&16 != 0
+		switch which % 6 {
+		case 0:
+			fuzzCostRows(t, LevenshteinMeasure[byte](), q, w, free, reprepare)
+		case 1:
+			fuzzCostRows(t, WeightedEditMeasure(), q, w, free, reprepare)
+		case 2:
+			fuzzCostRows(t, ProteinEditMeasure(), q, w, free, reprepare)
+		case 3:
+			fuzzCostRows(t, ERPMeasure(Point2Dist, seq.Point2{}), bytePoints(q), bytePoints(w), free, reprepare)
+		case 4:
+			fuzzCostRows(t, ERPMeasure(AbsDiff, 0), byteLevels(q), byteLevels(w), free, reprepare)
+		case 5:
+			fuzzCostRows(t, LevenshteinMeasure[float64](), byteLevels(q), byteLevels(w), free, reprepare)
+		}
+	})
+}
+
+func fuzzCostRows[E any](t *testing.T, m Measure[E], q, w []E, free, reprepare bool) {
+	p := m.Prepare(w)
+	if reprepare {
+		// Tables rebuilt in place from a longer window's.
+		p = m.Reprepare(m.Prepare(append(append([]E(nil), w...), q...)), w)
+	}
+	cr, ref, k := rowKernels(t, m, p, nil, nil)
+	sameRowFeeds(t, m.Name, cr, ref, k, q, len(w), free)
+}
+
+// byteLevels reads b as signed levels.
+func byteLevels(b []byte) []float64 {
+	s := make([]float64, len(b))
+	for i, c := range b {
+		s[i] = float64(int8(c)) / 8
+	}
+	return s
+}
