@@ -110,16 +110,6 @@ func ExampleQueryPool_Submit() {
 	// query 1: 15 pairs, longest span 12
 }
 
-// Recovering an optimal DTW alignment: each coupling pairs one element of
-// the first sequence with one of the second.
-func ExampleDTWAlignment() {
-	a := []float64{1, 2, 3}
-	b := []float64{1, 2, 2, 3}
-	d, alignment := subseq.DTWAlignment(subseq.AbsDiff, a, b)
-	fmt.Printf("distance %g, couplings %v\n", d, alignment)
-	// Output: distance 0, couplings [{0 0} {1 1} {1 2} {2 3}]
-}
-
 // The longest similar subsequence (query Type II): the query and the
 // database sequence disagree globally but share a long local region.
 func ExampleMatcher_longest() {
@@ -140,29 +130,44 @@ func ExampleMatcher_longest() {
 	// Output: THECATSATONTHEMAT
 }
 
-// The reference net as a standalone metric index: range and k-NN queries
-// over scalar data.
+// The reference net as a standalone metric index over scalar data: a range
+// query, then a session — a probe set held open on the net — read for the
+// least probe-to-item distance and for the items within a radius of each
+// probe. This is the shape of the framework's Type III query.
 func ExampleRefNet() {
 	net := subseq.NewRefNet(subseq.AbsDiff)
 	for _, v := range []float64{1, 2, 3, 10, 11, 30} {
 		net.Insert(v)
 	}
-	in := net.Range(2, 1) // everything within 1 of 2
-	fmt.Println(len(in))
-	nn := net.KNN(12, 2)
-	fmt.Printf("%.0f %.0f\n", nn[0].Item, nn[1].Item)
+	fmt.Println(len(net.Range(2, 1))) // everything within 1 of 2
+
+	// A nil evaluator prices the probes with the net's own distance.
+	s := net.OpenSession([]float64{12, 25}, nil)
+	defer s.Close()
+	fmt.Println(s.MinDist(10)) // least distance from 12 or 25, if within 10
+	hits := s.Range(2)
+	fmt.Println(len(hits[0]), len(hits[1]))
 	// Output:
 	// 3
-	// 11 10
+	// 1
+	// 2 0
 }
 
-// Verifying the paper's consistency property (Definition 1) on a pair of
-// sequences: every subsequence of X has a counterpart in Q at no greater
-// distance than δ(Q,X).
-func ExampleConsistentOn() {
-	dfd := subseq.DiscreteFrechetMeasure(subseq.AbsDiff).Fn
+// Vetting a distance's consistency claim (Definition 1 of the paper) on a
+// small pair before NewMatcher trusts it: every subsequence of X needs a
+// counterpart in Q at no greater distance than δ(Q,X). The discrete Fréchet
+// distance passes; a distance that punishes short inputs does not, and the
+// witness names the subsequence X[XStart:XEnd) that breaks it.
+func ExampleFindInconsistency() {
 	q := []float64{1, 2, 3, 4, 5}
 	x := []float64{1, 2, 2, 4, 5}
-	fmt.Println(subseq.ConsistentOn(dfd, q, x, 1e-9))
-	// Output: true
+	dfd := subseq.DiscreteFrechetMeasure(subseq.AbsDiff).Fn
+	_, bad := subseq.FindInconsistency(dfd, q, x, 1e-9)
+	fmt.Println(bad)
+	short := func(a, b []float64) float64 { return float64(10 - min(len(a), len(b))) }
+	w, bad := subseq.FindInconsistency(short, q, x, 1e-9)
+	fmt.Println(bad, w.XStart, w.XEnd, w.Best, w.Base)
+	// Output:
+	// false
+	// true 0 1 9 5
 }

@@ -236,12 +236,11 @@ func TestIncrementalFilterMatchesPlain(t *testing.T) {
 			// to; the kernel scan counts the passes it ran — the free-start
 			// pass of each window and one per offset that pass could not rule
 			// out — which is fewer.
-			withKernel.ResetFilterCalls()
-			plain.ResetFilterCalls()
+			a0, b0 := withKernel.FilterDistanceCalls(), plain.FilterDistanceCalls()
 			passes = 0
 			withKernel.FilterHits(q, eps)
 			plain.FilterHits(q, eps)
-			a, b := withKernel.FilterDistanceCalls(), plain.FilterDistanceCalls()
+			a, b := withKernel.FilterDistanceCalls()-a0, plain.FilterDistanceCalls()-b0
 			switch {
 			case lam0 == 0 && a != b:
 				t.Fatalf("λ0=0 eps=%v: bounded scan counted %d calls, plain %d", eps, a, b)

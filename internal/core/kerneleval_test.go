@@ -36,8 +36,7 @@ func TestRefnetKernelTraversalFewerFilterCalls(t *testing.T) {
 	}
 
 	for _, eps := range []float64{0.5, 1, 2} {
-		kernel.ResetFilterCalls()
-		plain.ResetFilterCalls()
+		kc0, pc0 := kernel.FilterDistanceCalls(), plain.FilterDistanceCalls()
 		got := kernel.FilterHitsBatch(qs, eps)
 		want := plain.FilterHitsBatch(qs, eps)
 		for i := range qs {
@@ -52,7 +51,7 @@ func TestRefnetKernelTraversalFewerFilterCalls(t *testing.T) {
 				}
 			}
 		}
-		kc, pc := kernel.FilterDistanceCalls(), plain.FilterDistanceCalls()
+		kc, pc := kernel.FilterDistanceCalls()-kc0, plain.FilterDistanceCalls()-pc0
 		if kc == 0 || pc == 0 {
 			t.Fatalf("eps=%v: vacuous counts (kernel %d, per-probe %d)", eps, kc, pc)
 		}
@@ -199,8 +198,6 @@ func TestRefnetKernelSingleQueryFewerFilterCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	const eps = 1.5
-	kernel.ResetFilterCalls()
-	plain.ResetFilterCalls()
 	for _, q := range qs {
 		got := kernel.FilterHits(q, eps)
 		want := plain.FilterHits(q, eps)

@@ -217,9 +217,6 @@ func (mt *Matcher[E]) Index() IndexKind { return mt.cfg.Index }
 // NumWindows reports how many database windows are indexed.
 func (mt *Matcher[E]) NumWindows() int { return len(mt.windows) }
 
-// Windows exposes the indexed windows (shared slice; do not mutate).
-func (mt *Matcher[E]) Windows() []seq.Window[E] { return mt.windows }
-
 // BuildDistanceCalls reports the distance computations spent building the
 // index (offline cost) and on every append and retire since, an append the
 // index refused included. A restored matcher starts at zero: decoding
@@ -227,20 +224,17 @@ func (mt *Matcher[E]) Windows() []seq.Window[E] { return mt.windows }
 func (mt *Matcher[E]) BuildDistanceCalls() int64 { return mt.counter.Calls() }
 
 // FilterDistanceCalls reports the distance computations spent by the index
-// on queries since the last ResetFilterCalls — the quantity Figures 8–11 of
-// the paper compare against a full scan. An early-abandoned bounded
-// evaluation counts as one computation; a streamed kernel pass pricing a
-// whole group of same-offset probes also counts as one (it costs one
-// longest-member evaluation), and so does the free-start pass that bounds
-// every group at a node, or every offset against a window on the kernel
-// scan — which is how the kernel-fed filters drop below one counted
-// evaluation per probe. A packed free-start pass over k windows counts k,
+// on queries since the matcher was built — the quantity Figures 8–11 of the
+// paper compare against a full scan; a caller pricing a stretch of queries
+// reads it before and after. An early-abandoned bounded evaluation counts
+// as one computation; a streamed kernel pass pricing a whole group of
+// same-offset probes also counts as one (it costs one longest-member
+// evaluation), and so does the free-start pass that bounds every group at
+// a node, or every offset against a window on the kernel scan — which is
+// how the kernel-fed filters drop below one counted evaluation per probe. A packed free-start pass over k windows counts k,
 // one per window it bounds, so packing changes no count. A query's
 // evaluations land when it finishes.
 func (mt *Matcher[E]) FilterDistanceCalls() int64 { return mt.filterCalls.Load() }
-
-// ResetFilterCalls zeroes the query-side filter total.
-func (mt *Matcher[E]) ResetFilterCalls() { mt.filterCalls.Store(0) }
 
 // BatchCalls reports how many FilterHitsBatch, FindAllBatch and
 // LongestBatch calls ran.

@@ -10,10 +10,10 @@ package dist
 // ERP may align a whole stretch of X against gaps, in which case the
 // cheapest counterpart of that stretch is the empty sequence.
 //
-// ConsistentOn and FindInconsistency check the property exhaustively on one
-// concrete pair — O(|X|²·|Q|²) distance evaluations — so they are test and
-// diagnostic tools for vetting a Measure's Props.Consistent claim on small
-// inputs, not production-path code.
+// FindInconsistency checks the property exhaustively on one concrete pair —
+// O(|X|²·|Q|²) distance evaluations — so it is a test and diagnostic tool
+// for vetting a Measure's Props.Consistent claim on small inputs, not
+// production-path code.
 
 // Inconsistency is a witness against Definition 1: the subsequence
 // x[XStart:XEnd) whose best counterpart in q, at distance Best, exceeds the
@@ -50,12 +50,4 @@ func FindInconsistency[E any](d Func[E], q, x []E, tol float64) (Inconsistency, 
 		}
 	}
 	return Inconsistency{Base: base}, false
-}
-
-// ConsistentOn reports whether the pair (q, x) exhibits no violation of
-// Definition 1 under d; see FindInconsistency for the witness-returning
-// variant.
-func ConsistentOn[E any](d Func[E], q, x []E, tol float64) bool {
-	_, bad := FindInconsistency(d, q, x, tol)
-	return !bad
 }

@@ -161,18 +161,6 @@ func (m Measure[E]) Reprepare(p Prepared[E], w []E) Prepared[E] {
 	return m.Prepare(w)
 }
 
-// Coupling is one element pairing in an optimal alignment, as recovered by
-// DTWAlignment, FrechetAlignment and ERPAlignment: element I of the first
-// sequence is aligned with element J of the second. In ERP alignments an
-// index of Gap (-1) marks the element on the other side as aligned with the
-// gap element.
-type Coupling struct {
-	I, J int
-}
-
-// Gap is the Coupling index marking an ERP gap alignment.
-const Gap = -1
-
 // AbsDiff is |a−b|, the ground distance for scalar series (SONGS pitch
 // classes, univariate time series).
 func AbsDiff(a, b float64) float64 { return math.Abs(a - b) }

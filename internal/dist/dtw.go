@@ -61,72 +61,3 @@ func init() {
 	RegisterBuiltin(DTWMeasure(AbsDiff), desc)
 	RegisterBuiltin(DTWMeasure(Point2Dist), desc)
 }
-
-// DTWAlignment returns the DTW distance of a and b under g together with an
-// optimal alignment: a monotone sequence of couplings from (0,0) to
-// (len(a)-1, len(b)-1) whose ground distances sum to the returned value.
-// It materialises the full DP matrix, so it is meant for result reporting,
-// not for the hot filtering path. Returns (0, nil) when both inputs are
-// empty and (+Inf, nil) when exactly one is.
-func DTWAlignment[E any](g Ground[E], a, b []E) (float64, []Coupling) {
-	n, m := len(a), len(b)
-	if n == 0 || m == 0 {
-		if n == m {
-			return 0, nil
-		}
-		return math.Inf(1), nil
-	}
-	d := fullMatrix(n, m)
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			best := d[i-1][j-1]
-			if d[i-1][j] < best {
-				best = d[i-1][j]
-			}
-			if d[i][j-1] < best {
-				best = d[i][j-1]
-			}
-			d[i][j] = g(a[i-1], b[j-1]) + best
-		}
-	}
-	// Backtrack, preferring the diagonal to keep alignments short.
-	var rev []Coupling
-	for i, j := n, m; i > 0 || j > 0; {
-		rev = append(rev, Coupling{I: i - 1, J: j - 1})
-		switch {
-		case i > 1 && j > 1 && d[i-1][j-1] <= d[i-1][j] && d[i-1][j-1] <= d[i][j-1]:
-			i, j = i-1, j-1
-		case i > 1 && (j == 1 || d[i-1][j] <= d[i][j-1]):
-			i--
-		case j > 1:
-			j--
-		default:
-			i, j = 0, 0
-		}
-	}
-	return d[n][m], reverse(rev)
-}
-
-// fullMatrix allocates an (n+1)×(m+1) DP matrix with +Inf borders and a 0
-// origin, the shared start state of the warping alignments.
-func fullMatrix(n, m int) [][]float64 {
-	d := make([][]float64, n+1)
-	backing := make([]float64, (n+1)*(m+1))
-	for i := range d {
-		d[i] = backing[i*(m+1) : (i+1)*(m+1)]
-	}
-	for j := 1; j <= m; j++ {
-		d[0][j] = math.Inf(1)
-	}
-	for i := 1; i <= n; i++ {
-		d[i][0] = math.Inf(1)
-	}
-	return d
-}
-
-func reverse(c []Coupling) []Coupling {
-	for i, j := 0, len(c)-1; i < j; i, j = i+1, j-1 {
-		c[i], c[j] = c[j], c[i]
-	}
-	return c
-}

@@ -71,50 +71,3 @@ func init() {
 	RegisterBuiltin(ERPMeasure(AbsDiff, 0), desc)
 	RegisterBuiltin(ERPMeasure(Point2Dist, seq.Point2{}), desc)
 }
-
-// ERPAlignment returns the ERP distance of a and b together with an optimal
-// alignment. Every element of each sequence appears in exactly one coupling;
-// an element aligned with the gap element is reported as a coupling whose
-// other index is Gap (-1).
-func ERPAlignment[E any](g Ground[E], gap E, a, b []E) (float64, []Coupling) {
-	n, m := len(a), len(b)
-	d := fullMatrix(n, m)
-	gb := make([]float64, m)
-	d[0][0] = 0
-	for j := 1; j <= m; j++ {
-		gb[j-1] = g(b[j-1], gap)
-		d[0][j] = d[0][j-1] + gb[j-1]
-	}
-	for i := 1; i <= n; i++ {
-		ai := a[i-1]
-		ga := g(ai, gap)
-		row, above := d[i], d[i-1]
-		row[0] = above[0] + ga
-		for j := 1; j <= m; j++ {
-			best := above[j-1] + g(ai, b[j-1])
-			if v := above[j] + ga; v < best {
-				best = v
-			}
-			if v := row[j-1] + gb[j-1]; v < best {
-				best = v
-			}
-			row[j] = best
-		}
-	}
-	var rev []Coupling
-	const eps = 1e-12
-	for i, j := n, m; i > 0 || j > 0; {
-		switch {
-		case i > 0 && j > 0 && d[i][j] >= d[i-1][j-1]+g(a[i-1], b[j-1])-eps:
-			rev = append(rev, Coupling{I: i - 1, J: j - 1})
-			i, j = i-1, j-1
-		case i > 0 && d[i][j] >= d[i-1][j]+g(a[i-1], gap)-eps:
-			rev = append(rev, Coupling{I: i - 1, J: Gap})
-			i--
-		default:
-			rev = append(rev, Coupling{I: Gap, J: j - 1})
-			j--
-		}
-	}
-	return d[n][m], reverse(rev)
-}

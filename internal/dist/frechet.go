@@ -65,49 +65,3 @@ func init() {
 	RegisterBuiltin(DiscreteFrechetMeasure(AbsDiff), desc)
 	RegisterBuiltin(DiscreteFrechetMeasure(Point2Dist), desc)
 }
-
-// FrechetAlignment returns the discrete Fréchet distance of a and b together
-// with an optimal alignment: a monotone coupling sequence from (0,0) to
-// (len(a)-1, len(b)-1) whose maximum ground distance is the returned value.
-// Returns (0, nil) when both inputs are empty and (+Inf, nil) when exactly
-// one is.
-func FrechetAlignment[E any](g Ground[E], a, b []E) (float64, []Coupling) {
-	n, m := len(a), len(b)
-	if n == 0 || m == 0 {
-		if n == m {
-			return 0, nil
-		}
-		return math.Inf(1), nil
-	}
-	d := fullMatrix(n, m)
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			reach := d[i-1][j-1]
-			if d[i-1][j] < reach {
-				reach = d[i-1][j]
-			}
-			if d[i][j-1] < reach {
-				reach = d[i][j-1]
-			}
-			if v := g(a[i-1], b[j-1]); v > reach {
-				reach = v
-			}
-			d[i][j] = reach
-		}
-	}
-	var rev []Coupling
-	for i, j := n, m; i > 0 || j > 0; {
-		rev = append(rev, Coupling{I: i - 1, J: j - 1})
-		switch {
-		case i > 1 && j > 1 && d[i-1][j-1] <= d[i-1][j] && d[i-1][j-1] <= d[i][j-1]:
-			i, j = i-1, j-1
-		case i > 1 && (j == 1 || d[i-1][j] <= d[i][j-1]):
-			i--
-		case j > 1:
-			j--
-		default:
-			i, j = 0, 0
-		}
-	}
-	return d[n][m], reverse(rev)
-}

@@ -211,23 +211,21 @@ func TestFindInconsistencyCatchesBrokenDistance(t *testing.T) {
 	if w.Best <= w.Base {
 		t.Errorf("witness not a violation: best %v ≤ base %v", w.Best, w.Base)
 	}
-	if ConsistentOn(broken, q, x, 1e-9) {
-		t.Error("ConsistentOn disagrees with FindInconsistency")
-	}
 	// And the tolerance must absorb the violation when large enough.
-	if !ConsistentOn(broken, q, x, 100) {
+	if _, bad := FindInconsistency(broken, q, x, 100); bad {
 		t.Error("tolerance 100 should absorb a violation of at most 9")
 	}
 }
 
-// Consistency pinned on concrete pairs mirroring the public examples.
+// Consistency pinned on concrete pairs mirroring the public examples:
+// FindInconsistency finds no witness.
 func TestConsistentOnExamples(t *testing.T) {
-	if !ConsistentOn(DiscreteFrechet(AbsDiff), []float64{1, 2, 3, 4}, []float64{2, 2, 4, 4}, 1e-9) {
-		t.Error("DFD inconsistent on the documented example")
+	if w, bad := FindInconsistency(DiscreteFrechet(AbsDiff), []float64{1, 2, 3, 4}, []float64{2, 2, 4, 4}, 1e-9); bad {
+		t.Errorf("DFD inconsistent on the documented example: %+v", w)
 	}
 	// The ERP case that needs the empty counterpart: x's tail aligns with
 	// gaps, so its cheapest counterpart in q is the empty sequence.
-	if !ConsistentOn(ERP(AbsDiff, 0), []float64{100}, []float64{100, 1}, 1e-9) {
+	if _, bad := FindInconsistency(ERP(AbsDiff, 0), []float64{100}, []float64{100, 1}, 1e-9); bad {
 		t.Error("ERP inconsistent on the gap-tail example")
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-
-	"repro/internal/seq"
 )
 
 func TestDTWValues(t *testing.T) {
@@ -69,28 +67,6 @@ func TestDiscreteFrechetValues(t *testing.T) {
 	}
 }
 
-// checkMonotone verifies a warping alignment's structural invariants: it
-// starts at (0,0), ends at (n-1,m-1) and advances each index by 0 or 1 per
-// step (never both by 0).
-func checkMonotone(t *testing.T, al []Coupling, n, m int) {
-	t.Helper()
-	if len(al) == 0 {
-		t.Fatal("empty alignment")
-	}
-	if al[0] != (Coupling{0, 0}) {
-		t.Fatalf("alignment starts at %v", al[0])
-	}
-	if last := al[len(al)-1]; last != (Coupling{n - 1, m - 1}) {
-		t.Fatalf("alignment ends at %v, want (%d,%d)", last, n-1, m-1)
-	}
-	for k := 1; k < len(al); k++ {
-		di, dj := al[k].I-al[k-1].I, al[k].J-al[k-1].J
-		if di < 0 || di > 1 || dj < 0 || dj > 1 || (di == 0 && dj == 0) {
-			t.Fatalf("non-monotone step %v -> %v", al[k-1], al[k])
-		}
-	}
-}
-
 func randWalk(rng *rand.Rand, n int) []float64 {
 	s := make([]float64, n)
 	v := 0.0
@@ -101,120 +77,71 @@ func randWalk(rng *rand.Rand, n int) []float64 {
 	return s
 }
 
-func TestDTWAlignmentAgreesWithDistance(t *testing.T) {
-	dtw := DTW(AbsDiff)
-	rng := rand.New(rand.NewPCG(1, 1))
-	for trial := 0; trial < 50; trial++ {
-		a := randWalk(rng, 1+rng.IntN(8))
-		b := randWalk(rng, 1+rng.IntN(8))
-		v, al := DTWAlignment(AbsDiff, a, b)
-		if want := dtw(a, b); math.Abs(v-want) > 1e-9 {
-			t.Fatalf("trial %d: alignment value %v, distance %v", trial, v, want)
-		}
-		checkMonotone(t, al, len(a), len(b))
-		var sum float64
-		for _, c := range al {
-			sum += AbsDiff(a[c.I], b[c.J])
-		}
-		if math.Abs(sum-v) > 1e-9 {
-			t.Fatalf("trial %d: coupling costs sum to %v, value %v", trial, sum, v)
-		}
+// The recurrences of the three warping measures written as plain recursion
+// over prefixes, the last elements of a and b taking the last step: slow,
+// and independent of the DP tables the measures fill.
+
+func recDTW(a, b []float64) float64 {
+	n, m := len(a), len(b)
+	switch {
+	case n == 0 && m == 0:
+		return 0
+	case n == 0 || m == 0:
+		return math.Inf(1)
 	}
+	return AbsDiff(a[n-1], b[m-1]) +
+		min(recDTW(a[:n-1], b[:m-1]), recDTW(a[:n-1], b), recDTW(a, b[:m-1]))
 }
 
-func TestFrechetAlignmentAgreesWithDistance(t *testing.T) {
-	dfd := DiscreteFrechet(Point2Dist)
-	rng := rand.New(rand.NewPCG(2, 2))
-	for trial := 0; trial < 50; trial++ {
-		a := make([]seq.Point2, 1+rng.IntN(8))
-		b := make([]seq.Point2, 1+rng.IntN(8))
-		for i := range a {
-			a[i] = seq.Point2{X: rng.Float64() * 10, Y: rng.Float64() * 10}
-		}
-		for i := range b {
-			b[i] = seq.Point2{X: rng.Float64() * 10, Y: rng.Float64() * 10}
-		}
-		v, al := FrechetAlignment(Point2Dist, a, b)
-		if want := dfd(a, b); math.Abs(v-want) > 1e-9 {
-			t.Fatalf("trial %d: alignment value %v, distance %v", trial, v, want)
-		}
-		checkMonotone(t, al, len(a), len(b))
-		maxG := 0.0
-		for _, c := range al {
-			if d := Point2Dist(a[c.I], b[c.J]); d > maxG {
-				maxG = d
-			}
-		}
-		if math.Abs(maxG-v) > 1e-9 {
-			t.Fatalf("trial %d: coupling max %v, value %v", trial, maxG, v)
-		}
+func recDFD(a, b []float64) float64 {
+	n, m := len(a), len(b)
+	switch {
+	case n == 0 && m == 0:
+		return 0
+	case n == 0 || m == 0:
+		return math.Inf(1)
 	}
+	return max(AbsDiff(a[n-1], b[m-1]),
+		min(recDFD(a[:n-1], b[:m-1]), recDFD(a[:n-1], b), recDFD(a, b[:m-1])))
 }
 
-func TestERPAlignmentAgreesWithDistance(t *testing.T) {
-	erp := ERP(AbsDiff, 0)
-	rng := rand.New(rand.NewPCG(3, 3))
-	for trial := 0; trial < 50; trial++ {
-		a := randWalk(rng, rng.IntN(8))
-		b := randWalk(rng, rng.IntN(8))
-		v, al := ERPAlignment(AbsDiff, 0, a, b)
-		if want := erp(a, b); math.Abs(v-want) > 1e-9 {
-			t.Fatalf("trial %d: alignment value %v, distance %v", trial, v, want)
-		}
-		// Every element of each side appears exactly once, in order.
-		var sum float64
-		ai, bi := 0, 0
-		for _, c := range al {
-			switch {
-			case c.I != Gap && c.J != Gap:
-				sum += AbsDiff(a[c.I], b[c.J])
-			case c.I != Gap:
-				sum += AbsDiff(a[c.I], 0)
-			case c.J != Gap:
-				sum += AbsDiff(b[c.J], 0)
-			default:
-				t.Fatal("coupling with two gaps")
-			}
-			if c.I != Gap {
-				if c.I != ai {
-					t.Fatalf("trial %d: a index %d out of order (want %d)", trial, c.I, ai)
-				}
-				ai++
-			}
-			if c.J != Gap {
-				if c.J != bi {
-					t.Fatalf("trial %d: b index %d out of order (want %d)", trial, c.J, bi)
-				}
-				bi++
-			}
-		}
-		if ai != len(a) || bi != len(b) {
-			t.Fatalf("trial %d: alignment covers %d/%d and %d/%d elements",
-				trial, ai, len(a), bi, len(b))
-		}
-		if math.Abs(sum-v) > 1e-9 {
-			t.Fatalf("trial %d: coupling costs sum to %v, value %v", trial, sum, v)
-		}
+// recERP is ERP with gap element 0.
+func recERP(a, b []float64) float64 {
+	n, m := len(a), len(b)
+	switch {
+	case n == 0 && m == 0:
+		return 0
+	case m == 0:
+		return recERP(a[:n-1], b) + AbsDiff(a[n-1], 0)
+	case n == 0:
+		return recERP(a, b[:m-1]) + AbsDiff(b[m-1], 0)
 	}
+	return min(recERP(a[:n-1], b[:m-1])+AbsDiff(a[n-1], b[m-1]),
+		recERP(a[:n-1], b)+AbsDiff(a[n-1], 0),
+		recERP(a, b[:m-1])+AbsDiff(b[m-1], 0))
 }
 
-// The pinned example from the public API tests: distance 2, three couplings
-// (one of them a gap).
-func TestERPAlignmentPinnedExample(t *testing.T) {
-	v, al := ERPAlignment(AbsDiff, 0, []float64{1, 2, 3}, []float64{1, 3})
-	if v != 2 {
-		t.Errorf("value = %v, want 2", v)
-	}
-	if len(al) != 3 {
-		t.Errorf("alignment = %v, want 3 couplings", al)
-	}
-	gaps := 0
-	for _, c := range al {
-		if c.I == Gap || c.J == Gap {
-			gaps++
+// TestWarpingFnMatchesRecurrence holds the DTW, discrete Fréchet and ERP
+// Fn to their recurrences on random inputs of 0 to 6 elements: empty
+// inputs are priced by ERP's gaps and are 0 (both) or +Inf (one) under the
+// other two.
+func TestWarpingFnMatchesRecurrence(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fn   Func[float64]
+		rec  func(a, b []float64) float64
+	}{
+		{"dtw", DTW(AbsDiff), recDTW},
+		{"dfd", DiscreteFrechet(AbsDiff), recDFD},
+		{"erp", ERP(AbsDiff, 0), recERP},
+	} {
+		rng := rand.New(rand.NewPCG(1, 1))
+		for trial := 0; trial < 300; trial++ {
+			a, b := randWalk(rng, rng.IntN(7)), randWalk(rng, rng.IntN(7))
+			got, want := tc.fn(a, b), tc.rec(a, b)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s(%v, %v) = %v, recurrence %v", tc.name, a, b, got, want)
+			}
 		}
-	}
-	if gaps != 1 {
-		t.Errorf("alignment %v has %d gaps, want 1", al, gaps)
 	}
 }

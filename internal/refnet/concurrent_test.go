@@ -1,14 +1,15 @@
 package refnet
 
 import (
+	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
 )
 
 // Read-only queries on a built net are documented as safe for concurrent
-// use (no mutation happens during Range/KNN). Exercise that contract;
-// run with -race for a decisive check.
+// use (no mutation happens during Range or a session's MinDist). Exercise
+// that contract; run with -race for a decisive check.
 func TestConcurrentReadQueries(t *testing.T) {
 	rng := rand.New(rand.NewPCG(101, 102))
 	n := New(absDist)
@@ -34,9 +35,15 @@ func TestConcurrentReadQueries(t *testing.T) {
 					errs <- "range mismatch under concurrency"
 					return
 				}
-				nn := n.KNN(q, 3)
-				if len(nn) != 3 {
-					errs <- "knn size mismatch under concurrency"
+				least := math.Inf(1)
+				for _, v := range items {
+					least = min(least, absDist(q, v))
+				}
+				s := n.OpenSession([]float64{q}, nil)
+				d := s.MinDist(eps + least)
+				s.Close()
+				if d != least {
+					errs <- "MinDist mismatch under concurrency"
 					return
 				}
 			}

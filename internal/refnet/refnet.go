@@ -34,7 +34,7 @@
 // measured cover radius: 0 for a childless node, otherwise the max over its
 // children of (stored edge distance + the child's ρ). By the triangle
 // inequality ρ bounds the distance to every descendant, and every traversal
-// prunes with it. The level's worst case, CoverRadius(level) = ǫ′·(2^{l+1}−2),
+// prunes with it. The level's worst case, coverRadius(level) = ǫ′·(2^{l+1}−2),
 // only dominates it: a node's level is set by how far its nearest reference
 // is, not by what hangs below it, and most nodes at level ≥ 1 are childless.
 // The invariant is held with equality and maintained from the stored edge
@@ -72,9 +72,7 @@
 // query offset through a single incremental kernel pass there. Nets
 // serialise with Save/Load (serialize.go) without recomputing any
 // distances. Net.Range is a session of one probe and BatchRange a session of
-// many, each opened, read once and closed; there is no second range
-// traversal. KNN (knn.go) is the one other walk: a best-first search for the
-// k nearest items, which for k > 1 is not a MinDist read.
+// many, each opened, read once and closed; there is no other traversal.
 package refnet
 
 import (
@@ -156,9 +154,6 @@ type Node[T any] struct {
 // Item returns the stored item.
 func (n *Node[T]) Item() T { return n.item }
 
-// Level returns the node's reference level (0 for plain data points).
-func (n *Node[T]) Level() int { return n.level }
-
 // edge is a parent→child link annotated with the parent-child distance,
 // precomputed at attach time so range queries can include or exclude
 // children without fresh distance computations.
@@ -210,16 +205,16 @@ func New[T any](dist metric.DistFunc[T], opts ...Option) *Net[T] {
 	return &Net[T]{dist: dist, base: cfg.base, numMax: cfg.numMax, noEdgeBounds: cfg.noEdgeBounds}
 }
 
-// Eps returns the radius ǫ′·2ⁱ of level i.
-func (t *Net[T]) Eps(i int) float64 { return math.Ldexp(t.base, i) }
+// eps returns the radius ǫ′·2ⁱ of level i.
+func (t *Net[T]) eps(i int) float64 { return math.Ldexp(t.base, i) }
 
-// CoverRadius returns the worst-case distance from a level-l node to any
+// coverRadius returns the worst-case distance from a level-l node to any
 // node in its subtree: Σ_{k=1..l} ǫₖ = ǫ′·(2^{l+1} − 2), the "derived from
 // R(i,j)" bound of Lemma 4 and the Appendix's range query. No traversal
 // prunes with it: every node carries its measured radius (rho; see raise
 // and settle), which this bound dominates because every edge respects its
 // list radius — Validate holds each node's measured radius under it.
-func (t *Net[T]) CoverRadius(level int) float64 {
+func (t *Net[T]) coverRadius(level int) float64 {
 	if level <= 0 {
 		return 0
 	}
@@ -228,12 +223,6 @@ func (t *Net[T]) CoverRadius(level int) float64 {
 
 // Len reports the number of items in the net.
 func (t *Net[T]) Len() int { return t.size }
-
-// Base returns the base radius ǫ′.
-func (t *Net[T]) Base() float64 { return t.base }
-
-// MaxParents returns the parent cap (0 = unlimited).
-func (t *Net[T]) MaxParents() int { return t.numMax }
 
 // Insert adds an item to the net (Appendix A.1).
 func (t *Net[T]) Insert(item T) { t.InsertTracked(item) }
@@ -283,7 +272,7 @@ func (t *Net[T]) locate(item T) (level int, parents []cand[T]) {
 	if math.IsInf(d, 1) || math.IsNaN(d) {
 		panic("refnet: non-finite distance to root; the item cannot be indexed")
 	}
-	for d > t.Eps(t.root.level) {
+	for d > t.eps(t.root.level) {
 		t.root.level++
 	}
 	// The root now qualifies at its own level, so i ≥ 1.
@@ -318,7 +307,7 @@ func (t *Net[T]) frontier(item T, d float64, stop int) (level int, within []cand
 	for i := t.root.level; i >= stop; i-- {
 		// The frontier for conceptual level i−1 keeps everything within
 		// 2ǫ_{i−1} = ǫᵢ, which is exactly level i's within set.
-		epsI := t.Eps(i)
+		epsI := t.eps(i)
 		next = next[:0]
 		for _, c := range cur {
 			if c.d <= epsI {

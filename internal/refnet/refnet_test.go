@@ -54,6 +54,11 @@ func TestEmptyNet(t *testing.T) {
 	if got := n.Range(0, 100); got != nil {
 		t.Errorf("empty net Range = %v", got)
 	}
+	s := n.OpenSession([]float64{0}, nil)
+	if got := s.MinDist(100); !math.IsInf(got, 1) {
+		t.Errorf("empty net MinDist = %v, want +Inf", got)
+	}
+	s.Close()
 	if err := n.Validate(); err != nil {
 		t.Errorf("empty net invalid: %v", err)
 	}
@@ -94,18 +99,18 @@ func TestDuplicateItems(t *testing.T) {
 
 func TestEpsAndCoverRadius(t *testing.T) {
 	n := New(absDist, WithBase(0.5))
-	if got := n.Eps(0); got != 0.5 {
-		t.Errorf("Eps(0) = %v", got)
+	if got := n.eps(0); got != 0.5 {
+		t.Errorf("eps(0) = %v", got)
 	}
-	if got := n.Eps(3); got != 4 {
-		t.Errorf("Eps(3) = %v, want 4", got)
+	if got := n.eps(3); got != 4 {
+		t.Errorf("eps(3) = %v, want 4", got)
 	}
-	if got := n.CoverRadius(0); got != 0 {
-		t.Errorf("CoverRadius(0) = %v", got)
+	if got := n.coverRadius(0); got != 0 {
+		t.Errorf("coverRadius(0) = %v", got)
 	}
 	// ρ(l) = Σ_{k=1..l} ǫ'·2^k = 0.5·(2+4+8) = 7 for l = 3.
-	if got := n.CoverRadius(3); got != 7 {
-		t.Errorf("CoverRadius(3) = %v, want 7", got)
+	if got := n.coverRadius(3); got != 7 {
+		t.Errorf("coverRadius(3) = %v, want 7", got)
 	}
 }
 
@@ -360,27 +365,37 @@ func TestStatsAccounting(t *testing.T) {
 	if withPayload.TotalBytes() != withPayload.StructBytes+800 {
 		t.Errorf("TotalBytes inconsistent")
 	}
-	if len(n.Items()) != 100 {
-		t.Errorf("Items() returned %d", len(n.Items()))
-	}
 }
 
 func TestPruningBeatsLinearScanOnClusteredData(t *testing.T) {
 	// The net must actually prune: on well-separated clusters, a small
-	// range query should compute far fewer distances than a full scan.
+	// range query and a MinDist read under a wide cap should each compute
+	// far fewer distances than a full scan.
 	rng := rand.New(rand.NewPCG(13, 14))
 	counter := metric.NewCounter(absDist)
 	n := New(counter.Distance)
 	const N = 2000
+	least := math.Inf(1)
 	for i := 0; i < N; i++ {
 		cluster := float64(i%20) * 1000
-		n.Insert(cluster + rng.Float64())
+		v := cluster + rng.Float64()
+		n.Insert(v)
+		least = min(least, absDist(5000.5, v))
 	}
 	counter.Reset()
 	n.Range(5000.5, 2)
-	calls := counter.Calls()
-	if calls >= N/2 {
+	if calls := counter.Calls(); calls >= N/2 {
 		t.Errorf("range query computed %d distances out of %d; pruning ineffective", calls, N)
+	}
+	counter.Reset()
+	s := n.OpenSession([]float64{5000.5}, nil)
+	got := s.MinDist(1000)
+	s.Close()
+	if got != least {
+		t.Fatalf("MinDist = %v, linear scan %v", got, least)
+	}
+	if calls := counter.Calls(); calls >= N/2 {
+		t.Errorf("MinDist computed %d distances out of %d; pruning ineffective", calls, N)
 	}
 }
 

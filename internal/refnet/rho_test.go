@@ -89,11 +89,11 @@ func ids(items []stormPt) []int {
 	return out
 }
 
-// checkQueries holds Range, BatchRange and KNN to a linear scan of
-// the live items, at a random radius, at 0, and at the two boundary radii
-// of a random node c: ε = δ(q,c) (c sits exactly on the ball) and
-// ε = δ(q,c) − ρ(c) (c sits at exactly ε + ρ, where rule 3 must not
-// prune). It returns how many (query, radius) pairs had an item at exactly
+// checkQueries holds Range and BatchRange to a linear scan of the live
+// items (checkSession does the same for MinDist), at a random radius, at 0,
+// and at the two boundary radii of a random node c: ε = δ(q,c) (c sits
+// exactly on the ball) and ε = δ(q,c) − ρ(c) (c sits at exactly ε + ρ,
+// where rule 3 must not prune). It returns how many (query, radius) pairs had an item at exactly
 // d = ε and at exactly d = ε + ρ of some node, so the storm can prove the
 // boundary cases ran.
 func checkQueries(t *testing.T, n *Net[stormPt], live []*Node[stormPt], rng *rand.Rand, draw func() stormPt) (onBall, onCover int) {
@@ -148,21 +148,6 @@ func checkQueries(t *testing.T, n *Net[stormPt], live []*Node[stormPt], rng *ran
 				if !slices.Equal(ids(got), ids(w)) {
 					t.Fatalf("BatchRange probe %d (%v, %v) = ids %v, linear scan %v", i, qs[i], eps, ids(got), ids(w))
 				}
-			}
-		}
-		const k = 5
-		all := make([]float64, len(items))
-		for i, it := range items {
-			all[i] = n.dist(q, it)
-		}
-		slices.Sort(all)
-		nn := n.KNN(q, k)
-		if len(nn) != min(k, len(items)) {
-			t.Fatalf("KNN returned %d of %d items", len(nn), len(items))
-		}
-		for i, nb := range nn {
-			if nb.Dist != all[i] || n.dist(q, nb.Item) != nb.Dist {
-				t.Fatalf("KNN rank %d at %v, linear scan %v", i, nb.Dist, all[i])
 			}
 		}
 	}

@@ -14,8 +14,8 @@ import (
 // Round-trip property tests: for every element type the framework serves
 // (byte / float64 / point2) and both refnet-family configurations (plain
 // and parent-capped, the paper's RN and RN-5), a saved-and-reloaded net
-// must answer Range and KNN bit-identically to the original — same items,
-// same order, same distances.
+// must answer Range and a session's MinDist bit-identically to the
+// original — same items, same order, same least distance.
 
 func hammingBytes(a, b seq.Sequence[byte]) float64 {
 	n := 0
@@ -32,9 +32,16 @@ func euclidPoint2(a, b seq.Point2) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
+// minDist is a one-probe session's MinDist read under cap.
+func minDist[T any](n *Net[T], q T, cap float64) float64 {
+	s := n.OpenSession([]T{q}, nil)
+	defer s.Close()
+	return s.MinDist(cap)
+}
+
 // roundTripCheck saves n, reloads it, and verifies structural equality of
 // answers on the given query set.
-func roundTripCheck[T any](t *testing.T, n *Net[T], dist func(a, b T) float64, queries []T, eps float64, k int) {
+func roundTripCheck[T any](t *testing.T, n *Net[T], dist func(a, b T) float64, queries []T, eps float64) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := n.Save(&buf); err != nil {
@@ -44,9 +51,9 @@ func roundTripCheck[T any](t *testing.T, n *Net[T], dist func(a, b T) float64, q
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if loaded.Len() != n.Len() || loaded.Base() != n.Base() || loaded.MaxParents() != n.MaxParents() {
+	if loaded.Len() != n.Len() || loaded.base != n.base || loaded.numMax != n.numMax {
 		t.Fatalf("shape not preserved: len %d/%d base %v/%v max %d/%d",
-			loaded.Len(), n.Len(), loaded.Base(), n.Base(), loaded.MaxParents(), n.MaxParents())
+			loaded.Len(), n.Len(), loaded.base, n.base, loaded.numMax, n.numMax)
 	}
 	if err := loaded.Validate(); err != nil {
 		t.Fatalf("loaded net invalid: %v", err)
@@ -56,9 +63,8 @@ func roundTripCheck[T any](t *testing.T, n *Net[T], dist func(a, b T) float64, q
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("query %d: Range differs after reload: %d vs %d items", qi, len(a), len(b))
 		}
-		na, nb := n.KNN(q, k), loaded.KNN(q, k)
-		if !reflect.DeepEqual(na, nb) {
-			t.Fatalf("query %d: KNN differs after reload: %v vs %v", qi, na, nb)
+		if da, db := minDist(n, q, eps), minDist(loaded, q, eps); math.Float64bits(da) != math.Float64bits(db) {
+			t.Fatalf("query %d: MinDist differs after reload: %v vs %v", qi, da, db)
 		}
 	}
 }
@@ -88,7 +94,7 @@ func TestRoundTripBytes(t *testing.T) {
 			for i := range queries {
 				queries[i] = randWin()
 			}
-			roundTripCheck(t, n, hammingBytes, queries, 6, 5)
+			roundTripCheck(t, n, hammingBytes, queries, 6)
 		})
 	}
 }
@@ -104,7 +110,7 @@ func TestRoundTripFloat64(t *testing.T) {
 			for i := range queries {
 				queries[i] = rng.Float64() * 100
 			}
-			roundTripCheck(t, n, absDist, queries, 4, 7)
+			roundTripCheck(t, n, absDist, queries, 4)
 		})
 	}
 }
@@ -123,7 +129,7 @@ func TestRoundTripPoint2(t *testing.T) {
 			for i := range queries {
 				queries[i] = randPt()
 			}
-			roundTripCheck(t, n, euclidPoint2, queries, 5, 5)
+			roundTripCheck(t, n, euclidPoint2, queries, 5)
 		})
 	}
 }
@@ -251,7 +257,7 @@ func FuzzLoad(f *testing.F) {
 		// to traverse without panicking.
 		if loaded.Len() > 0 {
 			loaded.Range(0, 1)
-			loaded.KNN(0, 3)
+			minDist(loaded, 0, 3)
 		}
 	})
 }

@@ -27,8 +27,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.Len() != n.Len() {
 		t.Fatalf("Len = %d, want %d", loaded.Len(), n.Len())
 	}
-	if loaded.Base() != 0.5 || loaded.MaxParents() != 3 {
-		t.Errorf("options not preserved: base=%v max=%d", loaded.Base(), loaded.MaxParents())
+	if loaded.base != 0.5 || loaded.numMax != 3 {
+		t.Errorf("options not preserved: base=%v max=%d", loaded.base, loaded.numMax)
 	}
 	if err := loaded.Validate(); err != nil {
 		t.Fatalf("loaded net invalid: %v", err)

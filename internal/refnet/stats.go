@@ -126,13 +126,6 @@ func (t *Net[T]) RewriteItems(fn func(T) T) {
 	t.walk(func(n *Node[T]) { n.item = fn(n.item) })
 }
 
-// Items returns all stored items in unspecified order.
-func (t *Net[T]) Items() []T {
-	out := make([]T, 0, t.size)
-	t.walk(func(n *Node[T]) { out = append(out, n.item) })
-	return out
-}
-
 // Validate checks the net's structural invariants and returns a descriptive
 // error on the first violation. It recomputes distances, so it is O(edges)
 // distance evaluations — intended for tests and debugging.
@@ -147,7 +140,7 @@ func (t *Net[T]) Items() []T {
 //   - the parent cap nummax;
 //   - cover radius: every node's rho equals, exactly, the max over its
 //     children of (stored edge distance + child's rho) — 0 when childless —
-//     and stays under the level's worst case CoverRadius(level).
+//     and stays under the level's worst case coverRadius(level).
 func (t *Net[T]) Validate() error {
 	if t.root == nil {
 		if t.size != 0 {
@@ -187,7 +180,7 @@ func (t *Net[T]) Validate() error {
 			err = fmt.Errorf("refnet: level-%d node holds cover radius %g, its children give %g", p.level, p.rho, rho)
 			return
 		}
-		if limit := t.CoverRadius(p.level); p.rho > limit+1e-9 {
+		if limit := t.coverRadius(p.level); p.rho > limit+1e-9 {
 			err = fmt.Errorf("refnet: cover radius %g exceeds the level-%d worst case %g", p.rho, p.level, limit)
 			return
 		}
@@ -201,7 +194,7 @@ func (t *Net[T]) Validate() error {
 				err = fmt.Errorf("refnet: stored edge distance %g differs from metric %g", e.d, d)
 				return
 			}
-			if limit := t.Eps(e.n.level + 1); d > limit+1e-9 {
+			if limit := t.eps(e.n.level + 1); d > limit+1e-9 {
 				err = fmt.Errorf("refnet: edge distance %g exceeds parent radius %g for child level %d",
 					d, limit, e.n.level)
 				return

@@ -99,9 +99,6 @@ type BoundedDistanceFunc[E any] = dist.BoundedFunc[E]
 // Properties describes the assumptions a distance measure satisfies.
 type Properties = dist.Properties
 
-// Coupling is one element pairing in an optimal alignment.
-type Coupling = dist.Coupling
-
 // Params carries the framework parameters λ (minimum match length) and λ0
 // (maximum temporal shift).
 type Params = core.Params
@@ -142,9 +139,10 @@ type NearestOptions = core.NearestOptions
 // until every answer is back, while the streaming methods (Submit,
 // SubmitFilter, SubmitLongest, SubmitNearest) accept queries one at a
 // time and return per-query Futures, answered by a long-lived worker set
-// that pops the oldest pending submission first. The streaming face adds context cancellation, a bounded
-// in-flight queue with backpressure and graceful Close — the shape a
-// serving daemon needs (see subseqctl serve and docs/SERVING.md).
+// that pops the oldest pending submission first. The streaming face adds
+// context cancellation, a bounded in-flight queue with backpressure and
+// graceful Close — the shape a serving daemon needs (see subseqctl serve
+// and docs/SERVING.md).
 type QueryPool[E any] = core.QueryPool[E]
 
 // PoolOption tunes a QueryPool's streaming engine.
@@ -246,20 +244,11 @@ type LatencyBucket = core.LatencyBucket
 // WithQueueDepth is not given.
 const DefaultQueueDepth = core.DefaultQueueDepth
 
-// BruteForce answers the three query types exhaustively over every pair:
-// the baseline the framework's filtering replaces, not its exact answer.
-type BruteForce[E any] = core.BruteForce[E]
-
 // NewMatcher builds a matcher over db: it validates the configuration,
 // partitions the database into windows of length λ/2 and builds the
 // window index.
 func NewMatcher[E any](m Measure[E], cfg Config, db []Sequence[E]) (*Matcher[E], error) {
 	return core.NewMatcher(m, cfg, db)
-}
-
-// NewBruteForce builds an exhaustive all-pairs matcher.
-func NewBruteForce[E any](m Measure[E], p Params, db []Sequence[E]) (*BruteForce[E], error) {
-	return core.NewBruteForce(m, p, db)
 }
 
 // Distance measures. Each *Measure constructor returns the function
@@ -292,13 +281,7 @@ func LevenshteinMeasure[E comparable]() Measure[E] { return dist.LevenshteinMeas
 // to 64 characters).
 func LevenshteinFastMeasure() Measure[byte] { return dist.LevenshteinFastMeasure() }
 
-// WeightedEdit is a generalised edit distance with caller-supplied
-// substitution and indel costs.
-func WeightedEdit[E any](sub func(a, b E) float64, indel func(E) float64) DistanceFunc[E] {
-	return dist.WeightedEdit(sub, indel)
-}
-
-// WeightedEditMeasure is a vetted WeightedEdit instance over byte strings
+// WeightedEditMeasure is a weighted edit distance over byte strings
 // (mismatch 1.5, indel 1): a consistent metric with incremental and bounded
 // evaluation, accepted by every index backend.
 func WeightedEditMeasure() Measure[byte] { return dist.WeightedEditMeasure() }
@@ -315,32 +298,6 @@ func AbsDiff(a, b float64) float64 { return dist.AbsDiff(a, b) }
 
 // Point2Dist is the planar Euclidean ground distance.
 func Point2Dist(a, b Point2) float64 { return dist.Point2Dist(a, b) }
-
-// Alignment recovery.
-
-// DTWAlignment returns the DTW distance and an optimal alignment.
-func DTWAlignment[E any](g Ground[E], a, b []E) (float64, []Coupling) {
-	return dist.DTWAlignment(g, a, b)
-}
-
-// FrechetAlignment returns the discrete Fréchet distance and an optimal
-// alignment.
-func FrechetAlignment[E any](g Ground[E], a, b []E) (float64, []Coupling) {
-	return dist.FrechetAlignment(g, a, b)
-}
-
-// ERPAlignment returns the ERP distance and an optimal alignment
-// including gap couplings.
-func ERPAlignment[E any](g Ground[E], gap E, a, b []E) (float64, []Coupling) {
-	return dist.ERPAlignment(g, gap, a, b)
-}
-
-// ConsistentOn checks the paper's consistency property (Definition 1)
-// exhaustively on the pair (q, x); see FindInconsistency for the
-// witness-returning variant.
-func ConsistentOn[E any](d DistanceFunc[E], q, x []E, tol float64) bool {
-	return dist.ConsistentOn(d, q, x, tol)
-}
 
 // Inconsistency is a witness against Definition 1, returned by
 // FindInconsistency: the subsequence x[XStart:XEnd) whose best counterpart
@@ -366,9 +323,6 @@ type RefNetNode[T any] = refnet.Node[T]
 
 // RefNetStats summarises a net's structure and space.
 type RefNetStats = refnet.Stats
-
-// Neighbor is one k-nearest-neighbour result from RefNet.KNN.
-type Neighbor[T any] = refnet.Neighbor[T]
 
 // NewRefNet returns an empty reference net over the given metric distance.
 // Options: WithBase (ǫ′), WithMaxParents (nummax).
@@ -506,32 +460,5 @@ func WithSnapshotOnError(fn func(error)) SnapshotSchedulerOption {
 	return store.WithSnapshotOnError(fn)
 }
 
-// QuarantineSnapshot moves a snapshot that failed to restore aside
-// (renamed to path + ".corrupt") so a fresh build can proceed while the
-// bad bytes stay available for forensics; it returns the quarantine path.
-func QuarantineSnapshot(path string) (string, error) { return store.Quarantine(path) }
-
 // WithClock substitutes the Store's wall clock for TTL bookkeeping.
 func WithClock(now func() time.Time) StoreOption { return store.WithClock(now) }
-
-// MatcherView resolves the matcher answering one unit of query work plus
-// a release function — the hook NewQueryPoolView pools query against a
-// mutable Store instead of a fixed Matcher.
-type MatcherView[E any] = core.MatcherView[E]
-
-// NewQueryPoolView is NewQueryPool over a MatcherView: every barrier call
-// and every streamed query resolves the matcher afresh and holds its guard
-// only for that unit of work. Store.NewQueryPool is the common way in.
-func NewQueryPoolView[E any](view MatcherView[E], workers int, opts ...PoolOption) *QueryPool[E] {
-	return core.NewQueryPoolView(view, workers, opts...)
-}
-
-// Partition splits a sequence into consecutive windows of length l.
-func Partition[E any](seqID int, x Sequence[E], l int) []Window[E] {
-	return seq.Partition(seqID, x, l)
-}
-
-// Segments extracts every segment of q with length in [minLen, maxLen].
-func Segments[E any](q Sequence[E], minLen, maxLen int) []Segment[E] {
-	return seq.Segments(q, minLen, maxLen)
-}
