@@ -39,10 +39,7 @@ func TestConcurrentReadQueries(t *testing.T) {
 				for _, v := range items {
 					least = min(least, absDist(q, v))
 				}
-				s := n.OpenSession([]float64{q}, nil)
-				d := s.MinDist(eps + least)
-				s.Close()
-				if d != least {
+				if minDist(n, q, eps+least) != least {
 					errs <- "MinDist mismatch under concurrency"
 					return
 				}

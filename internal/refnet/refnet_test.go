@@ -23,6 +23,13 @@ func sortedRange(t *Net[float64], q, eps float64) []float64 {
 	return out
 }
 
+// minDist is a one-probe session's MinDist read under cap.
+func minDist[T any](n *Net[T], q T, cap float64) float64 {
+	s := n.OpenSession([]T{q}, nil)
+	defer s.Close()
+	return s.MinDist(cap)
+}
+
 func sortedScan(items []float64, q, eps float64) []float64 {
 	var out []float64
 	for _, v := range items {
@@ -54,11 +61,9 @@ func TestEmptyNet(t *testing.T) {
 	if got := n.Range(0, 100); got != nil {
 		t.Errorf("empty net Range = %v", got)
 	}
-	s := n.OpenSession([]float64{0}, nil)
-	if got := s.MinDist(100); !math.IsInf(got, 1) {
+	if got := minDist(n, 0, 100); !math.IsInf(got, 1) {
 		t.Errorf("empty net MinDist = %v, want +Inf", got)
 	}
-	s.Close()
 	if err := n.Validate(); err != nil {
 		t.Errorf("empty net invalid: %v", err)
 	}
@@ -388,10 +393,7 @@ func TestPruningBeatsLinearScanOnClusteredData(t *testing.T) {
 		t.Errorf("range query computed %d distances out of %d; pruning ineffective", calls, N)
 	}
 	counter.Reset()
-	s := n.OpenSession([]float64{5000.5}, nil)
-	got := s.MinDist(1000)
-	s.Close()
-	if got != least {
+	if got := minDist(n, 5000.5, 1000); got != least {
 		t.Fatalf("MinDist = %v, linear scan %v", got, least)
 	}
 	if calls := counter.Calls(); calls >= N/2 {

@@ -32,13 +32,6 @@ func euclidPoint2(a, b seq.Point2) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// minDist is a one-probe session's MinDist read under cap.
-func minDist[T any](n *Net[T], q T, cap float64) float64 {
-	s := n.OpenSession([]T{q}, nil)
-	defer s.Close()
-	return s.MinDist(cap)
-}
-
 // roundTripCheck saves n, reloads it, and verifies structural equality of
 // answers on the given query set.
 func roundTripCheck[T any](t *testing.T, n *Net[T], dist func(a, b T) float64, queries []T, eps float64) {
