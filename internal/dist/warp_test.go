@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -77,71 +78,132 @@ func randWalk(rng *rand.Rand, n int) []float64 {
 	return s
 }
 
-// The recurrences of the three warping measures written as plain recursion
-// over prefixes, the last elements of a and b taking the last step: slow,
-// and independent of the DP tables the measures fill.
+// warpRule is a warping measure's recurrence written as its moves between
+// pairs of prefix lengths: step is the cost of the move onto (i, j), a[:i]
+// against b[:j], from (i-di, j-dj), +Inf where the measure makes no
+// such move, and join folds a move's cost into the cost of the path before
+// it. (0, 0) is the empty coupling, at cost 0.
+type warpRule struct {
+	step func(a, b []float64, i, j, di, dj int) float64
+	join func(path, step float64) float64
+}
 
-func recDTW(a, b []float64) float64 {
-	n, m := len(a), len(b)
-	switch {
-	case n == 0 && m == 0:
-		return 0
-	case n == 0 || m == 0:
+var warpMoves = [...][2]int{{1, 1}, {1, 0}, {0, 1}}
+
+// dtwRule and dfdRule make only the moves that couple two elements, the
+// cost of the landing pair summed (DTW) or maxed (discrete Fréchet);
+// erpRule also moves along the borders, pricing an element aligned with
+// the gap element 0.
+var (
+	dtwRule = warpRule{step: coupledStep, join: func(p, c float64) float64 { return p + c }}
+	dfdRule = warpRule{step: coupledStep, join: func(p, c float64) float64 { return max(p, c) }}
+	erpRule = warpRule{
+		step: func(a, b []float64, i, j, di, dj int) float64 {
+			switch {
+			case di == 1 && dj == 1:
+				return coupledStep(a, b, i, j, di, dj)
+			case di == 1:
+				return AbsDiff(a[i-1], 0)
+			default:
+				return AbsDiff(b[j-1], 0)
+			}
+		},
+		join: func(p, c float64) float64 { return p + c },
+	}
+)
+
+func coupledStep(a, b []float64, i, j, _, _ int) float64 {
+	if i == 0 || j == 0 {
 		return math.Inf(1)
 	}
-	return AbsDiff(a[n-1], b[m-1]) +
-		min(recDTW(a[:n-1], b[:m-1]), recDTW(a[:n-1], b), recDTW(a, b[:m-1]))
+	return AbsDiff(a[i-1], b[j-1])
 }
 
-func recDFD(a, b []float64) float64 {
-	n, m := len(a), len(b)
-	switch {
-	case n == 0 && m == 0:
+// recurse is r's distance between the prefixes a[:i] and b[:j], written as
+// plain recursion over the moves onto (i, j): slow, and independent of the
+// rolling rows the measures fill.
+func recurse(r warpRule, a, b []float64, i, j int) float64 {
+	if i == 0 && j == 0 {
 		return 0
-	case n == 0 || m == 0:
-		return math.Inf(1)
 	}
-	return max(AbsDiff(a[n-1], b[m-1]),
-		min(recDFD(a[:n-1], b[:m-1]), recDFD(a[:n-1], b), recDFD(a, b[:m-1])))
+	v := math.Inf(1)
+	for _, mv := range warpMoves {
+		if i >= mv[0] && j >= mv[1] {
+			v = min(v, r.join(recurse(r, a, b, i-mv[0], j-mv[1]), r.step(a, b, i, j, mv[0], mv[1])))
+		}
+	}
+	return v
 }
 
-// recERP is ERP with gap element 0.
-func recERP(a, b []float64) float64 {
-	n, m := len(a), len(b)
-	switch {
-	case n == 0 && m == 0:
-		return 0
-	case m == 0:
-		return recERP(a[:n-1], b) + AbsDiff(a[n-1], 0)
-	case n == 0:
-		return recERP(a, b[:m-1]) + AbsDiff(b[m-1], 0)
+// optimalCoupling returns r's distance between a and b and an optimal
+// coupling: the cells of a path from (0, 0) to (len(a), len(b)), traced
+// back through moves whose folded cost equals the recurrence's value. It
+// returns no path when the distance is +Inf.
+func optimalCoupling(r warpRule, a, b []float64) (float64, [][2]int) {
+	v := recurse(r, a, b, len(a), len(b))
+	if math.IsInf(v, 1) {
+		return v, nil
 	}
-	return min(recERP(a[:n-1], b[:m-1])+AbsDiff(a[n-1], b[m-1]),
-		recERP(a[:n-1], b)+AbsDiff(a[n-1], 0),
-		recERP(a, b[:m-1])+AbsDiff(b[m-1], 0))
-}
-
-// TestWarpingFnMatchesRecurrence holds the DTW, discrete Fréchet and ERP
-// Fn to their recurrences on random inputs of 0 to 6 elements: empty
-// inputs are priced by ERP's gaps and are 0 (both) or +Inf (one) under the
-// other two.
-func TestWarpingFnMatchesRecurrence(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		fn   Func[float64]
-		rec  func(a, b []float64) float64
-	}{
-		{"dtw", DTW(AbsDiff), recDTW},
-		{"dfd", DiscreteFrechet(AbsDiff), recDFD},
-		{"erp", ERP(AbsDiff, 0), recERP},
-	} {
-		rng := rand.New(rand.NewPCG(1, 1))
-		for trial := 0; trial < 300; trial++ {
-			a, b := randWalk(rng, rng.IntN(7)), randWalk(rng, rng.IntN(7))
-			got, want := tc.fn(a, b), tc.rec(a, b)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s(%v, %v) = %v, recurrence %v", tc.name, a, b, got, want)
+	path := [][2]int{{len(a), len(b)}}
+	for i, j := len(a), len(b); i > 0 || j > 0; path = append(path, [2]int{i, j}) {
+		here := recurse(r, a, b, i, j)
+		for _, mv := range warpMoves {
+			if i >= mv[0] && j >= mv[1] &&
+				r.join(recurse(r, a, b, i-mv[0], j-mv[1]), r.step(a, b, i, j, mv[0], mv[1])) == here {
+				i, j = i-mv[0], j-mv[1]
+				break
 			}
 		}
 	}
+	slices.Reverse(path)
+	return v, path
+}
+
+// checkAlignment holds fn to r on random walks of 0 to 6 elements: fn's
+// value equals the recurrence's bit for bit, and the traced path is a
+// coupling from (0, 0) to (len(a), len(b)) of unit moves, each one the
+// measure makes, whose folded costs equal that value bit for bit. A pair
+// with one empty side has no coupling under DTW and discrete Fréchet, so
+// fn must read +Inf there.
+func checkAlignment(t *testing.T, fn Func[float64], r warpRule, seed uint64) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(seed, seed))
+	for trial := 0; trial < 300; trial++ {
+		a, b := randWalk(rng, rng.IntN(7)), randWalk(rng, rng.IntN(7))
+		v, path := optimalCoupling(r, a, b)
+		if got := fn(a, b); math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("trial %d: distance(%v, %v) = %v, recurrence %v", trial, a, b, got, v)
+		}
+		if path == nil {
+			continue
+		}
+		if path[0] != ([2]int{0, 0}) || path[len(path)-1] != ([2]int{len(a), len(b)}) {
+			t.Fatalf("trial %d: coupling %v does not run from (0,0) to (%d,%d)", trial, path, len(a), len(b))
+		}
+		var sum float64
+		for k := 1; k < len(path); k++ {
+			i, j := path[k][0], path[k][1]
+			di, dj := i-path[k-1][0], j-path[k-1][1]
+			c := r.step(a, b, i, j, di, dj)
+			if !slices.Contains(warpMoves[:], [2]int{di, dj}) || math.IsInf(c, 1) {
+				t.Fatalf("trial %d: coupling %v makes the move %v -> %v", trial, path, path[k-1], path[k])
+			}
+			sum = r.join(sum, c)
+		}
+		if math.Float64bits(sum) != math.Float64bits(v) {
+			t.Fatalf("trial %d: coupling %v costs %v, distance %v", trial, path, sum, v)
+		}
+	}
+}
+
+func TestDTWAlignmentAgreesWithDistance(t *testing.T) {
+	checkAlignment(t, DTW(AbsDiff), dtwRule, 1)
+}
+
+func TestFrechetAlignmentAgreesWithDistance(t *testing.T) {
+	checkAlignment(t, DiscreteFrechet(AbsDiff), dfdRule, 2)
+}
+
+func TestERPAlignmentAgreesWithDistance(t *testing.T) {
+	checkAlignment(t, ERP(AbsDiff, 0), erpRule, 3)
 }

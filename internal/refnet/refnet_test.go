@@ -374,30 +374,43 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestPruningBeatsLinearScanOnClusteredData(t *testing.T) {
 	// The net must actually prune: on well-separated clusters, a small
-	// range query and a MinDist read under a wide cap should each compute
-	// far fewer distances than a full scan.
+	// range query should compute far fewer distances than a full scan.
 	rng := rand.New(rand.NewPCG(13, 14))
+	counter := metric.NewCounter(absDist)
+	n := New(counter.Distance)
+	const N = 2000
+	for i := 0; i < N; i++ {
+		cluster := float64(i%20) * 1000
+		n.Insert(cluster + rng.Float64())
+	}
+	counter.Reset()
+	n.Range(5000.5, 2)
+	calls := counter.Calls()
+	if calls >= N/2 {
+		t.Errorf("range query computed %d distances out of %d; pruning ineffective", calls, N)
+	}
+}
+
+// TestKNNClusteredPrunes holds the net's nearest-neighbour read, a
+// session's MinDist under a wide cap, to a linear scan on 20 well-separated
+// clusters, and to far fewer distances than the scan computes.
+func TestKNNClusteredPrunes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(63, 64))
 	counter := metric.NewCounter(absDist)
 	n := New(counter.Distance)
 	const N = 2000
 	least := math.Inf(1)
 	for i := 0; i < N; i++ {
-		cluster := float64(i%20) * 1000
-		v := cluster + rng.Float64()
+		v := float64(i%20)*1000 + rng.Float64()
 		n.Insert(v)
 		least = min(least, absDist(5000.5, v))
-	}
-	counter.Reset()
-	n.Range(5000.5, 2)
-	if calls := counter.Calls(); calls >= N/2 {
-		t.Errorf("range query computed %d distances out of %d; pruning ineffective", calls, N)
 	}
 	counter.Reset()
 	if got := minDist(n, 5000.5, 1000); got != least {
 		t.Fatalf("MinDist = %v, linear scan %v", got, least)
 	}
 	if calls := counter.Calls(); calls >= N/2 {
-		t.Errorf("MinDist computed %d distances out of %d; pruning ineffective", calls, N)
+		t.Errorf("MinDist computed %d distances of %d; branch-and-bound ineffective", calls, N)
 	}
 }
 
