@@ -16,6 +16,11 @@ import (
 // keyed by query position, and each is priced by the first pass that feeds
 // its position and read by every later one.
 //
+// A banded pass (dist.Banded) reads only a span of each row
+// (dist.RowKernel.Span) and asks for that span alone (cols): a row's priced
+// columns are kept as one interval, the hull of the spans asked of it in
+// the binding, so neighbouring passes whose bands overlap share them too.
+//
 // The rows hold for one binding: bind starts a new one by bumping the
 // epoch, which retires every row the last binding priced without clearing
 // any. A pass over a binding without rows (a Myers table, a lock-step
@@ -31,12 +36,15 @@ type costRows[E any] struct {
 	none  bool
 	q     []E
 	width int
-	// stamp[pos] == epoch marks row pos priced for this binding; row pos is
-	// buf[pos*width:][:width] and its indel cost dx[pos].
-	epoch uint32
-	stamp []uint32
-	dx    []float64
-	buf   []float64
+	// stamp[pos] == epoch marks row pos priced whole for this binding and
+	// epoch+1 priced in part, over columns priced[pos][0] …
+	// priced[pos][1]-1; row pos is buf[pos*width:][:width] and its indel cost
+	// dx[pos]. Epochs are even.
+	epoch  uint32
+	stamp  []uint32
+	dx     []float64
+	priced [][2]int32
+	buf    []float64
 }
 
 // bind starts a binding: the rows of q against p's window.
@@ -49,14 +57,15 @@ func (c *costRows[E]) bind(p dist.Prepared[E], q []E) {
 		return
 	}
 	c.q, c.width = q, p.WindowLen()
-	if c.epoch++; c.epoch == 0 {
+	if c.epoch += 2; c.epoch == 0 {
 		clear(c.stamp[:cap(c.stamp)])
-		c.epoch = 1
+		c.epoch = 2
 	}
 	// Stamps past the old length carry epochs from before this binding, or
 	// 0 when freshly allocated: either way, not this one.
 	c.stamp = slices.Grow(c.stamp[:0], len(q))[:len(q)]
 	c.dx = slices.Grow(c.dx[:0], len(q))[:len(q)]
+	c.priced = slices.Grow(c.priced[:0], len(q))[:len(q)]
 	c.buf = slices.Grow(c.buf[:0], len(q)*c.width)[:len(q)*c.width]
 }
 
@@ -74,12 +83,47 @@ func (c *costRows[E]) reader(k dist.Kernel[E]) dist.RowKernel[E] {
 }
 
 // at returns row pos and its indel cost, pricing them on first use in the
-// binding.
+// binding (again, whole, if a banded pass priced it in part: a scratch's
+// passes are all banded or none are).
 func (c *costRows[E]) at(pos int) ([]float64, float64) {
 	row := c.buf[pos*c.width : (pos+1)*c.width]
 	if c.stamp[pos] != c.epoch {
 		c.dx[pos] = c.cr.CostRow(c.q[pos], row)
 		c.stamp[pos] = c.epoch
+	}
+	return row, c.dx[pos]
+}
+
+// cols returns row pos, priced at least over columns [lo, hi), and its
+// indel cost. What the binding has not priced yet of that, and the indel
+// cost on the row's first use, is priced now; a span apart from the
+// priced one is joined to it, the columns between priced too.
+func (c *costRows[E]) cols(pos, lo, hi int) ([]float64, float64) {
+	row := c.buf[pos*c.width : (pos+1)*c.width]
+	have := &c.priced[pos]
+	switch c.stamp[pos] {
+	case c.epoch:
+	case c.epoch + 1:
+		switch {
+		case lo >= hi:
+		case have[0] >= have[1]:
+			c.cr.CostSpan(c.q[pos], row, lo, hi)
+			*have = [2]int32{int32(lo), int32(hi)}
+		default:
+			if l := int(have[0]); lo < l {
+				c.cr.CostSpan(c.q[pos], row, lo, l)
+				have[0] = int32(lo)
+			}
+			if h := int(have[1]); hi > h {
+				c.cr.CostSpan(c.q[pos], row, h, hi)
+				have[1] = int32(hi)
+			}
+		}
+	default:
+		c.dx[pos] = c.cr.Indel(c.q[pos])
+		c.cr.CostSpan(c.q[pos], row, lo, hi)
+		*have = [2]int32{int32(lo), int32(hi)}
+		c.stamp[pos] = c.epoch + 1
 	}
 	return row, c.dx[pos]
 }

@@ -86,7 +86,7 @@ func TestCostRowsPriceOncePerBinding(t *testing.T) {
 				win[y] = i
 			}
 		}
-		var matches, refed int
+		var matches, refed, banded int
 		for qi, q := range qs {
 			mt.FindAll(q, eps) // builds the windows' tables the query touches
 
@@ -146,10 +146,18 @@ func TestCostRowsPriceOncePerBinding(t *testing.T) {
 			if bound.seqID >= 0 {
 				flush()
 			}
+			bandBound := verifierBandBound(mt.verifier, vsc, q, eps)
 			mt.verifier.putScratch(vsc)
 			if verifyCalls > verifyBound {
 				t.Fatalf("%v query %d: the verifier made %d ground calls, over Σ (rows fed + 1) × (window length + 1) = %d",
 					index, qi, verifyCalls, verifyBound)
+			}
+			if verifyCalls > bandBound {
+				t.Fatalf("%v query %d: the verifier made %d ground calls, over Σ (columns its bands reach + rows fed + window length) = %d",
+					index, qi, verifyCalls, bandBound)
+			}
+			if bandBound < verifyBound {
+				banded++
 			}
 
 			want := plain.FindAll(q, eps)
@@ -167,7 +175,73 @@ func TestCostRowsPriceOncePerBinding(t *testing.T) {
 		if matches == 0 || refed == 0 {
 			t.Fatalf("%v: vacuous (%d matches, %d rows fed twice in a verifier binding)", index, matches, refed)
 		}
+		if banded == 0 {
+			t.Fatalf("%v: vacuous (the bands' bound is under the unbanded one on no query)", index)
+		}
 	}
+}
+
+// verifierBandBound replays the Type I verifier's passes over sc.regs at
+// radius eps on exact ERP tables (dist.AbsDiff, the counting ground's
+// values) and bounds the ground calls its banded passes make. A pass that
+// feeds query position pos as its row i reads the substitution costs of
+// the columns from row i−1's first cell within eps to the one after its
+// last (dist.Banded), and stops after the first row with no cell within eps.
+// Over one binding, costRows prices per row the hull of the columns the
+// passes reach there and the row's indel cost once, and the binding's
+// window its gap costs: Σ over bindings of cols + Σ over the rows fed of
+// (hull + 1).
+func verifierBandBound(v *verifier[float64], sc *verifyScratch[float64], q []float64, eps float64) int {
+	exact := dist.ERPMeasure(dist.AbsDiff, 0)
+	total := 0
+	bound := pass{seqID: -1}
+	reach := map[int][2]int{} // query position → hull of the columns reached
+	flush := func() {
+		total += int(bound.cols)
+		for _, h := range reach {
+			total += h[1] - h[0] + 1
+		}
+		clear(reach)
+	}
+	var k dist.Kernel[float64]
+	for _, ps := range v.passes(sc.regs, sc) {
+		if bound.seqID != ps.seqID || bound.xs != ps.xs || bound.cols < ps.cols {
+			if bound.seqID >= 0 {
+				flush()
+			}
+			bound = ps
+			k = exact.NewKernel(v.db[ps.seqID][ps.xs : ps.xs+ps.cols])
+		} else {
+			k.Reset()
+		}
+		n := int(bound.cols)
+		for i := 1; i <= int(ps.rows); i++ {
+			lo, hi := n+1, -1
+			for j := 0; j <= n; j++ {
+				if k.At(j) <= eps {
+					lo, hi = min(lo, j), j
+				}
+			}
+			pos := int(ps.qs) + i - 1
+			h, seen := reach[pos]
+			if span := [2]int{lo, min(hi+1, n)}; span[0] < span[1] {
+				if !seen || h[0] == h[1] {
+					h = span
+				} else {
+					h = [2]int{min(h[0], span[0]), max(h[1], span[1])}
+				}
+			}
+			reach[pos] = h
+			k.Feed(q[pos])
+			if k.Floor() > eps {
+				break
+			}
+		}
+	}
+	if bound.seqID >= 0 {
+		flush()
+	}
+	return total
 }
 
 // A binding's rows are priced once and read back; the next binding prices
@@ -206,6 +280,49 @@ func TestCostRowsRebindAcrossEpochWrap(t *testing.T) {
 					t.Fatalf("epoch %d: row %d indel %v, want %v", epoch, pos, dx, math.Abs(x))
 				}
 			}
+		}
+	}
+}
+
+// A banded pass asks for spans of a row (cols): each column is priced once
+// in a binding however the spans overlap, a span apart from the priced
+// ones is joined to them across the gap, the indel cost is priced once
+// per row, and the next binding — also across an epoch wrap — prices its
+// own.
+func TestCostRowsPriceSpansOnce(t *testing.T) {
+	var g groundLog
+	m := dist.ERPMeasure(g.ground, 0)
+	q := []float64{0.5, 1.5}
+	w := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	var rows costRows[float64]
+	for _, epoch := range []uint32{0, math.MaxUint32 - 1} {
+		rows.epoch = epoch
+		rows.bind(m.Prepare(w), q)
+		for _, step := range []struct{ lo, hi, calls int }{
+			{2, 4, 1 + 2}, // the indel cost and columns 2, 3
+			{3, 6, 2},     // 4, 5
+			{2, 6, 0},
+			{0, 1, 2}, // 0 and, joining the spans, 1
+			{7, 7, 0},
+			{7, 8, 2}, // 6 and 7
+		} {
+			g.calls = 0
+			row, dx := rows.cols(1, step.lo, step.hi)
+			if g.calls != step.calls {
+				t.Fatalf("epoch %d: cols(1, %d, %d) made %d ground calls, want %d", epoch, step.lo, step.hi, g.calls, step.calls)
+			}
+			if dx != math.Abs(q[1]) {
+				t.Fatalf("epoch %d: indel %v, want %v", epoch, dx, math.Abs(q[1]))
+			}
+			for j := step.lo; j < step.hi; j++ {
+				if row[j] != math.Abs(q[1]-w[j]) {
+					t.Fatalf("epoch %d: cols(1, %d, %d)[%d] = %v, want %v", epoch, step.lo, step.hi, j, row[j], math.Abs(q[1]-w[j]))
+				}
+			}
+		}
+		g.calls = 0
+		if rows.cols(0, 0, 0); g.calls != 1 {
+			t.Fatalf("epoch %d: an empty span of a fresh row made %d ground calls, want its indel cost alone", epoch, g.calls)
 		}
 	}
 }

@@ -287,6 +287,13 @@ type visitor interface {
 // once and read by each of them (costRows) where the measure's kernel takes
 // cost rows.
 //
+// Where the kernel can be banded (dist.Banded), each pass is banded at the
+// visitor's radius when it starts: a row then computes only the cells that
+// can still be within it, and only the ground costs those cells read are
+// priced. The radius only shrinks during a pass, and every cell within it
+// keeps its exact bits, so the cells read within the radius and the Floor
+// decisions are those of an unbanded pass.
+//
 // The answer never depends on pass order or on where a pass is abandoned:
 // a pass stops early only when the kernel's Floor strictly exceeds the
 // radius, which no later cell can then be within.
@@ -302,6 +309,7 @@ func (v *verifier[E]) scan(q seq.Sequence[E], regs []region, passes []pass, sc *
 	perRead := v.m.Prepare == nil
 	bound := pass{seqID: -1}
 	var rk dist.RowKernel[E] // sc.kernel, when it reads sc.rows
+	var bk dist.Banded       // sc.kernel, when it can be banded
 	for _, p := range passes {
 		if int(p.rows) < vis.minQLen() {
 			continue
@@ -313,16 +321,21 @@ func (v *verifier[E]) scan(q seq.Sequence[E], regs []region, passes []pass, sc *
 			sc.kernel = dist.BindKernel(sc.kernel, sc.prep)
 			sc.rows.bind(sc.prep, q)
 			rk = sc.rows.reader(sc.kernel)
+			bk, _ = sc.kernel.(dist.Banded)
 			bound = p
 		} else {
 			sc.kernel.Reset()
+		}
+		if bk != nil {
+			bk.Within(vis.radius())
 		}
 		k := sc.kernel
 		members := sc.members[p.lo:p.hi]
 		reads := int64(0)
 		for i := 1; i <= int(p.rows); i++ {
 			if rk != nil {
-				rk.FeedRow(sc.rows.at(qs + i - 1))
+				lo, hi := rk.Span()
+				rk.FeedRow(sc.rows.cols(qs+i-1, lo, hi))
 			} else {
 				k.Feed(q[qs+i-1])
 			}

@@ -150,3 +150,53 @@ func BenchmarkERPPassRows(b *testing.B) {
 		}
 	}
 }
+
+// One verifier pass over a true match (DESIGN.md §5 item 21): 60 query rows
+// against a 60-point window of the trajectory they were cut from, each row's
+// costs priced as it is fed, as the first pass over a binding prices them,
+// and the pass abandoned once Floor exceeds ε = 2. Unbanded, every row prices
+// and computes all 60 columns; banded at ε (Banded), only the columns that
+// can still be within ε. ns/op is one pass.
+//
+//	go test -run '^$' -bench ERPPassBanded ./internal/dist
+func verifyPassInputs() (m Measure[seq.Point2], q, w []seq.Point2) {
+	rng := rand.New(rand.NewPCG(23, 60))
+	w = make([]seq.Point2, 60)
+	pos := seq.Point2{X: 20, Y: 20}
+	for i := range w {
+		pos = seq.Point2{X: pos.X + rng.NormFloat64()*0.5, Y: pos.Y + rng.NormFloat64()*0.5}
+		w[i] = pos
+	}
+	q = make([]seq.Point2, len(w))
+	for i, y := range w {
+		q[i] = seq.Point2{X: y.X + rng.NormFloat64()*0.02, Y: y.Y + rng.NormFloat64()*0.02}
+	}
+	return ERPMeasure(Point2Dist, seq.Point2{}), q, w
+}
+
+func BenchmarkERPPassBanded(b *testing.B) {
+	m, q, w := verifyPassInputs()
+	const eps = 2
+	p := m.Prepare(w)
+	cr := p.(CostRower[seq.Point2])
+	row := make([]float64, len(w))
+	for _, banded := range []bool{false, true} {
+		b.Run(map[bool]string{false: "unbanded", true: "banded"}[banded], func(b *testing.B) {
+			k := p.NewState().(RowKernel[seq.Point2])
+			for b.Loop() {
+				k.Reset()
+				if banded {
+					k.(Banded).Within(eps)
+				}
+				for _, x := range q {
+					lo, hi := k.Span()
+					cr.CostSpan(x, row, lo, hi)
+					ablationSink += k.FeedRow(row, cr.Indel(x))
+					if k.Floor() > eps {
+						break
+					}
+				}
+			}
+		})
+	}
+}

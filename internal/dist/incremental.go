@@ -52,6 +52,10 @@ import "math"
 // kernel has none to offer): once it exceeds a radius, no longer prefix
 // can come back under it and the pass can stop.
 //
+// On a state banded at a radius (Banded), At and Floor are exact when ≤ the
+// radius; a value over it is only known to be over it, and no greater than
+// the exact one.
+//
 // A Kernel is single-threaded state: use one kernel per goroutine.
 type Kernel[E any] interface {
 	Feed(x E) float64
@@ -90,9 +94,13 @@ type FreeStartKernel[E any] interface {
 // that feeds one element to several passes over the same window — the
 // filter's free-start and exact passes over a node, the verifier's passes
 // from neighbouring query starts — prices the row once and hands it to
-// every pass through RowKernel.
+// every pass through RowKernel. CostSpan writes only row[lo:hi] of what
+// CostRow writes and Indel returns dx alone, for a caller that prices a row
+// piecewise, as a banded pass reads it (RowKernel.Span).
 type CostRower[E any] interface {
 	CostRow(x E, row []float64) (dx float64)
+	CostSpan(x E, row []float64, lo, hi int)
+	Indel(x E) (dx float64)
 }
 
 // RowKernel is optionally implemented by kernel states minted from a
@@ -100,10 +108,31 @@ type CostRower[E any] interface {
 // CostRow(x, c) wrote and returned for the state's window, FeedRow(c, dx) is
 // Feed(x) and FeedFreeRow(c, dx) is FeedFree(x), bit for bit: the same
 // costs enter the same additions and comparisons in the same order.
+//
+// Span reports the columns of c the next FeedRow or FeedFreeRow reads:
+// c[lo:hi], all of the row unless the state is banded (Banded). Entries
+// outside it may hold anything.
 type RowKernel[E any] interface {
 	FreeStartKernel[E]
 	FeedRow(c []float64, dx float64) float64
 	FeedFreeRow(c []float64, dx float64) float64
+	Span() (lo, hi int)
+}
+
+// Banded is optionally implemented by kernel states whose costs are never
+// negative, so that a cell is never less than the cell it extends: a cell
+// can be within a radius only if a neighbour it extends is (Ukkonen 1985).
+// Within(r), called on a state rewound to the empty prefix, bands the pass
+// at radius r until the next Reset or Rebind: a row then computes only the
+// cells that can still be ≤ r, from the previous row's first cell ≤ r to
+// its last one, then on to the right while the row stays ≤ r. Meanwhile
+// every cell ≤ r keeps its exact bits, every other cell reads as a value
+// over r and no greater than its exact one, and Floor is the row's least
+// cell when that is ≤ r and over r when it is not. So for every radius
+// r' ≤ r, which cells At reads as ≤ r' and whether Floor exceeds r' are
+// decided as on an unbanded pass.
+type Banded interface {
+	Within(r float64)
 }
 
 // Packer is the optional packed form of a kernel's free-start mode
@@ -356,14 +385,22 @@ func (p *editRowPrepared[E]) Reprepare(w []E) bool {
 
 func (p *editRowPrepared[E]) WindowLen() int { return len(p.w) }
 
-// CostRow prices x against every window element, as every Feed of x does.
+// CostRow prices x against every window element, as an unbanded Feed of x
+// does.
 func (p *editRowPrepared[E]) CostRow(x E, row []float64) float64 {
-	row = row[:len(p.w)]
-	for j, y := range p.w {
-		row[j] = p.sub(x, y)
-	}
+	p.CostSpan(x, row, 0, len(p.w))
 	return p.indel(x)
 }
+
+func (p *editRowPrepared[E]) CostSpan(x E, row []float64, lo, hi int) {
+	w := p.w[lo:hi]
+	row = row[lo:][:len(w)]
+	for j, y := range w {
+		row[j] = p.sub(x, y)
+	}
+}
+
+func (p *editRowPrepared[E]) Indel(x E) float64 { return p.indel(x) }
 
 func (p *editRowPrepared[E]) NewState() Kernel[E] {
 	s := &editRowState[E]{}
@@ -374,25 +411,48 @@ func (p *editRowPrepared[E]) NewState() Kernel[E] {
 // editRowState maintains the DP row row[j] = d(fed prefix, w[:j]) and
 // advances it by one row per fed element — the row-reuse evaluation of the
 // DP that editDP computes from scratch. Feed prices the element into cost,
-// a row of the state's own, and advances from it as FeedRow does from a row
-// priced elsewhere: one DP loop serves both.
+// a row of the state's own, over the columns the row reads (Span), and
+// advances from it by FeedRow: one DP loop (feed, or feedBand once Within
+// holds) serves both.
 type editRowState[E any] struct {
 	p         *editRowPrepared[E]
 	row, cost []float64
 	buf       []float64 // row and cost, one allocation
+	// band holds from Within to the next Reset or Rebind. Then every cell
+	// of row over r holds over, live[0] and live[1] are the first and last
+	// cell ≤ r (live[0] > live[1] when there is none) and floor is Floor.
+	band    bool
+	r, over float64
+	live    [2]int
+	floor   float64
 }
 
 func (k *editRowState[E]) Feed(x E) float64 {
-	dx := k.p.CostRow(x, k.cost)
-	return k.feed(k.cost, dx, dx)
+	lo, hi := k.Span()
+	k.p.CostSpan(x, k.cost, lo, hi)
+	return k.FeedRow(k.cost, k.p.indel(x))
 }
 
 // FeedFree holds row[0] at 0: dropping the fed prefix costs nothing.
-func (k *editRowState[E]) FeedFree(x E) float64 { return k.feed(k.cost, k.p.CostRow(x, k.cost), 0) }
+func (k *editRowState[E]) FeedFree(x E) float64 {
+	lo, hi := k.Span()
+	k.p.CostSpan(x, k.cost, lo, hi)
+	return k.FeedFreeRow(k.cost, k.p.indel(x))
+}
 
-func (k *editRowState[E]) FeedRow(c []float64, dx float64) float64 { return k.feed(c, dx, dx) }
+func (k *editRowState[E]) FeedRow(c []float64, dx float64) float64 {
+	if k.band {
+		return k.feedBand(c, dx, dx)
+	}
+	return k.feed(c, dx, dx)
+}
 
-func (k *editRowState[E]) FeedFreeRow(c []float64, dx float64) float64 { return k.feed(c, dx, 0) }
+func (k *editRowState[E]) FeedFreeRow(c []float64, dx float64) float64 {
+	if k.band {
+		return k.feedBand(c, dx, 0)
+	}
+	return k.feed(c, dx, 0)
+}
 
 // feed advances the row by an element whose substitution costs are c and
 // whose indel cost is dx, charging the boundary cell d0 (dx, or 0 in
@@ -416,12 +476,120 @@ func (k *editRowState[E]) feed(c []float64, dx, d0 float64) float64 {
 	return row[len(row)-1]
 }
 
+// feedBand is feed on a banded state. With the previous row's cells ≤ r at
+// columns lo … hi, a cell ≤ r is reached by a move from one of them or, to
+// the right of them, by left moves along the row (costs are non-negative,
+// and rounding an addition never takes it below an addend). So the row is
+// computed at lo (from above only: its other neighbours are over r), over
+// lo+1 … hi (every move, a neighbour over r holding over, whose sums stay
+// over r), at hi+1 (from the diagonal or the left) and then on while the
+// left moves stay ≤ r. A cell ≤ r takes the least of the same sums as in
+// feed, so its bits; every other cell is over r and is written over, which
+// is no greater than its exact value. Cells left of lo and right of the run
+// are over r in this row as in the last, and already hold over.
+func (k *editRowState[E]) feedBand(c []float64, dx, d0 float64) float64 {
+	row, gap, r := k.row, k.p.gap, k.r
+	n := len(row) - 1
+	lo, hi := k.live[0], k.live[1]
+	first, last, floor := n+1, -1, k.over
+	if lo <= hi {
+		diag := row[lo]
+		best := diag + dx
+		if lo == 0 {
+			best = diag + d0
+		}
+		if best <= r {
+			row[lo] = best
+			first, last, floor = lo, lo, best
+		} else {
+			row[lo] = k.over
+		}
+		for j := lo + 1; j <= hi; j++ {
+			best := diag + c[j-1]
+			if v := row[j] + dx; v < best {
+				best = v
+			}
+			if v := row[j-1] + gap[j-1]; v < best {
+				best = v
+			}
+			diag = row[j]
+			if best <= r {
+				row[j] = best
+				if last < 0 {
+					first = j
+				}
+				last = j
+				floor = min(floor, best)
+			} else {
+				row[j] = k.over
+			}
+		}
+		if j := hi + 1; j <= n {
+			best := diag + c[j-1]
+			if v := row[j-1] + gap[j-1]; v < best {
+				best = v
+			}
+			for best <= r {
+				row[j] = best
+				if last < 0 {
+					first = j
+				}
+				last = j
+				floor = min(floor, best)
+				if j++; j > n {
+					break
+				}
+				best = row[j-1] + gap[j-1]
+			}
+		}
+	}
+	k.live, k.floor = [2]int{first, last}, floor
+	return row[n]
+}
+
+// Within bands the state at radius r (Banded). The rewound row is the
+// window's base row; its cells over r are written over.
+func (k *editRowState[E]) Within(r float64) {
+	k.band, k.r, k.over = true, r, math.Nextafter(r, math.Inf(1))
+	first, last, floor := len(k.row), -1, k.over
+	for j, v := range k.row {
+		if v <= r {
+			if last < 0 {
+				first = j
+			}
+			last = j
+			floor = min(floor, v)
+		} else {
+			k.row[j] = k.over
+		}
+	}
+	k.live, k.floor = [2]int{first, last}, floor
+}
+
+// Span is the columns feedBand reads a substitution cost at, lo+1 … hi+1
+// of the row (cost j-1 for cell j), on a banded state; the whole row on
+// another.
+func (k *editRowState[E]) Span() (lo, hi int) {
+	n := len(k.row) - 1
+	if !k.band {
+		return 0, n
+	}
+	if k.live[0] > k.live[1] {
+		return 0, 0
+	}
+	return k.live[0], min(k.live[1]+1, n)
+}
+
 func (k *editRowState[E]) At(j int) float64 { return k.row[j] }
 
 // Floor is the row minimum: every cell of the next row is a cell of this
 // one (or, by induction, of the next) plus a non-negative cost — the
-// argument erpBounded abandons on.
+// argument erpBounded abandons on. A banded state took it as it wrote the
+// row.
 func (k *editRowState[E]) Floor() float64 {
+	if k.band {
+		return k.floor
+	}
 	m := k.row[0]
 	for _, v := range k.row[1:] {
 		if v < m {
@@ -431,7 +599,10 @@ func (k *editRowState[E]) Floor() float64 {
 	return m
 }
 
-func (k *editRowState[E]) Reset() { copy(k.row, k.p.base) }
+func (k *editRowState[E]) Reset() {
+	copy(k.row, k.p.base)
+	k.band = false
+}
 
 func (k *editRowState[E]) Rebind(p Prepared[E]) bool {
 	ep, ok := p.(*editRowPrepared[E])
@@ -443,7 +614,7 @@ func (k *editRowState[E]) Rebind(p Prepared[E]) bool {
 		k.buf = make([]float64, 2*n+1)
 	}
 	k.p, k.row, k.cost = ep, k.buf[:n+1], k.buf[n+1:2*n+1]
-	copy(k.row, ep.base)
+	k.Reset()
 	return true
 }
 
