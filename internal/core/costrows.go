@@ -16,10 +16,11 @@ import (
 // keyed by query position, and each is priced by the first pass that feeds
 // its position and read by every later one.
 //
-// A banded pass (dist.Banded) reads only a span of each row
-// (dist.RowKernel.Span) and asks for that span alone (cols): a row's priced
-// columns are kept as one interval, the hull of the spans asked of it in
-// the binding, so neighbouring passes whose bands overlap share them too.
+// A banded pass (dist.RowKernel.Within) reads only a span of each row
+// (dist.RowKernel.Span) and asks for that span alone (cols), an unbanded one
+// for the whole row (at): a row's priced columns are kept as one interval,
+// the hull of the spans asked of it in the binding, so neighbouring passes
+// whose bands overlap share them too.
 //
 // The rows hold for one binding: bind starts a new one by bumping the
 // epoch, which retires every row the last binding priced without clearing
@@ -36,10 +37,9 @@ type costRows[E any] struct {
 	none  bool
 	q     []E
 	width int
-	// stamp[pos] == epoch marks row pos priced whole for this binding and
-	// epoch+1 priced in part, over columns priced[pos][0] …
-	// priced[pos][1]-1; row pos is buf[pos*width:][:width] and its indel cost
-	// dx[pos]. Epochs are even.
+	// stamp[pos] == epoch marks row pos used in this binding: its indel cost
+	// dx[pos] priced and its columns priced[pos][0] … priced[pos][1]-1 of
+	// buf[pos*width:][:width].
 	epoch  uint32
 	stamp  []uint32
 	dx     []float64
@@ -57,9 +57,9 @@ func (c *costRows[E]) bind(p dist.Prepared[E], q []E) {
 		return
 	}
 	c.q, c.width = q, p.WindowLen()
-	if c.epoch += 2; c.epoch == 0 {
+	if c.epoch++; c.epoch == 0 {
 		clear(c.stamp[:cap(c.stamp)])
-		c.epoch = 2
+		c.epoch = 1
 	}
 	// Stamps past the old length carry epochs from before this binding, or
 	// 0 when freshly allocated: either way, not this one.
@@ -82,17 +82,9 @@ func (c *costRows[E]) reader(k dist.Kernel[E]) dist.RowKernel[E] {
 	return rk
 }
 
-// at returns row pos and its indel cost, pricing them on first use in the
-// binding (again, whole, if a banded pass priced it in part: a scratch's
-// passes are all banded or none are).
-func (c *costRows[E]) at(pos int) ([]float64, float64) {
-	row := c.buf[pos*c.width : (pos+1)*c.width]
-	if c.stamp[pos] != c.epoch {
-		c.dx[pos] = c.cr.CostRow(c.q[pos], row)
-		c.stamp[pos] = c.epoch
-	}
-	return row, c.dx[pos]
-}
+// at returns row pos, priced whole, and its indel cost: an unbanded pass's
+// read.
+func (c *costRows[E]) at(pos int) ([]float64, float64) { return c.cols(pos, 0, c.width) }
 
 // cols returns row pos, priced at least over columns [lo, hi), and its
 // indel cost. What the binding has not priced yet of that, and the indel
@@ -101,29 +93,23 @@ func (c *costRows[E]) at(pos int) ([]float64, float64) {
 func (c *costRows[E]) cols(pos, lo, hi int) ([]float64, float64) {
 	row := c.buf[pos*c.width : (pos+1)*c.width]
 	have := &c.priced[pos]
-	switch c.stamp[pos] {
-	case c.epoch:
-	case c.epoch + 1:
-		switch {
-		case lo >= hi:
-		case have[0] >= have[1]:
-			c.cr.CostSpan(c.q[pos], row, lo, hi)
-			*have = [2]int32{int32(lo), int32(hi)}
-		default:
-			if l := int(have[0]); lo < l {
-				c.cr.CostSpan(c.q[pos], row, lo, l)
-				have[0] = int32(lo)
-			}
-			if h := int(have[1]); hi > h {
-				c.cr.CostSpan(c.q[pos], row, h, hi)
-				have[1] = int32(hi)
-			}
-		}
-	default:
+	if c.stamp[pos] != c.epoch {
 		c.dx[pos] = c.cr.Indel(c.q[pos])
-		c.cr.CostSpan(c.q[pos], row, lo, hi)
-		*have = [2]int32{int32(lo), int32(hi)}
-		c.stamp[pos] = c.epoch + 1
+		*have = [2]int32{}
+		c.stamp[pos] = c.epoch
+	}
+	if lo < hi {
+		if have[0] >= have[1] {
+			*have = [2]int32{int32(lo), int32(lo)}
+		}
+		if l := int(have[0]); lo < l {
+			c.cr.CostSpan(c.q[pos], row, lo, l)
+			have[0] = int32(lo)
+		}
+		if h := int(have[1]); hi > h {
+			c.cr.CostSpan(c.q[pos], row, h, hi)
+			have[1] = int32(hi)
+		}
 	}
 	return row, c.dx[pos]
 }

@@ -186,7 +186,7 @@ func TestCostRowsPriceOncePerBinding(t *testing.T) {
 // values) and bounds the ground calls its banded passes make. A pass that
 // feeds query position pos as its row i reads the substitution costs of
 // the columns from row i−1's first cell within eps to the one after its
-// last (dist.Banded), and stops after the first row with no cell within eps.
+// last (dist.RowKernel.Within), and stops after the first row with no cell within eps.
 // Over one binding, costRows prices per row the hull of the columns the
 // passes reach there and the row's indel cost once, and the binding's
 // window its gap costs: Σ over bindings of cols + Σ over the rows fed of
@@ -295,7 +295,7 @@ func TestCostRowsPriceSpansOnce(t *testing.T) {
 	q := []float64{0.5, 1.5}
 	w := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	var rows costRows[float64]
-	for _, epoch := range []uint32{0, math.MaxUint32 - 1} {
+	for _, epoch := range []uint32{0, math.MaxUint32} {
 		rows.epoch = epoch
 		rows.bind(m.Prepare(w), q)
 		for _, step := range []struct{ lo, hi, calls int }{

@@ -287,8 +287,8 @@ type visitor interface {
 // once and read by each of them (costRows) where the measure's kernel takes
 // cost rows.
 //
-// Where the kernel can be banded (dist.Banded), each pass is banded at the
-// visitor's radius when it starts: a row then computes only the cells that
+// Where the kernel takes cost rows (dist.RowKernel), each pass is banded at
+// the visitor's radius when it starts: a row then computes only the cells that
 // can still be within it, and only the ground costs those cells read are
 // priced. The radius only shrinks during a pass, and every cell within it
 // keeps its exact bits, so the cells read within the radius and the Floor
@@ -309,7 +309,6 @@ func (v *verifier[E]) scan(q seq.Sequence[E], regs []region, passes []pass, sc *
 	perRead := v.m.Prepare == nil
 	bound := pass{seqID: -1}
 	var rk dist.RowKernel[E] // sc.kernel, when it reads sc.rows
-	var bk dist.Banded       // sc.kernel, when it can be banded
 	for _, p := range passes {
 		if int(p.rows) < vis.minQLen() {
 			continue
@@ -321,13 +320,12 @@ func (v *verifier[E]) scan(q seq.Sequence[E], regs []region, passes []pass, sc *
 			sc.kernel = dist.BindKernel(sc.kernel, sc.prep)
 			sc.rows.bind(sc.prep, q)
 			rk = sc.rows.reader(sc.kernel)
-			bk, _ = sc.kernel.(dist.Banded)
 			bound = p
 		} else {
 			sc.kernel.Reset()
 		}
-		if bk != nil {
-			bk.Within(vis.radius())
+		if rk != nil {
+			rk.Within(vis.radius())
 		}
 		k := sc.kernel
 		members := sc.members[p.lo:p.hi]

@@ -140,7 +140,7 @@ func BenchmarkERPPassRows(b *testing.B) {
 	rows, dx := make([][]float64, len(q)), make([]float64, len(q))
 	for i, x := range q {
 		rows[i] = make([]float64, len(w))
-		dx[i] = cr.CostRow(x, rows[i])
+		dx[i] = costRow(cr, x, rows[i])
 	}
 	k := p.NewState().(RowKernel[seq.Point2])
 	for b.Loop() {
@@ -155,7 +155,7 @@ func BenchmarkERPPassRows(b *testing.B) {
 // against a 60-point window of the trajectory they were cut from, each row's
 // costs priced as it is fed, as the first pass over a binding prices them,
 // and the pass abandoned once Floor exceeds ε = 2. Unbanded, every row prices
-// and computes all 60 columns; banded at ε (Banded), only the columns that
+// and computes all 60 columns; banded at ε (RowKernel.Within), only the columns that
 // can still be within ε. ns/op is one pass.
 //
 //	go test -run '^$' -bench ERPPassBanded ./internal/dist
@@ -186,7 +186,7 @@ func BenchmarkERPPassBanded(b *testing.B) {
 			for b.Loop() {
 				k.Reset()
 				if banded {
-					k.(Banded).Within(eps)
+					k.Within(eps)
 				}
 				for _, x := range q {
 					lo, hi := k.Span()

@@ -49,8 +49,8 @@ func sameBand[E any](t *testing.T, what string, p Prepared[E], ref, k Kernel[E],
 	cr := p.(CostRower[E])
 	ref.Reset()
 	k.Reset()
-	k.(Banded).Within(r)
 	rk := k.(RowKernel[E])
+	rk.Within(r)
 	row := make([]float64, n)
 	fail := func(i int, format string, args ...any) {
 		t.Helper()
@@ -187,7 +187,7 @@ func checkBand[E any](t *testing.T, m Measure[E], gen func(*rand.Rand, int) []E,
 	}
 }
 
-// A banded pass (Banded), which the verifier runs at its radius, reads
+// A banded pass (RowKernel.Within), which the verifier runs at its radius, reads
 // every cell within the radius by its bits and decides every Floor test
 // under it as the unbanded pass, on every edit-row measure in the catalog.
 func TestBandMatchesUnbanded(t *testing.T) {
@@ -229,7 +229,7 @@ func TestBandEndsAtResetAndRebind(t *testing.T) {
 	p := m.Prepare(w)
 	k := p.NewState()
 	band := func() {
-		k.(Banded).Within(0.5)
+		k.(RowKernel[seq.Point2]).Within(0.5)
 		k.Feed(q[0])
 		if k.At(p.WindowLen()) <= 0.5 {
 			t.Fatalf("vacuous: the banded pass has its last cell within its radius")

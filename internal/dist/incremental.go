@@ -52,7 +52,7 @@ import "math"
 // kernel has none to offer): once it exceeds a radius, no longer prefix
 // can come back under it and the pass can stop.
 //
-// On a state banded at a radius (Banded), At and Floor are exact when ≤ the
+// On a state banded at a radius (RowKernel.Within), At and Floor are exact when ≤ the
 // radius; a value over it is only known to be over it, and no greater than
 // the exact one.
 //
@@ -88,51 +88,47 @@ type FreeStartKernel[E any] interface {
 }
 
 // CostRower is optionally implemented by a Prepared whose kernels price a
-// fed element by one row of ground costs against the window: CostRow writes
+// fed element by one row of ground costs against the window: CostSpan writes
 // row[j] = sub(x, w[j]), the cost of substituting x for window element j,
-// for every 0 ≤ j < len(w), and returns dx, the cost of dropping x. A caller
-// that feeds one element to several passes over the same window — the
+// for every lo ≤ j < hi, and Indel returns dx, the cost of dropping x. A
+// caller that feeds one element to several passes over the same window — the
 // filter's free-start and exact passes over a node, the verifier's passes
 // from neighbouring query starts — prices the row once and hands it to
-// every pass through RowKernel. CostSpan writes only row[lo:hi] of what
-// CostRow writes and Indel returns dx alone, for a caller that prices a row
-// piecewise, as a banded pass reads it (RowKernel.Span).
+// every pass through RowKernel; a banded pass reads only a span of it
+// (RowKernel.Span), which may be priced alone.
 type CostRower[E any] interface {
-	CostRow(x E, row []float64) (dx float64)
 	CostSpan(x E, row []float64, lo, hi int)
 	Indel(x E) (dx float64)
 }
 
 // RowKernel is optionally implemented by kernel states minted from a
-// CostRower: they take a fed element as its priced row. With c and dx what
-// CostRow(x, c) wrote and returned for the state's window, FeedRow(c, dx) is
-// Feed(x) and FeedFreeRow(c, dx) is FeedFree(x), bit for bit: the same
-// costs enter the same additions and comparisons in the same order.
+// CostRower: they take a fed element as its priced row. With c what
+// CostSpan(x, c, 0, len(w)) wrote and dx what Indel(x) returned for the
+// state's window, FeedRow(c, dx) is Feed(x) and FeedFreeRow(c, dx) is
+// FeedFree(x), bit for bit: the same costs enter the same additions and
+// comparisons in the same order.
+//
+// Their costs are never negative, so a cell is never less than the cell it
+// extends, and a cell can be within a radius only if a neighbour it extends
+// is (Ukkonen 1985). Within(r), called on a state rewound to the empty
+// prefix, bands the pass at radius r until the next Reset or Rebind: a row
+// then computes only the cells that can still be ≤ r, from the previous
+// row's first cell ≤ r to its last one, then on to the right while the row
+// stays ≤ r. Meanwhile every cell ≤ r keeps its exact bits, every other
+// cell reads as a value over r and no greater than its exact one, and Floor
+// is the row's least cell when that is ≤ r and over r when it is not. So
+// for every radius r' ≤ r, which cells At reads as ≤ r' and whether Floor
+// exceeds r' are decided as on an unbanded pass.
 //
 // Span reports the columns of c the next FeedRow or FeedFreeRow reads:
-// c[lo:hi], all of the row unless the state is banded (Banded). Entries
-// outside it may hold anything.
+// c[lo:hi], all of the row unless the state is banded. Entries outside it
+// may hold anything.
 type RowKernel[E any] interface {
 	FreeStartKernel[E]
 	FeedRow(c []float64, dx float64) float64
 	FeedFreeRow(c []float64, dx float64) float64
-	Span() (lo, hi int)
-}
-
-// Banded is optionally implemented by kernel states whose costs are never
-// negative, so that a cell is never less than the cell it extends: a cell
-// can be within a radius only if a neighbour it extends is (Ukkonen 1985).
-// Within(r), called on a state rewound to the empty prefix, bands the pass
-// at radius r until the next Reset or Rebind: a row then computes only the
-// cells that can still be ≤ r, from the previous row's first cell ≤ r to
-// its last one, then on to the right while the row stays ≤ r. Meanwhile
-// every cell ≤ r keeps its exact bits, every other cell reads as a value
-// over r and no greater than its exact one, and Floor is the row's least
-// cell when that is ≤ r and over r when it is not. So for every radius
-// r' ≤ r, which cells At reads as ≤ r' and whether Floor exceeds r' are
-// decided as on an unbanded pass.
-type Banded interface {
 	Within(r float64)
+	Span() (lo, hi int)
 }
 
 // Packer is the optional packed form of a kernel's free-start mode
@@ -385,13 +381,8 @@ func (p *editRowPrepared[E]) Reprepare(w []E) bool {
 
 func (p *editRowPrepared[E]) WindowLen() int { return len(p.w) }
 
-// CostRow prices x against every window element, as an unbanded Feed of x
-// does.
-func (p *editRowPrepared[E]) CostRow(x E, row []float64) float64 {
-	p.CostSpan(x, row, 0, len(p.w))
-	return p.indel(x)
-}
-
+// CostSpan prices x against window elements lo … hi-1, as an unbanded Feed
+// of x prices it against all of them.
 func (p *editRowPrepared[E]) CostSpan(x E, row []float64, lo, hi int) {
 	w := p.w[lo:hi]
 	row = row[lo:][:len(w)]
@@ -547,7 +538,7 @@ func (k *editRowState[E]) feedBand(c []float64, dx, d0 float64) float64 {
 	return row[n]
 }
 
-// Within bands the state at radius r (Banded). The rewound row is the
+// Within bands the state at radius r (RowKernel). The rewound row is the
 // window's base row; its cells over r are written over.
 func (k *editRowState[E]) Within(r float64) {
 	k.band, k.r, k.over = true, r, math.Nextafter(r, math.Inf(1))

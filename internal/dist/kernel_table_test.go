@@ -470,6 +470,13 @@ func freeStartLowerBound[E any](t *testing.T, m Measure[E], q, w []E, lo int) {
 	}
 }
 
+// costRow prices x's whole row into row and returns its indel cost, as an
+// unbanded Feed of x prices them.
+func costRow[E any](cr CostRower[E], x E, row []float64) float64 {
+	cr.CostSpan(x, row, 0, len(row))
+	return cr.Indel(x)
+}
+
 // sameRowFeeds rewinds ref and k, both bound to the window cr prices, and
 // feeds q to ref through Feed (FeedFree when free) and to k through FeedRow
 // (FeedFreeRow) on the rows cr prices, holding every result, every At(j) and
@@ -482,9 +489,9 @@ func sameRowFeeds[E any](t *testing.T, what string, cr CostRower[E], ref, k RowK
 	for i, x := range q {
 		var got, want float64
 		if free {
-			got, want = k.FeedFreeRow(row, cr.CostRow(x, row)), ref.FeedFree(x)
+			got, want = k.FeedFreeRow(row, costRow(cr, x, row)), ref.FeedFree(x)
 		} else {
-			got, want = k.FeedRow(row, cr.CostRow(x, row)), ref.Feed(x)
+			got, want = k.FeedRow(row, costRow(cr, x, row)), ref.Feed(x)
 		}
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s (|w|=%d, free %v): row feed %d = %v, plain feed %v", what, n, free, i+1, got, want)
