@@ -52,9 +52,9 @@ import "math"
 // kernel has none to offer): once it exceeds a radius, no longer prefix
 // can come back under it and the pass can stop.
 //
-// On a state banded at a radius (RowKernel.Within), At and Floor are exact when ≤ the
-// radius; a value over it is only known to be over it, and no greater than
-// the exact one.
+// On a state banded at a radius (RowKernel.Within), At and Floor are exact
+// when ≤ the radius; a value over it is only known to be over it, and no
+// greater than the exact one.
 //
 // A Kernel is single-threaded state: use one kernel per goroutine.
 type Kernel[E any] interface {
