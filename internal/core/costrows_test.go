@@ -86,7 +86,7 @@ func TestCostRowsPriceOncePerBinding(t *testing.T) {
 				win[y] = i
 			}
 		}
-		var matches, refed, banded int
+		var matches, refed, banded, skipped int
 		for qi, q := range qs {
 			mt.FindAll(q, eps) // builds the windows' tables the query touches
 
@@ -111,9 +111,10 @@ func TestCostRowsPriceOncePerBinding(t *testing.T) {
 			}
 			filterCalls := g.calls
 
-			// The verifier's bindings are its scan's: a pass keeps the last
-			// one when it starts at the same database position and is no
-			// wider. Over each, the rows fed are the union of its passes'.
+			// The verifier's bindings are its scan's: a start group binds
+			// its widest window, or keeps the last binding when that starts
+			// at the same database position and is no narrower. Over each,
+			// the rows fed are the union of its passes' and its pre-pass's.
 			g.pairs = nil
 			g.calls = 0
 			got := mt.FindAll(q, eps)
@@ -129,33 +130,41 @@ func TestCostRowsPriceOncePerBinding(t *testing.T) {
 				verifyBound += (len(fed) + 1) * (int(bound.cols) + 1)
 				clear(fed)
 			}
-			for _, ps := range mt.verifier.passes(vsc.regs, vsc) {
-				if bound.seqID != ps.seqID || bound.xs != ps.xs || bound.cols < ps.cols {
+			for _, group := range startGroups(mt.verifier.passes(vsc.regs, vsc)) {
+				if gb := groupBinding(group); bound.seqID != gb.seqID || bound.xs != gb.xs || bound.cols < gb.cols {
 					if bound.seqID >= 0 {
 						flush()
 					}
-					bound = ps
+					bound = gb
 				}
-				for i := range int(ps.rows) {
-					if fed[int(ps.qs)+i] {
-						refed++
+				if lo, hi := groupStretch(group); len(group) > 1 {
+					for pos := lo; pos < hi; pos++ {
+						fed[pos] = true
 					}
-					fed[int(ps.qs)+i] = true
+				}
+				for _, ps := range group {
+					for i := range int(ps.rows) {
+						if fed[int(ps.qs)+i] {
+							refed++
+						}
+						fed[int(ps.qs)+i] = true
+					}
 				}
 			}
 			if bound.seqID >= 0 {
 				flush()
 			}
-			bandBound := verifierBandBound(mt.verifier, vsc, q, eps)
+			bandBound, skips := verifierBandBound(mt.verifier, vsc, q, eps)
 			mt.verifier.putScratch(vsc)
 			if verifyCalls > verifyBound {
 				t.Fatalf("%v query %d: the verifier made %d ground calls, over Σ (rows fed + 1) × (window length + 1) = %d",
 					index, qi, verifyCalls, verifyBound)
 			}
-			if verifyCalls > bandBound {
-				t.Fatalf("%v query %d: the verifier made %d ground calls, over Σ (columns its bands reach + rows fed + window length) = %d",
+			if verifyCalls != bandBound {
+				t.Fatalf("%v query %d: the verifier made %d ground calls, not Σ (columns its bands reach + rows fed + window length) = %d",
 					index, qi, verifyCalls, bandBound)
 			}
+			skipped += skips
 			if bandBound < verifyBound {
 				banded++
 			}
@@ -178,22 +187,65 @@ func TestCostRowsPriceOncePerBinding(t *testing.T) {
 		if banded == 0 {
 			t.Fatalf("%v: vacuous (the bands' bound is under the unbanded one on no query)", index)
 		}
+		if skipped == 0 {
+			t.Fatalf("%v: vacuous (no start group's pre-pass ruled its passes out)", index)
+		}
 	}
 }
 
-// verifierBandBound replays the Type I verifier's passes over sc.regs at
+// startGroups cuts passes into the verifier's start groups: runs of
+// neighbours over one database start.
+func startGroups(passes []pass) [][]pass {
+	var out [][]pass
+	for len(passes) > 0 {
+		n := 1
+		for n < len(passes) && passes[n].seqID == passes[0].seqID && passes[n].xs == passes[0].xs {
+			n++
+		}
+		out, passes = append(out, passes[:n]), passes[n:]
+	}
+	return out
+}
+
+// groupBinding is the binding a start group asks for: its database start
+// and its widest window.
+func groupBinding(group []pass) pass {
+	b := pass{seqID: group[0].seqID, xs: group[0].xs}
+	for _, ps := range group {
+		b.cols = max(b.cols, ps.cols)
+	}
+	return b
+}
+
+// groupStretch is the query stretch [lo, hi) a start group's pre-pass feeds:
+// from its least query start to the last row any of its passes feeds.
+func groupStretch(group []pass) (lo, hi int) {
+	lo = math.MaxInt
+	for _, ps := range group {
+		lo, hi = min(lo, int(ps.qs)), max(hi, int(ps.qs+ps.rows))
+	}
+	return lo, hi
+}
+
+// verifierBandBound replays the Type I verifier's schedule over sc.regs at
 // radius eps on exact ERP tables (dist.AbsDiff, the counting ground's
-// values) and bounds the ground calls its banded passes make. A pass that
-// feeds query position pos as its row i reads the substitution costs of
-// the columns from row i−1's first cell within eps to the one after its
-// last (dist.RowKernel.Within), and stops after the first row with no cell within eps.
-// Over one binding, costRows prices per row the hull of the columns the
-// passes reach there and the row's indel cost once, and the binding's
-// window its gap costs: Σ over bindings of cols + Σ over the rows fed of
-// (hull + 1).
-func verifierBandBound(v *verifier[float64], sc *verifyScratch[float64], q []float64, eps float64) int {
+// values) and counts the ground calls its banded passes and pre-passes
+// make; it also returns how many start groups their pre-pass ruled out. A
+// pass that feeds query position pos as its row i reads the substitution
+// costs of the columns from row i−1's first cell within eps to the one
+// after its last (dist.RowKernel.Within), and stops after the first row
+// with no cell within eps. A group of two or more passes first runs its
+// pre-pass over groupStretch, fed through FeedFree up to its largest query
+// start and through Feed after, and read as the passes read: it stops at
+// the first cell within eps that some pass of the group would read — the
+// group's passes then run — or once its Floor is over eps or its rows run
+// out, and the group is skipped. Over one binding, costRows prices per row
+// the hull of the columns the passes reach there and the row's indel cost
+// once, and the binding's window its gap costs: Σ over bindings of cols +
+// Σ over the rows fed of (hull + 1).
+func verifierBandBound(v *verifier[float64], sc *verifyScratch[float64], q []float64, eps float64) (total, skipped int) {
+	lam, lam0 := v.p.Lambda, v.p.Lambda0
 	exact := dist.ERPMeasure(dist.AbsDiff, 0)
-	total := 0
 	bound := pass{seqID: -1}
 	reach := map[int][2]int{} // query position → hull of the columns reached
 	flush := func() {
@@ -203,45 +255,80 @@ func verifierBandBound(v *verifier[float64], sc *verifyScratch[float64], q []flo
 		}
 		clear(reach)
 	}
-	var k dist.Kernel[float64]
-	for _, ps := range v.passes(sc.regs, sc) {
-		if bound.seqID != ps.seqID || bound.xs != ps.xs || bound.cols < ps.cols {
+	var k dist.FreeStartKernel[float64]
+	// feed records the columns the banded row that feeds pos reads, from
+	// the cells within eps of the row before, and feeds pos to k.
+	feed := func(pos int, free bool) {
+		n := int(bound.cols)
+		lo, hi := n+1, -1
+		for j := 0; j <= n; j++ {
+			if k.At(j) <= eps {
+				lo, hi = min(lo, j), j
+			}
+		}
+		h, seen := reach[pos]
+		if span := [2]int{lo, min(hi+1, n)}; span[0] < span[1] {
+			if !seen || h[0] == h[1] {
+				h = span
+			} else {
+				h = [2]int{min(h[0], span[0]), max(h[1], span[1])}
+			}
+		}
+		reach[pos] = h
+		if free {
+			k.FeedFree(q[pos])
+		} else {
+			k.Feed(q[pos])
+		}
+	}
+	for _, group := range startGroups(v.passes(sc.regs, sc)) {
+		if gb := groupBinding(group); bound.seqID != gb.seqID || bound.xs != gb.xs || bound.cols < gb.cols {
 			if bound.seqID >= 0 {
 				flush()
 			}
-			bound = ps
-			k = exact.NewKernel(v.db[ps.seqID][ps.xs : ps.xs+ps.cols])
-		} else {
-			k.Reset()
+			bound = gb
+			k = dist.BindFreeStart(k, exact.Prepare(v.db[gb.seqID][gb.xs:gb.xs+gb.cols]))
 		}
-		n := int(bound.cols)
-		for i := 1; i <= int(ps.rows); i++ {
-			lo, hi := n+1, -1
-			for j := 0; j <= n; j++ {
-				if k.At(j) <= eps {
-					lo, hi = min(lo, j), j
+		if len(group) > 1 {
+			lo, hi := groupStretch(group)
+			qsHi := int(group[len(group)-1].qs) // passes lists a group by qs
+			live := false
+			k.Reset()
+			for pos := lo; pos < hi && !live; pos++ {
+				feed(pos, pos < qsHi)
+				qe := pos + 1
+				for _, ps := range group {
+					i := qe - int(ps.qs)
+					if i < lam || i > int(ps.rows) {
+						continue
+					}
+					for j := max(i-lam0, lam); j <= min(i+lam0, int(ps.cols)) && !live; j++ {
+						live = k.At(j) <= eps && anyHolds(sc.regs, sc.members[ps.lo:ps.hi], qe, int(ps.xs)+j)
+					}
+				}
+				if !live && k.Floor() > eps {
+					break
 				}
 			}
-			pos := int(ps.qs) + i - 1
-			h, seen := reach[pos]
-			if span := [2]int{lo, min(hi+1, n)}; span[0] < span[1] {
-				if !seen || h[0] == h[1] {
-					h = span
-				} else {
-					h = [2]int{min(h[0], span[0]), max(h[1], span[1])}
-				}
+			if !live {
+				skipped++
+				continue
 			}
-			reach[pos] = h
-			k.Feed(q[pos])
-			if k.Floor() > eps {
-				break
+		}
+		for _, ps := range group {
+			k.Reset()
+			for i := 1; i <= int(ps.rows); i++ {
+				feed(int(ps.qs)+i-1, false)
+				if k.Floor() > eps {
+					break
+				}
 			}
 		}
 	}
 	if bound.seqID >= 0 {
 		flush()
 	}
-	return total
+	return total, skipped
 }
 
 // A binding's rows are priced once and read back; the next binding prices

@@ -21,8 +21,10 @@
 //  4. surviving segment↔window pairs (Hits) seed candidate regions;
 //  5. the candidates in those regions are verified (verify.go): one
 //     incremental-kernel pass per distinct (query start, database start)
-//     pair prices every candidate end of that pair, and the query type's
-//     visitor collects or maximises the reported Matches.
+//     pair prices every candidate end of that pair, one free-start pass
+//     over the query starts of a database start skips them all when it
+//     leaves no candidate within the radius, and the query type's visitor
+//     collects or maximises the reported Matches.
 //
 // Construction-time validation (validateMeasure) rejects unsound
 // configurations instead of returning silently wrong answers: the filter

@@ -248,8 +248,12 @@ func (mt *Matcher[E]) BatchQueries() int64 { return mt.batchQueries.Load() }
 // per (query start, database start) pair the verifier ran a kernel pass
 // for — a pass costs one DP over that pair's longest candidate and prices
 // every candidate end on the way, the convention FilterDistanceCalls uses
-// for kernel passes. A measure without an incremental kernel (Prepare nil)
-// is counted per Fn call instead, one per distinct candidate.
+// for kernel passes. A group of two or more passes over one database start
+// first runs one free-start pre-pass over their query starts, which counts
+// one as the filter's pre-pass does, and the group's passes run, and count,
+// only if it leaves one of their candidates within the radius. A measure
+// without an incremental kernel (Prepare nil) is counted per Fn call
+// instead, one per distinct candidate.
 func (mt *Matcher[E]) VerifyDistanceCalls() int64 { return mt.verifyCalls.Load() }
 
 // FilterHits runs the online filtering steps (3–4): it extracts every

@@ -13,52 +13,47 @@ import (
 )
 
 // VerifyDistanceCalls counts one evaluation per pass — a pass is one DP over
-// its start pair's longest candidate, however many ends it prices — and,
-// for a measure without an incremental kernel, one per Fn call the adapter
-// kernel makes, which is one per distinct candidate: no call the per-pair
-// enumeration did not make.
+// its start pair's longest candidate, however many ends it prices — and one
+// per start group's free-start pre-pass, run for a group of two or more
+// passes on one database start, whose passes run only if it leaves them a
+// cell within the radius; both are replayed from the candidates with Fn
+// (replayGroups). For a measure without an incremental kernel it counts one
+// per Fn call the adapter kernel makes, which is one per distinct
+// candidate: no call the per-pair enumeration did not make.
 func TestVerifyDistanceCallsCountsPasses(t *testing.T) {
 	p := Params{Lambda: 6, Lambda0: 1}
 	rng := rand.New(rand.NewPCG(4, 1100))
 	db, q := randStrings(rng, 3, 60, 20, 8, false)
 	const eps = 1
 
-	// distinct counts the start pairs and the candidates of the hits'
-	// regions: the (qs, qe, xs, xe) of a region's box with both lengths at
-	// least λ and at most λ0 apart.
-	distinct := func(v *verifier[byte], hits []Hit[byte]) (starts, pairs int) {
-		seenStart, seenPair := map[[3]int]bool{}, map[[5]int]bool{}
+	// candidates lists the candidates of the hits' regions: the (qs, qe,
+	// xs, xe) of a region's box with both lengths at least λ and at most λ0
+	// apart.
+	candidates := func(v *verifier[byte], hits []Hit[byte]) []candidate {
+		var regs []region
 		for _, h := range hits {
-			r := v.hitRegion(q, h)
-			for qs := r.qsMin; qs <= r.qsMax; qs++ {
-				for qe := r.qeMin; qe <= r.qeMax; qe++ {
-					for xs := r.xsMin; xs <= r.xsMax; xs++ {
-						for xe := r.xeMin; xe <= r.xeMax; xe++ {
-							if ql, xl := qe-qs, xe-xs; ql >= p.Lambda && xl >= p.Lambda && max(ql-xl, xl-ql) <= p.Lambda0 {
-								seenStart[[3]int{r.seqID, qs, xs}] = true
-								seenPair[[5]int{r.seqID, qs, qe, xs, xe}] = true
-							}
-						}
-					}
-				}
-			}
+			regs = append(regs, v.hitRegion(q, h))
 		}
-		return len(seenStart), len(seenPair)
+		return boxCandidates(p, regs)
 	}
 
-	mt, err := NewMatcher(dist.LevenshteinMeasure[byte](), Config{Params: p}, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits := mt.FilterHits(q, eps)
-	starts, pairs := distinct(mt.verifier, hits)
-	if starts == 0 || starts == pairs {
-		t.Fatalf("degenerate case: %d start pairs over %d candidates", starts, pairs)
-	}
-	var c cost
-	mt.verifier.verifyAll(q, hits, eps, &c)
-	if got := c.verify; got != int64(starts) {
-		t.Errorf("kernel measure: verifyAll counted %d, want one per pass = %d (candidates: %d)", got, starts, pairs)
+	for _, m := range []dist.Measure[byte]{dist.LevenshteinMeasure[byte](), dist.LevenshteinFastMeasure()} {
+		mt, err := NewMatcher(m, Config{Params: p}, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits := mt.FilterHits(q, eps)
+		cands := candidates(mt.verifier, hits)
+		g := replayGroups(m, db, q, cands, eps, true)
+		if g.skipped == 0 || g.ran == 0 || g.passes == len(cands) {
+			t.Fatalf("%s: degenerate case: %+v over %d candidates", m.Name, g, len(cands))
+		}
+		var c cost
+		mt.verifier.verifyAll(q, hits, eps, &c)
+		if want := int64(g.passes + g.prePasses); c.verify != want {
+			t.Errorf("%s: verifyAll counted %d, want %d passes + %d pre-passes = %d (groups skipped %d, run %d; candidates %d)",
+				m.Name, c.verify, g.passes, g.prePasses, want, g.skipped, g.ran, len(cands))
+		}
 	}
 
 	var fnCalls atomic.Int64
@@ -68,13 +63,13 @@ func TestVerifyDistanceCallsCountsPasses(t *testing.T) {
 		Fn:    func(a, b []byte) float64 { fnCalls.Add(1); return lev(a, b) },
 		Props: dist.Properties{Consistent: true, Metric: true},
 	}
-	mt, err = NewMatcher(plain, Config{Params: p}, db)
+	mt, err := NewMatcher(plain, Config{Params: p}, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits = mt.FilterHits(q, eps)
-	_, pairs = distinct(mt.verifier, hits)
-	c = cost{}
+	hits := mt.FilterHits(q, eps)
+	pairs := len(candidates(mt.verifier, hits))
+	var c cost
 	fnBefore := fnCalls.Load()
 	mt.verifier.verifyAll(q, hits, eps, &c)
 	got, fn := c.verify, fnCalls.Load()-fnBefore

@@ -274,92 +274,191 @@ type visitor interface {
 }
 
 // scan prices the candidates of every pass and offers those within the
-// visitor's radius. Per pass it binds one kernel to the database side
-// x[xs:xs+cols] — or keeps the previous binding when that already starts at
-// xs and is at least as long, a longer window changing no cell — feeds the
-// query side q[qs:] element by element, and after row i reads the cells
-// j ∈ [i−λ0, i+λ0] that lie in a member region. A cell inside the pass's
-// rows × cols box but in no member region is not a candidate: the box is
-// the union's bounding box, the candidate set the union itself.
+// visitor's radius. It walks the passes a group at a time: a group is a run
+// of neighbouring passes over one database start (seqID, xs), which passes
+// lists together. Per group it binds one kernel to the database side
+// x[xs:xs+cols], cols the group's widest — or keeps the previous binding
+// when that already starts at xs and is at least as wide, a longer window
+// changing no cell. Per pass it feeds the query side q[qs:] element by
+// element, and after row i reads the cells j ∈ [i−λ0, i+λ0] that lie in a
+// member region. A cell inside the pass's rows × cols box but in no member
+// region is not a candidate: the box is the union's bounding box, the
+// candidate set the union itself.
+//
+// A group of two or more passes on a kernel with a free-start mode first
+// runs one free-start pass over its query stretch (groupLive), whose every
+// cell is the least of that cell over the group's query starts. When no
+// cell a pass of the group would read is within the radius there, none is
+// in any of its passes, and the group is skipped unrun.
 //
 // Passes that keep a binding feed overlapping stretches of q, so the
 // substitution costs of each query row against the bound window are priced
 // once and read by each of them (costRows) where the measure's kernel takes
 // cost rows.
 //
-// Where the kernel takes cost rows (dist.RowKernel), each pass is banded at
-// the visitor's radius when it starts: a row then computes only the cells that
-// can still be within it, and only the ground costs those cells read are
-// priced. The radius only shrinks during a pass, and every cell within it
-// keeps its exact bits, so the cells read within the radius and the Floor
-// decisions are those of an unbanded pass.
+// Where the kernel takes cost rows (dist.RowKernel), each pass and pre-pass
+// is banded at the visitor's radius when it starts: a row then computes only
+// the cells that can still be within it, and only the ground costs those
+// cells read are priced. The radius only shrinks during a pass, and every
+// cell within it keeps its exact bits, so the cells read within the radius
+// and the Floor decisions are those of an unbanded pass.
 //
 // The answer never depends on pass order or on where a pass is abandoned:
 // a pass stops early only when the kernel's Floor strictly exceeds the
 // radius, which no later cell can then be within.
 //
-// The passes are priced into c.verify: one evaluation per pass (a pass
-// costs one DP over its longest candidate, the convention the filter's
-// kernel passes are counted by), or, for a measure without an incremental
-// kernel, one per Fn call its passes make.
+// The passes are priced into c.verify: one evaluation per pass and per
+// pre-pass (a pass costs one DP over its longest candidate, the convention
+// the filter's kernel passes and its own pre-pass are counted by), or, for
+// a measure without an incremental kernel, one per Fn call its passes make.
 func (v *verifier[E]) scan(q seq.Sequence[E], regs []region, passes []pass, sc *verifyScratch[E], vis visitor, c *cost) {
-	lam, lam0 := v.p.Lambda, v.p.Lambda0
-	// A kernel pass is one DP however many cells are read; the Fn adapter
-	// (no Prepare) makes one Fn call per cell read instead.
-	perRead := v.m.Prepare == nil
 	bound := pass{seqID: -1}
 	var rk dist.RowKernel[E] // sc.kernel, when it reads sc.rows
-	for _, p := range passes {
-		if int(p.rows) < vis.minQLen() {
+	for len(passes) > 0 {
+		n, cols, runs := 0, int32(0), 0
+		for ; n < len(passes) && passes[n].seqID == passes[0].seqID && passes[n].xs == passes[0].xs; n++ {
+			cols = max(cols, passes[n].cols)
+			if int(passes[n].rows) >= vis.minQLen() {
+				runs++
+			}
+		}
+		group := passes[:n]
+		passes = passes[n:]
+		if runs == 0 {
 			continue
 		}
-		qs, xs := int(p.qs), int(p.xs)
-		x := v.db[p.seqID]
-		if bound.seqID != p.seqID || bound.xs != p.xs || bound.cols < p.cols {
-			sc.prep = v.m.Reprepare(sc.prep, x[xs:xs+int(p.cols)])
+		if bound.seqID != group[0].seqID || bound.xs != group[0].xs || bound.cols < cols {
+			x := v.db[group[0].seqID]
+			sc.prep = v.m.Reprepare(sc.prep, x[group[0].xs:][:cols])
 			sc.kernel = dist.BindKernel(sc.kernel, sc.prep)
 			sc.rows.bind(sc.prep, q)
 			rk = sc.rows.reader(sc.kernel)
-			bound = p
-		} else {
-			sc.kernel.Reset()
+			bound = pass{seqID: group[0].seqID, xs: group[0].xs, cols: cols}
 		}
-		if rk != nil {
-			rk.Within(vis.radius())
-		}
-		k := sc.kernel
-		members := sc.members[p.lo:p.hi]
-		reads := int64(0)
-		for i := 1; i <= int(p.rows); i++ {
-			if rk != nil {
-				lo, hi := rk.Span()
-				rk.FeedRow(sc.rows.cols(qs+i-1, lo, hi))
-			} else {
-				k.Feed(q[qs+i-1])
-			}
-			if i >= lam && i >= vis.minQLen() {
-				qe := qs + i
-				for j := max(i-lam0, lam); j <= min(i+lam0, int(p.cols)); j++ {
-					xe := xs + j
-					if !anyHolds(regs, members, qe, xe) {
-						continue
-					}
-					reads++
-					if d := k.At(j); d <= vis.radius() {
-						vis.visit(Match{SeqID: int(p.seqID), QStart: qs, QEnd: qe, XStart: xs, XEnd: xe, Dist: d})
-					}
-				}
-			}
-			if k.Floor() > vis.radius() {
-				break
-			}
-		}
-		if perRead {
-			c.verify += reads
-		} else {
+		if fs, ok := sc.kernel.(dist.FreeStartKernel[E]); ok && runs > 1 {
 			c.verify++
+			if !v.groupLive(q, regs, group, sc, fs, rk, vis) {
+				continue
+			}
+		}
+		for _, p := range group {
+			if int(p.rows) >= vis.minQLen() {
+				v.runPass(q, regs, p, sc, rk, vis, c)
+			}
 		}
 	}
+}
+
+// runPass runs pass p on sc.kernel, bound to a window from p's database
+// start at least p.cols wide, and offers the visitor the candidates it
+// prices within the radius.
+func (v *verifier[E]) runPass(q seq.Sequence[E], regs []region, p pass, sc *verifyScratch[E], rk dist.RowKernel[E], vis visitor, c *cost) {
+	lam, lam0 := v.p.Lambda, v.p.Lambda0
+	qs, xs := int(p.qs), int(p.xs)
+	k := sc.kernel
+	k.Reset()
+	if rk != nil {
+		rk.Within(vis.radius())
+	}
+	members := sc.members[p.lo:p.hi]
+	reads := int64(0)
+	for i := 1; i <= int(p.rows); i++ {
+		if rk != nil {
+			lo, hi := rk.Span()
+			rk.FeedRow(sc.rows.cols(qs+i-1, lo, hi))
+		} else {
+			k.Feed(q[qs+i-1])
+		}
+		if i >= lam && i >= vis.minQLen() {
+			qe := qs + i
+			for j := max(i-lam0, lam); j <= min(i+lam0, int(p.cols)); j++ {
+				xe := xs + j
+				if !anyHolds(regs, members, qe, xe) {
+					continue
+				}
+				reads++
+				if d := k.At(j); d <= vis.radius() {
+					vis.visit(Match{SeqID: int(p.seqID), QStart: qs, QEnd: qe, XStart: xs, XEnd: xe, Dist: d})
+				}
+			}
+		}
+		if k.Floor() > vis.radius() {
+			break
+		}
+	}
+	// A kernel pass is one DP however many cells are read; the Fn adapter
+	// (no Prepare) makes one Fn call per cell read instead.
+	if v.m.Prepare == nil {
+		c.verify += reads
+	} else {
+		c.verify++
+	}
+}
+
+// groupLive runs the free-start pre-pass of a group of passes over one
+// database start and reports whether some pass of the group can read a cell
+// within the radius. It feeds q[qsLo:end] to fs, qsLo and qsHi the least
+// and largest query start of the passes the visitor still runs and end the
+// last row any of them feeds, through FeedFree up to qsHi and through Feed
+// after: row qe−qsLo, cell j then holds the least δ(q[s:qe], x[xs:xs+j])
+// over the starts qsLo ≤ s ≤ min(qe, qsHi) (dist.FreeStartKernel), at most
+// the cell of every pass. It stops at the first such cell within the radius
+// that a pass would read — by the same row, column, member and minQLen tests
+// the pass applies — and reports false when there is none: when the rows
+// run out, or once Floor is over the radius past qsHi.
+func (v *verifier[E]) groupLive(q seq.Sequence[E], regs []region, group []pass, sc *verifyScratch[E], fs dist.FreeStartKernel[E], rk dist.RowKernel[E], vis visitor) bool {
+	lam, lam0 := v.p.Lambda, v.p.Lambda0
+	r, minQ := vis.radius(), vis.minQLen()
+	xs, cols := int(group[0].xs), 0
+	qsLo, qsHi, end := math.MaxInt, 0, 0
+	for _, p := range group {
+		cols = max(cols, int(p.cols))
+		if int(p.rows) >= minQ {
+			qsLo, qsHi, end = min(qsLo, int(p.qs)), max(qsHi, int(p.qs)), max(end, int(p.qs+p.rows))
+		}
+	}
+	fs.Reset()
+	if rk != nil {
+		rk.Within(r)
+	}
+	for pos := qsLo; pos < end; pos++ {
+		switch free := pos < qsHi; {
+		case rk != nil:
+			lo, hi := rk.Span()
+			if c, dx := sc.rows.cols(pos, lo, hi); free {
+				rk.FeedFreeRow(c, dx)
+			} else {
+				rk.FeedRow(c, dx)
+			}
+		case free:
+			fs.FeedFree(q[pos])
+		default:
+			fs.Feed(q[pos])
+		}
+		qe := pos + 1
+		jLo, jHi := max(qe-qsHi-lam0, lam), min(qe-qsLo+lam0, cols)
+		if rk != nil {
+			// No cell outside the band is within the radius.
+			lo, hi := rk.Span()
+			jLo, jHi = max(jLo, lo), min(jHi, hi)
+		}
+		for j := jLo; j <= jHi; j++ {
+			if fs.At(j) > r {
+				continue
+			}
+			for _, p := range group {
+				i := qe - int(p.qs)
+				if int(p.rows) >= minQ && i >= max(lam, minQ) && i <= int(p.rows) &&
+					j >= i-lam0 && j <= min(i+lam0, int(p.cols)) && anyHolds(regs, sc.members[p.lo:p.hi], qe, xs+j) {
+					return true
+				}
+			}
+		}
+		if fs.Floor() > r {
+			return false
+		}
+	}
+	return false
 }
 
 // anyHolds reports whether some member region's end box holds (qe, xe).

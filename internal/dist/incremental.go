@@ -79,9 +79,11 @@ type Kernel[E any] interface {
 // therefore bounds from below, at every end n, the segments of every start
 // and length that end there; the filter runs it over a whole query and
 // spends exact passes only on the offsets it cannot rule out. At reads the
-// same free-start row; Floor keeps its meaning. A pass is fed through Feed
-// or through FeedFree, never both. The lock-step kernels (no shift to free)
-// and the Fn adapter do not have the mode.
+// same free-start row; Floor keeps its meaning. A pass may switch from
+// FeedFree to Feed, never back: fed x[0:k] through FeedFree and x[k:n]
+// through Feed, it holds the least over 0 ≤ s ≤ k of d(x[s:n], w), which
+// is what the verifier bounds a group of query starts by. The lock-step
+// kernels (no shift to free) and the Fn adapter do not have the mode.
 type FreeStartKernel[E any] interface {
 	Kernel[E]
 	FeedFree(x E) float64

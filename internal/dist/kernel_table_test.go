@@ -190,7 +190,9 @@ func checkFreeStart[E any](t *testing.T, what string, m Measure[E], k FreeStartK
 
 // checkFreeStartBindings runs checkFreeStart through the ways a state comes
 // to be bound, as checkKernelTables does: minted, rebound to another window's
-// tables, and rebound to tables rebuilt in place.
+// tables, and rebound to tables rebuilt in place; and checkStartRange, the
+// passes that leave only the first starts free, on a minted state and one
+// over tables rebuilt in place.
 func checkFreeStartBindings[E any](t *testing.T, m Measure[E], gen func(*rand.Rand, int) []E, wLens []int, qLen int) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(43, uint64(len(wLens))))
@@ -203,6 +205,7 @@ func checkFreeStartBindings[E any](t *testing.T, m Measure[E], gen func(*rand.Ra
 			t.Fatalf("%s: kernel over %d elements has no free-start mode", m.Name, n)
 		}
 		checkFreeStart(t, "fresh", m, k, q, w)
+		checkStartRange(t, "fresh", m, k, q, w)
 		if BindFreeStart(k, m.Prepare(w2)) != k {
 			t.Fatalf("%s: state not rebound in place to a same-length window", m.Name)
 		}
@@ -212,12 +215,15 @@ func checkFreeStartBindings[E any](t *testing.T, m Measure[E], gen func(*rand.Ra
 			t.Fatalf("%s: kernel over reprepared tables has no free-start mode", m.Name)
 		}
 		checkFreeStart(t, "after Reprepare", m, reused, q, w)
+		checkStartRange(t, "after Reprepare", m, reused, q, w)
 	}
 }
 
 // The free-start pass is a proof the filter prunes on: its value must be the
 // least Fn over starts exactly — a bound that is only close would let a
-// pre-pass and an exact pass disagree about a pair at the radius.
+// pre-pass and an exact pass disagree about a pair at the radius. The
+// verifier's group pre-pass leaves only a range of starts free, and skips a
+// group on what it reads, banded or not: the same holds for every range.
 func TestKernelFreeStartMatchesBruteMin(t *testing.T) {
 	aa := letters(aminoAcids)
 	checkFreeStartBindings(t, LevenshteinMeasure[byte](), letters("AB"), shortLens, 12)
