@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-smoke bench-counts serve-smoke snapshot-smoke shard-smoke replica-smoke cache-smoke chaos-smoke fmt fmt-fix vet size loc race-accounting nearest-equiv check docs-check
+.PHONY: all build test test-short bench bench-smoke bench-counts serve-smoke snapshot-smoke shard-smoke replica-smoke cache-smoke chaos-smoke fmt fmt-fix vet size loc race-accounting race-batch nearest-equiv check docs-check
 
 all: check
 
@@ -129,6 +129,14 @@ loc:
 # fair-share eviction, which settles its victim through the job's task.
 race-accounting:
 	$(GO) test -race -count=20 -run 'TestStreamPanicFailsOnlyThatJob|TestWorkerPanicSelfHeals|TestStreamAccountingSettlesBeforeFuture|TestShedFairShare' ./internal/core/
+
+# race-batch holds the query-set parallel-for (parallelFor behind the
+# *Batch methods and QueryPool's barrier methods) under the race detector,
+# repeated: the batches run concurrently, a panic reaches the caller, a
+# one-query batch stays on the caller's goroutine, every batch path counts
+# what one query at a time counts, and serve's /query/batch answers.
+race-batch:
+	$(GO) test -race -count=5 -run 'Batch|QueryPoolRace' ./internal/core/ ./cmd/subseqctl/
 
 # nearest-equiv holds Type III to Section 7 under the race detector: the
 # store oracle at full size (every query path, on every backend and measure

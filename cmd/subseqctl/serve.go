@@ -688,13 +688,13 @@ type servedKind[E any] struct {
 	// one streams a single query through the pool — admission, deadline,
 	// tenant — and returns its response envelope.
 	one func(srv *typedServer[E], ctx context.Context, q seq.Sequence[E], a shard.Args, opts []core.SubmitOption) (any, error)
-	// batch answers qs on one pinned matcher with the kind's *Batch loop and
+	// batch answers qs on one pinned matcher with the kind's *Batch method and
 	// fills the kind's column of resp; nil when the kind has no batch form.
 	batch func(srv *typedServer[E], mt *core.Matcher[E], qs []seq.Sequence[E], eps float64, resp *shard.BatchResponse)
 }
 
 // servedKinds is the serve side of the kind table: per kind, the Submit*
-// call, the *Batch loop and the encoders (matches, best, hits) that both
+// call, the *Batch method and the encoders (matches, best, hits) that both
 // share.
 func servedKinds[E any]() []servedKind[E] {
 	type (
@@ -775,10 +775,11 @@ func (srv *typedServer[E]) handleQuery(k servedKind[E]) http.HandlerFunc {
 
 // handleBatch answers POST /query/batch: many queries of one kind in one
 // request, saving the HTTP round trips and nothing else. The queries are
-// answered one after another by a plain loop on this handler goroutine,
-// each with its own index traversal, against one pinned view of the store.
-// The loop runs outside the streaming pool: no admission control and no
-// deadline — a large batch holds the view for its whole run.
+// answered by the kind's *Batch method on up to GOMAXPROCS goroutines, this
+// handler goroutine among them, each with its own index traversal, against
+// one pinned view of the store. The batch runs outside the streaming pool:
+// no admission control and no deadline — a large batch holds the view for
+// its whole run.
 // Validation and encoding are the kind table's, shared with the
 // single-query routes.
 func (srv *typedServer[E]) handleBatch(kinds []servedKind[E]) http.HandlerFunc {

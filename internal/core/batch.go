@@ -11,11 +11,48 @@ import (
 // Query sets. Every path answers one query with one index traversal: a
 // shared traversal across queries shares pointer-chasing only, never a
 // distance evaluation (identical counted evaluations either way, and it
-// measured slower — DESIGN.md §4), so the *Batch methods are convenience
-// loops and QueryPool contributes parallelism only. A Matcher is safe for
-// concurrent queries (the filter scratch is pooled and holds the query's
-// own cost record), so the pool needs no locking beyond its cursor and
-// queue.
+// measured slower — DESIGN.md §4). Queries share no state beyond the
+// pooled scratch, so both query-set surfaces are one parallel-for
+// (parallelFor) over the single-query methods: the *Batch methods on up to
+// GOMAXPROCS goroutines, QueryPool's barrier methods on up to Workers. A
+// Matcher is safe for concurrent queries (the filter scratch is pooled and
+// holds the query's own cost record), so neither needs locking beyond the
+// cursor.
+
+// parallelFor calls f(i) for every i in [0, n) from up to workers
+// goroutines, the last of them the caller's own, so a one-index call starts
+// none. Indexes are handed out one at a time off an atomic cursor, so a slow
+// call delays only the worker making it. If a call panics, no worker takes
+// another index, and the first panic value is re-raised on the caller once
+// every worker has returned.
+func parallelFor(workers, n int, f func(i int)) {
+	type failure struct{ v any }
+	var cursor atomic.Int64
+	var failed atomic.Pointer[failure]
+	work := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				failed.CompareAndSwap(nil, &failure{r})
+			}
+		}()
+		for i := int(cursor.Add(1)) - 1; i < n && failed.Load() == nil; i = int(cursor.Add(1)) - 1 {
+			f(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(workers, n) - 1; w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if p := failed.Load(); p != nil {
+		panic(p.v)
+	}
+}
 
 // countBatch tallies one *Batch call carrying n queries (BatchCalls,
 // BatchQueries).
@@ -29,9 +66,7 @@ func (mt *Matcher[E]) countBatch(n int) {
 func (mt *Matcher[E]) FilterHitsBatch(qs []seq.Sequence[E], eps float64) [][]Hit[E] {
 	mt.countBatch(len(qs))
 	out := make([][]Hit[E], len(qs))
-	for i, q := range qs {
-		out[i] = mt.FilterHits(q, eps)
-	}
+	parallelFor(runtime.GOMAXPROCS(0), len(qs), func(i int) { out[i] = mt.FilterHits(qs[i], eps) })
 	return out
 }
 
@@ -40,9 +75,7 @@ func (mt *Matcher[E]) FilterHitsBatch(qs []seq.Sequence[E], eps float64) [][]Hit
 func (mt *Matcher[E]) FindAllBatch(qs []seq.Sequence[E], eps float64) [][]Match {
 	mt.countBatch(len(qs))
 	out := make([][]Match, len(qs))
-	for i, q := range qs {
-		out[i] = mt.FindAll(q, eps)
-	}
+	parallelFor(runtime.GOMAXPROCS(0), len(qs), func(i int) { out[i] = mt.FindAll(qs[i], eps) })
 	return out
 }
 
@@ -52,9 +85,7 @@ func (mt *Matcher[E]) LongestBatch(qs []seq.Sequence[E], eps float64) ([]Match, 
 	mt.countBatch(len(qs))
 	matches := make([]Match, len(qs))
 	found := make([]bool, len(qs))
-	for i, q := range qs {
-		matches[i], found[i] = mt.Longest(q, eps)
-	}
+	parallelFor(runtime.GOMAXPROCS(0), len(qs), func(i int) { matches[i], found[i] = mt.Longest(qs[i], eps) })
 	return matches, found
 }
 
@@ -63,8 +94,9 @@ func (mt *Matcher[E]) LongestBatch(qs []seq.Sequence[E], eps float64) ([]Match, 
 //
 //   - The barrier methods (FilterHits, FindAll, Longest, Nearest) take a
 //     complete query slice and block until every answer is back: a
-//     parallel-for over single queries on goroutines of their own, up to
-//     Workers per call. They are stateless between calls, safe for
+//     parallel-for over single queries on up to Workers goroutines per
+//     call, the caller's among them; a query that panics re-raises its
+//     panic on the caller. They are stateless between calls, safe for
 //     concurrent use, subject to no admission control, and usable after
 //     Close.
 //   - The streaming methods (Submit, SubmitFilter, SubmitLongest,
@@ -166,23 +198,12 @@ func NewQueryPoolView[E any](view MatcherView[E], workers int, opts ...PoolOptio
 func (p *QueryPool[E]) Workers() int { return p.workers }
 
 // run is the barrier methods' parallel-for: it pins one matcher view for
-// the whole call and hands indexes [0, n) one at a time to up to Workers
-// goroutines, so a slow query delays only the worker answering it.
+// the whole call and answers indexes [0, n) on up to Workers goroutines
+// (parallelFor).
 func (p *QueryPool[E]) run(n int, answer func(mt *Matcher[E], i int)) {
 	mt, release := p.acquire()
 	defer release()
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(p.workers, n); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(cursor.Add(1)) - 1; i < n; i = int(cursor.Add(1)) - 1 {
-				answer(mt, i)
-			}
-		}()
-	}
-	wg.Wait()
+	parallelFor(p.workers, n, func(i int) { answer(mt, i) })
 }
 
 // FilterHits runs the filtering steps for every query; result i is exactly

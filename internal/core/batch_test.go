@@ -4,9 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/seq"
@@ -273,5 +277,133 @@ func TestBatchTallies(t *testing.T) {
 	mt.LongestBatch(qs[:3], 0.5)
 	if mt.BatchCalls() != 3 || mt.BatchQueries() != 9 {
 		t.Fatalf("after FindAllBatch+LongestBatch: calls=%d queries=%d, want 3/9", mt.BatchCalls(), mt.BatchQueries())
+	}
+}
+
+// fnOnlyMatcher builds a linear-scan matcher over db that prices every
+// distance with Levenshtein's Fn after calling probe on the pair: no kernel,
+// no bounded evaluation.
+func fnOnlyMatcher(t *testing.T, db []seq.Sequence[byte], probe func(a, b []byte)) *Matcher[byte] {
+	t.Helper()
+	lev := dist.LevenshteinMeasure[byte]()
+	m := dist.Measure[byte]{Name: "levenshtein-probe", Props: lev.Props, Fn: func(a, b []byte) float64 {
+		probe(a, b)
+		return lev.Fn(a, b)
+	}}
+	mt, err := NewMatcher(m, Config{Params: Params{Lambda: 6, Lambda0: 1}, Index: IndexLinearScan}, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mt
+}
+
+// settleGoroutines fails t unless the goroutine count falls back to before
+// within a few seconds.
+func settleGoroutines(t *testing.T, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, %d before the call", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// Each *Batch method answers its queries on more than one goroutine: the
+// first distance call waits (up to two seconds, so a serial loop fails
+// rather than hangs) for a second call to be in flight at once.
+func TestBatchRunsConcurrently(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	db, qs := batchQueries(rand.New(rand.NewPCG(12, 1200)), 4)
+	var inFlight atomic.Int32
+	var settled, overlapped atomic.Bool
+	mt := fnOnlyMatcher(t, db, func(_, _ []byte) {
+		if settled.Load() {
+			return
+		}
+		inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for deadline := time.Now().Add(2 * time.Second); !overlapped.Load() && time.Now().Before(deadline); time.Sleep(50 * time.Microsecond) {
+			if inFlight.Load() >= 2 {
+				overlapped.Store(true)
+			}
+		}
+		settled.Store(true)
+	})
+	for name, batch := range map[string]func(){
+		"FilterHitsBatch": func() { mt.FilterHitsBatch(qs, 0.5) },
+		"FindAllBatch":    func() { mt.FindAllBatch(qs, 0.5) },
+		"LongestBatch":    func() { mt.LongestBatch(qs, 0.5) },
+	} {
+		settled.Store(false)
+		overlapped.Store(false)
+		batch()
+		if !overlapped.Load() {
+			t.Errorf("%s: no two distance calls of a %d-query batch were in flight at once", name, len(qs))
+		}
+	}
+}
+
+// A query that panics inside a batch re-raises its panic value on the
+// caller of FindAllBatch and of QueryPool.FindAll, and no goroutine of the
+// call outlives it.
+func TestBatchPanicReraises(t *testing.T) {
+	db, qs := batchQueries(rand.New(rand.NewPCG(13, 1300)), 6)
+	qs[3] = slices.Clone(qs[3])
+	qs[3][5] = '!' // the database alphabet is ABCD
+	const poison = "poisoned query"
+	mt := fnOnlyMatcher(t, db, func(a, b []byte) {
+		if slices.Contains(a, '!') || slices.Contains(b, '!') {
+			panic(poison)
+		}
+	})
+	pool := NewQueryPool(mt, 3)
+	for name, call := range map[string]func(){
+		"FindAllBatch":      func() { mt.FindAllBatch(qs, 0.5) },
+		"QueryPool.FindAll": func() { pool.FindAll(qs, 0.5) },
+	} {
+		before := runtime.NumGoroutine()
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			call()
+			return nil
+		}()
+		if got != poison {
+			t.Errorf("%s: the caller recovered %v, want %q", name, got, poison)
+		}
+		settleGoroutines(t, before)
+	}
+}
+
+// A one-query batch answers on the caller's goroutine and starts none, on
+// the *Batch methods and on the pool's barrier methods alike.
+func TestBatchOneQueryOnCaller(t *testing.T) {
+	db, qs := batchQueries(rand.New(rand.NewPCG(14, 1400)), 1)
+	// goroutine reads the running goroutine's number off its stack header.
+	goroutine := func() string {
+		buf := make([]byte, 64)
+		return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+	}
+	caller := goroutine()
+	var calls, elsewhere atomic.Int32
+	mt := fnOnlyMatcher(t, db, func(_, _ []byte) {
+		calls.Add(1)
+		if goroutine() != caller {
+			elsewhere.Add(1)
+		}
+	})
+	pool := NewQueryPool(mt, 4)
+	for name, call := range map[string]func(){
+		"FilterHitsBatch":   func() { mt.FilterHitsBatch(qs, 0.5) },
+		"FindAllBatch":      func() { mt.FindAllBatch(qs, 0.5) },
+		"LongestBatch":      func() { mt.LongestBatch(qs, 0.5) },
+		"QueryPool.FindAll": func() { pool.FindAll(qs, 0.5) },
+		"QueryPool.Nearest": func() { pool.Nearest(qs, NearestOptions{EpsMax: 2, EpsInc: 1}) },
+	} {
+		calls.Store(0)
+		elsewhere.Store(0)
+		call()
+		if n := elsewhere.Load(); n > 0 || calls.Load() == 0 {
+			t.Errorf("%s: %d of %d distance calls of a one-query batch ran off the caller's goroutine", name, n, calls.Load())
+		}
 	}
 }

@@ -55,11 +55,13 @@
 // VerifyDistanceCalls counts those passes. Each query counts what it
 // spends in a record of its own, added to the matcher's totals once when it
 // ends; the index's own distance counts build work only. Every path answers one query with one index traversal over that query's
-// own segments: FilterHitsBatch / FindAllBatch / LongestBatch are loops
-// over the single-query methods, and QueryPool hands queries one at a time
-// to worker goroutines — a traversal shared across queries saved no
-// distance evaluation and measured slower (DESIGN.md §4). A Matcher is
-// safe for concurrent queries.
+// own segments: FilterHitsBatch / FindAllBatch / LongestBatch and
+// QueryPool's barrier methods are one parallel-for over the single-query
+// methods, handing queries one at a time to up to GOMAXPROCS (the *Batch
+// methods) or Workers (the pool) goroutines, the caller's among them — a
+// traversal shared across queries saved no distance evaluation and
+// measured slower (DESIGN.md §4). A Matcher is safe for concurrent
+// queries.
 //
 // # Serving
 //

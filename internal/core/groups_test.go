@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -284,5 +285,86 @@ func TestVerifierGroupsMatchFnEnumeration(t *testing.T) {
 		case o.matches == 0:
 			t.Fatalf("%s: vacuous (no match)", o.name)
 		}
+	}
+}
+
+// prePassCounting is m with kernels that count, into *n, the passes that
+// begin with FeedFree: in the verifier, its group pre-passes.
+func prePassCounting(m dist.Measure[byte], n *int) dist.Measure[byte] {
+	prepare := m.Prepare
+	m.Prepare = func(w []byte) dist.Prepared[byte] { return prePassPrepared{prepare(w), n} }
+	return m
+}
+
+type prePassPrepared struct {
+	dist.Prepared[byte]
+	n *int
+}
+
+func (p prePassPrepared) NewState() dist.Kernel[byte] {
+	return &prePassState{p.Prepared.NewState().(dist.FreeStartKernel[byte]), p.n, true}
+}
+
+type prePassState struct {
+	dist.FreeStartKernel[byte]
+	n     *int
+	fresh bool
+}
+
+func (s *prePassState) Reset() {
+	s.fresh = true
+	s.FreeStartKernel.Reset()
+}
+
+func (s *prePassState) Feed(x byte) float64 {
+	s.fresh = false
+	return s.FreeStartKernel.Feed(x)
+}
+
+func (s *prePassState) FeedFree(x byte) float64 {
+	if s.fresh {
+		*s.n++
+		s.fresh = false
+	}
+	return s.FreeStartKernel.FeedFree(x)
+}
+
+// Type II runs its start groups whole, the one with the longest pass first,
+// so that scan's group pre-pass applies to it: its answer is the one of the
+// passes run longest first one by one (the order that split the groups),
+// and it runs more pre-passes than that order, some query more than one.
+func TestLongestKeepsStartGroups(t *testing.T) {
+	p := Params{Lambda: 8, Lambda0: 1}
+	db, qs := residues(rand.New(rand.NewPCG(84, 8400)), 3, 60, 8, 24)
+	var prePasses int
+	mt, err := NewMatcher(prePassCounting(dist.LevenshteinFastMeasure(), &prePasses), Config{Params: p}, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := mt.verifier
+	grouped, split, most := 0, 0, 0
+	for qi, q := range qs {
+		hits := mt.FilterHits(q, 2)
+		var c cost
+		prePasses = 0
+		got, ok := v.verifyLongest(q, hits, 2, &c)
+		grouped, most = grouped+prePasses, max(most, prePasses)
+
+		sc := v.getScratch()
+		regs := v.runRegions(q, hits, sc)
+		passes := v.passes(regs, sc)
+		slices.SortStableFunc(passes, func(a, b pass) int { return cmp.Compare(b.rows, a.rows) })
+		vis := longestMatch{eps: 2}
+		prePasses = 0
+		v.scan(q, regs, passes, sc, &vis, &c)
+		v.putScratch(sc)
+		split += prePasses
+		if ok != vis.found || got != vis.best || math.Float64bits(got.Dist) != math.Float64bits(vis.best.Dist) {
+			t.Fatalf("query %d: verifyLongest = %+v (found %v), passes longest first %+v (found %v)", qi, got, ok, vis.best, vis.found)
+		}
+	}
+	t.Logf("pre-passes: %d grouped (at most %d on one query), %d split", grouped, most, split)
+	if most < 2 || grouped <= split {
+		t.Fatalf("verifyLongest ran %d pre-passes (at most %d on one query), passes longest first %d", grouped, most, split)
 	}
 }

@@ -58,6 +58,10 @@ type verifyScratch[E any] struct {
 	order, active []int32
 	passes        []pass
 	members       []int32
+	// groups and byGroup are verifyLongest's reordering of passes: its
+	// start groups, and the passes a group at a time in their order.
+	groups  []startGroup
+	byGroup []pass
 	// prep and kernel are the bound window's preprocessing and the kernel
 	// state over it, both rebuilt in place from pass to pass.
 	prep   dist.Prepared[E]
@@ -191,6 +195,10 @@ type pass struct {
 	lo, hi        int32
 	rows, cols    int32
 }
+
+// startGroup is the passes[lo:hi] over one database start, rows the
+// longest of them.
+type startGroup struct{ lo, hi, rows int32 }
 
 // reach bounds the DP table that region r's candidates from start (qs, xs)
 // occupy: the largest candidate lengths rows = qe−qs and cols = xe−xs under
@@ -595,15 +603,30 @@ func (v *verifier[E]) verifyNearest(q seq.Sequence[E], hits []Hit[E], eps float6
 // distance, then canonically (LongestBefore), never by traversal order — a
 // topology-independent answer is what lets the sharded tier
 // (internal/shard) merge per-shard longest matches bit-identically to a
-// single node. Passes run from the longest reachable span down, so the
-// first matches found rule out most of the rest unrun.
+// single node. Start groups run whole (scan's group pre-pass needs them
+// so), from the one with the longest reachable span down, so the first
+// matches found rule out most of the rest unrun.
 func (v *verifier[E]) verifyLongest(q seq.Sequence[E], hits []Hit[E], eps float64, c *cost) (Match, bool) {
 	sc := v.getScratch()
 	defer v.putScratch(sc)
 	regs := v.runRegions(q, hits, sc)
 	passes := v.passes(regs, sc)
-	slices.SortStableFunc(passes, func(a, b pass) int { return cmp.Compare(b.rows, a.rows) })
+	groups := sc.groups[:0]
+	for lo := 0; lo < len(passes); {
+		g := startGroup{lo: int32(lo)}
+		for ; lo < len(passes) && passes[lo].seqID == passes[g.lo].seqID && passes[lo].xs == passes[g.lo].xs; lo++ {
+			g.rows = max(g.rows, passes[lo].rows)
+		}
+		g.hi = int32(lo)
+		groups = append(groups, g)
+	}
+	slices.SortStableFunc(groups, func(a, b startGroup) int { return cmp.Compare(b.rows, a.rows) })
+	byGroup := sc.byGroup[:0]
+	for _, g := range groups {
+		byGroup = append(byGroup, passes[g.lo:g.hi]...)
+	}
+	sc.groups, sc.byGroup = groups, byGroup
 	vis := longestMatch{eps: eps}
-	v.scan(q, regs, passes, sc, &vis, c)
+	v.scan(q, regs, byGroup, sc, &vis, c)
 	return vis.best, vis.found
 }

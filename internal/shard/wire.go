@@ -60,7 +60,7 @@ type ErrorResponse struct {
 }
 
 // BatchRequest is the body of POST /query/batch: many queries of one
-// kind in one round trip, answered one after another on each serving
+// kind in one round trip, answered by the *Batch methods on each serving
 // process. Queries stay raw — the serve process decodes them
 // element-typed; the gateway forwards them opaque.
 type BatchRequest struct {
