@@ -33,7 +33,7 @@ import (
 var ErrQueueFull = errors.New("core: query queue full")
 
 // ErrDeadlineExceeded is returned by futures whose submission's deadline
-// (WithSubmitDeadline/WithSubmitTimeout) passed before a worker ran the
+// (WithSubmitTimeout) passed before a worker ran the
 // query — at submission, while queued, or while blocked for a slot. It
 // maps to HTTP 504 in subseqctl serve.
 var ErrDeadlineExceeded = errors.New("core: query deadline exceeded")
@@ -111,16 +111,12 @@ type submitConfig struct {
 	tenant   string
 }
 
-// WithSubmitDeadline gives the submission an absolute deadline: if no
+// WithSubmitTimeout gives the submission a deadline d from now: if no
 // worker has started it by then, its future fails with
 // ErrDeadlineExceeded and the query is never priced — expired work is
 // dropped at the queue, not computed and discarded. (A started query runs
-// to completion; index traversals are not preemptible.)
-func WithSubmitDeadline(t time.Time) SubmitOption {
-	return func(c *submitConfig) { c.deadline = t }
-}
-
-// WithSubmitTimeout is WithSubmitDeadline relative to now.
+// to completion; index traversals are not preemptible.) A d ≤ 0 has
+// already passed.
 func WithSubmitTimeout(d time.Duration) SubmitOption {
 	return func(c *submitConfig) { c.deadline = time.Now().Add(d) }
 }

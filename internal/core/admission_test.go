@@ -92,7 +92,7 @@ func TestSubmitDeadlinePreExpired(t *testing.T) {
 	pool, _, qs := gatedPool(t, 61)
 	defer pool.Close()
 	ctx := context.Background()
-	f := pool.Submit(ctx, qs[0], 0.5, WithSubmitDeadline(time.Now().Add(-time.Second)))
+	f := pool.Submit(ctx, qs[0], 0.5, WithSubmitTimeout(-time.Second))
 	if _, err := f.Await(ctx); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("pre-expired submit resolved to %v, want ErrDeadlineExceeded", err)
 	}
@@ -528,7 +528,7 @@ func TestWorkerPanicSelfHeals(t *testing.T) {
 func TestStreamAccountingSettlesBeforeFuture(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	past := WithSubmitDeadline(time.Now().Add(-time.Second))
+	past := WithSubmitTimeout(-time.Second)
 	const perPolicy = 667 // × 3 policies ≈ 2 000 submissions
 	for _, policy := range []ShedPolicy{ShedBlock, ShedRejectNewest, ShedFairShare} {
 		pool, qs, _ := markedPool(t, 2, nil, WithShedPolicy(policy), WithQueueDepth(4))

@@ -208,9 +208,6 @@ func newMatcher[E any](m dist.Measure[E], cfg Config, db []seq.Sequence[E],
 	return mt, nil
 }
 
-// Params returns the matcher's framework parameters.
-func (mt *Matcher[E]) Params() Params { return mt.cfg.Params }
-
 // Index returns the kind of index the matcher filters with.
 func (mt *Matcher[E]) Index() IndexKind { return mt.cfg.Index }
 

@@ -51,22 +51,22 @@ func editDP(n, m int, sub func(i, j int) float64, delA, delB func(int) float64) 
 
 // LevenshteinMeasure is Levenshtein bundled with its properties: a
 // consistent metric, accepted by every index backend, with the row-reuse
-// incremental kernel and the Ukkonen-banded bounded evaluation.
+// incremental kernel and its banded bounded evaluation.
 func LevenshteinMeasure[E comparable]() Measure[E] {
 	return Measure[E]{
 		Name:    "levenshtein",
 		Fn:      Levenshtein[E](),
 		Props:   Properties{Consistent: true, Metric: true, LockStep: false},
 		Prepare: levenshteinPrepare[E],
-		Bounded: levenshteinBounded[E](),
+		Bounded: editRowBounded(unitSub[E], unitIndel[E]),
 	}
 }
 
 // LevenshteinBytes is the byte-specialised edit-distance DP: identical
 // semantics to Levenshtein[byte](), with the comparison and indexing
-// monomorphised. It is the fallback LevenshteinFast uses beyond the 64-char
-// bit-parallel limit, and the middle rung of the ablation ladder in the
-// benchmarks (generic DP → byte DP → Myers).
+// monomorphised. It is the middle rung of the ablation ladder in the
+// benchmarks (generic DP → byte DP → Myers) and the reference the Myers
+// tests compare against.
 func LevenshteinBytes(a, b []byte) float64 {
 	n, m := len(a), len(b)
 	if n == 0 {
@@ -134,26 +134,22 @@ func weightedSub(a, b byte) float64 {
 	return weightedEditSub
 }
 
+// weightedIndel prices one byte indel for WeightedEditMeasure.
+func weightedIndel(byte) float64 { return weightedEditIndel }
+
 // WeightedEditMeasure is a vetted WeightedEdit instance over byte strings:
-// mismatches cost 1.5, indels cost 1. The constant indel cost keeps the
-// Ukkonen band applicable, so the measure carries both the row-reuse
-// incremental kernel and the banded bounded evaluation; it is a consistent
-// metric, accepted by every index backend.
+// mismatches cost 1.5, indels cost 1. It carries the row-reuse incremental
+// kernel and its banded bounded evaluation; it is a consistent metric,
+// accepted by every index backend.
 func WeightedEditMeasure() Measure[byte] {
 	return Measure[byte]{
 		Name:  "weighted-edit",
-		Fn:    WeightedEdit[byte](weightedSub, func(byte) float64 { return weightedEditIndel }),
+		Fn:    WeightedEdit[byte](weightedSub, weightedIndel),
 		Props: Properties{Consistent: true, Metric: true, LockStep: false},
 		Prepare: func(w []byte) Prepared[byte] {
-			return newEditRowPrepared(w, weightedSub, func(byte) float64 { return weightedEditIndel })
+			return newEditRowPrepared(w, weightedSub, weightedIndel)
 		},
-		Bounded: func(a, b []byte, eps float64) float64 {
-			return boundedEditBand(len(a), len(b),
-				func(i, j int) float64 { return weightedSub(a[i], b[j]) },
-				func(int) float64 { return weightedEditIndel },
-				func(int) float64 { return weightedEditIndel },
-				weightedEditIndel, eps)
-		},
+		Bounded: editRowBounded(weightedSub, weightedIndel),
 	}
 }
 

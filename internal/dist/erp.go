@@ -55,14 +55,17 @@ func erpRows[E any](g Ground[E], gap E, b []E) (prev, cur, gb []float64) {
 
 // ERPMeasure is ERP bundled with its properties: a consistent metric,
 // accepted by every index backend, with the row-reuse incremental kernel
-// and row-minimum early abandoning.
+// and its banded bounded evaluation. Substitutions are priced by the ground
+// distance, indels by the ground distance to the gap element (so the
+// kernel's base row is ERP's cumulative gap column).
 func ERPMeasure[E any](g Ground[E], gap E) Measure[E] {
+	indel := func(e E) float64 { return g(e, gap) }
 	return Measure[E]{
 		Name:    "erp",
 		Fn:      ERP(g, gap),
 		Props:   Properties{Consistent: true, Metric: true, LockStep: false},
-		Prepare: erpPrepare(g, gap),
-		Bounded: erpBounded(g, gap),
+		Prepare: func(w []E) Prepared[E] { return newEditRowPrepared(w, g, indel) },
+		Bounded: editRowBounded(g, indel),
 	}
 }
 

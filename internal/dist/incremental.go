@@ -17,9 +17,10 @@ import "math"
 //
 // Kernels also exist for the lock-step measures (Euclidean, Hamming). There
 // λ0 = 0 leaves a single segment length, so prefix sharing saves nothing —
-// but the rolling accumulator form is what the bounded kernels in bounded.go
-// abandon early, and keeping the two shapes identical lets the filter treat
-// every measure uniformly.
+// but the rolling accumulator form is the shape the lock-step bounded forms
+// in bounded.go abandon early on, and keeping the two shapes identical lets
+// the filter treat every measure uniformly. The edit-row measures' bounded
+// form is this file's kernel itself, banded at the radius (editRowBounded).
 //
 // # The Prepared/state split
 //
@@ -577,8 +578,8 @@ func (k *editRowState[E]) At(j int) float64 { return k.row[j] }
 
 // Floor is the row minimum: every cell of the next row is a cell of this
 // one (or, by induction, of the next) plus a non-negative cost — the
-// argument erpBounded abandons on. A banded state took it as it wrote the
-// row.
+// argument editRowBounded abandons on. A banded state took it as it wrote
+// the row.
 func (k *editRowState[E]) Floor() float64 {
 	if k.band {
 		return k.floor
@@ -624,14 +625,6 @@ func unitSub[E comparable](x, y E) float64 {
 // over any comparable alphabet.
 func levenshteinPrepare[E comparable](w []E) Prepared[E] {
 	return newEditRowPrepared(w, unitSub[E], unitIndel[E])
-}
-
-// erpPrepare builds the incremental ERP kernel preprocessing: substitution
-// priced by the ground distance, indels by the ground distance to the gap
-// element (the base row is exactly ERP's cumulative gap column).
-func erpPrepare[E any](g Ground[E], gap E) func(w []E) Prepared[E] {
-	indel := func(e E) float64 { return g(e, gap) }
-	return func(w []E) Prepared[E] { return newEditRowPrepared(w, g, indel) }
 }
 
 func proteinIndelCost(byte) float64 { return proteinIndel }

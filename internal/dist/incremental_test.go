@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -81,7 +82,9 @@ func TestIncrementalKernelsMatchFn(t *testing.T) {
 
 // The bounded evaluation must return the exact distance at or under eps and
 // anything strictly greater than eps otherwise, for every measure that
-// claims the capability.
+// claims the capability. The edit-row measures' bounded form is their
+// kernel's banded pass, which keeps a result at or under eps by Fn's bits
+// (bandedAsUnbanded); the others are held to almostEqual.
 func TestBoundedMatchesFn(t *testing.T) {
 	aa := "ACDEFGHIKLMNPQRSTVWY"
 	byteGround := func(a, b byte) float64 { return math.Abs(float64(a) - float64(b)) }
@@ -101,6 +104,7 @@ func TestBoundedMatchesFn(t *testing.T) {
 		if m.Bounded == nil {
 			t.Fatalf("%s: no bounded evaluation", m.Name)
 		}
+		editRow := slices.Contains([]string{"levenshtein", "weighted-edit", "protein-edit", "erp"}, m.Name)
 		for trial := 0; trial < 400; trial++ {
 			na := rng.IntN(40)
 			nb := na
@@ -111,24 +115,36 @@ func TestBoundedMatchesFn(t *testing.T) {
 			b := randBytes(rng, nb, aa)
 			want := m.Fn(a, b)
 			var eps float64
-			switch rng.IntN(3) {
+			switch rng.IntN(6) {
 			case 0:
 				eps = want * (0.5 + rng.Float64()) // straddles the true value
 			case 1:
 				eps = rng.Float64() * 10
-			default:
+			case 2:
 				eps = want
+			case 3:
+				eps = 0
+			case 4:
+				eps = -rng.Float64() - math.SmallestNonzeroFloat64
+			default:
+				eps = math.Inf(1)
 			}
-			if math.IsInf(want, 1) {
+			if math.IsInf(want, 1) && !math.IsInf(eps, 1) {
 				eps = rng.Float64() * 100
 			}
 			got := m.Bounded(a, b, eps)
-			if want <= eps {
+			switch {
+			case editRow:
+				if !bandedAsUnbanded(got, want, eps) {
+					t.Fatalf("%s trial %d: Bounded(%q,%q,eps=%v) = %v, Fn %v: not Fn's bits within eps, nor over eps and no greater",
+						m.Name, trial, a, b, eps, got, want)
+				}
+			case want <= eps:
 				if !almostEqual(got, want) {
 					t.Fatalf("%s trial %d: Bounded(%q,%q,eps=%v) = %v, want exact %v",
 						m.Name, trial, a, b, eps, got, want)
 				}
-			} else if got <= eps {
+			case got <= eps:
 				t.Fatalf("%s trial %d: Bounded(%q,%q,eps=%v) = %v ≤ eps but true distance %v > eps",
 					m.Name, trial, a, b, eps, got, want)
 			}

@@ -86,15 +86,14 @@ func ProteinEdit(a, b []byte) float64 {
 
 // ProteinEditMeasure is ProteinEdit bundled with its properties: a
 // consistent metric, accepted by every index backend, with the row-reuse
-// incremental kernel and the banded bounded evaluation (indels cost a
-// constant, so the Ukkonen band applies).
+// incremental kernel and its banded bounded evaluation.
 func ProteinEditMeasure() Measure[byte] {
 	return Measure[byte]{
 		Name:    "protein-edit",
 		Fn:      ProteinEdit,
 		Props:   Properties{Consistent: true, Metric: true, LockStep: false},
 		Prepare: proteinPrepare,
-		Bounded: proteinBounded,
+		Bounded: editRowBounded(proteinSubCost, proteinIndelCost),
 	}
 }
 

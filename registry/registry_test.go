@@ -251,7 +251,10 @@ func TestSessionDefaults(t *testing.T) {
 	if sess.Dataset.Name != "proteins" || sess.Measure.Name != "levenshtein-fast" || sess.Backend.Name != "linear" {
 		t.Errorf("defaults resolved to %s/%s/%s", sess.Dataset.Name, sess.Measure.Name, sess.Backend.Name)
 	}
-	mt, ds, err := registry.NewMatcher[byte](registry.SessionSpec{
+	if p := sess.Config().Params; p.Lambda != 40 || p.Lambda0 != 1 {
+		t.Errorf("default params %+v", p)
+	}
+	_, ds, err := registry.NewMatcher[byte](registry.SessionSpec{
 		Dataset: "proteins", Windows: 30,
 	})
 	if err != nil {
@@ -259,9 +262,6 @@ func TestSessionDefaults(t *testing.T) {
 	}
 	if ds.WindowLen != 20 {
 		t.Errorf("default window length %d, want 20", ds.WindowLen)
-	}
-	if mt.Params().Lambda != 40 || mt.Params().Lambda0 != 1 {
-		t.Errorf("default params %+v", mt.Params())
 	}
 }
 

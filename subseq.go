@@ -188,7 +188,7 @@ var ErrPoolClosed = core.ErrPoolClosed
 var ErrQueueFull = core.ErrQueueFull
 
 // ErrDeadlineExceeded is returned when a submission's deadline (set with
-// WithSubmitDeadline or WithSubmitTimeout) passes before a worker prices
+// WithSubmitTimeout) passes before a worker prices
 // the query — expired work is dropped before it costs anything. subseqctl
 // serve maps it to HTTP 504.
 var ErrDeadlineExceeded = core.ErrDeadlineExceeded
@@ -222,11 +222,8 @@ func WithShedPolicy(p ShedPolicy) PoolOption { return core.WithShedPolicy(p) }
 // Submit call.
 type SubmitOption = core.SubmitOption
 
-// WithSubmitDeadline drops the submission with ErrDeadlineExceeded if a
-// worker has not started pricing it by t.
-func WithSubmitDeadline(t time.Time) SubmitOption { return core.WithSubmitDeadline(t) }
-
-// WithSubmitTimeout is WithSubmitDeadline at now+d.
+// WithSubmitTimeout drops the submission with ErrDeadlineExceeded if a
+// worker has not started pricing it within d of the call.
 func WithSubmitTimeout(d time.Duration) SubmitOption { return core.WithSubmitTimeout(d) }
 
 // WithTenant attributes the submission to a tenant for fair-share
