@@ -181,9 +181,7 @@ func (f *freePass[E]) run(p dist.Prepared[E], rows *costRows[E], q []E, lo, hi i
 		}
 		return f.lower
 	}
-	for n, x := range q[lo:hi] {
-		f.lower[n+1] = f.k.FeedFree(x)
-	}
+	dist.RunFree(f.k, q[lo:hi], f.lower[1:])
 	return f.lower
 }
 
@@ -223,6 +221,7 @@ type kernelEvaluator[E any] struct {
 	q      seq.Sequence[E]
 	probes []seq.Window[E]
 	state  dist.Kernel[E]
+	ends   []float64         // the last exact pass's row ends
 	sc     *filterScratch[E] // its free-start pass and cost record
 }
 
@@ -278,27 +277,32 @@ func (ev *kernelEvaluator[E]) EvalBatch(item seq.Window[E], idxs []int32, bound 
 		}
 		if k < e {
 			// One streamed pass prices the whole run: every member is a
-			// prefix of the last (longest) member's data.
-			ev.state = dist.BindKernel(ev.state, p)
-			rk := rows.reader(ev.state)
-			longest := len(probes[idxs[e-1]].Data)
-			k = s
-			for n := 1; n <= longest; n++ {
-				var d float64
-				if rk != nil {
-					d = rk.FeedRow(rows.at(start + n - 1))
-				} else {
-					d = ev.state.Feed(ev.q[start+n-1])
-				}
-				for k < e && len(probes[idxs[k]].Data) == n {
-					out[k] = d
-					k++
-				}
+			// prefix of the last (longest) member's data, so its distance is
+			// the pass's row end at the member's length.
+			ends := ev.exact(p, start, len(probes[idxs[e-1]].Data))
+			for k = s; k < e; k++ {
+				out[k] = ends[len(probes[idxs[k]].Data)-1]
 			}
 			ev.sc.cost.filter++
 		}
 		s = e
 	}
+}
+
+// exact runs the exact pass of q[start:start+n] over p's window, the
+// binding's cost rows fed when it has them, and returns its row ends: the
+// i-th is δ(q[start:start+i+1], w). The slice is valid until the next pass.
+func (ev *kernelEvaluator[E]) exact(p dist.Prepared[E], start, n int) []float64 {
+	ev.state = dist.BindKernel(ev.state, p)
+	ev.ends = slices.Grow(ev.ends[:0], n)[:n]
+	if rk := ev.sc.rows.reader(ev.state); rk != nil {
+		for i := range ev.ends {
+			ev.ends[i] = rk.FeedRow(ev.sc.rows.at(start + i))
+		}
+	} else {
+		dist.Run(ev.state, ev.q[start:start+n], ev.ends)
+	}
+	return ev.ends
 }
 
 // offsetMajorProbes lays the segments out as index probes ordered by

@@ -200,3 +200,32 @@ func BenchmarkERPPassBanded(b *testing.B) {
 		})
 	}
 }
+
+// One exact pass of the net filter's shape in the fig. 8 setting — 21
+// elements (λ/2 + λ0) against a 20-byte window on the one-word Myers
+// kernel, bound as the filter binds it — fed one Feed call an element
+// against one Run call for the whole stretch (Runner). ns/op is one pass.
+//
+//	go test -run '^$' -bench MyersPass ./internal/dist
+func BenchmarkMyersPass(b *testing.B) {
+	rng := rand.New(rand.NewPCG(8, 21))
+	w, q := randBytes(rng, 20, aminoAcids), randBytes(rng, 21, aminoAcids)
+	p := LevenshteinFastMeasure().Prepare(w)
+	k := p.NewState()
+	out := make([]float64, len(q))
+	b.Run("Feed", func(b *testing.B) {
+		for b.Loop() {
+			k = BindKernel(k, p)
+			for i, c := range q {
+				out[i] = k.Feed(c)
+			}
+		}
+	})
+	b.Run("Run", func(b *testing.B) {
+		for b.Loop() {
+			k = BindKernel(k, p)
+			Run(k, q, out)
+		}
+	})
+	ablationSink += out[len(q)-1]
+}

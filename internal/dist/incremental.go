@@ -35,6 +35,16 @@ import "math"
 // That caps steady-state kernel memory at O(windows) — shared preprocessing
 // plus one small state per worker — instead of the O(windows × workers)
 // that per-worker kernel construction costs.
+//
+// # Feeding a stretch at once
+//
+// A state may also feed a whole stretch of the left-hand sequence in one
+// call (Runner), with the per-element results written to a slice. The
+// filter's passes are a few dozen feeds each and read only those results,
+// so on a bit-parallel kernel, whose step is a handful of word operations,
+// a call per element costs about as much as the steps do. Runner is to the
+// call what CostRower and RowKernel are to the ground costs: the same
+// values reached with less repeated work, bit for bit.
 
 // Kernel is a stateful incremental distance evaluator bound to a fixed
 // right-hand sequence w. The n-th call to Feed appends the n-th element of
@@ -88,6 +98,46 @@ type Kernel[E any] interface {
 type FreeStartKernel[E any] interface {
 	Kernel[E]
 	FeedFree(x E) float64
+}
+
+// Runner is optionally implemented by kernel states that can feed a whole
+// stretch in one call: Run(x, out) is Feed(x[i]) for i = 0 … len(x)−1 and
+// RunFree(x, out) is FeedFree(x[i]) likewise, out[i] taking what the i-th
+// call returns, bit for bit, and the state is left as those calls leave it
+// (so At and Floor read the same afterwards). out must hold len(x) values.
+// A pass that feeds a stretch and reads only the per-element results — the
+// filter's exact and free-start passes — pays one call per pass instead of
+// one per element, and the state's recurrence runs as one loop with its
+// words in registers. Run and RunFree call it when a state has it and fall
+// back to the per-element loop otherwise.
+type Runner[E any] interface {
+	FreeStartKernel[E]
+	Run(x []E, out []float64)
+	RunFree(x []E, out []float64)
+}
+
+// Run feeds x to k, writing each Feed's result to out[i].
+func Run[E any](k Kernel[E], x []E, out []float64) {
+	if r, ok := k.(Runner[E]); ok {
+		r.Run(x, out)
+		return
+	}
+	out = out[:len(x)]
+	for i, e := range x {
+		out[i] = k.Feed(e)
+	}
+}
+
+// RunFree is Run through FeedFree.
+func RunFree[E any](k FreeStartKernel[E], x []E, out []float64) {
+	if r, ok := k.(Runner[E]); ok {
+		r.RunFree(x, out)
+		return
+	}
+	out = out[:len(x)]
+	for i, e := range x {
+		out[i] = k.FeedFree(e)
+	}
 }
 
 // CostRower is optionally implemented by a Prepared whose kernels price a

@@ -17,7 +17,10 @@ import (
 //
 // Every variant in this file (plain, bounded, incremental kernel; single
 // word and block) advances the DP column through the one shared word step,
-// myersStep.
+// myersStep — save the single-word kernel state (myersState64), whose Feed,
+// FeedFree and Run inline its branch-free form at a fixed hin
+// (myersStep64), and the packed pass (myersPack), which splits its carries
+// by field.
 func LevenshteinFast(a, b []byte) float64 {
 	// The pattern (bit-packed side) is the shorter string.
 	if len(a) > len(b) {
@@ -73,6 +76,24 @@ func myersStep(pv, mv, eq uint64, hin int, scoreBit uint64) (pvOut, mvOut uint64
 	pvOut = mh | ^(xv | ph)
 	mvOut = ph & xv
 	return pvOut, mvOut, hout, scoreDelta
+}
+
+// myersStep64 is myersStep for a lone word whose tracked row is bit t,
+// entered at hin = +1 or 0 (passed as the bit itself), small enough to
+// inline. At
+// hin ≥ 0 the step never sets eq's low bit, and its ph and mh are disjoint
+// (mh's bits are pv's, which ph misses, pv and mv being disjoint), so the
+// score delta is ph>>t&1 − mh>>t&1 and the delta shifted into ph's bottom
+// bit is hin itself: the same words as myersStep's, with no branch.
+func myersStep64(pv, mv, eq, hin uint64, t uint) (pvOut, mvOut uint64, scoreDelta int) {
+	xv := eq | mv
+	xh := (((eq & pv) + pv) ^ pv) | eq
+	ph := mv | ^(xh | pv)
+	mh := pv & xh
+	scoreDelta = int(ph>>t&1) - int(mh>>t&1)
+	ph = ph<<1 | hin
+	mh <<= 1
+	return mh | ^(xv | ph), ph & xv, scoreDelta
 }
 
 // myers64 runs the bit-parallel recurrence with pattern a (1 ≤ len(a) ≤ 64)
@@ -350,7 +371,7 @@ func (k *myersState64) bind(peq *[256]uint64, off uint, m int) {
 
 func (k *myersState64) Feed(c byte) float64 {
 	var sd int
-	k.pv, k.mv, _, sd = myersStep(k.pv, k.mv, k.peq[c]>>(k.off&63), 1, k.last)
+	k.pv, k.mv, sd = myersStep64(k.pv, k.mv, k.peq[c]>>(k.off&63), 1, uint(k.m-1)&63)
 	k.score += sd
 	k.n++
 	return float64(k.score)
@@ -361,9 +382,33 @@ func (k *myersState64) Feed(c byte) float64 {
 // semi-global search the recurrence was published for.
 func (k *myersState64) FeedFree(c byte) float64 {
 	var sd int
-	k.pv, k.mv, _, sd = myersStep(k.pv, k.mv, k.peq[c]>>(k.off&63), 0, k.last)
+	k.pv, k.mv, sd = myersStep64(k.pv, k.mv, k.peq[c]>>(k.off&63), 0, uint(k.m-1)&63)
 	k.score += sd
 	return float64(k.score)
+}
+
+// Run is Feed over x (Runner): n advances by len(x).
+func (k *myersState64) Run(x []byte, out []float64) {
+	k.run(x, out, 1)
+	k.n += len(x)
+}
+
+// RunFree is FeedFree over x (Runner).
+func (k *myersState64) RunFree(x []byte, out []float64) { k.run(x, out, 0) }
+
+// run feeds x through myersStep64 at hin +1 (Feed) or 0 (FeedFree), one
+// loop with the step inlined and the words in registers.
+func (k *myersState64) run(x []byte, out []float64, hin uint64) {
+	peq, off, t := k.peq, k.off&63, uint(k.m-1)&63
+	pv, mv, score := k.pv, k.mv, k.score
+	out = out[:len(x)]
+	for i, c := range x {
+		var d int
+		pv, mv, d = myersStep64(pv, mv, peq[c]>>off, hin, t)
+		score += d
+		out[i] = float64(score)
+	}
+	k.pv, k.mv, k.score = pv, mv, score
 }
 
 // At sums the column's vertical deltas up to row j: D[j] = D[0] + (+1

@@ -481,9 +481,9 @@ func classify[T any](g *Gateway, replies []rangeReply, check func(*T) error) (an
 // --- response plumbing ---
 
 // encodeJSON materialises a response body in the gateway's wire format
-// (indented, trailing newline — matching json.Encoder with indent).
+// (compact, trailing newline — what json.Encoder writes, as serve does).
 func encodeJSON(v any) []byte {
-	b, err := json.MarshalIndent(v, "", "  ")
+	b, err := json.Marshal(v)
 	if err != nil {
 		return []byte(`{"error":"encoding response"}` + "\n")
 	}
