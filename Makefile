@@ -83,7 +83,9 @@ replica-smoke:
 # see it hit on /stats, retire its sequence through the gateway's admin
 # fan-out (both replicas ack, epoch bump, invalidation counter), and
 # verify the next answer is the post-write truth — never the cached
-# bytes (TestCacheSmokeBinary drives the whole flow).
+# bytes — while the unwritten range answers from its cached partial: its
+# replicas' /stats distance_calls stay unchanged (TestCacheSmokeBinary
+# drives the whole flow).
 cache-smoke:
 	$(GO) test -run TestCacheSmokeBinary -count=1 -v ./cmd/subseqctl
 

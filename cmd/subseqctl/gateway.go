@@ -32,11 +32,15 @@ import (
 // on error and an optional hedged second read (-hedge-after) — one
 // replica loss is then masked entirely. Merged answers are kept in a
 // bounded result cache (-cache-size/-cache-ttl) keyed by endpoint,
-// shard-plan epoch and canonical body; /admin/append, /admin/retire and
-// /admin/snapshot are accepted too, fanned out to every replica of the
-// owning range with quorum accounting, and every acknowledged write
-// bumps the epoch — invalidating the whole cache so no stale answer can
-// be served. docs/SHARDING.md documents the topology end to end.
+// shard-plan epoch and canonical body, and beside them each range's own
+// reply, keyed by endpoint, range, that range's epoch and canonical body;
+// /admin/append, /admin/retire and /admin/snapshot are accepted too,
+// fanned out to every replica of the owning range with quorum
+// accounting, and every acknowledged write bumps the plan epoch and the
+// owning range's — invalidating every merged answer and that range's
+// replies, so no stale answer can be served while a read after the write
+// asks only the range it touched. docs/SHARDING.md documents the
+// topology end to end.
 
 // defaultGatewayAddr deliberately differs from registry.DefaultServeAddr
 // so a gateway and a shard can share a host with no flags.
@@ -52,7 +56,7 @@ func cmdGateway(args []string) {
 	replicasPerRange := fs.Int("replicas", 1, "replicas per shard range: consecutive -shard URLs are grouped N at a time")
 	hedgeAfter := fs.Duration("hedge-after", 100*time.Millisecond, "launch a hedged read to another replica when the first has been in flight this long (0 disables hedging)")
 	probeInterval := fs.Duration("probe-interval", 2*time.Second, "background health-probe period per replica (0 disables probing)")
-	cacheSize := fs.Int64("cache-size", 64<<20, "result-cache byte budget for merged answers (0 disables the cache)")
+	cacheSize := fs.Int64("cache-size", 64<<20, "result-cache byte budget for merged answers and per-range partial answers together (0 disables the cache)")
 	cacheTTL := fs.Duration("cache-ttl", time.Minute, "result-cache entry TTL; writes through the gateway invalidate regardless, the TTL only bounds staleness from mutations that bypass it (0 keeps entries until eviction or invalidation)")
 	fs.Parse(args)
 	if len(shards) == 0 {

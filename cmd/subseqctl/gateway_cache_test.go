@@ -214,6 +214,129 @@ func TestGatewayCacheEquivalenceAllBackends(t *testing.T) {
 	}
 }
 
+// TestGatewayPartialsRetireOriginalAllBackends: retiring an original
+// sequence of range 0 through the cached gateway re-asks range 0 alone —
+// range 1's cached partials answer its share — and the stream replayed
+// after it stays byte-identical to the uncached gateway, and each findall
+// to a single node that retired the same sequence, on all four backends.
+// The cover tree refuses the retire (409), which bumps no epoch and drops
+// nothing.
+func TestGatewayPartialsRetireOriginalAllBackends(t *testing.T) {
+	for _, backend := range []string{"refnet", "covertree", "mv", "linear"} {
+		t.Run(backend, func(t *testing.T) {
+			spec := newSpec("proteins", "levenshtein-fast", backend)
+			spec.Windows = equivWindows
+			ds, err := registry.GenerateDataset[byte](spec.Dataset, spec.Windows, spec.WindowLen, spec.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			numSeqs := len(ds.Sequences)
+			plan, err := shard.Partition(numSeqs, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mt, _, err := registry.NewMatcher[byte](spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached, _, cachedTS, uncachedTS := startGatewayPair(t, spec, plan, 2)
+
+			// Queries on the sequence to retire, on another sequence of its
+			// range and on the other range, as every kind and one batch.
+			queries := []string{
+				string(ds.Sequences[0][:16]),
+				string(ds.Sequences[1][:16]),
+				string(ds.Sequences[numSeqs-1][:16]),
+			}
+			type request struct{ path, body, query string }
+			var stream []request
+			qjson := make([]string, len(queries))
+			for i, q := range queries {
+				body := fmt.Sprintf(`{"query":%q,"eps":2}`, q)
+				stream = append(stream,
+					request{"/query/findall", body, q},
+					request{"/query/filter", body, ""},
+					request{"/query/longest", body, ""},
+					request{"/query/nearest", fmt.Sprintf(`{"query":%q,"eps_max":2}`, q), ""},
+				)
+				qjson[i] = fmt.Sprintf("%q", q)
+			}
+			stream = append(stream, request{"/query/batch",
+				fmt.Sprintf(`{"kind":"findall","queries":[%s],"eps":2}`, strings.Join(qjson, ",")), ""})
+
+			replay := func(phase string) {
+				t.Helper()
+				for _, rq := range stream {
+					cs, cb := postRaw(t, cachedTS, rq.path, rq.body)
+					us, ub := postRaw(t, uncachedTS, rq.path, rq.body)
+					if cs != http.StatusOK || us != http.StatusOK {
+						t.Fatalf("%s: %s answered %d cached / %d uncached", phase, rq.path, cs, us)
+					}
+					if !bytes.Equal(cb, ub) {
+						t.Fatalf("%s: %s %s: cache on and off disagree:\n  cached:   %s\n  uncached: %s",
+							phase, rq.path, rq.body, cb, ub)
+					}
+					if rq.query == "" {
+						continue
+					}
+					var fa shard.MatchesResponse
+					if err := json.Unmarshal(cb, &fa); err != nil {
+						t.Fatal(err)
+					}
+					if want := toShardMatches(mt.FindAll([]byte(rq.query), 2)); !reflect.DeepEqual(fa.Matches, want) {
+						t.Fatalf("%s: findall %q: gateway %v, single node %v", phase, rq.query, fa.Matches, want)
+					}
+				}
+			}
+			replay("warm-up")
+			before, ok := cached.PartialStats()
+			if !ok || before.Entries != 2*len(stream) {
+				t.Fatalf("warm-up kept %d partials, want %d", before.Entries, 2*len(stream))
+			}
+
+			status, b := postRaw(t, cachedTS, "/admin/retire", `{"seq_id":0}`)
+			if backend == "covertree" {
+				if status != http.StatusConflict {
+					t.Fatalf("covertree retire: %d, want 409: %s", status, b)
+				}
+			} else {
+				if _, err := mt.RetireSequence(0); err != nil {
+					t.Fatal(err)
+				}
+				if status != http.StatusOK {
+					t.Fatalf("retire: %d: %s", status, b)
+				}
+				var ar shard.AdminFanoutResponse
+				if err := json.Unmarshal(b, &ar); err != nil {
+					t.Fatal(err)
+				}
+				if *ar.Shard != 0 || ar.Epoch != 1 {
+					t.Fatalf("retire fan-out: %+v", ar)
+				}
+			}
+			replay("after the retire")
+
+			after, _ := cached.PartialStats()
+			hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+			dropped := after.Invalidations - before.Invalidations
+			wantEpochs := []uint64{1, 0}
+			if backend == "covertree" {
+				// Nothing was written: the merged answers still hit.
+				if hits != 0 || misses != 0 || dropped != 0 || after.Entries != before.Entries || cached.Epoch() != 0 {
+					t.Fatalf("refused retire moved the cache: %+v, then %+v, epoch %d", before, after, cached.Epoch())
+				}
+				wantEpochs = []uint64{0, 0}
+			} else if n := int64(len(stream)); hits != n || misses != n || dropped != n {
+				t.Fatalf("after the retire: %d partial hits, %d misses and %d dropped, want %d each (range 1 reused, range 0 re-asked)",
+					hits, misses, dropped, n)
+			}
+			if !reflect.DeepEqual(after.Epochs, wantEpochs) {
+				t.Fatalf("range epochs %v, want %v", after.Epochs, wantEpochs)
+			}
+		})
+	}
+}
+
 func mustMarshal(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -229,8 +352,10 @@ func mustMarshal(t *testing.T, v any) []byte {
 // warms the cache (visible as hits on /stats); a retire fanned through
 // the gateway's admin surface must reach both replicas, bump the epoch,
 // show up in the invalidation counter, and change the hot query's answer
-// to the post-write truth — never the cached bytes. Finally the gateway
-// shuts down cleanly on SIGTERM.
+// to the post-write truth — never the cached bytes — while the unwritten
+// range answers its share from its cached partial: its replicas' own
+// distance_calls do not move. Finally the gateway shuts down cleanly on
+// SIGTERM.
 func TestCacheSmokeBinary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary smoke test skipped in -short mode")
@@ -339,6 +464,24 @@ func TestCacheSmokeBinary(t *testing.T) {
 		t.Fatalf("retire fan-out: %+v", ar)
 	}
 
+	// distanceCalls reads one replica's own distance_calls off its /stats.
+	distanceCalls := func(base string) string {
+		t.Helper()
+		resp, err := client.Get(base + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st struct {
+			DistanceCalls json.RawMessage `json:"distance_calls"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || len(st.DistanceCalls) == 0 {
+			t.Fatalf("replica %s /stats: no distance_calls (%v)", base, err)
+		}
+		return string(st.DistanceCalls)
+	}
+	unwritten := []string{distanceCalls(fleet[2].base), distanceCalls(fleet[3].base)}
+
 	// The hot query now answers the post-write truth — bit-identical to a
 	// single node that retired the same sequence, not the cached bytes.
 	mt, _, err := registry.NewMatcher[byte](spec)
@@ -368,6 +511,18 @@ func TestCacheSmokeBinary(t *testing.T) {
 	}
 	if stats.Gateway.Writes != 1 {
 		t.Fatalf("writes counter %d after one write", stats.Gateway.Writes)
+	}
+
+	// Only range 0 was asked again: range 1's partial answered its share,
+	// so neither of its replicas computed a distance.
+	for i, r := range fleet[2:] {
+		if got := distanceCalls(r.base); got != unwritten[i] {
+			t.Fatalf("unwritten range's replica %s computed after the retire: distance_calls %s, then %s",
+				r.base, unwritten[i], got)
+		}
+	}
+	if p := stats.Partials; p == nil || p.Hits < 1 || !reflect.DeepEqual(p.Epochs, []uint64{1, 0}) {
+		t.Fatalf("partials on /stats after the retire: %+v", p)
 	}
 
 	// Clean SIGTERM shutdown, same contract as serve.

@@ -34,10 +34,13 @@ import (
 // 4xx verdict (bad request, unsupported retire, unowned id) is passed
 // through verbatim, anything else is a 502 naming each replica's error.
 //
-// Every acknowledged mutation bumps the shard-plan epoch and flushes the
-// result cache before the client sees the response. Cache keys embed the
-// epoch (CacheKey), so a request that starts after the write's response
-// can never match — let alone be served — an answer computed before it.
+// Every acknowledged mutation bumps the shard-plan epoch and its owning
+// range's epoch, flushes the cached merged answers and drops that range's
+// cached partials before the client sees the response. Merged keys embed
+// the plan epoch (CacheKey) and partial keys their range's (partialKey),
+// so a request that starts after the write's response can never match —
+// let alone be served — an answer of the written range computed before
+// it; the other ranges' partials stay valid and are served on.
 
 // adminFanoutTimeout bounds one write fan-out. The fan-out runs on a
 // context detached from the client's: once the gateway starts telling
@@ -90,7 +93,7 @@ func (g *Gateway) handleAdminAppend(w http.ResponseWriter, r *http.Request) {
 		resp.SeqID = &seqID
 	}
 	resp.Range = &rng
-	resp.Epoch, resp.Invalidated = g.bumpEpoch()
+	resp.Epoch, resp.Invalidated = g.bumpEpoch(ri)
 	g.writes.Add(1)
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -138,7 +141,7 @@ func (g *Gateway) handleAdminRetire(w http.ResponseWriter, r *http.Request) {
 	rng := plan.Ranges[ri]
 	resp := AdminFanoutResponse{Op: "retire", Shard: &ri, Range: &rng, SeqID: req.SeqID,
 		Acks: acks, Replicas: len(results), Quorum: 2*acks > len(results), Results: results}
-	resp.Epoch, resp.Invalidated = g.bumpEpoch()
+	resp.Epoch, resp.Invalidated = g.bumpEpoch(ri)
 	g.writes.Add(1)
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -274,14 +277,19 @@ func (g *Gateway) growPlan(seqID int) Range {
 	return g.planp.Load().Ranges[last]
 }
 
-// bumpEpoch advances the shard-plan epoch and flushes the result cache:
-// the write path's invalidation. Ordering matters — the epoch moves
-// first, so a concurrent flight that still computes under the old epoch
-// can only populate an old-epoch key no future request will ever read.
-func (g *Gateway) bumpEpoch() (epoch uint64, invalidated int) {
+// bumpEpoch is the write path's invalidation for an acknowledged write to
+// range ri: it advances the shard-plan epoch and range ri's, flushes the
+// merged answers (returning how many) and drops range ri's partials.
+// Ordering matters — the epochs move first, so a concurrent flight that
+// still computes under the old ones can only populate old-epoch keys no
+// future request will ever read, and DropRange refuses range ri's
+// old-epoch partials outright.
+func (g *Gateway) bumpEpoch(ri int) (epoch uint64, invalidated int) {
 	epoch = g.epoch.Add(1)
+	rangeEpoch := g.rangeEpochs[ri].Add(1)
 	if g.cache != nil {
 		invalidated = g.cache.Flush()
+		g.cache.DropRange(ri, rangeEpoch)
 	}
 	return epoch, invalidated
 }

@@ -444,3 +444,226 @@ func TestNonJSONBodiesBypassCache(t *testing.T) {
 		t.Fatalf("non-JSON body was cached: %+v", cs)
 	}
 }
+
+// --- per-range partials ---
+
+// rangeShard is a fake shard for one range that answers findall and
+// findall batches with one match on its first sequence whose distance is
+// the number of writes it has applied, so an answer a write should have
+// changed but a stale partial kept is visible in the merged bytes. It
+// counts the queries it is asked.
+type rangeShard struct {
+	mu            sync.Mutex
+	writes, calls int
+	srv           *httptest.Server
+}
+
+func newRangeShard(t *testing.T, r Range) *rangeShard {
+	t.Helper()
+	rs := &rangeShard{}
+	match := func() Match {
+		return Match{SeqID: r.Lo, QEnd: 3, XEnd: 3, Dist: float64(rs.writes)}
+	}
+	answer := func(w http.ResponseWriter, v func() any) {
+		rs.mu.Lock()
+		rs.calls++
+		body := v()
+		rs.mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(body)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /query/findall", func(w http.ResponseWriter, _ *http.Request) {
+		answer(w, func() any { return MatchesResponse{Count: 1, Matches: []Match{match()}} })
+	})
+	mux.HandleFunc("POST /query/batch", func(w http.ResponseWriter, req *http.Request) {
+		var br BatchRequest
+		if err := json.NewDecoder(req.Body).Decode(&br); err != nil {
+			t.Error(err)
+		}
+		answer(w, func() any {
+			out := BatchResponse{Kind: "findall", Count: len(br.Queries)}
+			for range br.Queries {
+				out.Matches = append(out.Matches, []Match{match()})
+			}
+			return out
+		})
+	})
+	write := func(w http.ResponseWriter, _ *http.Request) {
+		rs.mu.Lock()
+		rs.writes++
+		rs.mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(map[string]any{"seq_id": r.Hi})
+	}
+	mux.HandleFunc("POST /admin/append", write)
+	mux.HandleFunc("POST /admin/retire", write)
+	rs.srv = httptest.NewServer(mux)
+	t.Cleanup(rs.srv.Close)
+	return rs
+}
+
+func (rs *rangeShard) callCount() int {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.calls
+}
+
+// TestWriteReasksOnlyItsRange: with one shard per range of a 3-range plan,
+// a write through the gateway drops only its range's partials, so the next
+// read of a warm query — single or batched — asks that range alone and
+// merges the other ranges' cached replies into the answer an uncached
+// gateway over the same shards gives, byte for byte.
+func TestWriteReasksOnlyItsRange(t *testing.T) {
+	ranges := []Range{{0, 2}, {2, 4}, {4, 6}}
+	shards := make([]*rangeShard, len(ranges))
+	urls := make([]string, len(ranges))
+	for i, r := range ranges {
+		shards[i] = newRangeShard(t, r)
+		urls[i] = shards[i].srv.URL
+	}
+	plan := mustPlan(t, 6, ranges)
+	g, err := NewGateway(plan, urls, WithCache(1<<20, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewGateway(plan, urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := []struct{ path, body string }{
+		{"/query/findall", `{"query":"abc","eps":1}`},
+		{"/query/batch", `{"kind":"findall","queries":["abc","de"],"eps":1}`},
+	}
+	last := make([]string, len(reads))
+	// readAll posts every read to the cached gateway, checking which
+	// ranges it asked against asked, then to the uncached one, and returns
+	// whether every answer changed since the last readAll.
+	readAll := func(step string, asked []int) (changed bool) {
+		t.Helper()
+		changed = true
+		for i, rd := range reads {
+			before := make([]int, len(shards))
+			for r, s := range shards {
+				before[r] = s.callCount()
+			}
+			rec, got := doPost(t, g.Handler(), rd.path, rd.body)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: %s: %d: %s", step, rd.path, rec.Code, got)
+			}
+			for r, s := range shards {
+				if n := s.callCount() - before[r]; n != asked[r] {
+					t.Fatalf("%s: %s asked range %d %d times, want %d", step, rd.path, r, n, asked[r])
+				}
+			}
+			if _, want := doPost(t, ref.Handler(), rd.path, rd.body); string(got) != string(want) {
+				t.Fatalf("%s: %s: cached gateway answered\n  %s\nuncached\n  %s", step, rd.path, got, want)
+			}
+			changed = changed && string(got) != last[i]
+			last[i] = string(got)
+		}
+		return changed
+	}
+	readAll("warm-up", []int{1, 1, 1})
+	readAll("repeat", []int{0, 0, 0})
+
+	writes := []struct {
+		path, body string
+		ri         int
+	}{
+		{"/admin/append", `{"sequence":"abc"}`, 2},
+		{"/admin/retire", `{"seq_id":0}`, 0},
+		{"/admin/retire", `{"seq_id":2}`, 1},
+	}
+	for _, wr := range writes {
+		before, _ := g.PartialStats()
+		rec, b := doPost(t, g.Handler(), wr.path, wr.body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d: %s", wr.path, rec.Code, b)
+		}
+		ar := decodeAdmin(t, b)
+		after, _ := g.PartialStats()
+		if dropped := after.Invalidations - before.Invalidations; *ar.Shard != wr.ri || ar.Invalidated != len(reads) ||
+			dropped != int64(len(reads)) || after.Epochs[wr.ri] != 1 {
+			t.Fatalf("%s: shard %d, %d merged answers and %d partials invalidated, range epochs %v; want shard %d, %d, %d and epoch 1",
+				wr.path, *ar.Shard, ar.Invalidated, dropped, after.Epochs, wr.ri, len(reads), len(reads))
+		}
+		asked := make([]int, len(ranges))
+		asked[wr.ri] = 1
+		step := fmt.Sprintf("after %s to range %d", wr.path, wr.ri)
+		if !readAll(step, asked) {
+			t.Fatalf("%s: an answer did not change with its range", step)
+		}
+		readAll(step+", repeat", make([]int, len(ranges)))
+	}
+
+	ps, ok := g.PartialStats()
+	if !ok {
+		t.Fatal("cached gateway reports no partials")
+	}
+	// Each write re-asked one range and reused two, per read.
+	n := int64(len(reads))
+	want := PartialCounters{Hits: 2 * 3 * n, Misses: 3*n + 3*n, Invalidations: 3 * n,
+		Entries: 3 * len(reads), Epochs: []uint64{1, 1, 1}}
+	ps.Bytes = 0
+	if fmt.Sprint(ps) != fmt.Sprint(want) {
+		t.Fatalf("partial counters %+v, want %+v", ps, want)
+	}
+	if cs, _ := g.CacheStats(); cs.Hits != 4*n || cs.Misses != 4*n || cs.Invalidations != 3*n {
+		t.Fatalf("merged counters %+v: hits and misses are not one per read", cs)
+	}
+}
+
+// A plan of one range keeps no partials: its merged answer is the only
+// one.
+func TestOneRangeKeepsNoPartials(t *testing.T) {
+	rs := newRangeShard(t, Range{0, 2})
+	g, err := NewGateway(mustPlan(t, 2, []Range{{0, 2}}), []string{rs.srv.URL}, WithCache(1<<20, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doPost(t, g.Handler(), "/query/findall", `{"query":"abc","eps":1}`)
+	doPost(t, g.Handler(), "/admin/retire", `{"seq_id":0}`)
+	doPost(t, g.Handler(), "/query/findall", `{"query":"abc","eps":1}`)
+	if ps, _ := g.PartialStats(); ps.Hits+ps.Misses != 0 || ps.Entries != 0 {
+		t.Fatalf("one-range plan used partials: %+v", ps)
+	}
+	if n := rs.callCount(); n != 2 {
+		t.Fatalf("shard asked %d times, want 2", n)
+	}
+}
+
+// A partial computed under a range epoch a write has since passed is not
+// stored, so a flight that raced the write cannot leave one behind.
+func TestDropRangeRefusesOlderEpochs(t *testing.T) {
+	c := NewCache(1<<20, 0)
+	c.PutPart(0, 0, "a", []byte("v"))
+	c.PutPart(1, 0, "b", []byte("v"))
+	c.Put("m", []byte("v"))
+	if n := c.DropRange(0, 1); n != 1 {
+		t.Fatalf("DropRange dropped %d, want 1", n)
+	}
+	c.PutPart(0, 0, "late", []byte("v"))
+	if _, ok := c.GetPart(0, "late"); ok {
+		t.Fatal("a partial from before the drop was stored after it")
+	}
+	c.PutPart(0, 1, "fresh", []byte("v"))
+	for _, k := range []struct {
+		ri  int
+		key string
+	}{{0, "fresh"}, {1, "b"}} {
+		if _, ok := c.GetPart(k.ri, k.key); !ok {
+			t.Fatalf("range %d partial %q missing", k.ri, k.key)
+		}
+	}
+	if _, ok := c.Get("m"); !ok {
+		t.Fatal("DropRange dropped a merged answer")
+	}
+	size := func(key string) int64 { return int64(len(key) + len("v") + cacheEntryOverhead) }
+	if ps := c.PartStats(); ps.Entries != 2 || ps.Invalidations != 1 || ps.Bytes != size("fresh")+size("b") {
+		t.Fatalf("partial stats %+v", ps)
+	}
+	if cs := c.Stats(); cs.Entries != 1 || cs.Invalidations != 0 {
+		t.Fatalf("merged stats %+v", cs)
+	}
+}

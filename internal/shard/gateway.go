@@ -77,12 +77,15 @@ type Gateway struct {
 	breakerCooldown  time.Duration
 
 	flight flightGroup
-	// cache holds merged 200-OK answers under canonical keys (cache.go);
-	// nil when caching is off. epoch is the shard-plan epoch every cache
-	// key embeds: admin.go bumps it on each acknowledged write, making
-	// every pre-write entry unreachable.
-	cache *Cache
-	epoch atomic.Uint64
+	// cache holds merged 200-OK answers and each range's share of them
+	// under canonical keys (cache.go); nil when caching is off. epoch is
+	// the shard-plan epoch every merged key embeds, rangeEpochs[i] the
+	// epoch of range i every partial key of that range embeds: admin.go
+	// bumps the plan's and the written range's on each acknowledged
+	// write, making every pre-write entry of that range unreachable.
+	cache       *Cache
+	epoch       atomic.Uint64
+	rangeEpochs []atomic.Uint64
 
 	queries      atomic.Int64
 	batches      atomic.Int64
@@ -120,7 +123,8 @@ func WithProbeInterval(d time.Duration) GatewayOption {
 }
 
 // WithCache enables the gateway result cache: successful, undegraded
-// merged answers are kept under their canonical key (CacheKey) within a
+// merged answers are kept under their canonical key (CacheKey), and with
+// more than one range each range's reply too (partialKey), within one
 // total byte budget, evicted LRU within that budget and by TTL (ttl <= 0
 // keeps entries until eviction or write-path invalidation). maxBytes <= 0
 // disables the cache; single-flight collapse works either way.
@@ -182,6 +186,7 @@ func NewReplicatedGateway(plan Plan, replicas [][]string, opts ...GatewayOption)
 		probeInterval: defaultProbeInterval,
 	}
 	g.planp.Store(&plan)
+	g.rangeEpochs = make([]atomic.Uint64, len(clean))
 	for _, o := range opts {
 		o(g)
 	}
@@ -249,6 +254,20 @@ func (g *Gateway) CacheStats() (cs CacheCounters, ok bool) {
 	return g.cache.Stats(), true
 }
 
+// PartialStats snapshots the per-range partial counters and epochs; ok is
+// false when the gateway runs without a cache.
+func (g *Gateway) PartialStats() (ps PartialCounters, ok bool) {
+	if g.cache == nil {
+		return PartialCounters{}, false
+	}
+	ps = g.cache.PartStats()
+	ps.Epochs = make([]uint64, len(g.rangeEpochs))
+	for i := range g.rangeEpochs {
+		ps.Epochs[i] = g.rangeEpochs[i].Load()
+	}
+	return ps, true
+}
+
 // Replicas returns the per-range replica endpoints.
 func (g *Gateway) Replicas() [][]string { return g.replicas }
 
@@ -263,13 +282,17 @@ type shardReply struct {
 }
 
 // rangeReply is one range's resolved answer. On success status/body
-// carry the winning replica's reply; when every replica failed, err is
-// set and replicaErrs itemises the attempts.
+// carry the winning replica's reply (or the range's cached partial); when
+// every replica failed, err is set and replicaErrs itemises the attempts.
+// A reply fetched for a query that keeps partials names the key and the
+// range epoch it is stored under if the whole fan-out succeeds.
 type rangeReply struct {
 	status      int
 	body        []byte
 	err         error
 	replicaErrs []ReplicaError
+	partKey     string
+	partEpoch   uint64
 }
 
 // failoverStatus reports whether an HTTP status means "this replica
@@ -400,20 +423,57 @@ func (g *Gateway) askRange(ctx context.Context, ri int, path string, body []byte
 	}
 }
 
+// read is one query as the fan-out sees it: its route, the body every
+// range is sent verbatim, and — when the body has one — its canonical
+// form, which every cache key of the query shares. parts reports whether
+// the query keeps per-range partials: the cache is on, the body is
+// canonical and the plan has more than one range.
+type read struct {
+	path  string
+	body  []byte
+	canon string
+	parts bool
+}
+
 // scatter resolves every range concurrently and collects the replies in
-// range order.
-func (g *Gateway) scatter(ctx context.Context, path string, body []byte) []rangeReply {
+// range order. Under rd.parts a range with a partial under its current
+// epoch answers from it and is not asked; every other range's reply
+// carries the partial key, at the epoch read here, that keepParts stores
+// it under.
+func (g *Gateway) scatter(ctx context.Context, rd read) []rangeReply {
 	replies := make([]rangeReply, len(g.replicas))
 	var wg sync.WaitGroup
 	for i := range g.replicas {
+		var key string
+		var epoch uint64
+		if rd.parts {
+			epoch = g.rangeEpochs[i].Load()
+			key = partialKey(rd.path, i, epoch, rd.canon)
+			if b, ok := g.cache.GetPart(i, key); ok {
+				replies[i] = rangeReply{status: http.StatusOK, body: b}
+				continue
+			}
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			replies[i] = g.askRange(ctx, i, path, body)
+			rep := g.askRange(ctx, i, rd.path, rd.body)
+			rep.partKey, rep.partEpoch = key, epoch
+			replies[i] = rep
 		}(i)
 	}
 	wg.Wait()
 	return replies
+}
+
+// keepParts stores the fresh replies of a fan-out in which every range
+// answered 200 and passed classify as their ranges' partials.
+func (g *Gateway) keepParts(replies []rangeReply) {
+	for i, rep := range replies {
+		if rep.partKey != "" {
+			g.cache.PutPart(i, rep.partEpoch, rep.partKey, rep.body)
+		}
+	}
 }
 
 // shardErrorText extracts the serve process's error message from an
@@ -538,12 +598,20 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // fan-out — detached from its request context, so a leader that
 // disconnects cannot fail its followers or poison the cache — and
 // populates the cache exactly once, only with a successful, undegraded
-// answer. Bodies that are not one JSON value cannot be canonicalised:
-// they still collapse by raw bytes but never cache.
-func (g *Gateway) collapse(ctx context.Context, path string, body []byte, compute func(ctx context.Context) flightResult) flightResult {
-	key, kerr := CacheKey(path, g.epoch.Load(), body)
+// answer (its ranges' partials are kept by gatherResult under the same
+// rule). The body is canonicalised here, once, for every key the query
+// uses. Bodies that are not one JSON value cannot be canonicalised: they
+// still collapse by raw bytes but never cache.
+func (g *Gateway) collapse(ctx context.Context, path string, body []byte, compute func(ctx context.Context, rd read) flightResult) flightResult {
+	rd := read{path: path, body: body}
+	canon, kerr := canonicalJSON(body)
 	cacheable := kerr == nil && g.cache != nil
-	if kerr != nil {
+	var key string
+	if kerr == nil {
+		rd.canon = string(canon)
+		rd.parts = cacheable && len(g.replicas) > 1
+		key = mergedKey(path, g.epoch.Load(), rd.canon)
+	} else {
 		key = path + "\x00" + string(body)
 	}
 	if cacheable {
@@ -553,7 +621,7 @@ func (g *Gateway) collapse(ctx context.Context, path string, body []byte, comput
 	}
 	res, shared := g.flight.do(key, func() flightResult {
 		g.flightMisses.Add(1)
-		r := compute(context.WithoutCancel(ctx))
+		r := compute(context.WithoutCancel(ctx), rd)
 		if cacheable && r.status == http.StatusOK && !r.degraded {
 			g.cache.Put(key, r.body)
 		}
@@ -569,9 +637,10 @@ func (g *Gateway) collapse(ctx context.Context, path string, body []byte, comput
 // query path — a kind's own route or /query/batch — and hands the ranges
 // that answered, in range order, to merge, which returns the response
 // envelope; merge is only called when at least one range answered. check,
-// when given, vets each decoded range answer (classify).
-func gatherResult[T any](g *Gateway, ctx context.Context, path string, body []byte, check func(*T) error, merge func(answered []*T, deg *Degradation) any) flightResult {
-	replies := g.scatter(ctx, path, body)
+// when given, vets each decoded range answer (classify). Only a fan-out
+// every range answered keeps its fresh replies as partials.
+func gatherResult[T any](g *Gateway, ctx context.Context, rd read, check func(*T) error, merge func(answered []*T, deg *Degradation) any) flightResult {
+	replies := g.scatter(ctx, rd)
 	answered, passThrough, deg := classify(g, replies, check)
 	if deg != nil {
 		g.shardErrors.Add(int64(len(deg.Failures)))
@@ -589,6 +658,8 @@ func gatherResult[T any](g *Gateway, ctx context.Context, path string, body []by
 	}
 	if deg != nil {
 		g.degraded.Add(1)
+	} else if rd.parts {
+		g.keepParts(replies)
 	}
 	return flightResult{status: http.StatusOK, body: encodeJSON(merge(answered, deg)), degraded: deg != nil}
 }
@@ -607,8 +678,8 @@ func (g *Gateway) handleQuery(k Kind) http.HandlerFunc {
 			return
 		}
 		g.queries.Add(1)
-		res := g.collapse(r.Context(), path, body, func(ctx context.Context) flightResult {
-			return k.one(g, ctx, path, body)
+		res := g.collapse(r.Context(), path, body, func(ctx context.Context, rd read) flightResult {
+			return k.one(g, ctx, rd)
 		})
 		writeRaw(w, res.status, res.body)
 	}
@@ -635,8 +706,8 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	n := len(req.Queries)
 	g.batches.Add(1)
 	g.queries.Add(int64(n))
-	res := g.collapse(r.Context(), "/query/batch", body, func(ctx context.Context) flightResult {
-		return g.batchResult(ctx, body, k, n)
+	res := g.collapse(r.Context(), "/query/batch", body, func(ctx context.Context, rd read) flightResult {
+		return g.batchResult(ctx, rd, k, n)
 	})
 	writeRaw(w, res.status, res.body)
 }
@@ -644,14 +715,14 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 // batchResult is gatherResult over batch envelopes: a range must answer the
 // kind asked, query for query, and the kind's reducer then merges column by
 // column with the function its single-query route uses.
-func (g *Gateway) batchResult(ctx context.Context, body []byte, k Kind, n int) flightResult {
+func (g *Gateway) batchResult(ctx context.Context, rd read, k Kind, n int) flightResult {
 	shape := func(b *BatchResponse) error {
 		if b.Kind != k.Name || b.Count != n || k.width(b) != n {
 			return fmt.Errorf("batch answer mismatch: kind %q count %d (want %q × %d)", b.Kind, b.Count, k.Name, n)
 		}
 		return nil
 	}
-	return gatherResult(g, ctx, "/query/batch", body, shape, func(answered []*BatchResponse, deg *Degradation) any {
+	return gatherResult(g, ctx, rd, shape, func(answered []*BatchResponse, deg *Degradation) any {
 		out := BatchResponse{Kind: k.Name, Count: n, Degradation: deg}
 		k.columns(&out, answered, n)
 		return out
@@ -708,17 +779,19 @@ type GatewayCounters struct {
 // GatewayStatsResponse is GET /stats on the gateway: the plan and its
 // epoch, each range's own stats verbatim, cross-range totals, the
 // per-replica breaker roster, the gateway's counters and — when caching
-// is on — the result-cache counters.
+// is on — the result-cache counters, merged answers and per-range
+// partials apart.
 type GatewayStatsResponse struct {
-	Plan          Plan            `json:"plan"`
-	Epoch         uint64          `json:"epoch"`
-	UptimeSeconds float64         `json:"uptime_seconds"`
-	Shards        []ShardStats    `json:"shards"`
-	Replication   []RangeHealth   `json:"replication"`
-	Totals        StatsTotals     `json:"totals"`
-	Gateway       GatewayCounters `json:"gateway"`
-	Cache         *CacheCounters  `json:"cache,omitempty"`
-	Degradation   *Degradation    `json:"degradation,omitempty"`
+	Plan          Plan             `json:"plan"`
+	Epoch         uint64           `json:"epoch"`
+	UptimeSeconds float64          `json:"uptime_seconds"`
+	Shards        []ShardStats     `json:"shards"`
+	Replication   []RangeHealth    `json:"replication"`
+	Totals        StatsTotals      `json:"totals"`
+	Gateway       GatewayCounters  `json:"gateway"`
+	Cache         *CacheCounters   `json:"cache,omitempty"`
+	Partials      *PartialCounters `json:"partials,omitempty"`
+	Degradation   *Degradation     `json:"degradation,omitempty"`
 }
 
 // statsSubset is the additive slice of a shard's stats document.
@@ -785,9 +858,9 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			},
 		},
 	}
-	if g.cache != nil {
-		cs := g.cache.Stats()
-		resp.Cache = &cs
+	if cs, ok := g.CacheStats(); ok {
+		ps, _ := g.PartialStats()
+		resp.Cache, resp.Partials = &cs, &ps
 	}
 	var wg sync.WaitGroup
 	for i := range g.replicas {

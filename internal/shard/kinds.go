@@ -111,7 +111,7 @@ func nearest(p Params) (Args, error) {
 // same function.
 type reducer struct {
 	// one scatters a single query and merges the ranges' envelopes.
-	one func(g *Gateway, ctx context.Context, path string, body []byte) flightResult
+	one func(g *Gateway, ctx context.Context, rd read) flightResult
 	// width is the length of the kind's column in a batch answer (the
 	// shape check); columns fills that column of out, query by query, from
 	// the answered ranges.
@@ -126,8 +126,8 @@ type reducer struct {
 // envelope wraps the merged answer for the wire.
 func reduce[R, A any](payload func(*R) A, column func(*BatchResponse) *[]A, merge func([]A) A, envelope func(A, *Degradation) R) reducer {
 	return reducer{
-		one: func(g *Gateway, ctx context.Context, path string, body []byte) flightResult {
-			return gatherResult(g, ctx, path, body, nil, func(answered []*R, deg *Degradation) any {
+		one: func(g *Gateway, ctx context.Context, rd read) flightResult {
+			return gatherResult(g, ctx, rd, nil, func(answered []*R, deg *Degradation) any {
 				parts := make([]A, len(answered))
 				for i, r := range answered {
 					parts[i] = payload(r)

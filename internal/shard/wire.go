@@ -164,6 +164,22 @@ type CacheCounters struct {
 	TTLSeconds    float64 `json:"ttl_seconds"`
 }
 
+// PartialCounters reports the result cache's per-range partial answers on
+// /stats, apart from the merged answers' CacheCounters: lookups of a
+// range's partial (hits/misses), evictions against the shared byte
+// budget, partials dropped by writes to their range (invalidations),
+// current residency, and each range's epoch — the count of acknowledged
+// writes to it through this gateway, which every partial key embeds.
+type PartialCounters struct {
+	Hits          int64    `json:"hits"`
+	Misses        int64    `json:"misses"`
+	Evictions     int64    `json:"evictions"`
+	Invalidations int64    `json:"invalidations"`
+	Entries       int      `json:"entries"`
+	Bytes         int64    `json:"bytes"`
+	Epochs        []uint64 `json:"epochs"`
+}
+
 // --- Degradation: typed partial failure ---
 
 // ShardFailure records one shard range that could not answer a query.
