@@ -341,7 +341,6 @@ type scanBackend[E any] struct {
 
 func (b *scanBackend[E]) open(q seq.Sequence[E], sc *filterScratch[E]) session[E] {
 	sc.free.open(b.mt)
-	sc.rows.start(q)
 	sc.scanSession = scanSession[E]{b, q, sc}
 	return &sc.scanSession
 }
@@ -450,7 +449,7 @@ func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float
 			lower = rows[field]
 		} else {
 			p := mt.preparedAt(int32(wi))
-			sc.rows.bind(p)
+			sc.rows.bind(p, q)
 			if lower = sc.free.run(p, &sc.rows, q, 0, len(q)); lower != nil {
 				sc.cost.filter++
 			}

@@ -24,14 +24,11 @@ import (
 //
 // The rows hold for one binding: bind starts a new one by bumping the
 // epoch, which retires every row the last binding priced without clearing
-// any. A row's indel cost depends on its query element alone
-// (dist.CostRower.Indel), so it holds for the whole query: start begins
-// one and forgets the last query's, and each is priced at its row's first
-// use in the query. A pass over a binding without rows (a Myers table, a
-// lock-step kernel, the Fn adapter) feeds its kernel as before. Each cost
-// is the call Feed would make on the same inputs, and the DP consumes it in
-// the same order, so every distance keeps its bits and a pass still counts
-// one evaluation.
+// any. A pass over a binding without rows (a Myers table, a lock-step
+// kernel, the Fn adapter) feeds its kernel as before. Each cost is the call
+// Feed would make on the same inputs, and the DP consumes it in the same
+// order, so every distance keeps its bits and a pass still counts one
+// evaluation.
 type costRows[E any] struct {
 	cr dist.CostRower[E] // the binding's; nil when it has no rows
 	// none is set at the first binding without rows. A scratch serves one
@@ -40,33 +37,18 @@ type costRows[E any] struct {
 	none  bool
 	q     []E
 	width int
-	// hasDx[pos] marks row pos's indel cost dx[pos] priced in this query.
-	dx    []float64
-	hasDx []bool
-	// stamp[pos] == epoch marks row pos used in this binding: its columns
-	// priced[pos][0] … priced[pos][1]-1 of buf[pos*width:][:width] priced.
+	// stamp[pos] == epoch marks row pos used in this binding: its indel cost
+	// dx[pos] priced and its columns priced[pos][0] … priced[pos][1]-1 of
+	// buf[pos*width:][:width].
 	epoch  uint32
 	stamp  []uint32
+	dx     []float64
 	priced [][2]int32
 	buf    []float64
 }
 
-// start begins a query: the rows of q, against the windows bound next. The
-// indel costs the last query priced are forgotten here, not by comparing
-// queries: a pooled query buffer may hold another query at the same
-// address.
-func (c *costRows[E]) start(q []E) {
-	c.q = q
-	if c.none {
-		return
-	}
-	c.dx = slices.Grow(c.dx[:0], len(q))[:len(q)]
-	c.hasDx = slices.Grow(c.hasDx[:0], len(q))[:len(q)]
-	clear(c.hasDx)
-}
-
-// bind starts a binding: the rows of the query against p's window.
-func (c *costRows[E]) bind(p dist.Prepared[E]) {
+// bind starts a binding: the rows of q against p's window.
+func (c *costRows[E]) bind(p dist.Prepared[E], q []E) {
 	if c.none {
 		return
 	}
@@ -74,17 +56,17 @@ func (c *costRows[E]) bind(p dist.Prepared[E]) {
 		c.none = true
 		return
 	}
-	n := len(c.q)
-	c.width = p.WindowLen()
+	c.q, c.width = q, p.WindowLen()
 	if c.epoch++; c.epoch == 0 {
 		clear(c.stamp[:cap(c.stamp)])
 		c.epoch = 1
 	}
 	// Stamps past the old length carry epochs from before this binding, or
 	// 0 when freshly allocated: either way, not this one.
-	c.stamp = slices.Grow(c.stamp[:0], n)[:n]
-	c.priced = slices.Grow(c.priced[:0], n)[:n]
-	c.buf = slices.Grow(c.buf[:0], n*c.width)[:n*c.width]
+	c.stamp = slices.Grow(c.stamp[:0], len(q))[:len(q)]
+	c.dx = slices.Grow(c.dx[:0], len(q))[:len(q)]
+	c.priced = slices.Grow(c.priced[:0], len(q))[:len(q)]
+	c.buf = slices.Grow(c.buf[:0], len(q)*c.width)[:len(q)*c.width]
 }
 
 // reader returns k as a dist.RowKernel when the binding has rows and k
@@ -106,16 +88,13 @@ func (c *costRows[E]) at(pos int) ([]float64, float64) { return c.cols(pos, 0, c
 
 // cols returns row pos, priced at least over columns [lo, hi), and its
 // indel cost. What the binding has not priced yet of that, and the indel
-// cost on the row's first use in the query, is priced now; a span apart
-// from the priced one is joined to it, the columns between priced too.
+// cost on the row's first use, is priced now; a span apart from the
+// priced one is joined to it, the columns between priced too.
 func (c *costRows[E]) cols(pos, lo, hi int) ([]float64, float64) {
 	row := c.buf[pos*c.width : (pos+1)*c.width]
 	have := &c.priced[pos]
 	if c.stamp[pos] != c.epoch {
-		if !c.hasDx[pos] {
-			c.dx[pos] = c.cr.Indel(c.q[pos])
-			c.hasDx[pos] = true
-		}
+		c.dx[pos] = c.cr.Indel(c.q[pos])
 		*have = [2]int32{}
 		c.stamp[pos] = c.epoch
 	}

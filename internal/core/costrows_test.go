@@ -248,15 +248,10 @@ func verifierBandBound(v *verifier[float64], sc *verifyScratch[float64], q []flo
 	exact := dist.ERPMeasure(dist.AbsDiff, 0)
 	bound := pass{seqID: -1}
 	reach := map[int][2]int{} // query position → hull of the columns reached
-	indel := map[int]bool{}   // query positions whose indel cost is priced
 	flush := func() {
 		total += int(bound.cols)
-		for pos, h := range reach {
-			total += h[1] - h[0]
-			if !indel[pos] {
-				total++
-				indel[pos] = true
-			}
+		for _, h := range reach {
+			total += h[1] - h[0] + 1
 		}
 		clear(reach)
 	}
@@ -347,8 +342,7 @@ func TestCostRowsRebindAcrossEpochWrap(t *testing.T) {
 		rows.epoch = epoch
 		for _, w := range [][]float64{{1, 2}, {3, 4, 5}} {
 			p := m.Prepare(w)
-			rows.start(q) // a query per binding: its indel costs too
-			rows.bind(p)
+			rows.bind(p, q)
 			rk := rows.reader(p.NewState())
 			if rk == nil {
 				t.Fatal("ERP kernel takes no cost rows")
@@ -377,38 +371,6 @@ func TestCostRowsRebindAcrossEpochWrap(t *testing.T) {
 	}
 }
 
-// A row's indel cost is priced at its first use in a query and read by
-// every later binding of the query; the next query prices its own, also
-// from the same buffer.
-func TestCostRowsPriceIndelOncePerQuery(t *testing.T) {
-	var g groundLog
-	m := dist.ERPMeasure(g.ground, 0)
-	q := []float64{0.5, 1.5, 2.5}
-	var rows costRows[float64]
-	for qi, want := range [][]float64{{0.5, 1.5, 2.5}, {3.5, 4.5, 5.5}} {
-		copy(q, want) // the next query in the pooled buffer of the last
-		rows.start(q)
-		for wi, w := range [][]float64{{1, 2}, {3, 4, 5}} {
-			rows.bind(m.Prepare(w))
-			g.calls = 0
-			for pos, x := range q {
-				row, dx := rows.at(pos)
-				if dx != math.Abs(x) || row[0] != math.Abs(x-w[0]) {
-					t.Fatalf("query %d, window %d: row %d indel %v and [0] %v, want %v and %v",
-						qi, wi, pos, dx, row[0], math.Abs(x), math.Abs(x-w[0]))
-				}
-			}
-			calls := len(q) * len(w)
-			if wi == 0 {
-				calls += len(q) // the query's indel costs
-			}
-			if g.calls != calls {
-				t.Fatalf("query %d, window %d: %d ground calls, want %d", qi, wi, g.calls, calls)
-			}
-		}
-	}
-}
-
 // A banded pass asks for spans of a row (cols): each column is priced once
 // in a binding however the spans overlap, a span apart from the priced
 // ones is joined to them across the gap, the indel cost is priced once
@@ -422,8 +384,7 @@ func TestCostRowsPriceSpansOnce(t *testing.T) {
 	var rows costRows[float64]
 	for _, epoch := range []uint32{0, math.MaxUint32} {
 		rows.epoch = epoch
-		rows.start(q)
-		rows.bind(m.Prepare(w))
+		rows.bind(m.Prepare(w), q)
 		for _, step := range []struct{ lo, hi, calls int }{
 			{2, 4, 1 + 2}, // the indel cost and columns 2, 3
 			{3, 6, 2},     // 4, 5

@@ -137,41 +137,6 @@ func (mt *Matcher[E]) kernelTraversal() bool {
 	return mt.measure.Prepare != nil && mt.cfg.Params.Lambda0 > 0
 }
 
-// boundKernel is a rebindable kernel state with its capabilities asked
-// once. A scratch serves one matcher, whose windows share one kernel
-// family, so it asks what the state can do when it mints one, not on every
-// bind and pass as dist.BindKernel and dist.Run do: those interface
-// assertions were 1.5–3 % of a Myers filter.
-type boundKernel[E any] struct {
-	k    dist.Kernel[E]
-	rb   dist.Rebindable[E]      // k, when it rebinds in place
-	free dist.FreeStartKernel[E] // k, when it has the free-start mode
-	run  dist.Runner[E]          // k, when it feeds a stretch per call
-	row  dist.RowKernel[E]       // k, when it takes priced cost rows
-}
-
-// bind points the state at p's window, rewound to the empty prefix: the
-// same state when it rebinds in place, else a fresh one from p.
-func (b *boundKernel[E]) bind(p dist.Prepared[E]) {
-	if b.rb != nil && b.rb.Rebind(p) {
-		return
-	}
-	b.k = p.NewState()
-	b.rb, _ = b.k.(dist.Rebindable[E])
-	b.free, _ = b.k.(dist.FreeStartKernel[E])
-	b.run, _ = b.k.(dist.Runner[E])
-	b.row, _ = b.k.(dist.RowKernel[E])
-}
-
-// rowReader is b's row kernel when rows has rows for the binding, else nil
-// (costRows.reader without the assertion).
-func (b *boundKernel[E]) rowReader(rows *costRows[E]) dist.RowKernel[E] {
-	if rows.cr == nil {
-		return nil
-	}
-	return b.row
-}
-
 // freePass is the free-start half of a pooled filter scratch: a second
 // kernel state, fed through FeedFree, and the bounds its last pass left. It
 // is what lets the filter price a window against a whole stretch of the
@@ -180,9 +145,9 @@ func (b *boundKernel[E]) rowReader(rows *costRows[E]) dist.RowKernel[E] {
 // lower bound on the segments of every start and length that end there, and
 // only the offsets that bound cannot rule out earn an exact pass.
 type freePass[E any] struct {
-	// b.free is nil when the measure's kernel has no free-start mode (asked
-	// once, of the first window a session is opened over: known).
-	b     boundKernel[E]
+	// k is nil when the measure's kernel has no free-start mode (asked once,
+	// of the first window a session is opened over: known).
+	k     dist.FreeStartKernel[E]
 	known bool
 	lower []float64
 	rows  [][]float64 // runPacked's, one per window of a pack
@@ -193,8 +158,7 @@ type freePass[E any] struct {
 func (f *freePass[E]) open(mt *Matcher[E]) {
 	if !f.known && len(mt.windows) > 0 {
 		mt.preparedInit()
-		f.b.bind(mt.preparedAt(0))
-		f.known = true
+		f.k, f.known = dist.BindFreeStart(nil, mt.preparedAt(0)), true
 	}
 }
 
@@ -204,24 +168,20 @@ func (f *freePass[E]) open(mt *Matcher[E]) {
 // for every 1 ≤ n ≤ hi−lo (lower[0] is not set); nil when the kernel has no
 // such mode. The slice is valid until the next run.
 func (f *freePass[E]) run(p dist.Prepared[E], rows *costRows[E], q []E, lo, hi int) []float64 {
-	if f.b.free == nil {
+	if f.k == nil {
 		return nil
 	}
-	if f.b.bind(p); f.b.free == nil {
+	if f.k = dist.BindFreeStart(f.k, p); f.k == nil {
 		return nil
 	}
 	f.lower = slices.Grow(f.lower[:0], hi-lo+1)[:hi-lo+1]
-	if rk := f.b.rowReader(rows); rk != nil {
+	if rk := rows.reader(f.k); rk != nil {
 		for pos := lo; pos < hi; pos++ {
 			f.lower[pos-lo+1] = rk.FeedFreeRow(rows.at(pos))
 		}
 		return f.lower
 	}
-	if f.b.run != nil {
-		f.b.run.RunFree(q[lo:hi], f.lower[1:])
-	} else {
-		dist.RunFree(f.b.free, q[lo:hi], f.lower[1:])
-	}
+	dist.RunFree(f.k, q[lo:hi], f.lower[1:])
 	return f.lower
 }
 
@@ -260,7 +220,7 @@ type kernelEvaluator[E any] struct {
 	mt     *Matcher[E]
 	q      seq.Sequence[E]
 	probes []seq.Window[E]
-	state  boundKernel[E]
+	state  dist.Kernel[E]
 	ends   []float64         // the last exact pass's row ends
 	sc     *filterScratch[E] // its free-start pass and cost record
 }
@@ -268,13 +228,12 @@ type kernelEvaluator[E any] struct {
 // open points the evaluator at one query's probes, laid out in sc.
 func (ev *kernelEvaluator[E]) open(mt *Matcher[E], q seq.Sequence[E], sc *filterScratch[E]) {
 	sc.free.open(mt)
-	sc.rows.start(q)
 	ev.mt, ev.q, ev.probes, ev.sc = mt, q, sc.probes, sc
 }
 
 // Exact is false once there is a pre-pass: what it writes for a run it rules
 // out is a proof that the run is over bound, not a distance.
-func (ev *kernelEvaluator[E]) Exact() bool { return ev.sc.free.b.free == nil }
+func (ev *kernelEvaluator[E]) Exact() bool { return ev.sc.free.k == nil }
 
 // EvalBatch prices the runs in idxs against item. With more than one run
 // pending it first runs one free-start pass from the lowest pending start to
@@ -287,7 +246,7 @@ func (ev *kernelEvaluator[E]) Exact() bool { return ev.sc.free.b.free == nil }
 // window once, by whichever pass feeds it first.
 func (ev *kernelEvaluator[E]) EvalBatch(item seq.Window[E], idxs []int32, bound float64, out []float64) {
 	p, probes, rows := ev.mt.preparedFor(item), ev.probes, &ev.sc.rows
-	rows.bind(p)
+	rows.bind(p, ev.q)
 	var lower []float64
 	lo := probes[idxs[0]].Start
 	if probes[idxs[len(idxs)-1]].Start != lo {
@@ -334,17 +293,14 @@ func (ev *kernelEvaluator[E]) EvalBatch(item seq.Window[E], idxs []int32, bound 
 // binding's cost rows fed when it has them, and returns its row ends: the
 // i-th is δ(q[start:start+i+1], w). The slice is valid until the next pass.
 func (ev *kernelEvaluator[E]) exact(p dist.Prepared[E], start, n int) []float64 {
-	ev.state.bind(p)
+	ev.state = dist.BindKernel(ev.state, p)
 	ev.ends = slices.Grow(ev.ends[:0], n)[:n]
-	switch rk := ev.state.rowReader(&ev.sc.rows); {
-	case rk != nil:
+	if rk := ev.sc.rows.reader(ev.state); rk != nil {
 		for i := range ev.ends {
 			ev.ends[i] = rk.FeedRow(ev.sc.rows.at(start + i))
 		}
-	case ev.state.run != nil:
-		ev.state.run.Run(ev.q[start:start+n], ev.ends)
-	default:
-		dist.Run(ev.state.k, ev.q[start:start+n], ev.ends)
+	} else {
+		dist.Run(ev.state, ev.q[start:start+n], ev.ends)
 	}
 	return ev.ends
 }

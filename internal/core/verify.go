@@ -322,7 +322,6 @@ type visitor interface {
 func (v *verifier[E]) scan(q seq.Sequence[E], regs []region, passes []pass, sc *verifyScratch[E], vis visitor, c *cost) {
 	bound := pass{seqID: -1}
 	var rk dist.RowKernel[E] // sc.kernel, when it reads sc.rows
-	sc.rows.start(q)
 	for len(passes) > 0 {
 		n, cols, runs := 0, int32(0), 0
 		for ; n < len(passes) && passes[n].seqID == passes[0].seqID && passes[n].xs == passes[0].xs; n++ {
@@ -340,7 +339,7 @@ func (v *verifier[E]) scan(q seq.Sequence[E], regs []region, passes []pass, sc *
 			x := v.db[group[0].seqID]
 			sc.prep = v.m.Reprepare(sc.prep, x[group[0].xs:][:cols])
 			sc.kernel = dist.BindKernel(sc.kernel, sc.prep)
-			sc.rows.bind(sc.prep)
+			sc.rows.bind(sc.prep, q)
 			rk = sc.rows.reader(sc.kernel)
 			bound = pass{seqID: group[0].seqID, xs: group[0].xs, cols: cols}
 		}

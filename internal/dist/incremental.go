@@ -148,9 +148,7 @@ func RunFree[E any](k FreeStartKernel[E], x []E, out []float64) {
 // filter's free-start and exact passes over a node, the verifier's passes
 // from neighbouring query starts — prices the row once and hands it to
 // every pass through RowKernel; a banded pass reads only a span of it
-// (RowKernel.Span), which may be priced alone. Indel depends on x alone,
-// never on the window, so a caller may price it once per query element and
-// hand it to passes over every window.
+// (RowKernel.Span), which may be priced alone.
 type CostRower[E any] interface {
 	CostSpan(x E, row []float64, lo, hi int)
 	Indel(x E) (dx float64)

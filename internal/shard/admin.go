@@ -34,9 +34,9 @@ import (
 // 4xx verdict (bad request, unsupported retire, unowned id) is passed
 // through verbatim, anything else is a 502 naming each replica's error.
 //
-// Every acknowledged mutation bumps the shard-plan epoch and its owning
-// range's epoch, flushes the cached merged answers and drops that range's
-// cached partials before the client sees the response. Merged keys embed
+// Every acknowledged mutation bumps its owning range's epoch and drops
+// that range's cached partials, then bumps the shard-plan epoch and
+// flushes the cached merged answers, before the client sees the response. Merged keys embed
 // the plan epoch (CacheKey) and partial keys their range's (partialKey),
 // so a request that starts after the write's response can never match —
 // let alone be served — an answer of the written range computed before
@@ -278,18 +278,26 @@ func (g *Gateway) growPlan(seqID int) Range {
 }
 
 // bumpEpoch is the write path's invalidation for an acknowledged write to
-// range ri: it advances the shard-plan epoch and range ri's, flushes the
-// merged answers (returning how many) and drops range ri's partials.
-// Ordering matters — the epochs move first, so a concurrent flight that
-// still computes under the old ones can only populate old-epoch keys no
-// future request will ever read, and DropRange refuses range ri's
-// old-epoch partials outright.
+// range ri: it advances range ri's epoch and drops its partials, then
+// advances the shard-plan epoch and flushes the merged answers (returning
+// how many). Ordering matters. The range moves first, so a read that sees
+// the new plan epoch sees the new range epoch too: it cannot serve range
+// ri's pre-write partial, and so cannot store a merged answer built from
+// one under a key later reads will look up. A flight that still computes
+// under the old epochs can only populate old-epoch keys no future request
+// will ever read, and DropRange refuses range ri's old-epoch partials
+// outright.
 func (g *Gateway) bumpEpoch(ri int) (epoch uint64, invalidated int) {
-	epoch = g.epoch.Add(1)
 	rangeEpoch := g.rangeEpochs[ri].Add(1)
 	if g.cache != nil {
-		invalidated = g.cache.Flush()
 		g.cache.DropRange(ri, rangeEpoch)
+	}
+	if g.midBump != nil {
+		g.midBump()
+	}
+	epoch = g.epoch.Add(1)
+	if g.cache != nil {
+		invalidated = g.cache.Flush()
 	}
 	return epoch, invalidated
 }

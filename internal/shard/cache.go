@@ -32,9 +32,9 @@ import (
 // Correctness rests on the keys, not on expiry. A merged answer is keyed
 // by CacheKey — endpoint path ⊕ shard-plan epoch ⊕ canonical body — and a
 // partial by its range's epoch. Every acknowledged admin write
-// (append/retire fanned out by admin.go) bumps the plan epoch and the
-// written range's epoch, flushes every merged answer and drops that
-// range's partials; the other ranges' partials stay. A request that
+// (append/retire fanned out by admin.go) bumps the written range's epoch
+// and drops its partials, then bumps the plan epoch and flushes every
+// merged answer; the other ranges' partials stay. A request that
 // starts after a write's HTTP response therefore computes keys no
 // pre-write entry of the written range can ever match: stale answers are
 // unreachable by construction, and the TTL is only a belt-and-suspenders

@@ -451,10 +451,12 @@ func TestNonJSONBodiesBypassCache(t *testing.T) {
 // findall batches with one match on its first sequence whose distance is
 // the number of writes it has applied, so an answer a write should have
 // changed but a stale partial kept is visible in the merged bytes. It
-// counts the queries it is asked.
+// counts the queries it is asked; after hold, a findall waits on the
+// gate hold returns.
 type rangeShard struct {
 	mu            sync.Mutex
 	writes, calls int
+	entered, gate chan struct{}
 	srv           *httptest.Server
 }
 
@@ -474,6 +476,13 @@ func newRangeShard(t *testing.T, r Range) *rangeShard {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query/findall", func(w http.ResponseWriter, _ *http.Request) {
+		rs.mu.Lock()
+		entered, gate := rs.entered, rs.gate
+		rs.mu.Unlock()
+		if gate != nil {
+			entered <- struct{}{}
+			<-gate
+		}
 		answer(w, func() any { return MatchesResponse{Count: 1, Matches: []Match{match()}} })
 	})
 	mux.HandleFunc("POST /query/batch", func(w http.ResponseWriter, req *http.Request) {
@@ -507,6 +516,15 @@ func (rs *rangeShard) callCount() int {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	return rs.calls
+}
+
+// hold makes every later findall signal entered on arrival and wait until
+// the returned gate is closed.
+func (rs *rangeShard) hold() (entered <-chan struct{}, gate chan<- struct{}) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	rs.entered, rs.gate = make(chan struct{}, 8), make(chan struct{})
+	return rs.entered, rs.gate
 }
 
 // TestWriteReasksOnlyItsRange: with one shard per range of a 3-range plan,
@@ -611,6 +629,68 @@ func TestWriteReasksOnlyItsRange(t *testing.T) {
 	}
 	if cs, _ := g.CacheStats(); cs.Hits != 4*n || cs.Misses != 4*n || cs.Invalidations != 3*n {
 		t.Fatalf("merged counters %+v: hits and misses are not one per read", cs)
+	}
+}
+
+// A read that interleaves with a write leaves nothing a read after the
+// write's acknowledgement is served stale. Range 0 holds a warm partial
+// and range 1 none; a retire in range 0 pauses between its epoch moves
+// while a read loads the epochs, takes range 0 from whatever partial they
+// allow and waits on range 1's held shard; the read is released only after
+// the retire is acknowledged. The next read must answer as an uncached
+// gateway does. Had the plan epoch moved before the range's, the paused
+// read would have stored a merged answer built on range 0's pre-write
+// partial under the post-write plan epoch, and the next read been served
+// it.
+func TestWriteRacingReadLeavesNothingStale(t *testing.T) {
+	ranges := []Range{{0, 2}, {2, 4}}
+	shards := make([]*rangeShard, len(ranges))
+	urls := make([]string, len(ranges))
+	for i, r := range ranges {
+		shards[i] = newRangeShard(t, r)
+		urls[i] = shards[i].srv.URL
+	}
+	plan := mustPlan(t, 4, ranges)
+	g, err := NewGateway(plan, urls, WithCache(1<<20, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewGateway(plan, urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const path, body = "/query/findall", `{"query":"abc","eps":1}`
+	mustPost := func(h http.Handler, path, body string) string {
+		t.Helper()
+		rec, b := doPost(t, h, path, body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d: %s", path, rec.Code, b)
+		}
+		return string(b)
+	}
+	mustPost(g.Handler(), path, body)                            // both ranges' partials
+	mustPost(g.Handler(), "/admin/append", `{"sequence":"abc"}`) // drops range 1's
+
+	entered, gate := shards[1].hold()
+	raced := make(chan *httptest.ResponseRecorder, 1)
+	g.midBump = func() {
+		g.midBump = nil
+		go func() {
+			rec := httptest.NewRecorder()
+			g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			raced <- rec
+		}()
+		<-entered // the read has loaded every epoch and asks range 1
+	}
+	mustPost(g.Handler(), "/admin/retire", `{"seq_id":0}`)
+	close(gate)
+	if rec := <-raced; rec.Code != http.StatusOK {
+		t.Fatalf("racing read: %d: %s", rec.Code, rec.Body.Bytes())
+	}
+
+	got, want := mustPost(g.Handler(), path, body), mustPost(ref.Handler(), path, body)
+	if got != want {
+		t.Fatalf("after an acknowledged retire the cached gateway answered\n  %s\nuncached\n  %s", got, want)
 	}
 }
 

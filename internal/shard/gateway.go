@@ -86,6 +86,9 @@ type Gateway struct {
 	cache       *Cache
 	epoch       atomic.Uint64
 	rangeEpochs []atomic.Uint64
+	// midBump, when set, runs inside bumpEpoch between the range's epoch
+	// move and the plan's, so a test can interleave a read there.
+	midBump func()
 
 	queries      atomic.Int64
 	batches      atomic.Int64
