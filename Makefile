@@ -84,8 +84,11 @@ replica-smoke:
 # fan-out (both replicas ack, epoch bump, invalidation counter), and
 # verify the next answer is the post-write truth — never the cached
 # bytes — while the unwritten range answers from its cached partial: its
-# replicas' /stats distance_calls stay unchanged (TestCacheSmokeBinary
-# drives the whole flow).
+# replicas' /stats distance_calls stay unchanged; then retire a tail
+# sequence no warmed answer names (the tail replicas' distance_calls stay
+# unchanged: the partial carries forward) and append one (they rise by
+# less than a full ask of the range: only the new sequence is asked)
+# (TestCacheSmokeBinary drives the whole flow).
 cache-smoke:
 	$(GO) test -run TestCacheSmokeBinary -count=1 -v ./cmd/subseqctl
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -16,7 +17,9 @@ import (
 // corpus under testdata/fuzz/FuzzParseQueryRequest pins the interesting
 // shapes: valid bodies for all three element encodings, the eps variants
 // (among them an eps_inc under one ulp of eps_max, which the nearest check
-// must refuse), and the malformed bodies the validation tests reject.
+// must refuse), and the malformed bodies the validation tests reject. The
+// seeds in code add the "seqs" scope: null, empty, negative, repeated, out
+// of any range, and 10⁵ entries long.
 func FuzzParseQueryRequest(f *testing.F) {
 	seeds := []string{
 		`{"query":"ACDEFGHIKLMNPQRS","eps":2}`,
@@ -32,6 +35,13 @@ func FuzzParseQueryRequest(f *testing.F) {
 		`not json at all`,
 		``,
 		`{"query":"` + "\xff\xfe" + `"}`,
+		`{"query":"ACDEFGHIKLMNPQRS","eps":2,"seqs":null}`,
+		`{"query":"ACDEFGHIKLMNPQRS","eps":2,"seqs":[]}`,
+		`{"query":"ACDEFGHIKLMNPQRS","eps":2,"seqs":[-1]}`,
+		`{"query":"ACDEFGHIKLMNPQRS","eps":2,"seqs":[3,3,1]}`,
+		`{"query":"ACDEFGHIKLMNPQRS","eps":2,"seqs":[9223372036854775807]}`,
+		`{"query":[[0,1],[2.5,-3],[4,5]],"eps_max":10,"seqs":[0]}`,
+		`{"query":[1,2,3],"eps":1,"seqs":[` + strings.Repeat("7,", 99999) + `7]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -70,6 +80,14 @@ func checkParse[E any](t *testing.T, body []byte) {
 		if verr := args.Nearest.Validate(); verr != nil {
 			t.Fatalf("parseQueryRequest(%q): nearest accepts options that do not validate: %v", body, verr)
 		}
+	}
+	// A scope the radius kinds accept names at least one sequence, and
+	// nearest takes none.
+	if args, err := shard.FindAll.Check(req.Params); err == nil && req.Seqs != nil && len(args.Seqs) == 0 {
+		t.Fatalf("parseQueryRequest(%q): findall accepts an empty scope", body)
+	}
+	if _, err := shard.Nearest.Check(req.Params); err == nil && req.Seqs != nil {
+		t.Fatalf("parseQueryRequest(%q): nearest accepts a scope", body)
 	}
 	// Accepted eps fields are dereferenceable.
 	for _, p := range []*float64{req.Eps, req.EpsMax, req.EpsInc} {

@@ -33,14 +33,16 @@ import (
 // replica loss is then masked entirely. Merged answers are kept in a
 // bounded result cache (-cache-size/-cache-ttl) keyed by endpoint,
 // shard-plan epoch and canonical body, and beside them each range's own
-// reply, keyed by endpoint, range, that range's epoch and canonical body;
-// /admin/append, /admin/retire and /admin/snapshot are accepted too,
-// fanned out to every replica of the owning range with quorum
-// accounting, and every acknowledged write bumps the plan epoch and the
-// owning range's — invalidating every merged answer and that range's
-// replies, so no stale answer can be served while a read after the write
-// asks only the range it touched. docs/SHARDING.md documents the
-// topology end to end.
+// reply, each current at that range's epoch; /admin/append,
+// /admin/retire and /admin/snapshot are accepted too, fanned out to every
+// replica of the owning range with quorum accounting, and every
+// acknowledged write moves the owning range's epoch, logging what it did,
+// and then the plan epoch — invalidating every merged answer, so no stale
+// answer can be served, while a read after the write asks only the range
+// it touched and, for findall, longest and filter, only for the sequences
+// appended since (or not at all after a retire of a sequence the range's
+// reply does not name). docs/SHARDING.md documents the topology end to
+// end.
 
 // defaultGatewayAddr deliberately differs from registry.DefaultServeAddr
 // so a gateway and a shard can share a host with no flags.

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os/exec"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -326,12 +327,247 @@ func TestGatewayPartialsRetireOriginalAllBackends(t *testing.T) {
 					t.Fatalf("refused retire moved the cache: %+v, then %+v, epoch %d", before, after, cached.Epoch())
 				}
 				wantEpochs = []uint64{0, 0}
-			} else if n := int64(len(stream)); hits != n || misses != n || dropped != n {
-				t.Fatalf("after the retire: %d partial hits, %d misses and %d dropped, want %d each (range 1 reused, range 0 re-asked)",
-					hits, misses, dropped, n)
+			} else if forwarded := after.Forwarded - before.Forwarded; hits != 16 || misses != 10 || dropped != 4 || forwarded != 3 {
+				// Range 1 reused all 13 of its partials. Of range 0's, the write
+				// dropped the nearest and batch ones (4, asked again); of its 9
+				// findall, filter and longest ones the 6 that name sequence 0
+				// were asked again and the other 3 carried with no call.
+				t.Fatalf("after the retire: %d partial hits (%d forwarded), %d misses and %d dropped, want 16 (3), 10 and 4",
+					hits, forwarded, misses, dropped)
 			}
 			if !reflect.DeepEqual(after.Epochs, wantEpochs) {
 				t.Fatalf("range epochs %v, want %v", after.Epochs, wantEpochs)
+			}
+		})
+	}
+}
+
+// TestGatewayPartialsCarryAcrossWritesAllBackends: the cached gateway's
+// findall, longest and filter partials carry across writes that change
+// answers, and every answer stays byte-identical to the uncached gateway's
+// and to a single node's over the same database, on all four backends.
+// After a warm-up of every kind and one batch, the stream is replayed
+// after each of: an append of a copy of a warmed query's own sequence (its
+// answers gain the copy's matches), the retire of that copy, the retire of
+// an original sequence a warmed answer names, and an append and a retire
+// of one more sequence between two reads. The cover tree refuses retires
+// (409 from the gateway and the single node alike).
+func TestGatewayPartialsCarryAcrossWritesAllBackends(t *testing.T) {
+	for _, backend := range []string{"refnet", "covertree", "mv", "linear"} {
+		t.Run(backend, func(t *testing.T) {
+			spec := newSpec("proteins", "levenshtein-fast", backend)
+			spec.Windows = equivWindows
+			ds, err := registry.GenerateDataset[byte](spec.Dataset, spec.Windows, spec.WindowLen, spec.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			numSeqs := len(ds.Sequences)
+			plan, err := shard.Partition(numSeqs, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached, _, cachedTS, uncachedTS := startGatewayPair(t, spec, plan, 2)
+			single, _ := newTestServerSpec(t, registry.ServerSpec{SessionSpec: spec, Workers: 2, QueueDepth: 16}, "")
+
+			tail := ds.Sequences[numSeqs-1]
+			queries := []string{string(ds.Sequences[0][:16]), string(tail[:16])}
+			type request struct{ path, body string }
+			var stream []request
+			qjson := make([]string, len(queries))
+			for i, q := range queries {
+				body := fmt.Sprintf(`{"query":%q,"eps":2}`, q)
+				stream = append(stream,
+					request{"/query/findall", body},
+					request{"/query/filter", body},
+					request{"/query/longest", body},
+					request{"/query/nearest", fmt.Sprintf(`{"query":%q,"eps_max":2}`, q)},
+				)
+				qjson[i] = fmt.Sprintf("%q", q)
+			}
+			stream = append(stream, request{"/query/batch",
+				fmt.Sprintf(`{"kind":"findall","queries":[%s],"eps":2}`, strings.Join(qjson, ","))})
+
+			// replay posts the stream to the cached gateway, the uncached one
+			// and the single node, demanding one answer of all three; it
+			// returns the answers.
+			replay := func(phase string) []string {
+				t.Helper()
+				var got []string
+				for _, rq := range stream {
+					cs, cb := postRaw(t, cachedTS, rq.path, rq.body)
+					us, ub := postRaw(t, uncachedTS, rq.path, rq.body)
+					ss, sb := postRaw(t, single, rq.path, rq.body)
+					if cs != http.StatusOK || us != http.StatusOK || ss != http.StatusOK {
+						t.Fatalf("%s: %s answered %d cached / %d uncached / %d single node", phase, rq.path, cs, us, ss)
+					}
+					if !bytes.Equal(cb, ub) || !bytes.Equal(cb, sb) {
+						t.Fatalf("%s: %s %s: answers differ:\n  cached:      %s\n  uncached:    %s\n  single node: %s",
+							phase, rq.path, rq.body, cb, ub, sb)
+					}
+					got = append(got, string(cb))
+				}
+				return got
+			}
+			// write posts one write to the cached gateway and the single node;
+			// both must give the same verdict, and an append the same ID.
+			write := func(path, body string) (status, seqID int) {
+				t.Helper()
+				gs, gb := postRaw(t, cachedTS, path, body)
+				ss, sb := postRaw(t, single, path, body)
+				if gs != ss {
+					t.Fatalf("%s: gateway %d (%s), single node %d (%s)", path, gs, gb, ss, sb)
+				}
+				var ar shard.AdminFanoutResponse
+				var one struct {
+					SeqID int `json:"seq_id"`
+				}
+				if gs == http.StatusOK && path == "/admin/append" {
+					if json.Unmarshal(gb, &ar) != nil || json.Unmarshal(sb, &one) != nil || ar.SeqID == nil || *ar.SeqID != one.SeqID {
+						t.Fatalf("append: gateway %s, single node %s", gb, sb)
+					}
+					seqID = one.SeqID
+				}
+				return gs, seqID
+			}
+			retire := func(id int) {
+				t.Helper()
+				want := http.StatusOK
+				if backend == "covertree" {
+					want = http.StatusConflict
+				}
+				if status, _ := write("/admin/retire", fmt.Sprintf(`{"seq_id":%d}`, id)); status != want {
+					t.Fatalf("retire %d: %d, want %d", id, status, want)
+				}
+			}
+			appendSeq := func(x []byte) int {
+				t.Helper()
+				status, id := write("/admin/append", `{"sequence":`+string(mustMarshal(t, string(x)))+`}`)
+				if status != http.StatusOK {
+					t.Fatalf("append: %d", status)
+				}
+				return id
+			}
+
+			warm := replay("warm-up")
+			copyID := appendSeq(tail)
+			if after := replay("after appending a copy of the tail query's sequence"); after[4] == warm[4] {
+				t.Fatalf("the copy left the tail query's findall as it was: %s", after[4])
+			}
+			retire(copyID)
+			replay("after retiring the copy")
+			if !strings.Contains(warm[0], `"seq_id":0,`) {
+				t.Fatalf("no warmed answer names sequence 0: %s", warm[0])
+			}
+			retire(0)
+			replay("after retiring sequence 0")
+			retire(appendSeq(ds.Sequences[1]))
+			replay("after an append and a retire between two reads")
+
+			ps, _ := cached.PartialStats()
+			if ps.Deltas == 0 || backend != "covertree" && ps.Forwarded == 0 {
+				t.Fatalf("partials %+v: the stream never carried a partial with a scoped ask, or with none", ps)
+			}
+		})
+	}
+}
+
+// TestServeScopedQueriesAllBackends: on a shard serve process, findall,
+// filter and longest with "seqs" answer over those sequences only — the
+// full answer filtered to them, for findall and filter; the full best for
+// longest when the scope holds it — on all four backends, before and after
+// a retire (a retired ID contributes nothing), and count their evaluations
+// in /stats. An ID outside the shard's range, an empty list, and "seqs" on
+// nearest or a batch are 400s.
+func TestServeScopedQueriesAllBackends(t *testing.T) {
+	for _, backend := range []string{"refnet", "covertree", "mv", "linear"} {
+		t.Run(backend, func(t *testing.T) {
+			spec := newSpec("proteins", "levenshtein-fast", backend)
+			spec.Windows = equivWindows
+			ds, err := registry.GenerateDataset[byte](spec.Dataset, spec.Windows, spec.WindowLen, spec.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := len(ds.Sequences)/2, len(ds.Sequences)
+			spec.ShardLo, spec.ShardHi = lo, hi
+			ts, _ := newTestServerSpec(t, registry.ServerSpec{SessionSpec: spec, Workers: 2, QueueDepth: 16}, "")
+			scoped := func(q string, ids []int) string {
+				return fmt.Sprintf(`{"query":%q,"eps":2,"seqs":%s}`, q, mustMarshal(t, ids))
+			}
+			filterCalls := func() int64 {
+				var st statsResponse
+				resp, err := http.Get(ts.URL + "/stats")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+					t.Fatal(err)
+				}
+				return st.DistanceCalls.Filter
+			}
+			check := func(phase string) {
+				t.Helper()
+				for _, q := range []string{string(ds.Sequences[lo][:16]), string(ds.Sequences[hi-1][4:20])} {
+					full := fmt.Sprintf(`{"query":%q,"eps":2}`, q)
+					var fa shard.MatchesResponse
+					var fh shard.HitsResponse
+					var fl shard.BestResponse
+					postJSON(t, ts, "/query/findall", full, &fa)
+					postJSON(t, ts, "/query/filter", full, &fh)
+					postJSON(t, ts, "/query/longest", full, &fl)
+					if len(fa.Matches) == 0 || !fl.Found {
+						t.Fatalf("%s: query %q finds nothing on its own sequence", phase, q)
+					}
+					for _, ids := range [][]int{{lo}, {hi - 1, lo, lo}, {lo + 1, hi - 1}} {
+						in := func(id int) bool { return slices.Contains(ids, id) }
+						var sa shard.MatchesResponse
+						var sh shard.HitsResponse
+						before := filterCalls()
+						if code := postJSON(t, ts, "/query/findall", scoped(q, ids), &sa); code != http.StatusOK {
+							t.Fatalf("%s: scoped findall %v: %d", phase, ids, code)
+						}
+						if filterCalls() == before {
+							t.Fatalf("%s: a scoped findall counted no filter evaluations on /stats", phase)
+						}
+						want := slices.DeleteFunc(slices.Clone(fa.Matches), func(m shard.Match) bool { return !in(m.SeqID) })
+						if !reflect.DeepEqual(sa.Matches, want) || sa.Count != len(want) {
+							t.Fatalf("%s: findall over %v: %v, want %v", phase, ids, sa.Matches, want)
+						}
+						postJSON(t, ts, "/query/filter", scoped(q, ids), &sh)
+						wantHits := slices.DeleteFunc(slices.Clone(fh.Hits), func(h shard.Hit) bool { return !in(h.SeqID) })
+						if !reflect.DeepEqual(sh.Hits, wantHits) || sh.Count != len(wantHits) {
+							t.Fatalf("%s: filter over %v: %v, want %v", phase, ids, sh.Hits, wantHits)
+						}
+						if in(fl.Match.SeqID) {
+							var sl shard.BestResponse
+							postJSON(t, ts, "/query/longest", scoped(q, ids), &sl)
+							if !reflect.DeepEqual(sl, fl) {
+								t.Fatalf("%s: longest over %v: %+v, want %+v", phase, ids, sl.Match, fl.Match)
+							}
+						}
+					}
+				}
+			}
+			check("as built")
+			if backend != "covertree" {
+				if code := postJSON(t, ts, "/admin/retire", fmt.Sprintf(`{"seq_id":%d}`, lo+1), nil); code != http.StatusOK {
+					t.Fatalf("retire: %d", code)
+				}
+				check("after retiring sequence " + fmt.Sprint(lo+1))
+			}
+
+			q := string(ds.Sequences[lo][:16])
+			for _, bad := range []struct{ path, body string }{
+				{"/query/findall", scoped(q, []int{lo - 1})},
+				{"/query/filter", scoped(q, []int{lo, hi})},
+				{"/query/longest", scoped(q, []int{-1})},
+				{"/query/findall", fmt.Sprintf(`{"query":%q,"eps":2,"seqs":[]}`, q)},
+				{"/query/nearest", fmt.Sprintf(`{"query":%q,"eps_max":2,"seqs":[%d]}`, q, lo)},
+				{"/query/batch", fmt.Sprintf(`{"kind":"findall","queries":[%q],"eps":2,"seqs":[%d]}`, q, lo)},
+			} {
+				if code, b := postRaw(t, ts, bad.path, bad.body); code != http.StatusBadRequest {
+					t.Fatalf("%s %s: %d, want 400: %s", bad.path, bad.body, code, b)
+				}
 			}
 		})
 	}
@@ -354,8 +590,13 @@ func mustMarshal(t *testing.T, v any) []byte {
 // show up in the invalidation counter, and change the hot query's answer
 // to the post-write truth — never the cached bytes — while the unwritten
 // range answers its share from its cached partial: its replicas' own
-// distance_calls do not move. Finally the gateway shuts down cleanly on
-// SIGTERM.
+// distance_calls do not move. Then the partials carry across writes to the
+// tail range: after a retire of a tail sequence the hot answer does not
+// name, the tail replicas compute nothing for the next read, and after an
+// append they compute the appended sequence's share alone, fewer
+// evaluations than a full ask of the range — each answer the single
+// node's.
+// Finally the gateway shuts down cleanly on SIGTERM.
 func TestCacheSmokeBinary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary smoke test skipped in -short mode")
@@ -427,6 +668,27 @@ func TestCacheSmokeBinary(t *testing.T) {
 			t.Fatal(err)
 		}
 		return stats
+	}
+
+	// tailQueryCalls sums the filter and verify evaluations of range 1's
+	// replicas (the tail range, which appends land on) off their /stats.
+	tailQueryCalls := func() int64 {
+		t.Helper()
+		var n int64
+		for _, r := range fleet[2:] {
+			resp, err := client.Get(r.base + "/stats")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st statsResponse
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += st.DistanceCalls.Filter + st.DistanceCalls.Verify
+		}
+		return n
 	}
 
 	// Warm the hot query. The second answer must come from the cache
@@ -523,6 +785,76 @@ func TestCacheSmokeBinary(t *testing.T) {
 	}
 	if p := stats.Partials; p == nil || p.Hits < 1 || !reflect.DeepEqual(p.Epochs, []uint64{1, 0}) {
 		t.Fatalf("partials on /stats after the retire: %+v", p)
+	}
+
+	// readFresh reads the hot query and holds it to the single node.
+	readFresh := func(step string) {
+		t.Helper()
+		code, b := post("/query/findall", body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: findall: %d: %s", step, code, b)
+		}
+		var fa shard.MatchesResponse
+		if err := json.Unmarshal(b, &fa); err != nil {
+			t.Fatal(err)
+		}
+		if want := toShardMatches(mt.FindAll([]byte(q), 2)); !reflect.DeepEqual(fa.Matches, want) {
+			t.Fatalf("%s: gateway %v, single node %v", step, fa.Matches, want)
+		}
+	}
+
+	// Retire a tail sequence the hot query's answer does not name: range
+	// 1's partial carries across it with no shard call, so the tail
+	// replicas compute nothing.
+	named := map[int]bool{}
+	for _, m := range fa.Matches {
+		named[m.SeqID] = true
+	}
+	quiet := numSeqs - 1
+	for named[quiet] {
+		quiet--
+	}
+	if quiet < cut {
+		t.Fatalf("the hot query's answer names every tail sequence: %v", fa.Matches)
+	}
+	if code, b := post("/admin/retire", fmt.Sprintf(`{"seq_id":%d}`, quiet)); code != http.StatusOK {
+		t.Fatalf("retire %d: %d: %s", quiet, code, b)
+	}
+	if _, err := mt.RetireSequence(quiet); err != nil {
+		t.Fatal(err)
+	}
+	tailBefore := tailQueryCalls()
+	readFresh("after retiring an unnamed tail sequence")
+	if n := tailQueryCalls() - tailBefore; n != 0 {
+		t.Fatalf("the tail replicas computed %d evaluations after a retire no answer named, want none", n)
+	}
+
+	// Append a copy of the hot query's sequence: range 1 is asked for the
+	// copy alone, which costs its replicas less than a full ask of the
+	// range does — one posted straight to a tail replica after the read.
+	code, b = post("/admin/append", `{"sequence":`+string(mustMarshal(t, string(ds.Sequences[0])))+`}`)
+	if code != http.StatusOK {
+		t.Fatalf("append: %d: %s", code, b)
+	}
+	if _, _, err := mt.AppendSequence(ds.Sequences[0]); err != nil {
+		t.Fatal(err)
+	}
+	tailBefore = tailQueryCalls()
+	readFresh("after appending a copy of the hot query's sequence")
+	scopedTail := tailQueryCalls() - tailBefore
+	tailBefore = tailQueryCalls()
+	if resp, err := client.Post(fleet[2].base+"/query/findall", "application/json", strings.NewReader(body)); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
+	full := tailQueryCalls() - tailBefore
+	t.Logf("tail replicas' evaluations after the append: %d for the scoped ask, %d for a full one", scopedTail, full)
+	if scopedTail <= 0 || scopedTail >= full {
+		t.Fatalf("after the append the tail replicas computed %d evaluations, want more than 0 and fewer than a full ask's %d", scopedTail, full)
+	}
+	if p := getStats().Partials; p == nil || p.Forwarded != 1 || p.Deltas != 1 {
+		t.Fatalf("partials on /stats after the carried reads: %+v", p)
 	}
 
 	// Clean SIGTERM shutdown, same contract as serve.

@@ -34,8 +34,9 @@ func TestKindTableDrivesServeAndGateway(t *testing.T) {
 	// message each draws. A kind with no entry fails the test: its
 	// validation is part of its table entry.
 	radiusErrors := map[string]string{
-		`{"query":` + q + `}`:          `missing "eps"`,
-		`{"query":` + q + `,"eps":-1}`: `"eps" must be >= 0`,
+		`{"query":` + q + `}`:                   `missing "eps"`,
+		`{"query":` + q + `,"eps":-1}`:          `"eps" must be >= 0`,
+		`{"query":` + q + `,"eps":1,"seqs":[]}`: `"seqs" must name at least one sequence`,
 	}
 	paramErrors := map[string]map[string]string{
 		"findall": radiusErrors, "longest": radiusErrors, "filter": radiusErrors,
@@ -45,6 +46,7 @@ func TestKindTableDrivesServeAndGateway(t *testing.T) {
 			`{"query":` + q + `,"eps_max":-2}`:             `nearest requires "eps_max" > 0`,
 			`{"query":` + q + `,"eps_max":2,"eps_inc":0}`:  `"eps_inc" must be > 0`,
 			`{"query":` + q + `,"eps_max":2,"eps_inc":-1}`: `"eps_inc" must be > 0`,
+			`{"query":` + q + `,"eps_max":2,"seqs":[0]}`:   `nearest does not take "seqs"`,
 			// Under one ulp of the radius the schedule never ends; a little
 			// above, it is 10⁹ rounds. Both are refused, not run.
 			`{"query":` + q + `,"eps_max":8,"eps_inc":1e-17}`: `"eps_inc" must be at least "eps_max"/4096`,
@@ -101,6 +103,8 @@ func TestKindTableDrivesServeAndGateway(t *testing.T) {
 			expect400(tier, "/query/batch", batch(`"queries":[`+q+`,null],"eps":1`), `query 1: "query" must not be null`)
 			expect400(tier, "/query/batch", batch(`"queries":[`+q+`],"eps":1,"eps_max":2`),
 				`invalid request body: json: unknown field "eps_max"`)
+			expect400(tier, "/query/batch", batch(`"queries":[`+q+`],"eps":1,"seqs":[0]`),
+				`invalid request body: json: unknown field "seqs"`)
 		}
 	}
 }

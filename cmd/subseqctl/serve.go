@@ -706,7 +706,12 @@ func servedKinds[E any]() []servedKind[E] {
 	return []servedKind[E]{{
 		Kind: shard.FindAll,
 		one: func(srv server, ctx context.Context, q query, a shard.Args, o options) (any, error) {
-			ms, err := srv.pool.Submit(ctx, q, a.Eps, o...).Await(ctx)
+			ms, err := core.SubmitFunc(srv.pool, ctx, func(mt *core.Matcher[E]) []core.Match {
+				if a.Seqs != nil {
+					return mt.FindAllIn(q, a.Eps, a.Seqs)
+				}
+				return mt.FindAll(q, a.Eps)
+			}, o...).Await(ctx)
 			return shard.MatchesResponse{Count: len(ms), Matches: srv.matches(ms)}, err
 		},
 		batch: func(srv server, mt *core.Matcher[E], qs []query, eps float64, resp *shard.BatchResponse) {
@@ -717,7 +722,14 @@ func servedKinds[E any]() []servedKind[E] {
 	}, {
 		Kind: shard.Longest,
 		one: func(srv server, ctx context.Context, q query, a shard.Args, o options) (any, error) {
-			res, err := srv.pool.SubmitLongest(ctx, q, a.Eps, o...).Await(ctx)
+			res, err := core.SubmitFunc(srv.pool, ctx, func(mt *core.Matcher[E]) (r core.QueryResult) {
+				if a.Seqs != nil {
+					r.Match, r.Found = mt.LongestIn(q, a.Eps, a.Seqs)
+				} else {
+					r.Match, r.Found = mt.Longest(q, a.Eps)
+				}
+				return r
+			}, o...).Await(ctx)
 			return bestOne(srv, res, err)
 		},
 		batch: func(srv server, mt *core.Matcher[E], qs []query, eps float64, resp *shard.BatchResponse) {
@@ -735,7 +747,12 @@ func servedKinds[E any]() []servedKind[E] {
 	}, {
 		Kind: shard.Filter,
 		one: func(srv server, ctx context.Context, q query, a shard.Args, o options) (any, error) {
-			hs, err := srv.pool.SubmitFilter(ctx, q, a.Eps, o...).Await(ctx)
+			hs, err := core.SubmitFunc(srv.pool, ctx, func(mt *core.Matcher[E]) []core.Hit[E] {
+				if a.Seqs != nil {
+					return mt.FilterHitsIn(q, a.Eps, a.Seqs)
+				}
+				return mt.FilterHits(q, a.Eps)
+			}, o...).Await(ctx)
 			return shard.HitsResponse{Count: len(hs), Hits: srv.hits(hs)}, err
 		},
 		batch: func(srv server, mt *core.Matcher[E], qs []query, eps float64, resp *shard.BatchResponse) {
@@ -756,6 +773,9 @@ func (srv *typedServer[E]) handleQuery(k servedKind[E]) http.HandlerFunc {
 		if err == nil {
 			args, err = k.Check(req.Params)
 		}
+		if err == nil && args.Seqs != nil {
+			args.Seqs, err = srv.localSeqs(args.Seqs)
+		}
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
@@ -769,6 +789,20 @@ func (srv *typedServer[E]) handleQuery(k servedKind[E]) http.HandlerFunc {
 		}
 		writeJSON(w, http.StatusOK, resp)
 	}
+}
+
+// localSeqs maps a scope's global sequence IDs to the store's, refusing an
+// ID outside this shard's range: below its first ID or past the last one it
+// has allocated. A retired ID stays in range and contributes nothing.
+func (srv *typedServer[E]) localSeqs(ids []int) ([]int, error) {
+	n, _ := srv.st.Len()
+	local := make([]int, len(ids))
+	for i, id := range ids {
+		if local[i] = id - srv.seqBase; local[i] < 0 || local[i] >= n {
+			return nil, fmt.Errorf(`"seqs": sequence %d is outside this shard's range [%d, %d)`, id, srv.seqBase, srv.seqBase+n)
+		}
+	}
+	return local, nil
 }
 
 // handleBatch answers POST /query/batch: many queries of one kind in one

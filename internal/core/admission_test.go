@@ -258,7 +258,7 @@ func TestQueuePopsFIFO(t *testing.T) {
 	var order []int // appended by the one worker, read after every Await
 	futures := make([]*Future[int], n)
 	for i := range futures {
-		futures[i] = submitFunc(pool, ctx, nil, func(*Matcher[byte]) int {
+		futures[i] = SubmitFunc(pool, ctx, func(*Matcher[byte]) int {
 			order = append(order, i)
 			return i
 		})

@@ -89,7 +89,7 @@ func buildBackend[E any](mt *Matcher[E]) (backend[E], error) {
 		// more than one length (λ0 > 0 — with a single length the bounded
 		// scan's early abandoning is the better kernel).
 		if mt.kernelTraversal() {
-			return &scanBackend[E]{rangeBackend: rb, scan: ls}, nil
+			return &scanBackend[E]{rb}, nil
 		}
 		return &rb, nil
 	default:
@@ -256,7 +256,14 @@ func (b *rangeBackend[E]) each(probe seq.Window[E], eps float64, sc *filterScrat
 		b.index.(rangeFuncer[seq.Window[E]]).RangeFunc(probe, eps, sc.fn, yield)
 		return
 	}
-	for _, w := range ls.Items() {
+	scanEach(ls.Items(), probe, eps, sc, yield)
+}
+
+// scanEach yields every window of items within eps of probe, each priced
+// through sc's counted Bounded at eps, or Fn where the measure has no
+// Bounded.
+func scanEach[E any](items []seq.Window[E], probe seq.Window[E], eps float64, sc *filterScratch[E], yield func(seq.Window[E])) {
+	for _, w := range items {
 		var d float64
 		if sc.bounded != nil {
 			d = sc.bounded(probe, w, eps)
@@ -333,22 +340,36 @@ func (s *rangeSession[E]) close() {}
 // --- the linear scan under an incremental kernel ---
 
 // scanBackend is the linear scan read through the measure's incremental
-// kernel; it mutates as rangeBackend does.
+// kernel; it mutates as rangeBackend does. The scan reads mt.windows, which
+// the linear scan's items stay in lockstep with (LinearScan.RemoveFunc keeps
+// their order).
 type scanBackend[E any] struct {
 	rangeBackend[E]
-	scan *metric.LinearScan[seq.Window[E]]
 }
 
 func (b *scanBackend[E]) open(q seq.Sequence[E], sc *filterScratch[E]) session[E] {
-	sc.free.open(b.mt)
-	sc.scanSession = scanSession[E]{b, q, sc}
+	sc.scanSession = openScan(b.mt, q, sc, nil)
 	return &sc.scanSession
 }
 
+// scanSession is the kernel scan over the matcher's windows: all of them,
+// or the runs of them spans lists.
 type scanSession[E any] struct {
-	b  *scanBackend[E]
+	mt *Matcher[E]
 	q  seq.Sequence[E]
 	sc *filterScratch[E]
+	// spans lists the runs [lo, hi) of mt.windows the scan reads; nil reads
+	// every window, through the packed passes where the measure packs.
+	spans [][2]int
+}
+
+// openScan opens a kernel scan of q over spans of mt.windows (nil: all).
+// Window i's kernel tables are mt's prepared slot i whichever backend
+// indexes the windows (compactPrepared keeps them in lockstep), so the
+// scan runs on any matcher whose measure has a kernel.
+func openScan[E any](mt *Matcher[E], q seq.Sequence[E], sc *filterScratch[E], spans [][2]int) scanSession[E] {
+	sc.free.open(mt)
+	return scanSession[E]{mt, q, sc, spans}
 }
 
 // hits buckets kernelScan's results per segment and flattens them
@@ -407,7 +428,7 @@ func (s *scanSession[E]) close() {}
 // kernel pass, the free-start pass included, added to the query's record. A
 // packed pass over k windows counts k, as the k passes it stands for would.
 func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float64 {
-	mt, q, sc := s.b.mt, s.q, s.sc
+	mt, q, sc := s.mt, s.q, s.sc
 	l := mt.cfg.Params.WindowLen()
 	minLen, maxLen := l-mt.cfg.Params.Lambda0, l+mt.cfg.Params.Lambda0
 	if minLen < 1 {
@@ -424,87 +445,95 @@ func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float
 	for n := minLen + 1; n <= maxLen; n++ {
 		offsets[n-minLen] = offsets[n-minLen-1] + int32(len(q)-(n-1)+1)
 	}
-	items := s.b.scan.Items()
 	// The immutable window tables are shared matcher-wide: the packed passes
 	// of the groups when the measure packs windows, the Prepared of each
 	// window when it does not. This worker carries one kernel state (and one
 	// free-start state) and rebinds it window to window, so steady-state
 	// kernel memory is O(windows), not O(windows × workers). The linear scan
 	// touches every group or window per query, so their lazy slots all fill
-	// on the first query and later queries read them for free.
+	// on the first query and later queries read them for free. A scan over
+	// spans reads each window's own tables: the groups need not line up
+	// with the spans.
 	mt.preparedInit()
-	width := mt.packInit()
+	width, spans := 0, s.spans
+	if spans == nil {
+		width = mt.packInit()
+		spans = [][2]int{{0, len(mt.windows)}}
+	}
 	var pack dist.Packed[E]
 	var rows [][]float64
 	best := math.Inf(1)
-	for wi, w := range items {
-		var lower []float64
-		field := 0
-		if width > 0 {
-			if field = wi % width; field == 0 {
-				pack = mt.packAt(wi / width)
-				rows = sc.free.runPacked(pack, q)
-				sc.cost.filter += int64(pack.Windows())
+	for _, span := range spans {
+		for wi := span[0]; wi < span[1]; wi++ {
+			w := mt.windows[wi]
+			var lower []float64
+			field := 0
+			if width > 0 {
+				if field = wi % width; field == 0 {
+					pack = mt.packAt(wi / width)
+					rows = sc.free.runPacked(pack, q)
+					sc.cost.filter += int64(pack.Windows())
+				}
+				lower = rows[field]
+			} else {
+				p := mt.preparedAt(int32(wi))
+				sc.rows.bind(p, q)
+				if lower = sc.free.run(p, &sc.rows, q, 0, len(q)); lower != nil {
+					sc.cost.filter++
+				}
 			}
-			lower = rows[field]
-		} else {
-			p := mt.preparedAt(int32(wi))
-			sc.rows.bind(p, q)
-			if lower = sc.free.run(p, &sc.rows, q, 0, len(q)); lower != nil {
+			// The offsets' ends together are minLen … len(q): with every one
+			// bounded over eps, lower rules out the whole window.
+			if lower != nil && !anyWithin(lower[min(minLen, len(q)):], eps) {
+				continue
+			}
+			var k dist.Kernel[E]     // bound at the first offset lower leaves
+			var rk dist.RowKernel[E] // k, when it reads sc.rows
+			for a := 0; a+minLen <= len(q); a++ {
+				top := maxLen
+				if a+top > len(q) {
+					top = len(q) - a
+				}
+				if lower != nil {
+					n := minLen
+					for n <= top && lower[a+n] > eps {
+						n++
+					}
+					if n > top {
+						continue
+					}
+				}
+				if k == nil {
+					if width > 0 {
+						sc.kstate = pack.Bind(sc.kstate, field)
+					} else {
+						sc.kstate = dist.BindKernel(sc.kstate, mt.preparedAt(int32(wi)))
+						rk = sc.rows.reader(sc.kstate)
+					}
+					k = sc.kstate
+				}
+				k.Reset()
+				for n := 1; n <= top; n++ {
+					var d float64
+					if rk != nil {
+						d = rk.FeedRow(sc.rows.at(a + n - 1))
+					} else {
+						d = k.Feed(q[a+n-1])
+					}
+					if perSeg == nil {
+						if n >= minLen && d <= eps {
+							best, eps = d, math.Nextafter(d, math.Inf(-1))
+						}
+						if k.Floor() > eps {
+							break
+						}
+					} else if n >= minLen && d <= eps {
+						i := int(offsets[n-minLen]) + a
+						perSeg[i] = append(perSeg[i], w)
+					}
+				}
 				sc.cost.filter++
 			}
-		}
-		// The offsets' ends together are minLen … len(q): with every one
-		// bounded over eps, lower rules out the whole window.
-		if lower != nil && !anyWithin(lower[min(minLen, len(q)):], eps) {
-			continue
-		}
-		var k dist.Kernel[E]     // bound at the first offset lower leaves
-		var rk dist.RowKernel[E] // k, when it reads sc.rows
-		for a := 0; a+minLen <= len(q); a++ {
-			top := maxLen
-			if a+top > len(q) {
-				top = len(q) - a
-			}
-			if lower != nil {
-				n := minLen
-				for n <= top && lower[a+n] > eps {
-					n++
-				}
-				if n > top {
-					continue
-				}
-			}
-			if k == nil {
-				if width > 0 {
-					sc.kstate = pack.Bind(sc.kstate, field)
-				} else {
-					sc.kstate = dist.BindKernel(sc.kstate, mt.preparedAt(int32(wi)))
-					rk = sc.rows.reader(sc.kstate)
-				}
-				k = sc.kstate
-			}
-			k.Reset()
-			for n := 1; n <= top; n++ {
-				var d float64
-				if rk != nil {
-					d = rk.FeedRow(sc.rows.at(a + n - 1))
-				} else {
-					d = k.Feed(q[a+n-1])
-				}
-				if perSeg == nil {
-					if n >= minLen && d <= eps {
-						best, eps = d, math.Nextafter(d, math.Inf(-1))
-					}
-					if k.Floor() > eps {
-						break
-					}
-				} else if n >= minLen && d <= eps {
-					i := int(offsets[n-minLen]) + a
-					perSeg[i] = append(perSeg[i], w)
-				}
-			}
-			sc.cost.filter++
 		}
 	}
 	return best

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -320,6 +322,82 @@ func (mt *Matcher[E]) Longest(q seq.Sequence[E], eps float64) (Match, bool) {
 	defer mt.putScratch(sc)
 	hits := mt.filterHits(q, eps, sc)
 	return mt.verifier.verifyLongest(q, hits, eps, &sc.cost)
+}
+
+// FindAllIn, LongestIn and FilterHitsIn are FindAll, Longest and
+// FilterHits over the database sequences seqs only: each answers what its
+// counterpart does with every match or hit on another sequence left out. A
+// candidate region never crosses a sequence (Section 7), so a sequence's
+// matches follow from its own windows alone. They read those windows off
+// the matcher itself — through the measure's kernel scan where the filter
+// has one, else one counted evaluation per (segment, window) pair — with
+// the query's pooled scratch, and build nothing per call. The IDs may come
+// in any order and repeat; one retired or never allocated contributes
+// nothing. Their evaluations count in FilterDistanceCalls and
+// VerifyDistanceCalls as every query's do.
+func (mt *Matcher[E]) FindAllIn(q seq.Sequence[E], eps float64, seqs []int) []Match {
+	sc := mt.getScratch()
+	defer mt.putScratch(sc)
+	return mt.verifier.verifyAll(q, mt.hitsIn(q, eps, seqs, sc), eps, &sc.cost)
+}
+
+// LongestIn is Longest over the sequences seqs only (see FindAllIn).
+func (mt *Matcher[E]) LongestIn(q seq.Sequence[E], eps float64, seqs []int) (Match, bool) {
+	sc := mt.getScratch()
+	defer mt.putScratch(sc)
+	return mt.verifier.verifyLongest(q, mt.hitsIn(q, eps, seqs, sc), eps, &sc.cost)
+}
+
+// FilterHitsIn is FilterHits over the sequences seqs only (see FindAllIn).
+func (mt *Matcher[E]) FilterHitsIn(q seq.Sequence[E], eps float64, seqs []int) []Hit[E] {
+	sc := mt.getScratch()
+	defer mt.putScratch(sc)
+	if hits := mt.hitsIn(q, eps, seqs, sc); len(hits) > 0 {
+		return slices.Clone(hits)
+	}
+	return nil
+}
+
+// hitsIn is filterHits over the windows of the sequences seqs, segment-major
+// like every session's; the slice aliases sc.hits.
+func (mt *Matcher[E]) hitsIn(q seq.Sequence[E], eps float64, seqs []int, sc *filterScratch[E]) []Hit[E] {
+	spans := mt.spansOf(seqs)
+	sc.segs = seq.AppendSegmentsFor(sc.segs[:0], q, mt.cfg.Params.Lambda, mt.cfg.Params.Lambda0)
+	if len(spans) == 0 || len(sc.segs) == 0 {
+		return nil
+	}
+	if mt.kernelTraversal() {
+		sc.scanSession = openScan(mt, q, sc, spans)
+		return sc.scanSession.hits(eps)
+	}
+	sc.hits = sc.hits[:0]
+	var seg seq.Segment[E]
+	add := func(w seq.Window[E]) { sc.hits = append(sc.hits, Hit[E]{Window: w, Segment: seg}) }
+	for _, seg = range sc.segs {
+		for _, span := range spans {
+			scanEach(mt.windows[span[0]:span[1]], probeOf(seg), eps, sc, add)
+		}
+	}
+	return sc.hits
+}
+
+// spansOf returns the runs [lo, hi) of mt.windows that hold the windows of
+// the sequences seqs, in ascending sequence order: the windows are in
+// (sequence, ordinal) order, and retiring compacts them without reordering.
+func (mt *Matcher[E]) spansOf(seqs []int) [][2]int {
+	ids := slices.Compact(slices.Sorted(slices.Values(seqs)))
+	var spans [][2]int
+	for _, id := range ids {
+		lo, _ := slices.BinarySearchFunc(mt.windows, id, func(w seq.Window[E], id int) int { return cmp.Compare(w.SeqID, id) })
+		hi := lo
+		for hi < len(mt.windows) && mt.windows[hi].SeqID == id {
+			hi++
+		}
+		if hi > lo {
+			spans = append(spans, [2]int{lo, hi})
+		}
+	}
+	return spans
 }
 
 // NearestOptions tunes Nearest (query Type III).

@@ -279,10 +279,12 @@ func (j *typedJob[E, T]) run(mt *Matcher[E]) { j.val = j.answer(mt) }
 
 func (j *typedJob[E, T]) settle(err error) { j.complete(j.val, err) }
 
-// submitFunc is the one submit path: it wraps answer — a single-query
-// Matcher call — into a job whose future resolves to exactly what answer
-// returns. The four Submit* methods are its per-kind spellings.
-func submitFunc[E, T any](p *QueryPool[E], ctx context.Context, opts []SubmitOption, answer func(mt *Matcher[E]) T) *Future[T] {
+// SubmitFunc is the one submit path: it wraps answer — a single-query
+// Matcher call, such as FindAllIn — into a job that takes the pool's
+// admission, shed policy and deadline and runs on a worker's pinned matcher,
+// and whose future resolves to exactly what answer returns. The four
+// Submit* methods are its per-kind spellings.
+func SubmitFunc[E, T any](p *QueryPool[E], ctx context.Context, answer func(mt *Matcher[E]) T, opts ...SubmitOption) *Future[T] {
 	j := &typedJob[E, T]{answer: answer, Future: Future[T]{done: make(chan struct{})}}
 	j.task = j
 	p.submit(ctx, &j.streamJob, opts)
@@ -293,25 +295,25 @@ func submitFunc[E, T any](p *QueryPool[E], ctx context.Context, opts []SubmitOpt
 // future resolves to exactly Matcher.FindAll(q, eps). Options attach a
 // deadline or tenant label.
 func (p *QueryPool[E]) Submit(ctx context.Context, q seq.Sequence[E], eps float64, opts ...SubmitOption) *Future[[]Match] {
-	return submitFunc(p, ctx, opts, func(mt *Matcher[E]) []Match { return mt.FindAll(q, eps) })
+	return SubmitFunc(p, ctx, func(mt *Matcher[E]) []Match { return mt.FindAll(q, eps) }, opts...)
 }
 
 // SubmitFilter streams the filtering steps (3–4) for one query: the future
 // resolves to exactly Matcher.FilterHits(q, eps).
 func (p *QueryPool[E]) SubmitFilter(ctx context.Context, q seq.Sequence[E], eps float64, opts ...SubmitOption) *Future[[]Hit[E]] {
-	return submitFunc(p, ctx, opts, func(mt *Matcher[E]) []Hit[E] { return mt.FilterHits(q, eps) })
+	return SubmitFunc(p, ctx, func(mt *Matcher[E]) []Hit[E] { return mt.FilterHits(q, eps) }, opts...)
 }
 
 // SubmitLongest streams one Longest (query Type II): the future resolves to
 // exactly Matcher.Longest(q, eps).
 func (p *QueryPool[E]) SubmitLongest(ctx context.Context, q seq.Sequence[E], eps float64, opts ...SubmitOption) *Future[QueryResult] {
-	return submitFunc(p, ctx, opts, func(mt *Matcher[E]) QueryResult { return queryResult(mt.Longest(q, eps)) })
+	return SubmitFunc(p, ctx, func(mt *Matcher[E]) QueryResult { return queryResult(mt.Longest(q, eps)) }, opts...)
 }
 
 // SubmitNearest streams one Nearest (query Type III): the future resolves
 // to exactly Matcher.Nearest(q, opts).
 func (p *QueryPool[E]) SubmitNearest(ctx context.Context, q seq.Sequence[E], opts NearestOptions, subOpts ...SubmitOption) *Future[QueryResult] {
-	return submitFunc(p, ctx, subOpts, func(mt *Matcher[E]) QueryResult { return queryResult(mt.Nearest(q, opts)) })
+	return SubmitFunc(p, ctx, func(mt *Matcher[E]) QueryResult { return queryResult(mt.Nearest(q, opts)) }, subOpts...)
 }
 
 // Close stops the streaming engine gracefully: submissions already accepted

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -34,13 +36,19 @@ import (
 // 4xx verdict (bad request, unsupported retire, unowned id) is passed
 // through verbatim, anything else is a 502 naming each replica's error.
 //
-// Every acknowledged mutation bumps its owning range's epoch and drops
-// that range's cached partials, then bumps the shard-plan epoch and
-// flushes the cached merged answers, before the client sees the response. Merged keys embed
-// the plan epoch (CacheKey) and partial keys their range's (partialKey),
-// so a request that starts after the write's response can never match —
-// let alone be served — an answer of the written range computed before
-// it; the other ranges' partials stay valid and are served on.
+// Every acknowledged mutation moves its owning range's epoch and logs
+// what it did to which sequence (rangeState), drops that range's cached
+// nearest and batch partials, then bumps the shard-plan epoch and flushes
+// the cached merged answers, before the client sees the response. Merged
+// keys embed the plan epoch (CacheKey), nearest and batch partial keys
+// their range's (partialKey), and a findall, longest or filter partial
+// records the range epoch it is current at: a read after the write
+// carries it through the logged writes — served as it is across a retire
+// of a sequence it does not name, extended by one scoped ask ("seqs")
+// over the sequences appended since — or asks the range again. So a
+// request that starts after the write's response is never served an
+// answer of the written range computed before it; the other ranges'
+// partials stay valid and are served on.
 
 // adminFanoutTimeout bounds one write fan-out. The fan-out runs on a
 // context detached from the client's: once the gateway starts telling
@@ -88,12 +96,16 @@ func (g *Gateway) handleAdminAppend(w http.ResponseWriter, r *http.Request) {
 	resp := AdminFanoutResponse{Op: "append", Shard: &ri, Acks: acks,
 		Replicas: len(results), Quorum: 2*acks > len(results), Diverged: diverged,
 		Results: results}
+	op := opUnknown
 	if seqID >= 0 {
 		rng = g.growPlan(seqID)
 		resp.SeqID = &seqID
+		if !diverged {
+			op = opAppend
+		}
 	}
 	resp.Range = &rng
-	resp.Epoch, resp.Invalidated = g.bumpEpoch(ri)
+	resp.Epoch, resp.Invalidated = g.bumpEpoch(ri, op, seqID)
 	g.writes.Add(1)
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -141,7 +153,7 @@ func (g *Gateway) handleAdminRetire(w http.ResponseWriter, r *http.Request) {
 	rng := plan.Ranges[ri]
 	resp := AdminFanoutResponse{Op: "retire", Shard: &ri, Range: &rng, SeqID: req.SeqID,
 		Acks: acks, Replicas: len(results), Quorum: 2*acks > len(results), Results: results}
-	resp.Epoch, resp.Invalidated = g.bumpEpoch(ri)
+	resp.Epoch, resp.Invalidated = g.bumpEpoch(ri, opRetire, *req.SeqID)
 	g.writes.Add(1)
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -278,17 +290,20 @@ func (g *Gateway) growPlan(seqID int) Range {
 }
 
 // bumpEpoch is the write path's invalidation for an acknowledged write to
-// range ri: it advances range ri's epoch and drops its partials, then
-// advances the shard-plan epoch and flushes the merged answers (returning
-// how many). Ordering matters. The range moves first, so a read that sees
-// the new plan epoch sees the new range epoch too: it cannot serve range
-// ri's pre-write partial, and so cannot store a merged answer built from
-// one under a key later reads will look up. A flight that still computes
-// under the old epochs can only populate old-epoch keys no future request
-// will ever read, and DropRange refuses range ri's old-epoch partials
-// outright.
-func (g *Gateway) bumpEpoch(ri int) (epoch uint64, invalidated int) {
-	rangeEpoch := g.rangeEpochs[ri].Add(1)
+// range ri: it moves range ri to its next epoch, logging the write as op on
+// seqID, and drops the range's partials that are not carried (nearest,
+// /query/batch); then it advances the shard-plan epoch and flushes the
+// merged answers (returning how many). Ordering matters. The range moves
+// first, so a read that sees the new plan epoch sees the new range epoch
+// too: it cannot serve range ri's pre-write partial without carrying it
+// through the write, and so cannot store a merged answer built from one
+// under a key later reads will look up. A flight that still computes under
+// the old epochs can only populate old-epoch keys no future request will
+// ever read, or a carried partial current at the old epoch, which the next
+// read carries through the log; DropRange refuses range ri's old-epoch
+// partials of the other kinds outright.
+func (g *Gateway) bumpEpoch(ri int, op writeOp, seqID int) (epoch uint64, invalidated int) {
+	rangeEpoch := g.ranges[ri].record(op, seqID)
 	if g.cache != nil {
 		g.cache.DropRange(ri, rangeEpoch)
 	}
@@ -300,4 +315,133 @@ func (g *Gateway) bumpEpoch(ri int) (epoch uint64, invalidated int) {
 		invalidated = g.cache.Flush()
 	}
 	return epoch, invalidated
+}
+
+// --- the write log: carrying partials across writes ---
+
+// writeLogLen is how many writes each range's log holds. A carried partial
+// that more writes to its range have passed is a plain miss.
+const writeLogLen = 64
+
+// writeOp is what a logged write did to its range.
+type writeOp uint8
+
+const (
+	// opUnknown is a write whose effect the gateway cannot name — an append
+	// whose acks carried no seq_id, or whose replicas disagreed on it. No
+	// partial carries across it.
+	opUnknown writeOp = iota
+	opAppend
+	opRetire
+)
+
+// loggedWrite is one acknowledged write to a range: the epoch it moved the
+// range to, and what it did to which sequence.
+type loggedWrite struct {
+	epoch uint64
+	op    writeOp
+	seqID int
+}
+
+// rangeState is one range's write generation: the epoch its partials are
+// current at, and — when the cache is on — a ring of the last writeLogLen
+// writes that moved it, the write that moved it to epoch e in slot
+// e % writeLogLen. A write moves the epoch and its log entry together under
+// mu; a read loads the epoch without it.
+type rangeState struct {
+	epoch atomic.Uint64
+	mu    sync.Mutex
+	log   []loggedWrite
+}
+
+// record moves the range to its next epoch, logging the write that did.
+func (r *rangeState) record(op writeOp, seqID int) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := r.epoch.Load() + 1
+	if r.log != nil {
+		r.log[e%writeLogLen] = loggedWrite{epoch: e, op: op, seqID: seqID}
+	}
+	r.epoch.Store(e)
+	return e
+}
+
+// carry decides whether a carried partial of the range, current at epoch at
+// and holding body, answers a read at epoch now, and with which delta: the
+// sequences appended since at and not retired since, which the range is
+// asked for alone (none: the partial answers as it is). It does when the
+// log holds every write between the two epochs, each an append or a retire,
+// and no retire is of a sequence the partial names — a match or a hit of a
+// retired sequence would have to go, and the range is asked again instead.
+// A partial current at a later epoch than the read's is not used.
+func (r *rangeState) carry(at, now uint64, body []byte) (delta []int, ok bool) {
+	if at == now {
+		return nil, true
+	}
+	writes, ok := r.since(at, now)
+	if !ok {
+		return nil, false
+	}
+	var named map[int]bool
+	for _, w := range writes {
+		switch w.op {
+		case opAppend:
+			delta = append(delta, w.seqID)
+		case opRetire:
+			if named == nil {
+				if named, ok = namedSeqs(body); !ok {
+					return nil, false
+				}
+			}
+			if named[w.seqID] {
+				return nil, false
+			}
+			delta = slices.DeleteFunc(delta, func(id int) bool { return id == w.seqID })
+		default:
+			return nil, false
+		}
+	}
+	return delta, true
+}
+
+// since returns the writes that moved the range from epoch at to epoch now,
+// oldest first; ok is false when the log no longer holds one of them.
+func (r *rangeState) since(at, now uint64) (writes []loggedWrite, ok bool) {
+	if at > now || now-at > writeLogLen {
+		return nil, false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for e := at + 1; e <= now; e++ {
+		w := r.log[e%writeLogLen]
+		if w.epoch != e {
+			return nil, false
+		}
+		writes = append(writes, w)
+	}
+	return writes, true
+}
+
+// namedSeqs returns the sequence IDs a findall, longest or filter reply
+// names: those of its matches, its match, or its hits.
+func namedSeqs(body []byte) (map[int]bool, bool) {
+	type named struct {
+		SeqID int `json:"seq_id"`
+	}
+	var r struct {
+		Matches []named `json:"matches"`
+		Match   *named  `json:"match"`
+		Hits    []named `json:"hits"`
+	}
+	if json.Unmarshal(body, &r) != nil {
+		return nil, false
+	}
+	ids := make(map[int]bool, len(r.Matches)+len(r.Hits)+1)
+	for _, n := range append(r.Matches, r.Hits...) {
+		ids[n.SeqID] = true
+	}
+	if r.Match != nil {
+		ids[r.Match.SeqID] = true
+	}
+	return ids, true
 }

@@ -22,23 +22,30 @@ import (
 // fan-out, whose leader populates the cache exactly once.
 //
 // Beside each merged answer the cache keeps its parts: every range's own
-// 200-OK reply, keyed by path ⊕ range index ⊕ that range's epoch ⊕
-// canonical body (partialKey). A merged-answer miss asks only the ranges
-// with no partial and merges cached and fresh replies through the kind's
-// reducer, so a write to one range costs the next read of a hot query one
-// range's round trip, not the whole fleet's. A plan of one range keeps no
-// partials: its merged answer is its only part.
+// 200-OK reply. A findall, longest or filter reply is a carried partial,
+// keyed by path ⊕ canonical body in a set of its range's own (carriedKey)
+// and recording the range epoch it is current at; a nearest or batch
+// reply is keyed by path ⊕ range index ⊕ that range's epoch ⊕ canonical
+// body (partialKey). A merged-answer miss asks only the ranges with no
+// partial that answers and merges cached and fresh replies through the
+// kind's reducer, so a write to one range costs the next read of a hot
+// query at most one range's round trip, not the whole fleet's. A plan of
+// one range keeps no partials: its merged answer is its only part.
 //
-// Correctness rests on the keys, not on expiry. A merged answer is keyed
-// by CacheKey — endpoint path ⊕ shard-plan epoch ⊕ canonical body — and a
-// partial by its range's epoch. Every acknowledged admin write
-// (append/retire fanned out by admin.go) bumps the written range's epoch
-// and drops its partials, then bumps the plan epoch and flushes every
-// merged answer; the other ranges' partials stay. A request that
-// starts after a write's HTTP response therefore computes keys no
-// pre-write entry of the written range can ever match: stale answers are
-// unreachable by construction, and the TTL is only a belt-and-suspenders
-// bound for mutations that bypass the gateway entirely.
+// Correctness rests on the keys and the range's write log, not on expiry.
+// A merged answer is keyed by CacheKey — endpoint path ⊕ shard-plan epoch
+// ⊕ canonical body. Every acknowledged admin write (append/retire fanned
+// out by admin.go) moves the written range's epoch and logs the write,
+// drops the range's nearest and batch partials, then bumps the plan epoch
+// and flushes every merged answer; the other ranges' partials stay, and
+// so do the written range's carried ones, which a later read carries
+// through the logged writes or asks again (admin.go rangeState.carry). A
+// request that starts after a write's HTTP response therefore computes
+// keys no pre-write merged answer can match, and reads no pre-write
+// partial of the written range without carrying it through the write:
+// stale answers are unreachable by construction, and the TTL is only a
+// belt-and-suspenders bound for mutations that bypass the gateway
+// entirely.
 //
 // The store is one LRU list under one mutex and the whole byte budget,
 // shared by merged answers and partials; each keeps its own counters.
@@ -48,8 +55,9 @@ import (
 const cacheEntryOverhead = 128
 
 // Cache is a bounded-memory LRU over canonical query keys: merged answers
-// (Get/Put/Flush) and per-range partials (GetPart/PutPart/DropRange) in
-// one byte budget. All methods are safe for concurrent use.
+// (Get/Put/Flush) and per-range partials (GetPart/PutPart/DropRange, and
+// GetCarried/PutCarried for the carried ones) in one byte budget. All
+// methods are safe for concurrent use.
 type Cache struct {
 	maxBytes int64
 	ttl      time.Duration
@@ -58,11 +66,16 @@ type Cache struct {
 	mu    sync.Mutex
 	bytes int64      // merged answers and partials together
 	lru   *list.List // front = most recently used
-	// sets[0] holds the merged answers, sets[r+1] range r's partials.
+	// sets[0] holds the merged answers, sets[2r+1] range r's partials keyed
+	// by its epoch (nearest, /query/batch) and sets[2r+2] its carried ones.
 	sets []entrySet
 
 	merged, parts cacheTally
 }
+
+// plainSet and carriedSet index range ri's two partial sets in Cache.sets.
+func plainSet(ri int) int   { return 2*ri + 1 }
+func carriedSet(ri int) int { return 2*ri + 2 }
 
 // entrySet is one class of entries: the merged answers, or one range's
 // partials.
@@ -74,9 +87,11 @@ type entrySet struct {
 	floor uint64
 }
 
-// cacheTally is one class's traffic counters.
+// cacheTally is one class's traffic counters. forwarded and deltas count
+// the partials' hits that carried an entry across writes (countCarry).
 type cacheTally struct {
 	hits, misses, evictions, invalidations atomic.Int64
+	forwarded, deltas                      atomic.Int64
 }
 
 type cacheEntry struct {
@@ -84,6 +99,7 @@ type cacheEntry struct {
 	body    []byte
 	size    int64
 	set     int       // index into Cache.sets
+	epoch   uint64    // the range epoch a partial is current at
 	expires time.Time // zero: no TTL
 }
 
@@ -108,19 +124,66 @@ func (c *Cache) Put(key string, body []byte) { c.put(0, 0, key, body) }
 // invalidations counter; partials are left alone.
 func (c *Cache) Flush() int { return c.drop(0, 0) }
 
-// GetPart is Get for range ri's partial under key.
-func (c *Cache) GetPart(ri int, key string) ([]byte, bool) { return c.get(ri+1, key) }
+// GetPart is Get for range ri's partial under key, a key that names the
+// range's epoch (partialKey).
+func (c *Cache) GetPart(ri int, key string) ([]byte, bool) { return c.get(plainSet(ri), key) }
 
 // PutPart is Put for range ri's partial under key, computed under the
 // range's epoch: a partial whose epoch a DropRange has passed is not
 // stored.
-func (c *Cache) PutPart(ri int, epoch uint64, key string, body []byte) { c.put(ri+1, epoch, key, body) }
+func (c *Cache) PutPart(ri int, epoch uint64, key string, body []byte) {
+	c.put(plainSet(ri), epoch, key, body)
+}
 
-// DropRange drops every partial of range ri — the write path's
-// invalidation of them — and refuses later puts computed under an epoch
-// below epoch, the range's new one. The number of dropped entries is
-// returned and added to the partials' invalidations counter.
-func (c *Cache) DropRange(ri int, epoch uint64) int { return c.drop(ri+1, epoch) }
+// DropRange drops every partial of range ri that GetPart reads — the write
+// path's invalidation of them — and refuses later puts computed under an
+// epoch below epoch, the range's new one. Carried partials stay. The number
+// of dropped entries is returned and added to the partials' invalidations
+// counter.
+func (c *Cache) DropRange(ri int, epoch uint64) int { return c.drop(plainSet(ri), epoch) }
+
+// GetCarried returns range ri's carried partial under key (carriedKey) and
+// the range epoch it is current at, refreshing its recency. It counts
+// nothing: whether the entry answers a read is known only once the write log
+// has been read, and the gateway reports that through countCarry.
+func (c *Cache) GetCarried(ri int, key string) (body []byte, epoch uint64, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ent := c.lookupLocked(carriedSet(ri), key); ent != nil {
+		return ent.body, ent.epoch, true
+	}
+	return nil, 0, false
+}
+
+// PutCarried stores range ri's carried partial under key, current at epoch.
+// It never replaces an entry current at a newer epoch.
+func (c *Cache) PutCarried(ri int, epoch uint64, key string, body []byte) {
+	c.put(carriedSet(ri), epoch, key, body)
+}
+
+// carry is how a read used a range's carried partial.
+type carry int
+
+const (
+	carryMiss    carry = iota // none that answers: the range is asked in full
+	carryCurrent              // current at the read's epoch
+	carryForward              // carried across writes that change nothing it holds
+	carryDelta                // carried with a scoped ask over the sequences appended since
+)
+
+// countCarry counts one read's use of a carried partial.
+func (c *Cache) countCarry(k carry) {
+	switch k {
+	case carryMiss:
+		c.parts.misses.Add(1)
+		return
+	case carryForward:
+		c.parts.forwarded.Add(1)
+	case carryDelta:
+		c.parts.deltas.Add(1)
+	}
+	c.parts.hits.Add(1)
+}
 
 // tally returns the counters of set s.
 func (c *Cache) tally(s int) *cacheTally {
@@ -147,21 +210,31 @@ func (c *Cache) get(s int, key string) ([]byte, bool) {
 	t := c.tally(s)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.setLocked(s).m[key]
-	if !ok {
+	ent := c.lookupLocked(s, key)
+	if ent == nil {
 		t.misses.Add(1)
 		return nil, false
+	}
+	t.hits.Add(1)
+	return ent.body, true
+}
+
+// lookupLocked returns set s's entry under key, refreshing its recency, or
+// nil; a present but expired entry is dropped (counted as an eviction).
+// c.mu must be held.
+func (c *Cache) lookupLocked(s int, key string) *cacheEntry {
+	e, ok := c.setLocked(s).m[key]
+	if !ok {
+		return nil
 	}
 	ent := e.Value.(*cacheEntry)
 	if !ent.expires.IsZero() && c.now().After(ent.expires) {
 		c.removeLocked(e)
-		t.evictions.Add(1)
-		t.misses.Add(1)
-		return nil, false
+		c.tally(s).evictions.Add(1)
+		return nil
 	}
 	c.lru.MoveToFront(e)
-	t.hits.Add(1)
-	return ent.body, true
+	return ent
 }
 
 func (c *Cache) put(s int, epoch uint64, key string, body []byte) {
@@ -173,6 +246,7 @@ func (c *Cache) put(s int, epoch uint64, key string, body []byte) {
 	if c.ttl > 0 {
 		ent.expires = c.now().Add(c.ttl)
 	}
+	ent.epoch = epoch
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	set := c.setLocked(s)
@@ -180,6 +254,9 @@ func (c *Cache) put(s int, epoch uint64, key string, body []byte) {
 		return
 	}
 	if e, ok := set.m[key]; ok {
+		if e.Value.(*cacheEntry).epoch > epoch {
+			return
+		}
 		// Replacement, not eviction: the key stays resident.
 		c.removeLocked(e)
 	}
@@ -252,6 +329,8 @@ func (c *Cache) PartStats() PartialCounters {
 		Misses:        c.parts.misses.Load(),
 		Evictions:     c.parts.evictions.Load(),
 		Invalidations: c.parts.invalidations.Load(),
+		Forwarded:     c.parts.forwarded.Load(),
+		Deltas:        c.parts.deltas.Load(),
 		Entries:       entries,
 		Bytes:         bytes,
 	}
@@ -288,12 +367,19 @@ func mergedKey(path string, epoch uint64, canon string) string {
 	return path + "\x00" + strconv.FormatUint(epoch, 10) + "\x00" + canon
 }
 
-// partialKey keys range ri's partial of one query: path ⊕ range index ⊕
-// the range's epoch ⊕ canonical body. The middle part, "<ri>:<epoch>",
-// is never a merged key's decimal epoch.
+// partialKey keys range ri's partial of one query that is not carried
+// across writes (nearest, /query/batch): path ⊕ range index ⊕ the range's
+// epoch ⊕ canonical body. The middle part, "<ri>:<epoch>", is never a
+// merged key's decimal epoch.
 func partialKey(path string, ri int, epoch uint64, canon string) string {
 	return path + "\x00" + strconv.Itoa(ri) + ":" + strconv.FormatUint(epoch, 10) + "\x00" + canon
 }
+
+// carriedKey keys a range's carried partial of one query (findall,
+// longest, filter): path ⊕ canonical body, with no epoch, since the entry
+// records the epoch it is current at and is carried forward from it. Each
+// range keeps its carried partials in a set of their own.
+func carriedKey(path, canon string) string { return path + "\x00" + canon }
 
 // canonicalJSON re-encodes one JSON value deterministically: object keys
 // sorted, no insignificant whitespace, number literals preserved verbatim

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -448,23 +449,39 @@ func TestNonJSONBodiesBypassCache(t *testing.T) {
 // --- per-range partials ---
 
 // rangeShard is a fake shard for one range that answers findall and
-// findall batches with one match on its first sequence whose distance is
-// the number of writes it has applied, so an answer a write should have
-// changed but a stale partial kept is visible in the merged bytes. It
-// counts the queries it is asked; after hold, a findall waits on the
-// gate hold returns.
+// findall batches per sequence, as a store does: one match on each live
+// sequence of its range, whose distance is fixed by the sequence, so a write
+// changes exactly the matches of the sequence it wrote. An append takes the
+// next global ID (the range's Hi, then up) and a retire drops its ID. A
+// findall with "seqs" answers over those live sequences only. It counts the
+// queries it is asked and records each findall's "seqs" (nil: the whole
+// range); after hold, a findall waits on the gate hold returns.
 type rangeShard struct {
 	mu            sync.Mutex
-	writes, calls int
+	live          []int // live sequence IDs, ascending
+	next          int   // the ID the next append takes
+	calls         int
+	scopes        [][]int
 	entered, gate chan struct{}
 	srv           *httptest.Server
 }
 
 func newRangeShard(t *testing.T, r Range) *rangeShard {
 	t.Helper()
-	rs := &rangeShard{}
-	match := func() Match {
-		return Match{SeqID: r.Lo, QEnd: 3, XEnd: 3, Dist: float64(rs.writes)}
+	rs := &rangeShard{next: r.Hi}
+	for id := r.Lo; id < r.Hi; id++ {
+		rs.live = append(rs.live, id)
+	}
+	// matches answers over the live sequences of scope (nil: all of them);
+	// rs.mu must be held.
+	matches := func(scope []int) []Match {
+		ms := []Match{}
+		for _, id := range rs.live {
+			if scope == nil || slices.Contains(scope, id) {
+				ms = append(ms, Match{SeqID: id, QEnd: 3, XEnd: 3, Dist: float64(id % 3)})
+			}
+		}
+		return ms
 	}
 	answer := func(w http.ResponseWriter, v func() any) {
 		rs.mu.Lock()
@@ -475,15 +492,25 @@ func newRangeShard(t *testing.T, r Range) *rangeShard {
 		json.NewEncoder(w).Encode(body)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query/findall", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("POST /query/findall", func(w http.ResponseWriter, req *http.Request) {
+		var q struct {
+			Seqs []int `json:"seqs"`
+		}
+		if err := json.NewDecoder(req.Body).Decode(&q); err != nil {
+			t.Error(err)
+		}
 		rs.mu.Lock()
 		entered, gate := rs.entered, rs.gate
+		rs.scopes = append(rs.scopes, q.Seqs)
 		rs.mu.Unlock()
 		if gate != nil {
 			entered <- struct{}{}
 			<-gate
 		}
-		answer(w, func() any { return MatchesResponse{Count: 1, Matches: []Match{match()}} })
+		answer(w, func() any {
+			ms := matches(q.Seqs)
+			return MatchesResponse{Count: len(ms), Matches: ms}
+		})
 	})
 	mux.HandleFunc("POST /query/batch", func(w http.ResponseWriter, req *http.Request) {
 		var br BatchRequest
@@ -493,20 +520,33 @@ func newRangeShard(t *testing.T, r Range) *rangeShard {
 		answer(w, func() any {
 			out := BatchResponse{Kind: "findall", Count: len(br.Queries)}
 			for range br.Queries {
-				out.Matches = append(out.Matches, []Match{match()})
+				out.Matches = append(out.Matches, matches(nil))
 			}
 			return out
 		})
 	})
-	write := func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("POST /admin/append", func(w http.ResponseWriter, _ *http.Request) {
 		rs.mu.Lock()
-		rs.writes++
+		id := rs.next
+		rs.next++
+		rs.live = append(rs.live, id)
 		rs.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"seq_id": r.Hi})
-	}
-	mux.HandleFunc("POST /admin/append", write)
-	mux.HandleFunc("POST /admin/retire", write)
+		json.NewEncoder(w).Encode(map[string]any{"seq_id": id})
+	})
+	mux.HandleFunc("POST /admin/retire", func(w http.ResponseWriter, req *http.Request) {
+		var rr struct {
+			SeqID int `json:"seq_id"`
+		}
+		if err := json.NewDecoder(req.Body).Decode(&rr); err != nil {
+			t.Error(err)
+		}
+		rs.mu.Lock()
+		rs.live = slices.DeleteFunc(rs.live, func(id int) bool { return id == rr.SeqID })
+		rs.mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(map[string]any{"seq_id": rr.SeqID})
+	})
 	rs.srv = httptest.NewServer(mux)
 	t.Cleanup(rs.srv.Close)
 	return rs
@@ -516,6 +556,14 @@ func (rs *rangeShard) callCount() int {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	return rs.calls
+}
+
+// lastScope returns the "seqs" of the last findall the shard was asked
+// (nil: the whole range).
+func (rs *rangeShard) lastScope() []int {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.scopes[len(rs.scopes)-1]
 }
 
 // hold makes every later findall signal entered on arrival and wait until
@@ -601,10 +649,11 @@ func TestWriteReasksOnlyItsRange(t *testing.T) {
 		}
 		ar := decodeAdmin(t, b)
 		after, _ := g.PartialStats()
+		// The write drops the batch's partial; the findall's carries.
 		if dropped := after.Invalidations - before.Invalidations; *ar.Shard != wr.ri || ar.Invalidated != len(reads) ||
-			dropped != int64(len(reads)) || after.Epochs[wr.ri] != 1 {
+			dropped != 1 || after.Epochs[wr.ri] != 1 {
 			t.Fatalf("%s: shard %d, %d merged answers and %d partials invalidated, range epochs %v; want shard %d, %d, %d and epoch 1",
-				wr.path, *ar.Shard, ar.Invalidated, dropped, after.Epochs, wr.ri, len(reads), len(reads))
+				wr.path, *ar.Shard, ar.Invalidated, dropped, after.Epochs, wr.ri, len(reads), 1)
 		}
 		asked := make([]int, len(ranges))
 		asked[wr.ri] = 1
@@ -619,9 +668,13 @@ func TestWriteReasksOnlyItsRange(t *testing.T) {
 	if !ok {
 		t.Fatal("cached gateway reports no partials")
 	}
-	// Each write re-asked one range and reused two, per read.
+	// Each write re-asked one range and reused two, per read. The warm-up
+	// missed all six partials; after the append the findall carried range
+	// 2's with a scoped ask (a hit and a delta), and after each retire,
+	// which names a sequence its partial holds, asked the range again (a
+	// miss); the batch missed the written range every time.
 	n := int64(len(reads))
-	want := PartialCounters{Hits: 2 * 3 * n, Misses: 3*n + 3*n, Invalidations: 3 * n,
+	want := PartialCounters{Hits: 13, Misses: 11, Invalidations: 3, Deltas: 1,
 		Entries: 3 * len(reads), Epochs: []uint64{1, 1, 1}}
 	ps.Bytes = 0
 	if fmt.Sprint(ps) != fmt.Sprint(want) {
@@ -745,5 +798,167 @@ func TestDropRangeRefusesOlderEpochs(t *testing.T) {
 	}
 	if cs := c.Stats(); cs.Entries != 1 || cs.Invalidations != 0 {
 		t.Fatalf("merged stats %+v", cs)
+	}
+}
+
+// --- carrying partials across writes ---
+
+// carryFleet is a 2-range plan of fake shards behind a cached gateway and
+// an uncached one. read posts one findall to both and requires the cached
+// answer to be the uncached one, byte for byte; it returns how many times
+// the cached read asked each range, and with which "seqs" the last time
+// (nil: in full, or not asked).
+func carryFleet(t *testing.T) (shards []*rangeShard, g, ref *Gateway, read func(step string) readTrace) {
+	t.Helper()
+	ranges := []Range{{0, 2}, {2, 4}}
+	urls := make([]string, len(ranges))
+	for i, r := range ranges {
+		shards = append(shards, newRangeShard(t, r))
+		urls[i] = shards[i].srv.URL
+	}
+	plan := mustPlan(t, 4, ranges)
+	var err error
+	if g, err = NewGateway(plan, urls, WithCache(1<<20, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if ref, err = NewGateway(plan, urls); err != nil {
+		t.Fatal(err)
+	}
+	read = func(step string) (tr readTrace) {
+		t.Helper()
+		for i, s := range shards {
+			tr.asked[i] = s.callCount()
+		}
+		rec, got := doPost(t, g.Handler(), "/query/findall", carryBody)
+		for i, s := range shards {
+			if tr.asked[i] = s.callCount() - tr.asked[i]; tr.asked[i] > 0 {
+				tr.scopes[i] = s.lastScope()
+			}
+		}
+		_, want := doPost(t, ref.Handler(), "/query/findall", carryBody)
+		if rec.Code != http.StatusOK || string(got) != string(want) {
+			t.Fatalf("%s: cached gateway answered %d\n  %s\nuncached\n  %s", step, rec.Code, got, want)
+		}
+		return tr
+	}
+	return shards, g, ref, read
+}
+
+// readTrace is what one cached read asked of each range of carryFleet.
+type readTrace struct {
+	asked  [2]int
+	scopes [2][]int
+}
+
+const carryBody = `{"query":"abc","eps":1}`
+
+// write posts one admin write through g.
+func write(t *testing.T, g *Gateway, path, body string) {
+	t.Helper()
+	if rec, b := doPost(t, g.Handler(), path, body); rec.Code != http.StatusOK {
+		t.Fatalf("%s: %d: %s", path, rec.Code, b)
+	}
+}
+
+// racedPartial leaves range 1's partial current at epoch 0 yet holding
+// sequence 4: a read's full ask of range 1 is held while an append through
+// the gateway lands sequence 4 there, and answers after it.
+func racedPartial(t *testing.T) (g *Gateway, read func(step string) readTrace) {
+	shards, g, _, read := carryFleet(t)
+	entered, gate := shards[1].hold()
+	raced := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query/findall", strings.NewReader(carryBody)))
+		raced <- rec
+	}()
+	<-entered // the read loaded range 1's epoch 0 and asks it in full
+	write(t, g, "/admin/append", `{"sequence":"abc"}`)
+	close(gate)
+	if rec := <-raced; rec.Code != http.StatusOK {
+		t.Fatalf("racing read: %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	return g, read
+}
+
+// A full ask that a concurrent append reaches before the gateway logs it
+// holds the appended sequence already; the next read asks range 1 for that
+// sequence alone and the union keeps its match once.
+func TestFullAskRacingAppendIsNotMergedTwice(t *testing.T) {
+	g, read := racedPartial(t)
+	if tr := read("after the raced append"); tr.asked != [2]int{0, 1} || !slices.Equal(tr.scopes[1], []int{4}) {
+		t.Fatalf("the read asked %v, range 1 for %v; want range 1 alone, for the appended sequence [4]", tr.asked, tr.scopes[1])
+	}
+	if ps, _ := g.PartialStats(); ps.Deltas != 1 {
+		t.Fatalf("partials %+v: want one delta", ps)
+	}
+}
+
+// An append and a retire of S between two reads cancel in the delta, but
+// an entry that names S — here one whose full ask raced S's append — is
+// not carried: the range is asked again in full.
+func TestAppendAndRetireOfNamedSequenceReasks(t *testing.T) {
+	g, read := racedPartial(t)
+	write(t, g, "/admin/retire", `{"seq_id":4}`)
+	if tr := read("after the append and the retire of sequence 4"); tr.asked != [2]int{0, 1} || tr.scopes[1] != nil {
+		t.Fatalf("the read asked %v, range 1 for %v; want range 1 alone, in full", tr.asked, tr.scopes[1])
+	}
+}
+
+// An append and a retire of S between two reads, against an entry that
+// does not name S, leave the entry as it is: the read asks no shard.
+func TestAppendAndRetireOfUnnamedSequenceForwards(t *testing.T) {
+	_, g, _, read := carryFleet(t)
+	read("warm-up")
+	write(t, g, "/admin/append", `{"sequence":"abc"}`)
+	write(t, g, "/admin/retire", `{"seq_id":4}`)
+	if tr := read("after the append and the retire of sequence 4"); tr.asked != [2]int{} {
+		t.Fatalf("the read asked %v, want no range", tr.asked)
+	}
+	if ps, _ := g.PartialStats(); ps.Forwarded != 1 || ps.Deltas != 0 {
+		t.Fatalf("partials %+v: want one forwarded, no delta", ps)
+	}
+}
+
+// A partial older than the log reaches is asked again in full: after
+// writeLogLen appends range 1 is asked for those sequences alone, after
+// writeLogLen+1 more for the whole range.
+func TestWritesPastTheLogReaskTheRange(t *testing.T) {
+	_, g, _, read := carryFleet(t)
+	for _, n := range []int{writeLogLen, writeLogLen + 1} {
+		read("warm-up")
+		for range n {
+			write(t, g, "/admin/append", `{"sequence":"abc"}`)
+		}
+		tr := read(fmt.Sprintf("after %d appends", n))
+		want := n // the sequences appended, asked for alone
+		if n > writeLogLen {
+			want = 0 // the whole range
+		}
+		if tr.asked != [2]int{0, 1} || len(tr.scopes[1]) != want {
+			t.Fatalf("after %d appends the read asked %v, range 1 for %d sequences; want range 1 alone, for %d (0: all)",
+				n, tr.asked, len(tr.scopes[1]), want)
+		}
+	}
+}
+
+// A put at an older epoch never replaces an entry current at a newer one,
+// and a put at a newer epoch does.
+func TestCarriedPutNeverReplacesNewer(t *testing.T) {
+	c := NewCache(1<<20, 0)
+	c.PutCarried(0, 2, "k", []byte("two"))
+	c.PutCarried(0, 1, "k", []byte("one"))
+	if b, at, ok := c.GetCarried(0, "k"); !ok || at != 2 || string(b) != "two" {
+		t.Fatalf("after an older put: %q at %d (%v), want \"two\" at 2", b, at, ok)
+	}
+	c.PutCarried(0, 3, "k", []byte("three"))
+	if b, at, ok := c.GetCarried(0, "k"); !ok || at != 3 || string(b) != "three" {
+		t.Fatalf("after a newer put: %q at %d (%v), want \"three\" at 3", b, at, ok)
+	}
+	if n := c.DropRange(0, 4); n != 0 {
+		t.Fatalf("DropRange dropped %d carried partials, want none", n)
+	}
+	if ps := c.PartStats(); ps.Entries != 1 {
+		t.Fatalf("partial stats %+v", ps)
 	}
 }

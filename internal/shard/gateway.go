@@ -41,6 +41,12 @@ import (
 // exhausted the range is recorded as a ShardFailure with each replica's
 // error itemised, and the merged response carries a Degradation block.
 // Only when no range answers does the gateway fail the request (502).
+//
+// With the result cache on (cache.go) a range is asked only when it has
+// no cached partial that answers at its current epoch; a findall, longest
+// or filter partial older than the range's last writes is carried through
+// them (admin.go), at most one scoped ask over the sequences appended
+// since, and the fan-out merges cached, carried and fresh replies alike.
 
 // PostFunc issues a POST with a JSON body, returning the response. The
 // bounded-retry client in cmd/subseqctl satisfies this; tests inject
@@ -79,13 +85,13 @@ type Gateway struct {
 	flight flightGroup
 	// cache holds merged 200-OK answers and each range's share of them
 	// under canonical keys (cache.go); nil when caching is off. epoch is
-	// the shard-plan epoch every merged key embeds, rangeEpochs[i] the
-	// epoch of range i every partial key of that range embeds: admin.go
-	// bumps the plan's and the written range's on each acknowledged
-	// write, making every pre-write entry of that range unreachable.
-	cache       *Cache
-	epoch       atomic.Uint64
-	rangeEpochs []atomic.Uint64
+	// the shard-plan epoch every merged key embeds; ranges[i] holds range
+	// i's epoch, which each of its partials is current at, and the log of
+	// the writes that moved it (admin.go). Each acknowledged write moves
+	// the written range's epoch, then the plan's.
+	cache  *Cache
+	epoch  atomic.Uint64
+	ranges []rangeState
 	// midBump, when set, runs inside bumpEpoch between the range's epoch
 	// move and the plan's, so a test can interleave a read there.
 	midBump func()
@@ -127,10 +133,12 @@ func WithProbeInterval(d time.Duration) GatewayOption {
 
 // WithCache enables the gateway result cache: successful, undegraded
 // merged answers are kept under their canonical key (CacheKey), and with
-// more than one range each range's reply too (partialKey), within one
-// total byte budget, evicted LRU within that budget and by TTL (ttl <= 0
-// keeps entries until eviction or write-path invalidation). maxBytes <= 0
-// disables the cache; single-flight collapse works either way.
+// more than one range each range's reply too (carriedKey, partialKey),
+// within one total byte budget, evicted LRU within that budget and by TTL
+// (ttl <= 0 keeps entries until eviction or write-path invalidation), and
+// each range logs its last writes so its findall, longest and filter
+// replies carry across them. maxBytes <= 0 disables the cache and the log;
+// single-flight collapse works either way.
 func WithCache(maxBytes int64, ttl time.Duration) GatewayOption {
 	return func(g *Gateway) {
 		if maxBytes > 0 {
@@ -189,9 +197,14 @@ func NewReplicatedGateway(plan Plan, replicas [][]string, opts ...GatewayOption)
 		probeInterval: defaultProbeInterval,
 	}
 	g.planp.Store(&plan)
-	g.rangeEpochs = make([]atomic.Uint64, len(clean))
 	for _, o := range opts {
 		o(g)
+	}
+	g.ranges = make([]rangeState, len(clean))
+	if g.cache != nil {
+		for i := range g.ranges {
+			g.ranges[i].log = make([]loggedWrite, writeLogLen)
+		}
 	}
 	g.health = make([]*replicaSet, len(clean))
 	for i, set := range clean {
@@ -264,9 +277,9 @@ func (g *Gateway) PartialStats() (ps PartialCounters, ok bool) {
 		return PartialCounters{}, false
 	}
 	ps = g.cache.PartStats()
-	ps.Epochs = make([]uint64, len(g.rangeEpochs))
-	for i := range g.rangeEpochs {
-		ps.Epochs[i] = g.rangeEpochs[i].Load()
+	ps.Epochs = make([]uint64, len(g.ranges))
+	for i := range g.ranges {
+		ps.Epochs[i] = g.ranges[i].epoch.Load()
 	}
 	return ps, true
 }
@@ -285,17 +298,26 @@ type shardReply struct {
 }
 
 // rangeReply is one range's resolved answer. On success status/body
-// carry the winning replica's reply (or the range's cached partial); when
-// every replica failed, err is set and replicaErrs itemises the attempts.
-// A reply fetched for a query that keeps partials names the key and the
-// range epoch it is stored under if the whole fan-out succeeds.
+// carry the winning replica's reply (or the range's cached partial, as
+// carried forward); when every replica failed, err is set and replicaErrs
+// itemises the attempts. A reply for a query that keeps partials names
+// where it is stored if the whole fan-out succeeds (part.key "": nowhere,
+// it is stored already).
 type rangeReply struct {
 	status      int
 	body        []byte
 	err         error
 	replicaErrs []ReplicaError
-	partKey     string
-	partEpoch   uint64
+	part        partRef
+}
+
+// partRef is where a range's reply is kept as a partial: its key, the range
+// epoch it is current at, and whether it is a carried partial (PutCarried)
+// or one keyed by the epoch (PutPart).
+type partRef struct {
+	key     string
+	epoch   uint64
+	carried bool
 }
 
 // failoverStatus reports whether an HTTP status means "this replica
@@ -430,51 +452,126 @@ func (g *Gateway) askRange(ctx context.Context, ri int, path string, body []byte
 // range is sent verbatim, and — when the body has one — its canonical
 // form, which every cache key of the query shares. parts reports whether
 // the query keeps per-range partials: the cache is on, the body is
-// canonical and the plan has more than one range.
+// canonical and the plan has more than one range. carry, set by the
+// kinds whose partials carry across writes (findall, longest, filter),
+// merges a carried partial with a scoped reply (reduce).
 type read struct {
 	path  string
 	body  []byte
 	canon string
 	parts bool
+	carry func(base, delta []byte) ([]byte, error)
 }
 
 // scatter resolves every range concurrently and collects the replies in
-// range order. Under rd.parts a range with a partial under its current
-// epoch answers from it and is not asked; every other range's reply
-// carries the partial key, at the epoch read here, that keepParts stores
-// it under.
+// range order. Under rd.parts each range's epoch is read once; a range
+// whose partial answers at that epoch (lookupPart) is not asked, one whose
+// carried partial needs the sequences appended since is asked for those
+// alone, and every other range in full.
 func (g *Gateway) scatter(ctx context.Context, rd read) []rangeReply {
 	replies := make([]rangeReply, len(g.replicas))
 	var wg sync.WaitGroup
 	for i := range g.replicas {
-		var key string
-		var epoch uint64
+		var part partRef
+		var base []byte
+		var delta []int
 		if rd.parts {
-			epoch = g.rangeEpochs[i].Load()
-			key = partialKey(rd.path, i, epoch, rd.canon)
-			if b, ok := g.cache.GetPart(i, key); ok {
-				replies[i] = rangeReply{status: http.StatusOK, body: b}
+			var done bool
+			if part, base, delta, done = g.lookupPart(i, rd); done {
+				replies[i] = rangeReply{status: http.StatusOK, body: base, part: part}
 				continue
 			}
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rep := g.askRange(ctx, i, rd.path, rd.body)
-			rep.partKey, rep.partEpoch = key, epoch
-			replies[i] = rep
+			replies[i] = g.askPart(ctx, i, rd, part, base, delta)
 		}(i)
 	}
 	wg.Wait()
 	return replies
 }
 
-// keepParts stores the fresh replies of a fan-out in which every range
-// answered 200 and passed classify as their ranges' partials.
+// lookupPart reads range i's partial of rd at the range's current epoch.
+// done reports that base answers the range with no shard call; part then
+// names where to store it (a carried partial forwarded to the epoch) or
+// nothing (current already). Otherwise part is where the range's reply
+// goes, and a non-nil base is a carried partial to extend with one scoped
+// ask over delta, the sequences appended to the range since it was current.
+func (g *Gateway) lookupPart(i int, rd read) (part partRef, base []byte, delta []int, done bool) {
+	epoch := g.ranges[i].epoch.Load()
+	if rd.carry == nil {
+		part = partRef{key: partialKey(rd.path, i, epoch, rd.canon), epoch: epoch}
+		if b, ok := g.cache.GetPart(i, part.key); ok {
+			return partRef{}, b, nil, true
+		}
+		return part, nil, nil, false
+	}
+	part = partRef{key: carriedKey(rd.path, rd.canon), epoch: epoch, carried: true}
+	if b, at, ok := g.cache.GetCarried(i, part.key); ok {
+		if delta, ok := g.ranges[i].carry(at, epoch, b); ok {
+			switch {
+			case at == epoch:
+				g.cache.countCarry(carryCurrent)
+				return partRef{}, b, nil, true
+			case len(delta) == 0:
+				g.cache.countCarry(carryForward)
+				return part, b, nil, true
+			}
+			return part, b, delta, false
+		}
+	}
+	g.cache.countCarry(carryMiss)
+	return part, nil, nil, false
+}
+
+// askPart resolves range i. With a carried base it asks the range for the
+// sequences delta alone and merges the reply into base through the kind's
+// union; if that ask does not come back 200 and merged, the range is asked
+// in full, as it is with no base.
+func (g *Gateway) askPart(ctx context.Context, i int, rd read, part partRef, base []byte, delta []int) rangeReply {
+	if base != nil {
+		if body, ok := scopedBody(rd.canon, delta); ok {
+			if rep := g.askRange(ctx, i, rd.path, body); rep.err == nil && rep.status == http.StatusOK {
+				if merged, err := rd.carry(base, rep.body); err == nil {
+					g.cache.countCarry(carryDelta)
+					return rangeReply{status: http.StatusOK, body: merged, part: part}
+				}
+			}
+		}
+		g.cache.countCarry(carryMiss)
+	}
+	rep := g.askRange(ctx, i, rd.path, rd.body)
+	rep.part = part
+	return rep
+}
+
+// scopedBody is the canonical body canon with "seqs" set to seqs: the same
+// question asked of those sequences only. A body that names its own
+// "seqs" already is not rewritten (ok false).
+func scopedBody(canon string, seqs []int) ([]byte, bool) {
+	var fields map[string]json.RawMessage
+	if json.Unmarshal([]byte(canon), &fields) != nil || fields == nil {
+		return nil, false
+	}
+	if _, ok := fields["seqs"]; ok {
+		return nil, false
+	}
+	fields["seqs"], _ = json.Marshal(seqs)
+	b, err := json.Marshal(fields)
+	return b, err == nil
+}
+
+// keepParts stores the fresh and forwarded replies of a fan-out in which
+// every range answered 200 and passed classify as their ranges' partials.
 func (g *Gateway) keepParts(replies []rangeReply) {
 	for i, rep := range replies {
-		if rep.partKey != "" {
-			g.cache.PutPart(i, rep.partEpoch, rep.partKey, rep.body)
+		switch p := rep.part; {
+		case p.key == "":
+		case p.carried:
+			g.cache.PutCarried(i, p.epoch, p.key, rep.body)
+		default:
+			g.cache.PutPart(i, p.epoch, p.key, rep.body)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -27,13 +28,21 @@ type Params struct {
 	// (core.NearestOptions.Validate).
 	EpsMax *float64 `json:"eps_max"`
 	EpsInc *float64 `json:"eps_inc"`
+	// Seqs scopes findall, longest and filter to the listed sequence IDs:
+	// the answer is the full one with every match or hit on another
+	// sequence left out. Absent or null scopes nothing; nearest refuses it,
+	// since its radius schedule starts from the least distance over every
+	// window.
+	Seqs *[]int `json:"seqs"`
 }
 
 // Args are a query's checked parameters: Eps for the radius kinds, Nearest
-// for nearest.
+// for nearest, and Seqs for a radius kind's scope — nil when the body named
+// none, never empty otherwise.
 type Args struct {
 	Eps     float64
 	Nearest core.NearestOptions
+	Seqs    []int
 }
 
 // Kind is one entry of the kind table.
@@ -54,18 +63,19 @@ var (
 	FindAll = Kind{"findall", true, radius, reduce(
 		func(r *MatchesResponse) []Match { return r.Matches },
 		func(b *BatchResponse) *[][]Match { return &b.Matches },
-		MergeMatches,
+		MergeMatches, unionMatches,
 		func(ms []Match, deg *Degradation) MatchesResponse {
 			return MatchesResponse{Count: len(ms), Matches: ms, Degradation: deg}
 		})}
 	Longest = Kind{"longest", true, radius, reduce(
-		bestPayload, func(b *BatchResponse) *[]BestResult { return &b.Best }, best(BestLongest), bestEnvelope)}
+		bestPayload, func(b *BatchResponse) *[]BestResult { return &b.Best },
+		best(BestLongest), best(BestLongest), bestEnvelope)}
 	Nearest = Kind{"nearest", false, nearest, reduce(
-		bestPayload, nil, best(BestNearest), bestEnvelope)}
+		bestPayload, nil, best(BestNearest), nil, bestEnvelope)}
 	Filter = Kind{"filter", true, radius, reduce(
 		func(r *HitsResponse) []Hit { return r.Hits },
 		func(b *BatchResponse) *[][]Hit { return &b.Hits },
-		MergeHits,
+		MergeHits, unionHits,
 		func(hs []Hit, deg *Degradation) HitsResponse {
 			return HitsResponse{Count: len(hs), Hits: hs, Degradation: deg}
 		})}
@@ -83,13 +93,23 @@ func radius(p Params) (Args, error) {
 	if *p.Eps < 0 {
 		return Args{}, errors.New(`"eps" must be >= 0`)
 	}
-	return Args{Eps: *p.Eps}, nil
+	a := Args{Eps: *p.Eps}
+	if p.Seqs != nil {
+		if len(*p.Seqs) == 0 {
+			return Args{}, errors.New(`"seqs" must name at least one sequence`)
+		}
+		a.Seqs = *p.Seqs
+	}
+	return a, nil
 }
 
 // nearest checks Type III's radius schedule.
 func nearest(p Params) (Args, error) {
 	if p.EpsMax == nil || *p.EpsMax <= 0 {
 		return Args{}, errors.New(`nearest requires "eps_max" > 0`)
+	}
+	if p.Seqs != nil {
+		return Args{}, errors.New(`nearest does not take "seqs"`)
 	}
 	opts := core.DefaultNearestOptions(*p.EpsMax)
 	if p.EpsInc != nil {
@@ -119,14 +139,30 @@ type reducer struct {
 	columns func(out *BatchResponse, answered []*BatchResponse, n int)
 }
 
-// reduce builds a kind's reducer from four pieces: payload reads one
+// reduce builds a kind's reducer from five pieces: payload reads one
 // query's answer A out of the kind's single-query envelope R, column
 // addresses the kind's column of a batch (nil: no batch form), merge
 // reduces the ranges' answers to one (and must not retain its argument),
-// envelope wraps the merged answer for the wire.
-func reduce[R, A any](payload func(*R) A, column func(*BatchResponse) *[]A, merge func([]A) A, envelope func(A, *Degradation) R) reducer {
+// union merges a range's carried partial with a scoped reply over some of
+// its sequences, repeats removed (nil: the kind's partials are not carried
+// across writes), envelope wraps the merged answer for the wire.
+func reduce[R, A any](payload func(*R) A, column func(*BatchResponse) *[]A, merge, union func([]A) A, envelope func(A, *Degradation) R) reducer {
+	var carry func(base, delta []byte) ([]byte, error)
+	if union != nil {
+		carry = func(base, delta []byte) ([]byte, error) {
+			var b, d R
+			if err := json.Unmarshal(base, &b); err != nil {
+				return nil, err
+			}
+			if err := json.Unmarshal(delta, &d); err != nil {
+				return nil, err
+			}
+			return encodeJSON(envelope(union([]A{payload(&b), payload(&d)}), nil)), nil
+		}
+	}
 	return reducer{
 		one: func(g *Gateway, ctx context.Context, rd read) flightResult {
+			rd.carry = carry
 			return gatherResult(g, ctx, rd, nil, func(answered []*R, deg *Degradation) any {
 				parts := make([]A, len(answered))
 				for i, r := range answered {

@@ -61,6 +61,19 @@ func MergeHits(lists [][]Hit) []Hit {
 	return out
 }
 
+// unionMatches and unionHits are MergeMatches and MergeHits with repeats
+// removed: the forward merge of a carried partial with a scoped reply over
+// the sequences appended since. One node never repeats a match or a hit,
+// so the union is the answer even when the reply repeats what the partial
+// holds — a full ask that raced an append, or a shard that ignored "seqs".
+func unionMatches(lists [][]Match) []Match {
+	return slices.CompactFunc(MergeMatches(lists), func(a, b Match) bool { return core.CanonicalCompare(a, b) == 0 })
+}
+
+func unionHits(lists [][]Hit) []Hit {
+	return slices.CompactFunc(MergeHits(lists), func(a, b Hit) bool { return compareHits(a, b) == 0 })
+}
+
 // SortHits sorts hits in place into the canonical order MergeHits uses. A
 // serve process calls it on every filter answer before encoding, which is
 // what makes a single node's /query/filter the gateway's byte for byte.

@@ -169,12 +169,16 @@ type CacheCounters struct {
 // range's partial (hits/misses), evictions against the shared byte
 // budget, partials dropped by writes to their range (invalidations),
 // current residency, and each range's epoch — the count of acknowledged
-// writes to it through this gateway, which every partial key embeds.
+// writes to it through this gateway, which every partial is current at.
+// Of the hits, Forwarded counts partials carried across writes with no
+// shard call and Deltas those carried with one scoped ask ("seqs").
 type PartialCounters struct {
 	Hits          int64    `json:"hits"`
 	Misses        int64    `json:"misses"`
 	Evictions     int64    `json:"evictions"`
 	Invalidations int64    `json:"invalidations"`
+	Forwarded     int64    `json:"forwarded"`
+	Deltas        int64    `json:"deltas"`
 	Entries       int      `json:"entries"`
 	Bytes         int64    `json:"bytes"`
 	Epochs        []uint64 `json:"epochs"`
