@@ -41,8 +41,10 @@ import (
 // answer can be served, while a read after the write asks only the range
 // it touched and, for findall, longest and filter, only for the sequences
 // appended since (or not at all after a retire of a sequence the range's
-// reply does not name). docs/SHARDING.md documents the topology end to
-// end.
+// reply does not name). A carried reply keeps its first expiry, so
+// -cache-ttl bounds how old a shard reply is served. Clients may not send
+// "seqs" to the gateway: it sends every range the same body. docs/SHARDING.md
+// documents the topology end to end.
 
 // defaultGatewayAddr deliberately differs from registry.DefaultServeAddr
 // so a gateway and a shard can share a host with no flags.

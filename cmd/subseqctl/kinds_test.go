@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/shard"
@@ -79,7 +80,22 @@ func TestKindTableDrivesServeAndGateway(t *testing.T) {
 				t.Errorf("%s: kind %q is in the table but POST %s answers %d", tier, k.Name, path, code)
 			}
 			for body, want := range cases {
+				if tier == "gateway" && strings.Contains(body, `"seqs"`) {
+					want = `gateway does not take "seqs"`
+				}
 				expect400(tier, path, body, want)
+			}
+			// A scope the serve process answers; a gateway sends every range
+			// the same body, so it refuses one rather than forward it.
+			if scoped := `{"query":` + q + `,"eps":1,"seqs":[0]}`; k.Name != "nearest" {
+				if tier == "gateway" {
+					expect400(tier, path, scoped, `gateway does not take "seqs"`)
+				} else if code := postJSON(t, ts, path, scoped, nil); code != http.StatusOK {
+					t.Errorf("%s POST %s %s: status %d, want 200", tier, path, scoped, code)
+				}
+			}
+			if unscoped := `{"query":` + q + `,"eps":1,"eps_max":2,"seqs":null}`; postJSON(t, ts, path, unscoped, nil) != http.StatusOK {
+				t.Errorf("%s POST %s %s: not 200", tier, path, unscoped)
 			}
 			for body, want := range anyKindErrors {
 				expect400(tier, path, body, want)

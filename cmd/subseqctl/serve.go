@@ -795,7 +795,7 @@ func (srv *typedServer[E]) handleQuery(k servedKind[E]) http.HandlerFunc {
 // ID outside this shard's range: below its first ID or past the last one it
 // has allocated. A retired ID stays in range and contributes nothing.
 func (srv *typedServer[E]) localSeqs(ids []int) ([]int, error) {
-	n, _ := srv.st.Len()
+	n := srv.st.IDs()
 	local := make([]int, len(ids))
 	for i, id := range ids {
 		if local[i] = id - srv.seqBase; local[i] < 0 || local[i] >= n {

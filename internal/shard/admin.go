@@ -40,10 +40,10 @@ import (
 // what it did to which sequence (rangeState), drops that range's cached
 // nearest and batch partials, then bumps the shard-plan epoch and flushes
 // the cached merged answers, before the client sees the response. Merged
-// keys embed the plan epoch (CacheKey), nearest and batch partial keys
-// their range's (partialKey), and a findall, longest or filter partial
-// records the range epoch it is current at: a read after the write
-// carries it through the logged writes — served as it is across a retire
+// keys embed the plan epoch (CacheKey) and every partial records the range
+// epoch it is current at: a nearest or batch partial answers only at that
+// epoch, and a read after the write carries a findall, longest or filter
+// partial through the logged writes — served as it is across a retire
 // of a sequence it does not name, extended by one scoped ask ("seqs")
 // over the sequences appended since — or asks the range again. So a
 // request that starts after the write's response is never served an
@@ -375,9 +375,6 @@ func (r *rangeState) record(op writeOp, seqID int) uint64 {
 // retired sequence would have to go, and the range is asked again instead.
 // A partial current at a later epoch than the read's is not used.
 func (r *rangeState) carry(at, now uint64, body []byte) (delta []int, ok bool) {
-	if at == now {
-		return nil, true
-	}
 	writes, ok := r.since(at, now)
 	if !ok {
 		return nil, false

@@ -22,30 +22,33 @@ import (
 // fan-out, whose leader populates the cache exactly once.
 //
 // Beside each merged answer the cache keeps its parts: every range's own
-// 200-OK reply. A findall, longest or filter reply is a carried partial,
-// keyed by path ⊕ canonical body in a set of its range's own (carriedKey)
-// and recording the range epoch it is current at; a nearest or batch
-// reply is keyed by path ⊕ range index ⊕ that range's epoch ⊕ canonical
-// body (partialKey). A merged-answer miss asks only the ranges with no
-// partial that answers and merges cached and fresh replies through the
+// 200-OK reply, keyed by path ⊕ canonical body (partKey) in a set of its
+// range's own, and recording the range epoch it is current at and whether
+// its kind carries across writes (findall, longest, filter) or not
+// (nearest, /query/batch). A merged-answer miss asks only the ranges with
+// no partial that answers and merges cached and fresh replies through the
 // kind's reducer, so a write to one range costs the next read of a hot
 // query at most one range's round trip, not the whole fleet's. A plan of
 // one range keeps no partials: its merged answer is its only part.
 //
-// Correctness rests on the keys and the range's write log, not on expiry.
-// A merged answer is keyed by CacheKey — endpoint path ⊕ shard-plan epoch
-// ⊕ canonical body. Every acknowledged admin write (append/retire fanned
-// out by admin.go) moves the written range's epoch and logs the write,
-// drops the range's nearest and batch partials, then bumps the plan epoch
-// and flushes every merged answer; the other ranges' partials stay, and
-// so do the written range's carried ones, which a later read carries
-// through the logged writes or asks again (admin.go rangeState.carry). A
-// request that starts after a write's HTTP response therefore computes
-// keys no pre-write merged answer can match, and reads no pre-write
-// partial of the written range without carrying it through the write:
-// stale answers are unreachable by construction, and the TTL is only a
-// belt-and-suspenders bound for mutations that bypass the gateway
-// entirely.
+// Correctness rests on the keys, the epochs and the range's write log, not
+// on expiry. A merged answer is keyed by CacheKey — endpoint path ⊕
+// shard-plan epoch ⊕ canonical body. Every acknowledged admin write
+// (append/retire fanned out by admin.go) moves the written range's epoch
+// and logs the write, drops the range's partials that do not carry, then
+// bumps the plan epoch and flushes every merged answer; the other ranges'
+// partials stay, and so do the written range's carrying ones, which a
+// later read carries through the logged writes or asks again (admin.go
+// rangeState.carry). A request that starts after a write's HTTP response
+// therefore computes keys no pre-write merged answer can match, and reads
+// no pre-write partial of the written range without carrying it through
+// the write: stale answers are unreachable by construction.
+//
+// The TTL bounds staleness from mutations that bypass the gateway entirely
+// (a shard's own TTL sweep, a write posted straight to a replica): no entry
+// outlives the TTL counted from when the oldest shard reply it holds was
+// computed. A partial carried forward keeps the expiry of the one it was
+// carried from, and a merged answer expires with the earliest of its parts.
 //
 // The store is one LRU list under one mutex and the whole byte budget,
 // shared by merged answers and partials; each keeps its own counters.
@@ -55,9 +58,8 @@ import (
 const cacheEntryOverhead = 128
 
 // Cache is a bounded-memory LRU over canonical query keys: merged answers
-// (Get/Put/Flush) and per-range partials (GetPart/PutPart/DropRange, and
-// GetCarried/PutCarried for the carried ones) in one byte budget. All
-// methods are safe for concurrent use.
+// (Get/Put/Flush) and per-range partials (GetPart/PutPart/DropRange) in one
+// byte budget. All methods are safe for concurrent use.
 type Cache struct {
 	maxBytes int64
 	ttl      time.Duration
@@ -66,29 +68,25 @@ type Cache struct {
 	mu    sync.Mutex
 	bytes int64      // merged answers and partials together
 	lru   *list.List // front = most recently used
-	// sets[0] holds the merged answers, sets[2r+1] range r's partials keyed
-	// by its epoch (nearest, /query/batch) and sets[2r+2] its carried ones.
+	// sets[0] holds the merged answers, sets[r+1] range r's partials.
 	sets []entrySet
 
 	merged, parts cacheTally
 }
-
-// plainSet and carriedSet index range ri's two partial sets in Cache.sets.
-func plainSet(ri int) int   { return 2*ri + 1 }
-func carriedSet(ri int) int { return 2*ri + 2 }
 
 // entrySet is one class of entries: the merged answers, or one range's
 // partials.
 type entrySet struct {
 	m     map[string]*list.Element
 	bytes int64
-	// floor is the epoch of the set's last drop: a put computed under an
-	// older epoch raced the write that dropped it and is refused.
+	// floor is the epoch of the set's last drop: a put of an entry the drop
+	// would have taken, computed under an older epoch, raced the write that
+	// dropped it and is refused.
 	floor uint64
 }
 
 // cacheTally is one class's traffic counters. forwarded and deltas count
-// the partials' hits that carried an entry across writes (countCarry).
+// the partials' hits that carried an entry across writes (countPart).
 type cacheTally struct {
 	hits, misses, evictions, invalidations atomic.Int64
 	forwarded, deltas                      atomic.Int64
@@ -100,6 +98,7 @@ type cacheEntry struct {
 	size    int64
 	set     int       // index into Cache.sets
 	epoch   uint64    // the range epoch a partial is current at
+	carries bool      // a partial a write leaves for reads to carry forward
 	expires time.Time // zero: no TTL
 }
 
@@ -112,74 +111,83 @@ func NewCache(maxBytes int64, ttl time.Duration) *Cache {
 // Get returns the merged answer cached under key, refreshing its recency.
 // A present but expired entry is dropped (counted as an eviction) and
 // misses.
-func (c *Cache) Get(key string) ([]byte, bool) { return c.get(0, key) }
+func (c *Cache) Get(key string) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ent := c.lookupLocked(0, key)
+	if ent == nil {
+		c.merged.misses.Add(1)
+		return nil, false
+	}
+	c.merged.hits.Add(1)
+	return ent.body, true
+}
 
 // Put stores a merged answer under key, evicting least-recently-used
 // entries until the cache fits its budget. A body larger than the whole
 // budget is not cached at all: it would not fit even in an empty cache.
-func (c *Cache) Put(key string, body []byte) { c.put(0, 0, key, body) }
+func (c *Cache) Put(key string, body []byte) { c.put(0, partRef{key: key}, body) }
+
+// putMerged is Put for a merged answer that holds a partial expiring at
+// expires (zero: none does): the answer expires no later.
+func (c *Cache) putMerged(key string, expires time.Time, body []byte) {
+	c.put(0, partRef{key: key, expires: expires}, body)
+}
 
 // Flush drops every merged answer — the write path's invalidation of
 // them. The number of dropped entries is returned and added to the
 // invalidations counter; partials are left alone.
 func (c *Cache) Flush() int { return c.drop(0, 0) }
 
-// GetPart is Get for range ri's partial under key, a key that names the
-// range's epoch (partialKey).
-func (c *Cache) GetPart(ri int, key string) ([]byte, bool) { return c.get(plainSet(ri), key) }
-
-// PutPart is Put for range ri's partial under key, computed under the
-// range's epoch: a partial whose epoch a DropRange has passed is not
-// stored.
-func (c *Cache) PutPart(ri int, epoch uint64, key string, body []byte) {
-	c.put(plainSet(ri), epoch, key, body)
-}
-
-// DropRange drops every partial of range ri that GetPart reads — the write
-// path's invalidation of them — and refuses later puts computed under an
-// epoch below epoch, the range's new one. Carried partials stay. The number
-// of dropped entries is returned and added to the partials' invalidations
-// counter.
-func (c *Cache) DropRange(ri int, epoch uint64) int { return c.drop(plainSet(ri), epoch) }
-
-// GetCarried returns range ri's carried partial under key (carriedKey) and
-// the range epoch it is current at, refreshing its recency. It counts
-// nothing: whether the entry answers a read is known only once the write log
-// has been read, and the gateway reports that through countCarry.
-func (c *Cache) GetCarried(ri int, key string) (body []byte, epoch uint64, ok bool) {
+// GetPart returns range ri's partial under key (partKey): its body, the
+// range epoch it is current at and when it expires (zero: never),
+// refreshing its recency. It counts nothing: whether the entry answers a
+// read is known only against the range's epoch and write log, and the
+// gateway reports that through countPart.
+func (c *Cache) GetPart(ri int, key string) (body []byte, epoch uint64, expires time.Time, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ent := c.lookupLocked(carriedSet(ri), key); ent != nil {
-		return ent.body, ent.epoch, true
+	if ent := c.lookupLocked(ri+1, key); ent != nil {
+		return ent.body, ent.epoch, ent.expires, true
 	}
-	return nil, 0, false
+	return nil, 0, time.Time{}, false
 }
 
-// PutCarried stores range ri's carried partial under key, current at epoch.
-// It never replaces an entry current at a newer epoch.
-func (c *Cache) PutCarried(ri int, epoch uint64, key string, body []byte) {
-	c.put(carriedSet(ri), epoch, key, body)
-}
+// PutPart stores body as range ri's partial under p.key, current at
+// p.epoch; p.carries says whether a write leaves it for later reads to
+// carry forward. It expires no later than p.expires, when set: a partial
+// carried forward holds shard replies as old as the one it was carried
+// from. A put never replaces an entry current at a newer epoch, and one
+// that does not carry, computed under an epoch a DropRange has passed, is
+// not stored.
+func (c *Cache) PutPart(ri int, p partRef, body []byte) { c.put(ri+1, p, body) }
 
-// carry is how a read used a range's carried partial.
-type carry int
+// DropRange drops range ri's partials that do not carry across writes —
+// the write path's invalidation of them — and refuses later such puts
+// computed under an epoch below epoch, the range's new one. The carrying
+// partials stay. The number of dropped entries is returned and added to the
+// partials' invalidations counter.
+func (c *Cache) DropRange(ri int, epoch uint64) int { return c.drop(ri+1, epoch) }
+
+// partUse is how a read used a range's partial.
+type partUse int
 
 const (
-	carryMiss    carry = iota // none that answers: the range is asked in full
-	carryCurrent              // current at the read's epoch
-	carryForward              // carried across writes that change nothing it holds
-	carryDelta                // carried with a scoped ask over the sequences appended since
+	partMiss    partUse = iota // none that answers: the range is asked in full
+	partCurrent                // current at the read's epoch
+	partForward                // carried across writes that change nothing it holds
+	partDelta                  // carried with a scoped ask over the sequences appended since
 )
 
-// countCarry counts one read's use of a carried partial.
-func (c *Cache) countCarry(k carry) {
-	switch k {
-	case carryMiss:
+// countPart counts one read's use of a range's partial.
+func (c *Cache) countPart(u partUse) {
+	switch u {
+	case partMiss:
 		c.parts.misses.Add(1)
 		return
-	case carryForward:
+	case partForward:
 		c.parts.forwarded.Add(1)
-	case carryDelta:
+	case partDelta:
 		c.parts.deltas.Add(1)
 	}
 	c.parts.hits.Add(1)
@@ -206,19 +214,6 @@ func (c *Cache) setLocked(s int) *entrySet {
 	return set
 }
 
-func (c *Cache) get(s int, key string) ([]byte, bool) {
-	t := c.tally(s)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ent := c.lookupLocked(s, key)
-	if ent == nil {
-		t.misses.Add(1)
-		return nil, false
-	}
-	t.hits.Add(1)
-	return ent.body, true
-}
-
 // lookupLocked returns set s's entry under key, refreshing its recency, or
 // nil; a present but expired entry is dropped (counted as an eviction).
 // c.mu must be held.
@@ -237,30 +232,33 @@ func (c *Cache) lookupLocked(s int, key string) *cacheEntry {
 	return ent
 }
 
-func (c *Cache) put(s int, epoch uint64, key string, body []byte) {
-	size := int64(len(key)) + int64(len(body)) + cacheEntryOverhead
+// put stores body in set s under p.key (see PutPart).
+func (c *Cache) put(s int, p partRef, body []byte) {
+	size := int64(len(p.key)) + int64(len(body)) + cacheEntryOverhead
 	if size > c.maxBytes {
 		return
 	}
-	ent := &cacheEntry{key: key, body: body, size: size, set: s}
+	ent := &cacheEntry{key: p.key, body: body, size: size, set: s, epoch: p.epoch, carries: p.carries}
 	if c.ttl > 0 {
 		ent.expires = c.now().Add(c.ttl)
+		if !p.expires.IsZero() && p.expires.Before(ent.expires) {
+			ent.expires = p.expires
+		}
 	}
-	ent.epoch = epoch
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	set := c.setLocked(s)
-	if epoch < set.floor {
+	if !p.carries && p.epoch < set.floor {
 		return
 	}
-	if e, ok := set.m[key]; ok {
-		if e.Value.(*cacheEntry).epoch > epoch {
+	if e, ok := set.m[p.key]; ok {
+		if e.Value.(*cacheEntry).epoch > p.epoch {
 			return
 		}
 		// Replacement, not eviction: the key stays resident.
 		c.removeLocked(e)
 	}
-	set.m[key] = c.lru.PushFront(ent)
+	set.m[p.key] = c.lru.PushFront(ent)
 	set.bytes += size
 	c.bytes += size
 	for c.bytes > c.maxBytes { // the new entry alone fits: Back is never it
@@ -280,14 +278,18 @@ func (c *Cache) removeLocked(e *list.Element) {
 	c.bytes -= ent.size
 }
 
-// drop empties set s and raises its floor to epoch, counting the dropped
-// entries as invalidations.
+// drop empties set s of every entry that does not carry across writes and
+// raises its floor to epoch, counting the dropped entries as
+// invalidations.
 func (c *Cache) drop(s int, epoch uint64) int {
 	c.mu.Lock()
 	set := c.setLocked(s)
-	n := len(set.m)
+	n := 0
 	for _, e := range set.m {
-		c.removeLocked(e)
+		if !e.Value.(*cacheEntry).carries {
+			c.removeLocked(e)
+			n++
+		}
 	}
 	set.floor = max(set.floor, epoch)
 	c.mu.Unlock()
@@ -367,19 +369,10 @@ func mergedKey(path string, epoch uint64, canon string) string {
 	return path + "\x00" + strconv.FormatUint(epoch, 10) + "\x00" + canon
 }
 
-// partialKey keys range ri's partial of one query that is not carried
-// across writes (nearest, /query/batch): path ⊕ range index ⊕ the range's
-// epoch ⊕ canonical body. The middle part, "<ri>:<epoch>", is never a
-// merged key's decimal epoch.
-func partialKey(path string, ri int, epoch uint64, canon string) string {
-	return path + "\x00" + strconv.Itoa(ri) + ":" + strconv.FormatUint(epoch, 10) + "\x00" + canon
-}
-
-// carriedKey keys a range's carried partial of one query (findall,
-// longest, filter): path ⊕ canonical body, with no epoch, since the entry
-// records the epoch it is current at and is carried forward from it. Each
-// range keeps its carried partials in a set of their own.
-func carriedKey(path, canon string) string { return path + "\x00" + canon }
+// partKey keys a range's partial of one query: path ⊕ canonical body, with
+// no epoch, since the entry records the epoch it is current at. Each range
+// keeps its partials in a set of their own.
+func partKey(path, canon string) string { return path + "\x00" + canon }
 
 // canonicalJSON re-encodes one JSON value deterministically: object keys
 // sorted, no insignificant whitespace, number literals preserved verbatim

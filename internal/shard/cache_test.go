@@ -770,22 +770,22 @@ func TestOneRangeKeepsNoPartials(t *testing.T) {
 // stored, so a flight that raced the write cannot leave one behind.
 func TestDropRangeRefusesOlderEpochs(t *testing.T) {
 	c := NewCache(1<<20, 0)
-	c.PutPart(0, 0, "a", []byte("v"))
-	c.PutPart(1, 0, "b", []byte("v"))
+	c.PutPart(0, partRef{key: "a"}, []byte("v"))
+	c.PutPart(1, partRef{key: "b"}, []byte("v"))
 	c.Put("m", []byte("v"))
 	if n := c.DropRange(0, 1); n != 1 {
 		t.Fatalf("DropRange dropped %d, want 1", n)
 	}
-	c.PutPart(0, 0, "late", []byte("v"))
-	if _, ok := c.GetPart(0, "late"); ok {
+	c.PutPart(0, partRef{key: "late"}, []byte("v"))
+	if _, _, _, ok := c.GetPart(0, "late"); ok {
 		t.Fatal("a partial from before the drop was stored after it")
 	}
-	c.PutPart(0, 1, "fresh", []byte("v"))
+	c.PutPart(0, partRef{key: "fresh", epoch: 1}, []byte("v"))
 	for _, k := range []struct {
 		ri  int
 		key string
 	}{{0, "fresh"}, {1, "b"}} {
-		if _, ok := c.GetPart(k.ri, k.key); !ok {
+		if _, _, _, ok := c.GetPart(k.ri, k.key); !ok {
 			t.Fatalf("range %d partial %q missing", k.ri, k.key)
 		}
 	}
@@ -943,16 +943,16 @@ func TestWritesPastTheLogReaskTheRange(t *testing.T) {
 }
 
 // A put at an older epoch never replaces an entry current at a newer one,
-// and a put at a newer epoch does.
+// and a put at a newer epoch does; a write leaves a carrying partial.
 func TestCarriedPutNeverReplacesNewer(t *testing.T) {
 	c := NewCache(1<<20, 0)
-	c.PutCarried(0, 2, "k", []byte("two"))
-	c.PutCarried(0, 1, "k", []byte("one"))
-	if b, at, ok := c.GetCarried(0, "k"); !ok || at != 2 || string(b) != "two" {
+	c.PutPart(0, partRef{key: "k", epoch: 2, carries: true}, []byte("two"))
+	c.PutPart(0, partRef{key: "k", epoch: 1, carries: true}, []byte("one"))
+	if b, at, _, ok := c.GetPart(0, "k"); !ok || at != 2 || string(b) != "two" {
 		t.Fatalf("after an older put: %q at %d (%v), want \"two\" at 2", b, at, ok)
 	}
-	c.PutCarried(0, 3, "k", []byte("three"))
-	if b, at, ok := c.GetCarried(0, "k"); !ok || at != 3 || string(b) != "three" {
+	c.PutPart(0, partRef{key: "k", epoch: 3, carries: true}, []byte("three"))
+	if b, at, _, ok := c.GetPart(0, "k"); !ok || at != 3 || string(b) != "three" {
 		t.Fatalf("after a newer put: %q at %d (%v), want \"three\" at 3", b, at, ok)
 	}
 	if n := c.DropRange(0, 4); n != 0 {
@@ -960,5 +960,35 @@ func TestCarriedPutNeverReplacesNewer(t *testing.T) {
 	}
 	if ps := c.PartStats(); ps.Entries != 1 {
 		t.Fatalf("partial stats %+v", ps)
+	}
+}
+
+// A partial carried forward keeps the expiry of the one it was carried
+// from, and a merged answer expires with the earliest of its parts: the TTL
+// bounds how old a shard reply the gateway serves even while writes through
+// it keep carrying the reply forward. Range 1's partial is warmed at t0 and
+// carried across an append at t0+ttl/2; once t0+ttl has passed, the next
+// read asks both ranges in full, after a further write (the carried
+// partial's expiry) and after none (the merged answer's).
+func TestCarriedPartialKeepsItsExpiry(t *testing.T) {
+	const ttl = time.Minute
+	for _, writeBefore := range []bool{true, false} {
+		_, g, _, read := carryFleet(t)
+		now := time.Unix(1000, 0)
+		g.cache.ttl, g.cache.now = ttl, func() time.Time { return now }
+		read("warm-up")
+		now = now.Add(ttl / 2)
+		write(t, g, "/admin/append", `{"sequence":"abc"}`)
+		if tr := read("after an append"); tr.asked != [2]int{0, 1} || !slices.Equal(tr.scopes[1], []int{4}) {
+			t.Fatalf("after an append the read asked %v, range 1 for %v; want range 1 alone, for [4]", tr.asked, tr.scopes[1])
+		}
+		now = now.Add(ttl/2 + time.Second)
+		if writeBefore {
+			write(t, g, "/admin/append", `{"sequence":"abc"}`)
+		}
+		step := fmt.Sprintf("past the ttl (write before the read: %v)", writeBefore)
+		if tr := read(step); tr.asked != [2]int{1, 1} || tr.scopes[1] != nil {
+			t.Fatalf("%s: the read asked %v, range 1 for %v; want both ranges in full", step, tr.asked, tr.scopes[1])
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package shard
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 // Single-flight collapse of identical in-flight queries. Two clients
 // asking the gateway the exact same question (same endpoint, same raw
@@ -22,6 +25,9 @@ type flightResult struct {
 	// is still served to the flight's waiters but must never enter the
 	// result cache — the next attempt may get the complete answer.
 	degraded bool
+	// expires, when set, is the earliest expiry of the cached partials the
+	// answer was merged from: its cache entry expires no later.
+	expires time.Time
 }
 
 // flightCall is one in-flight fan-out; done closes when res is set.

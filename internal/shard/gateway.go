@@ -133,9 +133,9 @@ func WithProbeInterval(d time.Duration) GatewayOption {
 
 // WithCache enables the gateway result cache: successful, undegraded
 // merged answers are kept under their canonical key (CacheKey), and with
-// more than one range each range's reply too (carriedKey, partialKey),
-// within one total byte budget, evicted LRU within that budget and by TTL
-// (ttl <= 0 keeps entries until eviction or write-path invalidation), and
+// more than one range each range's reply too (partKey), within one total
+// byte budget, evicted LRU within that budget and by TTL (ttl <= 0 keeps
+// entries until eviction or write-path invalidation), and
 // each range logs its last writes so its findall, longest and filter
 // replies carry across them. maxBytes <= 0 disables the cache and the log;
 // single-flight collapse works either way.
@@ -302,7 +302,8 @@ type shardReply struct {
 // carried forward); when every replica failed, err is set and replicaErrs
 // itemises the attempts. A reply for a query that keeps partials names
 // where it is stored if the whole fan-out succeeds (part.key "": nowhere,
-// it is stored already).
+// it is stored already) and, when it holds a cached partial's body, when
+// that expires.
 type rangeReply struct {
 	status      int
 	body        []byte
@@ -311,13 +312,15 @@ type rangeReply struct {
 	part        partRef
 }
 
-// partRef is where a range's reply is kept as a partial: its key, the range
-// epoch it is current at, and whether it is a carried partial (PutCarried)
-// or one keyed by the epoch (PutPart).
+// partRef is where a range's reply is kept as a partial (Cache.PutPart):
+// its key, the range epoch it is current at, whether its kind carries
+// across writes, and the expiry of the cached partial its body holds (zero:
+// a fresh reply).
 type partRef struct {
 	key     string
 	epoch   uint64
-	carried bool
+	carries bool
+	expires time.Time
 }
 
 // failoverStatus reports whether an HTTP status means "this replica
@@ -466,8 +469,8 @@ type read struct {
 // scatter resolves every range concurrently and collects the replies in
 // range order. Under rd.parts each range's epoch is read once; a range
 // whose partial answers at that epoch (lookupPart) is not asked, one whose
-// carried partial needs the sequences appended since is asked for those
-// alone, and every other range in full.
+// partial carries forward with the sequences appended since is asked for
+// those alone, and every other range in full.
 func (g *Gateway) scatter(ctx context.Context, rd read) []rangeReply {
 	replies := make([]rangeReply, len(g.replicas))
 	var wg sync.WaitGroup
@@ -494,54 +497,53 @@ func (g *Gateway) scatter(ctx context.Context, rd read) []rangeReply {
 
 // lookupPart reads range i's partial of rd at the range's current epoch.
 // done reports that base answers the range with no shard call; part then
-// names where to store it (a carried partial forwarded to the epoch) or
-// nothing (current already). Otherwise part is where the range's reply
-// goes, and a non-nil base is a carried partial to extend with one scoped
-// ask over delta, the sequences appended to the range since it was current.
+// names where to store it (a partial carried forward to the epoch) or
+// nothing (current already), and when base expires. Otherwise part is
+// where the range's reply goes, and a non-nil base is a partial to carry
+// forward with one scoped ask over delta, the sequences appended to the
+// range since it was current. Only a kind with rd.carry carries a partial
+// forward; any other partial answers only at the epoch it is current at.
 func (g *Gateway) lookupPart(i int, rd read) (part partRef, base []byte, delta []int, done bool) {
 	epoch := g.ranges[i].epoch.Load()
-	if rd.carry == nil {
-		part = partRef{key: partialKey(rd.path, i, epoch, rd.canon), epoch: epoch}
-		if b, ok := g.cache.GetPart(i, part.key); ok {
-			return partRef{}, b, nil, true
-		}
-		return part, nil, nil, false
-	}
-	part = partRef{key: carriedKey(rd.path, rd.canon), epoch: epoch, carried: true}
-	if b, at, ok := g.cache.GetCarried(i, part.key); ok {
+	part = partRef{key: partKey(rd.path, rd.canon), epoch: epoch, carries: rd.carry != nil}
+	b, at, expires, ok := g.cache.GetPart(i, part.key)
+	switch {
+	case !ok:
+	case at == epoch:
+		g.cache.countPart(partCurrent)
+		return partRef{expires: expires}, b, nil, true
+	case part.carries:
 		if delta, ok := g.ranges[i].carry(at, epoch, b); ok {
-			switch {
-			case at == epoch:
-				g.cache.countCarry(carryCurrent)
-				return partRef{}, b, nil, true
-			case len(delta) == 0:
-				g.cache.countCarry(carryForward)
+			part.expires = expires
+			if len(delta) == 0 {
+				g.cache.countPart(partForward)
 				return part, b, nil, true
 			}
 			return part, b, delta, false
 		}
 	}
-	g.cache.countCarry(carryMiss)
+	g.cache.countPart(partMiss)
 	return part, nil, nil, false
 }
 
-// askPart resolves range i. With a carried base it asks the range for the
-// sequences delta alone and merges the reply into base through the kind's
-// union; if that ask does not come back 200 and merged, the range is asked
-// in full, as it is with no base.
+// askPart resolves range i. With a base to carry forward it asks the range
+// for the sequences delta alone and merges the reply into base through the
+// kind's union; if that ask does not come back 200 and merged, the range is
+// asked in full, as it is with no base.
 func (g *Gateway) askPart(ctx context.Context, i int, rd read, part partRef, base []byte, delta []int) rangeReply {
 	if base != nil {
 		if body, ok := scopedBody(rd.canon, delta); ok {
 			if rep := g.askRange(ctx, i, rd.path, body); rep.err == nil && rep.status == http.StatusOK {
 				if merged, err := rd.carry(base, rep.body); err == nil {
-					g.cache.countCarry(carryDelta)
+					g.cache.countPart(partDelta)
 					return rangeReply{status: http.StatusOK, body: merged, part: part}
 				}
 			}
 		}
-		g.cache.countCarry(carryMiss)
+		g.cache.countPart(partMiss)
 	}
 	rep := g.askRange(ctx, i, rd.path, rd.body)
+	part.expires = time.Time{} // a fresh reply
 	rep.part = part
 	return rep
 }
@@ -562,18 +564,21 @@ func scopedBody(canon string, seqs []int) ([]byte, bool) {
 	return b, err == nil
 }
 
-// keepParts stores the fresh and forwarded replies of a fan-out in which
-// every range answered 200 and passed classify as their ranges' partials.
-func (g *Gateway) keepParts(replies []rangeReply) {
+// keepParts stores the fresh and carried replies of a fan-out in which
+// every range answered 200 and passed classify as their ranges' partials,
+// and returns the earliest expiry among the cached partials the replies
+// hold (zero: none), which the merged answer may not outlive.
+func (g *Gateway) keepParts(replies []rangeReply) (expires time.Time) {
 	for i, rep := range replies {
-		switch p := rep.part; {
-		case p.key == "":
-		case p.carried:
-			g.cache.PutCarried(i, p.epoch, p.key, rep.body)
-		default:
-			g.cache.PutPart(i, p.epoch, p.key, rep.body)
+		p := rep.part
+		if p.key != "" {
+			g.cache.PutPart(i, p, rep.body)
+		}
+		if !p.expires.IsZero() && (expires.IsZero() || p.expires.Before(expires)) {
+			expires = p.expires
 		}
 	}
+	return expires
 }
 
 // shardErrorText extracts the serve process's error message from an
@@ -723,7 +728,7 @@ func (g *Gateway) collapse(ctx context.Context, path string, body []byte, comput
 		g.flightMisses.Add(1)
 		r := compute(context.WithoutCancel(ctx), rd)
 		if cacheable && r.status == http.StatusOK && !r.degraded {
-			g.cache.Put(key, r.body)
+			g.cache.putMerged(key, r.expires, r.body)
 		}
 		return r
 	})
@@ -756,19 +761,22 @@ func gatherResult[T any](g *Gateway, ctx context.Context, rd read, check func(*T
 		}
 		return allFailedResult(deg)
 	}
+	res := flightResult{status: http.StatusOK, degraded: deg != nil}
 	if deg != nil {
 		g.degraded.Add(1)
 	} else if rd.parts {
-		g.keepParts(replies)
+		res.expires = g.keepParts(replies)
 	}
-	return flightResult{status: http.StatusOK, body: encodeJSON(merge(answered, deg)), degraded: deg != nil}
+	res.body = encodeJSON(merge(answered, deg))
+	return res
 }
 
 // --- query handlers ---
 
 // handleQuery serves one kind's single-query route from its table entry:
 // the body goes to every range verbatim (shards do the validation) and the
-// kind's reducer merges what comes back.
+// kind's reducer merges what comes back. A body that names a "seqs" scope
+// is refused (namesScope).
 func (g *Gateway) handleQuery(k Kind) http.HandlerFunc {
 	path := "/query/" + k.Name
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -777,12 +785,30 @@ func (g *Gateway) handleQuery(k Kind) http.HandlerFunc {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
+		if namesScope(body) {
+			writeError(w, http.StatusBadRequest, errors.New(`gateway does not take "seqs"`))
+			return
+		}
 		g.queries.Add(1)
 		res := g.collapse(r.Context(), path, body, func(ctx context.Context, rd read) flightResult {
 			return k.one(g, ctx, rd)
 		})
 		writeRaw(w, res.status, res.body)
 	}
+}
+
+// namesScope reports whether a query body sets "seqs" to anything but
+// null, as the serve process decodes it. The gateway sends every range the
+// same body, and a range that does not own every listed ID refuses it, so a
+// scope is refused up front rather than by whichever range judges it first;
+// the gateway's own scoped asks (askPart) go to one range each. A body that
+// is not JSON is left to the shards to refuse.
+func namesScope(body []byte) bool {
+	var p struct {
+		Seqs *json.RawMessage `json:"seqs"`
+	}
+	json.Unmarshal(body, &p)
+	return p.Seqs != nil
 }
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {

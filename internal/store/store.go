@@ -255,6 +255,15 @@ func (s *Store[E]) SnapshotFile(path string) error {
 	return nil
 }
 
+// IDs reports the number of sequence IDs allocated, retired tombstones
+// included: every ID below it has been handed out. Unlike Len it does not
+// walk the database.
+func (s *Store[E]) IDs() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.mt.DB())
+}
+
 // Len reports the number of sequence IDs allocated (including retired
 // tombstones) and the number of live sequences.
 func (s *Store[E]) Len() (ids, live int) {
