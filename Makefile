@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-smoke bench-counts serve-smoke snapshot-smoke shard-smoke replica-smoke cache-smoke chaos-smoke fmt fmt-fix vet size loc race-accounting race-batch nearest-equiv check docs-check
+.PHONY: all build test test-short bench bench-smoke bench-counts serve-smoke snapshot-smoke shard-smoke replica-smoke cache-smoke chaos-smoke fmt fmt-fix vet size loc race-accounting race-batch race-cache nearest-equiv check docs-check
 
 all: check
 
@@ -142,6 +142,16 @@ race-accounting:
 # what one query at a time counts, and serve's /query/batch answers.
 race-batch:
 	$(GO) test -race -count=5 -run 'Batch|QueryPoolRace' ./internal/core/ ./cmd/subseqctl/
+
+# race-cache holds the gateway's write generation and result cache under
+# the race detector, repeated: a read parked across an acknowledged write
+# leaves nothing stale, single-flight composes with the cache, a full ask
+# that races an append is not merged twice, and every generation a reader
+# loads while appends and retires race is whole; then the cache storm
+# against a single-node reference, once.
+race-cache:
+	$(GO) test -race -count=5 -run 'TestWriteRacingReadLeavesNothingStale|TestFlightCacheInteraction|TestFullAskRacingAppendIsNotMergedTwice|TestGenerationInvariantUnderConcurrentWrites' ./internal/shard/
+	$(GO) test -race -short -count=1 -run TestChaosCacheStorm ./internal/chaos/
 
 # nearest-equiv holds Type III to Section 7 under the race detector: the
 # store oracle at full size (every query path, on every backend and measure

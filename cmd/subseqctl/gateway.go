@@ -36,10 +36,10 @@ import (
 // reply, each current at that range's epoch; /admin/append,
 // /admin/retire and /admin/snapshot are accepted too, fanned out to every
 // replica of the owning range with quorum accounting, and every
-// acknowledged write moves the owning range's epoch, logging what it did,
-// and then the plan epoch — invalidating every merged answer, so no stale
-// answer can be served, while a read after the write asks only the range
-// it touched and, for findall, longest and filter, only for the sequences
+// acknowledged write swaps in the next write generation (range and plan
+// epochs moved as one) and flushes every merged answer, so no stale answer
+// can be served, while a read after the write asks only the range it
+// touched and, for findall, longest and filter, only for the sequences
 // appended since (or not at all after a retire of a sequence the range's
 // reply does not name). A carried reply keeps its first expiry, so
 // -cache-ttl bounds how old a shard reply is served. Clients may not send

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -36,16 +35,18 @@ import (
 // 4xx verdict (bad request, unsupported retire, unowned id) is passed
 // through verbatim, anything else is a 502 naming each replica's error.
 //
-// Every acknowledged mutation moves its owning range's epoch and logs
-// what it did to which sequence (rangeState), drops that range's cached
-// nearest and batch partials, then bumps the shard-plan epoch and flushes
-// the cached merged answers, before the client sees the response. Merged
-// keys embed the plan epoch (CacheKey) and every partial records the range
-// epoch it is current at: a nearest or batch partial answers only at that
-// epoch, and a read after the write carries a findall, longest or filter
-// partial through the logged writes — served as it is across a retire
-// of a sequence it does not name, extended by one scoped ask ("seqs")
-// over the sequences appended since — or asks the range again. So a
+// The gateway's write state is one immutable generation (gen) behind one
+// atomic pointer: the plan, the plan epoch, and each range's epoch and log
+// of its last writes. Every acknowledged mutation builds the next gen and
+// swaps it in at once (commit) — its range's epoch and the plan epoch move
+// by one and the write is logged — then flushes the cached merged answers,
+// before the client sees the response. A read loads one gen and uses it
+// for every key it computes: merged keys embed the plan epoch (CacheKey),
+// and every partial records the range epoch it is current at. A partial
+// answers at its own epoch; a findall, longest or filter partial is also
+// carried through the logged writes — served as it is across a retire of
+// a sequence it does not name, extended by one scoped ask ("seqs") over
+// the sequences appended since — and any other is asked again. So a
 // request that starts after the write's response is never served an
 // answer of the written range computed before it; the other ranges'
 // partials stay valid and are served on.
@@ -92,21 +93,19 @@ func (g *Gateway) handleAdminAppend(w http.ResponseWriter, r *http.Request) {
 			diverged = true
 		}
 	}
-	rng := plan.Ranges[ri]
 	resp := AdminFanoutResponse{Op: "append", Shard: &ri, Acks: acks,
 		Replicas: len(results), Quorum: 2*acks > len(results), Diverged: diverged,
 		Results: results}
 	op := opUnknown
 	if seqID >= 0 {
-		rng = g.growPlan(seqID)
 		resp.SeqID = &seqID
 		if !diverged {
 			op = opAppend
 		}
 	}
-	resp.Range = &rng
-	resp.Epoch, resp.Invalidated = g.bumpEpoch(ri, op, seqID)
-	g.writes.Add(1)
+	next := g.commit(ri, op, seqID)
+	resp.Range = &next.plan.Ranges[ri]
+	resp.Epoch, resp.Invalidated = next.epoch, g.flush()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -153,8 +152,7 @@ func (g *Gateway) handleAdminRetire(w http.ResponseWriter, r *http.Request) {
 	rng := plan.Ranges[ri]
 	resp := AdminFanoutResponse{Op: "retire", Shard: &ri, Range: &rng, SeqID: req.SeqID,
 		Acks: acks, Replicas: len(results), Quorum: 2*acks > len(results), Results: results}
-	resp.Epoch, resp.Invalidated = g.bumpEpoch(ri, opRetire, *req.SeqID)
-	g.writes.Add(1)
+	resp.Epoch, resp.Invalidated = g.commit(ri, opRetire, *req.SeqID).epoch, g.flush()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -201,7 +199,7 @@ func (g *Gateway) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	// Snapshots mutate nothing: the epoch is reported, not bumped.
 	writeJSON(w, http.StatusOK, AdminFanoutResponse{Op: "snapshot", Acks: acks,
-		Replicas: len(all), Quorum: 2*acks > len(all), Epoch: g.epoch.Load(), Results: all})
+		Replicas: len(all), Quorum: 2*acks > len(all), Epoch: g.Epoch(), Results: all})
 }
 
 // fanoutRange posts a body to every replica of range ri concurrently —
@@ -271,53 +269,7 @@ func writeAdminFailure(w http.ResponseWriter, op string, results []AdminReplicaR
 		fmt.Errorf("%s: no replica acknowledged the write: %s", op, strings.Join(msgs, "; ")))
 }
 
-// growPlan extends the plan's tail range to cover an appended sequence's
-// global ID, returning the (possibly grown) tail range. Serialised by
-// adminMu; readers see the old or new plan atomically either way.
-func (g *Gateway) growPlan(seqID int) Range {
-	g.adminMu.Lock()
-	defer g.adminMu.Unlock()
-	p := *g.planp.Load()
-	last := len(p.Ranges) - 1
-	if seqID >= p.Ranges[last].Hi {
-		rs := append([]Range(nil), p.Ranges...)
-		rs[last].Hi = seqID + 1
-		p.Ranges = rs
-		p.Seqs = seqID + 1
-		g.planp.Store(&p)
-	}
-	return g.planp.Load().Ranges[last]
-}
-
-// bumpEpoch is the write path's invalidation for an acknowledged write to
-// range ri: it moves range ri to its next epoch, logging the write as op on
-// seqID, and drops the range's partials that are not carried (nearest,
-// /query/batch); then it advances the shard-plan epoch and flushes the
-// merged answers (returning how many). Ordering matters. The range moves
-// first, so a read that sees the new plan epoch sees the new range epoch
-// too: it cannot serve range ri's pre-write partial without carrying it
-// through the write, and so cannot store a merged answer built from one
-// under a key later reads will look up. A flight that still computes under
-// the old epochs can only populate old-epoch keys no future request will
-// ever read, or a carried partial current at the old epoch, which the next
-// read carries through the log; DropRange refuses range ri's old-epoch
-// partials of the other kinds outright.
-func (g *Gateway) bumpEpoch(ri int, op writeOp, seqID int) (epoch uint64, invalidated int) {
-	rangeEpoch := g.ranges[ri].record(op, seqID)
-	if g.cache != nil {
-		g.cache.DropRange(ri, rangeEpoch)
-	}
-	if g.midBump != nil {
-		g.midBump()
-	}
-	epoch = g.epoch.Add(1)
-	if g.cache != nil {
-		invalidated = g.cache.Flush()
-	}
-	return epoch, invalidated
-}
-
-// --- the write log: carrying partials across writes ---
+// --- the write generation ---
 
 // writeLogLen is how many writes each range's log holds. A carried partial
 // that more writes to its range have passed is a plain miss.
@@ -329,7 +281,7 @@ type writeOp uint8
 const (
 	// opUnknown is a write whose effect the gateway cannot name — an append
 	// whose acks carried no seq_id, or whose replicas disagreed on it. No
-	// partial carries across it.
+	// partial is carried across it.
 	opUnknown writeOp = iota
 	opAppend
 	opRetire
@@ -343,44 +295,69 @@ type loggedWrite struct {
 	seqID int
 }
 
-// rangeState is one range's write generation: the epoch its partials are
-// current at, and — when the cache is on — a ring of the last writeLogLen
-// writes that moved it, the write that moved it to epoch e in slot
-// e % writeLogLen. A write moves the epoch and its log entry together under
-// mu; a read loads the epoch without it.
-type rangeState struct {
-	epoch atomic.Uint64
-	mu    sync.Mutex
+// gen is one generation of the gateway's write state, never modified once
+// published: the plan, the plan epoch (the count of acknowledged writes
+// through this gateway, the sum of the range epochs), and each range's
+// epoch and write log.
+type gen struct {
+	plan   Plan
+	epoch  uint64
+	ranges []rangeGen
+}
+
+// rangeGen is one range's share of a gen: its epoch, which its partials
+// are current at, and the last writeLogLen writes that moved it, oldest
+// first, the last of them to epoch.
+type rangeGen struct {
+	epoch uint64
 	log   []loggedWrite
 }
 
-// record moves the range to its next epoch, logging the write that did.
-func (r *rangeState) record(op writeOp, seqID int) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.epoch.Load() + 1
-	if r.log != nil {
-		r.log[e%writeLogLen] = loggedWrite{epoch: e, op: op, seqID: seqID}
+// commit publishes the generation an acknowledged write to range ri makes
+// and returns it: the range's epoch and the plan epoch move by one, the
+// write is logged as op on seqID, and the plan's tail range grows to cover
+// a seqID past it. Writes are serialised by adminMu; a read sees the old
+// gen or the new one, whole.
+func (g *Gateway) commit(ri int, op writeOp, seqID int) *gen {
+	g.adminMu.Lock()
+	defer g.adminMu.Unlock()
+	cur := g.gen.Load()
+	next := &gen{plan: cur.plan, epoch: cur.epoch + 1, ranges: slices.Clone(cur.ranges)}
+	r := &next.ranges[ri]
+	r.epoch++
+	r.log = append(slices.Clone(r.log[max(0, len(r.log)-writeLogLen+1):]), loggedWrite{epoch: r.epoch, op: op, seqID: seqID})
+	if last := len(cur.plan.Ranges) - 1; seqID >= cur.plan.Ranges[last].Hi {
+		next.plan.Ranges = slices.Clone(cur.plan.Ranges)
+		next.plan.Ranges[last].Hi = seqID + 1
+		next.plan.Seqs = seqID + 1
 	}
-	r.epoch.Store(e)
-	return e
+	g.gen.Store(next)
+	g.writes.Add(1)
+	return next
+}
+
+// flush drops the cached merged answers after a write, returning how many.
+func (g *Gateway) flush() int {
+	if g.cache == nil {
+		return 0
+	}
+	return g.cache.Flush()
 }
 
 // carry decides whether a carried partial of the range, current at epoch at
-// and holding body, answers a read at epoch now, and with which delta: the
-// sequences appended since at and not retired since, which the range is
-// asked for alone (none: the partial answers as it is). It does when the
-// log holds every write between the two epochs, each an append or a retire,
-// and no retire is of a sequence the partial names — a match or a hit of a
+// and holding body, answers a read at the range's epoch, and with which
+// delta: the sequences appended since at and not retired since, which the
+// range is asked for alone (none: the partial answers as it is). It does
+// when the log holds every write since at, each an append or a retire, and
+// no retire is of a sequence the partial names — a match or a hit of a
 // retired sequence would have to go, and the range is asked again instead.
-// A partial current at a later epoch than the read's is not used.
-func (r *rangeState) carry(at, now uint64, body []byte) (delta []int, ok bool) {
-	writes, ok := r.since(at, now)
-	if !ok {
+// A partial current at a later epoch than the range's is not used.
+func (r rangeGen) carry(at uint64, body []byte) (delta []int, ok bool) {
+	if at > r.epoch || r.epoch-at > uint64(len(r.log)) {
 		return nil, false
 	}
 	var named map[int]bool
-	for _, w := range writes {
+	for _, w := range r.log[len(r.log)-int(r.epoch-at):] {
 		switch w.op {
 		case opAppend:
 			delta = append(delta, w.seqID)
@@ -399,24 +376,6 @@ func (r *rangeState) carry(at, now uint64, body []byte) (delta []int, ok bool) {
 		}
 	}
 	return delta, true
-}
-
-// since returns the writes that moved the range from epoch at to epoch now,
-// oldest first; ok is false when the log no longer holds one of them.
-func (r *rangeState) since(at, now uint64) (writes []loggedWrite, ok bool) {
-	if at > now || now-at > writeLogLen {
-		return nil, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for e := at + 1; e <= now; e++ {
-		w := r.log[e%writeLogLen]
-		if w.epoch != e {
-			return nil, false
-		}
-		writes = append(writes, w)
-	}
-	return writes, true
 }
 
 // namedSeqs returns the sequence IDs a findall, longest or filter reply

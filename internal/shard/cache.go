@@ -23,23 +23,23 @@ import (
 //
 // Beside each merged answer the cache keeps its parts: every range's own
 // 200-OK reply, keyed by path ⊕ canonical body (partKey) in a set of its
-// range's own, and recording the range epoch it is current at and whether
-// its kind carries across writes (findall, longest, filter) or not
-// (nearest, /query/batch). A merged-answer miss asks only the ranges with
-// no partial that answers and merges cached and fresh replies through the
-// kind's reducer, so a write to one range costs the next read of a hot
-// query at most one range's round trip, not the whole fleet's. A plan of
-// one range keeps no partials: its merged answer is its only part.
+// range's own, and recording the range epoch it is current at. A
+// merged-answer miss asks only the ranges with no partial that answers and
+// merges cached and fresh replies through the kind's reducer, so a write
+// to one range costs the next read of a hot query at most one range's
+// round trip, not the whole fleet's. A plan of one range keeps no
+// partials: its merged answer is its only part.
 //
 // Correctness rests on the keys, the epochs and the range's write log, not
 // on expiry. A merged answer is keyed by CacheKey — endpoint path ⊕
 // shard-plan epoch ⊕ canonical body. Every acknowledged admin write
-// (append/retire fanned out by admin.go) moves the written range's epoch
-// and logs the write, drops the range's partials that do not carry, then
-// bumps the plan epoch and flushes every merged answer; the other ranges'
-// partials stay, and so do the written range's carrying ones, which a
-// later read carries through the logged writes or asks again (admin.go
-// rangeState.carry). A request that starts after a write's HTTP response
+// (append/retire fanned out by admin.go) publishes the gateway's next
+// write generation — the written range's epoch and the plan epoch moved
+// by one, the write logged — then flushes every merged answer; it touches
+// no partial. A partial answers only at the epoch it records; a findall,
+// longest or filter partial behind its range's epoch is carried through
+// the logged writes or asked again (admin.go rangeGen.carry), any other is
+// asked again. A request that starts after a write's HTTP response
 // therefore computes keys no pre-write merged answer can match, and reads
 // no pre-write partial of the written range without carrying it through
 // the write: stale answers are unreachable by construction.
@@ -58,7 +58,7 @@ import (
 const cacheEntryOverhead = 128
 
 // Cache is a bounded-memory LRU over canonical query keys: merged answers
-// (Get/Put/Flush) and per-range partials (GetPart/PutPart/DropRange) in one
+// (Get/Put/Flush) and per-range partials (GetPart/PutPart) in one
 // byte budget. All methods are safe for concurrent use.
 type Cache struct {
 	maxBytes int64
@@ -79,14 +79,12 @@ type Cache struct {
 type entrySet struct {
 	m     map[string]*list.Element
 	bytes int64
-	// floor is the epoch of the set's last drop: a put of an entry the drop
-	// would have taken, computed under an older epoch, raced the write that
-	// dropped it and is refused.
-	floor uint64
 }
 
-// cacheTally is one class's traffic counters. forwarded and deltas count
-// the partials' hits that carried an entry across writes (countPart).
+// cacheTally is one class's traffic counters. The partials' are counted
+// by the gateway (countPart): forwarded and deltas count the hits that
+// carried an entry across writes, invalidations the misses that found a
+// nearest or batch entry behind its range's epoch.
 type cacheTally struct {
 	hits, misses, evictions, invalidations atomic.Int64
 	forwarded, deltas                      atomic.Int64
@@ -98,7 +96,6 @@ type cacheEntry struct {
 	size    int64
 	set     int       // index into Cache.sets
 	epoch   uint64    // the range epoch a partial is current at
-	carries bool      // a partial a write leaves for reads to carry forward
 	expires time.Time // zero: no TTL
 }
 
@@ -137,7 +134,16 @@ func (c *Cache) putMerged(key string, expires time.Time, body []byte) {
 // Flush drops every merged answer — the write path's invalidation of
 // them. The number of dropped entries is returned and added to the
 // invalidations counter; partials are left alone.
-func (c *Cache) Flush() int { return c.drop(0, 0) }
+func (c *Cache) Flush() int {
+	c.mu.Lock()
+	n := len(c.sets[0].m)
+	for _, e := range c.sets[0].m {
+		c.removeLocked(e)
+	}
+	c.mu.Unlock()
+	c.merged.invalidations.Add(int64(n))
+	return n
+}
 
 // GetPart returns range ri's partial under key (partKey): its body, the
 // range epoch it is current at and when it expires (zero: never),
@@ -154,26 +160,17 @@ func (c *Cache) GetPart(ri int, key string) (body []byte, epoch uint64, expires 
 }
 
 // PutPart stores body as range ri's partial under p.key, current at
-// p.epoch; p.carries says whether a write leaves it for later reads to
-// carry forward. It expires no later than p.expires, when set: a partial
-// carried forward holds shard replies as old as the one it was carried
-// from. A put never replaces an entry current at a newer epoch, and one
-// that does not carry, computed under an epoch a DropRange has passed, is
-// not stored.
+// p.epoch. It expires no later than p.expires, when set: a partial carried
+// forward holds shard replies as old as the one it was carried from. A put
+// never replaces an entry current at a newer epoch.
 func (c *Cache) PutPart(ri int, p partRef, body []byte) { c.put(ri+1, p, body) }
-
-// DropRange drops range ri's partials that do not carry across writes —
-// the write path's invalidation of them — and refuses later such puts
-// computed under an epoch below epoch, the range's new one. The carrying
-// partials stay. The number of dropped entries is returned and added to the
-// partials' invalidations counter.
-func (c *Cache) DropRange(ri int, epoch uint64) int { return c.drop(ri+1, epoch) }
 
 // partUse is how a read used a range's partial.
 type partUse int
 
 const (
 	partMiss    partUse = iota // none that answers: the range is asked in full
+	partStale                  // a miss on a nearest or batch entry behind the read's epoch
 	partCurrent                // current at the read's epoch
 	partForward                // carried across writes that change nothing it holds
 	partDelta                  // carried with a scoped ask over the sequences appended since
@@ -182,6 +179,9 @@ const (
 // countPart counts one read's use of a range's partial.
 func (c *Cache) countPart(u partUse) {
 	switch u {
+	case partStale:
+		c.parts.invalidations.Add(1)
+		fallthrough
 	case partMiss:
 		c.parts.misses.Add(1)
 		return
@@ -238,7 +238,7 @@ func (c *Cache) put(s int, p partRef, body []byte) {
 	if size > c.maxBytes {
 		return
 	}
-	ent := &cacheEntry{key: p.key, body: body, size: size, set: s, epoch: p.epoch, carries: p.carries}
+	ent := &cacheEntry{key: p.key, body: body, size: size, set: s, epoch: p.epoch}
 	if c.ttl > 0 {
 		ent.expires = c.now().Add(c.ttl)
 		if !p.expires.IsZero() && p.expires.Before(ent.expires) {
@@ -248,9 +248,6 @@ func (c *Cache) put(s int, p partRef, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	set := c.setLocked(s)
-	if !p.carries && p.epoch < set.floor {
-		return
-	}
 	if e, ok := set.m[p.key]; ok {
 		if e.Value.(*cacheEntry).epoch > p.epoch {
 			return
@@ -276,25 +273,6 @@ func (c *Cache) removeLocked(e *list.Element) {
 	delete(set.m, ent.key)
 	set.bytes -= ent.size
 	c.bytes -= ent.size
-}
-
-// drop empties set s of every entry that does not carry across writes and
-// raises its floor to epoch, counting the dropped entries as
-// invalidations.
-func (c *Cache) drop(s int, epoch uint64) int {
-	c.mu.Lock()
-	set := c.setLocked(s)
-	n := 0
-	for _, e := range set.m {
-		if !e.Value.(*cacheEntry).carries {
-			c.removeLocked(e)
-			n++
-		}
-	}
-	set.floor = max(set.floor, epoch)
-	c.mu.Unlock()
-	c.tally(s).invalidations.Add(int64(n))
-	return n
 }
 
 // Stats snapshots the merged answers' counters for /stats; MaxBytes is

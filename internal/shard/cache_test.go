@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -576,7 +577,7 @@ func (rs *rangeShard) hold() (entered <-chan struct{}, gate chan<- struct{}) {
 }
 
 // TestWriteReasksOnlyItsRange: with one shard per range of a 3-range plan,
-// a write through the gateway drops only its range's partials, so the next
+// a write through the gateway moves only its range's epoch, so the next
 // read of a warm query — single or batched — asks that range alone and
 // merges the other ranges' cached replies into the answer an uncached
 // gateway over the same shards gives, byte for byte.
@@ -649,17 +650,24 @@ func TestWriteReasksOnlyItsRange(t *testing.T) {
 		}
 		ar := decodeAdmin(t, b)
 		after, _ := g.PartialStats()
-		// The write drops the batch's partial; the findall's carries.
-		if dropped := after.Invalidations - before.Invalidations; *ar.Shard != wr.ri || ar.Invalidated != len(reads) ||
-			dropped != 1 || after.Epochs[wr.ri] != 1 {
-			t.Fatalf("%s: shard %d, %d merged answers and %d partials invalidated, range epochs %v; want shard %d, %d, %d and epoch 1",
-				wr.path, *ar.Shard, ar.Invalidated, dropped, after.Epochs, wr.ri, len(reads), 1)
+		if *ar.Shard != wr.ri || ar.Invalidated != len(reads) || after.Epochs[wr.ri] != 1 {
+			t.Fatalf("%s: shard %d, %d merged answers invalidated, range epochs %v; want shard %d, %d and epoch 1",
+				wr.path, *ar.Shard, ar.Invalidated, after.Epochs, wr.ri, len(reads))
+		}
+		if after.Entries != before.Entries || after.Invalidations != before.Invalidations {
+			t.Fatalf("%s: the write moved the partials: %+v, then %+v", wr.path, before, after)
 		}
 		asked := make([]int, len(ranges))
 		asked[wr.ri] = 1
 		step := fmt.Sprintf("after %s to range %d", wr.path, wr.ri)
 		if !readAll(step, asked) {
 			t.Fatalf("%s: an answer did not change with its range", step)
+		}
+		// The re-read finds the batch's partial behind its range's epoch; the
+		// findall's is carried.
+		after, _ = g.PartialStats()
+		if stale := after.Invalidations - before.Invalidations; stale != 1 {
+			t.Fatalf("%s: %d partials invalidated, want 1", step, stale)
 		}
 		readAll(step+", repeat", make([]int, len(ranges)))
 	}
@@ -685,16 +693,14 @@ func TestWriteReasksOnlyItsRange(t *testing.T) {
 	}
 }
 
-// A read that interleaves with a write leaves nothing a read after the
-// write's acknowledgement is served stale. Range 0 holds a warm partial
-// and range 1 none; a retire in range 0 pauses between its epoch moves
-// while a read loads the epochs, takes range 0 from whatever partial they
-// allow and waits on range 1's held shard; the read is released only after
-// the retire is acknowledged. The next read must answer as an uncached
-// gateway does. Had the plan epoch moved before the range's, the paused
-// read would have stored a merged answer built on range 0's pre-write
-// partial under the post-write plan epoch, and the next read been served
-// it.
+// A read parked across a write leaves nothing a read after the write's
+// acknowledgement is served stale. Range 0 holds a warm partial and range 1
+// one behind an append; a read loads its write generation, takes range 0
+// from its partial and waits on range 1's held shard, asked for the
+// appended sequence, while a retire of sequence 0, which range 0's partial
+// names, is acknowledged. Released, the read stores what it computed under
+// the generation it loaded; the next read must answer as an uncached
+// gateway does.
 func TestWriteRacingReadLeavesNothingStale(t *testing.T) {
 	ranges := []Range{{0, 2}, {2, 4}}
 	shards := make([]*rangeShard, len(ranges))
@@ -722,20 +728,20 @@ func TestWriteRacingReadLeavesNothingStale(t *testing.T) {
 		return string(b)
 	}
 	mustPost(g.Handler(), path, body)                            // both ranges' partials
-	mustPost(g.Handler(), "/admin/append", `{"sequence":"abc"}`) // drops range 1's
+	mustPost(g.Handler(), "/admin/append", `{"sequence":"abc"}`) // range 1's falls behind
 
 	entered, gate := shards[1].hold()
 	raced := make(chan *httptest.ResponseRecorder, 1)
-	g.midBump = func() {
-		g.midBump = nil
-		go func() {
-			rec := httptest.NewRecorder()
-			g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-			raced <- rec
-		}()
-		<-entered // the read has loaded every epoch and asks range 1
-	}
+	go func() {
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		raced <- rec
+	}()
+	<-entered // the read has loaded its generation and asks range 1
 	mustPost(g.Handler(), "/admin/retire", `{"seq_id":0}`)
+	if tr := shards[1].lastScope(); !slices.Equal(tr, []int{4}) {
+		t.Fatalf("the parked read asked range 1 for %v, want the appended sequence [4]", tr)
+	}
 	close(gate)
 	if rec := <-raced; rec.Code != http.StatusOK {
 		t.Fatalf("racing read: %d: %s", rec.Code, rec.Body.Bytes())
@@ -744,6 +750,124 @@ func TestWriteRacingReadLeavesNothingStale(t *testing.T) {
 	got, want := mustPost(g.Handler(), path, body), mustPost(ref.Handler(), path, body)
 	if got != want {
 		t.Fatalf("after an acknowledged retire the cached gateway answered\n  %s\nuncached\n  %s", got, want)
+	}
+}
+
+// Every write generation is whole, however writes and reads interleave:
+// appends to the tail range, one at a time, race retires in range 0 and
+// readers of the generation, of findall and of /stats. Each generation a
+// reader loads has a plan epoch that is the sum of its range epochs, a plan
+// covering every append acknowledged before it was loaded, a tail epoch
+// that is the count of sequences appended, and range logs of at most
+// writeLogLen writes ending at their range's epoch; /stats reports the
+// epoch, the plan and the range epochs of one generation.
+func TestGenerationInvariantUnderConcurrentWrites(t *testing.T) {
+	ranges := []Range{{0, 2}, {2, 4}}
+	urls := make([]string, len(ranges))
+	for i, r := range ranges {
+		urls[i] = newRangeShard(t, r).srv.URL
+	}
+	g, err := NewGateway(mustPlan(t, 4, ranges), urls, WithCache(1<<20, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const appends, retires, readers = 100, 100, 3
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	// whole reports what is wrong with a generation's epochs and plan ("":
+	// nothing), given the sequences every acknowledged append has covered.
+	whole := func(epoch uint64, plan Plan, epochs []uint64, covered int) string {
+		var sum uint64
+		for _, e := range epochs {
+			sum += e
+		}
+		tail := len(plan.Ranges) - 1
+		switch {
+		case epoch != sum:
+			return fmt.Sprintf("plan epoch %d, range epochs %v", epoch, epochs)
+		case plan.Seqs < covered || plan.Ranges[tail].Hi != plan.Seqs:
+			return fmt.Sprintf("plan %+v after appends covering %d sequences", plan, covered)
+		case uint64(plan.Seqs-4) != epochs[tail]:
+			return fmt.Sprintf("plan of %d sequences at tail epoch %d", plan.Seqs, epochs[tail])
+		}
+		return ""
+	}
+	var covered atomic.Int64 // one past the last acknowledged append's seq_id
+	covered.Store(4)
+	var writers, reading sync.WaitGroup
+	stop := make(chan struct{})
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		for range appends {
+			rec := serve(http.MethodPost, "/admin/append", `{"sequence":"abc"}`)
+			var ar AdminFanoutResponse
+			if json.Unmarshal(rec.Body.Bytes(), &ar) != nil || ar.SeqID == nil {
+				t.Errorf("append: %d: %s", rec.Code, rec.Body.Bytes())
+				return
+			}
+			covered.Store(int64(*ar.SeqID) + 1)
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for i := range retires {
+			if rec := serve(http.MethodPost, "/admin/retire", fmt.Sprintf(`{"seq_id":%d}`, i%2)); rec.Code != http.StatusOK {
+				t.Errorf("retire: %d: %s", rec.Code, rec.Body.Bytes())
+				return
+			}
+		}
+	}()
+	for r := range readers {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c := int(covered.Load())
+				gn := g.gen.Load()
+				epochs := make([]uint64, len(gn.ranges))
+				for i, rg := range gn.ranges {
+					epochs[i] = rg.epoch
+					if n := len(rg.log); n > writeLogLen || (rg.epoch > 0) != (n > 0) || n > 0 && rg.log[n-1].epoch != rg.epoch {
+						t.Errorf("range %d at epoch %d logs %d writes, the last %+v", i, rg.epoch, n, rg.log[max(n-1, 0):])
+						return
+					}
+				}
+				if bad := whole(gn.epoch, gn.plan, epochs, c); bad != "" {
+					t.Errorf("generation: %s", bad)
+					return
+				}
+				if r == 0 {
+					rec := serve(http.MethodGet, "/stats", "")
+					var st GatewayStatsResponse
+					if json.Unmarshal(rec.Body.Bytes(), &st) != nil || st.Partials == nil {
+						t.Errorf("stats: %d: %s", rec.Code, rec.Body.Bytes())
+						return
+					}
+					if bad := whole(st.Epoch, st.Plan, st.Partials.Epochs, c); bad != "" {
+						t.Errorf("/stats: %s", bad)
+						return
+					}
+				} else if rec := serve(http.MethodPost, "/query/findall", carryBody); rec.Code != http.StatusOK {
+					t.Errorf("findall: %d: %s", rec.Code, rec.Body.Bytes())
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	reading.Wait()
+	if gn := g.gen.Load(); gn.epoch != appends+retires || gn.plan.Seqs != 4+appends {
+		t.Fatalf("after %d appends and %d retires: epoch %d, plan %+v", appends, retires, gn.epoch, gn.plan)
 	}
 }
 
@@ -766,49 +890,14 @@ func TestOneRangeKeepsNoPartials(t *testing.T) {
 	}
 }
 
-// A partial computed under a range epoch a write has since passed is not
-// stored, so a flight that raced the write cannot leave one behind.
-func TestDropRangeRefusesOlderEpochs(t *testing.T) {
-	c := NewCache(1<<20, 0)
-	c.PutPart(0, partRef{key: "a"}, []byte("v"))
-	c.PutPart(1, partRef{key: "b"}, []byte("v"))
-	c.Put("m", []byte("v"))
-	if n := c.DropRange(0, 1); n != 1 {
-		t.Fatalf("DropRange dropped %d, want 1", n)
-	}
-	c.PutPart(0, partRef{key: "late"}, []byte("v"))
-	if _, _, _, ok := c.GetPart(0, "late"); ok {
-		t.Fatal("a partial from before the drop was stored after it")
-	}
-	c.PutPart(0, partRef{key: "fresh", epoch: 1}, []byte("v"))
-	for _, k := range []struct {
-		ri  int
-		key string
-	}{{0, "fresh"}, {1, "b"}} {
-		if _, _, _, ok := c.GetPart(k.ri, k.key); !ok {
-			t.Fatalf("range %d partial %q missing", k.ri, k.key)
-		}
-	}
-	if _, ok := c.Get("m"); !ok {
-		t.Fatal("DropRange dropped a merged answer")
-	}
-	size := func(key string) int64 { return int64(len(key) + len("v") + cacheEntryOverhead) }
-	if ps := c.PartStats(); ps.Entries != 2 || ps.Invalidations != 1 || ps.Bytes != size("fresh")+size("b") {
-		t.Fatalf("partial stats %+v", ps)
-	}
-	if cs := c.Stats(); cs.Entries != 1 || cs.Invalidations != 0 {
-		t.Fatalf("merged stats %+v", cs)
-	}
-}
-
 // --- carrying partials across writes ---
 
 // carryFleet is a 2-range plan of fake shards behind a cached gateway and
-// an uncached one. read posts one findall to both and requires the cached
-// answer to be the uncached one, byte for byte; it returns how many times
-// the cached read asked each range, and with which "seqs" the last time
-// (nil: in full, or not asked).
-func carryFleet(t *testing.T) (shards []*rangeShard, g, ref *Gateway, read func(step string) readTrace) {
+// an uncached one. read posts one findall of body to both and requires the
+// cached answer to be the uncached one, byte for byte; it returns how many
+// times the cached read asked each range, and with which "seqs" the last
+// time (nil: in full, or not asked).
+func carryFleet(t *testing.T, body string) (shards []*rangeShard, g, ref *Gateway, read func(step string) readTrace) {
 	t.Helper()
 	ranges := []Range{{0, 2}, {2, 4}}
 	urls := make([]string, len(ranges))
@@ -829,13 +918,13 @@ func carryFleet(t *testing.T) (shards []*rangeShard, g, ref *Gateway, read func(
 		for i, s := range shards {
 			tr.asked[i] = s.callCount()
 		}
-		rec, got := doPost(t, g.Handler(), "/query/findall", carryBody)
+		rec, got := doPost(t, g.Handler(), "/query/findall", body)
 		for i, s := range shards {
 			if tr.asked[i] = s.callCount() - tr.asked[i]; tr.asked[i] > 0 {
 				tr.scopes[i] = s.lastScope()
 			}
 		}
-		_, want := doPost(t, ref.Handler(), "/query/findall", carryBody)
+		_, want := doPost(t, ref.Handler(), "/query/findall", body)
 		if rec.Code != http.StatusOK || string(got) != string(want) {
 			t.Fatalf("%s: cached gateway answered %d\n  %s\nuncached\n  %s", step, rec.Code, got, want)
 		}
@@ -864,7 +953,7 @@ func write(t *testing.T, g *Gateway, path, body string) {
 // sequence 4: a read's full ask of range 1 is held while an append through
 // the gateway lands sequence 4 there, and answers after it.
 func racedPartial(t *testing.T) (g *Gateway, read func(step string) readTrace) {
-	shards, g, _, read := carryFleet(t)
+	shards, g, _, read := carryFleet(t, carryBody)
 	entered, gate := shards[1].hold()
 	raced := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
@@ -906,17 +995,25 @@ func TestAppendAndRetireOfNamedSequenceReasks(t *testing.T) {
 }
 
 // An append and a retire of S between two reads, against an entry that
-// does not name S, leave the entry as it is: the read asks no shard.
+// does not name S, leave the entry as it is: the read asks no shard. A
+// further append is then asked for alone — also for a body whose "seqs" is
+// null, which asks what a body without one does.
 func TestAppendAndRetireOfUnnamedSequenceForwards(t *testing.T) {
-	_, g, _, read := carryFleet(t)
-	read("warm-up")
-	write(t, g, "/admin/append", `{"sequence":"abc"}`)
-	write(t, g, "/admin/retire", `{"seq_id":4}`)
-	if tr := read("after the append and the retire of sequence 4"); tr.asked != [2]int{} {
-		t.Fatalf("the read asked %v, want no range", tr.asked)
-	}
-	if ps, _ := g.PartialStats(); ps.Forwarded != 1 || ps.Deltas != 0 {
-		t.Fatalf("partials %+v: want one forwarded, no delta", ps)
+	for _, body := range []string{carryBody, `{"eps":1,"query":"abc","seqs":null}`} {
+		_, g, _, read := carryFleet(t, body)
+		read("warm-up")
+		write(t, g, "/admin/append", `{"sequence":"abc"}`)
+		write(t, g, "/admin/retire", `{"seq_id":4}`)
+		if tr := read("after the append and the retire of sequence 4"); tr.asked != [2]int{} {
+			t.Fatalf("%s: the read asked %v, want no range", body, tr.asked)
+		}
+		if ps, _ := g.PartialStats(); ps.Forwarded != 1 || ps.Deltas != 0 {
+			t.Fatalf("%s: partials %+v: want one forwarded, no delta", body, ps)
+		}
+		write(t, g, "/admin/append", `{"sequence":"abc"}`)
+		if tr := read("after a further append"); tr.asked != [2]int{0, 1} || !slices.Equal(tr.scopes[1], []int{5}) {
+			t.Fatalf("%s: the read asked %v, range 1 for %v; want range 1 alone, for [5]", body, tr.asked, tr.scopes[1])
+		}
 	}
 }
 
@@ -924,7 +1021,7 @@ func TestAppendAndRetireOfUnnamedSequenceForwards(t *testing.T) {
 // writeLogLen appends range 1 is asked for those sequences alone, after
 // writeLogLen+1 more for the whole range.
 func TestWritesPastTheLogReaskTheRange(t *testing.T) {
-	_, g, _, read := carryFleet(t)
+	_, g, _, read := carryFleet(t, carryBody)
 	for _, n := range []int{writeLogLen, writeLogLen + 1} {
 		read("warm-up")
 		for range n {
@@ -943,23 +1040,41 @@ func TestWritesPastTheLogReaskTheRange(t *testing.T) {
 }
 
 // A put at an older epoch never replaces an entry current at a newer one,
-// and a put at a newer epoch does; a write leaves a carrying partial.
+// and a put at a newer epoch does, whatever the kind. A nearest partial put
+// at an older epoch neither replaces a newer entry nor answers a read at
+// the newer epoch: the read counts it an invalidation and asks the range.
 func TestCarriedPutNeverReplacesNewer(t *testing.T) {
-	c := NewCache(1<<20, 0)
-	c.PutPart(0, partRef{key: "k", epoch: 2, carries: true}, []byte("two"))
-	c.PutPart(0, partRef{key: "k", epoch: 1, carries: true}, []byte("one"))
-	if b, at, _, ok := c.GetPart(0, "k"); !ok || at != 2 || string(b) != "two" {
-		t.Fatalf("after an older put: %q at %d (%v), want \"two\" at 2", b, at, ok)
+	for _, path := range []string{"/query/findall", "/query/nearest"} {
+		c := NewCache(1<<20, 0)
+		key := partKey(path, carryBody)
+		c.PutPart(0, partRef{key: key, epoch: 2}, []byte("two"))
+		c.PutPart(0, partRef{key: key, epoch: 1}, []byte("one"))
+		if b, at, _, ok := c.GetPart(0, key); !ok || at != 2 || string(b) != "two" {
+			t.Fatalf("%s: after an older put: %q at %d (%v), want \"two\" at 2", path, b, at, ok)
+		}
+		c.PutPart(0, partRef{key: key, epoch: 3}, []byte("three"))
+		if b, at, _, ok := c.GetPart(0, key); !ok || at != 3 || string(b) != "three" {
+			t.Fatalf("%s: after a newer put: %q at %d (%v), want \"three\" at 3", path, b, at, ok)
+		}
+		if ps := c.PartStats(); ps.Entries != 1 {
+			t.Fatalf("%s: partial stats %+v", path, ps)
+		}
 	}
-	c.PutPart(0, partRef{key: "k", epoch: 3, carries: true}, []byte("three"))
-	if b, at, _, ok := c.GetPart(0, "k"); !ok || at != 3 || string(b) != "three" {
-		t.Fatalf("after a newer put: %q at %d (%v), want \"three\" at 3", b, at, ok)
+
+	g := &Gateway{cache: NewCache(1<<20, 0)}
+	rd := read{gen: &gen{ranges: []rangeGen{{epoch: 2}}}, path: "/query/nearest", canon: carryBody}
+	key := partKey(rd.path, rd.canon)
+	g.cache.PutPart(0, partRef{key: key, epoch: 2}, []byte("two"))
+	g.cache.PutPart(0, partRef{key: key, epoch: 1}, []byte("one"))
+	if _, base, _, done := g.lookupPart(0, rd); !done || string(base) != "two" {
+		t.Fatalf("a read at epoch 2 got %q (done %v), want \"two\"", base, done)
 	}
-	if n := c.DropRange(0, 4); n != 0 {
-		t.Fatalf("DropRange dropped %d carried partials, want none", n)
+	rd.gen.ranges[0].epoch = 3
+	if part, base, _, done := g.lookupPart(0, rd); done || base != nil || part.epoch != 3 {
+		t.Fatalf("a read at epoch 3 was answered by the partial at 2 (%q, done %v, stored at %d)", base, done, part.epoch)
 	}
-	if ps := c.PartStats(); ps.Entries != 1 {
-		t.Fatalf("partial stats %+v", ps)
+	if ps := g.cache.PartStats(); ps.Hits != 1 || ps.Misses != 1 || ps.Invalidations != 1 {
+		t.Fatalf("partial stats %+v: want one hit, one miss, one invalidation", ps)
 	}
 }
 
@@ -973,7 +1088,7 @@ func TestCarriedPutNeverReplacesNewer(t *testing.T) {
 func TestCarriedPartialKeepsItsExpiry(t *testing.T) {
 	const ttl = time.Minute
 	for _, writeBefore := range []bool{true, false} {
-		_, g, _, read := carryFleet(t)
+		_, g, _, read := carryFleet(t, carryBody)
 		now := time.Unix(1000, 0)
 		g.cache.ttl, g.cache.now = ttl, func() time.Time { return now }
 		read("warm-up")

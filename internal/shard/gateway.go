@@ -39,14 +39,15 @@ import (
 // answer (transport error, 5xx, or still shedding 429/503 after the
 // retry budget) triggers failover; when every replica of a range is
 // exhausted the range is recorded as a ShardFailure with each replica's
-// error itemised, and the merged response carries a Degradation block.
+// error itemised, and the merged response holds a Degradation block.
 // Only when no range answers does the gateway fail the request (502).
 //
 // With the result cache on (cache.go) a range is asked only when it has
-// no cached partial that answers at its current epoch; a findall, longest
-// or filter partial older than the range's last writes is carried through
-// them (admin.go), at most one scoped ask over the sequences appended
-// since, and the fan-out merges cached, carried and fresh replies alike.
+// no cached partial that answers at the epoch of the read's write
+// generation; a findall, longest or filter partial older than the range's
+// last writes is carried through them (admin.go), at most one scoped ask
+// over the sequences appended since, and the fan-out merges cached,
+// carried and fresh replies alike.
 
 // PostFunc issues a POST with a JSON body, returning the response. The
 // bounded-retry client in cmd/subseqctl satisfies this; tests inject
@@ -65,10 +66,11 @@ const maxGatewayBody = 8 << 20
 // replica set. Construct with NewGateway (one replica per range) or
 // NewReplicatedGateway; serve Handler(); optionally StartProbing().
 type Gateway struct {
-	// planp holds the current plan behind an atomic pointer: admin
-	// appends grow the tail range (admin.go), and handlers read the plan
-	// lock-free. Mutations are serialised by adminMu.
-	planp    atomic.Pointer[Plan]
+	// gen holds the write generation — the plan, its epoch, each range's
+	// epoch and write log (admin.go) — behind one atomic pointer: handlers
+	// read it lock-free, and each acknowledged write swaps in the next one
+	// under adminMu.
+	gen      atomic.Pointer[gen]
 	adminMu  sync.Mutex
 	replicas [][]string    // per range, cleaned base URLs
 	health   []*replicaSet // per range, breakers + round-robin cursor
@@ -84,17 +86,8 @@ type Gateway struct {
 
 	flight flightGroup
 	// cache holds merged 200-OK answers and each range's share of them
-	// under canonical keys (cache.go); nil when caching is off. epoch is
-	// the shard-plan epoch every merged key embeds; ranges[i] holds range
-	// i's epoch, which each of its partials is current at, and the log of
-	// the writes that moved it (admin.go). Each acknowledged write moves
-	// the written range's epoch, then the plan's.
-	cache  *Cache
-	epoch  atomic.Uint64
-	ranges []rangeState
-	// midBump, when set, runs inside bumpEpoch between the range's epoch
-	// move and the plan's, so a test can interleave a read there.
-	midBump func()
+	// under canonical keys (cache.go); nil when caching is off.
+	cache *Cache
 
 	queries      atomic.Int64
 	batches      atomic.Int64
@@ -135,10 +128,10 @@ func WithProbeInterval(d time.Duration) GatewayOption {
 // merged answers are kept under their canonical key (CacheKey), and with
 // more than one range each range's reply too (partKey), within one total
 // byte budget, evicted LRU within that budget and by TTL (ttl <= 0 keeps
-// entries until eviction or write-path invalidation), and
-// each range logs its last writes so its findall, longest and filter
-// replies carry across them. maxBytes <= 0 disables the cache and the log;
-// single-flight collapse works either way.
+// entries until eviction or write-path invalidation); findall, longest and
+// filter replies are carried across writes through each range's write log.
+// maxBytes <= 0 disables the cache; single-flight collapse works either
+// way.
 func WithCache(maxBytes int64, ttl time.Duration) GatewayOption {
 	return func(g *Gateway) {
 		if maxBytes > 0 {
@@ -196,15 +189,9 @@ func NewReplicatedGateway(plan Plan, replicas [][]string, opts ...GatewayOption)
 		start:         time.Now(),
 		probeInterval: defaultProbeInterval,
 	}
-	g.planp.Store(&plan)
+	g.gen.Store(&gen{plan: plan, ranges: make([]rangeGen, len(clean))})
 	for _, o := range opts {
 		o(g)
-	}
-	g.ranges = make([]rangeState, len(clean))
-	if g.cache != nil {
-		for i := range g.ranges {
-			g.ranges[i].log = make([]loggedWrite, writeLogLen)
-		}
 	}
 	g.health = make([]*replicaSet, len(clean))
 	for i, set := range clean {
@@ -248,14 +235,14 @@ func (g *Gateway) Handler() http.Handler { return g.mux }
 
 // Plan returns the partition the gateway scatters over. It can grow:
 // every acknowledged append through the gateway extends the tail range.
-func (g *Gateway) Plan() Plan { return *g.planp.Load() }
+func (g *Gateway) Plan() Plan { return g.gen.Load().plan }
 
 // rangeOf returns range i of the current plan.
-func (g *Gateway) rangeOf(i int) Range { return g.planp.Load().Ranges[i] }
+func (g *Gateway) rangeOf(i int) Range { return g.gen.Load().plan.Ranges[i] }
 
 // Epoch returns the shard-plan epoch; every acknowledged admin write
 // through the gateway bumps it (and with it every cache key).
-func (g *Gateway) Epoch() uint64 { return g.epoch.Load() }
+func (g *Gateway) Epoch() uint64 { return g.gen.Load().epoch }
 
 // PendingFlights reports in-flight single-flight fan-outs — the leak
 // probe tests assert drains to zero once traffic quiesces.
@@ -273,13 +260,18 @@ func (g *Gateway) CacheStats() (cs CacheCounters, ok bool) {
 // PartialStats snapshots the per-range partial counters and epochs; ok is
 // false when the gateway runs without a cache.
 func (g *Gateway) PartialStats() (ps PartialCounters, ok bool) {
+	return g.partialStats(g.gen.Load())
+}
+
+// partialStats is PartialStats with the range epochs of gn.
+func (g *Gateway) partialStats(gn *gen) (ps PartialCounters, ok bool) {
 	if g.cache == nil {
 		return PartialCounters{}, false
 	}
 	ps = g.cache.PartStats()
-	ps.Epochs = make([]uint64, len(g.ranges))
-	for i := range g.ranges {
-		ps.Epochs[i] = g.ranges[i].epoch.Load()
+	ps.Epochs = make([]uint64, len(gn.ranges))
+	for i, r := range gn.ranges {
+		ps.Epochs[i] = r.epoch
 	}
 	return ps, true
 }
@@ -313,13 +305,11 @@ type rangeReply struct {
 }
 
 // partRef is where a range's reply is kept as a partial (Cache.PutPart):
-// its key, the range epoch it is current at, whether its kind carries
-// across writes, and the expiry of the cached partial its body holds (zero:
-// a fresh reply).
+// its key, the range epoch it is current at, and the expiry of the cached
+// partial its body holds (zero: a fresh reply).
 type partRef struct {
 	key     string
 	epoch   uint64
-	carries bool
 	expires time.Time
 }
 
@@ -451,14 +441,16 @@ func (g *Gateway) askRange(ctx context.Context, ri int, path string, body []byte
 	}
 }
 
-// read is one query as the fan-out sees it: its route, the body every
-// range is sent verbatim, and — when the body has one — its canonical
-// form, which every cache key of the query shares. parts reports whether
-// the query keeps per-range partials: the cache is on, the body is
-// canonical and the plan has more than one range. carry, set by the
-// kinds whose partials carry across writes (findall, longest, filter),
-// merges a carried partial with a scoped reply (reduce).
+// read is one query as the fan-out sees it: the write generation it
+// loaded, its route, the body every range is sent verbatim, and — when the
+// body has one — its canonical form, which every cache key of the query
+// shares. parts reports whether the query keeps per-range partials: the
+// cache is on, the body is canonical and the plan has more than one range.
+// carry, set by the kinds whose partials are carried across writes
+// (findall, longest, filter), merges a carried partial with a scoped reply
+// (reduce).
 type read struct {
+	gen   *gen
 	path  string
 	body  []byte
 	canon string
@@ -467,10 +459,10 @@ type read struct {
 }
 
 // scatter resolves every range concurrently and collects the replies in
-// range order. Under rd.parts each range's epoch is read once; a range
-// whose partial answers at that epoch (lookupPart) is not asked, one whose
-// partial carries forward with the sequences appended since is asked for
-// those alone, and every other range in full.
+// range order. Under rd.parts a range whose partial answers at its epoch
+// in rd.gen (lookupPart) is not asked, one whose partial is carried
+// forward with the sequences appended since is asked for those alone, and
+// every other range in full.
 func (g *Gateway) scatter(ctx context.Context, rd read) []rangeReply {
 	replies := make([]rangeReply, len(g.replicas))
 	var wg sync.WaitGroup
@@ -495,25 +487,31 @@ func (g *Gateway) scatter(ctx context.Context, rd read) []rangeReply {
 	return replies
 }
 
-// lookupPart reads range i's partial of rd at the range's current epoch.
+// lookupPart reads range i's partial of rd at the range's epoch in rd.gen.
 // done reports that base answers the range with no shard call; part then
 // names where to store it (a partial carried forward to the epoch) or
 // nothing (current already), and when base expires. Otherwise part is
 // where the range's reply goes, and a non-nil base is a partial to carry
 // forward with one scoped ask over delta, the sequences appended to the
-// range since it was current. Only a kind with rd.carry carries a partial
-// forward; any other partial answers only at the epoch it is current at.
+// range since it was current. Only a kind with rd.carry takes a partial
+// forward; any other partial answers only at the epoch it is current at,
+// and one behind it is counted an invalidation.
 func (g *Gateway) lookupPart(i int, rd read) (part partRef, base []byte, delta []int, done bool) {
-	epoch := g.ranges[i].epoch.Load()
-	part = partRef{key: partKey(rd.path, rd.canon), epoch: epoch, carries: rd.carry != nil}
+	r := rd.gen.ranges[i]
+	part = partRef{key: partKey(rd.path, rd.canon), epoch: r.epoch}
 	b, at, expires, ok := g.cache.GetPart(i, part.key)
+	use := partMiss
 	switch {
 	case !ok:
-	case at == epoch:
+	case at == r.epoch:
 		g.cache.countPart(partCurrent)
 		return partRef{expires: expires}, b, nil, true
-	case part.carries:
-		if delta, ok := g.ranges[i].carry(at, epoch, b); ok {
+	case rd.carry == nil:
+		if at < r.epoch {
+			use = partStale
+		}
+	default:
+		if delta, ok := r.carry(at, b); ok {
 			part.expires = expires
 			if len(delta) == 0 {
 				g.cache.countPart(partForward)
@@ -522,7 +520,7 @@ func (g *Gateway) lookupPart(i int, rd read) (part partRef, base []byte, delta [
 			return part, b, delta, false
 		}
 	}
-	g.cache.countPart(partMiss)
+	g.cache.countPart(use)
 	return part, nil, nil, false
 }
 
@@ -549,14 +547,12 @@ func (g *Gateway) askPart(ctx context.Context, i int, rd read, part partRef, bas
 }
 
 // scopedBody is the canonical body canon with "seqs" set to seqs: the same
-// question asked of those sequences only. A body that names its own
-// "seqs" already is not rewritten (ok false).
+// question asked of those sequences only. A client's own "seqs" can only
+// be null here (namesScope refuses any other), which asks what no "seqs"
+// does.
 func scopedBody(canon string, seqs []int) ([]byte, bool) {
 	var fields map[string]json.RawMessage
 	if json.Unmarshal([]byte(canon), &fields) != nil || fields == nil {
-		return nil, false
-	}
-	if _, ok := fields["seqs"]; ok {
 		return nil, false
 	}
 	fields["seqs"], _ = json.Marshal(seqs)
@@ -694,8 +690,9 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 }
 
 // collapse answers one query through the cache and the single-flight
-// group, in that order. The key is the canonical CacheKey — endpoint,
-// current plan epoch, canonical body — so formatting variants of one
+// group, in that order. It loads the write generation once, and every key
+// the query uses is computed against it. The merged key is the canonical
+// CacheKey — endpoint, plan epoch, canonical body — so formatting variants of one
 // question share both the cache line and the flight, and a write-path
 // epoch bump reroutes every later request past all pre-write state. A
 // cache hit returns stored bytes without touching the fleet. A miss
@@ -708,14 +705,14 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // uses. Bodies that are not one JSON value cannot be canonicalised: they
 // still collapse by raw bytes but never cache.
 func (g *Gateway) collapse(ctx context.Context, path string, body []byte, compute func(ctx context.Context, rd read) flightResult) flightResult {
-	rd := read{path: path, body: body}
+	rd := read{gen: g.gen.Load(), path: path, body: body}
 	canon, kerr := canonicalJSON(body)
 	cacheable := kerr == nil && g.cache != nil
 	var key string
 	if kerr == nil {
 		rd.canon = string(canon)
 		rd.parts = cacheable && len(g.replicas) > 1
-		key = mergedKey(path, g.epoch.Load(), rd.canon)
+		key = mergedKey(path, rd.gen.epoch, rd.canon)
 	} else {
 		key = path + "\x00" + string(body)
 	}
@@ -930,11 +927,11 @@ type statsSubset struct {
 	} `json:"distance_calls"`
 }
 
-// fetchRangeStats fetches one range's /stats through its replicas in
-// breaker-preferred order, returning on the first success.
-func (g *Gateway) fetchRangeStats(ctx context.Context, ri int) ShardStats {
+// fetchRangeStats fetches the /stats of range ri, which spans rng, through
+// its replicas in breaker-preferred order, returning on the first success.
+func (g *Gateway) fetchRangeStats(ctx context.Context, ri int, rng Range) ShardStats {
 	set := g.health[ri]
-	ss := ShardStats{Shard: ri, Range: g.rangeOf(ri), Addr: g.rangeAddrs(ri)}
+	ss := ShardStats{Shard: ri, Range: rng, Addr: g.rangeAddrs(ri)}
 	var errs []string
 	for _, idx := range set.order(time.Now()) {
 		res, err := g.get(ctx, set.addrs[idx]+"/stats")
@@ -963,9 +960,10 @@ func (g *Gateway) fetchRangeStats(ctx context.Context, ri int) ShardStats {
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
+	gn := g.gen.Load()
 	resp := GatewayStatsResponse{
-		Plan:          g.Plan(),
-		Epoch:         g.epoch.Load(),
+		Plan:          gn.plan,
+		Epoch:         gn.epoch,
 		UptimeSeconds: time.Since(g.start).Seconds(),
 		Shards:        make([]ShardStats, len(g.replicas)),
 		Replication:   make([]RangeHealth, len(g.replicas)),
@@ -985,16 +983,16 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	if cs, ok := g.CacheStats(); ok {
-		ps, _ := g.PartialStats()
+		ps, _ := g.partialStats(gn)
 		resp.Cache, resp.Partials = &cs, &ps
 	}
 	var wg sync.WaitGroup
 	for i := range g.replicas {
-		resp.Replication[i] = g.health[i].health(i, g.rangeOf(i), now, nil)
+		resp.Replication[i] = g.health[i].health(i, gn.plan.Ranges[i], now, nil)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp.Shards[i] = g.fetchRangeStats(r.Context(), i)
+			resp.Shards[i] = g.fetchRangeStats(r.Context(), i, gn.plan.Ranges[i])
 		}(i)
 	}
 	wg.Wait()

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// Per-replica health model. Every replica of every range carries a
+// Per-replica health model. Every replica of every range has a
 // consecutive-failure circuit breaker; breakers are fed from two sides —
 // real query traffic (a transport error or 5xx is a failure, any decoded
 // answer is a success) and the background /healthz prober — so a replica
@@ -193,7 +193,7 @@ func (s *replicaSet) order(now time.Time) []int {
 	return append(append(closed, trial...), open...)
 }
 
-// health snapshots the set for reporting; probeOK, when non-nil, carries
+// health snapshots the set for reporting; probeOK, when non-nil, holds
 // live per-replica probe results to fold in.
 func (s *replicaSet) health(shard int, r Range, now time.Time, probeOK []bool) RangeHealth {
 	rh := RangeHealth{Shard: shard, Range: r, Replicas: make([]ReplicaHealth, len(s.addrs))}

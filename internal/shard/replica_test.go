@@ -310,7 +310,7 @@ func TestSingleFlightCollapsesIdenticalQueries(t *testing.T) {
 	}
 }
 
-// TestHealthzReportsBreakers: /healthz carries the full per-range,
+// TestHealthzReportsBreakers: /healthz reports the full per-range,
 // per-replica roster — probe verdicts, breaker states and last errors.
 func TestHealthzReportsBreakers(t *testing.T) {
 	up := fakeShard(t, map[string]any{"GET /healthz": map[string]any{"ok": true}})
@@ -355,7 +355,7 @@ func TestHealthzReportsBreakers(t *testing.T) {
 }
 
 // TestStatsReportsReplication: /stats names the answering replica per
-// range and carries the breaker roster plus the new counters.
+// range and reports the breaker roster plus the new counters.
 func TestStatsReportsReplication(t *testing.T) {
 	stats := map[string]any{"num_windows": 40}
 	dead := deadServer()

@@ -114,7 +114,7 @@ func (r *BatchRequest) Validate() (Kind, Args, error) {
 // --- Admin write fan-out (admin.go) ---
 
 // AdminReplicaResult is one replica's outcome in a gateway write
-// fan-out. Response carries the replica's own answer verbatim (the
+// fan-out. Response holds the replica's own answer verbatim (the
 // single-node appendResponse/retireResponse/snapshotResponse); Path is
 // set for snapshots (the per-replica target the gateway substituted).
 type AdminReplicaResult struct {
@@ -167,11 +167,14 @@ type CacheCounters struct {
 // PartialCounters reports the result cache's per-range partial answers on
 // /stats, apart from the merged answers' CacheCounters: lookups of a
 // range's partial (hits/misses), evictions against the shared byte
-// budget, partials dropped by writes to their range (invalidations),
-// current residency, and each range's epoch — the count of acknowledged
-// writes to it through this gateway, which every partial is current at.
-// Of the hits, Forwarded counts partials carried across writes with no
-// shard call and Deltas those carried with one scoped ask ("seqs").
+// budget, current residency, and each range's epoch — the count of
+// acknowledged writes to it through this gateway, which every partial
+// records it is current at. Of the hits, Forwarded counts partials carried
+// across writes with no shard call and Deltas those carried with one
+// scoped ask ("seqs"). Of the misses, Invalidations counts the nearest and
+// batch partials a read found behind their range's epoch, which answer
+// only at their own. Epochs are read from the same write generation as
+// the plan and the plan epoch beside them.
 type PartialCounters struct {
 	Hits          int64    `json:"hits"`
 	Misses        int64    `json:"misses"`
