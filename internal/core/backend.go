@@ -422,7 +422,9 @@ func (s *scanSession[E]) close() {}
 // most eps, +Inf otherwise: eps is then a bound that drops to just under
 // every distance found, offsets are skipped against the bound as it stands,
 // and a pass stops once the kernel's Floor proves no longer segment can come
-// back under it.
+// back under it. So the range read feeds a pass in one call
+// (filterScratch.pass), and the MinDist read a row at a time, looking at
+// Floor between rows.
 //
 // Distance accounting is the net's and the verifier's: one evaluation per
 // kernel pass, the free-start pass included, added to the query's record. A
@@ -513,6 +515,19 @@ func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float
 					k = sc.kstate
 				}
 				k.Reset()
+				if perSeg != nil {
+					// The range read never stops a pass early: its rows go
+					// in one call.
+					ends := sc.pass(k, rk, q, a, top)
+					for n := minLen; n <= top; n++ {
+						if ends[n-1] <= eps {
+							i := int(offsets[n-minLen]) + a
+							perSeg[i] = append(perSeg[i], w)
+						}
+					}
+					sc.cost.filter++
+					continue
+				}
 				for n := 1; n <= top; n++ {
 					var d float64
 					if rk != nil {
@@ -520,16 +535,11 @@ func (s *scanSession[E]) kernelScan(eps float64, perSeg [][]seq.Window[E]) float
 					} else {
 						d = k.Feed(q[a+n-1])
 					}
-					if perSeg == nil {
-						if n >= minLen && d <= eps {
-							best, eps = d, math.Nextafter(d, math.Inf(-1))
-						}
-						if k.Floor() > eps {
-							break
-						}
-					} else if n >= minLen && d <= eps {
-						i := int(offsets[n-minLen]) + a
-						perSeg[i] = append(perSeg[i], w)
+					if n >= minLen && d <= eps {
+						best, eps = d, math.Nextafter(d, math.Inf(-1))
+					}
+					if k.Floor() > eps {
+						break
 					}
 				}
 				sc.cost.filter++

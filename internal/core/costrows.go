@@ -71,9 +71,10 @@ func (c *costRows[E]) bind(p dist.Prepared[E], q []E) {
 
 // reader returns k as a dist.RowKernel when the binding has rows and k
 // takes them, else nil: k, bound to the binding's window, then prices its
-// own costs. A pass feeds q[pos] as rk.FeedRow(c.at(pos)) when rk is
-// non-nil and as k.Feed(q[pos]) otherwise, branching at the call site so
-// that a kernel without rows (Myers: a few ns a feed) pays no extra call.
+// own costs. A pass feeds q[lo:hi] as rk.RunRows(c.span(lo, hi)) (q[pos]
+// alone as rk.FeedRow(c.at(pos))) when rk is non-nil and as dist.Run or
+// k.Feed otherwise, branching at the call site so that a kernel without
+// rows (Myers: a few ns a feed) pays no extra call.
 func (c *costRows[E]) reader(k dist.Kernel[E]) dist.RowKernel[E] {
 	if c.cr == nil {
 		return nil
@@ -85,6 +86,16 @@ func (c *costRows[E]) reader(k dist.Kernel[E]) dist.RowKernel[E] {
 // at returns row pos, priced whole, and its indel cost: an unbanded pass's
 // read.
 func (c *costRows[E]) at(pos int) ([]float64, float64) { return c.cols(pos, 0, c.width) }
+
+// span returns rows lo … hi−1, each priced whole, back to back in the
+// binding's buffer (one window length apart), and their indel costs: what
+// an unbanded pass over q[lo:hi] hands dist.RowKernel.RunRows.
+func (c *costRows[E]) span(lo, hi int) (rows, dx []float64) {
+	for pos := lo; pos < hi; pos++ {
+		c.at(pos)
+	}
+	return c.buf[lo*c.width : hi*c.width], c.dx[lo:hi]
+}
 
 // cols returns row pos, priced at least over columns [lo, hi), and its
 // indel cost. What the binding has not priced yet of that, and the indel

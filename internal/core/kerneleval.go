@@ -176,9 +176,8 @@ func (f *freePass[E]) run(p dist.Prepared[E], rows *costRows[E], q []E, lo, hi i
 	}
 	f.lower = slices.Grow(f.lower[:0], hi-lo+1)[:hi-lo+1]
 	if rk := rows.reader(f.k); rk != nil {
-		for pos := lo; pos < hi; pos++ {
-			f.lower[pos-lo+1] = rk.FeedFreeRow(rows.at(pos))
-		}
+		c, dx := rows.span(lo, hi)
+		rk.RunFreeRows(c, dx, f.lower[1:])
 		return f.lower
 	}
 	dist.RunFree(f.k, q[lo:hi], f.lower[1:])
@@ -221,8 +220,7 @@ type kernelEvaluator[E any] struct {
 	q      seq.Sequence[E]
 	probes []seq.Window[E]
 	state  dist.Kernel[E]
-	ends   []float64         // the last exact pass's row ends
-	sc     *filterScratch[E] // its free-start pass and cost record
+	sc     *filterScratch[E] // its free-start pass, row ends and cost record
 }
 
 // open points the evaluator at one query's probes, laid out in sc.
@@ -289,20 +287,27 @@ func (ev *kernelEvaluator[E]) EvalBatch(item seq.Window[E], idxs []int32, bound 
 	}
 }
 
-// exact runs the exact pass of q[start:start+n] over p's window, the
-// binding's cost rows fed when it has them, and returns its row ends: the
-// i-th is δ(q[start:start+i+1], w). The slice is valid until the next pass.
+// exact runs the exact pass of q[start:start+n] over p's window and
+// returns its row ends (filterScratch.pass).
 func (ev *kernelEvaluator[E]) exact(p dist.Prepared[E], start, n int) []float64 {
 	ev.state = dist.BindKernel(ev.state, p)
-	ev.ends = slices.Grow(ev.ends[:0], n)[:n]
-	if rk := ev.sc.rows.reader(ev.state); rk != nil {
-		for i := range ev.ends {
-			ev.ends[i] = rk.FeedRow(ev.sc.rows.at(start + i))
-		}
+	return ev.sc.pass(ev.state, ev.sc.rows.reader(ev.state), ev.q, start, n)
+}
+
+// pass feeds q[start:start+n] to k, which the caller has rewound, in one
+// call: sc.rows' cost rows through rk when rk is non-nil (k, reading the
+// rows of the window it is bound to: costRows.reader), the elements
+// otherwise. It returns the row ends, the i-th δ(q[start:start+i+1], w),
+// valid until the next pass.
+func (sc *filterScratch[E]) pass(k dist.Kernel[E], rk dist.RowKernel[E], q []E, start, n int) []float64 {
+	sc.ends = slices.Grow(sc.ends[:0], n)[:n]
+	if rk != nil {
+		c, dx := sc.rows.span(start, start+n)
+		rk.RunRows(c, dx, sc.ends)
 	} else {
-		dist.Run(ev.state, ev.q[start:start+n], ev.ends)
+		dist.Run(k, q[start:start+n], sc.ends)
 	}
-	return ev.ends
+	return sc.ends
 }
 
 // offsetMajorProbes lays the segments out as index probes ordered by

@@ -132,8 +132,10 @@ type filterScratch[E any] struct {
 	// query's session is: the net's evaluator or the kernel scan.
 	free freePass[E]
 	// rows are the ground-cost rows of the window the filter has bound,
-	// shared by its free-start and exact passes.
+	// shared by its free-start and exact passes; ends are the row ends of
+	// the last pass that reads them all (pass).
 	rows costRows[E]
+	ends []float64
 	// keval is the grouped kernel evaluator driving kernel-aware index
 	// traversals (refnet sessions); it owns its own kernel state. next and
 	// pos are the index buffers of the probe layout a session is opened over

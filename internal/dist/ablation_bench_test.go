@@ -133,22 +133,34 @@ func BenchmarkERPPassFeed(b *testing.B) {
 	}
 }
 
+// BenchmarkERPPassRows/FeedRow feeds the priced rows a FeedRow call a row;
+// /RunRows feeds them in one call
+// (DESIGN.md §5 item 25).
 func BenchmarkERPPassRows(b *testing.B) {
 	m, q, w := erpPassInputs()
 	p := m.Prepare(w)
 	cr := p.(CostRower[seq.Point2])
-	rows, dx := make([][]float64, len(q)), make([]float64, len(q))
+	c, dx := make([]float64, len(q)*len(w)), make([]float64, len(q))
 	for i, x := range q {
-		rows[i] = make([]float64, len(w))
-		dx[i] = costRow(cr, x, rows[i])
+		dx[i] = costRow(cr, x, c[i*len(w):(i+1)*len(w)])
 	}
 	k := p.NewState().(RowKernel[seq.Point2])
-	for b.Loop() {
-		k.Reset()
-		for i := range q {
-			ablationSink += k.FeedRow(rows[i], dx[i])
+	out := make([]float64, len(q))
+	b.Run("FeedRow", func(b *testing.B) {
+		for b.Loop() {
+			k.Reset()
+			for i := range q {
+				out[i] = k.FeedRow(c[i*len(w):(i+1)*len(w)], dx[i])
+			}
 		}
-	}
+	})
+	b.Run("RunRows", func(b *testing.B) {
+		for b.Loop() {
+			k.Reset()
+			k.RunRows(c, dx, out)
+		}
+	})
+	ablationSink += out[len(q)-1]
 }
 
 // One verifier pass over a true match (DESIGN.md §5 item 21): 60 query rows

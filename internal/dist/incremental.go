@@ -44,7 +44,9 @@ import "math"
 // so on a bit-parallel kernel, whose step is a handful of word operations,
 // a call per element costs about as much as the steps do. Runner is to the
 // call what CostRower and RowKernel are to the ground costs: the same
-// values reached with less repeated work, bit for bit.
+// values reached with less repeated work, bit for bit. An edit-row state
+// takes a stretch of rows priced beforehand the same way
+// (RowKernel.RunRows, RunFreeRows): one call a pass instead of one a row.
 
 // Kernel is a stateful incremental distance evaluator bound to a fixed
 // right-hand sequence w. The n-th call to Feed appends the n-th element of
@@ -176,10 +178,19 @@ type CostRower[E any] interface {
 // Span reports the columns of c the next FeedRow or FeedFreeRow reads:
 // c[lo:hi], all of the row unless the state is banded. Entries outside it
 // may hold anything.
+//
+// RunRows(c, dx, out) is FeedRow over len(out) priced rows laid back to back
+// in c, one window length apart, dx[i] the i-th row's indel cost, and
+// RunFreeRows is the same through FeedFreeRow: out[i] takes what the i-th
+// call returns, bit for bit, and the state is left as those calls leave
+// it. A pass over rows priced beforehand (the filter's exact and free-start
+// passes) feeds its stretch in one call (DESIGN.md §8).
 type RowKernel[E any] interface {
 	FreeStartKernel[E]
 	FeedRow(c []float64, dx float64) float64
 	FeedFreeRow(c []float64, dx float64) float64
+	RunRows(c, dx, out []float64)
+	RunFreeRows(c, dx, out []float64)
 	Within(r float64)
 	Span() (lo, hi int)
 }
@@ -500,24 +511,33 @@ func (k *editRowState[E]) FeedFreeRow(c []float64, dx float64) float64 {
 
 // feed advances the row by an element whose substitution costs are c and
 // whose indel cost is dx, charging the boundary cell d0 (dx, or 0 in
-// free-start mode).
+// free-start mode). Each cell is the sum from the diagonal, then the sum
+// from above if it is less, then the sum from the left if it is less than
+// that (sweep).
 func (k *editRowState[E]) feed(c []float64, dx, d0 float64) float64 {
-	row, gap := k.row, k.p.gap
-	c = c[:len(row)-1]
+	row := k.row
+	n := len(row) - 1
 	diag := row[0]
 	row[0] += d0
-	for j := 1; j < len(row); j++ {
-		best := diag + c[j-1]
-		if v := row[j] + dx; v < best {
-			best = v
-		}
-		if v := row[j-1] + gap[j-1]; v < best {
-			best = v
-		}
-		diag = row[j]
-		row[j] = best
+	sweep(row, k.p.gap[:n], c[:n], dx, diag)
+	return row[n]
+}
+
+// RunRows is FeedRow over len(out) rows laid back to back in c, one
+// window length apart, dx[i] the i-th row's indel cost (RowKernel).
+func (k *editRowState[E]) RunRows(c, dx, out []float64) {
+	n := len(k.row) - 1
+	for i := range out {
+		out[i] = k.FeedRow(c[i*n:(i+1)*n], dx[i])
 	}
-	return row[len(row)-1]
+}
+
+// RunFreeRows is RunRows through FeedFreeRow.
+func (k *editRowState[E]) RunFreeRows(c, dx, out []float64) {
+	n := len(k.row) - 1
+	for i := range out {
+		out[i] = k.FeedFreeRow(c[i*n:(i+1)*n], dx[i])
+	}
 }
 
 // feedBand is feed on a banded state. With the previous row's cells ≤ r at
